@@ -50,11 +50,15 @@ def parse_algebra(text: str) -> GradedAlgebra:
         if "semigroup-labels" not in fields or "semigroup-table" not in fields:
             raise BadParam("inline semigroup needs semigroup-labels and semigroup-table")
         labels = tuple(fields["semigroup-labels"][1].split())
+        lineno, value = fields["semigroup-table"]
         table = []
-        for row in fields["semigroup-table"][1].split("/"):
+        for row in value.split("/"):
             entries = row.split()
             if len(entries) != len(labels):
                 raise BadParam("semigroup-table row length disagrees with the labels")
+            unknown = [e for e in entries if e not in labels]
+            if unknown:
+                raise BadParam(f"line {lineno}: unknown semigroup label {unknown[0]!r}")
             table.append(tuple(labels.index(e) for e in entries))
         semigroup = make_semigroup(labels, table)
     else:
@@ -89,7 +93,7 @@ def parse_algebra(text: str) -> GradedAlgebra:
         try:
             i, j, k = (int(p) for p in parts[:3])
             coeff = Fraction(parts[3])
-        except ValueError as exc:
+        except (ValueError, ZeroDivisionError) as exc:
             raise BadParam(f"line {lineno}: {exc}") from None
         for idx in (i, j, k):
             if not 1 <= idx <= dim:
@@ -104,10 +108,14 @@ def parse_algebra(text: str) -> GradedAlgebra:
 
     unit = None
     if "unit" in fields:
-        entries = fields["unit"][1].split()
+        lineno, value = fields["unit"]
+        entries = value.split()
         if len(entries) != dim:
             raise BadParam("unit vector length disagrees with the basis")
-        unit = tuple(Fraction(e) for e in entries)
+        try:
+            unit = tuple(Fraction(e) for e in entries)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise BadParam(f"line {lineno}: {exc}") from None
 
     alg = GradedAlgebra(
         dim=dim,

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations, product
 
-from .codim import _product_cache, _rank_exact
+from .codim import _product_cache, block_rank
 from .errors import (
     BetaInvalid,
     HypothesisViolated,
@@ -20,7 +20,7 @@ from .errors import (
     TooManyParts,
     UnsupportedAlgebra,
 )
-from .gralgebra import GradedAlgebra
+from .gralgebra import GradedAlgebra, mul_sparse
 from .linalg import ZERO, frac
 
 
@@ -266,15 +266,9 @@ class GradedPolynomial:
 def _word_value(table, seq):
     value = {seq[0]: 1}
     for b in seq[1:]:
-        nxt = {}
-        for k, c in value.items():
-            cell = table.get((k, b))
-            if cell:
-                for k2, c2 in cell:
-                    nxt[k2] = nxt.get(k2, 0) + c * c2
-        value = {k: c for k, c in nxt.items() if c != 0}
+        value = mul_sparse(table, value, {b: 1})
         if not value:
-            return value
+            break
     return value
 
 
@@ -314,19 +308,9 @@ class FactoredPolynomial:
             v = f.evaluate(alg, tau, cache=table)
             if not v:
                 return {}
-            if value is None:
-                value = v
-            else:
-                out = {}
-                for k, c in value.items():
-                    for k2, c2 in v.items():
-                        cell = table.get((k, k2))
-                        if cell:
-                            for k3, c3 in cell:
-                                out[k3] = out.get(k3, 0) + c * c2 * c3
-                value = {k: c for k, c in out.items() if c != 0}
-                if not value:
-                    return {}
+            value = v if value is None else mul_sparse(table, value, v)
+            if not value:
+                return {}
         return value or {}
 
     def expand(self) -> GradedPolynomial:
@@ -447,16 +431,7 @@ def theta_scan(alg: GradedAlgebra, n_max: int):
         if len(seq) == n_max:
             return
         for b in range(alg.dim):
-            if seq:
-                nxt = {}
-                for k, c in value.items():
-                    cell = table.get((k, b))
-                    if cell:
-                        for k2, c2 in cell:
-                            nxt[k2] = nxt.get(k2, 0) + c * c2
-                nxt = {k: c for k, c in nxt.items() if c != 0}
-            else:
-                nxt = {b: 1}
+            nxt = mul_sparse(table, value, {b: 1}) if seq else {b: 1}
             if nxt:
                 walk(seq + [b], nxt, theta_sum + theta(alg, b))
             # zero products impose nothing
@@ -773,7 +748,7 @@ def multiplicity_exact(alg: GradedAlgebra, lam: Partition, n_cap: int = 5,
             j = col_index.setdefault(key, len(col_index))
             out[j] = c
         sparse_rows.append(out)
-    return _rank_exact(sparse_rows)
+    return block_rank(sparse_rows, len(col_index))
 
 
 def alternation_vanishing_check(alg: GradedAlgebra, n: int, trials: int = 200,
@@ -813,16 +788,7 @@ def alternation_vanishing_check(alg: GradedAlgebra, n: int, trials: int = 200,
                 bsub = sub[var]
                 if alg.degree[bsub] != b_pos:
                     continue
-                if k == 0:
-                    nxt = {bsub: 1}
-                else:
-                    nxt = {}
-                    for kk, c in value.items():
-                        cell = table.get((kk, bsub))
-                        if cell:
-                            for k2, c2 in cell:
-                                nxt[k2] = nxt.get(k2, 0) + c * c2
-                    nxt = {kk: c for kk, c in nxt.items() if c != 0}
+                nxt = mul_sparse(table, value, {bsub: 1}) if k else {bsub: 1}
                 # sign bookkeeping: moving remaining[idx] to the front
                 walk(k + 1, remaining[:idx] + remaining[idx + 1:], nxt,
                      sign * (-1) ** idx)

@@ -18,9 +18,8 @@ from itertools import permutations, product
 
 import numpy as np
 
-from .errors import DegreeMismatch, EmptySequence, ResourceLimit
-from .gralgebra import GradedAlgebra, with_trivial_grading
-from .linalg import ZERO, frac
+from .errors import EmptySequence, ResourceLimit
+from .gralgebra import GradedAlgebra, mul_sparse, with_trivial_grading
 
 # verified 30-bit primes; per-block choices are drawn from this bank
 PRIME_BANK = (
@@ -34,50 +33,6 @@ DEFAULT_BLOCK_CAP = 10 ** 7
 CERT_EXACT = "exact"
 CERT_MODULAR_STABLE = "modular lower bound, stable across >= 2 primes"
 CERT_MODULAR_UNSTABLE = "modular lower bound, primes disagree"
-
-
-@dataclass(frozen=True)
-class GradedMonomial:
-    """A multilinear graded monomial of length n.
-
-    word[k] is the variable (0-based) in position k; var_degrees[i] is
-    the semigroup element index carried by variable i.  The spanning
-    monomial for a permutation and an assignment attaches degrees to
-    variable indices; position k then carries var_degrees[word[k]].
-    """
-
-    n: int
-    word: tuple
-    var_degrees: tuple
-
-    @classmethod
-    def from_permutation(cls, perm, var_degrees):
-        n = len(perm)
-        return cls(n, tuple(perm), tuple(var_degrees))
-
-    def position_degrees(self):
-        return tuple(self.var_degrees[v] for v in self.word)
-
-
-def evaluate_monomial(alg: GradedAlgebra, m: GradedMonomial, subst, strict: bool = True):
-    """Value of the monomial on basis elements subst[i] for variable i.
-
-    With strict=True a substitution of the wrong degree is an error; with
-    strict=False the component projections simply kill it, which is the
-    behaviour the block-diagonality property asserts.
-    """
-    for i, b in enumerate(subst):
-        if alg.degree[b] != m.var_degrees[i]:
-            if strict:
-                raise DegreeMismatch(
-                    f"variable {i} expects degree index {m.var_degrees[i]}, "
-                    f"basis element {alg.basis_labels[b]} has {alg.degree[b]}")
-            return (ZERO,) * alg.dim
-    out = None
-    for k in m.word:
-        b = alg.basis_vector(subst[k])
-        out = b if out is None else alg.multiply(out, b)
-    return out
 
 
 @dataclass
@@ -99,36 +54,19 @@ class CodimResult:
 
 
 def _product_cache(alg: GradedAlgebra, n: int):
-    """Sparse product vectors of every ordered basis tuple up to length n.
-
-    Structure constants integral on the whole catalog, so the hot path
-    runs on ints; Fractions only appear if the algebra demands them.
-    """
-    table = alg.int_structure()
-    exact = table is None
-    if exact:
-        table = {k: tuple(cell.items()) for k, cell in alg.structure.items()}
+    """Sparse product vectors of every ordered basis tuple up to length n;
+    a tuple is absent when a proper prefix of it multiplies to zero."""
+    table = alg.eval_table()
     cache = {}
+
+    def extend(key, value):
+        cache[key] = value
+        if value and len(key) < n:
+            for b in range(alg.dim):
+                extend(key + (b,), mul_sparse(table, value, {b: 1}))
+
     for b in range(alg.dim):
-        cache[(b,)] = {b: frac(1)} if exact else {b: 1}
-
-    def extend(prefix, value):
-        for b in range(alg.dim):
-            out = {}
-            for k, c in value.items():
-                cell = table.get((k, b))
-                if cell:
-                    for k2, c2 in cell:
-                        out[k2] = out.get(k2, 0) + c * c2
-            out = {k: c for k, c in out.items() if c != 0}
-            key = prefix + (b,)
-            cache[key] = out
-            if out and len(key) < n:
-                extend(key, out)
-
-    if n > 1:
-        for b in range(alg.dim):
-            extend((b,), cache[(b,)])
+        extend((b,), {b: 1})
     return cache
 
 
@@ -158,26 +96,17 @@ def _rank_mod_p(mat: np.ndarray, p: int) -> int:
 def _rank_exact(rows_entries) -> int:
     """Rank over Q of sparse rows given as dicts col -> value.
 
-    Integer rows run through fraction-free elimination with per-row gcd
-    reduction; anything else falls back to Fractions.
+    Fraction-free elimination with per-row gcd reduction.  A row with a
+    non-integral entry is first scaled by the lcm of its denominators,
+    which leaves the rank unchanged; integer rows stay plain ints.
     """
     echelon = {}  # pivot_col -> integer row dict
     rank = 0
     for row in rows_entries:
-        work = {}
-        integral = True
-        for c, v in row.items():
-            if v == 0:
-                continue
-            if not isinstance(v, int):
-                if v.denominator == 1:
-                    v = v.numerator
-                else:
-                    integral = False
-                    break
-            work[c] = v
-        if not integral:
-            return _rank_exact_fractions(rows_entries)
+        work = {c: v for c, v in row.items() if v != 0}
+        if not all(isinstance(v, int) for v in work.values()):
+            d = math.lcm(*(v.denominator for v in work.values()))
+            work = {c: int(v * d) for c, v in work.items()}
         while work:
             pc = min(work)
             prow = echelon.get(pc)
@@ -202,37 +131,21 @@ def _rank_exact(rows_entries) -> int:
     return rank
 
 
-def _rank_exact_fractions(rows_entries) -> int:
-    echelon = []  # list of (pivot_col, dict)
-    rank = 0
-    for row in rows_entries:
-        work = {c: frac(v) for c, v in row.items() if v != 0}
-        for pivot_col, prow in echelon:
-            if pivot_col in work:
-                f = work[pivot_col]
-                for c, v in prow.items():
-                    work[c] = work.get(c, ZERO) - f * v
-                    if work[c] == 0:
-                        del work[c]
-        if work:
-            pc = min(work)
-            inv = 1 / work[pc]
-            prow = {c: v * inv for c, v in work.items()}
-            echelon.append((pc, prow))
-            echelon.sort(key=lambda t: t[0])
-            rank += 1
-    return rank
+def block_rank(rows, ncols: int, p=None) -> int:
+    """Rank of sparse rows (dicts col -> value, col < ncols): over Q when p
+    is None, else over GF(p) after a dense reduction of every entry."""
+    if p is None:
+        return _rank_exact(rows)
+    mat = np.zeros((len(rows), ncols), dtype=np.int64)
+    for i, row in enumerate(rows):
+        for j, v in row.items():
+            mat[i, j] = v % p if isinstance(v, int) else v.numerator * pow(v.denominator, -1, p) % p
+    return _rank_mod_p(mat, p)
 
 
 def _block_primes(seed, assignment):
     rng = random.Random(f"{seed}:{','.join(map(str, assignment))}")
     return tuple(rng.sample(PRIME_BANK, 2))
-
-
-def _entry_mod(value, p):
-    if isinstance(value, int):
-        return value % p
-    return value.numerator * pow(value.denominator, -1, p) % p
 
 
 def graded_codim(alg: GradedAlgebra, n: int, mode: str = "modular",
@@ -282,22 +195,12 @@ def graded_codim(alg: GradedAlgebra, n: int, mode: str = "modular",
                     j = col_index.setdefault(key, len(col_index))
                     row[j] = c
             rows_entries.append(row)
-        if not col_index:
-            blocks.append(EvaluationBlock(assignment, len(perms), 0, 0,
-                                          CERT_EXACT if mode == "exact" else CERT_MODULAR_STABLE))
-            continue
         if mode == "exact":
-            rank = _rank_exact(rows_entries)
+            rank = block_rank(rows_entries, len(col_index))
             cert = CERT_EXACT
         else:
             ps = tuple(primes) if primes else _block_primes(seed, assignment)
-            ranks = []
-            for p in ps:
-                mat = np.zeros((len(perms), len(col_index)), dtype=np.int64)
-                for i, row in enumerate(rows_entries):
-                    for j, v in row.items():
-                        mat[i, j] = _entry_mod(v, p)
-                ranks.append(_rank_mod_p(mat, p))
+            ranks = [block_rank(rows_entries, len(col_index), p) for p in ps]
             rank = max(ranks)
             cert = CERT_MODULAR_STABLE if len(set(ranks)) == 1 else CERT_MODULAR_UNSTABLE
             if cert == CERT_MODULAR_UNSTABLE:

@@ -63,29 +63,17 @@ class GradedAlgebra:
                         out[k] += ab * c
         return tuple(out)
 
-    def int_structure(self):
-        """Structure constants as plain ints when every one is integral.
-
-        Hot loops (long products of basis elements) run noticeably faster
-        on ints than on Fractions.  Returns None if any constant is not
-        an integer.
-        """
-        table = {}
-        for (i, j), cell in self.structure.items():
-            row = []
-            for k, c in cell.items():
-                if c.denominator != 1:
-                    return None
-                row.append((k, c.numerator))
-            table[(i, j)] = tuple(row)
-        return table
-
     def eval_table(self):
-        """int_structure when available, else the same layout on Fractions."""
-        table = self.int_structure()
-        if table is None:
-            table = {key: tuple(cell.items()) for key, cell in self.structure.items()}
-        return table
+        """Structure constants as (i, j) -> ((k, c), ...) for mul_sparse.
+
+        The constants are plain ints when every one is integral: hot loops
+        (long products of basis elements) run noticeably faster on ints
+        than on Fractions.
+        """
+        integral = all(c.denominator == 1 for cell in self.structure.values()
+                       for c in cell.values())
+        return {key: tuple((k, c.numerator if integral else c) for k, c in cell.items())
+                for key, cell in self.structure.items()}
 
     # -- grading ----------------------------------------------------------
 
@@ -109,6 +97,20 @@ class GradedAlgebra:
 
     def full_subspace(self) -> Subspace:
         return Subspace.full(self.dim)
+
+
+def mul_sparse(table, u, v) -> dict:
+    """Product of the sparse vectors u and v (dicts index -> coefficient)
+    under an eval_table; zero coefficients are dropped."""
+    out = {}
+    for i, a in u.items():
+        for j, b in v.items():
+            cell = table.get((i, j))
+            if cell:
+                ab = a * b
+                for k, c in cell:
+                    out[k] = out.get(k, 0) + ab * c
+    return {k: c for k, c in out.items() if c != 0}
 
 
 def validate(alg: GradedAlgebra):
@@ -211,21 +213,9 @@ def with_trivial_grading(alg: GradedAlgebra) -> GradedAlgebra:
 
 # -- subspace arithmetic ---------------------------------------------------
 
-def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
-    return a.sum(b)
-
-
-def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
-    return a.intersect(b)
-
-
 def subspace_product(alg: GradedAlgebra, a: Subspace, b: Subspace) -> Subspace:
     prods = [alg.multiply(u, v) for u in a.rows for v in b.rows]
     return Subspace(alg.dim, [p for p in prods if not is_zero_vec(p)])
-
-
-def contains(s: Subspace, v) -> bool:
-    return s.contains(v)
 
 
 def ideal_generated(alg: GradedAlgebra, vectors) -> Subspace:

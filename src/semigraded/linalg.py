@@ -222,12 +222,10 @@ def mat_vec(matrix, v):
 
 
 def mat_mul(a, b):
-    n, m = len(a), len(b[0])
-    k = len(b)
-    return [
-        tuple(sum((a[i][t] * b[t][j] for t in range(k)), ZERO) for j in range(m))
-        for i in range(n)
-    ]
+    """Product of dense matrices given as rows; zero terms are skipped."""
+    cols = list(zip(*b))
+    return [tuple(sum((x * y for x, y in zip(row, col) if x and y), ZERO) for col in cols)
+            for row in a]
 
 
 def minimal_polynomial(op_matrix):
@@ -263,6 +261,14 @@ def poly_eval_matrix(coeffs, m):
                 acc[i] = [a + c * p for a, p in zip(acc[i], power[i])]
         power = mat_mul(power, m)
     return [tuple(r) for r in acc]
+
+
+def poly_at(coeffs, x):
+    """Value at x of the polynomial with low-first coefficients."""
+    acc = ZERO
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
 
 
 def rational_roots(coeffs):
@@ -302,15 +308,9 @@ def rational_roots(coeffs):
             d += 1
         return out
 
-    def poly_at(x: Fraction) -> Fraction:
-        acc = ZERO
-        for c in reversed(ints):
-            acc = acc * x + c
-        return acc
-
     for p in divisors(a0):
         for q in divisors(an):
             for cand in (Fraction(p, q), Fraction(-p, q)):
-                if cand not in roots and poly_at(cand) == 0:
+                if cand not in roots and poly_at(ints, cand) == 0:
                     roots.append(cand)
     return roots

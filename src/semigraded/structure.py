@@ -32,9 +32,11 @@ from .linalg import (
     Subspace,
     add_vec,
     is_zero_vec,
+    mat_mul,
     mat_vec,
     minimal_polynomial,
     nullspace,
+    poly_at,
     poly_eval_matrix,
     rational_roots,
     scale_vec,
@@ -226,7 +228,7 @@ def _split_block(alg, rows, unit):
             continue  # z is a scalar on this block
         for r in rational_roots(minpoly):
             quot = _synthetic_div(minpoly, r)
-            if _poly_at(quot, r) == 0:
+            if poly_at(quot, r) == 0:
                 continue  # multiple root would mean a radical, not expected
             eigen = nullspace(
                 [tuple(mz[i][j] - (r if i == j else ZERO) for j in range(m)) for i in range(m)], m)
@@ -266,13 +268,6 @@ def _synthetic_div(coeffs, r):
         acc = acc * r + c if q else c
         q.append(acc)
     return list(reversed(q[:-1]))
-
-
-def _poly_at(coeffs, x):
-    acc = ZERO
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
 
 
 def _combine(rows, coords):
@@ -536,28 +531,34 @@ def _operator_closure(alg: GradedAlgebra):
     gens = []
     for t in alg.support():
         idx = alg.component_indices(t)
-        gens.append([[ONE if (i == j and i in idx) else ZERO for j in range(n)] for i in range(n)])
+        gens.append([tuple(ONE if (i == j and i in idx) else ZERO for j in range(n))
+                     for i in range(n)])
     for b in range(n):
-        left = [[alg.mul_basis(b, j).get(i, ZERO) for j in range(n)] for i in range(n)]
-        right = [[alg.mul_basis(j, b).get(i, ZERO) for j in range(n)] for i in range(n)]
-        gens.append(left)
-        gens.append(right)
-    ident = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
-
-    def flat(m):
-        return tuple(x for row in m for x in row)
-
-    span_rows = []
+        gens.append([tuple(alg.mul_basis(b, j).get(i, ZERO) for j in range(n)) for i in range(n)])
+        gens.append([tuple(alg.mul_basis(j, b).get(i, ZERO) for j in range(n)) for i in range(n)])
+    ident = [unit_vec(n, i) for i in range(n)]
+    echelon = []  # (pivot, sparse flattened row with 1 at the pivot), in insertion order
     basis_mats = []
 
     def insert(m):
-        nonlocal span_rows
-        candidate = Subspace(n * n, span_rows + [flat(m)])
-        if candidate.dim > len(span_rows):
-            span_rows = list(candidate.rows)
-            basis_mats.append(m)
-            return True
-        return False
+        """Keep m when it is independent of the matrices kept so far."""
+        v = {k: x for k, x in enumerate(x for row in m for x in row) if x != 0}
+        for p, row in echelon:
+            f = v.get(p)
+            if f:
+                for k, x in row.items():
+                    y = v.get(k, ZERO) - f * x
+                    if y:
+                        v[k] = y
+                    else:
+                        del v[k]
+        if not v:
+            return False
+        p = min(v)
+        inv = 1 / v[p]
+        echelon.append((p, {k: x * inv for k, x in v.items()}))
+        basis_mats.append(m)
+        return True
 
     insert(ident)
     for g in gens:
@@ -567,17 +568,13 @@ def _operator_closure(alg: GradedAlgebra):
         new = []
         for f in frontier:
             for g in gens:
-                for prod in (_matmul(f, g, n), _matmul(g, f, n)):
-                    if len(span_rows) == n * n:
+                for prod in (mat_mul(f, g), mat_mul(g, f)):
+                    if len(basis_mats) == n * n:
                         return basis_mats
                     if insert(prod):
                         new.append(prod)
         frontier = new
     return basis_mats
-
-
-def _matmul(a, b, n):
-    return [[sum((a[i][k] * b[k][j] for k in range(n)), ZERO) for j in range(n)] for i in range(n)]
 
 
 def is_graded_simple(alg: GradedAlgebra, trials: int = 1000, seed: int = 0) -> SimplicityResult:

@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 
 from . import asympt, codim, cochar, structure
-from .gralgebra import is_graded_subspace, paper_catalog, subspace_intersect
+from .gralgebra import is_graded_subspace, paper_catalog
 from .semigroup import classify_order2, enumerate_semigroups, isomorphism_classes
 
 
@@ -67,7 +67,7 @@ def check_radical_gradedness(algebras=None):
         matches = rad == pure_second_coordinate_span(alg, positions)
         graded = is_graded_subspace(alg, rad)
         meets = all(
-            subspace_intersect(rad, alg.component(t)).dim == 0
+            rad.intersect(alg.component(t)).dim == 0
             for t in alg.support()
         )
         good = matches and not graded and meets

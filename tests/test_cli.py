@@ -159,3 +159,34 @@ def test_verify_sections_filter(runner):
     assert "semigroup-classification" in result.output
     assert "theta-window" in result.output
     assert "codim-t1-t2-agreement" not in result.output
+
+
+ONE_DIM = """\
+name: one
+semigroup: inline
+semigroup-labels: e
+semigroup-table: e
+basis: u
+degree: u e
+structure: 1 1 1 1
+unit: 1
+"""
+
+
+@pytest.mark.parametrize("good, bad, lineno", [
+    ("structure: 1 1 1 1", "structure: 1 1 1 1/0", 7),
+    ("unit: 1", "unit: x", 8),
+    ("semigroup-table: e", "semigroup-table: f", 4),
+])
+def test_malformed_value_is_one_json_line_exit_2(runner, tmp_path, good, bad, lineno):
+    path = tmp_path / "one.alg"
+    path.write_text(ONE_DIM, encoding="utf-8")
+    assert runner.invoke(main, ["check", "--input", str(path)]).exit_code == 0
+    assert good in ONE_DIM
+    path.write_text(ONE_DIM.replace(good, bad), encoding="utf-8")
+    result = runner.invoke(main, ["check", "--input", str(path)])
+    assert result.exit_code == 2
+    [line] = result.stderr.strip().splitlines()
+    payload = json.loads(line)
+    assert payload["error"] == "BadParam"
+    assert payload["message"].startswith(f"line {lineno}:")

@@ -1,21 +1,72 @@
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from semigraded.cochar import multiplicity_exact, partitions_of
 from semigraded.codim import (
     CERT_EXACT,
     CERT_MODULAR_STABLE,
-    GradedMonomial,
+    _product_cache,
+    _rank_exact,
     codim_sequence,
-    evaluate_monomial,
     exponent_estimate,
     graded_codim,
     ordinary_codim,
 )
 from semigraded.errors import DegreeMismatch, EmptySequence, ResourceLimit
-from semigraded.gralgebra import GradedAlgebra, full_matrix, paper_catalog
+from semigraded.gralgebra import GradedAlgebra, adjoin_unit, full_matrix, paper_catalog
+from semigraded.linalg import ZERO, matrix_rank
 from semigraded.semigroup import trivial_semigroup
+
+
+# -- oracle: dense evaluation of one monomial, independent of the product cache --
+
+@dataclass(frozen=True)
+class GradedMonomial:
+    """A multilinear graded monomial of length n.
+
+    word[k] is the variable (0-based) in position k; var_degrees[i] is
+    the semigroup element index carried by variable i.  The spanning
+    monomial for a permutation and an assignment attaches degrees to
+    variable indices; position k then carries var_degrees[word[k]].
+    """
+
+    n: int
+    word: tuple
+    var_degrees: tuple
+
+    @classmethod
+    def from_permutation(cls, perm, var_degrees):
+        n = len(perm)
+        return cls(n, tuple(perm), tuple(var_degrees))
+
+    def position_degrees(self):
+        return tuple(self.var_degrees[v] for v in self.word)
+
+
+def evaluate_monomial(alg: GradedAlgebra, m: GradedMonomial, subst, strict: bool = True):
+    """Value of the monomial on basis elements subst[i] for variable i.
+
+    With strict=True a substitution of the wrong degree is an error; with
+    strict=False the component projections simply kill it, which is the
+    behaviour the block-diagonality property asserts.
+    """
+    for i, b in enumerate(subst):
+        if alg.degree[b] != m.var_degrees[i]:
+            if strict:
+                raise DegreeMismatch(
+                    f"variable {i} expects degree index {m.var_degrees[i]}, "
+                    f"basis element {alg.basis_labels[b]} has {alg.degree[b]}")
+            return (ZERO,) * alg.dim
+    out = None
+    for k in m.word:
+        b = alg.basis_vector(subst[k])
+        out = b if out is None else alg.multiply(out, b)
+    return out
 
 
 def one_dim_unital():
@@ -262,3 +313,66 @@ def test_exponent_estimate():
         exponent_estimate([])
     with pytest.raises(EmptySequence):
         exponent_estimate([1, 0])
+
+
+@pytest.mark.parametrize("alg", [
+    paper_catalog("thm_T1_fractional"),
+    paper_catalog("thm_T3_fractional"),
+    adjoin_unit(full_matrix(2)),
+], ids=lambda a: a.name)
+def test_product_cache_matches_the_oracle(alg):
+    cache = _product_cache(alg, 4)
+    for n in range(1, 5):
+        for key in product(range(alg.dim), repeat=n):
+            m = GradedMonomial.from_permutation(tuple(range(n)), tuple(alg.degree[b] for b in key))
+            expected = evaluate_monomial(alg, m, key)
+            if key in cache:
+                dense = [ZERO] * alg.dim
+                for k, c in cache[key].items():
+                    dense[k] = c
+                assert tuple(dense) == expected, key
+            else:
+                # left out only because a proper prefix multiplies to zero
+                assert any(key[:j] in cache and not cache[key[:j]] for j in range(1, n)), key
+                assert not any(expected), key
+
+
+def half_scaled(alg):
+    """alg on the basis e_i / 2: every structure constant is halved, the
+    degree map is unchanged and the unit coordinates double."""
+    return GradedAlgebra(
+        alg.dim, alg.basis_labels,
+        {key: {k: c / 2 for k, c in cell.items()} for key, cell in alg.structure.items()},
+        alg.degree, alg.semigroup, unit=tuple(2 * c for c in alg.unit),
+        name=alg.name + "/2")
+
+
+def test_non_integral_structure_constants():
+    base = paper_catalog("mk_column_graded", 2)
+    alg = half_scaled(base)
+    assert not any(isinstance(c, int) for cell in alg.eval_table().values() for _, c in cell)
+    assert {c for cell in alg.structure.values() for c in cell.values()} == {Fraction(1, 2)}
+    for mode in ("modular", "exact"):
+        scaled = codim_sequence(alg, 4, mode=mode)
+        plain = codim_sequence(base, 4, mode=mode)
+        assert [r.value for r in scaled] == [2, 8, 42, 192]
+        assert [r.certification for r in scaled] == [r.certification for r in plain]
+        assert [[b.certification for b in r.blocks] for r in scaled] == \
+            [[b.certification for b in r.blocks] for r in plain]
+    for lam in partitions_of(3):
+        assert multiplicity_exact(alg, lam) == multiplicity_exact(base, lam)
+
+
+_rational = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda ncols: st.lists(
+    st.dictionaries(st.integers(0, ncols - 1), _rational, max_size=ncols),
+    max_size=6).map(lambda rows: (ncols, rows))))
+def test_rank_exact_matches_dense_rank(case):
+    ncols, rows = case
+    dense = [tuple(row.get(c, ZERO) for c in range(ncols)) for row in rows]
+    # integral entries go in as plain ints, the rest as Fractions
+    mixed = [{c: int(v) if v.denominator == 1 else v for c, v in row.items()} for row in rows]
+    assert _rank_exact(mixed) == matrix_rank(dense)

@@ -20,7 +20,6 @@ from semigraded.gralgebra import (
     quotient_algebra,
     subalgebra_on,
     subspace_product,
-    subspace_sum,
     upper_triangular,
     validate,
     validate_or_raise,
@@ -182,8 +181,8 @@ def test_subspace_product_bilinear(xs, ys):
     s = Subspace(4, [tuple(vec(xs))])
     t1 = Subspace(4, [tuple(vec(ys))])
     t2 = Subspace(4, [m2.basis_vector(1)])
-    lhs = subspace_product(m2, s, subspace_sum(t1, t2))
-    rhs = subspace_sum(subspace_product(m2, s, t1), subspace_product(m2, s, t2))
+    lhs = subspace_product(m2, s, t1.sum(t2))
+    rhs = subspace_product(m2, s, t1).sum(subspace_product(m2, s, t2))
     assert lhs == rhs
 
 

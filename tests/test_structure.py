@@ -1,7 +1,9 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from semigraded.codim import block_rank
 from semigraded.errors import (
     NilpotentAlgebra,
     NonSplit,
@@ -15,6 +17,7 @@ from semigraded.gralgebra import (
     full_matrix,
     is_graded_subspace,
     paper_catalog,
+    parse_catalog_spec,
     quotient_algebra,
     subspace_product,
     upper_triangular,
@@ -23,6 +26,7 @@ from semigraded.gralgebra import (
 from semigraded.linalg import Subspace, solve, vec
 from semigraded.semigroup import catalog_semigroup, trivial_semigroup
 from semigraded.structure import (
+    _operator_closure,
     all_ideals_graded_zeroband,
     center,
     graded_exponent_d,
@@ -414,3 +418,43 @@ def test_graded_simple_opposite_fractional():
     mirror = opposite(paper_catalog("thm_T3_fractional"))
     assert validate(mirror)["ok"]
     assert is_graded_simple(mirror).verdict == "certified_true"
+
+
+def _closure_generators(alg):
+    """The component projections and the left and right multiplications
+    by every basis element, as matrices acting on coordinate columns."""
+    n = alg.dim
+    gens = [[[int(i == j and alg.degree[i] == t) for j in range(n)] for i in range(n)]
+            for t in alg.support()]
+    for b in range(n):
+        gens.append([[alg.mul_basis(b, j).get(i, 0) for j in range(n)] for i in range(n)])
+        gens.append([[alg.mul_basis(j, b).get(i, 0) for j in range(n)] for i in range(n)])
+    return gens
+
+
+def _int_matrix(m):
+    assert all(x.denominator == 1 for r in m for x in r)  # integral on the catalog
+    return np.array([[int(x) for x in r] for r in m], dtype=np.int64)
+
+
+@pytest.mark.parametrize("spec", [
+    "thm_T1_fractional", "thm_T2_fractional", "thm_T3_fractional",
+    "exampleT1(2)", "exampleT2(2)", "exampleT3(2)", "mk_column_graded(2)",
+    "utk_column_graded(2)", "mk_zhalf_graded", "full_matrix(2)", "upper_triangular(3)",
+])
+def test_operator_closure_is_a_basis_of_the_generated_algebra(spec):
+    alg = parse_catalog_spec(spec)
+    n = alg.dim
+    ops = [_int_matrix(m) for m in _operator_closure(alg)]
+
+    def row(m):
+        return {k: int(x) for k, x in enumerate(m.flat) if x}
+
+    rows = [row(m) for m in ops]
+    assert block_rank(rows, n * n) == len(ops)  # linearly independent
+    assert any((m == np.eye(n, dtype=np.int64)).all() for m in ops)
+    gens = [_int_matrix(g) for g in _closure_generators(alg)]
+    products = [row(p) for m in ops for g in gens for p in (g @ m, m @ g)]
+    assert block_rank(rows + products, n * n) == len(ops)  # the span is closed
+    if spec == "thm_T3_fractional":
+        assert len(ops) == 36
