@@ -2,14 +2,15 @@
 """Scan graded codimension sequences across the catalog.
 
 Computes c_1..c_N for the interesting catalog algebras in modular mode,
-prints the per-n values with n-th roots, and cross-checks the two
-degree-7 algebras against each other termwise.
+prints the per-n values with n-th roots and the ratios c_n/c_(n-1), and
+cross-checks the two degree-7 algebras against each other termwise.
+--max-block-entries raises the block cap, e.g. to 10**8 for c_6.
 """
 
 import argparse
 import sys
 
-from semigraded.codim import codim_sequence, exponent_estimate
+from semigraded.codim import DEFAULT_BLOCK_CAP, codim_sequence, exponent_estimate
 from semigraded.gralgebra import parse_catalog_spec
 
 DEFAULT_TARGETS = [
@@ -26,18 +27,23 @@ def main():
     ap.add_argument("--n-max", type=int, default=4)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--targets", nargs="*", default=DEFAULT_TARGETS)
+    ap.add_argument("--max-block-entries", type=int, default=DEFAULT_BLOCK_CAP)
     args = ap.parse_args()
 
     sequences = {}
     for spec in args.targets:
         alg = parse_catalog_spec(spec)
-        seq = codim_sequence(alg, args.n_max, seed=args.seed)
+        seq = codim_sequence(alg, args.n_max, seed=args.seed,
+                             max_block_entries=args.max_block_entries)
         sequences[spec] = [r.value for r in seq]
         est = exponent_estimate([r.value for r in seq])
         print(f"{spec}  (dim {alg.dim})")
+        prev = None
         for r, root in zip(seq, est["roots"]):
-            print(f"  n={r.n}: c_n={r.value}  root={root:.4f}  [{r.certification}]  "
-                  f"{r.seconds:.2f}s")
+            ratio = f"{r.value / prev:.4f}" if prev else "-"
+            print(f"  n={r.n}: c_n={r.value}  root={root:.4f}  ratio={ratio}  "
+                  f"[{r.certification}]  {r.seconds:.2f}s")
+            prev = r.value
         print(f"  log-slope {est['slope']:.4f}")
 
     a = sequences.get("thm_T1_fractional")

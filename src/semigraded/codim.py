@@ -3,9 +3,11 @@
 The multilinear monomials of length n split by degree assignment; a
 monomial evaluates to zero on every substitution whose degrees disagree
 with its own, so the quotient dimension is the sum over assignments of
-the rank of one evaluation block.  Ranks run over two ~30-bit primes by
-default (a certified lower bound, labelled as such) or over exact
-rationals on request.
+the rank of one evaluation block.  Assignments with the same multiset of
+degrees have blocks of equal rank, so one block per multiset is built,
+gathered with numpy from a table of word products.  Ranks run over two
+~30-bit primes by default (a certified lower bound, labelled as such) or
+over exact rationals on request.
 """
 
 from __future__ import annotations
@@ -53,20 +55,24 @@ class CodimResult:
     seconds: float = 0.0
 
 
-def _product_cache(alg: GradedAlgebra, n: int):
+def _product_cache(alg: GradedAlgebra, n: int, max_entries: int = DEFAULT_BLOCK_CAP):
     """Sparse product vectors of every ordered basis tuple up to length n;
-    a tuple is absent when a proper prefix of it multiplies to zero."""
+    a tuple is absent when a proper prefix of it multiplies to zero.
+    Raises ResourceLimit once the cache holds more than max_entries tuples."""
     table = alg.eval_table()
     cache = {}
-
-    def extend(key, value):
+    # depth first with an explicit stack: a recursive closure would be a
+    # reference cycle that keeps the whole cache alive until a full gc pass
+    stack = [((b,), {b: 1}) for b in reversed(range(alg.dim))]
+    while stack:
+        key, value = stack.pop()
         cache[key] = value
+        if len(cache) > max_entries:
+            raise ResourceLimit(f"product cache for n = {n} passes {max_entries} entries",
+                                context=n)
         if value and len(key) < n:
-            for b in range(alg.dim):
-                extend(key + (b,), mul_sparse(table, value, {b: 1}))
-
-    for b in range(alg.dim):
-        extend((b,), {b: 1})
+            stack.extend((key + (b,), mul_sparse(table, value, {b: 1}))
+                         for b in reversed(range(alg.dim)))
     return cache
 
 
@@ -131,6 +137,11 @@ def _rank_exact(rows_entries) -> int:
     return rank
 
 
+def _residue(v, p: int) -> int:
+    """An int or Fraction reduced mod p."""
+    return v % p if isinstance(v, int) else v.numerator * pow(v.denominator, -1, p) % p
+
+
 def block_rank(rows, ncols: int, p=None) -> int:
     """Rank of sparse rows (dicts col -> value, col < ncols): over Q when p
     is None, else over GF(p) after a dense reduction of every entry."""
@@ -139,7 +150,7 @@ def block_rank(rows, ncols: int, p=None) -> int:
     mat = np.zeros((len(rows), ncols), dtype=np.int64)
     for i, row in enumerate(rows):
         for j, v in row.items():
-            mat[i, j] = v % p if isinstance(v, int) else v.numerator * pow(v.denominator, -1, p) % p
+            mat[i, j] = _residue(v, p)
     return _rank_mod_p(mat, p)
 
 
@@ -148,15 +159,87 @@ def _block_primes(seed, assignment):
     return tuple(rng.sample(PRIME_BANK, 2))
 
 
+class _WordTable:
+    """The length-n words with a nonzero product, found by their base-dim
+    code; the row past the last word is the zero vector of every word left
+    out (a zero product, or a zero prefix and so no cache entry)."""
+
+    def __init__(self, cache, n: int, dim: int):
+        # dim ** n stays far below 2 ** 63 while the block cap holds and the
+        # |support| ** n assignments fit in memory
+        words = sorted(key for key, value in cache.items() if len(key) == n and value)
+        self.powers = dim ** np.arange(n - 1, -1, -1, dtype=np.int64)
+        self.codes = np.array(words, dtype=np.int64).reshape(-1, n) @ self.powers
+        self.dim = dim
+        entries = [(i, k, c) for i, w in enumerate(words) for k, c in cache[w].items()]
+        self._at = tuple(np.array([e[j] for e in entries], dtype=np.int64) for j in (0, 1))
+        self.coefs = [e[2] for e in entries]
+        self.nonzero = self.table([True] * len(entries), bool)
+
+    def table(self, values, dtype):
+        """(words + 1) x dim array holding values[e] at the place of the
+        e-th product coefficient (listed in self.coefs), zero elsewhere."""
+        out = np.zeros((len(self.codes) + 1, self.dim), dtype=dtype)
+        out[self._at] = np.array(values, dtype=dtype)
+        return out
+
+    def rows(self, words):
+        """Table row of every code in words; the zero row for one not listed."""
+        idx = np.searchsorted(self.codes, words)
+        hit = idx < len(self.codes)
+        hit[hit] = self.codes[idx[hit]] == words[hit]
+        idx[~hit] = len(self.codes)
+        return idx
+
+
+# target number of block entries gathered at once
+_CHUNK_ENTRIES = 1 << 18
+
+
+class _BlockLayout:
+    """Where each entry of one block comes from, before any values.
+
+    Row i is the permutation perms[i]; column (s, k) is coordinate k of
+    substitution subs[s].  Per substitution chunk this keeps the table row
+    of every (permutation, substitution) word and the mask of the chunk's
+    columns that are nonzero in some row; n_cols counts those columns.
+    """
+
+    def __init__(self, words: _WordTable, subs: np.ndarray, perms: np.ndarray):
+        self.n_rows = len(perms)
+        step = max(1, _CHUNK_ENTRIES // (self.n_rows * words.dim))
+        self.chunks = []
+        for lo in range(0, len(subs), step):
+            idx = words.rows(subs[lo:lo + step][:, perms] @ words.powers).T
+            keep = words.nonzero[idx].reshape(self.n_rows, -1).any(axis=0)
+            self.chunks.append((idx, keep))
+        self.n_cols = sum(int(keep.sum()) for _, keep in self.chunks)
+
+    def matrix(self, table: np.ndarray) -> np.ndarray:
+        """The block's n_rows x n_cols matrix with entries from table."""
+        out = np.empty((self.n_rows, self.n_cols), dtype=table.dtype)
+        j = 0
+        for idx, keep in self.chunks:
+            piece = table[idx].reshape(self.n_rows, -1)[:, keep]
+            out[:, j:j + piece.shape[1]] = piece
+            j += piece.shape[1]
+        return out
+
+
 def graded_codim(alg: GradedAlgebra, n: int, mode: str = "modular",
                  primes=None, seed: int = 0,
                  max_block_entries: int = DEFAULT_BLOCK_CAP) -> CodimResult:
     """The n-th graded codimension of alg.
 
-    mode "modular": per-block ranks over two primes (drawn per block
-    from the seed unless primes are given); equal ranks across primes are
-    reported as a stable modular lower bound.  mode "exact": rational
-    ranks, certification "exact".
+    Renaming the variables permutes a block's rows and columns, so its
+    rank and column count depend only on the multiset of its degrees: one
+    block is ranked per sorted representative and every assignment of the
+    orbit is reported with that block's figures.
+
+    mode "modular": per-block ranks over two primes (drawn per
+    representative from the seed unless primes are given); equal ranks
+    across primes are reported as a stable modular lower bound.  mode
+    "exact": rational ranks, certification "exact".
     """
     if n < 1:
         raise EmptySequence("n must be >= 1")
@@ -165,52 +248,48 @@ def graded_codim(alg: GradedAlgebra, n: int, mode: str = "modular",
     t0 = time.monotonic()
     support = alg.support()
     comp = {t: alg.component_indices(t) for t in support}
-    cache = _product_cache(alg, n)
-    perms = list(permutations(range(n)))
-    blocks = []
-    total = 0
-    stable = True
-    # lexicographic over semigroup element indices keeps output reproducible
-    for assignment in product(support, repeat=n):
-        choices = [comp[t] for t in assignment]
-        n_subs = math.prod(len(c) for c in choices)
-        entry_bound = len(perms) * n_subs * alg.dim
+    n_perms = math.factorial(n)
+    # lexicographic over semigroup element indices keeps output reproducible;
+    # the first assignment of each orbit is its sorted representative
+    assignments = list(product(support, repeat=n))
+    reps = list(dict.fromkeys(tuple(sorted(a)) for a in assignments))
+    for rep in reps:
+        entry_bound = n_perms * math.prod(len(comp[t]) for t in rep) * alg.dim
         if entry_bound > max_block_entries:
             raise ResourceLimit(
-                f"block for assignment {assignment} needs {entry_bound} entries "
-                f"(cap {max_block_entries})", context=assignment)
-        substs = list(product(*choices))
-        # collect sparse rows; columns keyed by (substitution index, coordinate)
-        col_index = {}
-        rows_entries = []
-        for perm in perms:
-            row = {}
-            for s_idx, sub in enumerate(substs):
-                # a key absent from the cache had a zero prefix product
-                value = cache.get(tuple(sub[k] for k in perm))
-                if not value:
-                    continue
-                for coord, c in value.items():
-                    key = (s_idx, coord)
-                    j = col_index.setdefault(key, len(col_index))
-                    row[j] = c
-            rows_entries.append(row)
+                f"block for assignment {rep} needs {entry_bound} entries "
+                f"(cap {max_block_entries})", context=rep)
+    words = _WordTable(_product_cache(alg, n, max_block_entries), n, alg.dim)
+    perms = np.array(list(permutations(range(n))), dtype=np.int64)
+    exact_table = words.table(words.coefs, object) if mode == "exact" else None
+    residue_tables = {}
+    ranked = {}
+    for rep in reps:
+        subs = np.array(list(product(*(comp[t] for t in rep))), dtype=np.int64)
+        layout = _BlockLayout(words, subs, perms)
         if mode == "exact":
-            rank = block_rank(rows_entries, len(col_index))
+            rows = [{j: v for j, v in enumerate(row) if v}
+                    for row in layout.matrix(exact_table).tolist()]
+            rank = _rank_exact(rows)
             cert = CERT_EXACT
         else:
-            ps = tuple(primes) if primes else _block_primes(seed, assignment)
-            ranks = [block_rank(rows_entries, len(col_index), p) for p in ps]
+            ranks = []
+            for p in (tuple(primes) if primes else _block_primes(seed, rep)):
+                if p not in residue_tables:
+                    residue_tables[p] = words.table([_residue(c, p) for c in words.coefs],
+                                                    np.int64)
+                ranks.append(_rank_mod_p(layout.matrix(residue_tables[p]), p))
             rank = max(ranks)
             cert = CERT_MODULAR_STABLE if len(set(ranks)) == 1 else CERT_MODULAR_UNSTABLE
-            if cert == CERT_MODULAR_UNSTABLE:
-                stable = False
-        blocks.append(EvaluationBlock(assignment, len(perms), len(col_index), rank, cert))
-        total += rank
+        ranked[rep] = (layout.n_cols, rank, cert)
+    blocks = [EvaluationBlock(a, n_perms, *ranked[tuple(sorted(a))]) for a in assignments]
+    total = sum(b.rank for b in blocks)
     if mode == "exact":
         certification = CERT_EXACT
+    elif all(b.certification == CERT_MODULAR_STABLE for b in blocks):
+        certification = CERT_MODULAR_STABLE
     else:
-        certification = CERT_MODULAR_STABLE if stable else CERT_MODULAR_UNSTABLE
+        certification = CERT_MODULAR_UNSTABLE
     return CodimResult(n, total, certification, blocks, time.monotonic() - t0)
 
 

@@ -304,11 +304,12 @@ def test_multiplicity_more_parts_than_dim():
 
 def test_multiplicity_cross_check_against_codim():
     from semigraded.codim import graded_codim
-    t3 = paper_catalog("thm_T3_fractional")
-    for n in (1, 2, 3):
-        total = sum(multiplicity_exact(t3, lam) * hook_dim(lam)
-                    for lam in partitions_of(n))
-        assert total == graded_codim(t3, n, mode="exact").value
+    for name in ("thm_T1_fractional", "thm_T3_fractional"):
+        alg = paper_catalog(name)
+        for n in (1, 2, 3, 4):
+            total = sum(multiplicity_exact(alg, lam) * hook_dim(lam)
+                        for lam in partitions_of(n))
+            assert total == graded_codim(alg, n, mode="exact").value, (name, n)
 
 
 def test_certificate_implies_positive_multiplicity():

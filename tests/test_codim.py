@@ -1,24 +1,36 @@
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from functools import lru_cache
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from semigraded import codim
 from semigraded.cochar import multiplicity_exact, partitions_of
 from semigraded.codim import (
     CERT_EXACT,
     CERT_MODULAR_STABLE,
+    CERT_MODULAR_UNSTABLE,
+    _block_primes,
     _product_cache,
     _rank_exact,
+    block_rank,
     codim_sequence,
     exponent_estimate,
     graded_codim,
     ordinary_codim,
 )
 from semigraded.errors import DegreeMismatch, EmptySequence, ResourceLimit
-from semigraded.gralgebra import GradedAlgebra, adjoin_unit, full_matrix, paper_catalog
+from semigraded.gralgebra import (
+    GradedAlgebra,
+    adjoin_unit,
+    catalog_names,
+    full_matrix,
+    opposite,
+    paper_catalog,
+)
 from semigraded.linalg import ZERO, matrix_rank
 from semigraded.semigroup import trivial_semigroup
 
@@ -66,6 +78,42 @@ def evaluate_monomial(alg: GradedAlgebra, m: GradedMonomial, subst, strict: bool
     for k in m.word:
         b = alg.basis_vector(subst[k])
         out = b if out is None else alg.multiply(out, b)
+    return out
+
+
+# -- oracle: every degree assignment assembled on its own, as dict rows --
+
+def oracle_block(alg: GradedAlgebra, cache, assignment, p=None):
+    """(n_cols, rank) of one assignment's block: one row per permutation,
+    one column per (substitution, coordinate) with a nonzero entry; the
+    rank over Q, or over GF(p) when p is given."""
+    n = len(assignment)
+    substs = list(product(*(alg.component_indices(t) for t in assignment)))
+    col_index = {}
+    rows = []
+    for perm in permutations(range(n)):
+        row = {}
+        for s_idx, sub in enumerate(substs):
+            # a key absent from the cache had a zero prefix product
+            for coord, c in (cache.get(tuple(sub[k] for k in perm)) or {}).items():
+                row[col_index.setdefault((s_idx, coord), len(col_index))] = c
+        rows.append(row)
+    return len(col_index), block_rank(rows, len(col_index), p)
+
+
+def oracle_blocks(alg: GradedAlgebra, n: int, mode: str, seed: int = 0):
+    """{assignment: (n_cols, rank, certification)} with per-assignment
+    primes, as graded_codim computed them before orbit reduction."""
+    cache = _product_cache(alg, n)
+    out = {}
+    for assignment in product(alg.support(), repeat=n):
+        if mode == "exact":
+            out[assignment] = oracle_block(alg, cache, assignment) + (CERT_EXACT,)
+            continue
+        ranks = [oracle_block(alg, cache, assignment, p)
+                 for p in _block_primes(seed, assignment)]
+        cert = CERT_MODULAR_STABLE if len(set(ranks)) == 1 else CERT_MODULAR_UNSTABLE
+        out[assignment] = (ranks[0][0], max(r for _, r in ranks), cert)
     return out
 
 
@@ -289,16 +337,19 @@ def test_t1_t2_termwise_equality():
             graded_codim(t2, n, mode="exact").value
 
 
-def test_opposite_preserves_the_sequence():
+@pytest.mark.parametrize("spec", [("thm_T1_fractional",), ("thm_T3_fractional",),
+                                  ("exampleT2", 2)], ids=lambda spec: spec[0])
+def test_opposite_preserves_the_sequence(spec):
     # reversing products and transposing the grading semigroup reverses
     # every monomial, a bijection on the spanning set, so the sequence of
-    # the mirrored algebra matches termwise
-    from semigraded.gralgebra import opposite
-    t3 = paper_catalog("thm_T3_fractional")
-    t3op = opposite(t3)
-    for n in (1, 2, 3):
-        assert graded_codim(t3, n, mode="exact").value == \
-            graded_codim(t3op, n, mode="exact").value
+    # the mirrored algebra matches termwise; the trivial grading is coarser,
+    # so the ordinary codimension never exceeds the graded one
+    alg = paper_catalog(*spec)
+    for side in (alg, opposite(alg)):
+        for n in (1, 2, 3, 4):
+            graded = graded_codim(side, n, mode="exact").value
+            assert graded == graded_codim(alg, n, mode="exact").value
+            assert ordinary_codim(side, n, mode="exact").value <= graded
 
 
 def test_exponent_estimate():
@@ -376,3 +427,70 @@ def test_rank_exact_matches_dense_rank(case):
     # integral entries go in as plain ints, the rest as Fractions
     mixed = [{c: int(v) if v.denominator == 1 else v for c, v in row.items()} for row in rows]
     assert _rank_exact(mixed) == matrix_rank(dense)
+
+
+def test_over_cap_request_fails_before_the_product_cache(monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("product cache built before the block cap was checked")
+
+    monkeypatch.setattr(codim, "_product_cache", unreachable)
+    with pytest.raises(ResourceLimit):
+        graded_codim(adjoin_unit(full_matrix(3)), 7, max_block_entries=10)
+
+
+def test_product_cache_is_capped():
+    alg = adjoin_unit(full_matrix(3))
+    with pytest.raises(ResourceLimit):
+        _product_cache(alg, 7, max_entries=1000)
+    size = len(_product_cache(alg, 3))
+    assert _product_cache(alg, 3, max_entries=size) == _product_cache(alg, 3)
+    with pytest.raises(ResourceLimit):
+        _product_cache(alg, 3, max_entries=size - 1)
+
+
+_FIXED = ("thm_T1_fractional", "thm_T2_fractional", "thm_T3_fractional", "mk_zhalf_graded")
+
+
+@lru_cache(maxsize=None)
+def catalog_at_two():
+    """Every catalog algebra, those with a size parameter at 2."""
+    return tuple(paper_catalog(name, *(() if name in _FIXED else (2,)))
+                 for name in catalog_names())
+
+
+@lru_cache(maxsize=None)
+def cached_products(i: int, n: int):
+    return _product_cache(catalog_at_two()[i], n)
+
+
+def engine_blocks(alg, n, mode):
+    return {b.assignment: (b.n_cols, b.rank, b.certification)
+            for b in graded_codim(alg, n, mode=mode).blocks}
+
+
+@pytest.mark.parametrize("mode", ["modular", "exact"])
+def test_engine_matches_the_oracle_on_the_catalog(mode):
+    for alg in catalog_at_two():
+        for n in (1, 2, 3, 4):
+            assert engine_blocks(alg, n, mode) == oracle_blocks(alg, n, mode), (alg.name, n)
+
+
+def test_engine_matches_the_oracle_t3_exact_degree_five():
+    alg = paper_catalog("thm_T3_fractional")
+    assert engine_blocks(alg, 5, "exact") == oracle_blocks(alg, 5, "exact")
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_block_rank_is_invariant_under_relabelling_variables(data):
+    # orbit reduction ranks one block per multiset of degrees: renaming the
+    # variables by sigma permutes the rows and columns of the block
+    i = data.draw(st.integers(0, len(catalog_at_two()) - 1), label="algebra")
+    alg = catalog_at_two()[i]
+    n = data.draw(st.integers(1, 4), label="n")
+    a = tuple(data.draw(st.lists(st.sampled_from(alg.support()), min_size=n, max_size=n),
+                        label="assignment"))
+    sigma = data.draw(st.permutations(range(n)), label="sigma")
+    cache = cached_products(i, n)
+    assert oracle_block(alg, cache, a) == \
+        oracle_block(alg, cache, tuple(a[s] for s in sigma))
