@@ -67,6 +67,14 @@ def _load(cfg: RunConfig):
     raise BadParam("an algebra is required: --input FILE or --catalog SPEC")
 
 
+def _int_list(option: str, text: str) -> tuple:
+    """Comma separated integers; empty items are skipped."""
+    try:
+        return tuple(int(p) for p in text.split(",") if p.strip())
+    except ValueError:
+        raise BadParam(f"{option} takes comma separated integers, got {text!r}") from None
+
+
 def _rows_of_subspace(alg, s):
     return [
         {alg.basis_labels[i]: str(c) for i, c in enumerate(row) if c != 0}
@@ -246,7 +254,9 @@ def simple(input_path, catalog, out_format, out_path, seed):
 @_output_options
 @click.option("--n-max", type=int, default=4)
 @click.option("--mode", type=click.Choice(["modular", "exact"]), default="modular")
-@click.option("--primes", default="", help="comma separated primes (modular mode)")
+@click.option("--primes", default="",
+              help="comma separated primes, at least two distinct, each below 2**31 "
+                   "(modular mode)")
 @click.option("--seed", type=int, default=0)
 @click.option("--caps", type=int, default=codim.DEFAULT_BLOCK_CAP,
               help="max entries per evaluation block")
@@ -256,7 +266,7 @@ def codim_cmd(input_path, catalog, out_format, out_path, n_max, mode, primes,
               seed, caps, ordinary, timings):
     """Codimension sequence c_1 .. c_n_max."""
     def go():
-        plist = tuple(int(p) for p in primes.split(",") if p.strip())
+        plist = _int_list("--primes", primes)
         cfg = RunConfig(command="codim", input_path=input_path, catalog=catalog,
                         n_max=n_max, mode=mode, primes=plist, seed=seed,
                         max_block_entries=caps, out_format=out_format,
@@ -298,7 +308,10 @@ def multiplicity(input_path, catalog, out_format, out_path, shape, variant,
         cfg = RunConfig(command="multiplicity", input_path=input_path,
                         catalog=catalog, out_format=out_format, out_path=out_path)
         alg = _load(cfg)
-        lam = cochar.Partition(tuple(int(p) for p in shape.split(",") if p.strip()))
+        try:
+            lam = cochar.Partition(_int_list("--shape", shape))
+        except ValueError as exc:
+            raise BadParam(f"--shape {shape!r} is not a partition: {exc}") from None
         payload = {"name": alg.name, "shape": list(lam.parts)}
         report = None
         if variant:

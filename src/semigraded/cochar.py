@@ -11,8 +11,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations, product
 
-from .codim import _product_cache, block_rank
+# _product_cache stays bound here because the benchmark's tracer test
+# (perfbench/test_tracing.py) reads cochar._product_cache
+from .codim import _product_cache, block_rank, exact_blocks, independent_rows  # noqa: F401
 from .errors import (
+    BadParam,
     BetaInvalid,
     HypothesisViolated,
     ResourceLimit,
@@ -686,69 +689,97 @@ def format_witness_report(alg: GradedAlgebra, data: WitnessData, value) -> str:
 
 # -- exact multiplicities -----------------------------------------------------------
 
+def _symmetrizer(lam: Partition):
+    """The terms (g, sign) of e_T = sum of sign(sigma) rho.sigma over the row
+    group and the signed column group of the column-major tableau T, each g
+    a variable map."""
+    tableau = YoungTableau.column_major(lam)
+    return [(_compose(rho, sigma), sign)
+            for rho in tableau.row_group()
+            for sigma, sign in tableau.column_group_signed()]
+
+
+def spanning_permutations(lam: Partition) -> list:
+    """Permutations pi of range(n) whose elements e_T.pi form a basis of the
+    right ideal e_T.KS_n: the first in lexicographic order that raise the
+    rank over Q.  Their number is checked to be hook_dim(lam)."""
+    perms = list(permutations(range(lam.n)))
+    where = {w: i for i, w in enumerate(perms)}
+    group = _symmetrizer(lam)
+    elements = []
+    for pi in perms:
+        element = {}
+        for g, sign in group:
+            i = where[tuple(g.get(v, v) for v in pi)]
+            element[i] = element.get(i, 0) + sign
+        elements.append(element)
+    basis = [perms[i] for i in independent_rows(elements)]
+    if len(basis) != hook_dim(lam):
+        raise HypothesisViolated(
+            f"e_T.KS_n has dimension {len(basis)} for {lam}, not {hook_dim(lam)}")
+    return basis
+
+
 def multiplicity_exact(alg: GradedAlgebra, lam: Partition, n_cap: int = 5,
                        monomial_cap: int = 20000) -> int:
     """The multiplicity of the shape's irreducible in the multilinear
     quotient, as the rank of the symmetrized spanning monomials evaluated
-    on all basis substitutions."""
+    on all basis substitutions.
+
+    The row of a permutation pi and position degrees d is the evaluation,
+    at degrees d, of the group-algebra element e_T.pi, and it is linear in
+    that element.  The elements e_T.pi over all of S_n span the right ideal
+    e_T.KS_n, a minimal one of dimension d_lambda = hook_dim(lam), so the
+    d_lambda permutations of spanning_permutations give, for every d, the
+    same row space and hence the same rank as all n! of them.
+
+    A word w with degrees d forces the degree a[w[k]] = d[k] on each
+    variable, and its row is row w of the exact evaluation block of a
+    (see codim.exact_blocks).  Blocks of different assignments have
+    disjoint columns, placed side by side.  Only the blocks of sorted
+    assignments are built: if a[v] = rep[sigma(v)], row w of a's block is
+    row sigma.w of rep's block with its columns in a fixed new order, which
+    leaves the rank unchanged.  n_cap bounds the degree and monomial_cap
+    bounds n! * |support| ** n, the number of rows before the reduction to
+    d_lambda permutations.
+    """
     n = lam.n
+    if n < 1:
+        raise BadParam("a shape needs at least one box")
     if n > n_cap:
         raise ResourceLimit(f"multiplicity_exact capped at degree {n_cap}", context=lam)
     support = alg.support()
     if math.factorial(n) * len(support) ** n > monomial_cap:
         raise ResourceLimit("spanning monomial set too large", context=lam)
-    tableau = YoungTableau.column_major(lam)
-    cache = _product_cache(alg, n)
-    comp = {t: alg.component_indices(t) for t in support}
-
-    monomial_rows = {}
-
-    def value_row(word, pos_degs):
-        key = (word, pos_degs)
-        if key in monomial_rows:
-            return monomial_rows[key]
-        # substitutions fixed by the variable degrees this decorated word forces
-        var_deg = {}
-        consistent = True
-        for var, t in zip(word, pos_degs):
-            if var_deg.setdefault(var, t) != t:
-                consistent = False
-                break
-        row = {}
-        if consistent:
-            axes = [comp[var_deg[v]] for v in range(n)]
-            for sub in product(*axes):
-                v = cache.get(tuple(sub[k] for k in word))
-                if v:
-                    for coord, c in v.items():
-                        row[(sub, coord)] = row.get((sub, coord), 0) + c
-        monomial_rows[key] = row
-        return row
-
-    group = [(_compose(rho, sigma), sign)
-             for rho in tableau.row_group()
-             for sigma, sign in tableau.column_group_signed()]
-
+    where = {w: i for i, w in enumerate(permutations(range(n)))}
+    degrees = list(product(support, repeat=n))
+    reps = {rep: (block, width) for rep, block, width in
+            exact_blocks(alg, n, dict.fromkeys(tuple(sorted(a)) for a in degrees))}
+    # per assignment a: its representative's block, a's column offset, and
+    # sigma with a[v] = rep[sigma(v)]
+    blocks, n_cols = {}, 0
+    for a in degrees:
+        order = sorted(range(n), key=a.__getitem__)
+        block, width = reps[tuple(a[v] for v in order)]
+        blocks[a] = (block, n_cols, [order.index(v) for v in range(n)])
+        n_cols += width
+    group = _symmetrizer(lam)
     rows = []
-    for perm in permutations(range(n)):
-        for degs in product(support, repeat=n):
-            # degs are attached to positions here; the group renames variables
+    for pi in spanning_permutations(lam):
+        # per word of e_T.pi: the word, the position of each variable in it,
+        # and its sign
+        terms = []
+        for g, sign in group:
+            w = tuple(g.get(v, v) for v in pi)
+            terms.append((w, [w.index(v) for v in range(n)], sign))
+        for d in degrees:
             acc = {}
-            for g, sign in group:
-                word = tuple(g.get(v, v) for v in perm)
-                for colkey, c in value_row(word, degs).items():
-                    acc[colkey] = acc.get(colkey, 0) + sign * c
-            rows.append({k: c for k, c in acc.items() if c != 0})
-
-    col_index = {}
-    sparse_rows = []
-    for row in rows:
-        out = {}
-        for key, c in row.items():
-            j = col_index.setdefault(key, len(col_index))
-            out[j] = c
-        sparse_rows.append(out)
-    return block_rank(sparse_rows, len(col_index))
+            for w, pos, sign in terms:
+                block, offset, sigma = blocks[tuple(d[k] for k in pos)]
+                for j, c in block[where[tuple(sigma[v] for v in w)]].items():
+                    acc[offset + j] = acc.get(offset + j, 0) + sign * c
+            rows.append({j: c for j, c in acc.items() if c})
+    return block_rank(rows, n_cols)
 
 
 def alternation_vanishing_check(alg: GradedAlgebra, n: int, trials: int = 200,

@@ -20,7 +20,7 @@ from itertools import permutations, product
 
 import numpy as np
 
-from .errors import EmptySequence, ResourceLimit
+from .errors import BadParam, EmptySequence, ResourceLimit
 from .gralgebra import GradedAlgebra, mul_sparse, with_trivial_grading
 
 # verified 30-bit primes; per-block choices are drawn from this bank
@@ -99,42 +99,53 @@ def _rank_mod_p(mat: np.ndarray, p: int) -> int:
     return r
 
 
-def _rank_exact(rows_entries) -> int:
-    """Rank over Q of sparse rows given as dicts col -> value.
+def _eliminate(echelon: dict, row) -> bool:
+    """Reduce a sparse row (dict col -> value) against echelon (pivot col ->
+    integer row) and add what is left as a new pivot row; True when the row
+    was independent of the echelon.
 
     Fraction-free elimination with per-row gcd reduction.  A row with a
     non-integral entry is first scaled by the lcm of its denominators,
     which leaves the rank unchanged; integer rows stay plain ints.
     """
-    echelon = {}  # pivot_col -> integer row dict
-    rank = 0
-    for row in rows_entries:
-        work = {c: v for c, v in row.items() if v != 0}
-        if not all(isinstance(v, int) for v in work.values()):
-            d = math.lcm(*(v.denominator for v in work.values()))
-            work = {c: int(v * d) for c, v in work.items()}
-        while work:
-            pc = min(work)
-            prow = echelon.get(pc)
-            if prow is None:
-                g = math.gcd(*work.values()) if len(work) > 1 else abs(work[pc])
-                if g > 1:
-                    work = {c: v // g for c, v in work.items()}
-                echelon[pc] = work
-                rank += 1
-                break
-            a, b = prow[pc], work[pc]
-            new = {}
-            for c, v in work.items():
-                new[c] = a * v
-            for c, v in prow.items():
-                n = new.get(c, 0) - b * v
-                if n:
-                    new[c] = n
-                else:
-                    new.pop(c, None)
-            work = new
-    return rank
+    work = {c: v for c, v in row.items() if v != 0}
+    if not all(isinstance(v, int) for v in work.values()):
+        d = math.lcm(*(v.denominator for v in work.values()))
+        work = {c: int(v * d) for c, v in work.items()}
+    while work:
+        pc = min(work)
+        prow = echelon.get(pc)
+        if prow is None:
+            g = math.gcd(*work.values()) if len(work) > 1 else abs(work[pc])
+            if g > 1:
+                work = {c: v // g for c, v in work.items()}
+            echelon[pc] = work
+            return True
+        a, b = prow[pc], work[pc]
+        new = {}
+        for c, v in work.items():
+            new[c] = a * v
+        for c, v in prow.items():
+            n = new.get(c, 0) - b * v
+            if n:
+                new[c] = n
+            else:
+                new.pop(c, None)
+        work = new
+    return False
+
+
+def _rank_exact(rows_entries) -> int:
+    """Rank over Q of sparse rows given as dicts col -> value."""
+    echelon = {}
+    return sum(_eliminate(echelon, row) for row in rows_entries)
+
+
+def independent_rows(rows) -> list:
+    """Indices of the sparse rows (dicts col -> value) that are independent
+    over Q of the rows before them."""
+    echelon = {}
+    return [i for i, row in enumerate(rows) if _eliminate(echelon, row)]
 
 
 def _residue(v, p: int) -> int:
@@ -154,17 +165,33 @@ def block_rank(rows, ncols: int, p=None) -> int:
     return _rank_mod_p(mat, p)
 
 
+def _checked_primes(primes) -> tuple:
+    """primes as a tuple, once it holds at least two distinct primes, each
+    below 2 ** 31 so that products of two residues fit in int64."""
+    primes = tuple(primes)
+    if len(set(primes)) < 2 or not all(
+            isinstance(p, int) and 2 <= p < 2 ** 31
+            and all(p % q for q in range(2, math.isqrt(p) + 1)) for p in primes):
+        raise BadParam(f"primes must hold at least 2 distinct primes p with "
+                       f"2 <= p < 2**31, got {list(primes)}")
+    return primes
+
+
 def _block_primes(seed, assignment):
     rng = random.Random(f"{seed}:{','.join(map(str, assignment))}")
     return tuple(rng.sample(PRIME_BANK, 2))
 
 
 class _WordTable:
-    """The length-n words with a nonzero product, found by their base-dim
-    code; the row past the last word is the zero vector of every word left
-    out (a zero product, or a zero prefix and so no cache entry)."""
+    """The length-n words of alg with a nonzero product, found by their
+    base-dim code; the row past the last word is the zero vector of every
+    word left out (a zero product, or a zero prefix and so no cache entry).
+    Also holds what every block of length n shares: the permutations of
+    range(n) in lexicographic order and the basis of each component."""
 
-    def __init__(self, cache, n: int, dim: int):
+    def __init__(self, alg: GradedAlgebra, n: int, max_entries: int):
+        cache = _product_cache(alg, n, max_entries)
+        dim = alg.dim
         # dim ** n stays far below 2 ** 63 while the block cap holds and the
         # |support| ** n assignments fit in memory
         words = sorted(key for key, value in cache.items() if len(key) == n and value)
@@ -175,6 +202,8 @@ class _WordTable:
         self._at = tuple(np.array([e[j] for e in entries], dtype=np.int64) for j in (0, 1))
         self.coefs = [e[2] for e in entries]
         self.nonzero = self.table([True] * len(entries), bool)
+        self.perms = np.array(list(permutations(range(n))), dtype=np.int64)
+        self.comp = {t: alg.component_indices(t) for t in alg.support()}
 
     def table(self, values, dtype):
         """(words + 1) x dim array holding values[e] at the place of the
@@ -197,15 +226,19 @@ _CHUNK_ENTRIES = 1 << 18
 
 
 class _BlockLayout:
-    """Where each entry of one block comes from, before any values.
+    """Where each entry of the block of one assignment comes from, before
+    any values.
 
-    Row i is the permutation perms[i]; column (s, k) is coordinate k of
-    substitution subs[s].  Per substitution chunk this keeps the table row
-    of every (permutation, substitution) word and the mask of the chunk's
-    columns that are nonzero in some row; n_cols counts those columns.
+    Row i is the permutation words.perms[i]; column (s, k) is coordinate k
+    of the s-th substitution of the assignment's degrees, lexicographically.
+    Per substitution chunk this keeps the table row of every (permutation,
+    substitution) word and the mask of the chunk's columns that are
+    nonzero in some row; n_cols counts those columns.
     """
 
-    def __init__(self, words: _WordTable, subs: np.ndarray, perms: np.ndarray):
+    def __init__(self, words: _WordTable, assignment):
+        subs = np.array(list(product(*(words.comp[t] for t in assignment))), dtype=np.int64)
+        perms = words.perms
         self.n_rows = len(perms)
         step = max(1, _CHUNK_ENTRIES // (self.n_rows * words.dim))
         self.chunks = []
@@ -226,6 +259,30 @@ class _BlockLayout:
         return out
 
 
+def exact_blocks(alg: GradedAlgebra, n: int, assignments,
+                 max_entries: int = DEFAULT_BLOCK_CAP):
+    """Yield (assignment, rows, n_cols): the exact evaluation block of each
+    assignment (a degree per variable) in turn.
+
+    Row i is the monomial whose word is the i-th permutation of range(n) in
+    lexicographic order, as a sparse dict column -> value with int or
+    Fraction values; the n_cols columns are the (substitution, coordinate)
+    pairs that are nonzero in some row.  Raises ResourceLimit once the
+    product cache passes max_entries.
+    """
+    words = _WordTable(alg, n, max_entries)
+    table = words.table(words.coefs, object)
+    for a in assignments:
+        layout = _BlockLayout(words, a)
+        block = layout.matrix(table)
+        at, cols = np.nonzero(block)
+        values = block[at, cols].tolist()
+        cols = cols.tolist()
+        ends = np.searchsorted(at, np.arange(layout.n_rows + 1)).tolist()
+        rows = [dict(zip(cols[lo:hi], values[lo:hi])) for lo, hi in zip(ends, ends[1:])]
+        yield a, rows, layout.n_cols
+
+
 def graded_codim(alg: GradedAlgebra, n: int, mode: str = "modular",
                  primes=None, seed: int = 0,
                  max_block_entries: int = DEFAULT_BLOCK_CAP) -> CodimResult:
@@ -237,14 +294,17 @@ def graded_codim(alg: GradedAlgebra, n: int, mode: str = "modular",
     orbit is reported with that block's figures.
 
     mode "modular": per-block ranks over two primes (drawn per
-    representative from the seed unless primes are given); equal ranks
-    across primes are reported as a stable modular lower bound.  mode
-    "exact": rational ranks, certification "exact".
+    representative from the seed unless primes are given, which must be at
+    least two distinct primes below 2 ** 31); equal ranks across primes are
+    reported as a stable modular lower bound.  mode "exact": rational
+    ranks, certification "exact".
     """
     if n < 1:
         raise EmptySequence("n must be >= 1")
     if mode not in ("modular", "exact"):
         raise ValueError(f"unknown mode {mode!r}")
+    if primes is not None:
+        primes = _checked_primes(primes)
     t0 = time.monotonic()
     support = alg.support()
     comp = {t: alg.component_indices(t) for t in support}
@@ -259,29 +319,23 @@ def graded_codim(alg: GradedAlgebra, n: int, mode: str = "modular",
             raise ResourceLimit(
                 f"block for assignment {rep} needs {entry_bound} entries "
                 f"(cap {max_block_entries})", context=rep)
-    words = _WordTable(_product_cache(alg, n, max_block_entries), n, alg.dim)
-    perms = np.array(list(permutations(range(n))), dtype=np.int64)
-    exact_table = words.table(words.coefs, object) if mode == "exact" else None
-    residue_tables = {}
-    ranked = {}
-    for rep in reps:
-        subs = np.array(list(product(*(comp[t] for t in rep))), dtype=np.int64)
-        layout = _BlockLayout(words, subs, perms)
-        if mode == "exact":
-            rows = [{j: v for j, v in enumerate(row) if v}
-                    for row in layout.matrix(exact_table).tolist()]
-            rank = _rank_exact(rows)
-            cert = CERT_EXACT
-        else:
+    if mode == "exact":
+        ranked = {rep: (n_cols, _rank_exact(rows), CERT_EXACT)
+                  for rep, rows, n_cols in exact_blocks(alg, n, reps, max_block_entries)}
+    else:
+        words = _WordTable(alg, n, max_block_entries)
+        residue_tables = {}
+        ranked = {}
+        for rep in reps:
+            layout = _BlockLayout(words, rep)
             ranks = []
-            for p in (tuple(primes) if primes else _block_primes(seed, rep)):
+            for p in (primes or _block_primes(seed, rep)):
                 if p not in residue_tables:
                     residue_tables[p] = words.table([_residue(c, p) for c in words.coefs],
                                                     np.int64)
                 ranks.append(_rank_mod_p(layout.matrix(residue_tables[p]), p))
-            rank = max(ranks)
             cert = CERT_MODULAR_STABLE if len(set(ranks)) == 1 else CERT_MODULAR_UNSTABLE
-        ranked[rep] = (layout.n_cols, rank, cert)
+            ranked[rep] = (layout.n_cols, max(ranks), cert)
     blocks = [EvaluationBlock(a, n_perms, *ranked[tuple(sorted(a))]) for a in assignments]
     total = sum(b.rank for b in blocks)
     if mode == "exact":

@@ -190,3 +190,21 @@ def test_malformed_value_is_one_json_line_exit_2(runner, tmp_path, good, bad, li
     payload = json.loads(line)
     assert payload["error"] == "BadParam"
     assert payload["message"].startswith(f"line {lineno}:")
+
+
+@pytest.mark.parametrize("primes", ["1", "1073741789", "1073741789,1073741789", "4,abc"])
+def test_primes_need_two_distinct_primes(runner, primes):
+    result = runner.invoke(main, ["codim", "--catalog", "thm_T1_fractional", "--n-max", "2",
+                                  "--primes", primes, "--no-timings"])
+    assert result.exit_code == 2
+    [line] = result.stderr.strip().splitlines()
+    assert json.loads(line)["error"] == "BadParam"
+
+
+@pytest.mark.parametrize("shape", ["2,x", "3,0", "1,2", ","])
+def test_malformed_shape_is_a_usage_error(runner, shape):
+    result = runner.invoke(main, ["multiplicity", "--catalog", "thm_T3_fractional",
+                                  "--shape", shape])
+    assert result.exit_code == 2
+    [line] = result.stderr.strip().splitlines()
+    assert json.loads(line)["error"] == "BadParam"

@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +10,7 @@ from semigraded.cochar import (
     FactoredPolynomial,
     Partition,
     YoungTableau,
+    _compose,
     alternating_column_polynomial,
     alternation_vanishing_check,
     apply_symmetrizer,
@@ -20,9 +22,11 @@ from semigraded.cochar import (
     multiplicity_exact,
     multiplicity_nonzero_certificate,
     partitions_of,
+    spanning_permutations,
     theta,
     theta_scan,
 )
+from semigraded.codim import _product_cache, block_rank, graded_codim
 from semigraded.errors import (
     HypothesisViolated,
     SizeMismatch,
@@ -31,6 +35,7 @@ from semigraded.errors import (
 )
 from semigraded.gralgebra import GradedAlgebra, full_matrix, paper_catalog
 from semigraded.semigroup import trivial_semigroup
+from test_codim import catalog_at_two, half_scaled
 
 
 # -- partitions -----------------------------------------------------------------
@@ -336,6 +341,111 @@ def test_positive_multiplicities_lie_in_the_support_region():
         for lam in partitions_of(n):
             if multiplicity_exact(t1, lam) > 0:
                 assert omega_n_membership(support, lam), lam
+
+
+def oracle_multiplicity(alg, lam):
+    """The multiplicity as the rank of all n! * |support| ** n symmetrized
+    rows, each summed over the symmetrizer as a dict keyed by
+    (substitution, coordinate)."""
+    n = lam.n
+    support = alg.support()
+    tableau = YoungTableau.column_major(lam)
+    cache = _product_cache(alg, n)
+    comp = {t: alg.component_indices(t) for t in support}
+
+    monomial_rows = {}
+
+    def value_row(word, pos_degs):
+        key = (word, pos_degs)
+        if key in monomial_rows:
+            return monomial_rows[key]
+        # substitutions fixed by the variable degrees this decorated word forces
+        var_deg = {}
+        consistent = True
+        for var, t in zip(word, pos_degs):
+            if var_deg.setdefault(var, t) != t:
+                consistent = False
+                break
+        row = {}
+        if consistent:
+            axes = [comp[var_deg[v]] for v in range(n)]
+            for sub in product(*axes):
+                v = cache.get(tuple(sub[k] for k in word))
+                if v:
+                    for coord, c in v.items():
+                        row[(sub, coord)] = row.get((sub, coord), 0) + c
+        monomial_rows[key] = row
+        return row
+
+    group = [(_compose(rho, sigma), sign)
+             for rho in tableau.row_group()
+             for sigma, sign in tableau.column_group_signed()]
+
+    rows = []
+    for perm in permutations(range(n)):
+        for degs in product(support, repeat=n):
+            # degs are attached to positions here; the group renames variables
+            acc = {}
+            for g, sign in group:
+                word = tuple(g.get(v, v) for v in perm)
+                for colkey, c in value_row(word, degs).items():
+                    acc[colkey] = acc.get(colkey, 0) + sign * c
+            rows.append({k: c for k, c in acc.items() if c != 0})
+
+    col_index = {}
+    sparse_rows = []
+    for row in rows:
+        out = {}
+        for key, c in row.items():
+            j = col_index.setdefault(key, len(col_index))
+            out[j] = c
+        sparse_rows.append(out)
+    return block_rank(sparse_rows, len(col_index))
+
+
+def test_multiplicity_matches_the_oracle_on_the_catalog():
+    for alg in catalog_at_two():
+        for n in (1, 2, 3):
+            for lam in partitions_of(n):
+                assert multiplicity_exact(alg, lam) == oracle_multiplicity(alg, lam), \
+                    (alg.name, lam)
+
+
+@pytest.mark.parametrize("spec", [("thm_T1_fractional",), ("thm_T3_fractional",),
+                                  ("exampleT2", 2)])
+def test_multiplicity_matches_the_oracle_degree_four(spec):
+    alg = paper_catalog(*spec)
+    for lam in partitions_of(4):
+        assert multiplicity_exact(alg, lam) == oracle_multiplicity(alg, lam), lam
+
+
+def test_multiplicity_matches_the_oracle_with_fraction_constants():
+    alg = half_scaled(paper_catalog("mk_column_graded", 2))
+    for n in (1, 2, 3):
+        for lam in partitions_of(n):
+            assert multiplicity_exact(alg, lam) == oracle_multiplicity(alg, lam), lam
+
+
+def test_character_sum_degree_five_t3():
+    t3 = paper_catalog("thm_T3_fractional")
+    total = sum(multiplicity_exact(t3, lam) * hook_dim(lam) for lam in partitions_of(5))
+    assert total == graded_codim(t3, 5, mode="exact").value == 2136
+
+
+@pytest.mark.parametrize("parts", [(3, 2), (2, 1, 1, 1)])
+def test_t1_t2_multiplicities_agree_degree_five(parts):
+    lam = Partition(parts)
+    assert multiplicity_exact(paper_catalog("thm_T1_fractional"), lam) == \
+        multiplicity_exact(paper_catalog("thm_T2_fractional"), lam)
+
+
+def test_spanning_permutations_count_is_the_hook_dimension():
+    for n in range(1, 6):
+        for lam in partitions_of(n):
+            basis = spanning_permutations(lam)
+            assert len(basis) == len(set(basis)) == hook_dim(lam), lam
+            # e_T itself is nonzero, so the identity comes first
+            assert basis[0] == tuple(range(n)), lam
 
 
 # -- alternation vanishing -----------------------------------------------------------------
