@@ -3,11 +3,13 @@
 
 For each q the numeric optimum is compared against the closed form
 (q-3) + 2*sqrt(2); the q = 7 and q = 6 rows carry the two headline
-values 6.8284... and 5.8284...  Optionally writes the growth-bound CSV
-for one q.
+values 6.8284... and 5.8284...  Exits 1 when any difference or certified
+gap exceeds 1e-9, so the sweep can gate a run.  Optionally writes the
+growth-bound CSV for one q.
 """
 
 import argparse
+import sys
 
 from semigraded.asympt import (
     bound_report,
@@ -15,6 +17,8 @@ from semigraded.asympt import (
     lemma_max_polytope,
     maximize_phi,
 )
+
+GATE = 1e-9
 
 
 def main():
@@ -25,13 +29,18 @@ def main():
     ap.add_argument("--bound-q", type=int, default=7)
     ap.add_argument("--bound-n-max", type=int, default=20)
     args = ap.parse_args()
+    if args.q_min < 4:
+        ap.error("--q-min must be at least 4, where the closed form starts")
 
-    print("q, numeric max, closed form, difference, certified gap")
+    print("q, method, numeric max, closed form, difference, certified gap")
+    failed = False
     for q in range(args.q_min, args.q_max + 1):
         res = maximize_phi(lemma_max_polytope(q))
         closed = lemma_max_closed_form(q)
-        print(f"{q}, {res.value:.12f}, {closed.value:.12f}, "
-              f"{abs(res.value - closed.value):.2e}, {res.certified_gap:.2e}")
+        diff = abs(res.value - closed.value)
+        failed = failed or diff > GATE or res.certified_gap > GATE
+        print(f"{q}, {res.method}, {res.value:.12f}, {closed.value:.12f}, "
+              f"{diff:.2e}, {res.certified_gap:.2e}")
 
     if args.bound_csv:
         closed = lemma_max_closed_form(args.bound_q)
@@ -42,6 +51,9 @@ def main():
             for r in rows:
                 fh.write(f"{r['n']},{r['d_pow_n']:.6f},,{r['hook_lower']}\n")
         print(f"wrote {args.bound_csv}")
+    if failed:
+        print(f"FAIL: a difference or certified gap exceeds {GATE}", file=sys.stderr)
+        sys.exit(1)
 
 
 if __name__ == "__main__":

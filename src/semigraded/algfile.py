@@ -68,6 +68,8 @@ def parse_algebra(text: str) -> GradedAlgebra:
     dim = len(basis_labels)
     if dim == 0:
         raise BadParam("basis must not be empty")
+    if len(set(basis_labels)) != dim:
+        raise BadParam("basis labels must be distinct")
     label_pos = {l: i for i, l in enumerate(basis_labels)}
 
     degree = [None] * dim
@@ -80,6 +82,8 @@ def parse_algebra(text: str) -> GradedAlgebra:
             raise BadParam(f"line {lineno}: unknown basis label {blabel!r}")
         if slabel not in semigroup.labels:
             raise BadParam(f"line {lineno}: unknown semigroup element {slabel!r}")
+        if degree[label_pos[blabel]] is not None:
+            raise BadParam(f"line {lineno}: second degree for basis label {blabel!r}")
         degree[label_pos[blabel]] = semigroup.index_of(slabel)
     if any(d is None for d in degree):
         missing = [basis_labels[i] for i, d in enumerate(degree) if d is None]

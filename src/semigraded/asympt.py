@@ -8,7 +8,6 @@ tolerances (1e-9 for optima, 1e-12 for feasibility).
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -19,6 +18,7 @@ from .errors import Infeasible, NegativeCoordinate, NoConvergence, QTooSmall
 
 FEAS_TOL = 1e-12
 DEFAULT_TOL = 1e-9
+NEWTON_STEPS = 100  # the pairing polytopes need 3-4; a face costs a few more
 
 
 @dataclass(frozen=True)
@@ -164,161 +164,108 @@ class _Region:
         return y
 
 
-def _grad(x):
-    # gradient of -sum x ln x, clipped near the boundary
-    safe = np.maximum(x, 1e-300)
-    return -(np.log(safe) + 1.0)
+def _dual(region: _Region, y, cols):
+    """The entropy dual g at multipliers y >= 0, on the coordinates cols.
+
+    With s = A^T y, g(y) = y.offsets + log sum_i exp(s_i) on the simplex
+    and y.offsets + sum_i exp(s_i - 1) without it; the inner maximum of the
+    Lagrangian is at x proportional to exp(s).  Returns (g, its gradient,
+    which is the constraint residual at x, its Hessian, x).
+    """
+    c = region.coeffs[:, cols]
+    s = c.T @ y
+    with np.errstate(over="ignore", invalid="ignore"):
+        if region.simplex:
+            top = s.max()
+            e = np.exp(s - top)
+            x = e / e.sum()
+            value = float(region.offsets @ y + top + math.log(e.sum()))
+            cx = c @ x
+            hess = (c * x) @ c.T - np.outer(cx, cx)
+        else:
+            x = np.exp(s - 1.0)
+            value = float(region.offsets @ y + x.sum())
+            hess = (c * x) @ c.T
+        grad = region.offsets + c @ x
+    return value, grad, hess, x
 
 
-def _log_value(x):
-    safe = np.where(x > 0, x, 1.0)
-    return float(-(x * np.log(safe)).sum())
+def _dual_newton(region: _Region, y, cols):
+    """Minimise the dual over y >= 0 by projected Newton (Bertsekas 1982).
 
+    Multipliers at or near zero whose gradient pushes them out stay at
+    zero; the rest take a Newton step damped by |g|^2, since redundant
+    halfspaces make the Hessian singular.  The Armijo test allows rounding
+    noise.  On a face where x_i -> 0 the dual falls like exp(-t) along a
+    ray, so an accepted full step is doubled while the value still falls.
+    """
+    def trial(t):
+        z = np.maximum(y + t * step, 0.0)
+        return z, _dual(region, z, cols)
 
-def _snap(region: _Region, x, zero_tol: float = 1e-8):
-    """Clip tiny coordinates to exact zero and renormalize the simplex sum."""
-    y = np.where(np.abs(x) < zero_tol, 0.0, np.array(x, dtype=float))
-    if region.simplex and y.sum() > 0:
-        y = y / y.sum()
+    value, grad, hess, _ = _dual(region, y, cols)
+    for _ in range(NEWTON_STEPS):
+        if y @ grad <= 1e-14 and grad.min() >= -1e-14:
+            break
+        near = min(1e-3, float(np.abs(y - np.maximum(y - grad, 0.0)).max()))
+        free = (y > near) | (grad <= 0)
+        step = -y
+        g = grad[free]
+        damped = hess[np.ix_(free, free)] + (g @ g) * np.eye(len(g))
+        step[free] = np.linalg.lstsq(damped, -g, rcond=None)[0]
+        noise = 1e-15 * (1.0 + abs(value))
+        t = 1.0
+        z, nxt = trial(t)
+        while not nxt[0] <= value + 1e-4 * float(grad @ (z - y)) + noise:
+            t *= 0.5
+            if t < 1e-12:
+                return y
+            z, nxt = trial(t)
+        while 1.0 <= t < 1e6:
+            z2, far = trial(2.0 * t)
+            if not far[0] < nxt[0] - noise:
+                break
+            t, z, nxt = 2.0 * t, z2, far
+        if np.array_equal(z, y):
+            break
+        y = z
+        value, grad, hess, _ = nxt
     return y
 
 
-def _active_set_polish(region: _Region, x, iters: int = 60, eps: float = 1e-7):
-    """Newton ascent on the face spanned by the active constraints.
+def maximize_phi(poly: Polytope, tolerance: float = DEFAULT_TOL) -> OptimizationResult:
+    """Maximize phi by one projected-Newton solve of the entropy dual.
 
-    The concave objective restricted to an affine face is smooth, so a
-    few Newton steps after the projected-gradient phase squeeze the last
-    digits out of the optimum.  Coordinates pinned to zero by active
-    constraints stay out of the Newton system (their contribution is the
-    0 log 0 = 0 convention).
-    """
-    q = region.poly.q
-    rows = []
-    rhs = []
-    if region.simplex:
-        rows.append(np.ones(q))
-        rhs.append(1.0)
-    resid = region.offsets + region.coeffs @ x
-    for i in np.nonzero(np.abs(resid) < eps)[0]:
-        rows.append(region.coeffs[i])
-        rhs.append(-region.offsets[i])
-    a_eq = np.vstack(rows)
-    b_eq = np.array(rhs)
-    # particular solution and nullspace of the active equalities
-    x0, *_ = np.linalg.lstsq(a_eq, b_eq, rcond=None)
-    x0 = np.where(np.abs(x0) < 1e-13, 0.0, x0)
-    _, s, vh = np.linalg.svd(a_eq)
-    rank = int((s > 1e-10).sum())
-    null = vh[rank:].T
-    best = np.array(x, dtype=float)
-
-    def better(cand):
-        nonlocal best
-        cand = np.where(np.abs(cand) < 1e-13, 0.0, cand)
-        if (cand >= 0).all() and region.violation(cand) <= 1e-9 \
-                and _log_value(cand) >= _log_value(best):
-            best = cand
-
-    if null.shape[1] == 0:
-        better(x0)
-        return best
-    free = np.nonzero((np.abs(null).max(axis=1) > 1e-12) | (x0 > 1e-12))[0]
-    z = null.T @ (np.array(x) - x0)
-    for _ in range(iters):
-        cur = x0 + null @ z
-        if (cur[free] <= 0).any():
-            break
-        g = null[free].T @ _grad(cur[free])
-        h = null[free].T @ (null[free] * (-1.0 / cur[free])[:, None])
-        try:
-            step = np.linalg.solve(h, -g)
-        except np.linalg.LinAlgError:
-            break
-        t = 1.0
-        for _ in range(40):
-            cand = x0 + null @ (z + t * step)
-            if (cand[free] > 0).all() and region.violation(cand) <= 1e-9 \
-                    and _log_value(cand) >= _log_value(cur) - 1e-15:
-                break
-            t *= 0.5
-        else:
-            break
-        z = z + t * step
-        if float(np.abs(t * (null @ step)).max()) < 1e-15:
-            break
-    better(x0 + null @ z)
-    return best
-
-
-def maximize_phi(poly: Polytope, tolerance: float = DEFAULT_TOL, seed: int = 0,
-                 starts: int = 16, max_iter: int = 400,
-                 probes: int = 256) -> OptimizationResult:
-    """Maximize phi by multi-start projected gradient ascent.
-
-    The objective is concave and the region convex, so any local optimum
-    is global; the gradient phase identifies the optimal face and an
-    active-set Newton polish squeezes out the last digits.
-    certified_gap reports the best improvement any sampled feasible probe
-    point achieves over the returned value.
+    log phi = -sum x log x is strictly concave, so its maximum over the
+    polytope is the minimum of the dual g over y >= 0 (Boyd-Vandenberghe,
+    Convex Optimization, ch. 5), recovered as x proportional to exp(A^T y).
+    A coordinate that is zero on the whole region sends y to infinity: it
+    shows as x_i below 1e-12 of the largest, and the solve is repeated
+    on the face without it, which gives exact zeros there.  The point is
+    then made feasible to 1e-12 by _Region.project.  By weak duality every
+    y >= 0 bounds the maximum by exp(g(y)), so certified_gap =
+    exp(g(y)) - phi(x) bounds the distance to the true maximum (up to
+    floating-point rounding).
     """
     q = poly.q
     region = _Region(poly)
-    rng = random.Random(seed)
-    uniform = region.project(np.full(q, 1.0 / q))
-    if region.violation(uniform) > 1e-9:
-        raise Infeasible("no feasible point found from the uniform start")
-    best_x, best_v = None, -math.inf
-    loose = 1e-10
-    for s in range(starts):
-        if s == 0:
-            x = uniform.copy()
-        else:
-            raw = np.array([rng.random() ** 2 for _ in range(q)])
-            raw = raw / raw.sum()
-            x = region.project(raw, rounds=60, tol=loose)
-            if region.violation(x) > 1e-8:
-                continue
-        step = 0.25
-        for _ in range(max_iter):
-            g = _grad(x)
-            gn = float(np.abs(g).max())
-            y = region.project(x + step * g / max(gn, 1.0), rounds=40, tol=loose)
-            if region.violation(y) > 1e-8:
-                step *= 0.5
-                continue
-            if _log_value(y) < _log_value(x) - 1e-14:
-                step *= 0.5
-                if step < 1e-12:
-                    break
-                continue
-            delta = float(np.abs(y - x).max())
-            x = y
-            step = min(step * 1.3, 0.5)
-            if delta < 1e-8:
-                break
-        x = _active_set_polish(region, _snap(region, x))
-        x = _active_set_polish(region, x)  # re-detect actives from the face point
-        if region.violation(x) > FEAS_TOL:
-            x = _snap(region, region.project(x))
-        if region.violation(x) > FEAS_TOL:
-            continue
-        v = _log_value(x)
-        if v > best_v:
-            best_v, best_x = v, x
-    if best_x is None:
-        raise NoConvergence("no start produced a point feasible at 1e-12")
-    value = math.exp(best_v)
-    gap = 0.0
-    for _ in range(probes):
-        raw = np.array([rng.random() ** 2 for _ in range(q)])
-        raw = raw / max(raw.sum(), 1e-12)
-        p = region.project(raw, rounds=40, tol=loose)
-        if region.violation(p) <= 1e-8:
-            gap = max(gap, phi(tuple(p)) - value)
+    every = np.ones(q, dtype=bool)
+    y = _dual_newton(region, np.zeros(len(region.offsets)), every)
+    bound, _, _, x = _dual(region, y, every)
+    live = x > 1e-12 * x.max()
+    if not live.all():
+        x = np.zeros(q)
+        x[live] = _dual(region, _dual_newton(region, y, live), live)[3]
+    x = np.where(live, np.maximum(region.project(x), 0.0), 0.0)
+    if not region.violation(x) <= FEAS_TOL:
+        if region.violation(region.project(np.full(q, 1.0 / q))) > 1e-9:
+            raise Infeasible("no feasible point found from the uniform start")
+        raise NoConvergence("the dual point could not be made feasible at 1e-12")
+    value = phi(x)
+    gap = max(0.0, math.exp(bound) - value)
     if gap > tolerance:
-        raise NoConvergence(f"a probe point beats the optimum by {gap}")
-    return OptimizationResult(tuple(float(a) for a in best_x), value,
-                              "projected_gradient+newton_polish", gap)
+        raise NoConvergence(f"the dual bound exceeds the value by {gap}")
+    return OptimizationResult(tuple(float(a) for a in x), value, "entropy_dual_newton", gap)
 
 
 # -- discrete membership and the floor sequence ---------------------------------

@@ -319,13 +319,19 @@ def multiplicity(input_path, catalog, out_format, out_path, shape, variant,
             value = cochar.apply_symmetrizer(alg, data.tableau, data.f, data.tau)
             payload["certificate_nonzero"] = any(c != 0 for c in value)
             report = cochar.format_witness_report(alg, data, value)
-        if exact:
+        if exact and variant and lam.n > n_cap:
+            # the certificate above stands on its own; keep it
+            payload["multiplicity"] = None
+            payload["multiplicity_skipped"] = f"degree {lam.n} exceeds --n-cap {n_cap}"
+        elif exact:
             payload["multiplicity"] = cochar.multiplicity_exact(alg, lam, n_cap=n_cap)
         if out_format == "json":
             _emit(cfg, json.dumps(payload, indent=2, sort_keys=True))
         else:
             bits = [f"{alg.name} shape {lam.parts}:"]
-            if "multiplicity" in payload:
+            if "multiplicity_skipped" in payload:
+                bits.append(f"multiplicity skipped ({payload['multiplicity_skipped']})")
+            elif "multiplicity" in payload:
                 bits.append(f"multiplicity {payload['multiplicity']}")
             if "certificate_nonzero" in payload:
                 bits.append(f"certificate {'nonzero' if payload['certificate_nonzero'] else 'failed'}")
@@ -341,13 +347,13 @@ def multiplicity(input_path, catalog, out_format, out_path, shape, variant,
 @_output_options
 @click.option("--q", type=int, required=True)
 @click.option("--tolerance", type=float, default=1e-9)
-@click.option("--seed", type=int, default=0)
+@click.option("--seed", type=int, default=0,
+              help="ignored: the dual Newton solve is deterministic")
 def phimax(out_format, out_path, q, tolerance, seed):
     """Maximize the product function over the pairing polytope."""
     def go():
         cfg = RunConfig(command="phimax", out_format=out_format, out_path=out_path, seed=seed)
-        res = asympt.maximize_phi(asympt.lemma_max_polytope(q),
-                                  tolerance=tolerance, seed=cfg.seed)
+        res = asympt.maximize_phi(asympt.lemma_max_polytope(q), tolerance=tolerance)
         closed = asympt.lemma_max_closed_form(q)
         payload = {"q": q, "value": res.value, "closed_form": closed.value,
                    "difference": abs(res.value - closed.value),

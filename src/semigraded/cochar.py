@@ -740,8 +740,7 @@ def multiplicity_exact(alg: GradedAlgebra, lam: Partition, n_cap: int = 5,
     assignments are built: if a[v] = rep[sigma(v)], row w of a's block is
     row sigma.w of rep's block with its columns in a fixed new order, which
     leaves the rank unchanged.  n_cap bounds the degree and monomial_cap
-    bounds n! * |support| ** n, the number of rows before the reduction to
-    d_lambda permutations.
+    bounds hook_dim(lam) * |support| ** n, the number of rows ranked.
     """
     n = lam.n
     if n < 1:
@@ -749,7 +748,7 @@ def multiplicity_exact(alg: GradedAlgebra, lam: Partition, n_cap: int = 5,
     if n > n_cap:
         raise ResourceLimit(f"multiplicity_exact capped at degree {n_cap}", context=lam)
     support = alg.support()
-    if math.factorial(n) * len(support) ** n > monomial_cap:
+    if hook_dim(lam) * len(support) ** n > monomial_cap:
         raise ResourceLimit("spanning monomial set too large", context=lam)
     where = {w: i for i, w in enumerate(permutations(range(n)))}
     degrees = list(product(support, repeat=n))

@@ -1,12 +1,15 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semigraded.asympt import (
     Polytope,
+    _dual,
+    _Region,
     bound_report,
     lemma_max_closed_form,
     lemma_max_polytope,
@@ -19,7 +22,7 @@ from semigraded.asympt import (
     witness_domain_polytope,
 )
 from semigraded.cochar import Partition, partitions_of
-from semigraded.errors import Infeasible, NegativeCoordinate, QTooSmall
+from semigraded.errors import Infeasible, NegativeCoordinate, NoConvergence, QTooSmall
 
 SQRT2 = math.sqrt(2.0)
 
@@ -187,3 +190,73 @@ def test_mu_sequence_always_a_partition(q, n):
     point = [1.0 / q] * q
     mu = mu_sequence(point, n)
     assert mu.n == n
+
+
+def test_certified_gap_on_pairing_polytopes():
+    for q in range(4, 11):
+        res = maximize_phi(lemma_max_polytope(q))
+        assert res.method == "entropy_dual_newton"
+        assert res.certified_gap <= 1e-9
+        # value + certified_gap bounds the maximum from above, up to rounding
+        assert res.value + res.certified_gap >= lemma_max_closed_form(q).value - 1e-12
+
+
+def test_every_dual_point_bounds_the_maximum():
+    # weak duality: exp(g(y)) >= max phi for every y >= 0, with and
+    # without the simplex (where the maximum is exp(q/e) at x_i = 1/e)
+    rng = random.Random(0)
+    cases = [(lemma_max_polytope(q), lemma_max_closed_form(q).value) for q in (4, 7, 10)]
+    cases.append((Polytope(3, include_simplex=False), math.exp(3 / math.e)))
+    for poly, best in cases:
+        region = _Region(poly)
+        every = np.ones(poly.q, dtype=bool)
+        for _ in range(50):
+            y = np.array([rng.expovariate(1.0) if rng.random() < 0.5 else 0.0
+                          for _ in region.offsets])
+            assert math.exp(_dual(region, y, every)[0]) >= best - 1e-12
+
+
+def test_maximize_on_a_face_with_free_coordinates():
+    # x_3 <= 0 forces x_3 = x_4 = 0; the rest of the ordered simplex is free
+    res = maximize_phi(Polytope(4, gamma=((0, (0, 0, -1, 0)),)))
+    assert res.point[2] == 0.0 and res.point[3] == 0.0
+    assert abs(res.point[0] - 0.5) < 1e-12 and abs(res.point[1] - 0.5) < 1e-12
+    assert abs(res.value - 2.0) < 1e-12
+    assert res.certified_gap <= 1e-9
+
+
+def test_gap_over_tolerance_is_no_convergence():
+    with pytest.raises(NoConvergence):
+        maximize_phi(lemma_max_polytope(7), tolerance=-1.0)
+
+
+@st.composite
+def uniform_feasible_polytopes(draw):
+    """Random gamma rows that the uniform point satisfies, with slack >= 0.
+
+    On the simplex the uniform point is then the optimum; without it the
+    unconstrained optimum x_i = 1/e is usually cut off, so the solve has
+    active rows to find.
+    """
+    q = draw(st.integers(2, 8))
+    rows = []
+    for _ in range(draw(st.integers(0, 4))):
+        coeffs = tuple(draw(st.lists(st.integers(-3, 3), min_size=q, max_size=q)))
+        slack = draw(st.sampled_from((0.0, 0.05, 0.5)))
+        rows.append((slack - sum(coeffs) / q, coeffs))
+    return Polytope(q, tuple(rows), include_ordering=draw(st.booleans()),
+                    include_simplex=draw(st.booleans()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(uniform_feasible_polytopes(), st.randoms(use_true_random=False))
+def test_certificate_bounds_sampled_feasible_points(poly, rnd):
+    res = maximize_phi(poly)
+    region = _Region(poly)
+    assert region.violation(np.array(res.point)) <= 1e-12
+    for _ in range(10):
+        p = region.project(np.array([rnd.random() for _ in range(poly.q)]))
+        if region.violation(p) <= 1e-12:
+            # p is feasible only to 1e-12, and phi has unbounded slope where
+            # a coordinate meets zero, so the comparison allows 1e-9
+            assert res.value + res.certified_gap >= phi(np.maximum(p, 0.0)) - 1e-9

@@ -114,6 +114,30 @@ def test_multiplicity_command(runner):
     assert payload["multiplicity"] >= 1
 
 
+def test_multiplicity_over_the_degree_cap_keeps_the_certificate(runner):
+    # the README example: degree 6 is over the default --n-cap of 5
+    result = runner.invoke(main, ["multiplicity", "--catalog", "thm_T3_fractional",
+                                  "--shape", "2,1,1,1,1", "--variant", "T3",
+                                  "--format", "json"])
+    assert result.exit_code == 0
+    payload = json.loads(result.output)
+    assert payload["certificate_nonzero"] is True
+    assert payload["multiplicity"] is None
+    assert payload["multiplicity_skipped"] == "degree 6 exceeds --n-cap 5"
+    text = runner.invoke(main, ["multiplicity", "--catalog", "thm_T3_fractional",
+                                "--shape", "2,1,1,1,1", "--variant", "T3"])
+    assert text.exit_code == 0
+    assert "multiplicity skipped" in text.output and "verdict: nonzero" in text.output
+
+
+def test_multiplicity_over_the_degree_cap_without_variant_is_a_resource_limit(runner):
+    result = runner.invoke(main, ["multiplicity", "--catalog", "thm_T3_fractional",
+                                  "--shape", "2,1,1,1,1"])
+    assert result.exit_code == 3
+    [line] = result.stderr.strip().splitlines()
+    assert json.loads(line)["error"] == "ResourceLimit"
+
+
 def test_phimax_command(runner):
     result = runner.invoke(main, ["phimax", "--q", "7", "--format", "json"])
     assert result.exit_code == 0

@@ -29,6 +29,7 @@ from semigraded.cochar import (
 from semigraded.codim import _product_cache, block_rank, graded_codim
 from semigraded.errors import (
     HypothesisViolated,
+    ResourceLimit,
     SizeMismatch,
     TooManyParts,
     UnsupportedAlgebra,
@@ -331,6 +332,22 @@ def test_certificate_cross_check_degree_five_spot():
     lam = Partition((2, 2, 1))
     assert multiplicity_nonzero_certificate(t3, "T3", lam)
     assert multiplicity_exact(t3, lam) >= 1
+
+
+def test_multiplicity_degree_six_within_the_default_cap():
+    # 5 * 2**6 = 320 rows are ranked, well under the default monomial_cap
+    t3 = paper_catalog("thm_T3_fractional")
+    assert multiplicity_exact(t3, Partition((3, 3)), n_cap=6) == 117
+
+
+def test_monomial_cap_counts_the_rows_ranked():
+    t3 = paper_catalog("thm_T3_fractional")
+    lam = Partition((2, 1))
+    rows = hook_dim(lam) * len(t3.support()) ** lam.n
+    assert rows == 16
+    with pytest.raises(ResourceLimit):
+        multiplicity_exact(t3, lam, monomial_cap=rows - 1)
+    assert multiplicity_exact(t3, lam, monomial_cap=rows) >= 1
 
 
 def test_positive_multiplicities_lie_in_the_support_region():
