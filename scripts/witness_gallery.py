@@ -3,10 +3,12 @@
 
 Walks the partitions of n for the chosen variant, builds the witness
 where the construction applies, and prints the substitution diagram and
-the symmetrized value.
+the symmetrized value.  A shape counts as certified only when that value
+is nonzero; the script exits 1 when any certificate fails.
 """
 
 import argparse
+import sys
 
 from semigraded.cochar import (
     apply_symmetrizer,
@@ -26,7 +28,7 @@ def main():
 
     alg = paper_catalog("thm_T1_fractional" if args.variant == "T1"
                         else "thm_T3_fractional")
-    admissible = skipped = 0
+    certified = failed = skipped = 0
     for lam in partitions_of(args.n):
         try:
             data = build_witness(args.variant, lam, alg=alg)
@@ -34,12 +36,18 @@ def main():
             skipped += 1
             print(f"-- {lam.parts}: outside the construction ({exc})\n")
             continue
-        admissible += 1
         value = apply_symmetrizer(alg, data.tableau, data.f, data.tau)
+        if any(c != 0 for c in value):
+            certified += 1
+        else:
+            failed += 1
         print(format_witness_report(alg, data, value))
         print()
-    print(f"{admissible} shapes certified, {skipped} outside the construction")
+    print(f"{certified} shapes certified, {skipped} outside the construction")
+    if failed:
+        print(f"{failed} certificates failed")
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -14,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 
 from .cochar import Partition
-from .errors import Infeasible, NegativeCoordinate, NoConvergence, QTooSmall
+from .errors import BadParam, Infeasible, NegativeCoordinate, NoConvergence, QTooSmall
 
 FEAS_TOL = 1e-12
 DEFAULT_TOL = 1e-9
@@ -245,8 +245,11 @@ def maximize_phi(poly: Polytope, tolerance: float = DEFAULT_TOL) -> Optimization
     then made feasible to 1e-12 by _Region.project.  By weak duality every
     y >= 0 bounds the maximum by exp(g(y)), so certified_gap =
     exp(g(y)) - phi(x) bounds the distance to the true maximum (up to
-    floating-point rounding).
+    floating-point rounding).  A NaN tolerance is BadParam: no gap would
+    exceed it.
     """
+    if math.isnan(tolerance):
+        raise BadParam("tolerance must be a number, got nan")
     q = poly.q
     region = _Region(poly)
     every = np.ones(q, dtype=bool)

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass
 import click
 
 from . import asympt, codim, cochar, structure, verify
@@ -29,41 +28,21 @@ from .semigroup import classify_order2, enumerate_semigroups, isomorphism_classe
 USAGE_ERRORS = (BadParam, OrderTooLarge, UnknownName, UnknownTag, WrongOrder)
 
 
-@dataclass
-class RunConfig:
-    command: str = ""
-    input_path: str | None = None
-    catalog: str | None = None
-    n_max: int = 4
-    mode: str = "modular"
-    primes: tuple = ()
-    seed: int = 0
-    max_block_entries: int = codim.DEFAULT_BLOCK_CAP
-    out_format: str = "text"
-    out_path: str | None = None
-    sections: tuple = ()
-    timings: bool = True
-
-    def __post_init__(self):
-        if self.max_block_entries <= 0:
-            raise BadParam("resource caps must be positive")
-
-
-def _emit(cfg: RunConfig, text: str):
-    if cfg.out_path:
-        with open(cfg.out_path, "w", encoding="utf-8") as fh:
+def _emit(out_path: str | None, text: str):
+    if out_path:
+        with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text if text.endswith("\n") else text + "\n")
     else:
         click.echo(text)
 
 
-def _load(cfg: RunConfig):
-    if cfg.input_path and cfg.catalog:
+def _load(input_path: str | None, catalog: str | None):
+    if input_path and catalog:
         raise BadParam("give either --input or --catalog, not both")
-    if cfg.input_path:
-        return load_algebra(cfg.input_path)
-    if cfg.catalog:
-        return parse_catalog_spec(cfg.catalog)
+    if input_path:
+        return load_algebra(input_path)
+    if catalog:
+        return parse_catalog_spec(catalog)
     raise BadParam("an algebra is required: --input FILE or --catalog SPEC")
 
 
@@ -123,7 +102,6 @@ def main():
 def semigroups(order, out_format, out_path):
     """Enumerate and classify the semigroups of a small order."""
     def go():
-        cfg = RunConfig(command="semigroups", out_format=out_format, out_path=out_path)
         found = enumerate_semigroups(order)
         classes = isomorphism_classes(found)
         entries = []
@@ -133,14 +111,14 @@ def semigroups(order, out_format, out_path):
             entries.append({"tag": tag, "count": len(cls), "table": [list(r) for r in rep.table]})
         entries.sort(key=lambda e: e["tag"])
         if out_format == "json":
-            _emit(cfg, json.dumps({"order": order, "tables": len(found),
-                                   "classes": entries}, indent=2, sort_keys=True))
+            _emit(out_path, json.dumps({"order": order, "tables": len(found),
+                                        "classes": entries}, indent=2, sort_keys=True))
         else:
             lines = [f"order {order}: {len(found)} associative tables, "
                      f"{len(classes)} isomorphism classes"]
             for e in entries:
                 lines.append(f"  {e['tag']}: {e['count']} tables, representative {e['table']}")
-            _emit(cfg, "\n".join(lines))
+            _emit(out_path, "\n".join(lines))
         return 0
     _run(go)
 
@@ -151,17 +129,15 @@ def semigroups(order, out_format, out_path):
 def check(input_path, catalog, out_format, out_path):
     """Validate an algebra: associativity, grading law, declared unit."""
     def go():
-        cfg = RunConfig(command="check", input_path=input_path, catalog=catalog,
-                        out_format=out_format, out_path=out_path)
-        alg = _load(cfg)
+        alg = _load(input_path, catalog)
         report = validate(alg)
         payload = {"name": alg.name, "dim": alg.dim, "ok": report["ok"],
                    "violations": [list(map(str, v)) for v in report["violations"]]}
         if out_format == "json":
-            _emit(cfg, json.dumps(payload, indent=2, sort_keys=True))
+            _emit(out_path, json.dumps(payload, indent=2, sort_keys=True))
         else:
-            _emit(cfg, f"{alg.name}: dim {alg.dim}, "
-                       f"{'ok' if report['ok'] else 'INVALID'}")
+            _emit(out_path, f"{alg.name}: dim {alg.dim}, "
+                            f"{'ok' if report['ok'] else 'INVALID'}")
         return 0 if report["ok"] else 1
     _run(go)
 
@@ -172,21 +148,19 @@ def check(input_path, catalog, out_format, out_path):
 def radical(input_path, catalog, out_format, out_path):
     """The Jacobson radical, with a gradedness flag."""
     def go():
-        cfg = RunConfig(command="radical", input_path=input_path, catalog=catalog,
-                        out_format=out_format, out_path=out_path)
-        alg = _load(cfg)
+        alg = _load(input_path, catalog)
         rad = structure.jacobson_radical(alg)
         graded = is_graded_subspace(alg, rad)
         payload = {"name": alg.name, "radical_dim": rad.dim, "graded": graded,
                    "basis": _rows_of_subspace(alg, rad)}
         if out_format == "json":
-            _emit(cfg, json.dumps(payload, indent=2, sort_keys=True))
+            _emit(out_path, json.dumps(payload, indent=2, sort_keys=True))
         else:
             lines = [f"{alg.name}: radical dim {rad.dim}, "
                      f"{'graded' if graded else 'not graded'}"]
             for row in payload["basis"]:
                 lines.append("  " + " + ".join(f"{c}*{l}" for l, c in row.items()))
-            _emit(cfg, "\n".join(lines))
+            _emit(out_path, "\n".join(lines))
         return 0
     _run(go)
 
@@ -197,9 +171,7 @@ def radical(input_path, catalog, out_format, out_path):
 def split(input_path, catalog, out_format, out_path):
     """Semisimple complement of the radical (graded when available)."""
     def go():
-        cfg = RunConfig(command="split", input_path=input_path, catalog=catalog,
-                        out_format=out_format, out_path=out_path)
-        alg = _load(cfg)
+        alg = _load(input_path, catalog)
         from .structure import _zero_band_side
         if alg.unit is not None and _zero_band_side(alg.semigroup):
             data = structure.graded_malcev_zeroband(alg)
@@ -216,12 +188,12 @@ def split(input_path, catalog, out_format, out_path):
             "complement_basis": _rows_of_subspace(alg, data.complement),
         }
         if out_format == "json":
-            _emit(cfg, json.dumps(payload, indent=2, sort_keys=True))
+            _emit(out_path, json.dumps(payload, indent=2, sort_keys=True))
         else:
-            _emit(cfg, f"{alg.name}: {kind} splitting, complement dim "
-                       f"{payload['complement_dim']} (graded={payload['complement_graded']}), "
-                       f"radical dim {payload['radical_dim']}, "
-                       f"{len(data.correction_log)} corrections")
+            _emit(out_path, f"{alg.name}: {kind} splitting, complement dim "
+                            f"{payload['complement_dim']} (graded={payload['complement_graded']}), "
+                            f"radical dim {payload['radical_dim']}, "
+                            f"{len(data.correction_log)} corrections")
         return 0
     _run(go)
 
@@ -233,18 +205,16 @@ def split(input_path, catalog, out_format, out_path):
 def simple(input_path, catalog, out_format, out_path, seed):
     """Graded-simplicity verdict with certificate or witness."""
     def go():
-        cfg = RunConfig(command="simple", input_path=input_path, catalog=catalog,
-                        out_format=out_format, out_path=out_path, seed=seed)
-        alg = _load(cfg)
-        res = structure.is_graded_simple(alg, seed=cfg.seed)
+        alg = _load(input_path, catalog)
+        res = structure.is_graded_simple(alg, seed=seed)
         payload = {"name": alg.name, "verdict": res.verdict, "detail": res.detail}
         if res.witness is not None:
             payload["witness_dim"] = res.witness.dim
             payload["witness_basis"] = _rows_of_subspace(alg, res.witness)
         if out_format == "json":
-            _emit(cfg, json.dumps(payload, indent=2, sort_keys=True))
+            _emit(out_path, json.dumps(payload, indent=2, sort_keys=True))
         else:
-            _emit(cfg, f"{alg.name}: {res.verdict} ({res.detail})")
+            _emit(out_path, f"{alg.name}: {res.verdict} ({res.detail})")
         return 0
     _run(go)
 
@@ -267,28 +237,26 @@ def codim_cmd(input_path, catalog, out_format, out_path, n_max, mode, primes,
     """Codimension sequence c_1 .. c_n_max."""
     def go():
         plist = _int_list("--primes", primes)
-        cfg = RunConfig(command="codim", input_path=input_path, catalog=catalog,
-                        n_max=n_max, mode=mode, primes=plist, seed=seed,
-                        max_block_entries=caps, out_format=out_format,
-                        out_path=out_path, timings=timings)
-        alg = _load(cfg)
+        if caps <= 0:
+            raise BadParam("resource caps must be positive")
+        alg = _load(input_path, catalog)
         fn = codim.ordinary_codim if ordinary else codim.graded_codim
-        results = [fn(alg, n, mode=cfg.mode, primes=cfg.primes or None,
-                      seed=cfg.seed, max_block_entries=cfg.max_block_entries)
-                   for n in range(1, cfg.n_max + 1)]
+        results = [fn(alg, n, mode=mode, primes=plist or None,
+                      seed=seed, max_block_entries=caps)
+                   for n in range(1, n_max + 1)]
         if out_format == "json":
             payload = [{"n": r.n, "c_n": r.value, "certification": r.certification,
-                        "seconds": round(r.seconds, 3) if cfg.timings else None,
+                        "seconds": round(r.seconds, 3) if timings else None,
                         "blocks": [{"assignment": list(b.assignment), "rank": b.rank}
                                    for b in r.blocks]}
                        for r in results]
-            _emit(cfg, json.dumps(payload, indent=2, sort_keys=True))
+            _emit(out_path, json.dumps(payload, indent=2, sort_keys=True))
         else:
             lines = ["n,c_n,certification,seconds"]
             for r in results:
-                sec = f"{r.seconds:.3f}" if cfg.timings else ""
+                sec = f"{r.seconds:.3f}" if timings else ""
                 lines.append(f"{r.n},{r.value},\"{r.certification}\",{sec}")
-            _emit(cfg, "\n".join(lines))
+            _emit(out_path, "\n".join(lines))
         return 0
     _run(go)
 
@@ -305,9 +273,7 @@ def multiplicity(input_path, catalog, out_format, out_path, shape, variant,
                  exact, n_cap):
     """Multiplicity data for one shape: exact value and/or certificate."""
     def go():
-        cfg = RunConfig(command="multiplicity", input_path=input_path,
-                        catalog=catalog, out_format=out_format, out_path=out_path)
-        alg = _load(cfg)
+        alg = _load(input_path, catalog)
         try:
             lam = cochar.Partition(_int_list("--shape", shape))
         except ValueError as exc:
@@ -326,7 +292,7 @@ def multiplicity(input_path, catalog, out_format, out_path, shape, variant,
         elif exact:
             payload["multiplicity"] = cochar.multiplicity_exact(alg, lam, n_cap=n_cap)
         if out_format == "json":
-            _emit(cfg, json.dumps(payload, indent=2, sort_keys=True))
+            _emit(out_path, json.dumps(payload, indent=2, sort_keys=True))
         else:
             bits = [f"{alg.name} shape {lam.parts}:"]
             if "multiplicity_skipped" in payload:
@@ -338,7 +304,7 @@ def multiplicity(input_path, catalog, out_format, out_path, shape, variant,
             text = " ".join(bits)
             if report:
                 text += "\n" + report
-            _emit(cfg, text)
+            _emit(out_path, text)
         return 0
     _run(go)
 
@@ -352,7 +318,6 @@ def multiplicity(input_path, catalog, out_format, out_path, shape, variant,
 def phimax(out_format, out_path, q, tolerance, seed):
     """Maximize the product function over the pairing polytope."""
     def go():
-        cfg = RunConfig(command="phimax", out_format=out_format, out_path=out_path, seed=seed)
         res = asympt.maximize_phi(asympt.lemma_max_polytope(q), tolerance=tolerance)
         closed = asympt.lemma_max_closed_form(q)
         payload = {"q": q, "value": res.value, "closed_form": closed.value,
@@ -360,10 +325,10 @@ def phimax(out_format, out_path, q, tolerance, seed):
                    "point": list(res.point), "method": res.method,
                    "certified_gap": res.certified_gap}
         if out_format == "json":
-            _emit(cfg, json.dumps(payload, indent=2, sort_keys=True))
+            _emit(out_path, json.dumps(payload, indent=2, sort_keys=True))
         else:
-            _emit(cfg, f"q={q}: max {res.value:.12f} "
-                       f"(closed form {closed.value:.12f}, diff {payload['difference']:.2e})")
+            _emit(out_path, f"q={q}: max {res.value:.12f} "
+                            f"(closed form {closed.value:.12f}, diff {payload['difference']:.2e})")
         return 0
     _run(go)
 
@@ -379,25 +344,22 @@ def phimax(out_format, out_path, q, tolerance, seed):
 def bounds(out_format, out_path, q, n_max, input_path, catalog, codim_n_max, seed):
     """Growth-bound table: d^n next to codimensions and hook lower bounds."""
     def go():
-        cfg = RunConfig(command="bounds", input_path=input_path, catalog=catalog,
-                        n_max=n_max, seed=seed, out_format=out_format,
-                        out_path=out_path)
         closed = asympt.lemma_max_closed_form(q)
         c_values = {}
         if codim_n_max and (input_path or catalog):
-            alg = _load(cfg)
+            alg = _load(input_path, catalog)
             for n in range(1, codim_n_max + 1):
-                c_values[n] = codim.graded_codim(alg, n, seed=cfg.seed).value
-        rows = asympt.bound_report(closed.value, range(1, cfg.n_max + 1),
+                c_values[n] = codim.graded_codim(alg, n, seed=seed).value
+        rows = asympt.bound_report(closed.value, range(1, n_max + 1),
                                    c_values=c_values, alpha=closed.point)
         if out_format == "json":
-            _emit(cfg, json.dumps(rows, indent=2, sort_keys=True))
+            _emit(out_path, json.dumps(rows, indent=2, sort_keys=True))
         else:
             lines = ["n,d_pow_n,c_n,hook_lower"]
             for r in rows:
                 c = "" if r["c_n"] is None else r["c_n"]
                 lines.append(f"{r['n']},{r['d_pow_n']:.6f},{c},{r['hook_lower']}")
-            _emit(cfg, "\n".join(lines))
+            _emit(out_path, "\n".join(lines))
         return 0
     _run(go)
 
@@ -409,15 +371,13 @@ def bounds(out_format, out_path, q, n_max, input_path, catalog, codim_n_max, see
 def exponent(input_path, catalog, out_format, out_path, ordinary):
     """The chain-formula growth exponent."""
     def go():
-        cfg = RunConfig(command="exponent", input_path=input_path, catalog=catalog,
-                        out_format=out_format, out_path=out_path)
-        alg = _load(cfg)
+        alg = _load(input_path, catalog)
         d = structure.ordinary_exponent(alg) if ordinary else structure.graded_exponent_d(alg)
         kind = "ordinary" if ordinary else "graded"
         if out_format == "json":
-            _emit(cfg, json.dumps({"name": alg.name, "kind": kind, "d": d}, sort_keys=True))
+            _emit(out_path, json.dumps({"name": alg.name, "kind": kind, "d": d}, sort_keys=True))
         else:
-            _emit(cfg, f"{alg.name}: {kind} exponent {d}")
+            _emit(out_path, f"{alg.name}: {kind} exponent {d}")
         return 0
     _run(go)
 
@@ -429,18 +389,16 @@ def exponent(input_path, catalog, out_format, out_path, ordinary):
 def verify_paper(sections, out_format, out_path):
     """Run the full verification battery; exit 0 iff every check passes."""
     def go():
-        cfg = RunConfig(command="verify-paper", sections=tuple(sections),
-                        out_format=out_format, out_path=out_path)
         lines = []
-        results = verify.run_battery(sections=cfg.sections or None,
+        results = verify.run_battery(sections=sections or None,
                                      emit=lines.append)
         if out_format == "json":
             payload = [{"check": r.check_id, "group": r.group,
                         "passed": r.passed, "detail": r.detail} for r in results]
-            _emit(cfg, json.dumps(payload, indent=2, sort_keys=True))
+            _emit(out_path, json.dumps(payload, indent=2, sort_keys=True))
         else:
             summary = f"{sum(r.passed for r in results)}/{len(results)} checks passed"
-            _emit(cfg, "\n".join(lines + [summary]))
+            _emit(out_path, "\n".join(lines + [summary]))
         return 0 if results and all(r.passed for r in results) else 1
     _run(go)
 
@@ -451,10 +409,8 @@ def verify_paper(sections, out_format, out_path):
 def export(input_path, catalog, out_format, out_path):
     """Write an algebra back out in the definition-file format."""
     def go():
-        cfg = RunConfig(command="export", input_path=input_path, catalog=catalog,
-                        out_format=out_format, out_path=out_path)
-        alg = _load(cfg)
-        _emit(cfg, serialize_algebra(alg))
+        alg = _load(input_path, catalog)
+        _emit(out_path, serialize_algebra(alg))
         return 0
     _run(go)
 

@@ -11,9 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations, product
 
-# _product_cache stays bound here because the benchmark's tracer test
-# (perfbench/test_tracing.py) reads cochar._product_cache
-from .codim import _product_cache, block_rank, exact_blocks, independent_rows  # noqa: F401
+from .codim import _product_cache, block_rank, exact_blocks, independent_rows
 from .errors import (
     BadParam,
     BetaInvalid,
@@ -82,19 +80,6 @@ def partitions_of(n: int, max_parts=None):
                 yield (first,) + rest
     for parts in gen(n, n, 0):
         yield Partition(parts)
-
-
-def enumerate_partitions(n: int, predicate=None, max_parts=None):
-    """Partitions of n passing the optional exact membership predicate.
-
-    Discrete polytope membership (see the polytope module) plugs in as
-    the predicate; constraints are evaluated in integers.
-    """
-    out = []
-    for lam in partitions_of(n, max_parts=max_parts):
-        if predicate is None or predicate(lam):
-            out.append(lam)
-    return out
 
 
 def hook_dim(lam: Partition) -> int:
@@ -197,48 +182,6 @@ class GradedPolynomial:
     n: int
     terms: dict  # GradedMonomial-like key (word, pos_degrees) -> coefficient
 
-    @classmethod
-    def from_monomial(cls, n, word, pos_degrees, coeff=1):
-        return cls(n, {(tuple(word), tuple(pos_degrees)): frac(coeff)})
-
-    def __add__(self, other):
-        if self.n != other.n:
-            raise SizeMismatch("polynomial lengths differ")
-        terms = dict(self.terms)
-        for k, c in other.terms.items():
-            terms[k] = terms.get(k, ZERO) + c
-            if terms[k] == 0:
-                del terms[k]
-        return GradedPolynomial(self.n, terms)
-
-    def scale(self, c):
-        c = frac(c)
-        if c == 0:
-            return GradedPolynomial(self.n, {})
-        return GradedPolynomial(self.n, {k: v * c for k, v in self.terms.items()})
-
-    def concat(self, other):
-        """Noncommutative product; variable sets must be disjoint."""
-        terms = {}
-        for (w1, d1), c1 in self.terms.items():
-            for (w2, d2), c2 in other.terms.items():
-                key = (w1 + w2, d1 + d2)
-                terms[key] = terms.get(key, ZERO) + c1 * c2
-        return GradedPolynomial(self.n, terms)
-
-    def rename(self, mapping):
-        terms = {}
-        for (w, d), c in self.terms.items():
-            key = (tuple(mapping.get(v, v) for v in w), d)
-            terms[key] = terms.get(key, ZERO) + c
-        return GradedPolynomial(self.n, terms)
-
-    def variables(self):
-        vs = set()
-        for (w, _), _ in self.terms.items():
-            vs.update(w)
-        return vs
-
     def evaluate(self, alg, tau, cache=None):
         """Value on the substitution tau: variable -> basis index.
 
@@ -316,21 +259,6 @@ class FactoredPolynomial:
                 return {}
         return value or {}
 
-    def expand(self) -> GradedPolynomial:
-        acc = None
-        for f in self.factors:
-            acc = f if acc is None else acc.concat(f)
-        if acc is None:
-            return GradedPolynomial(self.n, {})
-        return GradedPolynomial(self.n, acc.terms)
-
-    def rename(self, mapping):
-        return FactoredPolynomial(
-            self.n,
-            [f.rename(mapping) for f in self.factors],
-            [tuple(mapping.get(v, v) for v in col) for col in self.column_sets],
-        )
-
 
 # -- Young symmetrizer application ----------------------------------------------
 
@@ -347,54 +275,29 @@ def _check_column_alternating(f, tableau):
     return sorted(cols) == sorted(fcols)
 
 
-def apply_symmetrizer(alg, tableau: YoungTableau, f, tau, convention: str = "e",
-                      shortcut=None):
-    """Value of the symmetrized polynomial on the substitution tau.
+def apply_symmetrizer(alg, tableau: YoungTableau, f, tau):
+    """Value of the symmetrized polynomial e_T.f on the substitution tau.
 
-    With the product convention "e" (row symmetrization after column
-    alternation) and f alternating in every column of the tableau, the
-    column sum collapses to the scalar prod(column height factorials),
-    leaving only the row-group sum; that shortcut makes the tall
-    witnesses tractable.  convention "e_star" forces the double sum.
+    When f is a factored polynomial alternating in every column of the
+    tableau, the column sum of e_T collapses to the scalar prod(column
+    height factorials), leaving only the row-group sum; that shortcut
+    makes the tall witnesses tractable.  Any other f is summed over every
+    term of _symmetrizer(tableau).
     """
     n = sum(tableau.shape.parts)
     if getattr(f, "n", n) != n:
         raise SizeMismatch("polynomial length does not match the tableau")
-    if convention not in ("e", "e_star"):
-        raise ValueError("convention must be 'e' or 'e_star'")
     table = alg.eval_table()
-    use_shortcut = shortcut
-    if use_shortcut is None:
-        use_shortcut = (
-            convention == "e"
-            and isinstance(f, FactoredPolynomial)
-            and _check_column_alternating(f, tableau)
-        )
-    out = {}
-    if use_shortcut:
-        scalar = 1
-        for h in tableau.shape.column_heights():
-            scalar *= math.factorial(h)
-        for rho in tableau.row_group():
-            comp = {v: tau[rho[v]] for v in rho}
-            for v, b in tau.items():
-                comp.setdefault(v, b)
-            value = f.evaluate(alg, comp, cache=table)
-            for k, c in value.items():
-                out[k] = out.get(k, 0) + c
-        out = {k: c * scalar for k, c in out.items() if c != 0}
+    if isinstance(f, FactoredPolynomial) and _check_column_alternating(f, tableau):
+        scalar = math.prod(math.factorial(h) for h in tableau.shape.column_heights())
+        terms = ((rho, scalar) for rho in tableau.row_group())
     else:
-        for rho in tableau.row_group():
-            for sigma, sign in tableau.column_group_signed():
-                if convention == "e":
-                    g = _compose(rho, sigma)
-                else:
-                    g = _compose(sigma, rho)
-                comp = {v: tau[g.get(v, v)] for v in tau}
-                value = f.evaluate(alg, comp, cache=table)
-                for k, c in value.items():
-                    out[k] = out.get(k, 0) + sign * c
-        out = {k: c for k, c in out.items() if c != 0}
+        terms = _symmetrizer(tableau)
+    out = {}
+    for g, c in terms:
+        comp = {v: tau[g.get(v, v)] for v in tau}
+        for k, x in f.evaluate(alg, comp, cache=table).items():
+            out[k] = out.get(k, 0) + c * x
     vec = [ZERO] * alg.dim
     for k, c in out.items():
         vec[k] = frac(c)
@@ -413,33 +316,25 @@ def theta(alg: GradedAlgebra, basis_index: int) -> int:
 
 def theta_scan(alg: GradedAlgebra, n_max: int):
     """Exhaustively check additivity and the [-1, 1] window of theta on
-    all nonzero products of at most n_max basis elements."""
+    all nonzero products of at most n_max basis elements.  Raises
+    ResourceLimit when codim's product cache passes its default cap."""
     if alg.matrix_positions is None:
         raise UnsupportedAlgebra("algebra carries no matrix-unit positions")
-    table = alg.eval_table()
     violations = []
     checked = 0
-
-    def walk(seq, value, theta_sum):
-        nonlocal checked
-        if seq:
-            checked += 1
-            support = [k for k in value]
-            if len(support) != 1:
-                violations.append(("support", tuple(seq)))
-            else:
-                t = theta(alg, support[0])
-                if t != theta_sum or not (-1 <= theta_sum <= 1):
-                    violations.append(("theta", tuple(seq), theta_sum, t))
-        if len(seq) == n_max:
-            return
-        for b in range(alg.dim):
-            nxt = mul_sparse(table, value, {b: 1}) if seq else {b: 1}
-            if nxt:
-                walk(seq + [b], nxt, theta_sum + theta(alg, b))
-            # zero products impose nothing
-
-    walk([], {}, 0)
+    # the cache lists products depth first; a prefix that multiplies to
+    # zero has no longer entries, and a zero product imposes nothing
+    for seq, value in _product_cache(alg, n_max).items():
+        if not value:
+            continue
+        checked += 1
+        theta_sum = sum(theta(alg, b) for b in seq)
+        if len(value) != 1:
+            violations.append(("support", seq))
+        else:
+            t = theta(alg, next(iter(value)))
+            if t != theta_sum or not (-1 <= theta_sum <= 1):
+                violations.append(("theta", seq, theta_sum, t))
     return {"ok": not violations, "violations": violations, "products_checked": checked}
 
 
@@ -637,6 +532,9 @@ def build_witness(variant: str, lam: Partition, beta: BetaDecomposition | None =
         poly = alternating_column_polynomial(col_vars, slots, degs)
         factors_by_column.append(poly)
         for var, label in zip(col_vars, v.columns[kind]):
+            if label not in label_index:
+                raise UnsupportedAlgebra(f"{variant} witnesses need the basis label "
+                                         f"{label}, missing from {alg.name or 'the algebra'}")
             tau[var] = label_index[label]
 
     # product order: compensated pairs, surplus tall column, then neutrals
@@ -689,11 +587,10 @@ def format_witness_report(alg: GradedAlgebra, data: WitnessData, value) -> str:
 
 # -- exact multiplicities -----------------------------------------------------------
 
-def _symmetrizer(lam: Partition):
+def _symmetrizer(tableau: YoungTableau):
     """The terms (g, sign) of e_T = sum of sign(sigma) rho.sigma over the row
-    group and the signed column group of the column-major tableau T, each g
-    a variable map."""
-    tableau = YoungTableau.column_major(lam)
+    group and the signed column group of the tableau T, each g a variable
+    map."""
     return [(_compose(rho, sigma), sign)
             for rho in tableau.row_group()
             for sigma, sign in tableau.column_group_signed()]
@@ -705,7 +602,7 @@ def spanning_permutations(lam: Partition) -> list:
     rank over Q.  Their number is checked to be hook_dim(lam)."""
     perms = list(permutations(range(lam.n)))
     where = {w: i for i, w in enumerate(perms)}
-    group = _symmetrizer(lam)
+    group = _symmetrizer(YoungTableau.column_major(lam))
     elements = []
     for pi in perms:
         element = {}
@@ -762,7 +659,7 @@ def multiplicity_exact(alg: GradedAlgebra, lam: Partition, n_cap: int = 5,
         block, width = reps[tuple(a[v] for v in order)]
         blocks[a] = (block, n_cols, [order.index(v) for v in range(n)])
         n_cols += width
-    group = _symmetrizer(lam)
+    group = _symmetrizer(YoungTableau.column_major(lam))
     rows = []
     for pi in spanning_permutations(lam):
         # per word of e_T.pi: the word, the position of each variable in it,

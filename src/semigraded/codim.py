@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import BadParam, EmptySequence, ResourceLimit
 from .gralgebra import GradedAlgebra, mul_sparse, with_trivial_grading
+from .linalg import eliminate
 
 # verified 30-bit primes; per-block choices are drawn from this bank
 PRIME_BANK = (
@@ -99,53 +100,17 @@ def _rank_mod_p(mat: np.ndarray, p: int) -> int:
     return r
 
 
-def _eliminate(echelon: dict, row) -> bool:
-    """Reduce a sparse row (dict col -> value) against echelon (pivot col ->
-    integer row) and add what is left as a new pivot row; True when the row
-    was independent of the echelon.
-
-    Fraction-free elimination with per-row gcd reduction.  A row with a
-    non-integral entry is first scaled by the lcm of its denominators,
-    which leaves the rank unchanged; integer rows stay plain ints.
-    """
-    work = {c: v for c, v in row.items() if v != 0}
-    if not all(isinstance(v, int) for v in work.values()):
-        d = math.lcm(*(v.denominator for v in work.values()))
-        work = {c: int(v * d) for c, v in work.items()}
-    while work:
-        pc = min(work)
-        prow = echelon.get(pc)
-        if prow is None:
-            g = math.gcd(*work.values()) if len(work) > 1 else abs(work[pc])
-            if g > 1:
-                work = {c: v // g for c, v in work.items()}
-            echelon[pc] = work
-            return True
-        a, b = prow[pc], work[pc]
-        new = {}
-        for c, v in work.items():
-            new[c] = a * v
-        for c, v in prow.items():
-            n = new.get(c, 0) - b * v
-            if n:
-                new[c] = n
-            else:
-                new.pop(c, None)
-        work = new
-    return False
-
-
 def _rank_exact(rows_entries) -> int:
     """Rank over Q of sparse rows given as dicts col -> value."""
     echelon = {}
-    return sum(_eliminate(echelon, row) for row in rows_entries)
+    return sum(eliminate(echelon, row) for row in rows_entries)
 
 
 def independent_rows(rows) -> list:
     """Indices of the sparse rows (dicts col -> value) that are independent
     over Q of the rows before them."""
     echelon = {}
-    return [i for i, row in enumerate(rows) if _eliminate(echelon, row)]
+    return [i for i, row in enumerate(rows) if eliminate(echelon, row)]
 
 
 def _residue(v, p: int) -> int:

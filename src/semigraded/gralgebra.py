@@ -77,9 +77,6 @@ class GradedAlgebra:
 
     # -- grading ----------------------------------------------------------
 
-    def degrees_present(self):
-        return sorted(set(self.degree))
-
     def component_indices(self, t: int):
         return [i for i in range(self.dim) if self.degree[i] == t]
 
@@ -692,7 +689,10 @@ def parse_catalog_spec(spec: str) -> GradedAlgebra:
         if not spec.endswith(")"):
             raise BadParam(f"malformed catalog spec {spec!r}")
         name, inner = spec[:-1].split("(", 1)
-        params = tuple(int(x) for x in inner.split(",") if x.strip())
+        try:
+            params = tuple(int(x) for x in inner.split(",") if x.strip())
+        except ValueError:
+            raise BadParam(f"catalog parameters must be integers, got {inner!r}") from None
     else:
         name, params = spec, ()
     return paper_catalog(name, *params)

@@ -1,12 +1,16 @@
 """Exact linear algebra over the rationals.
 
-Everything here works on dense rows of Fraction.  Dimensions in this
-package stay small (a few dozen at most), so dense rational elimination
-is both fast enough and free of numerical questions.
+Subspace, rref and the matrix helpers work on dense rows of Fraction;
+their dimensions stay small (a few dozen at most), so dense rational
+elimination is both fast enough and free of numerical questions.
+eliminate works on sparse rows (dicts column -> int or Fraction) and
+keeps integers, for the long rows of evaluation blocks and operator
+closures.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 ZERO = Fraction(0)
@@ -76,6 +80,42 @@ def rref(rows):
     return [tuple(row) for row in rows[:r]], pivots
 
 
+def eliminate(echelon: dict, row) -> bool:
+    """Reduce a sparse row (dict col -> value) against echelon (pivot col ->
+    integer row) and add what is left as a new pivot row; True when the row
+    was independent of the echelon.
+
+    Fraction-free elimination with per-row gcd reduction.  A row with a
+    non-integral entry is first scaled by the lcm of its denominators,
+    which leaves the rank unchanged; integer rows stay plain ints.
+    """
+    work = {c: v for c, v in row.items() if v != 0}
+    if not all(isinstance(v, int) for v in work.values()):
+        d = math.lcm(*(v.denominator for v in work.values()))
+        work = {c: int(v * d) for c, v in work.items()}
+    while work:
+        pc = min(work)
+        prow = echelon.get(pc)
+        if prow is None:
+            g = math.gcd(*work.values()) if len(work) > 1 else abs(work[pc])
+            if g > 1:
+                work = {c: v // g for c, v in work.items()}
+            echelon[pc] = work
+            return True
+        a, b = prow[pc], work[pc]
+        new = {}
+        for c, v in work.items():
+            new[c] = a * v
+        for c, v in prow.items():
+            n = new.get(c, 0) - b * v
+            if n:
+                new[c] = n
+            else:
+                new.pop(c, None)
+        work = new
+    return False
+
+
 class Subspace:
     """A subspace of Q^n stored as a reduced-echelon basis.
 
@@ -136,9 +176,6 @@ class Subspace:
     def contains(self, v) -> bool:
         return is_zero_vec(self.reduce(v))
 
-    def contains_subspace(self, other: "Subspace") -> bool:
-        return all(self.contains(r) for r in other.rows)
-
     def coordinates(self, v):
         """Coefficients of v in the echelon basis, or None if v is outside."""
         v = list(map(frac, v))
@@ -176,9 +213,6 @@ class Subspace:
                     inter.append(right)
         return Subspace(n, inter)
 
-    def basis_vectors(self):
-        return list(self.rows)
-
 
 def nullspace(rows, ncols: int) -> Subspace:
     """Kernel of the matrix with the given rows, as a subspace of Q^ncols."""
@@ -211,10 +245,6 @@ def solve(rows, rhs):
 def matrix_rank(rows) -> int:
     red, _ = rref(rows)
     return len(red)
-
-
-def trace(matrix) -> Fraction:
-    return sum((matrix[i][i] for i in range(len(matrix))), ZERO)
 
 
 def mat_vec(matrix, v):
@@ -292,9 +322,7 @@ def rational_roots(coeffs):
             return roots
     if len(coeffs) == 1:
         return roots
-    from math import lcm
-
-    denom = lcm(*(c.denominator for c in coeffs))
+    denom = math.lcm(*(c.denominator for c in coeffs))
     ints = [int(c * denom) for c in coeffs]
     a0, an = abs(ints[0]), abs(ints[-1])
 

@@ -32,15 +32,6 @@ class FiniteSemigroup:
     def __repr__(self):
         return f"FiniteSemigroup({list(self.labels)})"
 
-    def pretty(self) -> str:
-        width = max(len(str(l)) for l in self.labels)
-        head = " " * width + " | " + " ".join(str(l).rjust(width) for l in self.labels)
-        lines = [head, "-" * len(head)]
-        for i, l in enumerate(self.labels):
-            row = " ".join(str(self.labels[self.table[i][j]]).rjust(width) for j in range(self.order))
-            lines.append(f"{str(l).rjust(width)} | {row}")
-        return "\n".join(lines)
-
 
 def make_semigroup(labels, table) -> FiniteSemigroup:
     labels = tuple(labels)
@@ -82,10 +73,6 @@ def is_cancellative(s: FiniteSemigroup) -> bool:
         if len(set(col)) < n or len(set(row)) < n:
             return False
     return True
-
-
-def is_trivial_grading_semigroup(s: FiniteSemigroup) -> bool:
-    return s.order == 1
 
 
 # canonical order-2 tables, element order matches the labels

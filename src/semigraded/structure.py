@@ -31,6 +31,7 @@ from .linalg import (
     ZERO,
     Subspace,
     add_vec,
+    eliminate,
     is_zero_vec,
     mat_mul,
     mat_vec,
@@ -242,13 +243,8 @@ def _split_block(alg, rows, unit):
             out = []
             offset = 0
             for part in (eigen, rest):
-                part_u_coords = [ZERO] * m
-                for k in range(part.dim):
-                    c = ucoords[offset + k]
-                    if c != 0:
-                        part_u_coords = add_vec(tuple(part_u_coords),
-                                                scale_vec(c, part.rows[k]))
-                    # accumulate inside block-coordinate space
+                # the unit's part, in block coordinates
+                part_u_coords = _combine(part.rows, ucoords[offset:offset + part.dim])
                 offset += part.dim
                 u_part = _combine(rows, part_u_coords)
                 if alg.multiply(u_part, u_part) != u_part:
@@ -317,13 +313,6 @@ def wedderburn_decompose(alg: GradedAlgebra) -> WedderburnData:
 
 # -- semisimple complements ---------------------------------------------------
 
-def _radical_powers(alg, rad):
-    powers = [alg.full_subspace(), rad]
-    while not powers[-1].is_zero():
-        powers.append(subspace_product(alg, powers[-1], rad))
-    return powers  # powers[k] = J^k, powers[-1] = 0
-
-
 def _section_correction(alg, qalg, lift_cols, jk, j2k):
     """Solve for h with h(xy) - s(x)h(y) - h(x)s(y) = -defect(x,y) mod J^2k.
 
@@ -381,15 +370,8 @@ def _section_correction(alg, qalg, lift_cols, jk, j2k):
     sol = solve(rows, rhs) if rows else tuple()
     if sol is None:
         raise AssertionError("complement lifting system has no solution")
-    new_cols = []
-    for u in range(q):
-        h_u = [ZERO] * alg.dim
-        for b in range(r):
-            c = sol[u * r + b]
-            if c != 0:
-                h_u = add_vec(tuple(h_u), scale_vec(c, jk_rows[b]))
-        new_cols.append(add_vec(lift_cols[u], tuple(h_u)))
-    return new_cols
+    return [add_vec(lift_cols[u], _combine(jk_rows, sol[u * r:(u + 1) * r]))
+            for u in range(q)]
 
 
 def malcev_complement(alg: GradedAlgebra) -> SplittingData:
@@ -470,14 +452,7 @@ def _graded_malcev_rec(alg, side):
     sub, sub_rows = subalgebra_on(alg, b1, graded=True)
     scols, _, log1 = _graded_malcev_rec(sub, side)
     # map complement of the subalgebra back into A coordinates
-    out = []
-    for c in scols:
-        v = [ZERO] * alg.dim
-        for coeff, row in zip(c, sub_rows):
-            if coeff != 0:
-                v = add_vec(tuple(v), scale_vec(coeff, row))
-        out.append(tuple(v))
-    return out, rad, log0 + log1
+    return [_combine(sub_rows, c) for c in scols], rad, log0 + log1
 
 
 def _graded_malcev_base(alg, rad):
@@ -488,12 +463,7 @@ def _graded_malcev_base(alg, rad):
     qalg, project, _ = quotient_algebra(alg, rad, graded=False)
 
     def phi_pi(v):
-        coords = project(v)
-        out = [ZERO] * alg.dim
-        for c, col in zip(coords, cols):
-            if c != 0:
-                out = add_vec(tuple(out), scale_vec(c, col))
-        return tuple(out)
+        return _combine(cols, project(v))
 
     parts = unit_component_idempotents(alg)
     log = []
@@ -537,26 +507,13 @@ def _operator_closure(alg: GradedAlgebra):
         gens.append([tuple(alg.mul_basis(b, j).get(i, ZERO) for j in range(n)) for i in range(n)])
         gens.append([tuple(alg.mul_basis(j, b).get(i, ZERO) for j in range(n)) for i in range(n)])
     ident = [unit_vec(n, i) for i in range(n)]
-    echelon = []  # (pivot, sparse flattened row with 1 at the pivot), in insertion order
+    echelon = {}  # of the flattened matrices kept so far
     basis_mats = []
 
     def insert(m):
         """Keep m when it is independent of the matrices kept so far."""
-        v = {k: x for k, x in enumerate(x for row in m for x in row) if x != 0}
-        for p, row in echelon:
-            f = v.get(p)
-            if f:
-                for k, x in row.items():
-                    y = v.get(k, ZERO) - f * x
-                    if y:
-                        v[k] = y
-                    else:
-                        del v[k]
-        if not v:
+        if not eliminate(echelon, dict(enumerate(x for row in m for x in row))):
             return False
-        p = min(v)
-        inv = 1 / v[p]
-        echelon.append((p, {k: x * inv for k, x in v.items()}))
         basis_mats.append(m)
         return True
 
@@ -660,12 +617,9 @@ def graded_exponent_d(alg: GradedAlgebra) -> int:
     for ideal in wed.simple_ideals:
         rows = []
         for b in ideal.rows:
-            v = [ZERO] * alg.dim
-            for c, col in zip(b, section):
-                if c != 0:
-                    v = add_vec(tuple(v), scale_vec(c, col))
+            v = _combine(section, b)
             for t in alg.support():
-                piece = alg.component_project(t, tuple(v))
+                piece = alg.component_project(t, v)
                 if not is_zero_vec(piece):
                     rows.append(piece)
         spreads.append(Subspace(alg.dim, rows))

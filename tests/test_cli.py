@@ -165,6 +165,39 @@ def test_exponent_error_exit(runner):
 def test_usage_error_exit(runner):
     result = runner.invoke(main, ["codim", "--catalog", "no_such_algebra"])
     assert result.exit_code == 2
+    result = runner.invoke(main, ["codim", "--catalog", "mk_column_graded(x)"])
+    assert result.exit_code == 2
+    [line] = result.stderr.strip().splitlines()
+    assert json.loads(line)["error"] == "BadParam"
+
+
+def test_nonpositive_caps_is_a_usage_error(runner):
+    result = runner.invoke(main, ["codim", "--catalog", "thm_T1_fractional", "--caps", "0"])
+    assert result.exit_code == 2
+    [line] = result.stderr.strip().splitlines()
+    assert json.loads(line) == {"error": "BadParam",
+                                "message": "resource caps must be positive"}
+
+
+def test_phimax_nan_tolerance_is_a_usage_error(runner):
+    result = runner.invoke(main, ["phimax", "--q", "7", "--tolerance", "nan"])
+    assert result.exit_code == 2
+    [line] = result.stderr.strip().splitlines()
+    assert json.loads(line)["error"] == "BadParam"
+
+
+@pytest.mark.parametrize("catalog, variant, label", [
+    ("thm_T3_fractional", "T1", "(e11,e11)"),
+    ("full_matrix(2)", "T3", "(e21,0)"),
+])
+def test_witness_needs_the_variant_labels(runner, catalog, variant, label):
+    result = runner.invoke(main, ["multiplicity", "--catalog", catalog,
+                                  "--shape", "2,1", "--variant", variant])
+    assert result.exit_code == 1
+    [line] = result.stderr.strip().splitlines()
+    payload = json.loads(line)
+    assert payload["error"] == "UnsupportedAlgebra"
+    assert label in payload["message"]
 
 
 def test_export_round_trip(runner, tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 from itertools import permutations, product
@@ -11,13 +12,13 @@ from semigraded.cochar import (
     Partition,
     YoungTableau,
     _compose,
+    _symmetrizer,
     alternating_column_polynomial,
     alternation_vanishing_check,
     apply_symmetrizer,
     build_witness,
     choose_beta,
     dim_bounds,
-    enumerate_partitions,
     hook_dim,
     multiplicity_exact,
     multiplicity_nonzero_certificate,
@@ -60,14 +61,14 @@ def test_partitions_of_counts():
 
 
 def test_enumerate_with_cutoff():
-    assert [l.parts for l in enumerate_partitions(4, max_parts=1)] == [(4,)]
+    assert [l.parts for l in partitions_of(4, max_parts=1)] == [(4,)]
 
 
 def test_enumerate_with_constraints():
     # at most 7 parts and the two smallest of the first seven bounded by the largest
     def member(lam):
         return lam.part(8) == 0 and lam.part(6) + lam.part(7) <= lam.part(1)
-    out = [l.parts for l in enumerate_partitions(7, predicate=member)]
+    out = [l.parts for l in partitions_of(7) if member(l)]
     assert (2, 1, 1, 1, 1, 1) in out
     assert (1, 1, 1, 1, 1, 1, 1) not in out
 
@@ -154,16 +155,15 @@ def test_shortcut_matches_double_sum_on_witnesses():
                                 ("T1", t1, (2, 1, 1, 1, 1, 1)),
                                 ("T1", t1, (1, 1, 1, 1, 1))):
         w = build_witness(variant, Partition(parts), alg=alg)
-        fast = apply_symmetrizer(alg, w.tableau, w.f, w.tau, shortcut=True)
-        slow = apply_symmetrizer(alg, w.tableau, w.f, w.tau, shortcut=False)
-        assert fast == slow
-
-
-def test_e_star_convention_runs():
-    t3 = paper_catalog("thm_T3_fractional")
-    w = build_witness("T3", Partition((2, 1, 1)), alg=t3)
-    value = apply_symmetrizer(t3, w.tableau, w.f, w.tau, convention="e_star")
-    assert len(value) == t3.dim
+        fast = apply_symmetrizer(alg, w.tableau, w.f, w.tau)
+        # the double sum over row and signed column group, term by term
+        table = alg.eval_table()
+        slow = {}
+        for g, sign in _symmetrizer(w.tableau):
+            comp = {v: w.tau[g.get(v, v)] for v in w.tau}
+            for k, c in w.f.evaluate(alg, comp, cache=table).items():
+                slow[k] = slow.get(k, 0) + sign * c
+        assert fast == tuple(Fraction(slow.get(k, 0)) for k in range(alg.dim))
 
 
 # -- theta ---------------------------------------------------------------------------
@@ -188,10 +188,23 @@ def test_theta_unsupported():
 
 
 def test_theta_scan_clean_on_both_fractional_algebras():
-    for name in ("thm_T1_fractional", "thm_T3_fractional"):
+    for name, checked in (("thm_T1_fractional", 393), ("thm_T3_fractional", 240)):
         report = theta_scan(paper_catalog(name), 4)
         assert report["ok"], report["violations"][:3]
-        assert report["products_checked"] > 0
+        assert report["products_checked"] == checked
+
+
+def test_theta_scan_reports_wrong_positions_in_order():
+    # e11 and e12 trade matrix positions, so theta(e11) = 1 and theta(e12) = 0
+    alg = full_matrix(2)
+    pos = list(alg.matrix_positions)
+    pos[0], pos[1] = pos[1], pos[0]
+    report = theta_scan(dataclasses.replace(alg, matrix_positions=tuple(pos)), 3)
+    assert not report["ok"]
+    assert report["products_checked"] == 28
+    assert len(report["violations"]) == 17
+    assert report["violations"][:4] == [("theta", (0, 0), 2, 1), ("theta", (0, 0, 0), 3, 1),
+                                        ("theta", (0, 0, 1), 2, 0), ("theta", (0, 1), 1, 0)]
 
 
 def test_theta_single_elements_in_window():
