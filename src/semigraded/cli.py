@@ -313,8 +313,8 @@ def multiplicity(input_path, catalog, out_format, out_path, shape, variant,
 @_output_options
 @click.option("--q", type=int, required=True)
 @click.option("--tolerance", type=float, default=1e-9)
-@click.option("--seed", type=int, default=0,
-              help="ignored: the dual Newton solve is deterministic")
+@click.option("--seed", type=int, default=None,
+              help="deprecated and ignored: the dual Newton solve is deterministic")
 def phimax(out_format, out_path, q, tolerance, seed):
     """Maximize the product function over the pairing polytope."""
     def go():
@@ -329,6 +329,10 @@ def phimax(out_format, out_path, q, tolerance, seed):
         else:
             _emit(out_path, f"q={q}: max {res.value:.12f} "
                             f"(closed form {closed.value:.12f}, diff {payload['difference']:.2e})")
+        if seed is not None:
+            # after the output, so an error still ends in one JSON line on stderr
+            click.echo("note: phimax --seed is deprecated and ignored; "
+                       "the dual Newton solve is deterministic", err=True)
         return 0
     _run(go)
 

@@ -175,63 +175,66 @@ def _perm_sign(domain, image):
     return sign
 
 
-@dataclass
-class GradedPolynomial:
-    """Formal rational combination of decorated monomials, all of one length."""
+def alternating_value(alg, table, letters, pos_degrees) -> dict:
+    """Sum over the orderings pi of the letters (basis indices) of
+    sign(pi) * letters[pi(0)] ... letters[pi(h-1)], position k restricted to
+    degree pos_degrees[k]: a term with a letter of another degree there
+    is dropped.
 
-    n: int
-    terms: dict  # GradedMonomial-like key (word, pos_degrees) -> coefficient
+    Dynamic programming over the set S of letters already placed: the
+    orderings of S share every continuation, so 2^h * h products replace
+    h! words.  Placing letter j after S adds the inversions
+    #{i in S : i > j}.
+    """
+    degree = alg.degree
+    layer = {0: None}  # placed set (bit mask) -> partial sum; None is the empty product
+    for t in pos_degrees:
+        fits = [j for j, b in enumerate(letters) if degree[b] == t]
+        nxt = {}
+        for placed, value in layer.items():
+            for j in fits:
+                bit = 1 << j
+                if placed & bit:
+                    continue
+                b = letters[j]
+                prod = {b: 1} if value is None else mul_sparse(table, value, {b: 1})
+                if not prod:
+                    continue
+                sign = -1 if (placed >> (j + 1)).bit_count() & 1 else 1
+                acc = nxt.setdefault(placed | bit, {})
+                for k, c in prod.items():
+                    acc[k] = acc.get(k, 0) + sign * c
+        layer = {}
+        for placed, acc in nxt.items():
+            acc = {k: c for k, c in acc.items() if c != 0}
+            if acc:
+                layer[placed] = acc
+        if not layer:
+            return {}
+    return layer[(1 << len(letters)) - 1]
+
+
+@dataclass(frozen=True)
+class AlternatingColumn:
+    """The witness factor of one tableau column: the sum over sigma in
+    S_h of sign(sigma) times the word whose position k holds
+    variables[sigma(slots[k])] and is restricted to degree
+    pos_degrees[k].  It alternates in its variables whatever the slots
+    and degrees are."""
+
+    variables: tuple  # the column's variable indices, top to bottom
+    slots: tuple
+    pos_degrees: tuple
 
     def evaluate(self, alg, tau, cache=None):
-        """Value on the substitution tau: variable -> basis index.
-
-        Positional degree labels act as component projections: any factor
-        of the wrong degree kills the term.
-        """
-        out = {}
-        degree = alg.degree
+        """Value on the substitution tau: variable -> basis index.  With
+        pi = sigma o slots the sum is sign(slots) * alternating_value."""
         table = cache if cache is not None else alg.eval_table()
-        for (w, d), coeff in self.terms.items():
-            basis_seq = []
-            dead = False
-            for var, t in zip(w, d):
-                b = tau[var]
-                if degree[b] != t:
-                    dead = True
-                    break
-                basis_seq.append(b)
-            if dead:
-                continue
-            value = _word_value(table, basis_seq)
-            if value:
-                for k, c in value.items():
-                    out[k] = out.get(k, 0) + coeff * c
-        return {k: c for k, c in out.items() if c != 0}
-
-
-def _word_value(table, seq):
-    value = {seq[0]: 1}
-    for b in seq[1:]:
-        value = mul_sparse(table, value, {b: 1})
-        if not value:
-            break
-    return value
-
-
-def alternating_column_polynomial(variables, word_slots, pos_degrees):
-    """Sum over all sign-weighted rearrangements of the column variables.
-
-    variables: the column's variable indices, top to bottom.
-    word_slots: position k of the product holds variable variables[word_slots[k]].
-    pos_degrees: degree label applied at position k.
-    """
-    h = len(variables)
-    terms = {}
-    for sigma in permutations(range(h)):
-        sign = _perm_sign(tuple(range(h)), sigma)
-        word = tuple(variables[sigma[word_slots[k]]] for k in range(len(word_slots)))
-        terms[(word, tuple(pos_degrees))] = frac(sign)
-    return GradedPolynomial(len(variables), terms)
+        value = alternating_value(alg, table, [tau[v] for v in self.variables],
+                                  self.pos_degrees)
+        if _perm_sign(tuple(range(len(self.slots))), self.slots) < 0:
+            value = {k: -c for k, c in value.items()}
+        return value
 
 
 @dataclass
@@ -244,8 +247,7 @@ class FactoredPolynomial:
     """
 
     n: int
-    factors: list  # GradedPolynomial
-    column_sets: list  # the variable tuple of each factor, for the alternation check
+    factors: list  # AlternatingColumn, or anything with the same evaluate
 
     def evaluate(self, alg, tau, cache=None):
         table = cache if cache is not None else alg.eval_table()
@@ -268,36 +270,46 @@ def _compose(outer, inner):
     return {k: outer.get(inner.get(k, k), inner.get(k, k)) for k in keys}
 
 
-def _check_column_alternating(f, tableau):
-    """Factored witnesses alternate by construction; verify the shape."""
-    cols = [tuple(sorted(c)) for c in tableau.columns()]
-    fcols = [tuple(sorted(c)) for c in f.column_sets]
-    return sorted(cols) == sorted(fcols)
+def _alternates_in_columns(f, tableau):
+    """True when f is a product of alternating columns sitting one on each
+    column of the tableau, which is what the row-group shortcut needs."""
+    if not (isinstance(f, FactoredPolynomial)
+            and all(isinstance(c, AlternatingColumn) for c in f.factors)):
+        return False
+    return (sorted(tuple(sorted(c.variables)) for c in f.factors)
+            == sorted(tuple(sorted(c)) for c in tableau.columns()))
 
 
 def apply_symmetrizer(alg, tableau: YoungTableau, f, tau):
     """Value of the symmetrized polynomial e_T.f on the substitution tau.
 
-    When f is a factored polynomial alternating in every column of the
-    tableau, the column sum of e_T collapses to the scalar prod(column
-    height factorials), leaving only the row-group sum; that shortcut
-    makes the tall witnesses tractable.  Any other f is summed over every
-    term of _symmetrizer(tableau).
+    e_T.f at tau is the sum of c_g * f(tau o g) over the terms (g, c_g) of
+    e_T; f is evaluated once per distinct substitution tau o g, times the
+    sum of its coefficients.  When f is a product of alternating columns,
+    one on each column of the tableau, the column sum collapses to the
+    scalar prod(column height factorials), leaving only the row-group
+    sum; that shortcut makes the tall witnesses tractable.  Any other f
+    is summed over every term of _symmetrizer(tableau).
     """
     n = sum(tableau.shape.parts)
     if getattr(f, "n", n) != n:
         raise SizeMismatch("polynomial length does not match the tableau")
     table = alg.eval_table()
-    if isinstance(f, FactoredPolynomial) and _check_column_alternating(f, tableau):
+    if _alternates_in_columns(f, tableau):
         scalar = math.prod(math.factorial(h) for h in tableau.shape.column_heights())
         terms = ((rho, scalar) for rho in tableau.row_group())
     else:
         terms = _symmetrizer(tableau)
-    out = {}
+    variables = sorted(tau)
+    weights = {}
     for g, c in terms:
-        comp = {v: tau[g.get(v, v)] for v in tau}
-        for k, x in f.evaluate(alg, comp, cache=table).items():
-            out[k] = out.get(k, 0) + c * x
+        key = tuple(tau[g.get(v, v)] for v in variables)
+        weights[key] = weights.get(key, 0) + c
+    out = {}
+    for key, c in weights.items():
+        if c:
+            for k, x in f.evaluate(alg, dict(zip(variables, key)), cache=table).items():
+                out[k] = out.get(k, 0) + c * x
     vec = [ZERO] * alg.dim
     for k, c in out.items():
         vec[k] = frac(c)
@@ -529,8 +541,7 @@ def build_witness(variant: str, lam: Partition, beta: BetaDecomposition | None =
     factors_by_column = []
     for col_vars, kind in zip(columns, kinds):
         slots, degs = v.words[kind]
-        poly = alternating_column_polynomial(col_vars, slots, degs)
-        factors_by_column.append(poly)
+        factors_by_column.append(AlternatingColumn(col_vars, slots, degs))
         for var, label in zip(col_vars, v.columns[kind]):
             if label not in label_index:
                 raise UnsupportedAlgebra(f"{variant} witnesses need the basis label "
@@ -549,11 +560,7 @@ def build_witness(variant: str, lam: Partition, beta: BetaDecomposition | None =
     remaining.sort(key=lambda i: (int(kinds[i][1:]), i))
     order.extend(remaining)
 
-    f = FactoredPolynomial(
-        lam.n,
-        [factors_by_column[i] for i in order],
-        [columns[i] for i in order],
-    )
+    f = FactoredPolynomial(lam.n, [factors_by_column[i] for i in order])
     return WitnessData(lam, tableau, beta, f, tau, kinds)
 
 
@@ -700,28 +707,7 @@ def alternation_vanishing_check(alg: GradedAlgebra, n: int, trials: int = 200,
         var_degs = [rng.choice(support) for _ in range(n)]
         sub = [rng.choice(comp[var_degs[v]]) for v in range(n)]
         pos_degs = tuple(var_degs[v] for v in word)
-
-        total = {}
-
-        def walk(k, remaining, value, sign):
-            if not value:
-                return
-            if k == n:
-                for coord, c in value.items():
-                    total[coord] = total.get(coord, 0) + sign * c
-                return
-            b_pos = pos_degs[k]
-            for idx, var in enumerate(remaining):
-                bsub = sub[var]
-                if alg.degree[bsub] != b_pos:
-                    continue
-                nxt = mul_sparse(table, value, {bsub: 1}) if k else {bsub: 1}
-                # sign bookkeeping: moving remaining[idx] to the front
-                walk(k + 1, remaining[:idx] + remaining[idx + 1:], nxt,
-                     sign * (-1) ** idx)
-
-        walk(0, tuple(range(n)), {0: 1}, 1)
-        nonzero = {k: c for k, c in total.items() if c != 0}
+        nonzero = alternating_value(alg, table, sub, pos_degs)
         if nonzero:
             failures.append({"trial": trial, "word": tuple(word),
                              "degrees": tuple(var_degs), "substitution": tuple(sub),

@@ -146,6 +146,16 @@ def test_phimax_command(runner):
     assert payload["difference"] < 1e-9
 
 
+def test_phimax_seed_is_deprecated_and_ignored(runner):
+    plain = runner.invoke(main, ["phimax", "--q", "7"])
+    seeded = runner.invoke(main, ["phimax", "--q", "7", "--seed", "3"])
+    assert plain.exit_code == seeded.exit_code == 0
+    assert seeded.stdout == plain.stdout
+    assert plain.stderr == ""
+    [note] = seeded.stderr.strip().splitlines()
+    assert "--seed is deprecated and ignored" in note
+
+
 def test_exponent_command(runner):
     result = runner.invoke(main, ["exponent", "--catalog", "utk_column_graded(2)"])
     assert result.exit_code == 0

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 from fractions import Fraction
 from itertools import permutations, product
@@ -8,12 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semigraded.cochar import (
+    AlternatingColumn,
     FactoredPolynomial,
     Partition,
     YoungTableau,
     _compose,
+    _perm_sign,
     _symmetrizer,
-    alternating_column_polynomial,
+    _variant,
     alternation_vanishing_check,
     apply_symmetrizer,
     build_witness,
@@ -35,7 +38,7 @@ from semigraded.errors import (
     TooManyParts,
     UnsupportedAlgebra,
 )
-from semigraded.gralgebra import GradedAlgebra, full_matrix, paper_catalog
+from semigraded.gralgebra import GradedAlgebra, full_matrix, mul_sparse, paper_catalog
 from semigraded.semigroup import trivial_semigroup
 from test_codim import catalog_at_two, half_scaled
 
@@ -131,8 +134,7 @@ def test_full_alternation_kills_repeats():
     m2 = full_matrix(2)
     lam = Partition((1, 1, 1))
     t = YoungTableau.column_major(lam)
-    poly = alternating_column_polynomial((0, 1, 2), (0, 1, 2), (0, 0, 0))
-    f = FactoredPolynomial(3, [poly], [(0, 1, 2)])
+    f = FactoredPolynomial(3, [AlternatingColumn((0, 1, 2), (0, 1, 2), (0, 0, 0))])
     tau = {0: 0, 1: 0, 2: 1}  # e11 twice
     value = apply_symmetrizer(m2, t, f, tau)
     assert all(c == 0 for c in value)
@@ -141,10 +143,145 @@ def test_full_alternation_kills_repeats():
 def test_symmetrizer_size_mismatch():
     m2 = full_matrix(2)
     t = YoungTableau.column_major(Partition((2,)))
-    poly = alternating_column_polynomial((0, 1, 2), (0, 1, 2), (0, 0, 0))
-    f = FactoredPolynomial(3, [poly], [(0, 1, 2)])
+    f = FactoredPolynomial(3, [AlternatingColumn((0, 1, 2), (0, 1, 2), (0, 0, 0))])
     with pytest.raises(SizeMismatch):
         apply_symmetrizer(m2, t, f, {0: 0, 1: 1, 2: 2})
+
+
+# -- the h!-word oracle for alternating columns ------------------------------------
+
+@dataclasses.dataclass
+class GradedPolynomial:
+    """Formal rational combination of decorated monomials, all of one length."""
+
+    n: int
+    terms: dict  # (word, pos_degrees) -> coefficient
+
+    @property
+    def variables(self):
+        """The variables its words use, as an alternating column names them."""
+        return tuple(sorted({v for word, _ in self.terms for v in word}))
+
+    def evaluate(self, alg, tau, cache=None):
+        """Value on the substitution tau, word by word; a factor of another
+        degree than its position's label kills the word."""
+        out = {}
+        table = cache if cache is not None else alg.eval_table()
+        for (w, d), coeff in self.terms.items():
+            seq = [tau[var] for var in w]
+            if any(alg.degree[b] != t for b, t in zip(seq, d)):
+                continue
+            for k, c in _word_value(table, seq).items():
+                out[k] = out.get(k, 0) + coeff * c
+        return {k: c for k, c in out.items() if c != 0}
+
+
+def _word_value(table, seq):
+    value = {seq[0]: 1}
+    for b in seq[1:]:
+        value = mul_sparse(table, value, {b: 1})
+        if not value:
+            break
+    return value
+
+
+def alternating_column_polynomial(variables, word_slots, pos_degrees):
+    """The column as its h! signed words: position k of the word of sigma
+    holds variables[sigma[word_slots[k]]]."""
+    h = len(variables)
+    terms = {}
+    for sigma in permutations(range(h)):
+        sign = _perm_sign(tuple(range(h)), sigma)
+        word = tuple(variables[sigma[word_slots[k]]] for k in range(len(word_slots)))
+        terms[(word, tuple(pos_degrees))] = Fraction(sign)
+    return GradedPolynomial(len(variables), terms)
+
+
+@functools.cache
+def column_algebras():
+    return (paper_catalog("thm_T1_fractional"), paper_catalog("thm_T3_fractional"),
+            full_matrix(2), half_scaled(paper_catalog("mk_column_graded", 2)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_alternating_column_matches_the_word_expansion(data):
+    alg = data.draw(st.sampled_from(column_algebras()))
+    h = data.draw(st.integers(1, 6))
+    if h <= alg.dim and data.draw(st.booleans()):
+        # distinct letters, where the alternating sum need not vanish
+        letters = data.draw(st.permutations(range(alg.dim)))[:h]
+    else:
+        letters = data.draw(st.lists(st.integers(0, alg.dim - 1), min_size=h, max_size=h))
+    if data.draw(st.integers(0, 4)):
+        order = data.draw(st.permutations(range(h)))
+        pos_degrees = tuple(alg.degree[letters[i]] for i in order)
+    else:
+        pos_degrees = tuple(data.draw(st.lists(st.sampled_from(alg.support()),
+                                               min_size=h, max_size=h)))
+    slots = tuple(data.draw(st.permutations(range(h))))
+    variables = tuple(data.draw(st.permutations(range(8)))[:h])
+    tau = dict(zip(variables, letters))
+    expected = alternating_column_polynomial(variables, slots, pos_degrees).evaluate(alg, tau)
+    assert AlternatingColumn(variables, slots, pos_degrees).evaluate(alg, tau) == expected
+
+
+def test_witness_columns_match_the_word_expansion():
+    # every column kind on its own substitution labels, where it is nonzero
+    for variant, name in (("T1", "thm_T1_fractional"), ("T3", "thm_T3_fractional")):
+        alg = paper_catalog(name)
+        index = {label: i for i, label in enumerate(alg.basis_labels)}
+        table = _variant(variant)
+        for kind, (slots, degs) in table.words.items():
+            variables = tuple(range(len(slots)))
+            tau = {v: index[label] for v, label in zip(variables, table.columns[kind])}
+            value = AlternatingColumn(variables, slots, degs).evaluate(alg, tau)
+            assert value, (variant, kind)
+            oracle = alternating_column_polynomial(variables, slots, degs)
+            assert value == oracle.evaluate(alg, tau), (variant, kind)
+
+
+def test_shortcut_needs_alternating_columns():
+    # x0*x1 covers the column (0, 1) but does not alternate in it, so
+    # e_T.f is the full double sum: e12*e21 - e21*e12
+    m2 = full_matrix(2)
+    e11, e12, e21, e22 = range(4)
+    monomial = GradedPolynomial(2, {((0, 1), (0, 0)): Fraction(1)})
+    assert monomial.variables == (0, 1)
+    f = FactoredPolynomial(2, [monomial])
+    value = apply_symmetrizer(m2, YoungTableau.column_major(Partition((1, 1))), f,
+                              {0: e12, 1: e21})
+    assert value == (1, 0, 0, -1)
+
+
+def per_substitution_symmetrizer(alg, w):
+    """e_T.f at tau for a witness, one row-group element at a time, with
+    every column expanded into its h! words."""
+    f = FactoredPolynomial(w.f.n, [alternating_column_polynomial(c.variables, c.slots,
+                                                                 c.pos_degrees)
+                                   for c in w.f.factors])
+    scalar = math.prod(math.factorial(h) for h in w.shape.column_heights())
+    table = alg.eval_table()
+    out = {}
+    for rho in w.tableau.row_group():
+        comp = {v: w.tau[rho.get(v, v)] for v in w.tau}
+        for k, c in f.evaluate(alg, comp, cache=table).items():
+            out[k] = out.get(k, 0) + scalar * c
+    return tuple(Fraction(out.get(k, 0)) for k in range(alg.dim))
+
+
+@pytest.mark.parametrize("variant, parts", [
+    ("T1", (2, 1, 1, 1, 1, 1)), ("T1", (2, 2, 2, 2, 2, 2, 1)),
+    ("T3", (2, 1, 1, 1, 1)), ("T3", (2, 2, 2, 2, 2, 1)),
+    # tau o rho takes three values on these two
+    ("T1", (3, 3, 2, 2, 1, 1, 1)), ("T3", (3, 2, 2, 1, 1, 1)),
+])
+def test_symmetrizer_matches_the_per_substitution_sum(variant, parts):
+    alg = paper_catalog("thm_T1_fractional" if variant == "T1" else "thm_T3_fractional")
+    w = build_witness(variant, Partition(parts), alg=alg)
+    value = apply_symmetrizer(alg, w.tableau, w.f, w.tau)
+    assert any(value)
+    assert value == per_substitution_symmetrizer(alg, w)
 
 
 def test_shortcut_matches_double_sum_on_witnesses():
