@@ -225,11 +225,12 @@ def simple(input_path, catalog, out_format, out_path, seed):
 @click.option("--n-max", type=int, default=4)
 @click.option("--mode", type=click.Choice(["modular", "exact"]), default="modular")
 @click.option("--primes", default="",
-              help="comma separated primes, at least two distinct, each below 2**31 "
-                   "(modular mode)")
+              help="comma separated primes, at least two distinct, each above n-max "
+                   "and below 2**31 (modular mode)")
 @click.option("--seed", type=int, default=0)
 @click.option("--caps", type=int, default=codim.DEFAULT_BLOCK_CAP,
-              help="max entries per evaluation block")
+              help="max entries per evaluation block: its n! x prod |component| "
+                   "table indices, and its n! x columns gathered values")
 @click.option("--ordinary", is_flag=True, help="forget the grading first")
 @click.option("--timings/--no-timings", default=True)
 def codim_cmd(input_path, catalog, out_format, out_path, n_max, mode, primes,

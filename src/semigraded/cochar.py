@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations, product
 
-from .codim import _product_cache, block_rank, exact_blocks, independent_rows
+from .codim import _product_cache, block_rank, exact_blocks
 from .errors import (
     BadParam,
     BetaInvalid,
@@ -23,77 +23,19 @@ from .errors import (
 )
 from .gralgebra import GradedAlgebra, mul_sparse
 from .linalg import ZERO, frac
+# partitions_of is used through this module by its callers
+from .young import (
+    Partition,
+    YoungTableau,
+    _perm_sign,
+    _symmetrizer,
+    hook_dim,
+    partitions_of,
+    spanning_permutations,
+)
 
 
-# -- partitions ----------------------------------------------------------------
-
-@dataclass(frozen=True, order=True)
-class Partition:
-    parts: tuple
-
-    def __post_init__(self):
-        parts = tuple(int(p) for p in self.parts)
-        if any(p <= 0 for p in parts):
-            raise ValueError("parts must be positive")
-        if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
-            raise ValueError("parts must be weakly decreasing")
-        object.__setattr__(self, "parts", parts)
-
-    @property
-    def n(self) -> int:
-        return sum(self.parts)
-
-    def part(self, i: int) -> int:
-        """lambda_i with 1-based i; zero beyond the last part."""
-        return self.parts[i - 1] if 1 <= i <= len(self.parts) else 0
-
-    def __len__(self):
-        return len(self.parts)
-
-    def __iter__(self):
-        return iter(self.parts)
-
-    def conjugate(self) -> "Partition":
-        if not self.parts:
-            return Partition(())
-        return Partition(tuple(sum(1 for p in self.parts if p >= c)
-                               for c in range(1, self.parts[0] + 1)))
-
-    def column_heights(self):
-        return list(self.conjugate().parts)
-
-    def __repr__(self):
-        return f"Partition{self.parts}"
-
-
-def partitions_of(n: int, max_parts=None):
-    """Weakly decreasing positive tuples summing to n, lexicographically
-    decreasing."""
-    def gen(remaining, cap, length):
-        if remaining == 0:
-            yield ()
-            return
-        if max_parts is not None and length == max_parts:
-            return
-        for first in range(min(cap, remaining), 0, -1):
-            for rest in gen(remaining - first, first, length + 1):
-                yield (first,) + rest
-    for parts in gen(n, n, 0):
-        yield Partition(parts)
-
-
-def hook_dim(lam: Partition) -> int:
-    """n! over the product of hook lengths."""
-    parts = lam.parts
-    if not parts:
-        return 1
-    conj = lam.conjugate().parts
-    hooks = 1
-    for i, row in enumerate(parts):
-        for j in range(row):
-            hooks *= (row - j) + (conj[j] - i) - 1
-    return math.factorial(lam.n) // hooks
-
+# -- shapes -----------------------------------------------------------------------
 
 def dim_bounds(lam: Partition, q: int):
     """Multinomial upper bound and the shifted-factorial lower bound.
@@ -114,65 +56,7 @@ def dim_bounds(lam: Partition, q: int):
     return {"upper": upper, "lower": lower}
 
 
-# -- tableaux and polynomials ---------------------------------------------------
-
-@dataclass(frozen=True)
-class YoungTableau:
-    shape: Partition
-    rows: tuple  # tuple of tuples of variable indices (0-based)
-
-    @classmethod
-    def column_major(cls, shape: Partition):
-        """Fill boxes 0..n-1 down each column, left to right."""
-        heights = shape.column_heights()
-        rows = [[] for _ in shape.parts]
-        counter = 0
-        for c, h in enumerate(heights):
-            for r in range(h):
-                rows[r].append(counter)
-                counter += 1
-        return cls(shape, tuple(tuple(r) for r in rows))
-
-    def columns(self):
-        heights = self.shape.column_heights()
-        return [tuple(self.rows[r][c] for r in range(h)) for c, h in enumerate(heights)]
-
-    def row_group(self):
-        """All row-preserving substitutions as variable->variable dicts."""
-        groups = [list(permutations(row)) for row in self.rows]
-        for combo in product(*groups):
-            mapping = {}
-            for row, image in zip(self.rows, combo):
-                mapping.update(dict(zip(row, image)))
-            yield mapping
-
-    def column_group_signed(self):
-        for combo in product(*[list(permutations(col)) for col in self.columns()]):
-            mapping = {}
-            sign = 1
-            for col, image in zip(self.columns(), combo):
-                mapping.update(dict(zip(col, image)))
-                sign *= _perm_sign(col, image)
-            yield mapping, sign
-
-
-def _perm_sign(domain, image):
-    pos = {v: i for i, v in enumerate(domain)}
-    perm = [pos[v] for v in image]
-    sign = 1
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        mu = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            mu += 1
-        if mu % 2 == 0:
-            sign = -sign
-    return sign
+# -- polynomials ----------------------------------------------------------------
 
 
 def alternating_value(alg, table, letters, pos_degrees) -> dict:
@@ -263,11 +147,6 @@ class FactoredPolynomial:
 
 
 # -- Young symmetrizer application ----------------------------------------------
-
-def _compose(outer, inner):
-    """Variable map outer o inner on the union of their supports."""
-    keys = set(outer) | set(inner)
-    return {k: outer.get(inner.get(k, k), inner.get(k, k)) for k in keys}
 
 
 def _alternates_in_columns(f, tableau):
@@ -593,36 +472,6 @@ def format_witness_report(alg: GradedAlgebra, data: WitnessData, value) -> str:
 
 
 # -- exact multiplicities -----------------------------------------------------------
-
-def _symmetrizer(tableau: YoungTableau):
-    """The terms (g, sign) of e_T = sum of sign(sigma) rho.sigma over the row
-    group and the signed column group of the tableau T, each g a variable
-    map."""
-    return [(_compose(rho, sigma), sign)
-            for rho in tableau.row_group()
-            for sigma, sign in tableau.column_group_signed()]
-
-
-def spanning_permutations(lam: Partition) -> list:
-    """Permutations pi of range(n) whose elements e_T.pi form a basis of the
-    right ideal e_T.KS_n: the first in lexicographic order that raise the
-    rank over Q.  Their number is checked to be hook_dim(lam)."""
-    perms = list(permutations(range(lam.n)))
-    where = {w: i for i, w in enumerate(perms)}
-    group = _symmetrizer(YoungTableau.column_major(lam))
-    elements = []
-    for pi in perms:
-        element = {}
-        for g, sign in group:
-            i = where[tuple(g.get(v, v) for v in pi)]
-            element[i] = element.get(i, 0) + sign
-        elements.append(element)
-    basis = [perms[i] for i in independent_rows(elements)]
-    if len(basis) != hook_dim(lam):
-        raise HypothesisViolated(
-            f"e_T.KS_n has dimension {len(basis)} for {lam}, not {hook_dim(lam)}")
-    return basis
-
 
 def multiplicity_exact(alg: GradedAlgebra, lam: Partition, n_cap: int = 5,
                        monomial_cap: int = 20000) -> int:

@@ -5,9 +5,12 @@ monomial evaluates to zero on every substitution whose degrees disagree
 with its own, so the quotient dimension is the sum over assignments of
 the rank of one evaluation block.  Assignments with the same multiset of
 degrees have blocks of equal rank, so one block per multiset is built,
-gathered with numpy from a table of word products.  Ranks run over two
-~30-bit primes by default (a certified lower bound, labelled as such) or
-over exact rationals on request.
+gathered with numpy from a table of word products.  A block's rank is
+split by the graded cocharacter: per multipartition of its degrees, the
+rank of the block's rows combined by a certified basis of one isotypic
+piece of the group algebra.  Ranks run over two ~30-bit primes by default
+(a certified lower bound, labelled as such) or over exact rationals on
+request.
 """
 
 from __future__ import annotations
@@ -16,13 +19,15 @@ import math
 import random
 import time
 from dataclasses import dataclass, field
-from itertools import permutations, product
+from functools import lru_cache
+from itertools import groupby, permutations, product
 
 import numpy as np
 
-from .errors import BadParam, EmptySequence, ResourceLimit
+from .errors import BadParam, EmptySequence, HypothesisViolated, ResourceLimit
 from .gralgebra import GradedAlgebra, mul_sparse, with_trivial_grading
 from .linalg import eliminate
+from .young import YoungTableau, _symmetrizer, hook_dim, partitions_of, spanning_permutations
 
 # verified 30-bit primes; per-block choices are drawn from this bank
 PRIME_BANK = (
@@ -78,25 +83,27 @@ def _product_cache(alg: GradedAlgebra, n: int, max_entries: int = DEFAULT_BLOCK_
 
 
 def _rank_mod_p(mat: np.ndarray, p: int) -> int:
+    """Rank over GF(p) of an integer matrix, p < 2 ** 31.  Each step finds
+    the next pivot column with one test over the rows not yet used and
+    updates only the columns from it on, so the work stops at the rank."""
     m = mat % p
     rows, cols = m.shape
-    r = 0
-    for c in range(cols):
-        if r == rows:
+    r = c = 0
+    while r < rows and c < cols:
+        live = m[r:, c:].any(axis=0)
+        step = int(live.argmax())
+        if not live[step]:
             break
-        nz = np.nonzero(m[r:, c])[0]
-        if nz.size == 0:
-            continue
-        i = r + int(nz[0])
+        c += step
+        i = r + int(np.flatnonzero(m[r:, c])[0])
         if i != r:
-            m[[r, i]] = m[[i, r]]
-        inv = pow(int(m[r, c]), -1, p)
-        m[r] = (m[r] * inv) % p
-        below = np.nonzero(m[r + 1:, c])[0]
+            m[[r, i], c:] = m[[i, r], c:]
+        m[r, c:] = (m[r, c:] * pow(int(m[r, c]), -1, p)) % p
+        below = np.flatnonzero(m[r + 1:, c]) + (r + 1)
         if below.size:
-            idx = below + (r + 1)
-            m[idx] = (m[idx] - np.outer(m[idx, c], m[r])) % p
+            m[below, c:] = (m[below, c:] - np.outer(m[below, c], m[r, c:])) % p
         r += 1
+        c += 1
     return r
 
 
@@ -104,13 +111,6 @@ def _rank_exact(rows_entries) -> int:
     """Rank over Q of sparse rows given as dicts col -> value."""
     echelon = {}
     return sum(eliminate(echelon, row) for row in rows_entries)
-
-
-def independent_rows(rows) -> list:
-    """Indices of the sparse rows (dicts col -> value) that are independent
-    over Q of the rows before them."""
-    echelon = {}
-    return [i for i, row in enumerate(rows) if eliminate(echelon, row)]
 
 
 def _residue(v, p: int) -> int:
@@ -130,15 +130,17 @@ def block_rank(rows, ncols: int, p=None) -> int:
     return _rank_mod_p(mat, p)
 
 
-def _checked_primes(primes) -> tuple:
+def _checked_primes(primes, n: int) -> tuple:
     """primes as a tuple, once it holds at least two distinct primes, each
+    above n, where the group algebras of S_n and its Young subgroups are
+    semisimple (below it the per-multipartition split would lose rank), and
     below 2 ** 31 so that products of two residues fit in int64."""
     primes = tuple(primes)
     if len(set(primes)) < 2 or not all(
-            isinstance(p, int) and 2 <= p < 2 ** 31
+            isinstance(p, int) and n < p < 2 ** 31
             and all(p % q for q in range(2, math.isqrt(p) + 1)) for p in primes):
         raise BadParam(f"primes must hold at least 2 distinct primes p with "
-                       f"2 <= p < 2**31, got {list(primes)}")
+                       f"{n} = n < p < 2**31, got {list(primes)}")
     return primes
 
 
@@ -224,6 +226,15 @@ class _BlockLayout:
         return out
 
 
+def _dict_rows(mat: np.ndarray) -> list:
+    """The rows of a dense matrix as sparse dicts col -> nonzero value."""
+    at, cols = np.nonzero(mat)
+    values = mat[at, cols].tolist()
+    cols = cols.tolist()
+    ends = np.searchsorted(at, np.arange(mat.shape[0] + 1)).tolist()
+    return [dict(zip(cols[lo:hi], values[lo:hi])) for lo, hi in zip(ends, ends[1:])]
+
+
 def exact_blocks(alg: GradedAlgebra, n: int, assignments,
                  max_entries: int = DEFAULT_BLOCK_CAP):
     """Yield (assignment, rows, n_cols): the exact evaluation block of each
@@ -239,13 +250,108 @@ def exact_blocks(alg: GradedAlgebra, n: int, assignments,
     table = words.table(words.coefs, object)
     for a in assignments:
         layout = _BlockLayout(words, a)
-        block = layout.matrix(table)
-        at, cols = np.nonzero(block)
-        values = block[at, cols].tolist()
-        cols = cols.tolist()
-        ends = np.searchsorted(at, np.arange(layout.n_rows + 1)).tolist()
-        rows = [dict(zip(cols[lo:hi], values[lo:hi])) for lo, hi in zip(ends, ends[1:])]
-        yield a, rows, layout.n_cols
+        yield a, _dict_rows(layout.matrix(table)), layout.n_cols
+
+
+# -- the isotypic split ---------------------------------------------------------
+#
+# Renaming the variables of one degree among themselves maps a block's row
+# space to itself, so the row space is a module over the Young subgroup
+# H = prod_t S_{n_t} of the assignment's composition (n_t).  Over Q, or
+# GF(p) with p > n, it splits into irreducibles indexed by multipartitions
+# <lambda> = (lambda_t |- n_t), and its dimension is the sum over <lambda>
+# of d_<lambda> * m_<lambda>: the dimension of the irreducible times its
+# multiplicity, the graded cocharacter (Di Vincenzo, Comm. Algebra 24,
+# 1996).  m_<lambda> is the rank of the block's rows combined by a basis of
+# the right ideal e_<lambda>.KS_n, whose elements e_<lambda>.h.g have h a
+# product of per-factor spanning_permutations and g a coset representative
+# of H in S_n.
+
+def _direct_product(factors):
+    """(words, signs) of the direct product of per-factor (words, signs),
+    factor t acting on the variables after those of the factors before it."""
+    words, signs = np.zeros((1, 0), dtype=np.int64), np.ones(1, dtype=np.int64)
+    for w, s in factors:
+        shifted = w + words.shape[1]
+        words = np.concatenate([np.repeat(words, len(s), axis=0),
+                                np.tile(shifted, (len(words), 1))], axis=1)
+        signs = np.multiply.outer(signs, s).ravel()
+    return words, signs
+
+
+def _coset_words(composition) -> np.ndarray:
+    """One word per right coset H.g of the Young subgroup in S_n: per
+    arrangement of the composition's degrees over the positions, g places
+    each degree's variables in increasing order."""
+    labels = [t for t, k in enumerate(composition) for _ in range(k)]
+    arrangements = np.array(sorted(set(permutations(labels))), dtype=np.int64)
+    return np.argsort(np.argsort(arrangements, axis=1, kind="stable"), axis=1)
+
+
+@lru_cache(maxsize=None)
+def _young_factor(lam):
+    """(terms, signs, spanning words) of e_T, T the column-major tableau of
+    lam: each term of _symmetrizer(T) as the word of its variable map, its
+    sign, and the words of spanning_permutations(lam); all read-only."""
+    maps, signs = zip(*_symmetrizer(YoungTableau.column_major(lam)))
+    variables = range(lam.n)
+    factor = (np.array([[g[v] for v in variables] for g in maps], dtype=np.int64),
+              np.array(signs), np.array(spanning_permutations(lam), dtype=np.int64))
+    for array in factor:
+        array.flags.writeable = False
+    return factor
+
+
+@lru_cache(maxsize=None)
+def _isotypic_basis(composition: tuple):
+    """(E, pieces) for a composition (n_t) of n.  E is a read-only int8
+    matrix over the n! words in lexicographic order whose rows are the
+    elements e_<lambda>.h.g, stacked per multipartition <lambda>; pieces
+    lists (d_<lambda>, row slice) per <lambda>.
+
+    Each slice is certified a basis of e_<lambda>.KS_n over Q, whose
+    dimension is d_<lambda> * multinomial.  The slice has d_<lambda> rows
+    per coset.  The check asks that rows of different cosets have disjoint
+    supports, so that the Gram matrix E.E^T is block diagonal, that its
+    d x d blocks are equal, and that one block has full rank modulo a bank
+    prime; then rank_Q(E) = rank_Q(E.E^T) = multinomial * rank_Q(block)
+    >= multinomial * rank_p(block) = rows.
+    """
+    n = sum(composition)
+    cosets = _coset_words(composition)
+    # words by their base-n codes, which increase in lexicographic order
+    powers = n ** np.arange(n - 1, -1, -1)
+    lex_codes = np.array(list(permutations(range(n)))) @ powers
+    blocks, pieces, start = [], [], 0
+    for shapes in product(*(list(partitions_of(k)) for k in composition)):
+        factors = [_young_factor(lam) for lam in shapes]
+        x, signs = _direct_product((terms, s) for terms, s, _ in factors)
+        h, _ = _direct_product((words, np.ones(len(words), dtype=np.int64))
+                               for _, _, words in factors)
+        # row (g, h) holds sign(x) at the word x o h o g, for every term x of e
+        hg = h[:, cosets].transpose(1, 0, 2).reshape(-1, n)
+        cols = np.searchsorted(lex_codes, x[:, hg] @ powers)
+        rows = np.zeros((len(hg), math.factorial(n)), dtype=np.int8)
+        rows[np.arange(len(hg)), cols] = signs[:, None]
+        d = math.prod(hook_dim(lam) for lam in shapes)
+        per_coset = rows.reshape(len(cosets), -1, rows.shape[1]).astype(np.float64)
+        gram = per_coset @ per_coset.transpose(0, 2, 1)  # exact: entries <= n!
+        if (len(h) != d or (per_coset != 0).any(axis=1).sum(axis=0).max() > 1
+                or (gram != gram[0]).any()
+                or _rank_mod_p(gram[0].astype(np.int64), PRIME_BANK[0]) != d):
+            raise HypothesisViolated(
+                f"the rows built for {shapes} are not a basis of e.KS_{n}")
+        blocks.append(rows)
+        pieces.append((d, slice(start, start + len(rows))))
+        start += len(rows)
+    basis = np.concatenate(blocks)
+    basis.flags.writeable = False
+    return basis, tuple(pieces)
+
+
+def _composition(rep) -> tuple:
+    """The number of variables of each degree of a sorted assignment."""
+    return tuple(len(list(run)) for _, run in groupby(rep))
 
 
 def graded_codim(alg: GradedAlgebra, n: int, mode: str = "modular",
@@ -255,21 +361,27 @@ def graded_codim(alg: GradedAlgebra, n: int, mode: str = "modular",
 
     Renaming the variables permutes a block's rows and columns, so its
     rank and column count depend only on the multiset of its degrees: one
-    block is ranked per sorted representative and every assignment of the
-    orbit is reported with that block's figures.
+    block is gathered per sorted representative and every assignment of
+    the orbit is reported with that block's figures.  The block's rank is
+    the sum over multipartitions of d_<lambda> times the rank of its rows
+    combined by _isotypic_basis.
 
     mode "modular": per-block ranks over two primes (drawn per
     representative from the seed unless primes are given, which must be at
-    least two distinct primes below 2 ** 31); equal ranks across primes are
-    reported as a stable modular lower bound.  mode "exact": rational
-    ranks, certification "exact".
+    least two distinct primes above n and below 2 ** 31); equal ranks
+    across primes are reported as a stable modular lower bound.  mode
+    "exact": rational ranks, certification "exact".
+
+    max_block_entries caps the n! x prod |component| table indices behind
+    a block, checked before anything is built, and its n! x n_cols
+    gathered entries.
     """
     if n < 1:
         raise EmptySequence("n must be >= 1")
     if mode not in ("modular", "exact"):
         raise ValueError(f"unknown mode {mode!r}")
     if primes is not None:
-        primes = _checked_primes(primes)
+        primes = _checked_primes(primes, n)
     t0 = time.monotonic()
     support = alg.support()
     comp = {t: alg.component_indices(t) for t in support}
@@ -279,28 +391,47 @@ def graded_codim(alg: GradedAlgebra, n: int, mode: str = "modular",
     assignments = list(product(support, repeat=n))
     reps = list(dict.fromkeys(tuple(sorted(a)) for a in assignments))
     for rep in reps:
-        entry_bound = n_perms * math.prod(len(comp[t]) for t in rep) * alg.dim
-        if entry_bound > max_block_entries:
+        entries = n_perms * math.prod(len(comp[t]) for t in rep)
+        if entries > max_block_entries:
             raise ResourceLimit(
-                f"block for assignment {rep} needs {entry_bound} entries "
+                f"block for assignment {rep} needs {entries} index entries "
                 f"(cap {max_block_entries})", context=rep)
+    words = _WordTable(alg, n, max_block_entries)
     if mode == "exact":
-        ranked = {rep: (n_cols, _rank_exact(rows), CERT_EXACT)
-                  for rep, rows, n_cols in exact_blocks(alg, n, reps, max_block_entries)}
-    else:
-        words = _WordTable(alg, n, max_block_entries)
-        residue_tables = {}
-        ranked = {}
-        for rep in reps:
-            layout = _BlockLayout(words, rep)
-            ranks = []
-            for p in (primes or _block_primes(seed, rep)):
-                if p not in residue_tables:
-                    residue_tables[p] = words.table([_residue(c, p) for c in words.coefs],
-                                                    np.int64)
-                ranks.append(_rank_mod_p(layout.matrix(residue_tables[p]), p))
-            cert = CERT_MODULAR_STABLE if len(set(ranks)) == 1 else CERT_MODULAR_UNSTABLE
-            ranked[rep] = (layout.n_cols, max(ranks), cert)
+        # integral values, which leave every rank unchanged
+        scale = math.lcm(*(getattr(c, "denominator", 1) for c in words.coefs))
+        values = [int(c * scale) for c in words.coefs]
+        # |product entries| <= n! * max |value|
+        fits = n_perms * max(map(abs, values), default=0) < 2 ** 62
+        exact_table = words.table(values, np.int64 if fits else object)
+    residue_tables = {}
+    ranked = {}
+    for rep in reps:
+        layout = _BlockLayout(words, rep)
+        if n_perms * layout.n_cols > max_block_entries:
+            raise ResourceLimit(
+                f"block for assignment {rep} gathers {n_perms} x {layout.n_cols} entries "
+                f"(cap {max_block_entries})", context=rep)
+        basis, pieces = _isotypic_basis(_composition(rep))
+        if mode == "exact":
+            combined = basis.astype(exact_table.dtype) @ layout.matrix(exact_table)
+            rank = sum(d * _rank_exact(_dict_rows(combined[rows])) for d, rows in pieces)
+            ranked[rep] = (layout.n_cols, rank, CERT_EXACT)
+            continue
+        ranks = []
+        for p in (primes or _block_primes(seed, rep)):
+            if p not in residue_tables:
+                if n_perms * p >= 2 ** 53:
+                    raise ResourceLimit(f"n! * p = {n_perms * p} passes 2**53, where float64 "
+                                        f"products stop being exact", context=rep)
+                residue_tables[p] = words.table([_residue(c, p) for c in words.coefs],
+                                                np.float64)
+            # |entries| <= n! * p < 2 ** 53: the float64 product is exact
+            combined = basis.astype(np.float64) @ layout.matrix(residue_tables[p])
+            combined = np.mod(combined, p, out=combined).astype(np.int64)
+            ranks.append(sum(d * _rank_mod_p(combined[rows], p) for d, rows in pieces))
+        cert = CERT_MODULAR_STABLE if len(set(ranks)) == 1 else CERT_MODULAR_UNSTABLE
+        ranked[rep] = (layout.n_cols, max(ranks), cert)
     blocks = [EvaluationBlock(a, n_perms, *ranked[tuple(sorted(a))]) for a in assignments]
     total = sum(b.rank for b in blocks)
     if mode == "exact":

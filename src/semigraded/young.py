@@ -1,0 +1,196 @@
+"""Partitions, Young tableaux and symmetrizers: the symmetric-group side
+shared by the codimension engine and the multiplicity code.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from itertools import permutations, product
+
+from .errors import HypothesisViolated
+
+
+# -- partitions ----------------------------------------------------------------
+
+@dataclass(frozen=True, order=True)
+class Partition:
+    parts: tuple
+
+    def __post_init__(self):
+        parts = tuple(int(p) for p in self.parts)
+        if any(p <= 0 for p in parts):
+            raise ValueError("parts must be positive")
+        if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
+            raise ValueError("parts must be weakly decreasing")
+        object.__setattr__(self, "parts", parts)
+
+    @property
+    def n(self) -> int:
+        return sum(self.parts)
+
+    def part(self, i: int) -> int:
+        """lambda_i with 1-based i; zero beyond the last part."""
+        return self.parts[i - 1] if 1 <= i <= len(self.parts) else 0
+
+    def __len__(self):
+        return len(self.parts)
+
+    def __iter__(self):
+        return iter(self.parts)
+
+    def conjugate(self) -> "Partition":
+        if not self.parts:
+            return Partition(())
+        return Partition(tuple(sum(1 for p in self.parts if p >= c)
+                               for c in range(1, self.parts[0] + 1)))
+
+    def column_heights(self):
+        return list(self.conjugate().parts)
+
+    def __repr__(self):
+        return f"Partition{self.parts}"
+
+
+def partitions_of(n: int, max_parts=None):
+    """Weakly decreasing positive tuples summing to n, lexicographically
+    decreasing."""
+    def gen(remaining, cap, length):
+        if remaining == 0:
+            yield ()
+            return
+        if max_parts is not None and length == max_parts:
+            return
+        for first in range(min(cap, remaining), 0, -1):
+            for rest in gen(remaining - first, first, length + 1):
+                yield (first,) + rest
+    for parts in gen(n, n, 0):
+        yield Partition(parts)
+
+
+def hook_dim(lam: Partition) -> int:
+    """n! over the product of hook lengths."""
+    parts = lam.parts
+    if not parts:
+        return 1
+    conj = lam.conjugate().parts
+    hooks = 1
+    for i, row in enumerate(parts):
+        for j in range(row):
+            hooks *= (row - j) + (conj[j] - i) - 1
+    return math.factorial(lam.n) // hooks
+
+
+# -- tableaux and symmetrizers --------------------------------------------------
+
+@dataclass(frozen=True)
+class YoungTableau:
+    shape: Partition
+    rows: tuple  # tuple of tuples of variable indices (0-based)
+
+    @classmethod
+    def column_major(cls, shape: Partition):
+        """Fill boxes 0..n-1 down each column, left to right."""
+        heights = shape.column_heights()
+        rows = [[] for _ in shape.parts]
+        counter = 0
+        for c, h in enumerate(heights):
+            for r in range(h):
+                rows[r].append(counter)
+                counter += 1
+        return cls(shape, tuple(tuple(r) for r in rows))
+
+    def columns(self):
+        heights = self.shape.column_heights()
+        return [tuple(self.rows[r][c] for r in range(h)) for c, h in enumerate(heights)]
+
+    def row_group(self):
+        """All row-preserving substitutions as variable->variable dicts."""
+        groups = [list(permutations(row)) for row in self.rows]
+        for combo in product(*groups):
+            mapping = {}
+            for row, image in zip(self.rows, combo):
+                mapping.update(dict(zip(row, image)))
+            yield mapping
+
+    def column_group_signed(self):
+        columns = self.columns()
+        for combo in product(*[list(permutations(col)) for col in columns]):
+            mapping = {}
+            sign = 1
+            for col, image in zip(columns, combo):
+                mapping.update(dict(zip(col, image)))
+                sign *= _perm_sign(col, image)
+            yield mapping, sign
+
+
+def _perm_sign(domain, image):
+    pos = {v: i for i, v in enumerate(domain)}
+    perm = [pos[v] for v in image]
+    sign = 1
+    seen = [False] * len(perm)
+    for i in range(len(perm)):
+        if seen[i]:
+            continue
+        mu = 0
+        j = i
+        while not seen[j]:
+            seen[j] = True
+            j = perm[j]
+            mu += 1
+        if mu % 2 == 0:
+            sign = -sign
+    return sign
+
+
+def _symmetrizer(tableau: YoungTableau):
+    """The terms (g, sign) of e_T = sum of sign(sigma) rho.sigma over the row
+    group and the signed column group of the tableau T, each g a variable
+    map (both groups map the tableau's entries onto themselves)."""
+    column_group = list(tableau.column_group_signed())
+    return [({v: rho[w] for v, w in sigma.items()}, sign)
+            for rho in tableau.row_group()
+            for sigma, sign in column_group]
+
+
+def standard_tableaux(shape: Partition):
+    """The standard fillings of shape by 0..n-1 (rows and columns
+    increasing), as tuples of rows."""
+    rows = [[] for _ in shape.parts]
+    out = []
+
+    def fill(k):
+        if k == shape.n:
+            out.append(tuple(map(tuple, rows)))
+            return
+        # lowest row first: the first filling is the column-major one
+        for i in reversed(range(len(shape.parts))):
+            if len(rows[i]) < shape.parts[i] and (i == 0 or len(rows[i - 1]) > len(rows[i])):
+                rows[i].append(k)
+                fill(k + 1)
+                rows[i].pop()
+    fill(0)
+    return out
+
+
+def spanning_permutations(lam: Partition) -> list:
+    """Permutations h of range(n) whose elements e_T.h form a basis of the
+    right ideal e_T.KS_n, T the column-major tableau: per standard tableau
+    S, h is the inverse of the map sigma_S sending each entry of T to the
+    entry of S in the same box.  Inverting every group element maps e_T.h
+    to sigma_S.b_T.a_T (column sum, then row sum), the polytabloid of S in
+    the Specht module KS_n.b_T.a_T, and the standard polytabloids are a
+    basis over any field (James, LNM 682, 1978, Thm 8.4).  Their number is
+    checked to be hook_dim(lam)."""
+    column_major = YoungTableau.column_major(lam)
+    basis = []
+    for rows in standard_tableaux(lam):
+        h = [0] * lam.n
+        for t_row, s_row in zip(column_major.rows, rows):
+            for t, s in zip(t_row, s_row):
+                h[s] = t
+        basis.append(tuple(h))
+    if len(basis) != hook_dim(lam):
+        raise HypothesisViolated(
+            f"e_T.KS_n has dimension {len(basis)} for {lam}, not {hook_dim(lam)}")
+    return basis

@@ -268,6 +268,18 @@ def test_primes_need_two_distinct_primes(runner, primes):
     assert json.loads(line)["error"] == "BadParam"
 
 
+def test_primes_must_exceed_the_degree(runner):
+    # modulo p <= n the split of each block by multipartitions loses rank
+    result = runner.invoke(main, ["codim", "--catalog", "thm_T1_fractional", "--n-max", "4",
+                                  "--primes", "2,3", "--no-timings"])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    [line] = result.stderr.strip().splitlines()
+    payload = json.loads(line)
+    assert payload["error"] == "BadParam"
+    assert "2**31" in payload["message"]
+
+
 @pytest.mark.parametrize("shape", ["2,x", "3,0", "1,2", ","])
 def test_malformed_shape_is_a_usage_error(runner, shape):
     result = runner.invoke(main, ["multiplicity", "--catalog", "thm_T3_fractional",

@@ -13,7 +13,6 @@ from semigraded.cochar import (
     FactoredPolynomial,
     Partition,
     YoungTableau,
-    _compose,
     _perm_sign,
     _symmetrizer,
     _variant,
@@ -30,7 +29,7 @@ from semigraded.cochar import (
     theta,
     theta_scan,
 )
-from semigraded.codim import _product_cache, block_rank, graded_codim
+from semigraded.codim import _product_cache, _rank_exact, block_rank, graded_codim
 from semigraded.errors import (
     HypothesisViolated,
     ResourceLimit,
@@ -39,6 +38,7 @@ from semigraded.errors import (
     UnsupportedAlgebra,
 )
 from semigraded.gralgebra import GradedAlgebra, full_matrix, mul_sparse, paper_catalog
+from semigraded.linalg import eliminate
 from semigraded.semigroup import trivial_semigroup
 from test_codim import catalog_at_two, half_scaled
 
@@ -510,6 +510,12 @@ def test_positive_multiplicities_lie_in_the_support_region():
                 assert omega_n_membership(support, lam), lam
 
 
+def _compose(outer, inner):
+    """Variable map outer o inner on the union of their supports."""
+    keys = set(outer) | set(inner)
+    return {k: outer.get(inner.get(k, k), inner.get(k, k)) for k in keys}
+
+
 def oracle_multiplicity(alg, lam):
     """The multiplicity as the rank of all n! * |support| ** n symmetrized
     rows, each summed over the symmetrizer as a dict keyed by
@@ -613,6 +619,44 @@ def test_spanning_permutations_count_is_the_hook_dimension():
             assert len(basis) == len(set(basis)) == hook_dim(lam), lam
             # e_T itself is nonzero, so the identity comes first
             assert basis[0] == tuple(range(n)), lam
+
+
+def symmetrized_elements(lam, words):
+    """Yield e_T.pi for each word pi, T column-major, as a dict (word of
+    g o pi) -> coefficient."""
+    group = _symmetrizer(YoungTableau.column_major(lam))
+    for pi in words:
+        element = {}
+        for g, sign in group:
+            w = tuple(g.get(v, v) for v in pi)
+            element[w] = element.get(w, 0) + sign
+        yield element
+
+
+def searched_spanning_permutations(lam):
+    """The permutations pi, lexicographically first, whose e_T.pi raise the
+    rank over Q: a basis of e_T.KS_n found by a search over all of S_n."""
+    perms = list(permutations(range(lam.n)))
+    echelon, basis = {}, []
+    for pi, element in zip(perms, symmetrized_elements(lam, perms)):
+        if eliminate(echelon, element):
+            basis.append(pi)
+            if len(basis) == hook_dim(lam):  # no later pi can raise the rank
+                break
+    return basis
+
+
+def test_spanning_permutations_span_the_searched_ideal():
+    # the standard-tableau words and the search give the same right ideal:
+    # each set has rank d_lambda and so does their union
+    for n in range(1, 7):
+        for lam in partitions_of(n):
+            words = spanning_permutations(lam)
+            searched = searched_spanning_permutations(lam)
+            d = hook_dim(lam)
+            assert len(searched) == d, lam
+            assert _rank_exact(symmetrized_elements(lam, words)) == d, lam
+            assert _rank_exact(symmetrized_elements(lam, words + searched)) == d, lam
 
 
 # -- alternation vanishing -----------------------------------------------------------------

@@ -1,8 +1,10 @@
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations, product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,16 +15,26 @@ from semigraded.codim import (
     CERT_EXACT,
     CERT_MODULAR_STABLE,
     CERT_MODULAR_UNSTABLE,
+    DEFAULT_BLOCK_CAP,
+    PRIME_BANK,
     _block_primes,
     _product_cache,
     _rank_exact,
+    _rank_mod_p,
+    _residue,
     block_rank,
     codim_sequence,
     exponent_estimate,
     graded_codim,
     ordinary_codim,
 )
-from semigraded.errors import DegreeMismatch, EmptySequence, ResourceLimit
+from semigraded.errors import (
+    BadParam,
+    DegreeMismatch,
+    EmptySequence,
+    HypothesisViolated,
+    ResourceLimit,
+)
 from semigraded.gralgebra import (
     GradedAlgebra,
     adjoin_unit,
@@ -414,6 +426,20 @@ def test_non_integral_structure_constants():
         assert multiplicity_exact(alg, lam) == multiplicity_exact(base, lam)
 
 
+def test_huge_structure_constants_take_the_object_product():
+    # x * y = 2 ** 61 xy: words of length n carry 2 ** (61 (n - 1)), past
+    # the int64 range of the exact product from n = 2 on
+    base = paper_catalog("mk_column_graded", 2)
+    c = 2 ** 61
+    alg = GradedAlgebra(
+        base.dim, base.basis_labels,
+        {key: {k: v * c for k, v in cell.items()} for key, cell in base.structure.items()},
+        base.degree, base.semigroup, unit=tuple(Fraction(u) / c for u in base.unit),
+        name=base.name + "*2**61")
+    for mode in ("modular", "exact"):
+        assert [r.value for r in codim_sequence(alg, 4, mode=mode)] == [2, 8, 42, 192]
+
+
 _rational = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 
 
@@ -494,3 +520,162 @@ def test_block_rank_is_invariant_under_relabelling_variables(data):
     cache = cached_products(i, n)
     assert oracle_block(alg, cache, a) == \
         oracle_block(alg, cache, tuple(a[s] for s in sigma))
+
+
+# -- oracle: the whole-block rank, as the engine took it before the isotypic split --
+
+def column_loop_rank_mod_p(mat, p):
+    """Rank over GF(p) by elimination column by column, every column visited."""
+    m = mat % p
+    rows, cols = m.shape
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        nz = np.nonzero(m[r:, c])[0]
+        if nz.size == 0:
+            continue
+        i = r + int(nz[0])
+        if i != r:
+            m[[r, i]] = m[[i, r]]
+        inv = pow(int(m[r, c]), -1, p)
+        m[r] = (m[r] * inv) % p
+        below = np.nonzero(m[r + 1:, c])[0]
+        if below.size:
+            idx = below + (r + 1)
+            m[idx] = (m[idx] - np.outer(m[idx, c], m[r])) % p
+        r += 1
+    return r
+
+
+def whole_block_rank(alg, n, rep, p):
+    """The rank mod p of the n! x n_cols block of one assignment."""
+    words = codim._WordTable(alg, n, DEFAULT_BLOCK_CAP)
+    table = words.table([_residue(c, p) for c in words.coefs], np.int64)
+    return column_loop_rank_mod_p(codim._BlockLayout(words, rep).matrix(table), p)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_isotypic_split_matches_the_whole_block_rank(data):
+    # sum over multipartitions of d * m, per prime, is the whole block's rank
+    i = data.draw(st.integers(0, len(catalog_at_two()) - 1), label="algebra")
+    alg = catalog_at_two()[i]
+    n = data.draw(st.integers(1, 5), label="n")
+    rep = tuple(sorted(data.draw(st.lists(st.sampled_from(alg.support()),
+                                          min_size=n, max_size=n), label="assignment")))
+    primes = tuple(data.draw(st.lists(st.sampled_from(PRIME_BANK), min_size=2, max_size=2,
+                                      unique=True), label="primes"))
+    [block] = [b for b in graded_codim(alg, n, primes=primes).blocks if b.assignment == rep]
+    ranks = [whole_block_rank(alg, n, rep, p) for p in primes]
+    assert block.rank == max(ranks)
+    assert (block.certification == CERT_MODULAR_STABLE) == (ranks[0] == ranks[1])
+
+
+def _matrix_case(data):
+    """A random integer matrix: random, of low rank over Q, wide, tall or zero."""
+    kind = data.draw(st.sampled_from(["random", "low rank", "wide", "tall", "zero"]), label="kind")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+    short, long_ = int(rng.integers(1, 5)), int(rng.integers(5, 40))
+    rows, cols = {"wide": (short, long_), "tall": (long_, short)}.get(
+        kind, tuple(int(k) for k in rng.integers(1, 10, size=2)))
+    if kind == "zero":
+        return np.zeros((rows, cols), dtype=np.int64)
+    if kind == "low rank":
+        k = int(rng.integers(0, min(rows, cols) + 1))
+        return rng.integers(-3, 4, size=(rows, k)) @ rng.integers(-3, 4, size=(k, cols))
+    # mostly small entries, so that rows often depend on each other mod p
+    return rng.integers(-2, 3, size=(rows, cols)) * rng.integers(1, 2 ** 20, size=(rows, cols))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_rank_mod_p_matches_the_column_loop(data):
+    mat = _matrix_case(data)
+    p = data.draw(st.sampled_from((2, 3, 7, 1073741789)), label="p")
+    before = mat.copy()
+    assert _rank_mod_p(mat, p) == column_loop_rank_mod_p(mat, p)
+    assert (mat == before).all()
+
+
+def test_rank_mod_p_of_one_by_one_and_empty_shapes():
+    for value, rank in ((0, 0), (7, 0), (5, 1), (-1, 1)):
+        assert _rank_mod_p(np.array([[value]], dtype=np.int64), 7) == rank
+    assert _rank_mod_p(np.zeros((0, 3), dtype=np.int64), 7) == 0
+    assert _rank_mod_p(np.zeros((3, 0), dtype=np.int64), 7) == 0
+
+
+def test_c6_t3_under_the_default_cap():
+    assert graded_codim(paper_catalog("thm_T3_fractional"), 6).value == 13624
+
+
+def test_degree_seven_fails_before_the_product_cache(monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("product cache built before the block cap was checked")
+
+    monkeypatch.setattr(codim, "_product_cache", unreachable)
+    for name in ("thm_T1_fractional", "thm_T2_fractional", "thm_T3_fractional"):
+        with pytest.raises(ResourceLimit):
+            graded_codim(paper_catalog(name), 7)
+
+
+def test_cap_counts_the_gathered_entries(monkeypatch):
+    # a cap that every block's table indices fit under, but not the
+    # n! x n_cols entries of the largest gathered block
+    alg = paper_catalog("mk_column_graded", 2)
+    n = 4
+    words = codim._WordTable(alg, n, DEFAULT_BLOCK_CAP)
+    reps = sorted({tuple(sorted(a)) for a in product(alg.support(), repeat=n)})
+    index = max(24 * len(list(product(*(alg.component_indices(t) for t in rep))))
+                for rep in reps)
+    gathered = max(24 * codim._BlockLayout(words, rep).n_cols for rep in reps)
+    assert index < gathered
+    assert graded_codim(alg, n, max_block_entries=gathered).value == 192
+
+    gather = codim._BlockLayout.matrix
+
+    def checked_gather(self, table):
+        assert self.n_rows * self.n_cols < gathered, "a block over the cap was gathered"
+        return gather(self, table)
+
+    monkeypatch.setattr(codim._BlockLayout, "matrix", checked_gather)
+    with pytest.raises(ResourceLimit, match="gathers"):
+        graded_codim(alg, n, max_block_entries=gathered - 1)
+
+
+@pytest.mark.parametrize("primes", [(2, 3), (3, 5), (1073741789, 5)])
+def test_primes_must_exceed_the_degree(primes):
+    alg = paper_catalog("thm_T1_fractional")
+    with pytest.raises(BadParam):
+        graded_codim(alg, 5, primes=primes)
+    assert graded_codim(alg, 2, primes=(3, 5)).value == 8
+
+
+def test_isotypic_basis_is_certified(monkeypatch):
+    # words that repeat the identity span a line, not e.KS_n: refused
+    def repeated_identity(lam):
+        return [tuple(range(lam.n))] * (2 if lam.n > 2 else 1)
+
+    for cached in (codim._young_factor, codim._isotypic_basis):
+        cached.cache_clear()
+    monkeypatch.setattr(codim, "spanning_permutations", repeated_identity)
+    try:
+        with pytest.raises(HypothesisViolated):
+            codim._isotypic_basis((3,))
+    finally:
+        for cached in (codim._young_factor, codim._isotypic_basis):
+            cached.cache_clear()
+
+
+def test_isotypic_basis_shape():
+    # d_<lambda> * multinomial rows per multipartition, n! columns in all
+    for composition in ((4,), (2, 2), (1, 3), (3, 1, 1)):
+        basis, pieces = codim._isotypic_basis(composition)
+        n = sum(composition)
+        multinomial = math.factorial(n) // math.prod(math.factorial(k) for k in composition)
+        assert basis.shape[1] == math.factorial(n)
+        assert [rows.stop - rows.start for _, rows in pieces] == \
+            [d * multinomial for d, _ in pieces]
+        assert sum(d * d for d, _ in pieces) == \
+            math.prod(math.factorial(k) for k in composition)
+        assert not basis.flags.writeable
