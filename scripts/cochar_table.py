@@ -3,7 +3,10 @@
 
 Prints m_lambda, d_lambda and m_lambda * d_lambda for every partition
 lambda of N, then their sum against the exact graded codimension c_N,
-which it must equal.  Exits 1 on a mismatch.
+which it must equal.  Exits 1 on a mismatch.  Both sides come from the
+same exact per-multipartition ranks of the codimension blocks, m_lambda
+induced from them by Littlewood-Richardson coefficients, so the sum
+checks that induction, not an independent rank.
 
     python3 scripts/cochar_table.py --catalog thm_T1_fractional --n 5
 """
@@ -27,7 +30,7 @@ def main():
     print(f"{'shape':<18}{'m':>8}{'d':>6}{'m*d':>10}")
     total = 0
     for lam in partitions_of(args.n):
-        m = multiplicity_exact(alg, lam)
+        m = multiplicity_exact(alg, lam, n_cap=args.n)
         d = hook_dim(lam)
         total += m * d
         print(f"{str(lam.parts):<18}{m:>8}{d:>6}{m * d:>10}")

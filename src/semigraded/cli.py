@@ -22,7 +22,7 @@ from .errors import (
     WorkbenchError,
     WrongOrder,
 )
-from .gralgebra import is_graded_subspace, parse_catalog_spec, validate
+from .gralgebra import is_graded_subspace, parse_catalog_spec, validate, with_trivial_grading
 from .semigroup import classify_order2, enumerate_semigroups, isomorphism_classes
 
 USAGE_ERRORS = (BadParam, OrderTooLarge, UnknownName, UnknownTag, WrongOrder)
@@ -241,9 +241,13 @@ def codim_cmd(input_path, catalog, out_format, out_path, n_max, mode, primes,
         if caps <= 0:
             raise BadParam("resource caps must be positive")
         alg = _load(input_path, catalog)
-        fn = codim.ordinary_codim if ordinary else codim.graded_codim
-        results = [fn(alg, n, mode=mode, primes=plist or None,
-                      seed=seed, max_block_entries=caps)
+        if ordinary:
+            alg = with_trivial_grading(alg)
+        # refuse an over-cap n before any c_n is computed
+        for n in range(1, n_max + 1):
+            codim.check_request(alg, n, mode, plist or None, caps)
+        results = [codim.graded_codim(alg, n, mode=mode, primes=plist or None,
+                                      seed=seed, max_block_entries=caps)
                    for n in range(1, n_max + 1)]
         if out_format == "json":
             payload = [{"n": r.n, "c_n": r.value, "certification": r.certification,

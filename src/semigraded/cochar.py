@@ -9,9 +9,8 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations, product
 
-from .codim import _product_cache, block_rank, exact_blocks
+from .codim import _product_cache, check_request, exact_ranks
 from .errors import (
     BadParam,
     BetaInvalid,
@@ -30,8 +29,8 @@ from .young import (
     _perm_sign,
     _symmetrizer,
     hook_dim,
+    induction_coefficients,
     partitions_of,
-    spanning_permutations,
 )
 
 
@@ -475,63 +474,37 @@ def format_witness_report(alg: GradedAlgebra, data: WitnessData, value) -> str:
 
 def multiplicity_exact(alg: GradedAlgebra, lam: Partition, n_cap: int = 5,
                        monomial_cap: int = 20000) -> int:
-    """The multiplicity of the shape's irreducible in the multilinear
-    quotient, as the rank of the symmetrized spanning monomials evaluated
-    on all basis substitutions.
+    """The multiplicity m_lambda of the shape's irreducible in the
+    multilinear quotient: the direct sum, over the degree assignments a,
+    of the multilinear polynomials with variable degrees a modulo the
+    graded identities, on which S_n renames variables and assignments.
 
-    The row of a permutation pi and position degrees d is the evaluation,
-    at degrees d, of the group-algebra element e_T.pi, and it is linear in
-    that element.  The elements e_T.pi over all of S_n span the right ideal
-    e_T.KS_n, a minimal one of dimension d_lambda = hook_dim(lam), so the
-    d_lambda permutations of spanning_permutations give, for every d, the
-    same row space and hence the same rank as all n! of them.
+    The assignments of one sorted representative r form an S_n-orbit whose
+    stabilizer is the Young subgroup H of r's composition, so their sum is
+    induced from r's block: m_lambda = sum over r and over the
+    multipartitions <mu> of the composition of c^lambda_<mu> * m_<mu>.
+    Here m_<mu> is the graded cocharacter, the exact rank of r's block
+    combined by one slice of the codimension engine's isotypic basis
+    (codim.exact_ranks, which ranks only the slices with c != 0), and
+    c^lambda_<mu> the Littlewood-Richardson coefficient of
+    young.induction_coefficients.
 
-    A word w with degrees d forces the degree a[w[k]] = d[k] on each
-    variable, and its row is row w of the exact evaluation block of a
-    (see codim.exact_blocks).  Blocks of different assignments have
-    disjoint columns, placed side by side.  Only the blocks of sorted
-    assignments are built: if a[v] = rep[sigma(v)], row w of a's block is
-    row sigma.w of rep's block with its columns in a fixed new order, which
-    leaves the rank unchanged.  n_cap bounds the degree and monomial_cap
-    bounds hook_dim(lam) * |support| ** n, the number of rows ranked.
+    n_cap bounds the degree.  monomial_cap bounds hook_dim(lam) *
+    |support| ** n, the multiplicity of the shape in the whole graded
+    multilinear space and so an upper bound on the answer; the work done
+    is bounded by the codimension engine's block cap (index entries and
+    gathered entries, codim.DEFAULT_BLOCK_CAP).
     """
     n = lam.n
     if n < 1:
         raise BadParam("a shape needs at least one box")
     if n > n_cap:
         raise ResourceLimit(f"multiplicity_exact capped at degree {n_cap}", context=lam)
-    support = alg.support()
-    if hook_dim(lam) * len(support) ** n > monomial_cap:
+    if hook_dim(lam) * len(alg.support()) ** n > monomial_cap:
         raise ResourceLimit("spanning monomial set too large", context=lam)
-    where = {w: i for i, w in enumerate(permutations(range(n)))}
-    degrees = list(product(support, repeat=n))
-    reps = {rep: (block, width) for rep, block, width in
-            exact_blocks(alg, n, dict.fromkeys(tuple(sorted(a)) for a in degrees))}
-    # per assignment a: its representative's block, a's column offset, and
-    # sigma with a[v] = rep[sigma(v)]
-    blocks, n_cols = {}, 0
-    for a in degrees:
-        order = sorted(range(n), key=a.__getitem__)
-        block, width = reps[tuple(a[v] for v in order)]
-        blocks[a] = (block, n_cols, [order.index(v) for v in range(n)])
-        n_cols += width
-    group = _symmetrizer(YoungTableau.column_major(lam))
-    rows = []
-    for pi in spanning_permutations(lam):
-        # per word of e_T.pi: the word, the position of each variable in it,
-        # and its sign
-        terms = []
-        for g, sign in group:
-            w = tuple(g.get(v, v) for v in pi)
-            terms.append((w, [w.index(v) for v in range(n)], sign))
-        for d in degrees:
-            acc = {}
-            for w, pos, sign in terms:
-                block, offset, sigma = blocks[tuple(d[k] for k in pos)]
-                for j, c in block[where[tuple(sigma[v] for v in w)]].items():
-                    acc[offset + j] = acc.get(offset + j, 0) + sign * c
-            rows.append({j: c for j, c in acc.items() if c})
-    return block_rank(rows, n_cols)
+    _, reps = check_request(alg, n)
+    return sum(total for _, _, total in exact_ranks(
+        alg, n, reps, lambda shapes, d: induction_coefficients(shapes).get(lam, 0)))
 
 
 def alternation_vanishing_check(alg: GradedAlgebra, n: int, trials: int = 200,

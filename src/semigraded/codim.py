@@ -10,7 +10,8 @@ split by the graded cocharacter: per multipartition of its degrees, the
 rank of the block's rows combined by a certified basis of one isotypic
 piece of the group algebra.  Ranks run over two ~30-bit primes by default
 (a certified lower bound, labelled as such) or over exact rationals on
-request.
+request.  The exact per-multipartition ranks also give the ordinary
+cocharacter, by induction (cochar.multiplicity_exact).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import groupby, permutations, product
+from itertools import combinations_with_replacement, groupby, permutations, product
 
 import numpy as np
 
@@ -116,18 +117,6 @@ def _rank_exact(rows_entries) -> int:
 def _residue(v, p: int) -> int:
     """An int or Fraction reduced mod p."""
     return v % p if isinstance(v, int) else v.numerator * pow(v.denominator, -1, p) % p
-
-
-def block_rank(rows, ncols: int, p=None) -> int:
-    """Rank of sparse rows (dicts col -> value, col < ncols): over Q when p
-    is None, else over GF(p) after a dense reduction of every entry."""
-    if p is None:
-        return _rank_exact(rows)
-    mat = np.zeros((len(rows), ncols), dtype=np.int64)
-    for i, row in enumerate(rows):
-        for j, v in row.items():
-            mat[i, j] = _residue(v, p)
-    return _rank_mod_p(mat, p)
 
 
 def _checked_primes(primes, n: int) -> tuple:
@@ -235,24 +224,6 @@ def _dict_rows(mat: np.ndarray) -> list:
     return [dict(zip(cols[lo:hi], values[lo:hi])) for lo, hi in zip(ends, ends[1:])]
 
 
-def exact_blocks(alg: GradedAlgebra, n: int, assignments,
-                 max_entries: int = DEFAULT_BLOCK_CAP):
-    """Yield (assignment, rows, n_cols): the exact evaluation block of each
-    assignment (a degree per variable) in turn.
-
-    Row i is the monomial whose word is the i-th permutation of range(n) in
-    lexicographic order, as a sparse dict column -> value with int or
-    Fraction values; the n_cols columns are the (substitution, coordinate)
-    pairs that are nonzero in some row.  Raises ResourceLimit once the
-    product cache passes max_entries.
-    """
-    words = _WordTable(alg, n, max_entries)
-    table = words.table(words.coefs, object)
-    for a in assignments:
-        layout = _BlockLayout(words, a)
-        yield a, _dict_rows(layout.matrix(table)), layout.n_cols
-
-
 # -- the isotypic split ---------------------------------------------------------
 #
 # Renaming the variables of one degree among themselves maps a block's row
@@ -302,6 +273,12 @@ def _young_factor(lam):
     return factor
 
 
+def _multipartitions(composition) -> list:
+    """The multipartitions (lambda_t |- n_t) of a composition (n_t), as
+    tuples of Partitions, in the order of the slices of _isotypic_basis."""
+    return list(product(*(list(partitions_of(k)) for k in composition)))
+
+
 @lru_cache(maxsize=None)
 def _isotypic_basis(composition: tuple):
     """(E, pieces) for a composition (n_t) of n.  E is a read-only int8
@@ -323,7 +300,7 @@ def _isotypic_basis(composition: tuple):
     powers = n ** np.arange(n - 1, -1, -1)
     lex_codes = np.array(list(permutations(range(n)))) @ powers
     blocks, pieces, start = [], [], 0
-    for shapes in product(*(list(partitions_of(k)) for k in composition)):
+    for shapes in _multipartitions(composition):
         factors = [_young_factor(lam) for lam in shapes]
         x, signs = _direct_product((terms, s) for terms, s, _ in factors)
         h, _ = _direct_product((words, np.ones(len(words), dtype=np.int64))
@@ -354,6 +331,72 @@ def _composition(rep) -> tuple:
     return tuple(len(list(run)) for _, run in groupby(rep))
 
 
+def check_request(alg: GradedAlgebra, n: int, mode: str = "modular", primes=None,
+                  max_block_entries: int = DEFAULT_BLOCK_CAP):
+    """Every check graded_codim makes before it builds anything, in its
+    order; nothing is built.  Returns (primes, reps): the checked primes (or
+    None) and the sorted representative of every orbit of degree
+    assignments, lexicographically, each the first assignment of its orbit.
+    Raises ResourceLimit when the n! x prod |component| table indices behind
+    a representative's block pass max_block_entries."""
+    if n < 1:
+        raise EmptySequence("n must be >= 1")
+    if mode not in ("modular", "exact"):
+        raise ValueError(f"unknown mode {mode!r}")
+    if primes is not None:
+        primes = _checked_primes(primes, n)
+    sizes = {t: len(alg.component_indices(t)) for t in alg.support()}
+    reps = list(combinations_with_replacement(sorted(sizes), n))
+    for rep in reps:
+        entries = math.factorial(n) * math.prod(sizes[t] for t in rep)
+        if entries > max_block_entries:
+            raise ResourceLimit(
+                f"block for assignment {rep} needs {entries} index entries "
+                f"(cap {max_block_entries})", context=rep)
+    return primes, reps
+
+
+def _layouts(words: _WordTable, reps, max_block_entries: int):
+    """Yield (rep, layout) per representative, once its n! x n_cols
+    gathered entries are known to stay within max_block_entries."""
+    n_perms = len(words.perms)
+    for rep in reps:
+        layout = _BlockLayout(words, rep)
+        if n_perms * layout.n_cols > max_block_entries:
+            raise ResourceLimit(
+                f"block for assignment {rep} gathers {n_perms} x {layout.n_cols} entries "
+                f"(cap {max_block_entries})", context=rep)
+        yield rep, layout
+
+
+def exact_ranks(alg: GradedAlgebra, n: int, reps, weight,
+                max_block_entries: int = DEFAULT_BLOCK_CAP):
+    """Yield (rep, n_cols, total) per sorted representative (reps as
+    check_request returns them): total is the sum over the multipartitions
+    <lambda> of its composition of weight(<lambda>, d_<lambda>) times the
+    exact rank m_<lambda> of the block's rows combined by that slice of
+    _isotypic_basis, the multiplicity of <lambda> in the block's row space.
+    Slices of weight 0 are not ranked."""
+    words = _WordTable(alg, n, max_block_entries)
+    # integral values, which leave every rank unchanged
+    scale = math.lcm(*(getattr(c, "denominator", 1) for c in words.coefs))
+    values = [int(c * scale) for c in words.coefs]
+    # |product entries| <= n! * max |value|
+    fits = len(words.perms) * max(map(abs, values), default=0) < 2 ** 62
+    table = words.table(values, np.int64 if fits else object)
+    for rep, layout in _layouts(words, reps, max_block_entries):
+        composition = _composition(rep)
+        basis, pieces = _isotypic_basis(composition)
+        block = layout.matrix(table)
+        total = 0
+        for shapes, (d, rows) in zip(_multipartitions(composition), pieces):
+            w = weight(shapes, d)
+            if w:
+                combined = basis[rows].astype(table.dtype) @ block
+                total += w * _rank_exact(_dict_rows(combined))
+        yield rep, layout.n_cols, total
+
+
 def graded_codim(alg: GradedAlgebra, n: int, mode: str = "modular",
                  primes=None, seed: int = 0,
                  max_block_entries: int = DEFAULT_BLOCK_CAP) -> CodimResult:
@@ -376,63 +419,35 @@ def graded_codim(alg: GradedAlgebra, n: int, mode: str = "modular",
     a block, checked before anything is built, and its n! x n_cols
     gathered entries.
     """
-    if n < 1:
-        raise EmptySequence("n must be >= 1")
-    if mode not in ("modular", "exact"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if primes is not None:
-        primes = _checked_primes(primes, n)
     t0 = time.monotonic()
-    support = alg.support()
-    comp = {t: alg.component_indices(t) for t in support}
+    primes, reps = check_request(alg, n, mode, primes, max_block_entries)
     n_perms = math.factorial(n)
-    # lexicographic over semigroup element indices keeps output reproducible;
-    # the first assignment of each orbit is its sorted representative
-    assignments = list(product(support, repeat=n))
-    reps = list(dict.fromkeys(tuple(sorted(a)) for a in assignments))
-    for rep in reps:
-        entries = n_perms * math.prod(len(comp[t]) for t in rep)
-        if entries > max_block_entries:
-            raise ResourceLimit(
-                f"block for assignment {rep} needs {entries} index entries "
-                f"(cap {max_block_entries})", context=rep)
-    words = _WordTable(alg, n, max_block_entries)
     if mode == "exact":
-        # integral values, which leave every rank unchanged
-        scale = math.lcm(*(getattr(c, "denominator", 1) for c in words.coefs))
-        values = [int(c * scale) for c in words.coefs]
-        # |product entries| <= n! * max |value|
-        fits = n_perms * max(map(abs, values), default=0) < 2 ** 62
-        exact_table = words.table(values, np.int64 if fits else object)
-    residue_tables = {}
-    ranked = {}
-    for rep in reps:
-        layout = _BlockLayout(words, rep)
-        if n_perms * layout.n_cols > max_block_entries:
-            raise ResourceLimit(
-                f"block for assignment {rep} gathers {n_perms} x {layout.n_cols} entries "
-                f"(cap {max_block_entries})", context=rep)
-        basis, pieces = _isotypic_basis(_composition(rep))
-        if mode == "exact":
-            combined = basis.astype(exact_table.dtype) @ layout.matrix(exact_table)
-            rank = sum(d * _rank_exact(_dict_rows(combined[rows])) for d, rows in pieces)
-            ranked[rep] = (layout.n_cols, rank, CERT_EXACT)
-            continue
-        ranks = []
-        for p in (primes or _block_primes(seed, rep)):
-            if p not in residue_tables:
-                if n_perms * p >= 2 ** 53:
-                    raise ResourceLimit(f"n! * p = {n_perms * p} passes 2**53, where float64 "
-                                        f"products stop being exact", context=rep)
-                residue_tables[p] = words.table([_residue(c, p) for c in words.coefs],
-                                                np.float64)
-            # |entries| <= n! * p < 2 ** 53: the float64 product is exact
-            combined = basis.astype(np.float64) @ layout.matrix(residue_tables[p])
-            combined = np.mod(combined, p, out=combined).astype(np.int64)
-            ranks.append(sum(d * _rank_mod_p(combined[rows], p) for d, rows in pieces))
-        cert = CERT_MODULAR_STABLE if len(set(ranks)) == 1 else CERT_MODULAR_UNSTABLE
-        ranked[rep] = (layout.n_cols, max(ranks), cert)
-    blocks = [EvaluationBlock(a, n_perms, *ranked[tuple(sorted(a))]) for a in assignments]
+        ranked = {rep: (n_cols, rank, CERT_EXACT) for rep, n_cols, rank
+                  in exact_ranks(alg, n, reps, lambda shapes, d: d, max_block_entries)}
+    else:
+        words = _WordTable(alg, n, max_block_entries)
+        residue_tables = {}
+        ranked = {}
+        for rep, layout in _layouts(words, reps, max_block_entries):
+            basis, pieces = _isotypic_basis(_composition(rep))
+            ranks = []
+            for p in (primes or _block_primes(seed, rep)):
+                if p not in residue_tables:
+                    if n_perms * p >= 2 ** 53:
+                        raise ResourceLimit(f"n! * p = {n_perms * p} passes 2**53, where "
+                                            f"float64 products stop being exact", context=rep)
+                    residue_tables[p] = words.table([_residue(c, p) for c in words.coefs],
+                                                    np.float64)
+                # |entries| <= n! * p < 2 ** 53: the float64 product is exact
+                combined = basis.astype(np.float64) @ layout.matrix(residue_tables[p])
+                combined = np.mod(combined, p, out=combined).astype(np.int64)
+                ranks.append(sum(d * _rank_mod_p(combined[rows], p) for d, rows in pieces))
+            cert = CERT_MODULAR_STABLE if len(set(ranks)) == 1 else CERT_MODULAR_UNSTABLE
+            ranked[rep] = (layout.n_cols, max(ranks), cert)
+    # lexicographic over semigroup element indices keeps output reproducible
+    blocks = [EvaluationBlock(a, n_perms, *ranked[tuple(sorted(a))])
+              for a in product(alg.support(), repeat=n)]
     total = sum(b.rank for b in blocks)
     if mode == "exact":
         certification = CERT_EXACT

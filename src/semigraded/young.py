@@ -1,12 +1,17 @@
-"""Partitions, Young tableaux and symmetrizers: the symmetric-group side
-shared by the codimension engine and the multiplicity code.
+"""Partitions, Young tableaux, symmetrizers and characters: the
+symmetric-group side shared by the codimension engine and the
+multiplicity code.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import lru_cache
 from itertools import permutations, product
+from types import MappingProxyType
 
 from .errors import HypothesisViolated
 
@@ -194,3 +199,67 @@ def spanning_permutations(lam: Partition) -> list:
         raise HypothesisViolated(
             f"e_T.KS_n has dimension {len(basis)} for {lam}, not {hook_dim(lam)}")
     return basis
+
+
+# -- characters and induction ----------------------------------------------------
+
+@lru_cache(maxsize=None)
+def _character(parts: tuple, rho: tuple) -> int:
+    """chi^lambda at a permutation of cycle type rho, by Murnaghan-Nakayama:
+    remove a border strip of length rho[0] in every way, each with sign
+    (-1)^(its height - 1).  In beta-numbers beta_i = lambda_i + l - 1 - i
+    that moves one beta down by r onto a free place, and the height - 1 is
+    the number of betas it passes."""
+    if not rho:
+        return 1
+    r, length = rho[0], len(parts)
+    beta = [p + length - 1 - i for i, p in enumerate(parts)]
+    total = 0
+    for b in beta:
+        if b >= r and b - r not in beta:
+            passed = sum(b - r < c < b for c in beta)
+            moved = sorted([c for c in beta if c != b] + [b - r], reverse=True)
+            shape = tuple(c - (length - 1 - i) for i, c in enumerate(moved))
+            total += (-1) ** passed * _character(tuple(p for p in shape if p), rho[1:])
+    return total
+
+
+def _centralizer_order(rho: tuple) -> int:
+    """z_rho = prod_i i^(m_i) * m_i!, m_i the number of cycles of length i."""
+    return math.prod(i ** m * math.factorial(m) for i, m in Counter(rho).items())
+
+
+@lru_cache(maxsize=None)
+def induction_coefficients(shapes: tuple):
+    """The Littlewood-Richardson coefficients c^lambda_<mu> of a
+    multipartition <mu> = shapes (a tuple of Partitions mu_t |- n_t): the
+    multiplicity of S^lambda in the S^{mu_1} x ... x S^{mu_k} of the Young
+    subgroup prod_t S_{n_t} induced to S_n.  By Frobenius reciprocity
+
+        c^lambda_<mu> = sum over (rho_t |- n_t) of
+                        prod_t chi^{mu_t}(rho_t) / z_{rho_t} * chi^lambda(U rho_t),
+
+    U rho_t the cycle type that joins the parts of every rho_t.  Returns a
+    read-only mapping lambda -> c, listing only the lambda with c != 0."""
+    # the induced character, as a weight per cycle type of S_n
+    weights = {(): Fraction(1)}
+    for mu in shapes:
+        factor = {rho.parts: Fraction(_character(mu.parts, rho.parts),
+                                      _centralizer_order(rho.parts))
+                  for rho in partitions_of(mu.n)}
+        joined = {}
+        for rho, w in weights.items():
+            for sigma, v in factor.items():
+                if v:
+                    key = tuple(sorted(rho + sigma, reverse=True))
+                    joined[key] = joined.get(key, 0) + w * v
+        weights = joined
+    n = sum(mu.n for mu in shapes)
+    out = {}
+    for lam in partitions_of(n):
+        c = sum(w * _character(lam.parts, rho) for rho, w in weights.items())
+        if c.denominator != 1:
+            raise HypothesisViolated(f"induced multiplicity {c} of {lam} from {shapes}")
+        if c:
+            out[lam] = int(c)
+    return MappingProxyType(out)

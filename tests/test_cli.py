@@ -104,6 +104,29 @@ def test_codim_resource_limit_exit_code(runner):
     assert payload["error"] == "ResourceLimit"
 
 
+@pytest.mark.parametrize("extra, message", [
+    ([], "block for assignment (0, 0, 0, 0, 0, 0, 0) needs 82575360 index entries "
+         "(cap 10000000)"),
+    (["--ordinary"], "block for assignment (0, 0, 0, 0, 0, 0) needs 84707280 index entries "
+                     "(cap 10000000)"),
+])
+def test_codim_refuses_an_over_cap_degree_before_computing_any(runner, monkeypatch, extra,
+                                                               message):
+    # every n <= --n-max is checked, on the algebra actually used, before any c_n
+    from semigraded import codim
+
+    def product_cache(*args, **kwargs):
+        raise AssertionError("the product cache ran")
+
+    monkeypatch.setattr(codim, "_product_cache", product_cache)
+    result = runner.invoke(main, ["codim", "--catalog", "thm_T1_fractional", "--n-max", "7",
+                                  "--no-timings", *extra])
+    assert result.exit_code == 3
+    assert result.stdout == ""
+    [line] = result.stderr.strip().splitlines()
+    assert json.loads(line) == {"error": "ResourceLimit", "message": message}
+
+
 def test_multiplicity_command(runner):
     result = runner.invoke(main, ["multiplicity", "--catalog", "thm_T3_fractional",
                                   "--shape", "2,1", "--variant", "T3",

@@ -25,11 +25,11 @@ from semigraded.cochar import (
     multiplicity_exact,
     multiplicity_nonzero_certificate,
     partitions_of,
-    spanning_permutations,
     theta,
     theta_scan,
 )
-from semigraded.codim import _product_cache, _rank_exact, block_rank, graded_codim
+from semigraded import codim
+from semigraded.codim import _product_cache, _rank_exact, graded_codim
 from semigraded.errors import (
     HypothesisViolated,
     ResourceLimit,
@@ -40,7 +40,13 @@ from semigraded.errors import (
 from semigraded.gralgebra import GradedAlgebra, full_matrix, mul_sparse, paper_catalog
 from semigraded.linalg import eliminate
 from semigraded.semigroup import trivial_semigroup
-from test_codim import catalog_at_two, half_scaled
+from semigraded.young import (
+    _centralizer_order,
+    _character,
+    induction_coefficients,
+    spanning_permutations,
+)
+from test_codim import block_rank, catalog_at_two, half_scaled
 
 
 # -- partitions -----------------------------------------------------------------
@@ -458,14 +464,21 @@ def test_multiplicity_more_parts_than_dim():
     assert multiplicity_exact(alg, Partition((1, 1, 1))) == 0
 
 
+# exact c_1..c_4 of the three fractional algebras
+CODIMENSIONS = {
+    "thm_T1_fractional": (2, 8, 48, 359),
+    "thm_T2_fractional": (2, 8, 48, 359),
+    "thm_T3_fractional": (2, 8, 45, 305),
+}
+
+
 def test_multiplicity_cross_check_against_codim():
-    from semigraded.codim import graded_codim
-    for name in ("thm_T1_fractional", "thm_T3_fractional"):
+    for name, values in CODIMENSIONS.items():
         alg = paper_catalog(name)
-        for n in (1, 2, 3, 4):
+        for n, c_n in enumerate(values, 1):
             total = sum(multiplicity_exact(alg, lam) * hook_dim(lam)
                         for lam in partitions_of(n))
-            assert total == graded_codim(alg, n, mode="exact").value, (name, n)
+            assert total == graded_codim(alg, n, mode="exact").value == c_n, (name, n)
 
 
 def test_certificate_implies_positive_multiplicity():
@@ -576,6 +589,64 @@ def oracle_multiplicity(alg, lam):
     return block_rank(sparse_rows, len(col_index))
 
 
+def exact_blocks(alg, n, assignments):
+    """Yield (assignment, rows, n_cols): the exact evaluation block of each
+    assignment (a degree per variable) in turn.  Row i is the monomial
+    whose word is the i-th permutation of range(n) in lexicographic order,
+    as a sparse dict column -> int or Fraction; the n_cols columns are the
+    (substitution, coordinate) pairs that are nonzero in some row."""
+    words = codim._WordTable(alg, n, codim.DEFAULT_BLOCK_CAP)
+    table = words.table(words.coefs, object)
+    for a in assignments:
+        layout = codim._BlockLayout(words, a)
+        yield a, codim._dict_rows(layout.matrix(table)), layout.n_cols
+
+
+def spanning_row_multiplicity(alg, lam):
+    """The multiplicity as the rank of the hook_dim(lam) * |support| ** n
+    symmetrized rows of the spanning permutations.
+
+    The row of a permutation pi and position degrees d is the evaluation,
+    at degrees d, of e_T.pi, T column-major; the e_T.pi of
+    spanning_permutations span the right ideal e_T.KS_n.  A word w with
+    degrees d forces the degree a[w[k]] = d[k] on each variable, and its
+    row is row w of the exact block of a; blocks of different assignments
+    have disjoint columns, placed side by side.  Only the blocks of sorted
+    assignments are built: if a[v] = rep[sigma(v)], row w of a's block is
+    row sigma.w of rep's block with its columns in a fixed new order."""
+    n = lam.n
+    support = alg.support()
+    where = {w: i for i, w in enumerate(permutations(range(n)))}
+    degrees = list(product(support, repeat=n))
+    reps = {rep: (block, width) for rep, block, width in
+            exact_blocks(alg, n, dict.fromkeys(tuple(sorted(a)) for a in degrees))}
+    # per assignment a: its representative's block, a's column offset, and
+    # sigma with a[v] = rep[sigma(v)]
+    blocks, n_cols = {}, 0
+    for a in degrees:
+        order = sorted(range(n), key=a.__getitem__)
+        block, width = reps[tuple(a[v] for v in order)]
+        blocks[a] = (block, n_cols, [order.index(v) for v in range(n)])
+        n_cols += width
+    group = _symmetrizer(YoungTableau.column_major(lam))
+    rows = []
+    for pi in spanning_permutations(lam):
+        # per word of e_T.pi: the word, the position of each variable in it,
+        # and its sign
+        terms = []
+        for g, sign in group:
+            w = tuple(g.get(v, v) for v in pi)
+            terms.append((w, [w.index(v) for v in range(n)], sign))
+        for d in degrees:
+            acc = {}
+            for w, pos, sign in terms:
+                block, offset, sigma = blocks[tuple(d[k] for k in pos)]
+                for j, c in block[where[tuple(sigma[v] for v in w)]].items():
+                    acc[offset + j] = acc.get(offset + j, 0) + sign * c
+            rows.append({j: c for j, c in acc.items() if c})
+    return block_rank(rows, n_cols)
+
+
 def test_multiplicity_matches_the_oracle_on_the_catalog():
     for alg in catalog_at_two():
         for n in (1, 2, 3):
@@ -610,6 +681,88 @@ def test_t1_t2_multiplicities_agree_degree_five(parts):
     lam = Partition(parts)
     assert multiplicity_exact(paper_catalog("thm_T1_fractional"), lam) == \
         multiplicity_exact(paper_catalog("thm_T2_fractional"), lam)
+
+
+# exact multiplicities of every shape of 5, in the order of partitions_of(5)
+DEGREE_FIVE = {
+    "thm_T1_fractional": (30, 114, 126, 140, 105, 64, 9),
+    "thm_T3_fractional": (27, 91, 98, 108, 81, 49, 6),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEGREE_FIVE))
+def test_degree_five_table_matches_the_spanning_rows(name):
+    alg = paper_catalog(name)
+    table = tuple(multiplicity_exact(alg, lam) for lam in partitions_of(5))
+    assert table == DEGREE_FIVE[name]
+    assert table == tuple(spanning_row_multiplicity(alg, lam) for lam in partitions_of(5))
+
+
+# -- characters and induction ---------------------------------------------------------
+
+def compositions(n):
+    """The ordered tuples of positive integers summing to n."""
+    if n == 0:
+        yield ()
+        return
+    for first in range(1, n + 1):
+        for rest in compositions(n - first):
+            yield (first,) + rest
+
+
+def multipartitions(n):
+    """Every tuple of partitions (mu_t |- n_t) over every composition of n."""
+    for composition in compositions(n):
+        yield from product(*(list(partitions_of(k)) for k in composition))
+
+
+def test_characters_are_orthonormal():
+    for n in range(1, 7):
+        shapes = list(partitions_of(n))
+        for lam in shapes:
+            assert _character(lam.parts, (1,) * n) == hook_dim(lam)
+            for nu in shapes:
+                inner = sum(Fraction(_character(lam.parts, rho.parts)
+                                     * _character(nu.parts, rho.parts),
+                                     _centralizer_order(rho.parts)) for rho in shapes)
+                assert inner == (lam == nu), (lam, nu)
+
+
+def test_induction_coefficients_have_the_induced_dimension():
+    # dim Ind = [S_n : H] * prod_t d_{mu_t}
+    for n in range(1, 7):
+        for shapes in multipartitions(n):
+            coefficients = induction_coefficients(shapes)
+            index = math.factorial(n) // math.prod(math.factorial(mu.n) for mu in shapes)
+            assert all(c > 0 for c in coefficients.values()), shapes
+            assert sum(c * hook_dim(lam) for lam, c in coefficients.items()) == \
+                index * math.prod(hook_dim(mu) for mu in shapes), shapes
+
+
+def test_one_factor_induces_itself():
+    for n in range(1, 7):
+        for mu in partitions_of(n):
+            assert dict(induction_coefficients((mu,))) == {mu: 1}
+
+
+def test_induction_coefficients_ignore_the_order_of_the_factors():
+    for n in range(2, 7):
+        for shapes in multipartitions(n):
+            for order in set(permutations(shapes)):
+                assert dict(induction_coefficients(order)) == \
+                    dict(induction_coefficients(shapes)), (shapes, order)
+
+
+def test_pieri_rule():
+    # c^lambda_{mu,(k)} is 1 when lambda / mu is a horizontal strip, else 0
+    for n in range(2, 7):
+        for k in range(1, n):
+            for mu in partitions_of(n - k):
+                coefficients = induction_coefficients((mu, Partition((k,))))
+                for lam in partitions_of(n):
+                    strip = all(lam.part(i) >= mu.part(i) >= lam.part(i + 1)
+                                for i in range(1, n + 1))
+                    assert coefficients.get(lam, 0) == strip, (lam, mu, k)
 
 
 def test_spanning_permutations_count_is_the_hook_dimension():

@@ -22,7 +22,6 @@ from semigraded.codim import (
     _rank_exact,
     _rank_mod_p,
     _residue,
-    block_rank,
     codim_sequence,
     exponent_estimate,
     graded_codim,
@@ -94,6 +93,18 @@ def evaluate_monomial(alg: GradedAlgebra, m: GradedMonomial, subst, strict: bool
 
 
 # -- oracle: every degree assignment assembled on its own, as dict rows --
+
+def block_rank(rows, ncols: int, p=None) -> int:
+    """Rank of sparse rows (dicts col -> value, col < ncols): over Q when p
+    is None, else over GF(p) after a dense reduction of every entry."""
+    if p is None:
+        return _rank_exact(rows)
+    mat = np.zeros((len(rows), ncols), dtype=np.int64)
+    for i, row in enumerate(rows):
+        for j, v in row.items():
+            mat[i, j] = _residue(v, p)
+    return _rank_mod_p(mat, p)
+
 
 def oracle_block(alg: GradedAlgebra, cache, assignment, p=None):
     """(n_cols, rank) of one assignment's block: one row per permutation,

@@ -3,7 +3,6 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from semigraded.codim import block_rank
 from semigraded.errors import (
     NilpotentAlgebra,
     NonSplit,
@@ -39,6 +38,7 @@ from semigraded.structure import (
     unit_component_idempotents,
     wedderburn_decompose,
 )
+from test_codim import block_rank
 
 
 def span_of_labels(alg, labels):
