@@ -10,7 +10,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .codim import _product_cache, check_request, exact_ranks
+from .codim import _dict_rows, _product_cache, _rank_exact, check_request, isotypic_slices
 from .errors import (
     BadParam,
     BetaInvalid,
@@ -483,11 +483,10 @@ def multiplicity_exact(alg: GradedAlgebra, lam: Partition, n_cap: int = 5,
     stabilizer is the Young subgroup H of r's composition, so their sum is
     induced from r's block: m_lambda = sum over r and over the
     multipartitions <mu> of the composition of c^lambda_<mu> * m_<mu>.
-    Here m_<mu> is the graded cocharacter, the exact rank of r's block
-    combined by one slice of the codimension engine's isotypic basis
-    (codim.exact_ranks, which ranks only the slices with c != 0), and
-    c^lambda_<mu> the Littlewood-Richardson coefficient of
-    young.induction_coefficients.
+    Here m_<mu> is the graded cocharacter, the exact rank of one slice of
+    r's combined block (codim.isotypic_slices; only the slices with
+    c != 0 are ranked), and c^lambda_<mu> the Littlewood-Richardson
+    coefficient of young.induction_coefficients.
 
     n_cap bounds the degree.  monomial_cap bounds hook_dim(lam) *
     |support| ** n, the multiplicity of the shape in the whole graded
@@ -503,8 +502,13 @@ def multiplicity_exact(alg: GradedAlgebra, lam: Partition, n_cap: int = 5,
     if hook_dim(lam) * len(alg.support()) ** n > monomial_cap:
         raise ResourceLimit("spanning monomial set too large", context=lam)
     _, reps = check_request(alg, n)
-    return sum(total for _, _, total in exact_ranks(
-        alg, n, reps, lambda shapes, d: induction_coefficients(shapes).get(lam, 0)))
+    total = 0
+    for _, _, slices in isotypic_slices(alg, n, reps):
+        for shapes, _, rows in slices:
+            c = induction_coefficients(shapes).get(lam, 0)
+            if c:
+                total += c * _rank_exact(_dict_rows(rows))
+    return total
 
 
 def alternation_vanishing_check(alg: GradedAlgebra, n: int, trials: int = 200,

@@ -5,13 +5,14 @@ monomial evaluates to zero on every substitution whose degrees disagree
 with its own, so the quotient dimension is the sum over assignments of
 the rank of one evaluation block.  Assignments with the same multiset of
 degrees have blocks of equal rank, so one block per multiset is built,
-gathered with numpy from a table of word products.  A block's rank is
-split by the graded cocharacter: per multipartition of its degrees, the
-rank of the block's rows combined by a certified basis of one isotypic
-piece of the group algebra.  Ranks run over two ~30-bit primes by default
-(a certified lower bound, labelled as such) or over exact rationals on
-request.  The exact per-multipartition ranks also give the ordinary
-cocharacter, by induction (cochar.multiplicity_exact).
+gathered with numpy from a table of word products scaled to integers.  A
+block's rank is split by the graded cocharacter: per multipartition of
+its degrees, the rank of the block's rows combined by a certified basis
+of one isotypic piece of the group algebra.  isotypic_slices gathers and
+combines each block once; graded_codim ranks the slices over two ~30-bit
+primes by default (a certified lower bound, labelled as such) or over
+exact rationals on request, and cochar.multiplicity_exact induces the
+ordinary cocharacter from their exact ranks.
 """
 
 from __future__ import annotations
@@ -84,10 +85,11 @@ def _product_cache(alg: GradedAlgebra, n: int, max_entries: int = DEFAULT_BLOCK_
 
 
 def _rank_mod_p(mat: np.ndarray, p: int) -> int:
-    """Rank over GF(p) of an integer matrix, p < 2 ** 31.  Each step finds
-    the next pivot column with one test over the rows not yet used and
-    updates only the columns from it on, so the work stops at the rank."""
-    m = mat % p
+    """Rank over GF(p) of an integer matrix (int64 or Python ints), p <
+    2 ** 31.  Each step finds the next pivot column with one test over the
+    rows not yet used and updates only the columns from it on, so the work
+    stops at the rank."""
+    m = (mat % p).astype(np.int64, copy=False)
     rows, cols = m.shape
     r = c = 0
     while r < rows and c < cols:
@@ -112,11 +114,6 @@ def _rank_exact(rows_entries) -> int:
     """Rank over Q of sparse rows given as dicts col -> value."""
     echelon = {}
     return sum(eliminate(echelon, row) for row in rows_entries)
-
-
-def _residue(v, p: int) -> int:
-    """An int or Fraction reduced mod p."""
-    return v % p if isinstance(v, int) else v.numerator * pow(v.denominator, -1, p) % p
 
 
 def _checked_primes(primes, n: int) -> tuple:
@@ -356,45 +353,40 @@ def check_request(alg: GradedAlgebra, n: int, mode: str = "modular", primes=None
     return primes, reps
 
 
-def _layouts(words: _WordTable, reps, max_block_entries: int):
-    """Yield (rep, layout) per representative, once its n! x n_cols
-    gathered entries are known to stay within max_block_entries."""
+def isotypic_slices(alg: GradedAlgebra, n: int, reps,
+                    max_block_entries: int = DEFAULT_BLOCK_CAP):
+    """Yield (rep, n_cols, slices) per sorted representative (reps as
+    check_request returns them).  slices lists (shapes, d_<lambda>, rows)
+    per multipartition <lambda> of rep's composition: rows is the block
+    combined by that slice of _isotypic_basis, an integer matrix whose rank
+    over Q is the multiplicity m_<lambda> and whose rank mod p > n is a
+    lower bound for it.
+
+    The block is gathered once, from the word table scaled by the lcm of
+    its denominators (which leaves every rank over Q unchanged), and
+    combined by the whole basis in one product: in float64 when
+    |entries| <= n! * max |value| < 2 ** 53, where the product is exact,
+    and in Python ints otherwise.  Raises ResourceLimit before gathering a
+    block of more than max_block_entries n! x n_cols entries."""
+    words = _WordTable(alg, n, max_block_entries)
+    scale = math.lcm(*(getattr(c, "denominator", 1) for c in words.coefs))
+    values = [int(c * scale) for c in words.coefs]
     n_perms = len(words.perms)
+    exact_float = n_perms * max(map(abs, values), default=0) < 2 ** 53
+    table = words.table(values, np.float64 if exact_float else object)
     for rep in reps:
         layout = _BlockLayout(words, rep)
         if n_perms * layout.n_cols > max_block_entries:
             raise ResourceLimit(
                 f"block for assignment {rep} gathers {n_perms} x {layout.n_cols} entries "
                 f"(cap {max_block_entries})", context=rep)
-        yield rep, layout
-
-
-def exact_ranks(alg: GradedAlgebra, n: int, reps, weight,
-                max_block_entries: int = DEFAULT_BLOCK_CAP):
-    """Yield (rep, n_cols, total) per sorted representative (reps as
-    check_request returns them): total is the sum over the multipartitions
-    <lambda> of its composition of weight(<lambda>, d_<lambda>) times the
-    exact rank m_<lambda> of the block's rows combined by that slice of
-    _isotypic_basis, the multiplicity of <lambda> in the block's row space.
-    Slices of weight 0 are not ranked."""
-    words = _WordTable(alg, n, max_block_entries)
-    # integral values, which leave every rank unchanged
-    scale = math.lcm(*(getattr(c, "denominator", 1) for c in words.coefs))
-    values = [int(c * scale) for c in words.coefs]
-    # |product entries| <= n! * max |value|
-    fits = len(words.perms) * max(map(abs, values), default=0) < 2 ** 62
-    table = words.table(values, np.int64 if fits else object)
-    for rep, layout in _layouts(words, reps, max_block_entries):
         composition = _composition(rep)
         basis, pieces = _isotypic_basis(composition)
-        block = layout.matrix(table)
-        total = 0
-        for shapes, (d, rows) in zip(_multipartitions(composition), pieces):
-            w = weight(shapes, d)
-            if w:
-                combined = basis[rows].astype(table.dtype) @ block
-                total += w * _rank_exact(_dict_rows(combined))
-        yield rep, layout.n_cols, total
+        combined = basis.astype(table.dtype) @ layout.matrix(table)
+        if exact_float:
+            combined = combined.astype(np.int64)
+        yield rep, layout.n_cols, [(shapes, d, combined[rows]) for shapes, (d, rows)
+                                   in zip(_multipartitions(composition), pieces)]
 
 
 def graded_codim(alg: GradedAlgebra, n: int, mode: str = "modular",
@@ -422,29 +414,16 @@ def graded_codim(alg: GradedAlgebra, n: int, mode: str = "modular",
     t0 = time.monotonic()
     primes, reps = check_request(alg, n, mode, primes, max_block_entries)
     n_perms = math.factorial(n)
-    if mode == "exact":
-        ranked = {rep: (n_cols, rank, CERT_EXACT) for rep, n_cols, rank
-                  in exact_ranks(alg, n, reps, lambda shapes, d: d, max_block_entries)}
-    else:
-        words = _WordTable(alg, n, max_block_entries)
-        residue_tables = {}
-        ranked = {}
-        for rep, layout in _layouts(words, reps, max_block_entries):
-            basis, pieces = _isotypic_basis(_composition(rep))
-            ranks = []
-            for p in (primes or _block_primes(seed, rep)):
-                if p not in residue_tables:
-                    if n_perms * p >= 2 ** 53:
-                        raise ResourceLimit(f"n! * p = {n_perms * p} passes 2**53, where "
-                                            f"float64 products stop being exact", context=rep)
-                    residue_tables[p] = words.table([_residue(c, p) for c in words.coefs],
-                                                    np.float64)
-                # |entries| <= n! * p < 2 ** 53: the float64 product is exact
-                combined = basis.astype(np.float64) @ layout.matrix(residue_tables[p])
-                combined = np.mod(combined, p, out=combined).astype(np.int64)
-                ranks.append(sum(d * _rank_mod_p(combined[rows], p) for d, rows in pieces))
+    ranked = {}
+    for rep, n_cols, slices in isotypic_slices(alg, n, reps, max_block_entries):
+        if mode == "exact":
+            rank = sum(d * _rank_exact(_dict_rows(rows)) for _, d, rows in slices)
+            ranked[rep] = (n_cols, rank, CERT_EXACT)
+        else:
+            ranks = [sum(d * _rank_mod_p(rows, p) for _, d, rows in slices)
+                     for p in (primes or _block_primes(seed, rep))]
             cert = CERT_MODULAR_STABLE if len(set(ranks)) == 1 else CERT_MODULAR_UNSTABLE
-            ranked[rep] = (layout.n_cols, max(ranks), cert)
+            ranked[rep] = (n_cols, max(ranks), cert)
     # lexicographic over semigroup element indices keeps output reproducible
     blocks = [EvaluationBlock(a, n_perms, *ranked[tuple(sorted(a))])
               for a in product(alg.support(), repeat=n)]

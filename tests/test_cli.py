@@ -303,6 +303,23 @@ def test_primes_must_exceed_the_degree(runner):
     assert "2**31" in payload["message"]
 
 
+def test_a_prime_may_divide_a_denominator(runner, tmp_path):
+    # a.a = a/3: the block is scaled to integers before it is reduced mod
+    # p, so p = 3 gives a rank mod 3, still a lower bound for the rank over Q
+    path = tmp_path / "third.alg"
+    path.write_text("name: third\nsemigroup: T1\nbasis: a\ndegree: a 0\n"
+                    "structure: 1 1 1 1/3\nunit: 3\n", encoding="utf-8")
+    args = ["codim", "--input", str(path), "--n-max", "2", "--no-timings"]
+    modular = runner.invoke(main, args + ["--primes", "3,5"])
+    assert modular.exit_code == 0
+    lines = modular.stdout.strip().splitlines()
+    assert lines[0] == "n,c_n,certification,seconds"
+    assert lines[2].startswith("2,1,")
+    exact = runner.invoke(main, args + ["--mode", "exact"])
+    assert exact.exit_code == 0
+    assert exact.stdout.strip().splitlines()[2].startswith("2,1,")
+
+
 @pytest.mark.parametrize("shape", ["2,x", "3,0", "1,2", ","])
 def test_malformed_shape_is_a_usage_error(runner, shape):
     result = runner.invoke(main, ["multiplicity", "--catalog", "thm_T3_fractional",

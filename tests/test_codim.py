@@ -6,7 +6,7 @@ from itertools import permutations, product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from semigraded import codim
@@ -21,7 +21,6 @@ from semigraded.codim import (
     _product_cache,
     _rank_exact,
     _rank_mod_p,
-    _residue,
     codim_sequence,
     exponent_estimate,
     graded_codim,
@@ -38,9 +37,12 @@ from semigraded.gralgebra import (
     GradedAlgebra,
     adjoin_unit,
     catalog_names,
+    direct_sum,
     full_matrix,
+    ideal_generated,
     opposite,
     paper_catalog,
+    quotient_algebra,
 )
 from semigraded.linalg import ZERO, matrix_rank
 from semigraded.semigroup import trivial_semigroup
@@ -93,6 +95,11 @@ def evaluate_monomial(alg: GradedAlgebra, m: GradedMonomial, subst, strict: bool
 
 
 # -- oracle: every degree assignment assembled on its own, as dict rows --
+
+def _residue(v, p: int) -> int:
+    """An int or Fraction reduced mod p."""
+    return v % p if isinstance(v, int) else v.numerator * pow(v.denominator, -1, p) % p
+
 
 def block_rank(rows, ncols: int, p=None) -> int:
     """Rank of sparse rows (dicts col -> value, col < ncols): over Q when p
@@ -411,14 +418,20 @@ def test_product_cache_matches_the_oracle(alg):
                 assert not any(expected), key
 
 
-def half_scaled(alg):
-    """alg on the basis e_i / 2: every structure constant is halved, the
-    degree map is unchanged and the unit coordinates double."""
+def divided_basis(alg, k: int):
+    """alg on the basis e_i / k: every structure constant is divided by k,
+    the degree map is unchanged and the unit coordinates are multiplied by k."""
     return GradedAlgebra(
         alg.dim, alg.basis_labels,
-        {key: {k: c / 2 for k, c in cell.items()} for key, cell in alg.structure.items()},
-        alg.degree, alg.semigroup, unit=tuple(2 * c for c in alg.unit),
-        name=alg.name + "/2")
+        {key: {i: Fraction(c) / k for i, c in cell.items()} for key, cell in alg.structure.items()},
+        alg.degree, alg.semigroup,
+        unit=None if alg.unit is None else tuple(k * c for c in alg.unit),
+        name=f"{alg.name}/{k}")
+
+
+def half_scaled(alg):
+    """alg on the basis e_i / 2: every structure constant is halved."""
+    return divided_basis(alg, 2)
 
 
 def test_non_integral_structure_constants():
@@ -604,9 +617,11 @@ def _matrix_case(data):
 def test_rank_mod_p_matches_the_column_loop(data):
     mat = _matrix_case(data)
     p = data.draw(st.sampled_from((2, 3, 7, 1073741789)), label="p")
-    before = mat.copy()
-    assert _rank_mod_p(mat, p) == column_loop_rank_mod_p(mat, p)
-    assert (mat == before).all()
+    # Python ints reach it from the product of blocks past the float64 range
+    for entries in (mat, mat.astype(object)):
+        before = entries.copy()
+        assert _rank_mod_p(entries, p) == column_loop_rank_mod_p(mat, p)
+        assert (entries == before).all()
 
 
 def test_rank_mod_p_of_one_by_one_and_empty_shapes():
@@ -652,6 +667,73 @@ def test_cap_counts_the_gathered_entries(monkeypatch):
     monkeypatch.setattr(codim._BlockLayout, "matrix", checked_gather)
     with pytest.raises(ResourceLimit, match="gathers"):
         graded_codim(alg, n, max_block_entries=gathered - 1)
+
+
+def test_modular_mode_gathers_each_block_once(monkeypatch):
+    # both primes rank residues of the same combined block
+    alg = paper_catalog("thm_T1_fractional")
+    n = 4
+    gather = codim._BlockLayout.matrix
+    calls = []
+
+    def counted_gather(self, table):
+        calls.append(self)
+        return gather(self, table)
+
+    monkeypatch.setattr(codim._BlockLayout, "matrix", counted_gather)
+    result = graded_codim(alg, n, primes=(PRIME_BANK[0], PRIME_BANK[1]))
+    assert len(calls) == len({tuple(sorted(b.assignment)) for b in result.blocks})
+
+
+def derived_algebra(data):
+    """A catalog algebra at size 2, on its basis divided by 1, 2, 3 or 5,
+    passed through opposite, direct_sum, adjoin_unit or the quotient by
+    the graded ideal of one homogeneous element.
+
+    The division brings in the fractional structure constants: quotients
+    of the catalog algebras by such ideals kept integral constants in
+    every draw tried."""
+    alg = data.draw(st.sampled_from(catalog_at_two()), label="algebra")
+    k = data.draw(st.sampled_from([1, 2, 3, 5]), label="divisor")
+    if k > 1:
+        alg = divided_basis(alg, k)
+    kind = data.draw(st.sampled_from(["opposite", "direct_sum", "adjoin_unit", "quotient"]),
+                     label="kind")
+    if kind == "opposite":
+        return opposite(alg)
+    if kind == "direct_sum":
+        other = data.draw(st.sampled_from([b for b in catalog_at_two()
+                                           if b.semigroup == alg.semigroup]), label="other")
+        return direct_sum(alg, other)
+    if kind == "adjoin_unit":
+        return adjoin_unit(alg)
+    t = data.draw(st.sampled_from(alg.support()), label="degree")
+    coefs = data.draw(st.lists(st.integers(-3, 3), min_size=len(alg.component_indices(t)),
+                               max_size=len(alg.component_indices(t))), label="generator")
+    generator = [ZERO] * alg.dim
+    for b, c in zip(alg.component_indices(t), coefs):
+        generator[b] = Fraction(c)
+    ideal = ideal_generated(alg, [tuple(generator)])
+    assume(ideal.dim < alg.dim)
+    return quotient_algebra(alg, ideal, graded=True)[0]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_modular_ranks_stay_below_exact_on_derived_algebras(data):
+    # scaling a block to integers and reducing it mod p keeps every rank
+    # a lower bound, with bank primes and with the two primes just above
+    # n, which may divide a denominator of the structure constants
+    alg = derived_algebra(data)
+    n = data.draw(st.integers(1, 3), label="n")
+    if data.draw(st.booleans(), label="small primes"):
+        primes = tuple(p for p in (2, 3, 5, 7) if p > n)[:2]
+    else:
+        primes = tuple(data.draw(st.lists(st.sampled_from(PRIME_BANK), min_size=2, max_size=2,
+                                          unique=True), label="primes"))
+    exact = {b.assignment: b.rank for b in graded_codim(alg, n, mode="exact").blocks}
+    for b in graded_codim(alg, n, primes=primes).blocks:
+        assert b.rank <= exact[b.assignment], (alg.name, n, primes, b.assignment)
 
 
 @pytest.mark.parametrize("primes", [(2, 3), (3, 5), (1073741789, 5)])
