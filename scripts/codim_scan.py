@@ -4,7 +4,7 @@
 Computes c_1..c_N for the interesting catalog algebras in modular mode,
 prints the per-n values with n-th roots and the ratios c_n/c_(n-1), and
 cross-checks the two degree-7 algebras against each other termwise.
---max-block-entries sets the block cap; c_6 fits under the default.
+--max-block-entries sets the block cap; c_7 fits under the default.
 """
 
 import argparse

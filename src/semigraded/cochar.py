@@ -491,8 +491,8 @@ def multiplicity_exact(alg: GradedAlgebra, lam: Partition, n_cap: int = 5,
     n_cap bounds the degree.  monomial_cap bounds hook_dim(lam) *
     |support| ** n, the multiplicity of the shape in the whole graded
     multilinear space and so an upper bound on the answer; the work done
-    is bounded by the codimension engine's block cap (index entries and
-    gathered entries, codim.DEFAULT_BLOCK_CAP).
+    is bounded by the codimension engine's block cap (basis entries,
+    triples and combined entries, codim.DEFAULT_BLOCK_CAP).
     """
     n = lam.n
     if n < 1:

@@ -5,14 +5,15 @@ monomial evaluates to zero on every substitution whose degrees disagree
 with its own, so the quotient dimension is the sum over assignments of
 the rank of one evaluation block.  Assignments with the same multiset of
 degrees have blocks of equal rank, so one block per multiset is built,
-gathered with numpy from a table of word products scaled to integers.  A
-block's rank is split by the graded cocharacter: per multipartition of
-its degrees, the rank of the block's rows combined by a certified basis
-of one isotypic piece of the group algebra.  isotypic_slices gathers and
-combines each block once; graded_codim ranks the slices over two ~30-bit
-primes by default (a certified lower bound, labelled as such) or over
-exact rationals on request, and cochar.multiplicity_exact induces the
-ordinary cocharacter from their exact ranks.
+scattered with numpy from the words of nonzero product whose degrees sort
+to it, their coefficients scaled to integers.  A block's rank is split by
+the graded cocharacter: per multipartition of its degrees, the rank of
+the block's rows combined by a certified basis of one isotypic piece of
+the group algebra.  isotypic_slices scatters and combines each block
+once; graded_codim ranks the slices over two ~30-bit primes by default (a
+certified lower bound, labelled as such) or over exact rationals on
+request, and cochar.multiplicity_exact induces the ordinary cocharacter
+from their exact ranks.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import math
 import random
 import time
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import combinations_with_replacement, groupby, permutations, product
 
 import numpy as np
@@ -136,80 +137,79 @@ def _block_primes(seed, assignment):
 
 
 class _WordTable:
-    """The length-n words of alg with a nonzero product, found by their
-    base-dim code; the row past the last word is the zero vector of every
-    word left out (a zero product, or a zero prefix and so no cache entry).
-    Also holds what every block of length n shares: the permutations of
-    range(n) in lexicographic order and the basis of each component."""
+    """The length-n words of alg with a nonzero product, with their letters
+    and degrees sorted stably by degree and pi_0 = argsort(argsort(degrees));
+    their product coefficients as entries (word, coordinate, value), scaled
+    to integers by the lcm of their denominators (ranks over Q unchanged)."""
 
     def __init__(self, alg: GradedAlgebra, n: int, max_entries: int):
         cache = _product_cache(alg, n, max_entries)
-        dim = alg.dim
-        # dim ** n stays far below 2 ** 63 while the block cap holds and the
-        # |support| ** n assignments fit in memory
-        words = sorted(key for key, value in cache.items() if len(key) == n and value)
-        self.powers = dim ** np.arange(n - 1, -1, -1, dtype=np.int64)
-        self.codes = np.array(words, dtype=np.int64).reshape(-1, n) @ self.powers
-        self.dim = dim
-        entries = [(i, k, c) for i, w in enumerate(words) for k, c in cache[w].items()]
-        self._at = tuple(np.array([e[j] for e in entries], dtype=np.int64) for j in (0, 1))
-        self.coefs = [e[2] for e in entries]
-        self.nonzero = self.table([True] * len(entries), bool)
-        self.perms = np.array(list(permutations(range(n))), dtype=np.int64)
-        self.comp = {t: alg.component_indices(t) for t in alg.support()}
+        keys = [key for key, value in cache.items() if len(key) == n and value]
+        words = np.array(keys, dtype=np.int64).reshape(-1, n)
+        degrees = np.array(alg.degree, dtype=np.int64)[words]
+        order = np.argsort(degrees, axis=1, kind="stable")
+        self.degrees = np.take_along_axis(degrees, order, axis=1)
+        self.sorted = np.take_along_axis(words, order, axis=1)
+        self.placed = np.argsort(order, axis=1).astype(np.int8)
+        # (substitution, coordinate) codes stay far below 2 ** 63 under the block cap
+        self.powers = alg.dim ** np.arange(n, 0, -1, dtype=np.int64)
+        entries = [(i, k, c) for i, w in enumerate(keys) for k, c in cache[w].items()]
+        self.at, self.coord = (np.array([e[j] for e in entries], dtype=np.int64) for j in (0, 1))
+        scale = math.lcm(*(getattr(e[2], "denominator", 1) for e in entries))
+        values = [int(e[2] * scale) for e in entries]
+        # every partial sum of a combined entry is an integer of size at most
+        # n! * max |value|, exact in float32 below 2 ** 24 and float64 below 2 ** 53
+        bound = math.factorial(n) * max(map(abs, values), default=0)
+        self.values = np.array(values, dtype=np.float32 if bound < 2 ** 24
+                               else np.float64 if bound < 2 ** 53 else object)
 
-    def table(self, values, dtype):
-        """(words + 1) x dim array holding values[e] at the place of the
-        e-th product coefficient (listed in self.coefs), zero elsewhere."""
-        out = np.zeros((len(self.codes) + 1, self.dim), dtype=dtype)
-        out[self._at] = np.array(values, dtype=dtype)
-        return out
+    def scatter(self, rep, young: np.ndarray, max_entries: int):
+        """(rows, cols, values, n_cols): the nonzero entries of rep's block,
+        cols increasing.  A word w whose degrees sort to rep lands at the
+        rows pi = h o pi_0 (by lexicographic rank), h in the Young subgroup
+        young, and at the columns (s, k) in lexicographic order: s = w o
+        pi^-1 and k a coordinate of w's product.  Raises ResourceLimit
+        before allocating more than max_entries triples."""
+        mine = (self.degrees == rep).all(axis=1)
+        take = mine[self.at]
+        triples = len(young) * int(take.sum())
+        if triples > max_entries:
+            raise ResourceLimit(f"block for assignment {rep} scatters {triples} entries "
+                                f"(cap {max_entries})", context=rep)
+        local = (np.cumsum(mine) - 1)[self.at[take]]
+        rows = _lex_ranks(young[:, self.placed[mine]]).T[local].ravel()
+        # s[h[v]] is the v-th sorted letter of w
+        codes = (self.sorted[mine] @ self.powers[young].T)[local] + self.coord[take, None]
+        order = np.argsort(codes, axis=None)
+        distinct, cols = np.unique(codes.ravel()[order], return_inverse=True)
+        values = np.repeat(self.values[take], len(young))[order]
+        return rows[order], cols, values, len(distinct)
 
-    def rows(self, words):
-        """Table row of every code in words; the zero row for one not listed."""
-        idx = np.searchsorted(self.codes, words)
-        hit = idx < len(self.codes)
-        hit[hit] = self.codes[idx[hit]] == words[hit]
-        idx[~hit] = len(self.codes)
-        return idx
+
+def _lex_ranks(perms: np.ndarray) -> np.ndarray:
+    """The rank of each permutation of range(n) along the last axis of
+    perms among them all in lexicographic order, by its Lehmer code."""
+    n = perms.shape[-1]
+    ranks = np.zeros(perms.shape[:-1], dtype=np.int64)
+    for j in range(n - 1):
+        ranks += math.factorial(n - 1 - j) * (perms[..., j + 1:] < perms[..., j, None]).sum(-1)
+    return ranks
 
 
-# target number of block entries gathered at once
-_CHUNK_ENTRIES = 1 << 18
-
-
-class _BlockLayout:
-    """Where each entry of the block of one assignment comes from, before
-    any values.
-
-    Row i is the permutation words.perms[i]; column (s, k) is coordinate k
-    of the s-th substitution of the assignment's degrees, lexicographically.
-    Per substitution chunk this keeps the table row of every (permutation,
-    substitution) word and the mask of the chunk's columns that are
-    nonzero in some row; n_cols counts those columns.
-    """
-
-    def __init__(self, words: _WordTable, assignment):
-        subs = np.array(list(product(*(words.comp[t] for t in assignment))), dtype=np.int64)
-        perms = words.perms
-        self.n_rows = len(perms)
-        step = max(1, _CHUNK_ENTRIES // (self.n_rows * words.dim))
-        self.chunks = []
-        for lo in range(0, len(subs), step):
-            idx = words.rows(subs[lo:lo + step][:, perms] @ words.powers).T
-            keep = words.nonzero[idx].reshape(self.n_rows, -1).any(axis=0)
-            self.chunks.append((idx, keep))
-        self.n_cols = sum(int(keep.sum()) for _, keep in self.chunks)
-
-    def matrix(self, table: np.ndarray) -> np.ndarray:
-        """The block's n_rows x n_cols matrix with entries from table."""
-        out = np.empty((self.n_rows, self.n_cols), dtype=table.dtype)
-        j = 0
-        for idx, keep in self.chunks:
-            piece = table[idx].reshape(self.n_rows, -1)[:, keep]
-            out[:, j:j + piece.shape[1]] = piece
-            j += piece.shape[1]
-        return out
+def _combine(basis: np.ndarray, rows, cols, values, n_cols: int) -> np.ndarray:
+    """basis times the n! x n_cols block holding values at (rows, cols), cols
+    increasing, one dense column chunk of about 2 ** 18 entries (a few MB)
+    at a time; in int64, or in Python ints for object values."""
+    n_perms = basis.shape[1]
+    step = max(1, 2 ** 18 // n_perms)
+    basis = basis.astype(values.dtype)
+    out = np.empty((len(basis), n_cols), dtype=object if values.dtype == object else np.int64)
+    ends = np.searchsorted(cols, range(0, n_cols + step, step)).tolist()
+    for lo, a, b in zip(range(0, n_cols, step), ends, ends[1:]):
+        chunk = np.zeros((n_perms, min(step, n_cols - lo)), dtype=values.dtype)
+        chunk[rows[a:b], cols[a:b] - lo] = values[a:b]
+        out[:, lo:lo + chunk.shape[1]] = basis @ chunk
+    return out
 
 
 def _dict_rows(mat: np.ndarray) -> list:
@@ -235,16 +235,21 @@ def _dict_rows(mat: np.ndarray) -> list:
 # product of per-factor spanning_permutations and g a coset representative
 # of H in S_n.
 
-def _direct_product(factors):
-    """(words, signs) of the direct product of per-factor (words, signs),
-    factor t acting on the variables after those of the factors before it."""
-    words, signs = np.zeros((1, 0), dtype=np.int64), np.ones(1, dtype=np.int64)
-    for w, s in factors:
-        shifted = w + words.shape[1]
-        words = np.concatenate([np.repeat(words, len(s), axis=0),
-                                np.tile(shifted, (len(words), 1))], axis=1)
-        signs = np.multiply.outer(signs, s).ravel()
-    return words, signs
+def _direct_product(factors) -> np.ndarray:
+    """The words of the direct product of per-factor words, factor t acting
+    on the variables after those of the factors before it."""
+    words = np.zeros((1, 0), dtype=np.int64)
+    for w in factors:
+        words = np.concatenate([np.repeat(words, len(w), axis=0),
+                                np.tile(w + words.shape[1], (len(words), 1))], axis=1)
+    return words
+
+
+@lru_cache(maxsize=None)
+def _young_subgroup(composition) -> np.ndarray:
+    """The Young subgroup of a composition, one int8 word per element."""
+    words = _direct_product(np.array(list(permutations(range(k)))) for k in composition)
+    return words.astype(np.int8)
 
 
 def _coset_words(composition) -> np.ndarray:
@@ -293,18 +298,15 @@ def _isotypic_basis(composition: tuple):
     """
     n = sum(composition)
     cosets = _coset_words(composition)
-    # words by their base-n codes, which increase in lexicographic order
-    powers = n ** np.arange(n - 1, -1, -1)
-    lex_codes = np.array(list(permutations(range(n)))) @ powers
     blocks, pieces, start = [], [], 0
     for shapes in _multipartitions(composition):
         factors = [_young_factor(lam) for lam in shapes]
-        x, signs = _direct_product((terms, s) for terms, s, _ in factors)
-        h, _ = _direct_product((words, np.ones(len(words), dtype=np.int64))
-                               for _, _, words in factors)
+        x = _direct_product(terms for terms, _, _ in factors)
+        signs = reduce(np.multiply.outer, [s for _, s, _ in factors]).ravel()
+        h = _direct_product(words for _, _, words in factors)
         # row (g, h) holds sign(x) at the word x o h o g, for every term x of e
         hg = h[:, cosets].transpose(1, 0, 2).reshape(-1, n)
-        cols = np.searchsorted(lex_codes, x[:, hg] @ powers)
+        cols = _lex_ranks(x[:, hg])
         rows = np.zeros((len(hg), math.factorial(n)), dtype=np.int8)
         rows[np.arange(len(hg)), cols] = signs[:, None]
         d = math.prod(hook_dim(lam) for lam in shapes)
@@ -328,28 +330,34 @@ def _composition(rep) -> tuple:
     return tuple(len(list(run)) for _, run in groupby(rep))
 
 
+@lru_cache(maxsize=None)
+def _basis_rows(composition) -> int:
+    """The rows of _isotypic_basis(composition), without building it."""
+    multinomial = math.factorial(sum(composition)) // math.prod(map(math.factorial, composition))
+    return multinomial * math.prod(sum(map(hook_dim, partitions_of(k))) for k in composition)
+
+
 def check_request(alg: GradedAlgebra, n: int, mode: str = "modular", primes=None,
                   max_block_entries: int = DEFAULT_BLOCK_CAP):
     """Every check graded_codim makes before it builds anything, in its
     order; nothing is built.  Returns (primes, reps): the checked primes (or
     None) and the sorted representative of every orbit of degree
     assignments, lexicographically, each the first assignment of its orbit.
-    Raises ResourceLimit when the n! x prod |component| table indices behind
-    a representative's block pass max_block_entries."""
+    Raises ResourceLimit when the isotypic basis that combines a
+    representative's block, rows x n! entries, passes max_block_entries."""
     if n < 1:
         raise EmptySequence("n must be >= 1")
     if mode not in ("modular", "exact"):
         raise ValueError(f"unknown mode {mode!r}")
     if primes is not None:
         primes = _checked_primes(primes, n)
-    sizes = {t: len(alg.component_indices(t)) for t in alg.support()}
-    reps = list(combinations_with_replacement(sorted(sizes), n))
+    reps = list(combinations_with_replacement(alg.support(), n))
     for rep in reps:
-        entries = math.factorial(n) * math.prod(sizes[t] for t in rep)
-        if entries > max_block_entries:
+        rows = _basis_rows(_composition(rep))
+        if rows * math.factorial(n) > max_block_entries:
             raise ResourceLimit(
-                f"block for assignment {rep} needs {entries} index entries "
-                f"(cap {max_block_entries})", context=rep)
+                f"block for assignment {rep} needs a {rows} x {math.factorial(n)} "
+                f"isotypic basis (cap {max_block_entries})", context=rep)
     return primes, reps
 
 
@@ -362,31 +370,22 @@ def isotypic_slices(alg: GradedAlgebra, n: int, reps,
     over Q is the multiplicity m_<lambda> and whose rank mod p > n is a
     lower bound for it.
 
-    The block is gathered once, from the word table scaled by the lcm of
-    its denominators (which leaves every rank over Q unchanged), and
-    combined by the whole basis in one product: in float64 when
-    |entries| <= n! * max |value| < 2 ** 53, where the product is exact,
-    and in Python ints otherwise.  Raises ResourceLimit before gathering a
-    block of more than max_block_entries n! x n_cols entries."""
+    The block is scattered once (_WordTable.scatter) and combined by the
+    whole basis (_combine); ResourceLimit is raised before either step
+    allocates more than max_block_entries triples or combined entries."""
     words = _WordTable(alg, n, max_block_entries)
-    scale = math.lcm(*(getattr(c, "denominator", 1) for c in words.coefs))
-    values = [int(c * scale) for c in words.coefs]
-    n_perms = len(words.perms)
-    exact_float = n_perms * max(map(abs, values), default=0) < 2 ** 53
-    table = words.table(values, np.float64 if exact_float else object)
     for rep in reps:
-        layout = _BlockLayout(words, rep)
-        if n_perms * layout.n_cols > max_block_entries:
-            raise ResourceLimit(
-                f"block for assignment {rep} gathers {n_perms} x {layout.n_cols} entries "
-                f"(cap {max_block_entries})", context=rep)
         composition = _composition(rep)
+        rows, cols, values, n_cols = words.scatter(rep, _young_subgroup(composition),
+                                                   max_block_entries)
         basis, pieces = _isotypic_basis(composition)
-        combined = basis.astype(table.dtype) @ layout.matrix(table)
-        if exact_float:
-            combined = combined.astype(np.int64)
-        yield rep, layout.n_cols, [(shapes, d, combined[rows]) for shapes, (d, rows)
-                                   in zip(_multipartitions(composition), pieces)]
+        if len(basis) * n_cols > max_block_entries:
+            raise ResourceLimit(
+                f"block for assignment {rep} combines into {len(basis)} x {n_cols} entries "
+                f"(cap {max_block_entries})", context=rep)
+        combined = _combine(basis, rows, cols, values, n_cols)
+        yield rep, n_cols, [(shapes, d, combined[piece]) for shapes, (d, piece)
+                            in zip(_multipartitions(composition), pieces)]
 
 
 def graded_codim(alg: GradedAlgebra, n: int, mode: str = "modular",
@@ -396,7 +395,7 @@ def graded_codim(alg: GradedAlgebra, n: int, mode: str = "modular",
 
     Renaming the variables permutes a block's rows and columns, so its
     rank and column count depend only on the multiset of its degrees: one
-    block is gathered per sorted representative and every assignment of
+    block is built per sorted representative and every assignment of
     the orbit is reported with that block's figures.  The block's rank is
     the sum over multipartitions of d_<lambda> times the rank of its rows
     combined by _isotypic_basis.
@@ -407,9 +406,8 @@ def graded_codim(alg: GradedAlgebra, n: int, mode: str = "modular",
     across primes are reported as a stable modular lower bound.  mode
     "exact": rational ranks, certification "exact".
 
-    max_block_entries caps the n! x prod |component| table indices behind
-    a block, checked before anything is built, and its n! x n_cols
-    gathered entries.
+    max_block_entries caps each block's isotypic basis entries, checked
+    before anything is built, then its triples and combined entries.
     """
     t0 = time.monotonic()
     primes, reps = check_request(alg, n, mode, primes, max_block_entries)

@@ -104,12 +104,12 @@ def test_codim_resource_limit_exit_code(runner):
     assert payload["error"] == "ResourceLimit"
 
 
-@pytest.mark.parametrize("extra, message", [
-    ([], "block for assignment (0, 0, 0, 0, 0, 0, 0) needs 82575360 index entries "
-         "(cap 10000000)"),
-    (["--ordinary"], "block for assignment (0, 0, 0, 0, 0, 0) needs 84707280 index entries "
-                     "(cap 10000000)"),
-])
+_DEGREE_EIGHT_REFUSED = ("block for assignment (0, 0, 0, 0, 0, 0, 0, 0) needs a 764 x 40320 "
+                         "isotypic basis (cap 10000000)")
+
+
+@pytest.mark.parametrize("extra, message", [([], _DEGREE_EIGHT_REFUSED),
+                                            (["--ordinary"], _DEGREE_EIGHT_REFUSED)])
 def test_codim_refuses_an_over_cap_degree_before_computing_any(runner, monkeypatch, extra,
                                                                message):
     # every n <= --n-max is checked, on the algebra actually used, before any c_n
@@ -119,7 +119,7 @@ def test_codim_refuses_an_over_cap_degree_before_computing_any(runner, monkeypat
         raise AssertionError("the product cache ran")
 
     monkeypatch.setattr(codim, "_product_cache", product_cache)
-    result = runner.invoke(main, ["codim", "--catalog", "thm_T1_fractional", "--n-max", "7",
+    result = runner.invoke(main, ["codim", "--catalog", "thm_T1_fractional", "--n-max", "8",
                                   "--no-timings", *extra])
     assert result.exit_code == 3
     assert result.stdout == ""

@@ -46,7 +46,7 @@ from semigraded.young import (
     induction_coefficients,
     spanning_permutations,
 )
-from test_codim import block_rank, catalog_at_two, half_scaled
+from test_codim import BlockLayout, WordTable, block_rank, catalog_at_two, half_scaled
 
 
 # -- partitions -----------------------------------------------------------------
@@ -595,10 +595,10 @@ def exact_blocks(alg, n, assignments):
     whose word is the i-th permutation of range(n) in lexicographic order,
     as a sparse dict column -> int or Fraction; the n_cols columns are the
     (substitution, coordinate) pairs that are nonzero in some row."""
-    words = codim._WordTable(alg, n, codim.DEFAULT_BLOCK_CAP)
+    words = WordTable(alg, n)
     table = words.table(words.coefs, object)
     for a in assignments:
-        layout = codim._BlockLayout(words, a)
+        layout = BlockLayout(words, a)
         yield a, codim._dict_rows(layout.matrix(table)), layout.n_cols
 
 

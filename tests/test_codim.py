@@ -450,16 +450,29 @@ def test_non_integral_structure_constants():
         assert multiplicity_exact(alg, lam) == multiplicity_exact(base, lam)
 
 
-def test_huge_structure_constants_take_the_object_product():
-    # x * y = 2 ** 61 xy: words of length n carry 2 ** (61 (n - 1)), past
-    # the int64 range of the exact product from n = 2 on
-    base = paper_catalog("mk_column_graded", 2)
-    c = 2 ** 61
-    alg = GradedAlgebra(
+def scaled_products(base, c: int):
+    """base with every product multiplied by c: x * y = c xy, the unit
+    divided by c; words of length n carry c ** (n - 1)."""
+    return GradedAlgebra(
         base.dim, base.basis_labels,
         {key: {k: v * c for k, v in cell.items()} for key, cell in base.structure.items()},
         base.degree, base.semigroup, unit=tuple(Fraction(u) / c for u in base.unit),
-        name=base.name + "*2**61")
+        name=f"{base.name}*{c}")
+
+
+def test_huge_structure_constants_take_the_object_product():
+    # x * y = 2 ** 61 xy: words of length n carry 2 ** (61 (n - 1)), past
+    # the int64 range of the exact product from n = 2 on
+    alg = scaled_products(paper_catalog("mk_column_graded", 2), 2 ** 61)
+    for mode in ("modular", "exact"):
+        assert [r.value for r in codim_sequence(alg, 4, mode=mode)] == [2, 8, 42, 192]
+
+
+def test_large_structure_constants_take_the_float64_product():
+    # x * y = 2 ** 10 xy: n! * 2 ** (10 (n - 1)) passes 2 ** 24 at n = 4
+    alg = scaled_products(paper_catalog("mk_column_graded", 2), 2 ** 10)
+    assert [codim._WordTable(alg, n, DEFAULT_BLOCK_CAP).values.dtype for n in (3, 4)] == \
+        [np.float32, np.float64]
     for mode in ("modular", "exact"):
         assert [r.value for r in codim_sequence(alg, 4, mode=mode)] == [2, 8, 42, 192]
 
@@ -572,11 +585,94 @@ def column_loop_rank_mod_p(mat, p):
     return r
 
 
-def whole_block_rank(alg, n, rep, p):
-    """The rank mod p of the n! x n_cols block of one assignment."""
-    words = codim._WordTable(alg, n, DEFAULT_BLOCK_CAP)
+class WordTable:
+    """The length-n words of alg with a nonzero product, found by their
+    base-dim code; the row past the last word is the zero vector of every
+    word left out (a zero product, or a zero prefix and so no cache entry).
+    Also holds what every block of length n shares: the permutations of
+    range(n) in lexicographic order and the basis of each component."""
+
+    def __init__(self, alg: GradedAlgebra, n: int):
+        cache = _product_cache(alg, n)
+        dim = alg.dim
+        words = sorted(key for key, value in cache.items() if len(key) == n and value)
+        self.powers = dim ** np.arange(n - 1, -1, -1, dtype=np.int64)
+        self.codes = np.array(words, dtype=np.int64).reshape(-1, n) @ self.powers
+        self.dim = dim
+        entries = [(i, k, c) for i, w in enumerate(words) for k, c in cache[w].items()]
+        self._at = tuple(np.array([e[j] for e in entries], dtype=np.int64) for j in (0, 1))
+        self.coefs = [e[2] for e in entries]
+        self.nonzero = self.table([True] * len(entries), bool)
+        self.perms = np.array(list(permutations(range(n))), dtype=np.int64)
+        self.comp = {t: alg.component_indices(t) for t in alg.support()}
+
+    def table(self, values, dtype):
+        """(words + 1) x dim array holding values[e] at the place of the
+        e-th product coefficient (listed in self.coefs), zero elsewhere."""
+        out = np.zeros((len(self.codes) + 1, self.dim), dtype=dtype)
+        out[self._at] = np.array(values, dtype=dtype)
+        return out
+
+    def rows(self, words):
+        """Table row of every code in words; the zero row for one not listed."""
+        idx = np.searchsorted(self.codes, words)
+        hit = idx < len(self.codes)
+        hit[hit] = self.codes[idx[hit]] == words[hit]
+        idx[~hit] = len(self.codes)
+        return idx
+
+
+class BlockLayout:
+    """Where each entry of the block of one assignment comes from: the
+    table row of every (permutation, substitution) word.
+
+    Row i is the permutation words.perms[i]; column (s, k) is coordinate k
+    of the s-th substitution of the assignment's degrees, lexicographically,
+    kept when it is nonzero in some row; n_cols counts the kept columns.
+    """
+
+    def __init__(self, words: WordTable, assignment):
+        subs = np.array(list(product(*(words.comp[t] for t in assignment))), dtype=np.int64)
+        self.n_rows = len(words.perms)
+        self.idx = words.rows(subs[:, words.perms] @ words.powers).T
+        self.keep = words.nonzero[self.idx].reshape(self.n_rows, -1).any(axis=0)
+        self.n_cols = int(self.keep.sum())
+
+    def matrix(self, table: np.ndarray) -> np.ndarray:
+        """The block's n_rows x n_cols matrix with entries from table."""
+        return table[self.idx].reshape(self.n_rows, -1)[:, self.keep]
+
+
+@lru_cache(maxsize=None)
+def word_table(i: int, n: int) -> WordTable:
+    return WordTable(catalog_at_two()[i], n)
+
+
+def whole_block_rank(words: WordTable, rep, p):
+    """The rank mod p of the n! x n_cols gathered block of one assignment."""
     table = words.table([_residue(c, p) for c in words.coefs], np.int64)
-    return column_loop_rank_mod_p(codim._BlockLayout(words, rep).matrix(table), p)
+    return column_loop_rank_mod_p(BlockLayout(words, rep).matrix(table), p)
+
+
+@lru_cache(maxsize=None)
+def engine_reps(i: int, n: int):
+    """{sorted representative: (n_cols, rank, certification)} of the
+    modular engine, default seed, on the i-th algebra of catalog_at_two."""
+    return {tuple(sorted(b.assignment)): (b.n_cols, b.rank, b.certification)
+            for b in graded_codim(catalog_at_two()[i], n).blocks}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_engine_matches_the_gathered_block(data):
+    # the scattered block has the gathered block's columns and ranks
+    i = data.draw(st.integers(0, len(catalog_at_two()) - 1), label="algebra")
+    n = data.draw(st.integers(1, 5), label="n")
+    rep = data.draw(st.sampled_from(sorted(engine_reps(i, n))), label="representative")
+    words = word_table(i, n)
+    ranks = [whole_block_rank(words, rep, p) for p in _block_primes(0, rep)]
+    cert = CERT_MODULAR_STABLE if ranks[0] == ranks[1] else CERT_MODULAR_UNSTABLE
+    assert engine_reps(i, n)[rep] == (BlockLayout(words, rep).n_cols, max(ranks), cert)
 
 
 @settings(max_examples=40, deadline=None)
@@ -591,7 +687,7 @@ def test_isotypic_split_matches_the_whole_block_rank(data):
     primes = tuple(data.draw(st.lists(st.sampled_from(PRIME_BANK), min_size=2, max_size=2,
                                       unique=True), label="primes"))
     [block] = [b for b in graded_codim(alg, n, primes=primes).blocks if b.assignment == rep]
-    ranks = [whole_block_rank(alg, n, rep, p) for p in primes]
+    ranks = [whole_block_rank(word_table(i, n), rep, p) for p in primes]
     assert block.rank == max(ranks)
     assert (block.certification == CERT_MODULAR_STABLE) == (ranks[0] == ranks[1])
 
@@ -631,58 +727,141 @@ def test_rank_mod_p_of_one_by_one_and_empty_shapes():
     assert _rank_mod_p(np.zeros((3, 0), dtype=np.int64), 7) == 0
 
 
+@lru_cache(maxsize=None)
+def modular_codim(name: str, n: int, mirrored: bool = False):
+    """graded_codim of a fixed catalog algebra, or of its opposite, in
+    modular mode with the default seed and cap."""
+    alg = paper_catalog(name)
+    return graded_codim(opposite(alg) if mirrored else alg, n)
+
+
 def test_c6_t3_under_the_default_cap():
-    assert graded_codim(paper_catalog("thm_T3_fractional"), 6).value == 13624
+    assert modular_codim("thm_T3_fractional", 6).value == 13624
 
 
-def test_degree_seven_fails_before_the_product_cache(monkeypatch):
+# (n_cols, rank) per sorted representative at n = 6, (0,) * (6 - j) + (1,) * j
+# for j = 0..6; recorded from the gathered blocks
+_SIXTH_BLOCKS = {
+    "thm_T1_fractional": ((3306, 346), (2514, 346), (1842, 346), (1282, 333), (826, 293),
+                          (466, 223), (194, 130)),
+    "thm_T3_fractional": ((3306, 346), (2504, 428), (1184, 361), (481, 198), (158, 79),
+                          (39, 24), (7, 6)),
+}
+_SIXTH_BLOCKS["thm_T2_fractional"] = _SIXTH_BLOCKS["thm_T1_fractional"]
+
+
+@pytest.mark.parametrize("name", sorted(_SIXTH_BLOCKS))
+def test_degree_six_blocks_are_pinned(name):
+    blocks = {tuple(sorted(b.assignment)): (b.n_cols, b.rank, b.certification)
+              for b in modular_codim(name, 6).blocks}
+    assert blocks == {(0,) * (6 - j) + (1,) * j: pinned + (CERT_MODULAR_STABLE,)
+                      for j, pinned in enumerate(_SIXTH_BLOCKS[name])}
+
+
+def test_t1_t2_termwise_equality_at_degree_six():
+    t1, t2 = (modular_codim(name, 6) for name in ("thm_T1_fractional", "thm_T2_fractional"))
+    assert t1.value == t2.value == 20135
+    assert t1.certification == t2.certification == CERT_MODULAR_STABLE
+
+
+@pytest.mark.parametrize("name, c5", [("thm_T1_fractional", 2746), ("thm_T3_fractional", 2136)])
+def test_opposite_preserves_c5_modular(name, c5):
+    assert modular_codim(name, 5).value == modular_codim(name, 5, mirrored=True).value == c5
+
+
+@pytest.mark.parametrize("name", ["thm_T1_fractional", "thm_T2_fractional",
+                                  "thm_T3_fractional"])
+def test_check_request_admits_degree_seven(name):
+    _, reps = codim.check_request(paper_catalog(name), 7)
+    assert len(reps) == 8
+
+
+def test_degree_eight_fails_before_the_product_cache(monkeypatch):
     def unreachable(*args, **kwargs):
         raise AssertionError("product cache built before the block cap was checked")
 
     monkeypatch.setattr(codim, "_product_cache", unreachable)
     for name in ("thm_T1_fractional", "thm_T2_fractional", "thm_T3_fractional"):
-        with pytest.raises(ResourceLimit):
-            graded_codim(paper_catalog(name), 7)
+        with pytest.raises(ResourceLimit, match="isotypic basis"):
+            graded_codim(paper_catalog(name), 8)
 
 
-def test_cap_counts_the_gathered_entries(monkeypatch):
-    # a cap that every block's table indices fit under, but not the
-    # n! x n_cols entries of the largest gathered block
-    alg = paper_catalog("mk_column_graded", 2)
+def test_cap_counts_the_allocated_entries(monkeypatch):
+    # the scattered triples of a block are the nonzeros of the gathered
+    # block, and its combined entries are the basis rows times its columns;
+    # T3 at n = 4 has fewer product cache entries and basis entries than the
+    # first block's triples
+    alg = paper_catalog("thm_T3_fractional")
     n = 4
-    words = codim._WordTable(alg, n, DEFAULT_BLOCK_CAP)
-    reps = sorted({tuple(sorted(a)) for a in product(alg.support(), repeat=n)})
-    index = max(24 * len(list(product(*(alg.component_indices(t) for t in rep))))
-                for rep in reps)
-    gathered = max(24 * codim._BlockLayout(words, rep).n_cols for rep in reps)
-    assert index < gathered
-    assert graded_codim(alg, n, max_block_entries=gathered).value == 192
+    words = WordTable(alg, n)
+    table = words.table(words.coefs, object)
+    _, reps = codim.check_request(alg, n)
+    triples, combined = {}, {}
+    for rep in reps:
+        layout = BlockLayout(words, rep)
+        triples[rep] = int(np.count_nonzero(layout.matrix(table)))
+        combined[rep] = codim._basis_rows(codim._composition(rep)) * layout.n_cols
+    first = reps[0]
+    bases = max(codim._basis_rows(codim._composition(rep)) for rep in reps) * math.factorial(n)
+    assert max(bases, len(_product_cache(alg, n))) < triples[first] < combined[first] \
+        < max(combined.values())
 
-    gather = codim._BlockLayout.matrix
+    cap = None
+    allocated = []
+    scatter, combine = codim._WordTable.scatter, codim._combine
 
-    def checked_gather(self, table):
-        assert self.n_rows * self.n_cols < gathered, "a block over the cap was gathered"
-        return gather(self, table)
+    def checked_scatter(self, *args):
+        out = scatter(self, *args)
+        allocated.append(("scatter", len(out[0])))
+        assert len(out[0]) <= cap, "triples over the cap were scattered"
+        return out
 
-    monkeypatch.setattr(codim._BlockLayout, "matrix", checked_gather)
-    with pytest.raises(ResourceLimit, match="gathers"):
-        graded_codim(alg, n, max_block_entries=gathered - 1)
+    def checked_combine(*args):
+        out = combine(*args)
+        allocated.append(("combine", out.size))
+        assert out.size <= cap, "entries over the cap were combined"
+        return out
+
+    monkeypatch.setattr(codim._WordTable, "scatter", checked_scatter)
+    monkeypatch.setattr(codim, "_combine", checked_combine)
+    cap = max(combined.values())
+    assert graded_codim(alg, n, max_block_entries=cap).value == 305
+    assert allocated == [(kind, size[rep]) for rep in reps
+                         for kind, size in (("scatter", triples), ("combine", combined))]
+    with pytest.raises(ResourceLimit, match="combines"):
+        graded_codim(alg, n, max_block_entries=cap - 1)
+    # the first block's triples fit at their exact size, and not one below
+    cap = triples[first]
+    with pytest.raises(ResourceLimit, match="combines"):
+        graded_codim(alg, n, max_block_entries=cap)
+    cap = triples[first] - 1
+    with pytest.raises(ResourceLimit, match="scatters"):
+        graded_codim(alg, n, max_block_entries=cap)
 
 
-def test_modular_mode_gathers_each_block_once(monkeypatch):
-    # both primes rank residues of the same combined block
+def test_modular_mode_scatters_each_block_once(monkeypatch):
+    # both primes rank residues of the same scattered and combined block
     alg = paper_catalog("thm_T1_fractional")
     n = 4
-    gather = codim._BlockLayout.matrix
-    calls = []
+    primes = (PRIME_BANK[0], PRIME_BANK[1])
+    scatter, rank_mod_p = codim._WordTable.scatter, codim._rank_mod_p
+    scattered, ranked = [], []
 
-    def counted_gather(self, table):
-        calls.append(self)
-        return gather(self, table)
+    def counted_scatter(self, *args):
+        scattered.append(args)
+        return scatter(self, *args)
 
-    monkeypatch.setattr(codim._BlockLayout, "matrix", counted_gather)
-    result = graded_codim(alg, n, primes=(PRIME_BANK[0], PRIME_BANK[1]))
-    assert len(calls) == len({tuple(sorted(b.assignment)) for b in result.blocks})
+    def counted_rank(mat, p):
+        ranked.append(p)
+        return rank_mod_p(mat, p)
+
+    monkeypatch.setattr(codim._WordTable, "scatter", counted_scatter)
+    monkeypatch.setattr(codim, "_rank_mod_p", counted_rank)
+    result = graded_codim(alg, n, primes=primes)
+    reps = {tuple(sorted(b.assignment)) for b in result.blocks}
+    assert len(scattered) == len(reps)
+    slices = sum(len(codim._multipartitions(codim._composition(rep))) for rep in reps)
+    assert sorted(ranked) == sorted(primes * slices)
 
 
 def derived_algebra(data):
@@ -767,6 +946,7 @@ def test_isotypic_basis_shape():
         n = sum(composition)
         multinomial = math.factorial(n) // math.prod(math.factorial(k) for k in composition)
         assert basis.shape[1] == math.factorial(n)
+        assert len(basis) == codim._basis_rows(composition)
         assert [rows.stop - rows.start for _, rows in pieces] == \
             [d * multinomial for d, _ in pieces]
         assert sum(d * d for d, _ in pieces) == \
