@@ -13,6 +13,7 @@ from .errors import (
     BadParam,
     GradingViolation,
     NotAssociative,
+    ResourceLimit,
     SemigroupMismatch,
     UnknownName,
 )
@@ -50,12 +51,11 @@ class GradedAlgebra:
 
     def multiply(self, u, v):
         out = [ZERO] * self.dim
+        right = [(j, b) for j, b in enumerate(v) if b != 0]
         for i, a in enumerate(u):
             if a == 0:
                 continue
-            for j, b in enumerate(v):
-                if b == 0:
-                    continue
+            for j, b in right:
                 cell = self.structure.get((i, j))
                 if cell:
                     ab = a * b
@@ -113,29 +113,37 @@ def mul_sparse(table, u, v) -> dict:
 def validate(alg: GradedAlgebra):
     """Check associativity, the grading law and the declared unit.
 
-    Returns a report dict {"ok": bool, "violations": [...]}; the catalog
-    and the file parser insist on ok.
+    Checks sparsely through mul_sparse on alg.eval_table(), each basis
+    product e_i e_j formed once.  Returns a report dict {"ok": bool,
+    "violations": [...]} in the order i, j, then k ascending, each pair's
+    grading before its associativity, the unit last; the catalog and the
+    file parser insist on ok.  Raises ResourceLimit before any product
+    when the dim^3 basis triples pass codim.DEFAULT_BLOCK_CAP.
     """
-    violations = []
+    from .codim import DEFAULT_BLOCK_CAP  # here, since codim imports this module
     n = alg.dim
+    if n ** 3 > DEFAULT_BLOCK_CAP:
+        raise ResourceLimit(f"validating dimension {n} checks {n ** 3} basis triples "
+                            f"(cap {DEFAULT_BLOCK_CAP})")
+    table = alg.eval_table()
+    basis = [{i: 1} for i in range(n)]
+    products = [[mul_sparse(table, basis[i], basis[j]) for j in range(n)] for i in range(n)]
+    violations = []
     for i in range(n):
         for j in range(n):
-            ij = alg.multiply(alg.basis_vector(i), alg.basis_vector(j))
+            ij = products[i][j]
             # grading law on the pair (i, j)
             target = alg.semigroup.mul(alg.degree[i], alg.degree[j])
-            for k, c in enumerate(ij):
-                if c != 0 and alg.degree[k] != target:
-                    violations.append(("grading", (i, j), k))
+            violations.extend(("grading", (i, j), k) for k in sorted(ij)
+                              if alg.degree[k] != target)
             for k in range(n):
-                left = alg.multiply(ij, alg.basis_vector(k))
-                jk = alg.multiply(alg.basis_vector(j), alg.basis_vector(k))
-                right = alg.multiply(alg.basis_vector(i), jk)
-                if left != right:
+                if mul_sparse(table, ij, basis[k]) != mul_sparse(table, basis[i], products[j][k]):
                     violations.append(("associativity", (i, j, k)))
     if alg.unit is not None:
+        unit = {k: c for k, c in enumerate(alg.unit) if c != 0}
         for i in range(n):
-            e = alg.basis_vector(i)
-            if alg.multiply(alg.unit, e) != e or alg.multiply(e, alg.unit) != e:
+            e = basis[i]
+            if mul_sparse(table, unit, e) != e or mul_sparse(table, e, unit) != e:
                 violations.append(("unit", i))
     return {"ok": not violations, "violations": violations}
 

@@ -127,6 +127,26 @@ def test_codim_refuses_an_over_cap_degree_before_computing_any(runner, monkeypat
     assert json.loads(line) == {"error": "ResourceLimit", "message": message}
 
 
+@pytest.mark.parametrize("args, message", [
+    (["check", "--catalog", "full_matrix(30)"],
+     "validating dimension 900 checks 729000000 basis triples (cap 10000000)"),
+    (["codim", "--catalog", "mk_column_graded(15)", "--n-max", "2"],
+     "validating dimension 225 checks 11390625 basis triples (cap 10000000)"),
+], ids=["check", "codim"])
+def test_oversized_validation_is_a_resource_limit(runner, monkeypatch, args, message):
+    from semigraded import gralgebra
+
+    def no_product(*args):
+        raise AssertionError("a product ran")
+
+    monkeypatch.setattr(gralgebra, "mul_sparse", no_product)
+    result = runner.invoke(main, args)
+    assert result.exit_code == 3
+    assert result.stdout == ""
+    [line] = result.stderr.strip().splitlines()
+    assert json.loads(line) == {"error": "ResourceLimit", "message": message}
+
+
 def test_multiplicity_command(runner):
     result = runner.invoke(main, ["multiplicity", "--catalog", "thm_T3_fractional",
                                   "--shape", "2,1", "--variant", "T3",

@@ -1,10 +1,18 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from semigraded.errors import BadParam, GradingViolation, SemigroupMismatch, UnknownName
+from semigraded.errors import (
+    BadParam,
+    GradingViolation,
+    NotAssociative,
+    ResourceLimit,
+    SemigroupMismatch,
+    UnknownName,
+)
 from semigraded.gralgebra import (
     GradedAlgebra,
     adjoin_unit,
@@ -41,10 +49,132 @@ def m2_label(alg, name):
     return alg.basis_labels.index(name)
 
 
+def dense_validate(alg: GradedAlgebra):
+    """The dense validation loop, kept as the oracle for validate: every
+    product is a full Fraction vector from GradedAlgebra.multiply."""
+    violations = []
+    n = alg.dim
+    for i in range(n):
+        for j in range(n):
+            ij = alg.multiply(alg.basis_vector(i), alg.basis_vector(j))
+            # grading law on the pair (i, j)
+            target = alg.semigroup.mul(alg.degree[i], alg.degree[j])
+            for k, c in enumerate(ij):
+                if c != 0 and alg.degree[k] != target:
+                    violations.append(("grading", (i, j), k))
+            for k in range(n):
+                left = alg.multiply(ij, alg.basis_vector(k))
+                jk = alg.multiply(alg.basis_vector(j), alg.basis_vector(k))
+                right = alg.multiply(alg.basis_vector(i), jk)
+                if left != right:
+                    violations.append(("associativity", (i, j, k)))
+    if alg.unit is not None:
+        for i in range(n):
+            e = alg.basis_vector(i)
+            if alg.multiply(alg.unit, e) != e or alg.multiply(e, alg.unit) != e:
+                violations.append(("unit", i))
+    return {"ok": not violations, "violations": violations}
+
+
+def dense_multiply(alg, u, v):
+    """u v summed over every basis pair, zero coordinates included."""
+    out = [Fraction(0)] * alg.dim
+    for i in range(alg.dim):
+        for j in range(alg.dim):
+            for k, c in alg.mul_basis(i, j).items():
+                out[k] += u[i] * v[j] * c
+    return tuple(out)
+
+
 def test_every_catalog_entry_validates():
     for name in catalog_names():
         alg = paper_catalog(name, *CATALOG_ARGS[name])
         assert validate(alg)["ok"], name
+
+
+CATALOG_SMALL = [paper_catalog(name, *CATALOG_ARGS[name]) for name in catalog_names()]
+# opposite, direct sum and unitization of the catalog, all valid
+DERIVED = (
+    [opposite(a) for a in CATALOG_SMALL]
+    + [direct_sum(a, a) for a in CATALOG_SMALL if a.dim <= 7]
+    + [adjoin_unit(a) for a in CATALOG_SMALL]
+)
+COEFFICIENTS = [Fraction(0), Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2),
+                Fraction(-3, 2)]
+
+
+def with_constant(alg, i, j, k, c):
+    """alg with the coefficient of e_k in e_i e_j set to c, kept even when 0."""
+    structure = {key: dict(cell) for key, cell in alg.structure.items()}
+    structure.setdefault((i, j), {})[k] = c
+    return replace(alg, structure=structure)
+
+
+@st.composite
+def perturbed_algebras(draw):
+    """A catalog or derived algebra, maybe with one structure constant, one
+    degree or the unit changed."""
+    alg = draw(st.sampled_from(CATALOG_SMALL + DERIVED))
+    n = alg.dim
+    index = st.integers(0, n - 1)
+    change = draw(st.sampled_from(["none", "constant", "degree", "unit"]))
+    if change == "constant":
+        i, j = draw(index), draw(index)
+        cell = alg.structure.get((i, j), {})
+        k = draw(st.sampled_from(sorted(cell)) if cell and draw(st.booleans()) else index)
+        alg = with_constant(alg, i, j, k, draw(st.sampled_from(COEFFICIENTS)))
+    elif change == "degree":
+        i = draw(index)
+        degree = list(alg.degree)
+        degree[i] = draw(st.integers(0, alg.semigroup.order - 1))
+        alg = replace(alg, degree=tuple(degree))
+    elif change == "unit":
+        unit = list(alg.unit or [Fraction(0)] * n)
+        unit[draw(index)] += draw(st.sampled_from(COEFFICIENTS[1:]))
+        alg = replace(alg, unit=tuple(unit))
+    return alg
+
+
+def assert_validation_matches_the_oracle(alg):
+    want = dense_validate(alg)
+    assert validate(alg) == want
+    if want["ok"]:
+        assert validate_or_raise(alg) is alg
+        return
+    kind, where = want["violations"][0][:2]
+    error = NotAssociative if kind == "associativity" else GradingViolation
+    with pytest.raises(error) as info:
+        validate_or_raise(alg)
+    assert type(info.value) is error
+    assert getattr(info.value, "triple" if kind == "associativity" else "pair") == where
+
+
+@settings(max_examples=120, deadline=None)
+@given(perturbed_algebras())
+# explicit zeros (the int path of eval_table) on a zero and a nonzero product,
+# a non-integral constant (the Fraction path), a degree and a unit changed
+@example(with_constant(full_matrix(2), 0, 3, 0, Fraction(0)))
+@example(with_constant(full_matrix(2), 0, 0, 0, Fraction(0)))
+@example(with_constant(full_matrix(2), 1, 2, 0, Fraction(1, 2)))
+@example(with_constant(paper_catalog("thm_T3_fractional"), 0, 0, 5, Fraction(3)))
+@example(replace(paper_catalog("mk_zhalf_graded"), degree=(0, 0, 1, 0)))
+@example(replace(full_matrix(2), unit=(Fraction(1), Fraction(0), Fraction(0), Fraction(2))))
+def test_validate_matches_the_dense_oracle(alg):
+    assert_validation_matches_the_oracle(alg)
+
+
+def test_validate_refuses_too_many_basis_triples_before_any_product(monkeypatch):
+    from semigraded import codim, gralgebra
+
+    monkeypatch.setattr(codim, "DEFAULT_BLOCK_CAP", 27)
+    assert validate(upper_triangular(2))["ok"]  # dimension 3: 27 triples, at the cap
+
+    def no_product(*args):
+        raise AssertionError("a product ran")
+
+    monkeypatch.setattr(gralgebra, "mul_sparse", no_product)
+    with pytest.raises(ResourceLimit, match="dimension 4 checks 64 basis triples"):
+        validate(full_matrix(2))
 
 
 def test_catalog_unknown_and_bad_params():
@@ -171,6 +301,16 @@ def test_multiply_associative_on_random_vectors(xs, ys, zs):
     a = paper_catalog("thm_T1_fractional")
     u, v, w = tuple(vec(xs)), tuple(vec(ys)), tuple(vec(zs))
     assert a.multiply(a.multiply(u, v), w) == a.multiply(u, a.multiply(v, w))
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.data())
+def test_multiply_matches_the_dense_loop(data):
+    alg = data.draw(st.sampled_from(CATALOG_SMALL + DERIVED))
+    scalars = st.sampled_from([Fraction(0)] * 3 + COEFFICIENTS)
+    vectors = st.lists(scalars, min_size=alg.dim, max_size=alg.dim).map(tuple)
+    u, v = data.draw(vectors), data.draw(vectors)
+    assert alg.multiply(u, v) == dense_multiply(alg, u, v)
 
 
 @settings(max_examples=25, deadline=None)
