@@ -10,7 +10,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .codim import _dict_rows, _product_cache, _rank_exact, check_request, isotypic_slices
+from .codim import (_dict_rows, _gram, _product_cache, _rank_exact, check_request,
+                    isotypic_slices)
 from .errors import (
     BadParam,
     BetaInvalid,
@@ -485,7 +486,8 @@ def multiplicity_exact(alg: GradedAlgebra, lam: Partition, n_cap: int = 5,
     multipartitions <mu> of the composition of c^lambda_<mu> * m_<mu>.
     Here m_<mu> is the graded cocharacter, the exact rank of one slice of
     r's combined block (codim.isotypic_slices; only the slices with
-    c != 0 are ranked), and c^lambda_<mu> the Littlewood-Richardson
+    c != 0 are ranked, each through its Gram matrix codim._gram, whose
+    rank over Q is the slice's), and c^lambda_<mu> the Littlewood-Richardson
     coefficient of young.induction_coefficients.
 
     n_cap bounds the degree.  monomial_cap bounds hook_dim(lam) *
@@ -507,7 +509,7 @@ def multiplicity_exact(alg: GradedAlgebra, lam: Partition, n_cap: int = 5,
         for shapes, _, rows in slices:
             c = induction_coefficients(shapes).get(lam, 0)
             if c:
-                total += c * _rank_exact(_dict_rows(rows))
+                total += c * _rank_exact(_dict_rows(_gram(rows)))
     return total
 
 

@@ -6,14 +6,19 @@ with its own, so the quotient dimension is the sum over assignments of
 the rank of one evaluation block.  Assignments with the same multiset of
 degrees have blocks of equal rank, so one block per multiset is built,
 scattered with numpy from the words of nonzero product whose degrees sort
-to it, their coefficients scaled to integers.  A block's rank is split by
-the graded cocharacter: per multipartition of its degrees, the rank of
-the block's rows combined by a certified basis of one isotypic piece of
-the group algebra.  isotypic_slices scatters and combines each block
-once; graded_codim ranks the slices over two ~30-bit primes by default (a
-certified lower bound, labelled as such) or over exact rationals on
-request, and cochar.multiplicity_exact induces the ordinary cocharacter
-from their exact ranks.
+to it, their coefficients scaled to integers; the words and their
+products are formed one length at a time as dense integer right
+multiplications.  A block's rank is split by the graded cocharacter: per
+multipartition of its degrees, the rank of the block's rows combined by
+a certified basis of one isotypic piece of the group algebra.
+isotypic_slices scatters and combines each block once; graded_codim
+ranks the slices over two ~30-bit primes by default (a certified lower
+bound, labelled as such) or over exact rationals on request, and
+cochar.multiplicity_exact induces the ordinary cocharacter from their
+exact ranks.  An exact rank is taken of the slice's Gram matrix along
+its longer side, which has the slice's rank over Q and is no larger than
+the slice's shorter side squared; modular ranks are taken of the slice
+itself, since mod p the Gram matrix may lose rank.
 """
 
 from __future__ import annotations
@@ -85,6 +90,50 @@ def _product_cache(alg: GradedAlgebra, n: int, max_entries: int = DEFAULT_BLOCK_
     return cache
 
 
+def _word_products(alg: GradedAlgebra, n: int, max_entries: int = DEFAULT_BLOCK_CAP):
+    """(words, products): the length-n words of alg with a nonzero product,
+    lexicographically, one per row, and their products as integer rows
+    scaled by the lcm of the denominators of their coefficients (ranks over
+    Q unchanged); int64, or Python ints past its range.
+
+    Formed one level at a time: the structure constants, scaled to integers
+    by their lcm L, act as dim right multiplications on every word of
+    nonzero product of the level before, so a word whose prefix multiplies
+    to zero drops out with it.  Level n then carries L ** (n - 1) times the
+    products; dividing by the gcd of that power and every value gives the
+    lcm scaling.  Raises ResourceLimit, where _product_cache would, before
+    a level takes the words formed past max_entries."""
+    dim = alg.dim
+    scale = math.lcm(*(c.denominator for cell in alg.structure.values() for c in cell.values()))
+    cells = [(i, b, k, int(c * scale)) for (i, b), cell in alg.structure.items()
+             for k, c in cell.items()]
+    # an entry of level m is a sum of products of m - 1 constants, at most
+    # (dim * max |constant|) ** (m - 1)
+    top = max((abs(c[3]) for c in cells), default=0)
+    dtype = np.int64 if (dim * top) ** (n - 1) < 2 ** 63 else object
+    right = np.zeros((dim, dim, dim), dtype=dtype)  # [i, b, k]: k-th coordinate of e_i e_b
+    for i, b, k, c in cells:
+        right[i, b, k] = c
+    right = right.reshape(dim, dim * dim)
+    letters = np.arange(dim, dtype=np.int64)
+    words, products = np.zeros((1, 0), dtype=np.int64), None  # the empty word
+    formed = 0
+    for _ in range(n):
+        formed += len(words) * dim
+        if formed > max_entries:
+            raise ResourceLimit(f"product cache for n = {n} passes {max_entries} entries",
+                                context=n)
+        products = (np.eye(dim, dtype=dtype) if products is None
+                    else (products @ right).reshape(-1, dim))
+        words = np.concatenate([np.repeat(words, dim, axis=0),
+                                np.tile(letters, len(words))[:, None]], axis=1)
+        live = (products != 0).any(axis=1)
+        words, products = words[live], products[live]
+    if len(words):
+        products //= math.gcd(scale ** (n - 1), int(np.gcd.reduce(products, axis=None)))
+    return words, products
+
+
 def _rank_mod_p(mat: np.ndarray, p: int) -> int:
     """Rank over GF(p) of an integer matrix (int64 or Python ints), p <
     2 ** 31.  Each step finds the next pivot column with one test over the
@@ -143,9 +192,7 @@ class _WordTable:
     to integers by the lcm of their denominators (ranks over Q unchanged)."""
 
     def __init__(self, alg: GradedAlgebra, n: int, max_entries: int):
-        cache = _product_cache(alg, n, max_entries)
-        keys = [key for key, value in cache.items() if len(key) == n and value]
-        words = np.array(keys, dtype=np.int64).reshape(-1, n)
+        words, products = _word_products(alg, n, max_entries)
         degrees = np.array(alg.degree, dtype=np.int64)[words]
         order = np.argsort(degrees, axis=1, kind="stable")
         self.degrees = np.take_along_axis(degrees, order, axis=1)
@@ -153,15 +200,13 @@ class _WordTable:
         self.placed = np.argsort(order, axis=1).astype(np.int8)
         # (substitution, coordinate) codes stay far below 2 ** 63 under the block cap
         self.powers = alg.dim ** np.arange(n, 0, -1, dtype=np.int64)
-        entries = [(i, k, c) for i, w in enumerate(keys) for k, c in cache[w].items()]
-        self.at, self.coord = (np.array([e[j] for e in entries], dtype=np.int64) for j in (0, 1))
-        scale = math.lcm(*(getattr(e[2], "denominator", 1) for e in entries))
-        values = [int(e[2] * scale) for e in entries]
+        self.at, self.coord = np.nonzero(products)
+        values = products[self.at, self.coord]
         # every partial sum of a combined entry is an integer of size at most
         # n! * max |value|, exact in float32 below 2 ** 24 and float64 below 2 ** 53
-        bound = math.factorial(n) * max(map(abs, values), default=0)
-        self.values = np.array(values, dtype=np.float32 if bound < 2 ** 24
-                               else np.float64 if bound < 2 ** 53 else object)
+        bound = math.factorial(n) * int(np.abs(values).max(initial=0))
+        self.values = values.astype(np.float32 if bound < 2 ** 24
+                                    else np.float64 if bound < 2 ** 53 else object)
 
     def scatter(self, rep, young: np.ndarray, max_entries: int):
         """(rows, cols, values, n_cols): the nonzero entries of rep's block,
@@ -210,6 +255,20 @@ def _combine(basis: np.ndarray, rows, cols, values, n_cols: int) -> np.ndarray:
         chunk[rows[a:b], cols[a:b] - lo] = values[a:b]
         out[:, lo:lo + chunk.shape[1]] = basis @ chunk
     return out
+
+
+def _gram(rows: np.ndarray) -> np.ndarray:
+    """The Gram matrix of an integer matrix M along its longer side: M.M^T
+    when M has no more rows than columns, else M^T.M.  Its rank over Q is
+    M's, since M.M^T x = 0 gives |M^T x|^2 = 0; mod p it may be lower.
+    Exact: in float64 while long side * max |entry| ** 2 < 2 ** 53 (every
+    partial sum an integer in range), cast to int64; in Python ints past it."""
+    m = rows if rows.shape[0] <= rows.shape[1] else rows.T
+    if m.shape[1] * int(np.abs(m).max(initial=0)) ** 2 < 2 ** 53:
+        m = m.astype(np.float64)
+        return (m @ m.T).astype(np.int64)
+    m = m.astype(object)
+    return m @ m.T
 
 
 def _dict_rows(mat: np.ndarray) -> list:
@@ -404,7 +463,8 @@ def graded_codim(alg: GradedAlgebra, n: int, mode: str = "modular",
     representative from the seed unless primes are given, which must be at
     least two distinct primes above n and below 2 ** 31); equal ranks
     across primes are reported as a stable modular lower bound.  mode
-    "exact": rational ranks, certification "exact".
+    "exact": rational ranks, each of a slice's Gram matrix (_gram),
+    certification "exact".
 
     max_block_entries caps each block's isotypic basis entries, checked
     before anything is built, then its triples and combined entries.
@@ -415,7 +475,7 @@ def graded_codim(alg: GradedAlgebra, n: int, mode: str = "modular",
     ranked = {}
     for rep, n_cols, slices in isotypic_slices(alg, n, reps, max_block_entries):
         if mode == "exact":
-            rank = sum(d * _rank_exact(_dict_rows(rows)) for _, d, rows in slices)
+            rank = sum(d * _rank_exact(_dict_rows(_gram(rows))) for _, d, rows in slices)
             ranked[rep] = (n_cols, rank, CERT_EXACT)
         else:
             ranks = [sum(d * _rank_mod_p(rows, p) for _, d, rows in slices)

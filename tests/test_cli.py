@@ -118,7 +118,8 @@ def test_codim_refuses_an_over_cap_degree_before_computing_any(runner, monkeypat
     def product_cache(*args, **kwargs):
         raise AssertionError("the product cache ran")
 
-    monkeypatch.setattr(codim, "_product_cache", product_cache)
+    for name in ("_product_cache", "_word_products"):
+        monkeypatch.setattr(codim, name, product_cache)
     result = runner.invoke(main, ["codim", "--catalog", "thm_T1_fractional", "--n-max", "8",
                                   "--no-timings", *extra])
     assert result.exit_code == 3

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -456,7 +457,8 @@ def scaled_products(base, c: int):
     return GradedAlgebra(
         base.dim, base.basis_labels,
         {key: {k: v * c for k, v in cell.items()} for key, cell in base.structure.items()},
-        base.degree, base.semigroup, unit=tuple(Fraction(u) / c for u in base.unit),
+        base.degree, base.semigroup,
+        unit=None if base.unit is None else tuple(Fraction(u) / c for u in base.unit),
         name=f"{base.name}*{c}")
 
 
@@ -496,7 +498,8 @@ def test_over_cap_request_fails_before_the_product_cache(monkeypatch):
     def unreachable(*args, **kwargs):
         raise AssertionError("product cache built before the block cap was checked")
 
-    monkeypatch.setattr(codim, "_product_cache", unreachable)
+    for name in ("_product_cache", "_word_products"):
+        monkeypatch.setattr(codim, name, unreachable)
     with pytest.raises(ResourceLimit):
         graded_codim(adjoin_unit(full_matrix(3)), 7, max_block_entries=10)
 
@@ -524,6 +527,67 @@ def catalog_at_two():
 @lru_cache(maxsize=None)
 def cached_products(i: int, n: int):
     return _product_cache(catalog_at_two()[i], n)
+
+
+def oracle_word_products(alg, n: int):
+    """(words, products) from _product_cache: the length-n words of nonzero
+    product in its order and their products as dense integer rows, scaled
+    by the lcm of their denominators."""
+    cache = _product_cache(alg, n)
+    words = [key for key, value in cache.items() if len(key) == n and value]
+    scale = math.lcm(*(Fraction(c).denominator for w in words for c in cache[w].values()))
+    return words, [[int(cache[w].get(k, 0) * scale) for k in range(alg.dim)] for w in words]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_word_products_match_the_product_cache(data):
+    # integral constants, fractional ones (a divided basis) and huge ones,
+    # whose products pass the int64 range from n = 3 on
+    alg = data.draw(st.sampled_from(catalog_at_two()), label="algebra")
+    kind = data.draw(st.sampled_from(["plain", "divided", "huge"]), label="kind")
+    if kind == "divided":
+        alg = divided_basis(alg, data.draw(st.sampled_from([2, 3, 6]), label="divisor"))
+    elif kind == "huge":
+        alg = scaled_products(alg, 2 ** 61)
+    n = data.draw(st.integers(1, 5), label="n")
+    words, products = codim._word_products(alg, n)
+    want_words, want_products = oracle_word_products(alg, n)
+    assert words.tolist() == [list(w) for w in want_words]
+    assert products.tolist() == want_products
+    if kind != "huge" or n > 2:
+        assert products.dtype == (object if kind == "huge" else np.int64)
+
+
+def cyclic_group_algebra(k: int):
+    """Q[Z_k], trivially graded: every word has a nonzero product."""
+    return GradedAlgebra(k, tuple(f"g{i}" for i in range(k)),
+                         {(i, j): {(i + j) % k: Fraction(1)} for i in range(k) for j in range(k)},
+                         (0,) * k, trivial_semigroup(),
+                         unit=(Fraction(1),) + (Fraction(0),) * (k - 1), name=f"Q[Z_{k}]")
+
+
+def test_word_products_are_capped_before_the_level_is_formed():
+    # the cap counts the words formed, as _product_cache counts its entries
+    alg = adjoin_unit(full_matrix(3))
+    size = len(_product_cache(alg, 3))
+    assert len(codim._word_products(alg, 3, max_entries=size)[0]) == \
+        len(oracle_word_products(alg, 3)[0])
+    with pytest.raises(ResourceLimit, match="product cache for n = 3"):
+        codim._word_products(alg, 3, max_entries=size - 1)
+    # Q[Z_12] forms 12 ** m words of length m; the products of length 5
+    # take 12 ** 5 x 12 int64 entries (23.9 MB), refused before allocation
+    alg, n = cyclic_group_algebra(12), 5
+    size = sum(12 ** m for m in range(1, n + 1))
+    assert len(codim._word_products(alg, n, max_entries=size)[0]) == 12 ** n
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimit, match="product cache for n = 5"):
+            codim._word_products(alg, n, max_entries=size - 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 ** n * 12 * 8 // 2
 
 
 def engine_blocks(alg, n, mode):
@@ -720,6 +784,21 @@ def test_rank_mod_p_matches_the_column_loop(data):
         assert (entries == before).all()
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_gram_has_the_exact_rank_of_the_matrix(data):
+    mat = _matrix_case(data)
+    huge = data.draw(st.booleans(), label="huge")
+    if huge:
+        # entries past 2 ** 26, squares past 2 ** 53: the Python-int product
+        mat = mat.astype(object) * (2 ** 40 + 1)
+    gram = codim._gram(mat)
+    side = mat if mat.shape[0] <= mat.shape[1] else mat.T
+    assert gram.dtype == (object if huge and mat.any() else np.int64)
+    assert gram.tolist() == (side.astype(object) @ side.T.astype(object)).tolist()
+    assert _rank_exact(codim._dict_rows(gram)) == _rank_exact(codim._dict_rows(mat))
+
+
 def test_rank_mod_p_of_one_by_one_and_empty_shapes():
     for value, rank in ((0, 0), (7, 0), (5, 1), (-1, 1)):
         assert _rank_mod_p(np.array([[value]], dtype=np.int64), 7) == rank
@@ -780,7 +859,8 @@ def test_degree_eight_fails_before_the_product_cache(monkeypatch):
     def unreachable(*args, **kwargs):
         raise AssertionError("product cache built before the block cap was checked")
 
-    monkeypatch.setattr(codim, "_product_cache", unreachable)
+    for name in ("_product_cache", "_word_products"):
+        monkeypatch.setattr(codim, name, unreachable)
     for name in ("thm_T1_fractional", "thm_T2_fractional", "thm_T3_fractional"):
         with pytest.raises(ResourceLimit, match="isotypic basis"):
             graded_codim(paper_catalog(name), 8)
