@@ -6,11 +6,12 @@ with its own, so the quotient dimension is the sum over assignments of
 the rank of one evaluation block.  Assignments with the same multiset of
 degrees have blocks of equal rank, so one block per multiset is built,
 scattered with numpy from the words of nonzero product whose degrees sort
-to it, their coefficients scaled to integers; the words and their
-products are formed one length at a time as dense integer right
-multiplications.  A block's rank is split by the graded cocharacter: per
-multipartition of its degrees, the rank of the block's rows combined by
-a certified basis of one isotypic piece of the group algebra.
+to it, their coefficients scaled to integers; the words and the nonzero
+entries of their products are formed one length at a time, each entry
+joined with the integer-scaled structure constants of its coordinate.
+A block's rank is split by the graded cocharacter: per multipartition of
+its degrees, the rank of the block's rows combined by a certified basis
+of one isotypic piece of the group algebra.
 isotypic_slices scatters and combines each block once; graded_codim
 ranks the slices over two ~30-bit primes by default (a certified lower
 bound, labelled as such) or over exact rationals on request, and
@@ -91,47 +92,63 @@ def _product_cache(alg: GradedAlgebra, n: int, max_entries: int = DEFAULT_BLOCK_
 
 
 def _word_products(alg: GradedAlgebra, n: int, max_entries: int = DEFAULT_BLOCK_CAP):
-    """(words, products): the length-n words of alg with a nonzero product,
-    lexicographically, one per row, and their products as integer rows
-    scaled by the lcm of the denominators of their coefficients (ranks over
-    Q unchanged); int64, or Python ints past its range.
+    """(words, at, coord, values): the length-n words of alg with a nonzero
+    product, lexicographically, one per row, and the nonzero coefficients
+    of their products as entries (word, coordinate, value) in (word,
+    coordinate) order, scaled to integers by the lcm of their denominators
+    (ranks over Q unchanged); int64, or Python ints past its range.
 
     Formed one level at a time: the structure constants, scaled to integers
-    by their lcm L, act as dim right multiplications on every word of
-    nonzero product of the level before, so a word whose prefix multiplies
-    to zero drops out with it.  Level n then carries L ** (n - 1) times the
-    products; dividing by the gcd of that power and every value gives the
-    lcm scaling.  Raises ResourceLimit, where _product_cache would, before
-    a level takes the words formed past max_entries."""
+    by their lcm L, act on the nonzero entries of the level before, each
+    entry (w, i, v) joining the constants c_(i b)^k into the entry (wb, k,
+    v c), so a word whose prefix multiplies to zero drops out with it.
+    Level n then carries L ** (n - 1) times the products; dividing by the
+    gcd of that power and every value gives the lcm scaling.  Raises
+    ResourceLimit before a level takes the words formed, as _product_cache
+    counts them, or the joined entries past max_entries."""
     dim = alg.dim
     scale = math.lcm(*(c.denominator for cell in alg.structure.values() for c in cell.values()))
-    cells = [(i, b, k, int(c * scale)) for (i, b), cell in alg.structure.items()
-             for k, c in cell.items()]
+    cells = sorted((i, b, k, int(c * scale)) for (i, b), cell in alg.structure.items()
+                   for k, c in cell.items() if c)
     # an entry of level m is a sum of products of m - 1 constants, at most
     # (dim * max |constant|) ** (m - 1)
     top = max((abs(c[3]) for c in cells), default=0)
     dtype = np.int64 if (dim * top) ** (n - 1) < 2 ** 63 else object
-    right = np.zeros((dim, dim, dim), dtype=dtype)  # [i, b, k]: k-th coordinate of e_i e_b
-    for i, b, k, c in cells:
-        right[i, b, k] = c
-    right = right.reshape(dim, dim * dim)
-    letters = np.arange(dim, dtype=np.int64)
-    words, products = np.zeros((1, 0), dtype=np.int64), None  # the empty word
-    formed = 0
-    for _ in range(n):
+    first = np.array([c[0] for c in cells], dtype=np.int64)
+    letter, target = (np.array([c[j] for c in cells], dtype=np.int64) for j in (1, 2))
+    constant = np.array([c[3] for c in cells], dtype=dtype)
+    start = np.searchsorted(first, np.arange(dim))
+    count = np.bincount(first, minlength=dim)
+    refused = ResourceLimit(f"product cache for n = {n} passes {max_entries} entries", context=n)
+    if dim > max_entries:
+        raise refused
+    words = np.arange(dim, dtype=np.int64)[:, None]
+    at = coord = np.arange(dim, dtype=np.int64)
+    values = np.ones(dim, dtype=dtype)
+    formed = dim
+    for _ in range(n - 1):
+        joins = count[coord]
         formed += len(words) * dim
-        if formed > max_entries:
-            raise ResourceLimit(f"product cache for n = {n} passes {max_entries} entries",
-                                context=n)
-        products = (np.eye(dim, dtype=dtype) if products is None
-                    else (products @ right).reshape(-1, dim))
-        words = np.concatenate([np.repeat(words, dim, axis=0),
-                                np.tile(letters, len(words))[:, None]], axis=1)
-        live = (products != 0).any(axis=1)
-        words, products = words[live], products[live]
-    if len(words):
-        products //= math.gcd(scale ** (n - 1), int(np.gcd.reduce(products, axis=None)))
-    return words, products
+        joined = int(joins.sum())
+        if max(formed, joined) > max_entries:
+            raise refused
+        src = np.repeat(np.arange(len(coord)), joins)
+        cell = np.arange(joined) + np.repeat(start[coord] - np.cumsum(joins) + joins, joins)
+        # (word formed, coordinate) as one code, word formed = w * dim + b
+        codes = (at[src] * dim + letter[cell]) * dim + target[cell]
+        order = np.argsort(codes, kind="stable")
+        codes = codes[order]
+        heads = np.flatnonzero(np.diff(codes, prepend=-1))
+        sums = np.add.reduceat(values[src[order]] * constant[cell[order]], heads)
+        live = sums != 0
+        codes, values = codes[heads][live], sums[live]
+        formed_words, at = np.unique(codes // dim, return_inverse=True)
+        coord = codes % dim
+        words = np.concatenate([words[formed_words // dim], (formed_words % dim)[:, None]],
+                               axis=1)
+    if len(values):
+        values //= math.gcd(scale ** (n - 1), int(np.gcd.reduce(values)))
+    return words, at, coord, values
 
 
 def _rank_mod_p(mat: np.ndarray, p: int) -> int:
@@ -192,7 +209,7 @@ class _WordTable:
     to integers by the lcm of their denominators (ranks over Q unchanged)."""
 
     def __init__(self, alg: GradedAlgebra, n: int, max_entries: int):
-        words, products = _word_products(alg, n, max_entries)
+        words, self.at, self.coord, values = _word_products(alg, n, max_entries)
         degrees = np.array(alg.degree, dtype=np.int64)[words]
         order = np.argsort(degrees, axis=1, kind="stable")
         self.degrees = np.take_along_axis(degrees, order, axis=1)
@@ -200,8 +217,6 @@ class _WordTable:
         self.placed = np.argsort(order, axis=1).astype(np.int8)
         # (substitution, coordinate) codes stay far below 2 ** 63 under the block cap
         self.powers = alg.dim ** np.arange(n, 0, -1, dtype=np.int64)
-        self.at, self.coord = np.nonzero(products)
-        values = products[self.at, self.coord]
         # every partial sum of a combined entry is an integer of size at most
         # n! * max |value|, exact in float32 below 2 ** 24 and float64 below 2 ** 53
         bound = math.factorial(n) * int(np.abs(values).max(initial=0))

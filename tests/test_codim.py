@@ -539,6 +539,17 @@ def oracle_word_products(alg, n: int):
     return words, [[int(cache[w].get(k, 0) * scale) for k in range(alg.dim)] for w in words]
 
 
+def assert_word_products_match_the_oracle(alg, n: int):
+    """The words of _word_products and its entries, in (word, coordinate)
+    order, against the oracle; returns the values."""
+    words, at, coord, values = codim._word_products(alg, n)
+    want_words, want_products = oracle_word_products(alg, n)
+    assert words.tolist() == [list(w) for w in want_words]
+    assert list(zip(at.tolist(), coord.tolist(), values.tolist())) == \
+        [(w, k, v) for w, row in enumerate(want_products) for k, v in enumerate(row) if v]
+    return values
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_word_products_match_the_product_cache(data):
@@ -551,12 +562,9 @@ def test_word_products_match_the_product_cache(data):
     elif kind == "huge":
         alg = scaled_products(alg, 2 ** 61)
     n = data.draw(st.integers(1, 5), label="n")
-    words, products = codim._word_products(alg, n)
-    want_words, want_products = oracle_word_products(alg, n)
-    assert words.tolist() == [list(w) for w in want_words]
-    assert products.tolist() == want_products
+    values = assert_word_products_match_the_oracle(alg, n)
     if kind != "huge" or n > 2:
-        assert products.dtype == (object if kind == "huge" else np.int64)
+        assert values.dtype == (object if kind == "huge" else np.int64)
 
 
 def cyclic_group_algebra(k: int):
@@ -575,8 +583,9 @@ def test_word_products_are_capped_before_the_level_is_formed():
         len(oracle_word_products(alg, 3)[0])
     with pytest.raises(ResourceLimit, match="product cache for n = 3"):
         codim._word_products(alg, 3, max_entries=size - 1)
-    # Q[Z_12] forms 12 ** m words of length m; the products of length 5
-    # take 12 ** 5 x 12 int64 entries (23.9 MB), refused before allocation
+    # Q[Z_12] forms 12 ** m words of length m, each of one entry; level 5
+    # (about 41 MB traced when formed) is refused before its 12 ** 5 joined
+    # entries are allocated
     alg, n = cyclic_group_algebra(12), 5
     size = sum(12 ** m for m in range(1, n + 1))
     assert len(codim._word_products(alg, n, max_entries=size)[0]) == 12 ** n
@@ -587,7 +596,59 @@ def test_word_products_are_capped_before_the_level_is_formed():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 12 ** n * 12 * 8 // 2
+    assert peak < 12 ** n * 8 * 4
+
+
+def test_word_products_are_capped_by_the_joined_entries():
+    # e_i e_j = e_0 + e_1: every word past one letter is nonzero with two
+    # entries of 2 ** (n - 2), each joining the 4 constants of its
+    # coordinate, so the last level joins 2 ** (n - 1) * 2 * 4 entries,
+    # more than the words formed up to it
+    ones = GradedAlgebra(2, ("a", "b"),
+                         {(i, j): {0: Fraction(1), 1: Fraction(1)} for i in range(2) for j in range(2)},
+                         (0, 0), trivial_semigroup(), name="ones")
+    n = 4
+    joined = 2 ** (n - 1) * 2 * 4
+    assert joined > sum(2 ** m for m in range(1, n + 1))
+    words, at, coord, values = codim._word_products(ones, n, max_entries=joined)
+    assert words.tolist() == [list(w) for w in product(range(2), repeat=n)]
+    assert values.tolist() == [2 ** (n - 2)] * 2 ** (n + 1)
+    with pytest.raises(ResourceLimit, match="product cache for n = 4"):
+        codim._word_products(ones, n, max_entries=joined - 1)
+
+
+def test_word_products_of_a_large_sparse_algebra_stay_sparse():
+    # M_14 (dimension 196, e_ab at index 14 a + b from 0): of the words of
+    # length 3 the 14 ** 4 chains e_ab e_bc e_cd are nonzero, each with the
+    # single entry e_ad; dense products would take 196 entries a word (60 MB)
+    k = 14
+    tracemalloc.start()
+    try:
+        words, at, coord, values = codim._word_products(full_matrix(k), 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < k ** 4 * k * k
+    chains = list(product(range(k), repeat=4))
+    assert words.tolist() == [[k * a + b, k * b + c, k * c + d] for a, b, c, d in chains]
+    assert at.tolist() == list(range(len(chains)))
+    assert coord.tolist() == [k * a + d for a, b, c, d in chains]
+    assert values.tolist() == [1] * len(chains)
+    # against the oracle on a smaller matrix algebra, one level further
+    assert_word_products_match_the_oracle(full_matrix(4), 4)
+
+
+def test_word_products_drop_entries_that_cancel():
+    # Q[Z_2] on the basis a = 1 + g, b = g: b b = a - b, so in b b b the
+    # coefficients of a from a b = a and -b b = -a + b cancel
+    alg = GradedAlgebra(2, ("a", "b"),
+                        {(0, 0): {0: Fraction(2)}, (0, 1): {0: Fraction(1)},
+                         (1, 0): {0: Fraction(1)}, (1, 1): {0: Fraction(1), 1: Fraction(-1)}},
+                        (0, 0), trivial_semigroup(), name="Q[Z_2] on 1 + g, g")
+    for n in range(1, 6):
+        assert_word_products_match_the_oracle(alg, n)
+    words, at, coord, values = codim._word_products(alg, 3)
+    assert coord[at == words.tolist().index([1, 1, 1])].tolist() == [1]
 
 
 def engine_blocks(alg, n, mode):
