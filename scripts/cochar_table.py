@@ -3,10 +3,13 @@
 
 Prints m_lambda, d_lambda and m_lambda * d_lambda for every partition
 lambda of N, then their sum against the exact graded codimension c_N,
-which it must equal.  Exits 1 on a mismatch.  Both sides come from the
-same exact per-multipartition ranks of the codimension blocks, m_lambda
-induced from them by Littlewood-Richardson coefficients, so the sum
-checks that induction, not an independent rank.
+which it must equal.  Exits 1 on a mismatch.  The whole table is one
+cochar.multiplicities call, one pass over the codimension blocks.  Both
+sides come from the same exact per-multipartition ranks of those blocks,
+m_lambda induced from them by Littlewood-Richardson coefficients, so the
+sum checks that induction, not an independent rank.  The engine's block
+cap bounds the degree: N = 6 and 7 run for the degree-7/6 algebras, N = 8
+is refused before anything is built.
 
     python3 scripts/cochar_table.py --catalog thm_T1_fractional --n 5
 """
@@ -14,7 +17,7 @@ checks that induction, not an independent rank.
 import argparse
 import sys
 
-from semigraded.cochar import hook_dim, multiplicity_exact, partitions_of
+from semigraded.cochar import hook_dim, multiplicities, partitions_of
 from semigraded.codim import graded_codim
 from semigraded.gralgebra import parse_catalog_spec
 
@@ -29,8 +32,7 @@ def main():
     print(f"{args.catalog}  (dim {alg.dim}), n = {args.n}")
     print(f"{'shape':<18}{'m':>8}{'d':>6}{'m*d':>10}")
     total = 0
-    for lam in partitions_of(args.n):
-        m = multiplicity_exact(alg, lam, n_cap=args.n)
+    for lam, m in multiplicities(alg, partitions_of(args.n)).items():
         d = hook_dim(lam)
         total += m * d
         print(f"{str(lam.parts):<18}{m:>8}{d:>6}{m * d:>10}")

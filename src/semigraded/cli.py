@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import json
 import sys
+from contextlib import contextmanager
+
 import click
 
 from . import asympt, codim, cochar, structure, verify
@@ -61,19 +63,47 @@ def _rows_of_subspace(alg, s):
     ]
 
 
-def _run(fn):
+def _fail(exc: Exception, message: str, code: int):
+    sys.stderr.write(json.dumps({"error": type(exc).__name__, "message": message}) + "\n")
+    sys.exit(code)
+
+
+# Click >= 8.2 shows the help of a bare group through a usage error; it stays help
+_HELP_ERRORS = getattr(click.exceptions, "NoArgsIsHelpError", ())
+
+
+@contextmanager
+def _json_errors():
+    """Every error ends in the one JSON line on stderr: Click's own usage
+    errors (unknown option or command, bad value or choice, missing
+    option) and ours with exit 2, a resource limit with 3, any other
+    workbench error with 1."""
     try:
-        code = fn()
+        yield
+    except _HELP_ERRORS:
+        raise
+    except click.UsageError as exc:
+        _fail(exc, exc.format_message(), 2)
     except USAGE_ERRORS as exc:
-        sys.stderr.write(json.dumps({"error": type(exc).__name__, "message": str(exc)}) + "\n")
-        sys.exit(2)
+        _fail(exc, str(exc), 2)
     except ResourceLimit as exc:
-        sys.stderr.write(json.dumps({"error": "ResourceLimit", "message": str(exc)}) + "\n")
-        sys.exit(3)
+        _fail(exc, str(exc), 3)
     except WorkbenchError as exc:
-        sys.stderr.write(json.dumps({"error": type(exc).__name__, "message": str(exc)}) + "\n")
-        sys.exit(1)
-    sys.exit(code or 0)
+        _fail(exc, str(exc), 1)
+
+
+class _Group(click.Group):
+    """Options are parsed in make_context, a subcommand's inside invoke;
+    a command's return value is the exit code."""
+
+    def make_context(self, *args, **kwargs):
+        with _json_errors():
+            return super().make_context(*args, **kwargs)
+
+    def invoke(self, ctx):
+        with _json_errors():
+            code = super().invoke(ctx)
+        sys.exit(code or 0)
 
 
 def _algebra_options(fn):
@@ -91,7 +121,7 @@ def _output_options(fn):
     return fn
 
 
-@click.group()
+@click.group(cls=_Group)
 def main():
     """Exact workbench for semigroup-graded algebras and identity growth."""
 
@@ -101,26 +131,23 @@ def main():
 @_output_options
 def semigroups(order, out_format, out_path):
     """Enumerate and classify the semigroups of a small order."""
-    def go():
-        found = enumerate_semigroups(order)
-        classes = isomorphism_classes(found)
-        entries = []
-        for cls in classes:
-            rep = cls[0]
-            tag = classify_order2(rep) if order == 2 else f"class-of-{len(cls)}"
-            entries.append({"tag": tag, "count": len(cls), "table": [list(r) for r in rep.table]})
-        entries.sort(key=lambda e: e["tag"])
-        if out_format == "json":
-            _emit(out_path, json.dumps({"order": order, "tables": len(found),
-                                        "classes": entries}, indent=2, sort_keys=True))
-        else:
-            lines = [f"order {order}: {len(found)} associative tables, "
-                     f"{len(classes)} isomorphism classes"]
-            for e in entries:
-                lines.append(f"  {e['tag']}: {e['count']} tables, representative {e['table']}")
-            _emit(out_path, "\n".join(lines))
-        return 0
-    _run(go)
+    found = enumerate_semigroups(order)
+    classes = isomorphism_classes(found)
+    entries = []
+    for cls in classes:
+        rep = cls[0]
+        tag = classify_order2(rep) if order == 2 else f"class-of-{len(cls)}"
+        entries.append({"tag": tag, "count": len(cls), "table": [list(r) for r in rep.table]})
+    entries.sort(key=lambda e: e["tag"])
+    if out_format == "json":
+        _emit(out_path, json.dumps({"order": order, "tables": len(found),
+                                    "classes": entries}, indent=2, sort_keys=True))
+    else:
+        lines = [f"order {order}: {len(found)} associative tables, "
+                 f"{len(classes)} isomorphism classes"]
+        for e in entries:
+            lines.append(f"  {e['tag']}: {e['count']} tables, representative {e['table']}")
+        _emit(out_path, "\n".join(lines))
 
 
 @main.command()
@@ -128,18 +155,16 @@ def semigroups(order, out_format, out_path):
 @_output_options
 def check(input_path, catalog, out_format, out_path):
     """Validate an algebra: associativity, grading law, declared unit."""
-    def go():
-        alg = _load(input_path, catalog)
-        report = validate(alg)
-        payload = {"name": alg.name, "dim": alg.dim, "ok": report["ok"],
-                   "violations": [list(map(str, v)) for v in report["violations"]]}
-        if out_format == "json":
-            _emit(out_path, json.dumps(payload, indent=2, sort_keys=True))
-        else:
-            _emit(out_path, f"{alg.name}: dim {alg.dim}, "
-                            f"{'ok' if report['ok'] else 'INVALID'}")
-        return 0 if report["ok"] else 1
-    _run(go)
+    alg = _load(input_path, catalog)
+    report = validate(alg)
+    payload = {"name": alg.name, "dim": alg.dim, "ok": report["ok"],
+               "violations": [list(map(str, v)) for v in report["violations"]]}
+    if out_format == "json":
+        _emit(out_path, json.dumps(payload, indent=2, sort_keys=True))
+    else:
+        _emit(out_path, f"{alg.name}: dim {alg.dim}, "
+                        f"{'ok' if report['ok'] else 'INVALID'}")
+    return 0 if report["ok"] else 1
 
 
 @main.command()
@@ -147,22 +172,19 @@ def check(input_path, catalog, out_format, out_path):
 @_output_options
 def radical(input_path, catalog, out_format, out_path):
     """The Jacobson radical, with a gradedness flag."""
-    def go():
-        alg = _load(input_path, catalog)
-        rad = structure.jacobson_radical(alg)
-        graded = is_graded_subspace(alg, rad)
-        payload = {"name": alg.name, "radical_dim": rad.dim, "graded": graded,
-                   "basis": _rows_of_subspace(alg, rad)}
-        if out_format == "json":
-            _emit(out_path, json.dumps(payload, indent=2, sort_keys=True))
-        else:
-            lines = [f"{alg.name}: radical dim {rad.dim}, "
-                     f"{'graded' if graded else 'not graded'}"]
-            for row in payload["basis"]:
-                lines.append("  " + " + ".join(f"{c}*{l}" for l, c in row.items()))
-            _emit(out_path, "\n".join(lines))
-        return 0
-    _run(go)
+    alg = _load(input_path, catalog)
+    rad = structure.jacobson_radical(alg)
+    graded = is_graded_subspace(alg, rad)
+    payload = {"name": alg.name, "radical_dim": rad.dim, "graded": graded,
+               "basis": _rows_of_subspace(alg, rad)}
+    if out_format == "json":
+        _emit(out_path, json.dumps(payload, indent=2, sort_keys=True))
+    else:
+        lines = [f"{alg.name}: radical dim {rad.dim}, "
+                 f"{'graded' if graded else 'not graded'}"]
+        for row in payload["basis"]:
+            lines.append("  " + " + ".join(f"{c}*{l}" for l, c in row.items()))
+        _emit(out_path, "\n".join(lines))
 
 
 @main.command()
@@ -170,32 +192,29 @@ def radical(input_path, catalog, out_format, out_path):
 @_output_options
 def split(input_path, catalog, out_format, out_path):
     """Semisimple complement of the radical (graded when available)."""
-    def go():
-        alg = _load(input_path, catalog)
-        from .structure import _zero_band_side
-        if alg.unit is not None and _zero_band_side(alg.semigroup):
-            data = structure.graded_malcev_zeroband(alg)
-            kind = "graded"
-        else:
-            data = structure.malcev_complement(alg)
-            kind = "plain"
-        payload = {
-            "name": alg.name, "kind": kind,
-            "complement_dim": data.complement.dim,
-            "radical_dim": data.radical.dim,
-            "complement_graded": is_graded_subspace(alg, data.complement),
-            "corrections": data.correction_log,
-            "complement_basis": _rows_of_subspace(alg, data.complement),
-        }
-        if out_format == "json":
-            _emit(out_path, json.dumps(payload, indent=2, sort_keys=True))
-        else:
-            _emit(out_path, f"{alg.name}: {kind} splitting, complement dim "
-                            f"{payload['complement_dim']} (graded={payload['complement_graded']}), "
-                            f"radical dim {payload['radical_dim']}, "
-                            f"{len(data.correction_log)} corrections")
-        return 0
-    _run(go)
+    alg = _load(input_path, catalog)
+    from .structure import _zero_band_side
+    if alg.unit is not None and _zero_band_side(alg.semigroup):
+        data = structure.graded_malcev_zeroband(alg)
+        kind = "graded"
+    else:
+        data = structure.malcev_complement(alg)
+        kind = "plain"
+    payload = {
+        "name": alg.name, "kind": kind,
+        "complement_dim": data.complement.dim,
+        "radical_dim": data.radical.dim,
+        "complement_graded": is_graded_subspace(alg, data.complement),
+        "corrections": data.correction_log,
+        "complement_basis": _rows_of_subspace(alg, data.complement),
+    }
+    if out_format == "json":
+        _emit(out_path, json.dumps(payload, indent=2, sort_keys=True))
+    else:
+        _emit(out_path, f"{alg.name}: {kind} splitting, complement dim "
+                        f"{payload['complement_dim']} (graded={payload['complement_graded']}), "
+                        f"radical dim {payload['radical_dim']}, "
+                        f"{len(data.correction_log)} corrections")
 
 
 @main.command()
@@ -204,19 +223,16 @@ def split(input_path, catalog, out_format, out_path):
 @click.option("--seed", type=int, default=0)
 def simple(input_path, catalog, out_format, out_path, seed):
     """Graded-simplicity verdict with certificate or witness."""
-    def go():
-        alg = _load(input_path, catalog)
-        res = structure.is_graded_simple(alg, seed=seed)
-        payload = {"name": alg.name, "verdict": res.verdict, "detail": res.detail}
-        if res.witness is not None:
-            payload["witness_dim"] = res.witness.dim
-            payload["witness_basis"] = _rows_of_subspace(alg, res.witness)
-        if out_format == "json":
-            _emit(out_path, json.dumps(payload, indent=2, sort_keys=True))
-        else:
-            _emit(out_path, f"{alg.name}: {res.verdict} ({res.detail})")
-        return 0
-    _run(go)
+    alg = _load(input_path, catalog)
+    res = structure.is_graded_simple(alg, seed=seed)
+    payload = {"name": alg.name, "verdict": res.verdict, "detail": res.detail}
+    if res.witness is not None:
+        payload["witness_dim"] = res.witness.dim
+        payload["witness_basis"] = _rows_of_subspace(alg, res.witness)
+    if out_format == "json":
+        _emit(out_path, json.dumps(payload, indent=2, sort_keys=True))
+    else:
+        _emit(out_path, f"{alg.name}: {res.verdict} ({res.detail})")
 
 
 @main.command("codim")
@@ -236,34 +252,31 @@ def simple(input_path, catalog, out_format, out_path, seed):
 def codim_cmd(input_path, catalog, out_format, out_path, n_max, mode, primes,
               seed, caps, ordinary, timings):
     """Codimension sequence c_1 .. c_n_max."""
-    def go():
-        plist = _int_list("--primes", primes)
-        if caps <= 0:
-            raise BadParam("resource caps must be positive")
-        alg = _load(input_path, catalog)
-        if ordinary:
-            alg = with_trivial_grading(alg)
-        # refuse an over-cap n before any c_n is computed
-        for n in range(1, n_max + 1):
-            codim.check_request(alg, n, mode, plist or None, caps)
-        results = [codim.graded_codim(alg, n, mode=mode, primes=plist or None,
-                                      seed=seed, max_block_entries=caps)
-                   for n in range(1, n_max + 1)]
-        if out_format == "json":
-            payload = [{"n": r.n, "c_n": r.value, "certification": r.certification,
-                        "seconds": round(r.seconds, 3) if timings else None,
-                        "blocks": [{"assignment": list(b.assignment), "rank": b.rank}
-                                   for b in r.blocks]}
-                       for r in results]
-            _emit(out_path, json.dumps(payload, indent=2, sort_keys=True))
-        else:
-            lines = ["n,c_n,certification,seconds"]
-            for r in results:
-                sec = f"{r.seconds:.3f}" if timings else ""
-                lines.append(f"{r.n},{r.value},\"{r.certification}\",{sec}")
-            _emit(out_path, "\n".join(lines))
-        return 0
-    _run(go)
+    plist = _int_list("--primes", primes)
+    if caps <= 0:
+        raise BadParam("resource caps must be positive")
+    alg = _load(input_path, catalog)
+    if ordinary:
+        alg = with_trivial_grading(alg)
+    # refuse an over-cap n before any c_n is computed
+    for n in range(1, n_max + 1):
+        codim.check_request(alg, n, mode, plist or None, caps)
+    results = [codim.graded_codim(alg, n, mode=mode, primes=plist or None,
+                                  seed=seed, max_block_entries=caps)
+               for n in range(1, n_max + 1)]
+    if out_format == "json":
+        payload = [{"n": r.n, "c_n": r.value, "certification": r.certification,
+                    "seconds": round(r.seconds, 3) if timings else None,
+                    "blocks": [{"assignment": list(b.assignment), "rank": b.rank}
+                               for b in r.blocks]}
+                   for r in results]
+        _emit(out_path, json.dumps(payload, indent=2, sort_keys=True))
+    else:
+        lines = ["n,c_n,certification,seconds"]
+        for r in results:
+            sec = f"{r.seconds:.3f}" if timings else ""
+            lines.append(f"{r.n},{r.value},\"{r.certification}\",{sec}")
+        _emit(out_path, "\n".join(lines))
 
 
 @main.command()
@@ -273,73 +286,62 @@ def codim_cmd(input_path, catalog, out_format, out_path, n_max, mode, primes,
 @click.option("--variant", type=click.Choice(["T1", "T3"]), default=None,
               help="also run the witness certificate for this variant")
 @click.option("--exact/--no-exact", default=True)
-@click.option("--n-cap", type=int, default=5)
-def multiplicity(input_path, catalog, out_format, out_path, shape, variant,
-                 exact, n_cap):
+def multiplicity(input_path, catalog, out_format, out_path, shape, variant, exact):
     """Multiplicity data for one shape: exact value and/or certificate."""
-    def go():
-        alg = _load(input_path, catalog)
+    alg = _load(input_path, catalog)
+    try:
+        lam = cochar.Partition(_int_list("--shape", shape))
+    except ValueError as exc:
+        raise BadParam(f"--shape {shape!r} is not a partition: {exc}") from None
+    payload = {"name": alg.name, "shape": list(lam.parts)}
+    report = None
+    if variant:
+        data = cochar.build_witness(variant, lam, alg=alg)
+        value = cochar.apply_symmetrizer(alg, data.tableau, data.f, data.tau)
+        payload["certificate_nonzero"] = any(c != 0 for c in value)
+        report = cochar.format_witness_report(alg, data, value)
+    if exact:
         try:
-            lam = cochar.Partition(_int_list("--shape", shape))
-        except ValueError as exc:
-            raise BadParam(f"--shape {shape!r} is not a partition: {exc}") from None
-        payload = {"name": alg.name, "shape": list(lam.parts)}
-        report = None
-        if variant:
-            data = cochar.build_witness(variant, lam, alg=alg)
-            value = cochar.apply_symmetrizer(alg, data.tableau, data.f, data.tau)
-            payload["certificate_nonzero"] = any(c != 0 for c in value)
-            report = cochar.format_witness_report(alg, data, value)
-        if exact and variant and lam.n > n_cap:
+            payload["multiplicity"] = cochar.multiplicity_exact(alg, lam)
+        except ResourceLimit as exc:
+            if not variant:
+                raise
             # the certificate above stands on its own; keep it
             payload["multiplicity"] = None
-            payload["multiplicity_skipped"] = f"degree {lam.n} exceeds --n-cap {n_cap}"
-        elif exact:
-            payload["multiplicity"] = cochar.multiplicity_exact(alg, lam, n_cap=n_cap)
-        if out_format == "json":
-            _emit(out_path, json.dumps(payload, indent=2, sort_keys=True))
-        else:
-            bits = [f"{alg.name} shape {lam.parts}:"]
-            if "multiplicity_skipped" in payload:
-                bits.append(f"multiplicity skipped ({payload['multiplicity_skipped']})")
-            elif "multiplicity" in payload:
-                bits.append(f"multiplicity {payload['multiplicity']}")
-            if "certificate_nonzero" in payload:
-                bits.append(f"certificate {'nonzero' if payload['certificate_nonzero'] else 'failed'}")
-            text = " ".join(bits)
-            if report:
-                text += "\n" + report
-            _emit(out_path, text)
-        return 0
-    _run(go)
+            payload["multiplicity_skipped"] = str(exc)
+    if out_format == "json":
+        _emit(out_path, json.dumps(payload, indent=2, sort_keys=True))
+    else:
+        bits = [f"{alg.name} shape {lam.parts}:"]
+        if "multiplicity_skipped" in payload:
+            bits.append(f"multiplicity skipped ({payload['multiplicity_skipped']})")
+        elif "multiplicity" in payload:
+            bits.append(f"multiplicity {payload['multiplicity']}")
+        if "certificate_nonzero" in payload:
+            bits.append(f"certificate {'nonzero' if payload['certificate_nonzero'] else 'failed'}")
+        text = " ".join(bits)
+        if report:
+            text += "\n" + report
+        _emit(out_path, text)
 
 
 @main.command()
 @_output_options
 @click.option("--q", type=int, required=True)
 @click.option("--tolerance", type=float, default=1e-9)
-@click.option("--seed", type=int, default=None,
-              help="deprecated and ignored: the dual Newton solve is deterministic")
-def phimax(out_format, out_path, q, tolerance, seed):
+def phimax(out_format, out_path, q, tolerance):
     """Maximize the product function over the pairing polytope."""
-    def go():
-        res = asympt.maximize_phi(asympt.lemma_max_polytope(q), tolerance=tolerance)
-        closed = asympt.lemma_max_closed_form(q)
-        payload = {"q": q, "value": res.value, "closed_form": closed.value,
-                   "difference": abs(res.value - closed.value),
-                   "point": list(res.point), "method": res.method,
-                   "certified_gap": res.certified_gap}
-        if out_format == "json":
-            _emit(out_path, json.dumps(payload, indent=2, sort_keys=True))
-        else:
-            _emit(out_path, f"q={q}: max {res.value:.12f} "
-                            f"(closed form {closed.value:.12f}, diff {payload['difference']:.2e})")
-        if seed is not None:
-            # after the output, so an error still ends in one JSON line on stderr
-            click.echo("note: phimax --seed is deprecated and ignored; "
-                       "the dual Newton solve is deterministic", err=True)
-        return 0
-    _run(go)
+    res = asympt.maximize_phi(asympt.lemma_max_polytope(q), tolerance=tolerance)
+    closed = asympt.lemma_max_closed_form(q)
+    payload = {"q": q, "value": res.value, "closed_form": closed.value,
+               "difference": abs(res.value - closed.value),
+               "point": list(res.point), "method": res.method,
+               "certified_gap": res.certified_gap}
+    if out_format == "json":
+        _emit(out_path, json.dumps(payload, indent=2, sort_keys=True))
+    else:
+        _emit(out_path, f"q={q}: max {res.value:.12f} "
+                        f"(closed form {closed.value:.12f}, diff {payload['difference']:.2e})")
 
 
 @main.command()
@@ -352,25 +354,22 @@ def phimax(out_format, out_path, q, tolerance, seed):
 @click.option("--seed", type=int, default=0)
 def bounds(out_format, out_path, q, n_max, input_path, catalog, codim_n_max, seed):
     """Growth-bound table: d^n next to codimensions and hook lower bounds."""
-    def go():
-        closed = asympt.lemma_max_closed_form(q)
-        c_values = {}
-        if codim_n_max and (input_path or catalog):
-            alg = _load(input_path, catalog)
-            for n in range(1, codim_n_max + 1):
-                c_values[n] = codim.graded_codim(alg, n, seed=seed).value
-        rows = asympt.bound_report(closed.value, range(1, n_max + 1),
-                                   c_values=c_values, alpha=closed.point)
-        if out_format == "json":
-            _emit(out_path, json.dumps(rows, indent=2, sort_keys=True))
-        else:
-            lines = ["n,d_pow_n,c_n,hook_lower"]
-            for r in rows:
-                c = "" if r["c_n"] is None else r["c_n"]
-                lines.append(f"{r['n']},{r['d_pow_n']:.6f},{c},{r['hook_lower']}")
-            _emit(out_path, "\n".join(lines))
-        return 0
-    _run(go)
+    closed = asympt.lemma_max_closed_form(q)
+    c_values = {}
+    if codim_n_max and (input_path or catalog):
+        alg = _load(input_path, catalog)
+        for n in range(1, codim_n_max + 1):
+            c_values[n] = codim.graded_codim(alg, n, seed=seed).value
+    rows = asympt.bound_report(closed.value, range(1, n_max + 1),
+                               c_values=c_values, alpha=closed.point)
+    if out_format == "json":
+        _emit(out_path, json.dumps(rows, indent=2, sort_keys=True))
+    else:
+        lines = ["n,d_pow_n,c_n,hook_lower"]
+        for r in rows:
+            c = "" if r["c_n"] is None else r["c_n"]
+            lines.append(f"{r['n']},{r['d_pow_n']:.6f},{c},{r['hook_lower']}")
+        _emit(out_path, "\n".join(lines))
 
 
 @main.command()
@@ -379,16 +378,13 @@ def bounds(out_format, out_path, q, n_max, input_path, catalog, codim_n_max, see
 @click.option("--ordinary", is_flag=True, help="forget the grading first")
 def exponent(input_path, catalog, out_format, out_path, ordinary):
     """The chain-formula growth exponent."""
-    def go():
-        alg = _load(input_path, catalog)
-        d = structure.ordinary_exponent(alg) if ordinary else structure.graded_exponent_d(alg)
-        kind = "ordinary" if ordinary else "graded"
-        if out_format == "json":
-            _emit(out_path, json.dumps({"name": alg.name, "kind": kind, "d": d}, sort_keys=True))
-        else:
-            _emit(out_path, f"{alg.name}: {kind} exponent {d}")
-        return 0
-    _run(go)
+    alg = _load(input_path, catalog)
+    d = structure.ordinary_exponent(alg) if ordinary else structure.graded_exponent_d(alg)
+    kind = "ordinary" if ordinary else "graded"
+    if out_format == "json":
+        _emit(out_path, json.dumps({"name": alg.name, "kind": kind, "d": d}, sort_keys=True))
+    else:
+        _emit(out_path, f"{alg.name}: {kind} exponent {d}")
 
 
 @main.command("verify-paper")
@@ -397,19 +393,17 @@ def exponent(input_path, catalog, out_format, out_path, ordinary):
 @_output_options
 def verify_paper(sections, out_format, out_path):
     """Run the full verification battery; exit 0 iff every check passes."""
-    def go():
-        lines = []
-        results = verify.run_battery(sections=sections or None,
-                                     emit=lines.append)
-        if out_format == "json":
-            payload = [{"check": r.check_id, "group": r.group,
-                        "passed": r.passed, "detail": r.detail} for r in results]
-            _emit(out_path, json.dumps(payload, indent=2, sort_keys=True))
-        else:
-            summary = f"{sum(r.passed for r in results)}/{len(results)} checks passed"
-            _emit(out_path, "\n".join(lines + [summary]))
-        return 0 if results and all(r.passed for r in results) else 1
-    _run(go)
+    lines = []
+    results = verify.run_battery(sections=sections or None,
+                                 emit=lines.append)
+    if out_format == "json":
+        payload = [{"check": r.check_id, "group": r.group,
+                    "passed": r.passed, "detail": r.detail} for r in results]
+        _emit(out_path, json.dumps(payload, indent=2, sort_keys=True))
+    else:
+        summary = f"{sum(r.passed for r in results)}/{len(results)} checks passed"
+        _emit(out_path, "\n".join(lines + [summary]))
+    return 0 if results and all(r.passed for r in results) else 1
 
 
 @main.command()
@@ -417,11 +411,8 @@ def verify_paper(sections, out_format, out_path):
 @_output_options
 def export(input_path, catalog, out_format, out_path):
     """Write an algebra back out in the definition-file format."""
-    def go():
-        alg = _load(input_path, catalog)
-        _emit(out_path, serialize_algebra(alg))
-        return 0
-    _run(go)
+    alg = _load(input_path, catalog)
+    _emit(out_path, serialize_algebra(alg))
 
 
 if __name__ == "__main__":

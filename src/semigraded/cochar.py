@@ -16,14 +16,13 @@ from .errors import (
     BadParam,
     BetaInvalid,
     HypothesisViolated,
-    ResourceLimit,
     SizeMismatch,
     TooManyParts,
     UnsupportedAlgebra,
 )
 from .gralgebra import GradedAlgebra, mul_sparse
 from .linalg import ZERO, frac
-# partitions_of is used through this module by its callers
+# hook_dim and partitions_of are used through this module by its callers
 from .young import (
     Partition,
     YoungTableau,
@@ -473,44 +472,42 @@ def format_witness_report(alg: GradedAlgebra, data: WitnessData, value) -> str:
 
 # -- exact multiplicities -----------------------------------------------------------
 
-def multiplicity_exact(alg: GradedAlgebra, lam: Partition, n_cap: int = 5,
-                       monomial_cap: int = 20000) -> int:
-    """The multiplicity m_lambda of the shape's irreducible in the
-    multilinear quotient: the direct sum, over the degree assignments a,
-    of the multilinear polynomials with variable degrees a modulo the
-    graded identities, on which S_n renames variables and assignments.
+def multiplicities(alg: GradedAlgebra, shapes) -> dict:
+    """{lambda: m_lambda} for shapes of one degree n: the multiplicity of
+    each shape's irreducible in the multilinear quotient (the multilinear
+    polynomials of every degree assignment modulo the graded identities).
 
     The assignments of one sorted representative r form an S_n-orbit whose
-    stabilizer is the Young subgroup H of r's composition, so their sum is
-    induced from r's block: m_lambda = sum over r and over the
-    multipartitions <mu> of the composition of c^lambda_<mu> * m_<mu>.
-    Here m_<mu> is the graded cocharacter, the exact rank of one slice of
-    r's combined block (codim.isotypic_slices; only the slices with
-    c != 0 are ranked, each through its Gram matrix codim._gram, whose
-    rank over Q is the slice's), and c^lambda_<mu> the Littlewood-Richardson
-    coefficient of young.induction_coefficients.
-
-    n_cap bounds the degree.  monomial_cap bounds hook_dim(lam) *
-    |support| ** n, the multiplicity of the shape in the whole graded
-    multilinear space and so an upper bound on the answer; the work done
-    is bounded by the codimension engine's block cap (basis entries,
-    triples and combined entries, codim.DEFAULT_BLOCK_CAP).
+    stabilizer is the Young subgroup of r's composition, so m_lambda = sum
+    over r and over the multipartitions <mu> of c^lambda_<mu> * m_<mu>
+    (young.induction_coefficients), m_<mu> the exact rank of one slice of
+    r's combined block.  One codim.isotypic_slices pass serves every
+    shape: a slice is ranked once, through its Gram matrix codim._gram,
+    and only when some shape has c != 0.  The engine's block cap is the
+    only bound; check_request refuses n = 8 before anything is built.
+    Raises BadParam for no shapes, mixed degrees or a shape without boxes.
     """
-    n = lam.n
-    if n < 1:
-        raise BadParam("a shape needs at least one box")
-    if n > n_cap:
-        raise ResourceLimit(f"multiplicity_exact capped at degree {n_cap}", context=lam)
-    if hook_dim(lam) * len(alg.support()) ** n > monomial_cap:
-        raise ResourceLimit("spanning monomial set too large", context=lam)
+    want = dict.fromkeys(shapes, 0)
+    degrees = {lam.n for lam in want}
+    if len(degrees) != 1 or 0 in degrees:
+        raise BadParam(f"shapes of one degree n >= 1 are needed, got degrees {sorted(degrees)}")
+    [n] = degrees
     _, reps = check_request(alg, n)
-    total = 0
     for _, _, slices in isotypic_slices(alg, n, reps):
-        for shapes, _, rows in slices:
-            c = induction_coefficients(shapes).get(lam, 0)
-            if c:
-                total += c * _rank_exact(_dict_rows(_gram(rows)))
-    return total
+        for parts, _, rows in slices:
+            coefs = induction_coefficients(parts)
+            hits = [(lam, coefs[lam]) for lam in want if coefs.get(lam)]
+            if hits:
+                rank = _rank_exact(_dict_rows(_gram(rows)))
+                for lam, c in hits:
+                    want[lam] += c * rank
+    return want
+
+
+def multiplicity_exact(alg: GradedAlgebra, lam: Partition) -> int:
+    """m_lambda of one shape; pass the shapes of a degree to multiplicities
+    at once, which builds and combines the blocks once for all."""
+    return multiplicities(alg, [lam])[lam]
 
 
 def alternation_vanishing_check(alg: GradedAlgebra, n: int, trials: int = 200,

@@ -242,11 +242,11 @@ def check_multiplicity_cross(algebras=None):
     details = []
     ok = True
     for n in range(1, 5):
-        for lam in cochar.partitions_of(n):
-            cert = cochar.multiplicity_nonzero_certificate(t3, "T3", lam)
-            if not cert:
-                continue
-            m = cochar.multiplicity_exact(t3, lam)
+        certified = [lam for lam in cochar.partitions_of(n)
+                     if cochar.multiplicity_nonzero_certificate(t3, "T3", lam)]
+        if not certified:
+            continue
+        for lam, m in cochar.multiplicities(t3, certified).items():
             if m < 1:
                 ok = False
                 details.append(f"{lam.parts}: certificate true but multiplicity {m}")

@@ -156,30 +156,44 @@ def test_multiplicity_command(runner):
     payload = json.loads(result.output)
     assert payload["certificate_nonzero"] is True
     assert payload["multiplicity"] >= 1
-
-
-def test_multiplicity_over_the_degree_cap_keeps_the_certificate(runner):
-    # the README example: degree 6 is over the default --n-cap of 5
+    # the README example: degree 6 is under the engine's block cap
     result = runner.invoke(main, ["multiplicity", "--catalog", "thm_T3_fractional",
                                   "--shape", "2,1,1,1,1", "--variant", "T3",
                                   "--format", "json"])
     assert result.exit_code == 0
     payload = json.loads(result.output)
     assert payload["certificate_nonzero"] is True
+    assert payload["multiplicity"] == 29
+
+
+# the degree-11 shape of the README: its certificate is nonzero, while the
+# engine refuses the degree before it builds anything
+_OVER_CAP_SHAPE = "2,2,2,2,2,1"
+_DEGREE_ELEVEN_REFUSED = ("block for assignment (0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0) needs a "
+                          "35696 x 39916800 isotypic basis (cap 10000000)")
+
+
+def test_multiplicity_over_the_degree_cap_keeps_the_certificate(runner):
+    result = runner.invoke(main, ["multiplicity", "--catalog", "thm_T3_fractional",
+                                  "--shape", _OVER_CAP_SHAPE, "--variant", "T3",
+                                  "--format", "json"])
+    assert result.exit_code == 0
+    payload = json.loads(result.output)
+    assert payload["certificate_nonzero"] is True
     assert payload["multiplicity"] is None
-    assert payload["multiplicity_skipped"] == "degree 6 exceeds --n-cap 5"
+    assert payload["multiplicity_skipped"] == _DEGREE_ELEVEN_REFUSED
     text = runner.invoke(main, ["multiplicity", "--catalog", "thm_T3_fractional",
-                                "--shape", "2,1,1,1,1", "--variant", "T3"])
+                                "--shape", _OVER_CAP_SHAPE, "--variant", "T3"])
     assert text.exit_code == 0
     assert "multiplicity skipped" in text.output and "verdict: nonzero" in text.output
 
 
 def test_multiplicity_over_the_degree_cap_without_variant_is_a_resource_limit(runner):
     result = runner.invoke(main, ["multiplicity", "--catalog", "thm_T3_fractional",
-                                  "--shape", "2,1,1,1,1"])
+                                  "--shape", _OVER_CAP_SHAPE])
     assert result.exit_code == 3
     [line] = result.stderr.strip().splitlines()
-    assert json.loads(line)["error"] == "ResourceLimit"
+    assert json.loads(line) == {"error": "ResourceLimit", "message": _DEGREE_ELEVEN_REFUSED}
 
 
 def test_phimax_command(runner):
@@ -190,14 +204,34 @@ def test_phimax_command(runner):
     assert payload["difference"] < 1e-9
 
 
-def test_phimax_seed_is_deprecated_and_ignored(runner):
-    plain = runner.invoke(main, ["phimax", "--q", "7"])
-    seeded = runner.invoke(main, ["phimax", "--q", "7", "--seed", "3"])
-    assert plain.exit_code == seeded.exit_code == 0
-    assert seeded.stdout == plain.stdout
-    assert plain.stderr == ""
-    [note] = seeded.stderr.strip().splitlines()
-    assert "--seed is deprecated and ignored" in note
+@pytest.mark.parametrize("args, error, message", [
+    (["phimax", "--q", "7", "--bogus", "1"], "NoSuchOption", "No such option '--bogus'"),
+    (["codim", "--catalog", "thm_T1_fractional", "--n-max", "abc"], "BadParameter",
+     "Invalid value for '--n-max': 'abc' is not a valid integer."),
+    (["codim", "--catalog", "thm_T1_fractional", "--mode", "fast"], "BadParameter",
+     "Invalid value for '--mode': 'fast' is not one of 'modular', 'exact'."),
+    (["phimax"], "MissingParameter", "Missing option '--q'."),
+    # phimax --seed is gone: it was deprecated and ignored
+    (["phimax", "--q", "7", "--seed", "3"], "NoSuchOption", "No such option '--seed'"),
+], ids=["unknown-option", "not-an-integer", "bad-choice", "missing-option", "phimax-seed"])
+def test_click_usage_errors_are_one_json_line(runner, args, error, message):
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    [line] = result.stderr.strip().splitlines()
+    payload = json.loads(line)
+    assert payload["error"] == error
+    assert payload["message"].startswith(message)
+
+
+def test_help_still_prints_help(runner):
+    for args in (["--help"], ["phimax", "--help"]):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0
+        assert result.stdout.startswith("Usage:") and result.stderr == ""
+    # a bare group prints its help too (exit 0 or 2, by Click version), not JSON
+    bare = runner.invoke(main, [])
+    assert bare.output.startswith("Usage:") and "Commands:" in bare.output
 
 
 def test_exponent_command(runner):
@@ -270,6 +304,10 @@ def test_verify_sections_filter(runner):
     assert "semigroup-classification" in result.output
     assert "theta-window" in result.output
     assert "codim-t1-t2-agreement" not in result.output
+    # no check selected is no check passed: the command's return value is the exit code
+    none = runner.invoke(main, ["verify-paper", "--sections", "no-such-check"])
+    assert none.exit_code == 1
+    assert none.stdout == "0/0 checks passed\n"
 
 
 ONE_DIM = """\

@@ -22,6 +22,7 @@ from semigraded.cochar import (
     choose_beta,
     dim_bounds,
     hook_dim,
+    multiplicities,
     multiplicity_exact,
     multiplicity_nonzero_certificate,
     partitions_of,
@@ -31,8 +32,8 @@ from semigraded.cochar import (
 from semigraded import codim
 from semigraded.codim import _product_cache, _rank_exact, graded_codim
 from semigraded.errors import (
+    BadParam,
     HypothesisViolated,
-    ResourceLimit,
     SizeMismatch,
     TooManyParts,
     UnsupportedAlgebra,
@@ -464,21 +465,39 @@ def test_multiplicity_more_parts_than_dim():
     assert multiplicity_exact(alg, Partition((1, 1, 1))) == 0
 
 
-# exact c_1..c_4 of the three fractional algebras
+def test_multiplicities_need_shapes_of_one_degree():
+    alg = one_dim_unital()
+    assert multiplicities(alg, [Partition((2,)), Partition((1, 1))]) == \
+        {Partition((2,)): 1, Partition((1, 1)): 0}
+    for shapes in ([], [Partition((2,)), Partition((1,))], [Partition(())]):
+        with pytest.raises(BadParam):
+            multiplicities(alg, shapes)
+    with pytest.raises(BadParam):
+        multiplicity_exact(alg, Partition(()))
+
+
+# exact c_1..c_5 of the three fractional algebras
 CODIMENSIONS = {
-    "thm_T1_fractional": (2, 8, 48, 359),
-    "thm_T2_fractional": (2, 8, 48, 359),
-    "thm_T3_fractional": (2, 8, 45, 305),
+    "thm_T1_fractional": (2, 8, 48, 359, 2746),
+    "thm_T2_fractional": (2, 8, 48, 359, 2746),
+    "thm_T3_fractional": (2, 8, 45, 305, 2136),
 }
 
 
 def test_multiplicity_cross_check_against_codim():
+    # one multiplicities call per degree, then the per-shape path at n <= 4
+    tables = {}
     for name, values in CODIMENSIONS.items():
         alg = paper_catalog(name)
         for n, c_n in enumerate(values, 1):
-            total = sum(multiplicity_exact(alg, lam) * hook_dim(lam)
-                        for lam in partitions_of(n))
+            table = multiplicities(alg, partitions_of(n))
+            tables[name, n] = table
+            total = sum(m * hook_dim(lam) for lam, m in table.items())
             assert total == graded_codim(alg, n, mode="exact").value == c_n, (name, n)
+            if n <= 4:
+                assert table == {lam: multiplicity_exact(alg, lam) for lam in table}, (name, n)
+    for n in range(1, 6):
+        assert tables["thm_T1_fractional", n] == tables["thm_T2_fractional", n], n
 
 
 def test_certificate_implies_positive_multiplicity():
@@ -498,19 +517,15 @@ def test_certificate_cross_check_degree_five_spot():
 
 
 def test_multiplicity_degree_six_within_the_default_cap():
-    # 5 * 2**6 = 320 rows are ranked, well under the default monomial_cap
+    # the engine's default block cap is the only bound on the degree; at
+    # n = 6 a Littlewood-Richardson coefficient first reaches 2
     t3 = paper_catalog("thm_T3_fractional")
-    assert multiplicity_exact(t3, Partition((3, 3)), n_cap=6) == 117
-
-
-def test_monomial_cap_counts_the_rows_ranked():
-    t3 = paper_catalog("thm_T3_fractional")
-    lam = Partition((2, 1))
-    rows = hook_dim(lam) * len(t3.support()) ** lam.n
-    assert rows == 16
-    with pytest.raises(ResourceLimit):
-        multiplicity_exact(t3, lam, monomial_cap=rows - 1)
-    assert multiplicity_exact(t3, lam, monomial_cap=rows) >= 1
+    assert multiplicity_exact(t3, Partition((3, 3))) == 117
+    assert induction_coefficients((Partition((2, 1)),) * 2)[Partition((3, 2, 1))] == 2
+    table = multiplicities(t3, partitions_of(6))
+    assert table[Partition((3, 3))] == 117
+    assert sum(m * hook_dim(lam) for lam, m in table.items()) == \
+        graded_codim(t3, 6, mode="exact").value == 13624
 
 
 def test_positive_multiplicities_lie_in_the_support_region():
@@ -650,17 +665,19 @@ def spanning_row_multiplicity(alg, lam):
 def test_multiplicity_matches_the_oracle_on_the_catalog():
     for alg in catalog_at_two():
         for n in (1, 2, 3):
+            table = multiplicities(alg, partitions_of(n))
             for lam in partitions_of(n):
-                assert multiplicity_exact(alg, lam) == oracle_multiplicity(alg, lam), \
-                    (alg.name, lam)
+                assert table[lam] == multiplicity_exact(alg, lam) == \
+                    oracle_multiplicity(alg, lam), (alg.name, lam)
 
 
 @pytest.mark.parametrize("spec", [("thm_T1_fractional",), ("thm_T3_fractional",),
                                   ("exampleT2", 2)])
 def test_multiplicity_matches_the_oracle_degree_four(spec):
     alg = paper_catalog(*spec)
+    table = multiplicities(alg, partitions_of(4))
     for lam in partitions_of(4):
-        assert multiplicity_exact(alg, lam) == oracle_multiplicity(alg, lam), lam
+        assert table[lam] == multiplicity_exact(alg, lam) == oracle_multiplicity(alg, lam), lam
 
 
 def test_multiplicity_matches_the_oracle_with_fraction_constants():
@@ -693,7 +710,7 @@ DEGREE_FIVE = {
 @pytest.mark.parametrize("name", sorted(DEGREE_FIVE))
 def test_degree_five_table_matches_the_spanning_rows(name):
     alg = paper_catalog(name)
-    table = tuple(multiplicity_exact(alg, lam) for lam in partitions_of(5))
+    table = tuple(multiplicities(alg, partitions_of(5)).values())
     assert table == DEGREE_FIVE[name]
     assert table == tuple(spanning_row_multiplicity(alg, lam) for lam in partitions_of(5))
 

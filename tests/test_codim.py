@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from semigraded import codim
-from semigraded.cochar import multiplicity_exact, partitions_of
+from semigraded.cochar import multiplicities, multiplicity_exact, partitions_of
 from semigraded.codim import (
     CERT_EXACT,
     CERT_MODULAR_STABLE,
@@ -925,6 +925,8 @@ def test_degree_eight_fails_before_the_product_cache(monkeypatch):
     for name in ("thm_T1_fractional", "thm_T2_fractional", "thm_T3_fractional"):
         with pytest.raises(ResourceLimit, match="isotypic basis"):
             graded_codim(paper_catalog(name), 8)
+        with pytest.raises(ResourceLimit, match="isotypic basis"):
+            multiplicities(paper_catalog(name), partitions_of(8))
 
 
 def test_cap_counts_the_allocated_entries(monkeypatch):
