@@ -14,7 +14,8 @@ its degrees, the rank of the block's rows combined by a certified basis
 of one isotypic piece of the group algebra.
 isotypic_slices scatters and combines each block once; graded_codim
 ranks the slices over two ~30-bit primes by default (a certified lower
-bound, labelled as such) or over exact rationals on request, and
+bound, labelled as such), one elimination per slice for all its primes,
+or over exact rationals on request, and
 cochar.multiplicity_exact induces the ordinary cocharacter from their
 exact ranks.  An exact rank is taken of the slice's Gram matrix along
 its longer side, which has the slice's rank over Q and is no larger than
@@ -151,30 +152,73 @@ def _word_products(alg: GradedAlgebra, n: int, max_entries: int = DEFAULT_BLOCK_
     return words, at, coord, values
 
 
-def _rank_mod_p(mat: np.ndarray, p: int) -> int:
-    """Rank over GF(p) of an integer matrix (int64 or Python ints), p <
-    2 ** 31.  Each step finds the next pivot column with one test over the
-    rows not yet used and updates only the columns from it on, so the work
-    stops at the rank."""
-    m = (mat % p).astype(np.int64, copy=False)
-    rows, cols = m.shape
+def _rank_mod_p(mat: np.ndarray, primes) -> tuple:
+    """The rank over GF(p) of an integer matrix (int64 or Python ints) for
+    each p < 2 ** 31 in primes, in their order, from one elimination of its
+    residues stacked as layers (_eliminate)."""
+    moduli = np.array(primes, dtype=np.int64)[:, None, None]
+    return tuple(_eliminate(_residues(mat[None], moduli).astype(np.int64, copy=False), moduli))
+
+
+def _residues(m: np.ndarray, moduli: np.ndarray) -> np.ndarray:
+    """m mod moduli, in [0, p), as a new array: numpy divides by a
+    broadcast int64 modulus several times faster than it takes remainders."""
+    out = m // moduli
+    out *= moduli
+    return np.subtract(m, out, out=out)
+
+
+def _eliminate(m: np.ndarray, moduli: np.ndarray) -> list:
+    """The rank of each layer of m (layers x rows x cols, reduced) modulo
+    the matching entry of moduli (layers x 1 x 1); m is overwritten.
+
+    Each step finds the first layer's next pivot column with one test over
+    the rows not yet used and clears that column below the pivot in every
+    layer without division (row_i <- piv row_i - f row_r mod p), updating
+    only the columns from it on, so the work stops at the rank.  These are
+    row operations of a later layer as long as its pivot is nonzero and its
+    unused rows vanish on the columns the first layer skipped; a layer that
+    fails either, or keeps nonzero rows after the first layer's last pivot,
+    is finished on its own by the same loop from where it stands."""
+    layers, rows, cols = m.shape
+    ranks = [0] * layers
+    at = np.arange(layers)  # the input layer each layer of m holds
     r = c = 0
     while r < rows and c < cols:
-        live = m[r:, c:].any(axis=0)
+        live = m[0, r:, c:].any(axis=0)
         step = int(live.argmax())
-        if not live[step]:
+        found = live[step]
+        if found:
+            i = r + int(m[0, r:, c + step].nonzero()[0][0])
+        # the columns the first layer skipped, or all left after its last pivot
+        skipped = m[:, r:, c:c + step] if found else m[:, r:, c:]
+        if found and not m[:, i, c + step].all() or skipped.size and skipped.any():
+            split = skipped.any(axis=(1, 2))
+            if found:
+                split |= m[:, i, c + step] == 0
+            for k in np.flatnonzero(split):
+                ranks[at[k]] = r + _eliminate(m[k:k + 1, r:, c:].copy(), moduli[k:k + 1])[0]
+            m, moduli, at = m[~split], moduli[~split], at[~split]
+        if not found:
             break
         c += step
-        i = r + int(np.flatnonzero(m[r:, c])[0])
+        # rows before r are not read again, so row r moves to the pivot's place
+        pivot = m[:, i, c:].copy()
         if i != r:
-            m[[r, i], c:] = m[[i, r], c:]
-        m[r, c:] = (m[r, c:] * pow(int(m[r, c]), -1, p)) % p
-        below = np.flatnonzero(m[r + 1:, c]) + (r + 1)
-        if below.size:
-            m[below, c:] = (m[below, c:] - np.outer(m[below, c], m[r, c:])) % p
+            m[:, i, c:] = m[:, r, c:]
         r += 1
+        below = np.flatnonzero(m[:, r:, c].any(axis=0)) + r
+        # rows in chunks of about 2 ** 18 entries keep the temporaries small
+        chunk = max(1, 2 ** 18 // pivot.size)
+        for lo in range(0, below.size, chunk):
+            rest = m[:, below[lo:lo + chunk], c:]
+            rest *= pivot[:, None, :1]
+            rest -= m[:, below[lo:lo + chunk], c, None] * pivot[:, None]
+            m[:, below[lo:lo + chunk], c:] = _residues(rest, moduli)
         c += 1
-    return r
+    for k in at:
+        ranks[k] = r
+    return ranks
 
 
 def _rank_exact(rows_entries) -> int:
@@ -190,13 +234,36 @@ def _checked_primes(primes, n: int) -> tuple:
     below 2 ** 31 so that products of two residues fit in int64."""
     primes = tuple(primes)
     if len(set(primes)) < 2 or not all(
-            isinstance(p, int) and n < p < 2 ** 31
-            and all(p % q for q in range(2, math.isqrt(p) + 1)) for p in primes):
+            isinstance(p, int) and n < p < 2 ** 31 and _is_prime(p) for p in primes):
         raise BadParam(f"primes must hold at least 2 distinct primes p with "
                        f"{n} = n < p < 2**31, got {list(primes)}")
     return primes
 
 
+def _is_prime(p: int) -> bool:
+    """Whether p < 3215031751 (past 2 ** 31) is prime: Miller-Rabin on the
+    bases 2, 3, 5 and 7, which no composite below that bound passes."""
+    if p in (2, 3, 5, 7):
+        return True
+    if p < 2 or p % 2 == 0:
+        return False
+    odd, twos = p - 1, 0
+    while odd % 2 == 0:
+        odd, twos = odd // 2, twos + 1
+    for base in (2, 3, 5, 7):
+        x = pow(base, odd, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(twos - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            return False
+    return True
+
+
+@lru_cache(maxsize=None)
 def _block_primes(seed, assignment):
     rng = random.Random(f"{seed}:{','.join(map(str, assignment))}")
     return tuple(rng.sample(PRIME_BANK, 2))
@@ -248,12 +315,27 @@ class _WordTable:
 
 def _lex_ranks(perms: np.ndarray) -> np.ndarray:
     """The rank of each permutation of range(n) along the last axis of
-    perms among them all in lexicographic order, by its Lehmer code."""
+    perms among them all in lexicographic order: its base-n code, formed in
+    place digit by digit, found among the codes of all n! permutations."""
     n = perms.shape[-1]
-    ranks = np.zeros(perms.shape[:-1], dtype=np.int64)
-    for j in range(n - 1):
-        ranks += math.factorial(n - 1 - j) * (perms[..., j + 1:] < perms[..., j, None]).sum(-1)
-    return ranks
+    table = _lex_codes(n)
+    codes = np.zeros(perms.shape[:-1], dtype=table.dtype)
+    for j in range(n):
+        codes *= n
+        codes += perms[..., j]
+    return np.searchsorted(table, codes)
+
+
+@lru_cache(maxsize=None)
+def _lex_codes(n: int) -> np.ndarray:
+    """The base-n codes of the permutations of range(n) in lexicographic
+    order, increasing, read-only; int32 while n ** n fits, which halves the
+    codes _lex_ranks forms."""
+    perms = np.array(list(permutations(range(n))), dtype=np.int64).reshape(-1, n)
+    codes = perms @ n ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    codes = codes.astype(np.int32 if n ** n < 2 ** 31 else np.int64)
+    codes.flags.writeable = False
+    return codes
 
 
 def _combine(basis: np.ndarray, rows, cols, values, n_cols: int) -> np.ndarray:
@@ -349,10 +431,11 @@ def _young_factor(lam):
     return factor
 
 
-def _multipartitions(composition) -> list:
+@lru_cache(maxsize=None)
+def _multipartitions(composition) -> tuple:
     """The multipartitions (lambda_t |- n_t) of a composition (n_t), as
     tuples of Partitions, in the order of the slices of _isotypic_basis."""
-    return list(product(*(list(partitions_of(k)) for k in composition)))
+    return tuple(product(*(list(partitions_of(k)) for k in composition)))
 
 
 @lru_cache(maxsize=None)
@@ -388,7 +471,7 @@ def _isotypic_basis(composition: tuple):
         gram = per_coset @ per_coset.transpose(0, 2, 1)  # exact: entries <= n!
         if (len(h) != d or (per_coset != 0).any(axis=1).sum(axis=0).max() > 1
                 or (gram != gram[0]).any()
-                or _rank_mod_p(gram[0].astype(np.int64), PRIME_BANK[0]) != d):
+                or _rank_mod_p(gram[0].astype(np.int64), (PRIME_BANK[0],)) != (d,)):
             raise HypothesisViolated(
                 f"the rows built for {shapes} are not a basis of e.KS_{n}")
         blocks.append(rows)
@@ -493,8 +576,10 @@ def graded_codim(alg: GradedAlgebra, n: int, mode: str = "modular",
             rank = sum(d * _rank_exact(_dict_rows(_gram(rows))) for _, d, rows in slices)
             ranked[rep] = (n_cols, rank, CERT_EXACT)
         else:
-            ranks = [sum(d * _rank_mod_p(rows, p) for _, d, rows in slices)
-                     for p in (primes or _block_primes(seed, rep))]
+            block_primes = primes or _block_primes(seed, rep)
+            per_slice = [[d * r for r in _rank_mod_p(rows, block_primes)]
+                         for _, d, rows in slices]
+            ranks = [sum(column) for column in zip(*per_slice)]
             cert = CERT_MODULAR_STABLE if len(set(ranks)) == 1 else CERT_MODULAR_UNSTABLE
             ranked[rep] = (n_cols, max(ranks), cert)
     # lexicographic over semigroup element indices keeps output reproducible

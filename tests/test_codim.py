@@ -111,7 +111,7 @@ def block_rank(rows, ncols: int, p=None) -> int:
     for i, row in enumerate(rows):
         for j, v in row.items():
             mat[i, j] = _residue(v, p)
-    return _rank_mod_p(mat, p)
+    return _rank_mod_p(mat, (p,))[0]
 
 
 def oracle_block(alg: GradedAlgebra, cache, assignment, p=None):
@@ -684,6 +684,31 @@ def test_block_rank_is_invariant_under_relabelling_variables(data):
         oracle_block(alg, cache, tuple(a[s] for s in sigma))
 
 
+# -- oracle: lexicographic ranks of permutations by their Lehmer codes --
+
+def lehmer_lex_ranks(perms):
+    """The rank of each permutation of range(n) along the last axis of
+    perms among them all in lexicographic order, by its Lehmer code."""
+    n = perms.shape[-1]
+    ranks = np.zeros(perms.shape[:-1], dtype=np.int64)
+    for j in range(n - 1):
+        ranks += math.factorial(n - 1 - j) * (perms[..., j + 1:] < perms[..., j, None]).sum(-1)
+    return ranks
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_lex_ranks_match_the_lehmer_code(n):
+    perms = np.array(list(permutations(range(n))), dtype=np.int8).reshape(-1, n)
+    assert codim._lex_ranks(perms).tolist() == lehmer_lex_ranks(perms).tolist() \
+        == list(range(math.factorial(n)))
+    # a (terms, rows, n) stack of composed words, as _isotypic_basis passes it
+    rng = np.random.default_rng(n)
+    terms, rows = perms[rng.integers(0, len(perms), 5)], perms[rng.integers(0, len(perms), 9)]
+    stack = terms[:, rows]
+    assert stack.shape == (5, 9, n)
+    assert codim._lex_ranks(stack).tolist() == lehmer_lex_ranks(stack).tolist()
+
+
 # -- oracle: the whole-block rank, as the engine took it before the isotypic split --
 
 def column_loop_rank_mod_p(mat, p):
@@ -836,13 +861,27 @@ def _matrix_case(data):
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_rank_mod_p_matches_the_column_loop(data):
+    # every layer of the one elimination has its own prime's rank
     mat = _matrix_case(data)
-    p = data.draw(st.sampled_from((2, 3, 7, 1073741789)), label="p")
+    primes = tuple(data.draw(st.lists(st.sampled_from((2, 3, 5, 7, 11) + PRIME_BANK[:3]),
+                                      min_size=1, max_size=3), label="primes"))
     # Python ints reach it from the product of blocks past the float64 range
     for entries in (mat, mat.astype(object)):
         before = entries.copy()
-        assert _rank_mod_p(entries, p) == column_loop_rank_mod_p(mat, p)
+        assert _rank_mod_p(entries, primes) == \
+            tuple(column_loop_rank_mod_p(mat, p) for p in primes)
         assert (entries == before).all()
+
+
+@pytest.mark.parametrize("mat, primes, ranks", [
+    ([[2]], (3, 2), (1, 0)),              # the second layer's pivot is 0
+    ([[1, 0], [0, 2]], (2, 3), (1, 2)),   # rows left after the first layer's last pivot
+    ([[2, 1]], (2, 3), (1, 1)),           # the first layer skips a column nonzero in the second
+])
+def test_rank_mod_p_finishes_a_diverging_layer_on_its_own(mat, primes, ranks):
+    mat = np.array(mat, dtype=np.int64)
+    assert _rank_mod_p(mat, primes) == ranks
+    assert tuple(column_loop_rank_mod_p(mat, p) for p in primes) == ranks
 
 
 @settings(max_examples=200, deadline=None)
@@ -861,10 +900,12 @@ def test_gram_has_the_exact_rank_of_the_matrix(data):
 
 
 def test_rank_mod_p_of_one_by_one_and_empty_shapes():
-    for value, rank in ((0, 0), (7, 0), (5, 1), (-1, 1)):
-        assert _rank_mod_p(np.array([[value]], dtype=np.int64), 7) == rank
-    assert _rank_mod_p(np.zeros((0, 3), dtype=np.int64), 7) == 0
-    assert _rank_mod_p(np.zeros((3, 0), dtype=np.int64), 7) == 0
+    for value, ranks in ((0, (0, 0)), (7, (0, 1)), (5, (1, 0)), (-1, (1, 1)), (35, (0, 0))):
+        assert _rank_mod_p(np.array([[value]], dtype=np.int64), (7,)) == ranks[:1]
+        assert _rank_mod_p(np.array([[value]], dtype=np.int64), (7, 5)) == ranks
+    for shape in ((0, 3), (3, 0)):
+        assert _rank_mod_p(np.zeros(shape, dtype=np.int64), (7,)) == (0,)
+        assert _rank_mod_p(np.zeros(shape, dtype=np.int64), (7, 5, 3)) == (0, 0, 0)
 
 
 @lru_cache(maxsize=None)
@@ -983,28 +1024,32 @@ def test_cap_counts_the_allocated_entries(monkeypatch):
 
 
 def test_modular_mode_scatters_each_block_once(monkeypatch):
-    # both primes rank residues of the same scattered and combined block
+    # one elimination ranks each slice of the one scattered and combined
+    # block modulo all the block's primes, given or drawn from the seed
     alg = paper_catalog("thm_T1_fractional")
     n = 4
-    primes = (PRIME_BANK[0], PRIME_BANK[1])
+    graded_codim(alg, n)  # builds the isotypic bases, whose check ranks mod one prime
     scatter, rank_mod_p = codim._WordTable.scatter, codim._rank_mod_p
     scattered, ranked = [], []
 
-    def counted_scatter(self, *args):
-        scattered.append(args)
-        return scatter(self, *args)
+    def counted_scatter(self, rep, *args):
+        scattered.append(rep)
+        return scatter(self, rep, *args)
 
-    def counted_rank(mat, p):
-        ranked.append(p)
-        return rank_mod_p(mat, p)
+    def counted_rank(mat, primes):
+        ranked.append((scattered[-1], primes))
+        return rank_mod_p(mat, primes)
 
     monkeypatch.setattr(codim._WordTable, "scatter", counted_scatter)
     monkeypatch.setattr(codim, "_rank_mod_p", counted_rank)
-    result = graded_codim(alg, n, primes=primes)
-    reps = {tuple(sorted(b.assignment)) for b in result.blocks}
-    assert len(scattered) == len(reps)
-    slices = sum(len(codim._multipartitions(codim._composition(rep))) for rep in reps)
-    assert sorted(ranked) == sorted(primes * slices)
+    for primes in ((PRIME_BANK[0], PRIME_BANK[1]), None):
+        scattered.clear()
+        ranked.clear()
+        result = graded_codim(alg, n, primes=primes, seed=5)
+        reps = sorted({tuple(sorted(b.assignment)) for b in result.blocks})
+        assert scattered == reps
+        assert ranked == [(rep, primes or _block_primes(5, rep)) for rep in reps
+                          for _ in codim._multipartitions(codim._composition(rep))]
 
 
 def derived_algebra(data):
@@ -1064,6 +1109,30 @@ def test_primes_must_exceed_the_degree(primes):
     with pytest.raises(BadParam):
         graded_codim(alg, 5, primes=primes)
     assert graded_codim(alg, 2, primes=(3, 5)).value == 8
+
+
+def trial_division_is_prime(p: int) -> bool:
+    return p > 1 and all(p % q for q in range(2, math.isqrt(p) + 1))
+
+
+def test_primality_test_matches_trial_division():
+    assert [p for p in range(3000) if codim._is_prime(p)] == \
+        [p for p in range(3000) if trial_division_is_prime(p)]
+    # the bank and the odd numbers just below it and just below 2 ** 31
+    for p in [*PRIME_BANK, *range(PRIME_BANK[-1] - 100, PRIME_BANK[-1], 2),
+              *range(2 ** 31 - 101, 2 ** 31, 2)]:
+        assert codim._is_prime(p) == trial_division_is_prime(p), p
+
+
+@pytest.mark.parametrize("composite", [
+    561, 41041, 825265, 321197185,  # Carmichael numbers
+    2047, 3277, 4033, 8321,         # strong pseudoprimes to base 2
+])
+def test_primality_test_rejects_pseudoprimes(composite):
+    assert not trial_division_is_prime(composite)
+    assert not codim._is_prime(composite)
+    with pytest.raises(BadParam):
+        graded_codim(paper_catalog("thm_T1_fractional"), 2, primes=(composite, PRIME_BANK[0]))
 
 
 def test_isotypic_basis_is_certified(monkeypatch):
