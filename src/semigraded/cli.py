@@ -391,14 +391,16 @@ def exponent(input_path, catalog, out_format, out_path, ordinary):
 @click.option("--sections", multiple=True,
               help="restrict to check ids or groups (repeatable)")
 @_output_options
-def verify_paper(sections, out_format, out_path):
+@click.option("--timings/--no-timings", default=True,
+              help="give each check's seconds in the json output")
+def verify_paper(sections, out_format, out_path, timings):
     """Run the full verification battery; exit 0 iff every check passes."""
     lines = []
     results = verify.run_battery(sections=sections or None,
                                  emit=lines.append)
     if out_format == "json":
-        payload = [{"check": r.check_id, "group": r.group,
-                    "passed": r.passed, "detail": r.detail} for r in results]
+        payload = [{"check": r.check_id, "group": r.group, "passed": r.passed, "detail": r.detail,
+                    **({"seconds": round(r.seconds, 3)} if timings else {})} for r in results]
         _emit(out_path, json.dumps(payload, indent=2, sort_keys=True))
     else:
         summary = f"{sum(r.passed for r in results)}/{len(results)} checks passed"

@@ -67,7 +67,8 @@ def alternating_value(alg, table, letters, pos_degrees) -> dict:
     Dynamic programming over the set S of letters already placed: the
     orderings of S share every continuation, so 2^h * h products replace
     h! words.  Placing letter j after S adds the inversions
-    #{i in S : i > j}.
+    #{i in S : i > j}; each partial sum is extended by its letter through
+    the table cells directly, the sign folded into the coefficients.
     """
     degree = alg.degree
     layer = {0: None}  # placed set (bit mask) -> partial sum; None is the empty product
@@ -80,13 +81,17 @@ def alternating_value(alg, table, letters, pos_degrees) -> dict:
                 if placed & bit:
                     continue
                 b = letters[j]
-                prod = {b: 1} if value is None else mul_sparse(table, value, {b: 1})
-                if not prod:
-                    continue
                 sign = -1 if (placed >> (j + 1)).bit_count() & 1 else 1
                 acc = nxt.setdefault(placed | bit, {})
-                for k, c in prod.items():
-                    acc[k] = acc.get(k, 0) + sign * c
+                if value is None:
+                    acc[b] = acc.get(b, 0) + sign
+                    continue
+                for i, a in value.items():
+                    cell = table.get((i, b))
+                    if cell:
+                        a *= sign
+                        for k, c in cell:
+                            acc[k] = acc.get(k, 0) + a * c
         layer = {}
         for placed, acc in nxt.items():
             acc = {k: c for k, c in acc.items() if c != 0}

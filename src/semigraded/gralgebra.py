@@ -7,6 +7,7 @@ are Fractions; nothing in this module touches floating point.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import (
@@ -17,7 +18,8 @@ from .errors import (
     SemigroupMismatch,
     UnknownName,
 )
-from .linalg import ONE, ZERO, Subspace, is_zero_vec, solve, unit_vec, vec
+from .linalg import (ONE, ZERO, Subspace, integer_row, is_zero_vec, solve, span_closure,
+                     sparse_map, unit_vec)
 from .semigroup import (
     FiniteSemigroup,
     catalog_semigroup,
@@ -73,6 +75,14 @@ class GradedAlgebra:
         integral = all(c.denominator == 1 for cell in self.structure.values()
                        for c in cell.values())
         return {key: tuple((k, c.numerator if integral else c) for k, c in cell.items())
+                for key, cell in self.structure.items()}
+
+    def integer_table(self):
+        """Structure constants times the lcm of their denominators, as
+        (i, j) -> ((k, int), ...): a fixed nonzero multiple of every basis
+        product, for the kernels that only need spans."""
+        d = math.lcm(*(c.denominator for cell in self.structure.values() for c in cell.values()))
+        return {key: tuple((k, int(c * d)) for k, c in cell.items() if c)
                 for key, cell in self.structure.items()}
 
     # -- grading ----------------------------------------------------------
@@ -231,29 +241,33 @@ def subspace_product(alg: GradedAlgebra, a: Subspace, b: Subspace) -> Subspace:
 def ideal_generated(alg: GradedAlgebra, vectors) -> Subspace:
     """Smallest two-sided ideal containing the vectors.
 
-    Closure under one-sided multiplication by basis elements, run to a
-    fixed point.  Note the generators themselves are included even when
-    the algebra has no unit.
+    The span closure of the vectors under v -> e_i v and v -> v e_i for
+    every basis element e_i, on integer rows: the structure constants
+    scaled by the lcm of their denominators (integer_table) multiply
+    every product by one nonzero constant, which changes no span.  Note
+    the generators themselves are included even when the algebra has no
+    unit.
     """
-    current = Subspace(alg.dim, [vec(v) for v in vectors])
-    while True:
-        new_rows = []
-        for row in current.rows:
-            for i in range(alg.dim):
-                e = alg.basis_vector(i)
-                for p in (alg.multiply(e, row), alg.multiply(row, e)):
-                    if not current.contains(p):
-                        new_rows.append(p)
-        if not new_rows:
-            return current
-        current = current.sum(Subspace(alg.dim, new_rows))
+    n = alg.dim
+    table = alg.integer_table()
+    maps = [sparse_map([table.get(key, ()) for key in keys])
+            for i in range(n)
+            for keys in ([(i, j) for j in range(n)], [(j, i) for j in range(n)])]
+    seeds = [{k: x for k, x in enumerate(integer_row(v)) if x} for v in vectors]
+    return Subspace(n, [[row.get(k, 0) for k in range(n)]
+                        for row in span_closure(n, seeds, maps)])
 
 
 def is_graded_subspace(alg: GradedAlgebra, s: Subspace) -> bool:
-    total = 0
-    for t in alg.support():
-        total += s.intersect(alg.component(t)).dim
-    return total == s.dim
+    """s is graded iff every row of its reduced echelon basis is homogeneous.
+
+    s is graded iff each component p_t(r) of each row r lies in s.  A
+    vector of s is the combination of the rows with its entries at their
+    pivots as coefficients, and r is 1 at its own pivot and 0 at the
+    others; so p_t(r) in s means p_t(r) = r when r's pivot has degree t,
+    and p_t(r) = 0 otherwise, which is r being homogeneous.
+    """
+    return all(len({alg.degree[i] for i, x in enumerate(row) if x}) == 1 for row in s.rows)
 
 
 def direct_sum(a: GradedAlgebra, b: GradedAlgebra) -> GradedAlgebra:
@@ -352,13 +366,11 @@ def quotient_algebra(alg: GradedAlgebra, ideal: Subspace, graded: bool):
 
 
 def homogeneous_basis(alg: GradedAlgebra, s: Subspace):
-    """A basis of the graded subspace s with every vector homogeneous."""
-    rows = []
-    for t in alg.support():
-        rows.extend(s.intersect(alg.component(t)).rows)
-    if len(rows) != s.dim:
+    """A basis of the graded subspace s with every vector homogeneous: its
+    echelon rows (see is_graded_subspace), in the order of their degrees."""
+    if not is_graded_subspace(alg, s):
         raise GradingViolation(None, "subspace is not graded")
-    return rows
+    return sorted(s.rows, key=lambda row: alg.degree[next(i for i, x in enumerate(row) if x)])
 
 
 def subalgebra_on(alg: GradedAlgebra, s: Subspace, graded: bool):

@@ -1,17 +1,18 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals, on integer kernels.
 
-Subspace, rref and the matrix helpers work on dense rows of Fraction;
-their dimensions stay small (a few dozen at most), so dense rational
-elimination is both fast enough and free of numerical questions.
-eliminate works on sparse rows (dicts column -> int or Fraction) and
-keeps integers, for the long rows of evaluation blocks and operator
-closures.
+rref scales its rows to integers and eliminates fraction-free; eliminate
+reduces sparse rows (dicts column -> value) as integers; span_closure
+grows a basis with eliminate.  Fraction appears only at the boundary:
+in the canonical rows rref returns, on which Subspace equality and
+hashing rest, and in the dense helpers (Subspace.reduce, solve, the
+matrix and polynomial helpers), whose dimensions stay at a few dozen.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import takewhile
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -23,10 +24,6 @@ def frac(x) -> Fraction:
 
 def vec(entries) -> tuple:
     return tuple(frac(x) for x in entries)
-
-
-def zero_vec(n: int) -> tuple:
-    return (ZERO,) * n
 
 
 def unit_vec(n: int, i: int) -> tuple:
@@ -41,43 +38,47 @@ def sub_vec(u, v):
     return tuple(a - b for a, b in zip(u, v))
 
 
-def scale_vec(c, u):
-    c = frac(c)
-    return tuple(c * a for a in u)
-
-
 def is_zero_vec(u) -> bool:
     return all(a == 0 for a in u)
 
 
+def integer_row(row) -> list:
+    """The row times the lcm of its denominators, as a list of ints; the
+    entries may be anything frac takes."""
+    if all(type(x) is int for x in row):
+        return list(row)
+    row = [frac(x) for x in row]
+    d = math.lcm(*(x.denominator for x in row))
+    return [x.numerator * (d // x.denominator) for x in row]
+
+
 def rref(rows):
-    """Reduced row echelon form.  Returns (rows, pivot column indices)."""
-    rows = [list(map(frac, r)) for r in rows]
-    if not rows:
-        return [], []
-    ncols = len(rows[0])
+    """Reduced row echelon form.  Returns (rows, pivot column indices).
+
+    Gauss-Jordan on the rows scaled to integers, fraction-free: each
+    update is an integer combination of two rows, divided by its gcd.
+    Dividing by the pivots at the end gives the canonical rows of the row
+    space, as tuples of Fraction.
+    """
+    rows = [r for r in map(integer_row, rows) if any(r)]
     pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = None
-        for i in range(r, len(rows)):
-            if rows[i][c] != 0:
-                pivot = i
-                break
-        if pivot is None:
+    for c in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        i = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if i is None:
             continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = ONE / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        rows[r], rows[i] = rows[i], rows[r]
+        prow = rows[r]
+        p = prow[c]
+        for k, row in enumerate(rows):
+            f = row[c]
+            if f and k != r:
+                new = [p * x - f * y for x, y in zip(row, prow)]
+                g = math.gcd(*new)
+                rows[k] = [x // g for x in new] if g > 1 else new
         pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return [tuple(row) for row in rows[:r]], pivots
+    return [tuple(Fraction(x, row[c]) if x else ZERO for x in row)
+            for row, c in zip(rows, pivots)], pivots
 
 
 def eliminate(echelon: dict, row) -> bool:
@@ -91,8 +92,7 @@ def eliminate(echelon: dict, row) -> bool:
     """
     work = {c: v for c, v in row.items() if v != 0}
     if not all(isinstance(v, int) for v in work.values()):
-        d = math.lcm(*(v.denominator for v in work.values()))
-        work = {c: int(v * d) for c, v in work.items()}
+        work = dict(zip(work, integer_row(work.values())))
     while work:
         pc = min(work)
         prow = echelon.get(pc)
@@ -114,6 +114,38 @@ def eliminate(echelon: dict, row) -> bool:
                 new.pop(c, None)
         work = new
     return False
+
+
+def sparse_map(images):
+    """The linear map e_j -> images[j] on sparse rows, images[j] being
+    ((column, coefficient), ...); zero coefficients are dropped."""
+    def apply(v):
+        out = {}
+        for j, x in v.items():
+            for k, c in images[j]:
+                out[k] = out.get(k, 0) + c * x
+        return {k: c for k, c in out.items() if c}
+    return apply
+
+
+def span_closure(ambient: int, seeds, maps) -> list:
+    """A basis of the smallest subspace of Q^ambient that holds the seeds
+    and is closed under the linear maps, as the sparse rows it kept.
+
+    Breadth first: each round applies every map to the rows the round
+    before kept, and keeps a row only when eliminate finds it independent
+    of the rows kept so far.  The images of every kept row are then in
+    the span, so the span is closed when a round keeps nothing; the
+    search also stops at ambient rows.
+    """
+    echelon, basis, candidates = {}, [], iter(seeds)
+    while True:
+        kept = [v for v in takewhile(lambda _: len(echelon) < ambient, candidates)
+                if eliminate(echelon, v)]
+        if not kept:
+            return basis
+        basis += kept
+        candidates = (f(v) for v in kept for f in maps)
 
 
 class Subspace:
@@ -176,20 +208,6 @@ class Subspace:
     def contains(self, v) -> bool:
         return is_zero_vec(self.reduce(v))
 
-    def coordinates(self, v):
-        """Coefficients of v in the echelon basis, or None if v is outside."""
-        v = list(map(frac, v))
-        coeffs = []
-        for row, p in zip(self.rows, self.pivots):
-            c = v[p]
-            coeffs.append(c)
-            if c != 0:
-                for j in range(p, self.ambient):
-                    v[j] -= c * row[j]
-        if not is_zero_vec(v):
-            return None
-        return tuple(coeffs)
-
     def sum(self, other: "Subspace") -> "Subspace":
         assert self.ambient == other.ambient
         return Subspace(self.ambient, list(self.rows) + list(other.rows))
@@ -203,7 +221,7 @@ class Subspace:
         for r in self.rows:
             block.append(tuple(r) + tuple(r))
         for r in other.rows:
-            block.append(tuple(r) + zero_vec(n))
+            block.append(tuple(r) + (ZERO,) * n)
         red, _ = rref(block)
         inter = []
         for row in red:

@@ -27,21 +27,19 @@ from .gralgebra import (
     with_trivial_grading,
 )
 from .linalg import (
-    ONE,
     ZERO,
     Subspace,
     add_vec,
-    eliminate,
     is_zero_vec,
-    mat_mul,
     mat_vec,
     minimal_polynomial,
     nullspace,
     poly_at,
     poly_eval_matrix,
     rational_roots,
-    scale_vec,
     solve,
+    span_closure,
+    sparse_map,
     sub_vec,
     unit_vec,
     vec,
@@ -130,11 +128,7 @@ def _assert_radical(alg, rad):
         raise AssertionError("quotient by radical candidate is not semisimple")
 
 
-def is_radical_graded(alg: GradedAlgebra) -> bool:
-    return is_graded_subspace(alg, jacobson_radical(alg))
-
-
-# -- ideals under zero-band gradings ----------------------------------------
+# -- the unit under zero-band gradings --------------------------------------
 
 def unit_component_idempotents(alg: GradedAlgebra):
     """The decomposition 1 = sum e_t with e_t homogeneous, checked to be
@@ -153,32 +147,6 @@ def unit_component_idempotents(alg: GradedAlgebra):
             if s != t and not is_zero_vec(alg.multiply(e, f)):
                 raise AssertionError("unit components are not orthogonal")
     return parts
-
-
-def all_ideals_graded_zeroband(alg: GradedAlgebra):
-    """Spot check that every ideal is graded, for unital zero-band input.
-
-    Verifies the idempotent decomposition of the unit, then checks
-    gradedness on the radical, its powers, and the ideal generated by
-    each basis vector.  Returns (True, None) or (False, witness).
-    """
-    if alg.unit is None:
-        raise PreconditionFailed("algebra has no unit")
-    if not (is_left_zero_band(alg.semigroup) or is_right_zero_band(alg.semigroup)):
-        raise PreconditionFailed("grading semigroup is not a left or right zero band")
-    unit_component_idempotents(alg)
-    candidates = []
-    rad = jacobson_radical(alg)
-    power = rad
-    while not power.is_zero():
-        candidates.append(power)
-        power = subspace_product(alg, power, rad)
-    for i in range(alg.dim):
-        candidates.append(ideal_generated(alg, [alg.basis_vector(i)]))
-    for ideal in candidates:
-        if not is_graded_subspace(alg, ideal):
-            return False, ideal
-    return True, None
 
 
 # -- Wedderburn decomposition ------------------------------------------------
@@ -351,9 +319,8 @@ def _section_correction(alg, qalg, lift_cols, jk, j2k):
             for u in range(q):
                 for b in range(r):
                     col = u * r + b
-                    contrib = [ZERO] * alg.dim
-                    if u in prod_coords:
-                        contrib = add_vec(contrib, scale_vec(prod_coords[u], jk_rows[b]))
+                    contrib = (tuple(prod_coords[u] * x for x in jk_rows[b]) if u in prod_coords
+                               else (ZERO,) * alg.dim)
                     if u == j:
                         contrib = sub_vec(contrib, alg.multiply(lift_cols[i], jk_rows[b]))
                     if u == i:
@@ -496,42 +463,23 @@ def _graded_malcev_base(alg, rad):
 
 def _operator_closure(alg: GradedAlgebra):
     """Basis of the unital operator algebra generated by all component
-    projections and all one-sided basis multiplications, acting on A."""
+    projections and all one-sided basis multiplications, acting on A, as
+    integer matrices (tuples of rows): the span closure of the identity
+    under left products with the integer generators (is_graded_simple)."""
     n = alg.dim
-    gens = []
-    for t in alg.support():
-        idx = alg.component_indices(t)
-        gens.append([tuple(ONE if (i == j and i in idx) else ZERO for j in range(n))
-                     for i in range(n)])
+    table = alg.integer_table()
+    # generators by columns: column k -> ((row, entry), ...)
+    gens = [[((k, 1),) if alg.degree[k] == t else () for k in range(n)] for t in alg.support()]
     for b in range(n):
-        gens.append([tuple(alg.mul_basis(b, j).get(i, ZERO) for j in range(n)) for i in range(n)])
-        gens.append([tuple(alg.mul_basis(j, b).get(i, ZERO) for j in range(n)) for i in range(n)])
-    ident = [unit_vec(n, i) for i in range(n)]
-    echelon = {}  # of the flattened matrices kept so far
-    basis_mats = []
-
-    def insert(m):
-        """Keep m when it is independent of the matrices kept so far."""
-        if not eliminate(echelon, dict(enumerate(x for row in m for x in row))):
-            return False
-        basis_mats.append(m)
-        return True
-
-    insert(ident)
-    for g in gens:
-        insert(g)
-    frontier = list(basis_mats)
-    while frontier:
-        new = []
-        for f in frontier:
-            for g in gens:
-                for prod in (mat_mul(f, g), mat_mul(g, f)):
-                    if len(basis_mats) == n * n:
-                        return basis_mats
-                    if insert(prod):
-                        new.append(prod)
-        frontier = new
-    return basis_mats
+        gens.append([table.get((b, j), ()) for j in range(n)])
+        gens.append([table.get((j, b), ()) for j in range(n)])
+    # on a matrix flattened row by row, left multiplication by g sends the
+    # unit at (k, j) to column k of g, placed in column j
+    maps = [sparse_map([tuple((i * n + j, c) for i, c in g[k]) for k in range(n) for j in range(n)])
+            for g in gens]
+    ident = {i * n + i: 1 for i in range(n)}
+    return [tuple(tuple(m.get(i * n + j, 0) for j in range(n)) for i in range(n))
+            for m in span_closure(n * n, [ident], maps)]
 
 
 def is_graded_simple(alg: GradedAlgebra, trials: int = 1000, seed: int = 0) -> SimplicityResult:
@@ -544,6 +492,13 @@ def is_graded_simple(alg: GradedAlgebra, trials: int = 1000, seed: int = 0) -> S
     leaves no invariant subspace over any field extension.  When neither
     certificate fires, a seeded random search for cyclic invariant
     subspaces backs the verdict probable_true.
+
+    The operator algebra is the span of the words in the generators, and
+    every word is one generator times a shorter word, so it is the
+    closure of the identity under left products with the generators
+    alone.  The generators are integer matrices, the structure constants
+    times the lcm of their denominators: that scales each by a nonzero
+    constant, which spans the same algebra.
     """
     n = alg.dim
     full = alg.full_subspace()

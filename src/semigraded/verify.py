@@ -8,6 +8,7 @@ are grouped by topic so a run can be filtered to one area.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
 
 from . import asympt, codim, cochar, structure
@@ -21,6 +22,7 @@ class CheckResult:
     group: str
     passed: bool
     detail: str
+    seconds: float
 
 
 def _get(algebras, name, *params):
@@ -271,16 +273,18 @@ ALL_CHECKS = [
 
 
 def run_battery(sections=None, algebras=None, emit=print):
-    """Run the checks, emitting one PASS/FAIL line each; returns the results."""
+    """Run the checks, emitting one PASS/FAIL line each; returns the results,
+    each with the seconds its check took."""
     results = []
     for check_id, group, fn in ALL_CHECKS:
         if sections and not any(s in (check_id, group) for s in sections):
             continue
+        t0 = time.perf_counter()
         try:
             passed, detail = fn(algebras)
         except Exception as exc:  # a crash is a failure with the exception as detail
             passed, detail = False, f"{type(exc).__name__}: {exc}"
-        results.append(CheckResult(check_id, group, passed, detail))
+        results.append(CheckResult(check_id, group, passed, detail, time.perf_counter() - t0))
         if emit:
             emit(f"{'PASS' if passed else 'FAIL'}  {check_id}  [{group}]  {detail}")
     return results

@@ -86,7 +86,7 @@ def test_criterion_13_multiplicity_cross_check():
 
 
 def test_negative_control_corrupted_catalog():
-    """A corrupted structure constant must make at least one check fail."""
+    """A corrupted structure constant must make both checks that read it fail."""
     from fractions import Fraction
 
     from semigraded.gralgebra import GradedAlgebra, paper_catalog
@@ -102,4 +102,5 @@ def test_negative_control_corrupted_catalog():
         sections=("splitting", "exponent"),
         algebras={"utk_column_graded(2)": corrupted},
         emit=None)
-    assert any(not r.passed for r in results)
+    assert [(r.check_id, r.passed) for r in results] == \
+        [("graded-splitting", False), ("exponent-formula", False)]

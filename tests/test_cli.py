@@ -310,6 +310,23 @@ def test_verify_sections_filter(runner):
     assert none.stdout == "0/0 checks passed\n"
 
 
+def test_verify_json_gives_seconds_per_check(runner):
+    args = ["verify-paper", "--sections", "semigroups", "--sections", "theta", "--format", "json"]
+    timed = json.loads(runner.invoke(main, args).stdout)
+    plain = runner.invoke(main, args + ["--no-timings"])
+    assert plain.exit_code == 0
+    assert [e["check"] for e in timed] == ["semigroup-classification", "theta-window"]
+    for entry in timed:
+        assert entry["seconds"] >= 0 and round(entry["seconds"], 3) == entry["seconds"]
+    # without timings the entries are the same, with no seconds key
+    assert json.loads(plain.stdout) == [{k: v for k, v in e.items() if k != "seconds"}
+                                        for e in timed]
+    # the text lines carry no seconds either way
+    text = runner.invoke(main, args[:-2])
+    assert text.stdout == runner.invoke(main, args[:-2] + ["--no-timings"]).stdout
+    assert "seconds" not in text.stdout
+
+
 ONE_DIM = """\
 name: one
 semigroup: inline

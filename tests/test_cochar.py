@@ -16,6 +16,7 @@ from semigraded.cochar import (
     _perm_sign,
     _symmetrizer,
     _variant,
+    alternating_value,
     alternation_vanishing_check,
     apply_symmetrizer,
     build_witness,
@@ -231,6 +232,56 @@ def test_alternating_column_matches_the_word_expansion(data):
     tau = dict(zip(variables, letters))
     expected = alternating_column_polynomial(variables, slots, pos_degrees).evaluate(alg, tau)
     assert AlternatingColumn(variables, slots, pos_degrees).evaluate(alg, tau) == expected
+
+
+# -- oracle: the signed subset sum through mul_sparse, as alternating_value
+# formed its products before it read the table cells directly --
+
+def mul_sparse_alternating_value(alg, table, letters, pos_degrees):
+    """alternating_value with each extension a mul_sparse by {b: 1}."""
+    degree = alg.degree
+    layer = {0: None}
+    for t in pos_degrees:
+        fits = [j for j, b in enumerate(letters) if degree[b] == t]
+        nxt = {}
+        for placed, value in layer.items():
+            for j in fits:
+                bit = 1 << j
+                if placed & bit:
+                    continue
+                b = letters[j]
+                prod = {b: 1} if value is None else mul_sparse(table, value, {b: 1})
+                if not prod:
+                    continue
+                sign = -1 if (placed >> (j + 1)).bit_count() & 1 else 1
+                acc = nxt.setdefault(placed | bit, {})
+                for k, c in prod.items():
+                    acc[k] = acc.get(k, 0) + sign * c
+        layer = {}
+        for placed, acc in nxt.items():
+            acc = {k: c for k, c in acc.items() if c != 0}
+            if acc:
+                layer[placed] = acc
+        if not layer:
+            return {}
+    return layer[(1 << len(letters)) - 1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_alternating_value_matches_the_mul_sparse_oracle(data):
+    alg = data.draw(st.sampled_from(column_algebras()))
+    h = data.draw(st.integers(1, alg.dim + 1))
+    if h <= alg.dim and data.draw(st.booleans()):
+        # distinct letters of matching degrees, where the value can be nonzero
+        letters = data.draw(st.permutations(range(alg.dim)))[:h]
+        pos_degrees = [alg.degree[b] for b in data.draw(st.permutations(letters))]
+    else:
+        letters = data.draw(st.lists(st.integers(0, alg.dim - 1), min_size=h, max_size=h))
+        pos_degrees = data.draw(st.lists(st.sampled_from(alg.support()), min_size=h, max_size=h))
+    table = alg.eval_table()
+    assert alternating_value(alg, table, letters, pos_degrees) == \
+        mul_sparse_alternating_value(alg, table, letters, pos_degrees)
 
 
 def test_witness_columns_match_the_word_expansion():

@@ -1,3 +1,4 @@
+import functools
 from dataclasses import replace
 from fractions import Fraction
 
@@ -20,6 +21,7 @@ from semigraded.gralgebra import (
     direct_sum,
     find_unit,
     full_matrix,
+    homogeneous_basis,
     ideal_generated,
     is_graded_subspace,
     opposite,
@@ -33,7 +35,7 @@ from semigraded.gralgebra import (
     validate_or_raise,
     with_trivial_grading,
 )
-from semigraded.linalg import Subspace, vec
+from semigraded.linalg import Subspace, is_zero_vec, vec
 from semigraded.semigroup import catalog_semigroup, trivial_semigroup
 
 CATALOG_ARGS = {
@@ -356,6 +358,10 @@ def test_is_graded_subspace():
         Fraction(1) if k == i1 else Fraction(-1) if k == i0 else Fraction(0)
         for k in range(a.dim))])
     assert not is_graded_subspace(a, mixed)
+    # a row of the second and third degrees, none of the first
+    ut3 = paper_catalog("utk_column_graded", 3)
+    row = [int(label in ("e12", "e13")) for label in ut3.basis_labels]
+    assert not is_graded_subspace(ut3, Subspace(ut3.dim, [row]))
 
 
 def test_opposite_involution_and_m2_selfopposite():
@@ -408,3 +414,104 @@ def test_thm_catalog_shapes():
     assert t3.dim == 6 and t3.component(0).dim == 4 and t3.component(1).dim == 2
     t2 = paper_catalog("thm_T2_fractional")
     assert t2.dim == 7 and find_unit(t2) is None
+
+
+# -- oracles: ideal_generated and is_graded_subspace on Fraction rows, as they
+# ran before the integer kernels --
+
+def full_sweep_ideal_generated(alg, vectors):
+    """Smallest two-sided ideal containing the vectors: every round
+    multiplies every echelon row by every basis element on both sides,
+    to a fixed point."""
+    current = Subspace(alg.dim, [vec(v) for v in vectors])
+    while True:
+        new_rows = []
+        for row in current.rows:
+            for i in range(alg.dim):
+                e = alg.basis_vector(i)
+                for p in (alg.multiply(e, row), alg.multiply(row, e)):
+                    if not current.contains(p):
+                        new_rows.append(p)
+        if not new_rows:
+            return current
+        current = current.sum(Subspace(alg.dim, new_rows))
+
+
+def zassenhaus_is_graded_subspace(alg, s):
+    """s is graded iff its intersections with the components, each one
+    Zassenhaus elimination, add up to its dimension."""
+    return sum(s.intersect(alg.component(t)).dim for t in alg.support()) == s.dim
+
+
+def rescaled(alg, scales):
+    """alg on the basis s_i e_i: mixed denominators in the structure constants."""
+    s = [Fraction(scales[i % len(scales)]) for i in range(alg.dim)]
+    return GradedAlgebra(
+        alg.dim, alg.basis_labels,
+        {(i, j): {k: c * s[i] * s[j] / s[k] for k, c in cell.items()}
+         for (i, j), cell in alg.structure.items()},
+        alg.degree, alg.semigroup,
+        unit=None if alg.unit is None else tuple(u / s[k] for k, u in enumerate(alg.unit)),
+        name=f"{alg.name}*s")
+
+
+@functools.cache
+def closure_algebras():
+    """Every catalog algebra, its opposite and its trivially graded form,
+    a direct sum, and two with non-integral structure constants."""
+    base = [paper_catalog(name, *args) for name, args in CATALOG_ARGS.items()]
+    algebras = [f(a) for a in base for f in (lambda a: a, opposite, with_trivial_grading)]
+    algebras.append(direct_sum(paper_catalog("thm_T3_fractional"), paper_catalog("exampleT3", 1)))
+    algebras.append(rescaled(paper_catalog("thm_T1_fractional"), (1, 2, Fraction(1, 3), 6)))
+    algebras.append(rescaled(paper_catalog("utk_column_graded", 3), (Fraction(1, 2), 3, 1)))
+    return tuple(validate_or_raise(a) for a in algebras)
+
+
+small_entries = st.one_of(st.integers(-2, 2), st.fractions(-2, 2, max_denominator=3))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_ideal_generated_matches_the_full_sweep(data):
+    alg = data.draw(st.sampled_from(closure_algebras()))
+    n = alg.dim
+    vectors = data.draw(st.lists(st.one_of(
+        st.integers(0, n - 1).map(alg.basis_vector),
+        st.lists(small_entries, min_size=n, max_size=n)), max_size=2))
+    assert ideal_generated(alg, vectors) == full_sweep_ideal_generated(alg, vectors)
+
+
+def test_ideal_generated_by_each_basis_vector_matches_the_full_sweep():
+    for alg in closure_algebras():
+        for i in range(alg.dim):
+            v = [alg.basis_vector(i)]
+            assert ideal_generated(alg, v) == full_sweep_ideal_generated(alg, v), (alg.name, i)
+
+
+@st.composite
+def subspaces(draw, alg):
+    """Spans of random vectors each cut down to a random set of degrees: a
+    row of one degree is homogeneous, a row of more is mixed, and then,
+    half the time, the pieces of one mixed row join the span."""
+    n = alg.dim
+    rows = []
+    for _ in range(draw(st.integers(0, 4))):
+        v = vec(draw(st.lists(small_entries, min_size=n, max_size=n)))
+        degrees = draw(st.sets(st.sampled_from(alg.support()), min_size=1))
+        rows.append(tuple(x if alg.degree[i] in degrees else 0 for i, x in enumerate(v)))
+    if rows and draw(st.booleans()):
+        row = draw(st.sampled_from(rows))
+        rows += [alg.component_project(t, row) for t in alg.support()]
+    return Subspace(n, [r for r in rows if not is_zero_vec(r)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_is_graded_subspace_matches_the_zassenhaus_oracle(data):
+    alg = data.draw(st.sampled_from([a for a in closure_algebras() if len(a.support()) > 1]))
+    s = data.draw(subspaces(alg))
+    graded = is_graded_subspace(alg, s)
+    assert graded == zassenhaus_is_graded_subspace(alg, s)
+    if graded:  # the echelon rows by degree are the intersections' echelon rows
+        assert homogeneous_basis(alg, s) == \
+            [row for t in alg.support() for row in s.intersect(alg.component(t)).rows]

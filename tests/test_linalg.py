@@ -4,7 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semigraded.linalg import (
+    ONE,
     Subspace,
+    frac,
     mat_mul,
     matrix_rank,
     minimal_polynomial,
@@ -12,6 +14,8 @@ from semigraded.linalg import (
     rational_roots,
     rref,
     solve,
+    span_closure,
+    sparse_map,
     vec,
 )
 
@@ -57,10 +61,27 @@ def test_zassenhaus_intersection():
     assert inter.contains((0, 1, 0))
 
 
+def coordinates(s, v):
+    """Coefficients of v in the echelon basis of s, or None if v is outside."""
+    v = list(map(frac, v))
+    coeffs = []
+    for row, p in zip(s.rows, s.pivots):
+        c = v[p]
+        coeffs.append(c)
+        if c != 0:
+            for j in range(p, s.ambient):
+                v[j] -= c * row[j]
+    if any(v):
+        return None
+    return tuple(coeffs)
+
+
 def test_coordinates_roundtrip():
     s = Subspace(3, [(1, 2, 0), (0, 0, 1)])
+    assert coordinates(s, (1, 2, 1)) == (1, 1)
+    assert coordinates(s, (1, 0, 0)) is None
     v = (2, 4, 5)
-    coords = s.coordinates(v)
+    coords = coordinates(s, v)
     rebuilt = [Fraction(0)] * 3
     for c, row in zip(coords, s.rows):
         rebuilt = [r + c * x for r, x in zip(rebuilt, row)]
@@ -119,3 +140,75 @@ def test_mat_mul():
     a = [vec((1, 1)), vec((0, 1))]
     b = [vec((1, 0)), vec((1, 1))]
     assert mat_mul(a, b) == [vec((2, 1)), vec((1, 1))]
+
+
+# -- oracle: Gauss-Jordan on Fraction rows, as rref ran before it went fraction-free --
+
+def fraction_rref(rows):
+    """Reduced row echelon form by Fraction row operations."""
+    rows = [list(map(frac, r)) for r in rows]
+    if not rows:
+        return [], []
+    ncols = len(rows[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = None
+        for i in range(r, len(rows)):
+            if rows[i][c] != 0:
+                pivot = i
+                break
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = ONE / rows[r][c]
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return [tuple(row) for row in rows[:r]], pivots
+
+
+@st.composite
+def rational_matrices(draw):
+    """Rational matrices, some all-int, some with zero or duplicate rows,
+    some with no rows or rows of length 0."""
+    ncols = draw(st.integers(0, 6))
+    entry = st.integers(-3, 3)
+    if draw(st.booleans()):
+        entry = st.one_of(entry, st.fractions(-3, 3, max_denominator=4))
+    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), max_size=6))
+    if rows and draw(st.booleans()):
+        rows.append(list(draw(st.sampled_from(rows))))
+    if draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))), [0] * ncols)
+    return rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(rational_matrices())
+def test_rref_matches_the_fraction_oracle(rows):
+    got = rref(rows)
+    assert got == fraction_rref(rows)
+    assert all(type(x) is Fraction for row in got[0] for x in row)
+
+
+def test_rref_takes_what_frac_takes():
+    rows = [(0.5, Fraction(1, 3), "2/3"), (1, True, 0.25), (3, 0, 0)]
+    assert rref(rows) == fraction_rref(rows)
+    assert rref(rows)[1] == [0, 1, 2]
+
+
+def test_span_closure_of_a_shift():
+    shift = sparse_map([((j + 1, 1),) if j < 4 else () for j in range(5)])
+    assert span_closure(5, [{0: 1}], [shift]) == [{k: 1} for k in range(5)]
+    # a dependent seed is dropped; images of kept rows only
+    assert span_closure(5, [{3: 2}, {3: -1}], [shift]) == [{3: 2}, {4: 2}]
+    assert span_closure(5, [{0: 1}, {}], []) == [{0: 1}]
+    # the search stops at the ambient dimension
+    assert len(span_closure(2, [{0: 1}, {1: 1}, {0: 1, 1: 1}], [shift])) == 2

@@ -14,6 +14,7 @@ from semigraded.gralgebra import (
     GradedAlgebra,
     direct_sum,
     full_matrix,
+    ideal_generated,
     is_graded_subspace,
     paper_catalog,
     parse_catalog_spec,
@@ -22,16 +23,19 @@ from semigraded.gralgebra import (
     upper_triangular,
     validate_or_raise,
 )
-from semigraded.linalg import Subspace, solve, vec
-from semigraded.semigroup import catalog_semigroup, trivial_semigroup
+from semigraded.linalg import ONE, ZERO, Subspace, eliminate, mat_mul, solve, unit_vec, vec
+from semigraded.semigroup import (
+    catalog_semigroup,
+    is_left_zero_band,
+    is_right_zero_band,
+    trivial_semigroup,
+)
 from semigraded.structure import (
     _operator_closure,
-    all_ideals_graded_zeroband,
     center,
     graded_exponent_d,
     graded_malcev_zeroband,
     is_graded_simple,
-    is_radical_graded,
     jacobson_radical,
     malcev_complement,
     ordinary_exponent,
@@ -39,6 +43,7 @@ from semigraded.structure import (
     wedderburn_decompose,
 )
 from test_codim import block_rank
+from test_gralgebra import closure_algebras
 
 
 def span_of_labels(alg, labels):
@@ -94,6 +99,10 @@ def test_radical_of_pair_examples():
     assert jacobson_radical(a3).dim == 4
 
 
+def is_radical_graded(alg):
+    return is_graded_subspace(alg, jacobson_radical(alg))
+
+
 def test_radical_gradedness_flags():
     assert not is_radical_graded(paper_catalog("exampleT1", 2))
     assert not is_radical_graded(paper_catalog("exampleT2", 2))
@@ -110,6 +119,32 @@ def test_radical_component_intersections_vanish():
 
 
 # -- zero band ideals ------------------------------------------------------------
+
+def all_ideals_graded_zeroband(alg):
+    """Spot check that every ideal is graded, for unital zero-band input.
+
+    Verifies the idempotent decomposition of the unit, then checks
+    gradedness on the radical, its powers, and the ideal generated by
+    each basis vector.  Returns (True, None) or (False, witness).
+    """
+    if alg.unit is None:
+        raise PreconditionFailed("algebra has no unit")
+    if not (is_left_zero_band(alg.semigroup) or is_right_zero_band(alg.semigroup)):
+        raise PreconditionFailed("grading semigroup is not a left or right zero band")
+    unit_component_idempotents(alg)
+    candidates = []
+    rad = jacobson_radical(alg)
+    power = rad
+    while not power.is_zero():
+        candidates.append(power)
+        power = subspace_product(alg, power, rad)
+    for i in range(alg.dim):
+        candidates.append(ideal_generated(alg, [alg.basis_vector(i)]))
+    for ideal in candidates:
+        if not is_graded_subspace(alg, ideal):
+            return False, ideal
+    return True, None
+
 
 def test_all_ideals_graded_zeroband():
     ok, witness = all_ideals_graded_zeroband(paper_catalog("utk_column_graded", 2))
@@ -167,7 +202,6 @@ def test_wedderburn_on_thm_t1_quotient():
     data = wedderburn_decompose(q)
     assert sorted(i.dim for i in data.simple_ideals) == [1, 1, 4]
     # simplicity: every nonzero basis element of an ideal regenerates it
-    from semigraded.gralgebra import ideal_generated
     for ideal in data.simple_ideals:
         for row in ideal.rows:
             assert ideal_generated(q, [row]) == ideal
@@ -375,7 +409,6 @@ def test_exponent_invariant_under_base_change():
 
 def test_left_zero_band_mirror():
     from semigraded.gralgebra import opposite, validate
-    from semigraded.semigroup import is_left_zero_band
 
     mirror = opposite(paper_catalog("utk_column_graded", 2))
     assert is_left_zero_band(mirror.semigroup)
@@ -458,3 +491,59 @@ def test_operator_closure_is_a_basis_of_the_generated_algebra(spec):
     assert block_rank(rows + products, n * n) == len(ops)  # the span is closed
     if spec == "thm_T3_fractional":
         assert len(ops) == 36
+
+
+# -- oracle: the operator closure on Fraction matrices, closed on both sides,
+# as it ran before it took left products of integer generators --
+
+def two_sided_operator_closure(alg):
+    """Basis of the unital operator algebra generated by the component
+    projections and the one-sided basis multiplications: every new
+    product f.g and g.f of a kept matrix f and a generator g is kept
+    when independent, up to n^2 matrices."""
+    n = alg.dim
+    gens = []
+    for t in alg.support():
+        idx = alg.component_indices(t)
+        gens.append([tuple(ONE if (i == j and i in idx) else ZERO for j in range(n))
+                     for i in range(n)])
+    for b in range(n):
+        gens.append([tuple(alg.mul_basis(b, j).get(i, ZERO) for j in range(n)) for i in range(n)])
+        gens.append([tuple(alg.mul_basis(j, b).get(i, ZERO) for j in range(n)) for i in range(n)])
+    ident = [unit_vec(n, i) for i in range(n)]
+    echelon = {}
+    basis_mats = []
+
+    def insert(m):
+        if not eliminate(echelon, dict(enumerate(x for row in m for x in row))):
+            return False
+        basis_mats.append(m)
+        return True
+
+    insert(ident)
+    for g in gens:
+        insert(g)
+    frontier = list(basis_mats)
+    while frontier:
+        new = []
+        for f in frontier:
+            for g in gens:
+                for prod in (mat_mul(f, g), mat_mul(g, f)):
+                    if len(basis_mats) == n * n:
+                        return basis_mats
+                    if insert(prod):
+                        new.append(prod)
+        frontier = new
+    return basis_mats
+
+
+def test_operator_closure_matches_the_two_sided_oracle():
+    for alg in closure_algebras():
+        n = alg.dim
+
+        def span(mats):
+            return Subspace(n * n, [[x for row in m for x in row] for m in mats])
+
+        ops = _operator_closure(alg)
+        assert all(type(x) is int for m in ops for row in m for x in row)
+        assert span(ops) == span(two_sided_operator_closure(alg)), alg.name
