@@ -193,8 +193,7 @@ def radical(input_path, catalog, out_format, out_path):
 def split(input_path, catalog, out_format, out_path):
     """Semisimple complement of the radical (graded when available)."""
     alg = _load(input_path, catalog)
-    from .structure import _zero_band_side
-    if alg.unit is not None and _zero_band_side(alg.semigroup):
+    if structure.splits_graded(alg):
         data = structure.graded_malcev_zeroband(alg)
         kind = "graded"
     else:

@@ -365,59 +365,6 @@ def quotient_algebra(alg: GradedAlgebra, ideal: Subspace, graded: bool):
     return q, project, lift
 
 
-def homogeneous_basis(alg: GradedAlgebra, s: Subspace):
-    """A basis of the graded subspace s with every vector homogeneous: its
-    echelon rows (see is_graded_subspace), in the order of their degrees."""
-    if not is_graded_subspace(alg, s):
-        raise GradingViolation(None, "subspace is not graded")
-    return sorted(s.rows, key=lambda row: alg.degree[next(i for i, x in enumerate(row) if x)])
-
-
-def subalgebra_on(alg: GradedAlgebra, s: Subspace, graded: bool):
-    """The subspace s as an algebra in its own right.
-
-    s must be multiplicatively closed.  With graded=True the basis is
-    chosen homogeneous so the grading restricts.  Returns (B, basis_rows)
-    where basis_rows[i] is the A-vector realizing B's basis vector i.
-    """
-    rows = homogeneous_basis(alg, s) if graded else list(s.rows)
-    m = len(rows)
-    matrix_cols = list(zip(*rows)) if rows else []
-
-    def coords_of(v):
-        sol = solve([tuple(r) for r in matrix_cols], v)
-        if sol is None:
-            raise GradingViolation(None, "subspace is not multiplicatively closed")
-        return sol
-
-    structure = {}
-    for i in range(m):
-        for j in range(m):
-            prod = alg.multiply(rows[i], rows[j])
-            cell = {k: c for k, c in enumerate(coords_of(prod)) if c != 0}
-            if cell:
-                structure[(i, j)] = cell
-    unit = None
-    if alg.unit is not None and s.contains(alg.unit):
-        unit = coords_of(alg.unit)
-    if graded:
-        degree = tuple(next(alg.degree[k] for k, c in enumerate(r) if c != 0) for r in rows)
-        semigroup = alg.semigroup
-    else:
-        degree = (0,) * m
-        semigroup = trivial_semigroup()
-    b = GradedAlgebra(
-        dim=m,
-        basis_labels=tuple(f"b{i}" for i in range(m)),
-        structure=structure,
-        degree=degree,
-        semigroup=semigroup,
-        unit=unit,
-        name=(alg.name + "|sub") if alg.name else "",
-    )
-    return b, rows
-
-
 # -- catalog ----------------------------------------------------------------
 
 def _matrix_unit_structure(k: int, positions):

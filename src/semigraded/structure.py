@@ -22,7 +22,6 @@ from .gralgebra import (
     ideal_generated,
     is_graded_subspace,
     quotient_algebra,
-    subalgebra_on,
     subspace_product,
     with_trivial_grading,
 )
@@ -87,13 +86,18 @@ def _left_mul_traces(alg: GradedAlgebra):
     return tvec
 
 
-def jacobson_radical(alg: GradedAlgebra, verify: bool = True) -> Subspace:
-    """The radical, from the characteristic-zero trace criterion.
+def jacobson_radical(alg: GradedAlgebra) -> Subspace:
+    """The radical, from the characteristic-zero trace criterion
+    (_trace_radical), re-checked: it must be a nilpotent ideal with
+    semisimple quotient."""
+    rad = _trace_radical(alg)
+    _assert_radical(alg, rad)
+    return rad
 
-    x lies in the radical iff trace(left multiplication by x*y on the
-    unital hull) vanishes for every basis y of the hull.  The result is
-    re-checked: it must be a nilpotent ideal with semisimple quotient.
-    """
+
+def _trace_radical(alg):
+    """x lies in the radical iff trace(left multiplication by x*y on the
+    unital hull) vanishes for every basis y of the hull."""
     hull = adjoin_unit(alg)
     tvec = _left_mul_traces(hull)
     n = alg.dim
@@ -104,10 +108,7 @@ def jacobson_radical(alg: GradedAlgebra, verify: bool = True) -> Subspace:
             cell = hull.mul_basis(i, y)
             row.append(sum((c * tvec[k] for k, c in cell.items()), ZERO))
         rows.append(tuple(row))
-    rad = nullspace(rows, n)
-    if verify:
-        _assert_radical(alg, rad)
-    return rad
+    return nullspace(rows, n)
 
 
 def _assert_radical(alg, rad):
@@ -124,7 +125,7 @@ def _assert_radical(alg, rad):
     else:
         raise AssertionError("radical candidate is not nilpotent")
     quot, _, _ = quotient_algebra(alg, rad, graded=False)
-    if quot.dim and not jacobson_radical(quot, verify=False).is_zero():
+    if quot.dim and not _trace_radical(quot).is_zero():
         raise AssertionError("quotient by radical candidate is not semisimple")
 
 
@@ -252,6 +253,11 @@ def wedderburn_decompose(alg: GradedAlgebra) -> WedderburnData:
     """
     if not jacobson_radical(alg).is_zero():
         raise NotSemisimple("input has nonzero radical")
+    return _wedderburn(alg)
+
+
+def _wedderburn(alg):
+    """wedderburn_decompose for an algebra whose radical is known to vanish."""
     if alg.dim == 0:
         return WedderburnData([], 0, [])
     unit = alg.unit if alg.unit is not None else find_unit(alg)
@@ -348,10 +354,13 @@ def malcev_complement(alg: GradedAlgebra) -> SplittingData:
     radical filtration; each correction is one exact linear solve.
     """
     rad = jacobson_radical(alg)
-    if rad.is_zero():
-        ident = [alg.basis_vector(i) for i in range(alg.dim)]
-        return SplittingData(alg.full_subspace(), rad, [], ident)
-    qalg, project, lift = quotient_algebra(alg, rad, graded=False)
+    return _malcev(alg, rad, quotient_algebra(alg, rad, graded=False))
+
+
+def _malcev(alg, rad, quotient):
+    """malcev_complement for a verified radical and the quotient by it,
+    (Q, project, lift) of quotient_algebra, graded or not."""
+    qalg, _, lift = quotient
     cols = [lift(unit_vec(qalg.dim, i)) for i in range(qalg.dim)]
     jk = rad
     while not jk.is_zero():
@@ -372,91 +381,64 @@ def _assert_splitting(alg, comp, rad):
                 raise AssertionError("complement is not multiplicatively closed")
 
 
-def _zero_band_side(semigroup):
-    if is_right_zero_band(semigroup):
-        return "right"
-    if is_left_zero_band(semigroup):
-        return "left"
-    return None
+def splits_graded(alg: GradedAlgebra) -> bool:
+    """Whether the zero-band theorem applies: alg has a unit and its
+    grading semigroup is a left or right zero band, so its radical and
+    some semisimple complement of it are graded."""
+    return alg.unit is not None and (
+        is_right_zero_band(alg.semigroup) or is_left_zero_band(alg.semigroup))
 
 
 def graded_malcev_zeroband(alg: GradedAlgebra) -> SplittingData:
     """Graded semisimple complement for a unital zero-band-graded algebra.
 
-    Follows the inductive construction: square-zero radical first, with
-    the complement conjugated until it absorbs every homogeneous
-    component of the unit; larger radicals are handled through A/J^2 and
-    the preimage subalgebra.
+    Under a right zero band A_t = A*e_t, under a left one A_t = e_t*A,
+    where e_t is the degree-t component of the unit; so a subalgebra that
+    holds every e_t is graded.  The plain complement S = s(A/J) holds the
+    orthogonal idempotents f_t = s(e_t + J), and u = sum_t e_t*f_t lies in
+    1 + J with u*f_t = e_t*u, so u*S*u^-1 is a complement that holds every
+    e_t (Malcev's conjugacy theorem, in one step).
     """
     if alg.unit is None:
         raise PreconditionFailed("algebra has no unit")
-    side = _zero_band_side(alg.semigroup)
-    if side is None:
+    if not splits_graded(alg):
         raise PreconditionFailed("grading semigroup is not a left or right zero band")
-    comp_rows, rad, log = _graded_malcev_rec(alg, side)
-    comp = Subspace(alg.dim, comp_rows)
-    _assert_splitting(alg, comp, rad)
-    if not is_graded_subspace(alg, comp):
-        raise AssertionError("graded complement construction failed")
-    return SplittingData(comp, rad, log, comp_rows)
-
-
-def _graded_malcev_rec(alg, side):
     rad = jacobson_radical(alg)
+    return _graded_malcev(alg, rad, quotient_algebra(alg, rad, graded=False))
+
+
+def _graded_malcev(alg, rad, quotient):
+    """graded_malcev_zeroband for a verified radical and the quotient by
+    it, as in _malcev."""
     if not is_graded_subspace(alg, rad):
         raise AssertionError("radical of a unital zero-band algebra must be graded")
-    if rad.is_zero():
-        return [alg.basis_vector(i) for i in range(alg.dim)], rad, []
-    rad2 = subspace_product(alg, rad, rad)
-    if rad2.is_zero():
-        cols, log = _graded_malcev_base(alg, rad)
-        return cols, rad, log
-    # reduce modulo J^2, then recurse inside the preimage subalgebra
-    qalg, project, lift = quotient_algebra(alg, rad2, graded=True)
-    qcols, _, log0 = _graded_malcev_rec(qalg, side)
-    pre_rows = [lift(tuple(c)) for c in qcols]
-    b1 = Subspace(alg.dim, pre_rows).sum(rad2)
-    sub, sub_rows = subalgebra_on(alg, b1, graded=True)
-    scols, _, log1 = _graded_malcev_rec(sub, side)
-    # map complement of the subalgebra back into A coordinates
-    return [_combine(sub_rows, c) for c in scols], rad, log0 + log1
-
-
-def _graded_malcev_base(alg, rad):
-    """Square-zero radical case: conjugate an ungraded complement until
-    every homogeneous unit component lies inside it."""
-    plain = malcev_complement(alg)
-    cols = list(plain.section)
-    qalg, project, _ = quotient_algebra(alg, rad, graded=False)
-
-    def phi_pi(v):
-        return _combine(cols, project(v))
-
+    plain = _malcev(alg, rad, quotient)
+    comp, cols, log = plain.complement, plain.section, []
+    project = quotient[1]
     parts = unit_component_idempotents(alg)
-    log = []
-    fixed = []
-    for t in sorted(parts):
-        e = parts[t]
-        image = phi_pi(e)
-        if image != e:
-            j = sub_vec(image, e)
-            if not rad.contains(j):
-                raise AssertionError("unit component defect must lie in the radical")
-            ej = alg.multiply(e, j)
-            je = alg.multiply(j, e)
-            u = add_vec(sub_vec(alg.unit, je), ej)
-            uinv = add_vec(sub_vec(alg.unit, ej), je)
-            if alg.multiply(u, uinv) != alg.unit:
-                raise AssertionError("conjugator is not invertible")
-            cols = [alg.multiply(alg.multiply(u, c), uinv) for c in cols]
-            log.append(f"conjugated by 1 + e_t j - j e_t at degree index {t}")
-            if phi_pi(e) != e:
-                raise AssertionError("conjugation did not absorb the unit component")
-        for prev in fixed:
-            if phi_pi(parts[prev]) != parts[prev]:
-                raise AssertionError("conjugation disturbed an absorbed component")
-        fixed.append(t)
-    return cols, log
+    u = (ZERO,) * alg.dim
+    for e in parts.values():
+        u = add_vec(u, alg.multiply(e, _combine(cols, project(e))))
+    j = sub_vec(u, alg.unit)
+    if not is_zero_vec(j):
+        if not rad.contains(j):
+            raise AssertionError("conjugator is not in 1 + J")
+        # u^-1 = sum_k (-j)^k, a finite sum since j is nilpotent
+        minus_j = tuple(-x for x in j)
+        uinv = term = alg.unit
+        while not is_zero_vec(term := alg.multiply(term, minus_j)):
+            uinv = add_vec(uinv, term)
+        if alg.multiply(u, uinv) != alg.unit:
+            raise AssertionError("conjugator is not invertible")
+        cols = [alg.multiply(alg.multiply(u, c), uinv) for c in cols]
+        comp = Subspace(alg.dim, cols)
+        _assert_splitting(alg, comp, rad)
+        log.append("conjugated by u = sum_t e_t f_t")
+    if not all(comp.contains(e) for e in parts.values()):
+        raise AssertionError("the complement misses a unit component")
+    if not is_graded_subspace(alg, comp):
+        raise AssertionError("graded complement construction failed")
+    return SplittingData(comp, rad, log, cols)
 
 
 # -- graded simplicity ---------------------------------------------------------
@@ -550,23 +532,25 @@ def _is_nilpotent(alg: GradedAlgebra) -> bool:
 def graded_exponent_d(alg: GradedAlgebra) -> int:
     """max dim(B_i1 + ... + B_ir) over chains of distinct simple summands
     of A/J linked by nonzero products through the homogeneous spread of a
-    semisimple complement, with the unital hull inserted between links."""
+    semisimple complement, with the unital hull inserted between links.
+
+    The complement is the graded one when splits_graded(alg), else the
+    plain one; the radical, A/J and its decomposition are computed once
+    and shared with the splitting."""
     if _is_nilpotent(alg):
         raise NilpotentAlgebra("nilpotent algebras have eventually zero growth")
     rad = jacobson_radical(alg)
     if not is_graded_subspace(alg, rad):
         raise RadicalNotGraded("the radical is not a graded ideal")
-    qalg, project, lift = quotient_algebra(alg, rad, graded=True)
-    wed = wedderburn_decompose(qalg)
+    quotient = quotient_algebra(alg, rad, graded=True)
+    qalg = quotient[0]
+    wed = _wedderburn(qalg)  # A/J is semisimple: jacobson_radical checked it
     for ideal in wed.simple_ideals:
         if not is_graded_subspace(qalg, ideal):
             raise PreconditionFailed("a simple summand of A/J is not graded")
-    if alg.unit is not None and _zero_band_side(alg.semigroup) is not None:
-        section = graded_malcev_zeroband(alg).section
-    else:
-        section = malcev_complement(alg).section
-    # map quotient-coordinate columns: section columns follow quotient_algebra's
-    # representative basis, which is exactly qalg's basis
+    split = _graded_malcev if splits_graded(alg) else _malcev
+    section = split(alg, rad, quotient).section
+    # section columns are the images of qalg's basis
     spreads = []
     dims = []
     for ideal in wed.simple_ideals:

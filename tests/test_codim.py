@@ -377,7 +377,7 @@ def test_opposite_preserves_the_sequence(spec):
     # so the ordinary codimension never exceeds the graded one
     alg = paper_catalog(*spec)
     for side in (alg, opposite(alg)):
-        for n in (1, 2, 3, 4):
+        for n in (1, 2, 3, 4, 5):
             graded = graded_codim(side, n, mode="exact").value
             assert graded == graded_codim(alg, n, mode="exact").value
             assert ordinary_codim(side, n, mode="exact").value <= graded

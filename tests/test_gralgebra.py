@@ -21,21 +21,19 @@ from semigraded.gralgebra import (
     direct_sum,
     find_unit,
     full_matrix,
-    homogeneous_basis,
     ideal_generated,
     is_graded_subspace,
     opposite,
     paper_catalog,
     parse_catalog_spec,
     quotient_algebra,
-    subalgebra_on,
     subspace_product,
     upper_triangular,
     validate,
     validate_or_raise,
     with_trivial_grading,
 )
-from semigraded.linalg import Subspace, is_zero_vec, vec
+from semigraded.linalg import Subspace, is_zero_vec, solve, vec
 from semigraded.semigroup import catalog_semigroup, trivial_semigroup
 
 CATALOG_ARGS = {
@@ -392,10 +390,50 @@ def test_quotient_algebra():
     assert q.unit == (Fraction(1), Fraction(1))
 
 
+# -- oracle: a graded subspace as an algebra in its own right, which the
+# recursive graded splitting in test_structure runs inside --
+
+def homogeneous_basis(alg: GradedAlgebra, s: Subspace):
+    """A basis of the graded subspace s with every vector homogeneous: its
+    echelon rows (see is_graded_subspace), in the order of their degrees."""
+    if not is_graded_subspace(alg, s):
+        raise GradingViolation(None, "subspace is not graded")
+    return sorted(s.rows, key=lambda row: alg.degree[next(i for i, x in enumerate(row) if x)])
+
+
+def subalgebra_on(alg: GradedAlgebra, s: Subspace):
+    """The multiplicatively closed graded subspace s as an algebra, on a
+    homogeneous basis so the grading restricts.  Returns (B, basis_rows)
+    where basis_rows[i] is the A-vector realizing B's basis vector i."""
+    rows = homogeneous_basis(alg, s)
+    m = len(rows)
+    matrix_cols = list(zip(*rows)) if rows else []
+
+    def coords_of(v):
+        sol = solve([tuple(r) for r in matrix_cols], v)
+        if sol is None:
+            raise GradingViolation(None, "subspace is not multiplicatively closed")
+        return sol
+
+    structure = {}
+    for i in range(m):
+        for j in range(m):
+            cell = {k: c for k, c in enumerate(coords_of(alg.multiply(rows[i], rows[j]))) if c != 0}
+            if cell:
+                structure[(i, j)] = cell
+    unit = coords_of(alg.unit) if alg.unit is not None and s.contains(alg.unit) else None
+    degree = tuple(next(alg.degree[k] for k, c in enumerate(r) if c != 0) for r in rows)
+    b = GradedAlgebra(
+        dim=m, basis_labels=tuple(f"b{i}" for i in range(m)), structure=structure,
+        degree=degree, semigroup=alg.semigroup, unit=unit,
+        name=(alg.name + "|sub") if alg.name else "")
+    return b, rows
+
+
 def test_subalgebra_on_diagonal():
     m2 = full_matrix(2)
     diag = Subspace(4, [m2.basis_vector(0), m2.basis_vector(3)])
-    sub, rows = subalgebra_on(m2, diag, graded=True)
+    sub, rows = subalgebra_on(m2, diag)
     assert sub.dim == 2
     assert validate(sub)["ok"]
     assert sub.unit is not None

@@ -1,7 +1,11 @@
+import functools
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semigraded.errors import (
     NilpotentAlgebra,
@@ -16,6 +20,7 @@ from semigraded.gralgebra import (
     full_matrix,
     ideal_generated,
     is_graded_subspace,
+    opposite,
     paper_catalog,
     parse_catalog_spec,
     quotient_algebra,
@@ -43,7 +48,7 @@ from semigraded.structure import (
     wedderburn_decompose,
 )
 from test_codim import block_rank
-from test_gralgebra import closure_algebras
+from test_gralgebra import closure_algebras, subalgebra_on
 
 
 def span_of_labels(alg, labels):
@@ -288,6 +293,7 @@ def test_graded_malcev_skewed_basis():
     data = graded_malcev_zeroband(alg)
     complement_is_valid(alg, data)
     assert is_graded_subspace(alg, data.complement)
+    assert data.correction_log  # the plain span(p - r, q) holds neither p nor q - r
 
 
 def test_graded_malcev_utk():
@@ -367,6 +373,14 @@ def test_exponent_agreement_on_zero_band_unital():
         assert graded_exponent_d(alg) == ordinary_exponent(alg)
 
 
+def test_ordinary_exponent_of_a_direct_product_is_the_larger_one():
+    # exampleT1(3) is M_3 x UT_3: its identities are those of both factors,
+    # so c_n <= c_n(M_3) + c_n(UT_3) and the exponent is max(9, 3), which
+    # needs the complement's section to follow the basis of A/J
+    assert ordinary_exponent(paper_catalog("exampleT1", 3)) == 9
+    assert ordinary_exponent(paper_catalog("exampleT1", 2)) == 4
+
+
 def test_exponent_errors():
     with pytest.raises(RadicalNotGraded):
         graded_exponent_d(paper_catalog("thm_T1_fractional"))
@@ -431,6 +445,100 @@ def test_graded_malcev_three_step_filtration():
     assert is_graded_subspace(alg, data.complement)
     assert data.complement.dim == 4
     assert graded_exponent_d(alg) == ordinary_exponent(alg) == 4
+
+
+# -- oracle: the graded complement by induction on the radical filtration,
+# as it ran before the single conjugation --
+
+def _combine(rows, coords):
+    return tuple(sum((c * r[k] for c, r in zip(coords, rows)), Fraction(0))
+                 for k in range(len(rows[0])))
+
+
+def recursive_graded_malcev(alg):
+    """Basis rows of a graded complement of the radical of a unital
+    zero-band-graded algebra: for a square-zero radical, the plain
+    complement conjugated by 1 + e_t j - j e_t until it holds each unit
+    component e_t; for a larger radical, a complement of A/J^2 lifted to
+    its preimage subalgebra, which has a smaller radical."""
+    rad = jacobson_radical(alg)
+    assert is_graded_subspace(alg, rad)
+    if rad.is_zero():
+        return [alg.basis_vector(i) for i in range(alg.dim)]
+    rad2 = subspace_product(alg, rad, rad)
+    if rad2.is_zero():
+        cols = list(malcev_complement(alg).section)
+        _, project, _ = quotient_algebra(alg, rad, graded=False)
+        parts = unit_component_idempotents(alg)
+        for t in sorted(parts):
+            e = parts[t]
+            j = tuple(x - y for x, y in zip(_combine(cols, project(e)), e))
+            ej, je = alg.multiply(e, j), alg.multiply(j, e)
+            u = tuple(a - b + c for a, b, c in zip(alg.unit, je, ej))
+            uinv = tuple(a - b + c for a, b, c in zip(alg.unit, ej, je))
+            assert alg.multiply(u, uinv) == alg.unit
+            cols = [alg.multiply(alg.multiply(u, c), uinv) for c in cols]
+            assert _combine(cols, project(e)) == e
+        return cols
+    qalg, _, lift = quotient_algebra(alg, rad2, graded=True)
+    preimage = Subspace(alg.dim, [lift(c) for c in recursive_graded_malcev(qalg)]).sum(rad2)
+    sub, sub_rows = subalgebra_on(alg, preimage)
+    return [_combine(sub_rows, c) for c in recursive_graded_malcev(sub)]
+
+
+@functools.cache
+def zero_band_algebras():
+    bases = [paper_catalog("utk_column_graded", k) for k in (2, 3, 4)]
+    bases += [skewed_ut2(), paper_catalog("mk_column_graded", 2)]
+    return bases + [opposite(a) for a in bases]
+
+
+@functools.cache
+def zero_band_exponents():
+    return [graded_exponent_d(a) for a in zero_band_algebras()]
+
+
+def random_base_change(alg, rng):
+    """Rows of an invertible integer matrix that mixes basis vectors only
+    within a degree component: a unitriangular times a diagonal times a
+    unitriangular block on each component."""
+    n = alg.dim
+    rows = [[0] * n for _ in range(n)]
+    for t in alg.support():
+        idx = alg.component_indices(t)
+        low = [[rng.randint(-2, 2) if b < a else int(a == b) for b in idx] for a in idx]
+        up = [[rng.randint(-2, 2) if b > a else rng.choice((-2, -1, 1, 2)) if a == b else 0
+               for b in idx] for a in idx]
+        for a, i in enumerate(idx):
+            for b, k in enumerate(idx):
+                rows[i][k] = sum(low[a][c] * up[c][b] for c in range(len(idx)))
+    return rows
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_graded_splitting_matches_the_recursive_oracle(data):
+    i = data.draw(st.sampled_from(range(len(zero_band_algebras()))))
+    base = zero_band_algebras()[i]
+    alg = conjugated(base, random_base_change(base, data.draw(st.randoms(use_true_random=False))))
+    split = graded_malcev_zeroband(alg)
+    complement_is_valid(alg, split)
+    assert split.complement == Subspace(alg.dim, recursive_graded_malcev(alg))
+    assert is_graded_subspace(alg, split.complement)
+    assert all(split.complement.contains(e) for e in unit_component_idempotents(alg).values())
+    q, project, _ = quotient_algebra(alg, split.radical, graded=False)
+    assert [project(c) for c in split.section] == [unit_vec(q.dim, k) for k in range(q.dim)]
+    assert graded_exponent_d(alg) == zero_band_exponents()[i]
+
+
+def test_random_base_changes_need_the_conjugation():
+    rng = random.Random(0)
+    logs = [graded_malcev_zeroband(conjugated(base, random_base_change(base, rng))).correction_log
+            for base in zero_band_algebras() for _ in range(2)]
+    assert sum(map(bool, logs)) >= len(logs) // 2
+    # the catalog bases themselves split without it
+    assert [bool(graded_malcev_zeroband(base).correction_log) for base in zero_band_algebras()] \
+        == [a.name in ("skewed_ut2", "skewed_ut2.op") for a in zero_band_algebras()]
 
 
 def test_graded_simple_probable_on_field_extension():
