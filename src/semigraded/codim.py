@@ -13,14 +13,14 @@ A block's rank is split by the graded cocharacter: per multipartition of
 its degrees, the rank of the block's rows combined by a certified basis
 of one isotypic piece of the group algebra.
 isotypic_slices scatters and combines each block once; graded_codim
-ranks the slices over two ~30-bit primes by default (a certified lower
-bound, labelled as such), one elimination per slice for all its primes,
-or over exact rationals on request, and
-cochar.multiplicity_exact induces the ordinary cocharacter from their
-exact ranks.  An exact rank is taken of the slice's Gram matrix along
-its longer side, which has the slice's rank over Q and is no larger than
-the slice's shorter side squared; modular ranks are taken of the slice
-itself, since mod p the Gram matrix may lose rank.
+ranks each slice M through its Gram matrix G along its longer side, no
+larger than M's shorter side squared: over exact rationals on request,
+where rank_Q(G) = rank_Q(M), else modulo two ~30-bit primes (a certified
+lower bound, labelled as such), where rank_p(G) <= rank_p(M) <= rank_Q(M).
+Below 2 ** 29, where G mod p lost rank on some catalog slices, a prime
+ranks M itself.  A call's modular layers are ranked together, in stacks
+of one elimination each, and cochar.multiplicities induces the ordinary
+cocharacter from the exact ranks.
 """
 
 from __future__ import annotations
@@ -99,18 +99,17 @@ def _word_products(alg: GradedAlgebra, n: int, max_entries: int = DEFAULT_BLOCK_
     coordinate) order, scaled to integers by the lcm of their denominators
     (ranks over Q unchanged); int64, or Python ints past its range.
 
-    Formed one level at a time: the structure constants, scaled to integers
-    by their lcm L, act on the nonzero entries of the level before, each
-    entry (w, i, v) joining the constants c_(i b)^k into the entry (wb, k,
-    v c), so a word whose prefix multiplies to zero drops out with it.
-    Level n then carries L ** (n - 1) times the products; dividing by the
-    gcd of that power and every value gives the lcm scaling.  Raises
+    Formed one level at a time: the structure constants scaled to integers
+    by their lcm L (integer_table) act on the nonzero entries of the level
+    before, each entry (w, i, v) joining the constants c_(i b)^k into the
+    entry (wb, k, v c), so a word whose prefix multiplies to zero drops out
+    with it.  Level n then carries L ** (n - 1) times the products; dividing
+    by the gcd of that power and every value gives the lcm scaling.  Raises
     ResourceLimit before a level takes the words formed, as _product_cache
     counts them, or the joined entries past max_entries."""
     dim = alg.dim
-    scale = math.lcm(*(c.denominator for cell in alg.structure.values() for c in cell.values()))
-    cells = sorted((i, b, k, int(c * scale)) for (i, b), cell in alg.structure.items()
-                   for k, c in cell.items() if c)
+    table, scale = alg.integer_table()
+    cells = sorted((i, b, k, c) for (i, b), cell in table.items() for k, c in cell)
     # an entry of level m is a sum of products of m - 1 constants, at most
     # (dim * max |constant|) ** (m - 1)
     top = max((abs(c[3]) for c in cells), default=0)
@@ -152,12 +151,14 @@ def _word_products(alg: GradedAlgebra, n: int, max_entries: int = DEFAULT_BLOCK_
     return words, at, coord, values
 
 
-def _rank_mod_p(mat: np.ndarray, primes) -> tuple:
-    """The rank over GF(p) of an integer matrix (int64 or Python ints) for
-    each p < 2 ** 31 in primes, in their order, from one elimination of its
-    residues stacked as layers (_eliminate)."""
-    moduli = np.array(primes, dtype=np.int64)[:, None, None]
-    return tuple(_eliminate(_residues(mat[None], moduli).astype(np.int64, copy=False), moduli))
+def _rank_mod_p(stack: np.ndarray, moduli) -> tuple:
+    """The rank of each layer of an integer stack (int64 or Python ints)
+    modulo its own prime p < 2 ** 31 in moduli, from one elimination
+    (_eliminate); stack holds the layers' rows one layer after another,
+    len(stack) // len(moduli) rows each."""
+    moduli = np.array(moduli, dtype=np.int64)[:, None, None]
+    m = stack.reshape(len(moduli), len(stack) // len(moduli), stack.shape[1])
+    return tuple(_eliminate(_residues(m, moduli).astype(np.int64, copy=False), moduli))
 
 
 def _residues(m: np.ndarray, moduli: np.ndarray) -> np.ndarray:
@@ -172,53 +173,63 @@ def _eliminate(m: np.ndarray, moduli: np.ndarray) -> list:
     """The rank of each layer of m (layers x rows x cols, reduced) modulo
     the matching entry of moduli (layers x 1 x 1); m is overwritten.
 
-    Each step finds the first layer's next pivot column with one test over
-    the rows not yet used and clears that column below the pivot in every
-    layer without division (row_i <- piv row_i - f row_r mod p), updating
-    only the columns from it on, so the work stops at the rank.  These are
-    row operations of a later layer as long as its pivot is nonzero and its
-    unused rows vanish on the columns the first layer skipped; a layer that
-    fails either, or keeps nonzero rows after the first layer's last pivot,
-    is finished on its own by the same loop from where it stands."""
-    layers, rows, cols = m.shape
-    ranks = [0] * layers
-    at = np.arange(layers)  # the input layer each layer of m holds
-    r = c = 0
-    while r < rows and c < cols:
-        live = m[0, r:, c:].any(axis=0)
-        step = int(live.argmax())
-        found = live[step]
-        if found:
-            i = r + int(m[0, r:, c + step].nonzero()[0][0])
-        # the columns the first layer skipped, or all left after its last pivot
-        skipped = m[:, r:, c:c + step] if found else m[:, r:, c:]
-        if found and not m[:, i, c + step].all() or skipped.size and skipped.any():
-            split = skipped.any(axis=(1, 2))
-            if found:
-                split |= m[:, i, c + step] == 0
-            for k in np.flatnonzero(split):
-                ranks[at[k]] = r + _eliminate(m[k:k + 1, r:, c:].copy(), moduli[k:k + 1])[0]
-            m, moduli, at = m[~split], moduli[~split], at[~split]
-        if not found:
-            break
-        c += step
-        # rows before r are not read again, so row r moves to the pivot's place
-        pivot = m[:, i, c:].copy()
-        if i != r:
-            m[:, i, c:] = m[:, r, c:]
-        r += 1
-        below = np.flatnonzero(m[:, r:, c].any(axis=0)) + r
-        # rows in chunks of about 2 ** 18 entries keep the temporaries small
-        chunk = max(1, 2 ** 18 // pivot.size)
-        for lo in range(0, below.size, chunk):
-            rest = m[:, below[lo:lo + chunk], c:]
-            rest *= pivot[:, None, :1]
-            rest -= m[:, below[lo:lo + chunk], c, None] * pivot[:, None]
-            m[:, below[lo:lo + chunk], c:] = _residues(rest, moduli)
-        c += 1
-    for k in at:
-        ranks[k] = r
-    return ranks
+    Each step every layer takes its own pivot, in its first column nonzero
+    on its rows left and there in its first nonzero row, moves it to the
+    top and clears the column below it without division (row_i <- piv row_i
+    - f row_top mod p); the top row is then dropped.  A layer whose rows
+    left are zero leaves with its rank, and the columns left of every
+    layer's pivot, zero on the rows left, are dropped."""
+    ranks, rank = [0] * len(m), 0
+    at = np.arange(len(m))  # the input layer each layer of m holds
+    while True:
+        live = m.any(axis=1)
+        done = ~live.any(axis=1)
+        if done.any():
+            for k in at[done]:
+                ranks[k] = rank
+            m, moduli, at, live = m[~done], moduli[~done], at[~done], live[~done]
+        if not len(m):
+            return ranks
+        cols = live.argmax(axis=1)
+        m, cols = m[:, :, cols.min():], cols - cols.min()
+        layer = np.arange(len(m))
+        column = m[layer, :, cols]
+        top = (column != 0).argmax(axis=1)
+        pivot = m[layer, top]
+        m[layer, top] = m[:, 0]
+        column[layer, top] = column[:, 0]
+        m, f, piv = m[:, 1:], column[:, 1:, None], pivot[layer, cols][:, None, None]
+        # rows in chunks of about 2 ** 14 entries keep the temporaries small
+        chunk = max(1, 2 ** 14 // pivot.size)
+        for lo in range(0, m.shape[1], chunk):
+            rest = m[:, lo:lo + chunk]
+            rest *= piv
+            rest -= f[:, lo:lo + chunk] * pivot[:, None]
+            m[:, lo:lo + chunk] = _residues(rest, moduli)
+        rank += 1
+
+
+def _rank_layers(layers: list, ranked):
+    """Add d times the rank of each layer (matrix, p, rep, j, d) mod p to
+    ranked[rep][1][j], by _rank_mod_p on the layers sorted by shape, in
+    stacks zero padded to their largest layer and within about 2 ** 14
+    entries, which keeps each temporary near 128 kB; empties layers."""
+    layers.sort(key=lambda layer: layer[0].shape)
+    while layers:
+        rows = cols = take = 0
+        for mat, *_ in layers:
+            r, c = max(rows, mat.shape[0]), max(cols, mat.shape[1])
+            if take and (take + 1) * r * c > 2 ** 14:
+                break
+            rows, cols, take = r, c, take + 1
+        group, layers[:take] = layers[:take], []
+        wide = any(g[0].dtype == object for g in group)
+        stack = np.zeros((take, rows, cols), dtype=object if wide else np.int64)
+        for k, (mat, *_) in enumerate(group):
+            stack[k, :mat.shape[0], :mat.shape[1]] = mat
+        for (_, _, rep, j, d), rank in zip(group, _rank_mod_p(stack.reshape(take * rows, cols),
+                                                              [g[1] for g in group])):
+            ranked[rep][1][j] += d * rank
 
 
 def _rank_exact(rows_entries) -> int:
@@ -357,7 +368,7 @@ def _combine(basis: np.ndarray, rows, cols, values, n_cols: int) -> np.ndarray:
 def _gram(rows: np.ndarray) -> np.ndarray:
     """The Gram matrix of an integer matrix M along its longer side: M.M^T
     when M has no more rows than columns, else M^T.M.  Its rank over Q is
-    M's, since M.M^T x = 0 gives |M^T x|^2 = 0; mod p it may be lower.
+    M's, since M.M^T x = 0 gives |M^T x|^2 = 0; mod p it is at most M's.
     Exact: in float64 while long side * max |entry| ** 2 < 2 ** 53 (every
     partial sum an integer in range), cast to int64; in Python ints past it."""
     m = rows if rows.shape[0] <= rows.shape[1] else rows.T
@@ -543,6 +554,7 @@ def isotypic_slices(alg: GradedAlgebra, n: int, reps,
         combined = _combine(basis, rows, cols, values, n_cols)
         yield rep, n_cols, [(shapes, d, combined[piece]) for shapes, (d, piece)
                             in zip(_multipartitions(composition), pieces)]
+        del combined  # freed before the next block is combined
 
 
 def graded_codim(alg: GradedAlgebra, n: int, mode: str = "modular",
@@ -559,40 +571,48 @@ def graded_codim(alg: GradedAlgebra, n: int, mode: str = "modular",
 
     mode "modular": per-block ranks over two primes (drawn per
     representative from the seed unless primes are given, which must be at
-    least two distinct primes above n and below 2 ** 31); equal ranks
-    across primes are reported as a stable modular lower bound.  mode
-    "exact": rational ranks, each of a slice's Gram matrix (_gram),
-    certification "exact".
+    least two distinct primes above n and below 2 ** 31), each of a slice's
+    Gram matrix (_gram), or of the slice for a prime below 2 ** 29; equal
+    ranks across primes are reported as a stable modular lower bound.  mode
+    "exact": rational ranks of the Gram matrices, certification "exact".
+    A slice whose lambda_t has more rows than dim A_t alternates in more
+    degree-t variables than A_t has dimensions, so it is skipped as zero.
 
     max_block_entries caps each block's isotypic basis entries, checked
-    before anything is built, then its triples and combined entries.
+    before anything is built, then its triples and combined entries, and
+    the entries of the layers held for ranking.
     """
     t0 = time.monotonic()
     primes, reps = check_request(alg, n, mode, primes, max_block_entries)
-    n_perms = math.factorial(n)
-    ranked = {}
+    dims = {t: len(alg.component_indices(t)) for t in alg.support()}
+    ranked, layers = {}, []
     for rep, n_cols, slices in isotypic_slices(alg, n, reps, max_block_entries):
-        if mode == "exact":
-            rank = sum(d * _rank_exact(_dict_rows(_gram(rows))) for _, d, rows in slices)
-            ranked[rep] = (n_cols, rank, CERT_EXACT)
-        else:
-            block_primes = primes or _block_primes(seed, rep)
-            per_slice = [[d * r for r in _rank_mod_p(rows, block_primes)]
-                         for _, d, rows in slices]
-            ranks = [sum(column) for column in zip(*per_slice)]
-            cert = CERT_MODULAR_STABLE if len(set(ranks)) == 1 else CERT_MODULAR_UNSTABLE
-            ranked[rep] = (n_cols, max(ranks), cert)
+        block_primes = (None,) if mode == "exact" else primes or _block_primes(seed, rep)
+        ranked[rep] = (n_cols, [0] * len(block_primes))
+        for shapes, d, rows in slices:
+            if all(len(lam) <= dims[t] for t, lam in zip(sorted(set(rep)), shapes)):
+                gram = _gram(rows)
+                if mode == "exact":
+                    ranked[rep][1][0] += d * _rank_exact(_dict_rows(gram))
+                else:
+                    layers += [(gram if p > 2 ** 29 else rows, p, rep, j, d)
+                               for j, p in enumerate(block_primes)]
+        slices = rows = None  # the block is freed before the next one is combined
+        if sum(layer[0].size for layer in layers) > max_block_entries:
+            _rank_layers(layers, ranked)
+    _rank_layers(layers, ranked)
+    for rep, (n_cols, ranks) in ranked.items():
+        cert = (CERT_EXACT if mode == "exact" else CERT_MODULAR_STABLE if len(set(ranks)) == 1
+                else CERT_MODULAR_UNSTABLE)
+        ranked[rep] = (n_cols, max(ranks), cert)
     # lexicographic over semigroup element indices keeps output reproducible
-    blocks = [EvaluationBlock(a, n_perms, *ranked[tuple(sorted(a))])
+    blocks = [EvaluationBlock(a, math.factorial(n), *ranked[tuple(sorted(a))])
               for a in product(alg.support(), repeat=n)]
-    total = sum(b.rank for b in blocks)
-    if mode == "exact":
-        certification = CERT_EXACT
-    elif all(b.certification == CERT_MODULAR_STABLE for b in blocks):
-        certification = CERT_MODULAR_STABLE
-    else:
-        certification = CERT_MODULAR_UNSTABLE
-    return CodimResult(n, total, certification, blocks, time.monotonic() - t0)
+    certification = (CERT_EXACT if mode == "exact" else CERT_MODULAR_STABLE
+                     if all(b.certification == CERT_MODULAR_STABLE for b in blocks)
+                     else CERT_MODULAR_UNSTABLE)
+    return CodimResult(n, sum(b.rank for b in blocks), certification, blocks,
+                       time.monotonic() - t0)
 
 
 def ordinary_codim(alg: GradedAlgebra, n: int, **kw) -> CodimResult:

@@ -78,12 +78,13 @@ class GradedAlgebra:
                 for key, cell in self.structure.items()}
 
     def integer_table(self):
-        """Structure constants times the lcm of their denominators, as
-        (i, j) -> ((k, int), ...): a fixed nonzero multiple of every basis
-        product, for the kernels that only need spans."""
+        """(table, scale): the structure constants times scale, the lcm of
+        their denominators, as (i, j) -> ((k, int), ...) with the zero
+        constants dropped: a fixed nonzero multiple of every basis product,
+        for the kernels that only need spans."""
         d = math.lcm(*(c.denominator for cell in self.structure.values() for c in cell.values()))
-        return {key: tuple((k, int(c * d)) for k, c in cell.items() if c)
-                for key, cell in self.structure.items()}
+        return {key: tuple((k, c.numerator * (d // c.denominator)) for k, c in cell.items() if c)
+                for key, cell in self.structure.items()}, d
 
     # -- grading ----------------------------------------------------------
 
@@ -249,7 +250,7 @@ def ideal_generated(alg: GradedAlgebra, vectors) -> Subspace:
     unit.
     """
     n = alg.dim
-    table = alg.integer_table()
+    table, _ = alg.integer_table()
     maps = [sparse_map([table.get(key, ()) for key in keys])
             for i in range(n)
             for keys in ([(i, j) for j in range(n)], [(j, i) for j in range(n)])]

@@ -449,7 +449,7 @@ def _operator_closure(alg: GradedAlgebra):
     integer matrices (tuples of rows): the span closure of the identity
     under left products with the integer generators (is_graded_simple)."""
     n = alg.dim
-    table = alg.integer_table()
+    table, _ = alg.integer_table()
     # generators by columns: column k -> ((row, entry), ...)
     gens = [[((k, 1),) if alg.degree[k] == t else () for k in range(n)] for t in alg.support()]
     for b in range(n):

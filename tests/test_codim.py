@@ -858,19 +858,56 @@ def _matrix_case(data):
     return rng.integers(-2, 3, size=(rows, cols)) * rng.integers(1, 2 ** 20, size=(rows, cols))
 
 
+def _stacked(layers) -> np.ndarray:
+    """The layers zero padded to the largest rows and columns among them,
+    their rows one layer after another, as _rank_mod_p takes them."""
+    rows = max((m.shape[0] for m in layers), default=0)
+    cols = max((m.shape[1] for m in layers), default=0)
+    stack = np.zeros((len(layers), rows, cols), dtype=np.result_type(*layers))
+    for k, m in enumerate(layers):
+        stack[k, :m.shape[0], :m.shape[1]] = m
+    return stack.reshape(len(layers) * rows, cols)
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_rank_mod_p_matches_the_column_loop(data):
-    # every layer of the one elimination has its own prime's rank
-    mat = _matrix_case(data)
-    primes = tuple(data.draw(st.lists(st.sampled_from((2, 3, 5, 7, 11) + PRIME_BANK[:3]),
-                                      min_size=1, max_size=3), label="primes"))
+    # every layer of the one elimination has its own shape, its own prime
+    # and its own rank
+    layers = []
+    for _ in range(data.draw(st.integers(1, 4), label="layers")):
+        if data.draw(st.integers(0, 5), label="empty") == 0:
+            shape = data.draw(st.sampled_from([(0, 0), (0, 3), (4, 0)]), label="shape")
+            layers.append(np.zeros(shape, dtype=np.int64))
+        else:
+            layers.append(_matrix_case(data))
+    primes = tuple(data.draw(st.sampled_from((2, 3, 5, 7, 11) + PRIME_BANK), label="prime")
+                   for _ in layers)
+    want = tuple(column_loop_rank_mod_p(m, p) for m, p in zip(layers, primes))
     # Python ints reach it from the product of blocks past the float64 range
-    for entries in (mat, mat.astype(object)):
-        before = entries.copy()
-        assert _rank_mod_p(entries, primes) == \
-            tuple(column_loop_rank_mod_p(mat, p) for p in primes)
-        assert (entries == before).all()
+    for stack in (_stacked(layers), _stacked([m.astype(object) for m in layers])):
+        before = stack.copy()
+        assert _rank_mod_p(stack, primes) == want
+        assert (stack == before).all()
+
+
+def test_rank_layers_adds_d_times_each_layer_rank():
+    # layers of mixed shapes and dtypes, some past the stack size on their
+    # own, are sorted into stacks and each rank lands on its (rep, prime)
+    rng = np.random.default_rng(7)
+    ranked = {rep: (0, [0, 0]) for rep in range(4)}
+    layers, want = [], {rep: [0, 0] for rep in range(4)}
+    for k in range(40):
+        rows, cols = (int(x) for x in rng.integers(1, 12 if k % 10 else 200, size=2))
+        mat = rng.integers(-2, 3, size=(rows, cols)) * rng.integers(0, 2, size=(1, cols))
+        mat = mat.astype(object) * (2 ** 70 + 1) if k % 3 == 0 else mat
+        rep, j, d = k % 4, k % 2, int(rng.integers(1, 4))
+        p = (7, PRIME_BANK[k % 16])[j]
+        layers.append((mat, p, rep, j, d))
+        want[rep][j] += d * column_loop_rank_mod_p(np.array(mat % p, dtype=np.int64), p)
+    codim._rank_layers(layers, ranked)
+    assert layers == []
+    assert {rep: ranks for rep, (_, ranks) in ranked.items()} == want
 
 
 @pytest.mark.parametrize("mat, primes, ranks", [
@@ -880,7 +917,7 @@ def test_rank_mod_p_matches_the_column_loop(data):
 ])
 def test_rank_mod_p_finishes_a_diverging_layer_on_its_own(mat, primes, ranks):
     mat = np.array(mat, dtype=np.int64)
-    assert _rank_mod_p(mat, primes) == ranks
+    assert _rank_mod_p(_stacked([mat] * len(primes)), primes) == ranks
     assert tuple(column_loop_rank_mod_p(mat, p) for p in primes) == ranks
 
 
@@ -899,13 +936,55 @@ def test_gram_has_the_exact_rank_of_the_matrix(data):
     assert _rank_exact(codim._dict_rows(gram)) == _rank_exact(codim._dict_rows(mat))
 
 
+def catalog_slices(alg, n: int):
+    """(rep, shapes, rows) of every slice of alg at degree n, and dim A_t per t."""
+    _, reps = codim.check_request(alg, n)
+    dims = {t: len(alg.component_indices(t)) for t in alg.support()}
+    found = [(rep, shapes, rows) for rep, _, slices in codim.isotypic_slices(alg, n, reps)
+             for shapes, _, rows in slices]
+    return found, dims
+
+
+def test_gram_keeps_the_rank_modulo_every_bank_prime():
+    # graded_codim ranks a slice's Gram matrix modulo a prime past 2 ** 29:
+    # pinned equal to the slice's own rank on every catalog slice at n <= 5
+    checked = 0
+    for alg in catalog_at_two():
+        for n in range(1, 6):
+            for _, _, rows in catalog_slices(alg, n)[0]:
+                if rows.any():
+                    gram = _stacked([codim._gram(rows)] * len(PRIME_BANK))
+                    assert _rank_mod_p(gram, PRIME_BANK) == \
+                        _rank_mod_p(_stacked([rows] * len(PRIME_BANK)), PRIME_BANK), (alg.name, n)
+                    checked += 1
+    assert checked > 500
+
+
+def test_slices_longer_than_their_component_are_zero():
+    # lambda_t with more rows than dim A_t: the slice alternates in more
+    # degree-t variables than A_t has dimensions, so graded_codim skips it
+    zero = {}
+    for alg in catalog_at_two():
+        for n in range(1, 7):
+            found, dims = catalog_slices(alg, n)
+            for rep, shapes, rows in found:
+                if any(len(lam) > dims[t] for t, lam in zip(sorted(set(rep)), shapes)):
+                    assert not rows.any(), (alg.name, n, shapes)
+                    assert _rank_exact(codim._dict_rows(codim._gram(rows))) == 0
+                    assert _rank_mod_p(rows, (PRIME_BANK[0],)) == (0,)
+                    zero[alg.name, n] = zero.get((alg.name, n), 0) + 1
+    assert zero["thm_T3_fractional", 6] == 21 and zero["thm_T1_fractional", 6] == 11
+
+
 def test_rank_mod_p_of_one_by_one_and_empty_shapes():
     for value, ranks in ((0, (0, 0)), (7, (0, 1)), (5, (1, 0)), (-1, (1, 1)), (35, (0, 0))):
-        assert _rank_mod_p(np.array([[value]], dtype=np.int64), (7,)) == ranks[:1]
-        assert _rank_mod_p(np.array([[value]], dtype=np.int64), (7, 5)) == ranks
+        one = np.array([[value]], dtype=np.int64)
+        assert _rank_mod_p(one, (7,)) == ranks[:1]
+        assert _rank_mod_p(_stacked([one, one]), (7, 5)) == ranks
     for shape in ((0, 3), (3, 0)):
-        assert _rank_mod_p(np.zeros(shape, dtype=np.int64), (7,)) == (0,)
-        assert _rank_mod_p(np.zeros(shape, dtype=np.int64), (7, 5, 3)) == (0, 0, 0)
+        empty = np.zeros(shape, dtype=np.int64)
+        assert _rank_mod_p(empty, (7,)) == (0,)
+        assert _rank_mod_p(_stacked([empty] * 3), (7, 5, 3)) == (0, 0, 0)
 
 
 @lru_cache(maxsize=None)
@@ -1023,12 +1102,29 @@ def test_cap_counts_the_allocated_entries(monkeypatch):
         graded_codim(alg, n, max_block_entries=cap)
 
 
+def _trimmed_layer(mat, p) -> tuple:
+    """(p, shape, bytes) of mat mod p without its trailing zero rows and
+    columns: a layer as the padding of a stack leaves it."""
+    m = np.asarray(mat % p, dtype=np.int64)
+    rows = np.flatnonzero(m.any(axis=1))
+    cols = np.flatnonzero(m.any(axis=0))
+    m = m[:rows[-1] + 1, :cols[-1] + 1] if len(rows) else m[:0, :0]
+    return p, m.shape, m.tobytes()
+
+
 def test_modular_mode_scatters_each_block_once(monkeypatch):
-    # one elimination ranks each slice of the one scattered and combined
-    # block modulo all the block's primes, given or drawn from the seed
+    # each representative's block is scattered and combined once, and each
+    # of its slices is ranked once modulo each of the block's primes, given
+    # or drawn from the seed: as its Gram matrix for a bank prime, as
+    # itself for a prime below 2 ** 29
     alg = paper_catalog("thm_T1_fractional")
     n = 4
-    graded_codim(alg, n)  # builds the isotypic bases, whose check ranks mod one prime
+    _, reps = codim.check_request(alg, n)
+    dims = {t: len(alg.component_indices(t)) for t in alg.support()}
+    # builds the isotypic bases first, whose check ranks mod one prime
+    slices = {rep: [rows for shapes, _, rows in found
+                    if all(len(lam) <= dims[t] for t, lam in zip(sorted(set(rep)), shapes))]
+              for rep, _, found in codim.isotypic_slices(alg, n, reps)}
     scatter, rank_mod_p = codim._WordTable.scatter, codim._rank_mod_p
     scattered, ranked = [], []
 
@@ -1036,20 +1132,22 @@ def test_modular_mode_scatters_each_block_once(monkeypatch):
         scattered.append(rep)
         return scatter(self, rep, *args)
 
-    def counted_rank(mat, primes):
-        ranked.append((scattered[-1], primes))
-        return rank_mod_p(mat, primes)
+    def counted_rank(stack, primes):
+        layers = stack.reshape(len(primes), len(stack) // len(primes), stack.shape[1])
+        ranked.extend(_trimmed_layer(m, p) for m, p in zip(layers, primes))
+        return rank_mod_p(stack, primes)
 
     monkeypatch.setattr(codim._WordTable, "scatter", counted_scatter)
     monkeypatch.setattr(codim, "_rank_mod_p", counted_rank)
-    for primes in ((PRIME_BANK[0], PRIME_BANK[1]), None):
+    for primes in ((PRIME_BANK[0], PRIME_BANK[1]), None, (11, 13)):
         scattered.clear()
         ranked.clear()
-        result = graded_codim(alg, n, primes=primes, seed=5)
-        reps = sorted({tuple(sorted(b.assignment)) for b in result.blocks})
+        graded_codim(alg, n, primes=primes, seed=5)
         assert scattered == reps
-        assert ranked == [(rep, primes or _block_primes(5, rep)) for rep in reps
-                          for _ in codim._multipartitions(codim._composition(rep))]
+        want = [_trimmed_layer(codim._gram(rows) if p > 2 ** 29 else rows, p)
+                for rep in reps for p in primes or _block_primes(5, rep) for rows in slices[rep]]
+        assert sorted(ranked) == sorted(want)
+        assert len(want) > len(reps)
 
 
 def derived_algebra(data):
