@@ -244,8 +244,9 @@ def simple(input_path, catalog, out_format, out_path, seed):
                    "and below 2**31 (modular mode)")
 @click.option("--seed", type=int, default=0)
 @click.option("--caps", type=int, default=codim.DEFAULT_BLOCK_CAP,
-              help="max entries per evaluation block: its isotypic basis (rows x n!), "
-                   "its scattered (row, column, value) triples, and its combined entries")
+              help="max entries per evaluation block: its isotypic basis (rows x |H|, "
+                   "H the Young subgroup of its degrees), its scattered (row, column, "
+                   "value) triples, and its combined entries (rows x cosets x columns)")
 @click.option("--ordinary", is_flag=True, help="forget the grading first")
 @click.option("--timings/--no-timings", default=True)
 def codim_cmd(input_path, catalog, out_format, out_path, n_max, mode, primes,

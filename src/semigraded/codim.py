@@ -11,7 +11,10 @@ entries of their products are formed one length at a time, each entry
 joined with the integer-scaled structure constants of its coordinate.
 A block's rank is split by the graded cocharacter: per multipartition of
 its degrees, the rank of the block's rows combined by a certified basis
-of one isotypic piece of the group algebra.
+of one isotypic piece of the group algebra.  That basis lies in the group
+algebra of the Young subgroup H of the degrees on each right coset of H,
+so the rows of every coset are combined by one matrix F over H, a
+Kronecker product of one certified factor per degree.
 isotypic_slices scatters and combines each block once; graded_codim
 ranks each slice M through its Gram matrix G along its longer side, no
 larger than M's shorter side squared: over exact rationals on request,
@@ -282,9 +285,10 @@ def _block_primes(seed, assignment):
 
 class _WordTable:
     """The length-n words of alg with a nonzero product, with their letters
-    and degrees sorted stably by degree and pi_0 = argsort(argsort(degrees));
-    their product coefficients as entries (word, coordinate, value), scaled
-    to integers by the lcm of their denominators (ranks over Q unchanged)."""
+    and degrees sorted stably by degree and a code of their degree
+    arrangement (their positions' degrees, unsorted); their product
+    coefficients as entries (word, coordinate, value), scaled to integers
+    by the lcm of their denominators (ranks over Q unchanged)."""
 
     def __init__(self, alg: GradedAlgebra, n: int, max_entries: int):
         words, self.at, self.coord, values = _word_products(alg, n, max_entries)
@@ -292,9 +296,11 @@ class _WordTable:
         order = np.argsort(degrees, axis=1, kind="stable")
         self.degrees = np.take_along_axis(degrees, order, axis=1)
         self.sorted = np.take_along_axis(words, order, axis=1)
-        self.placed = np.argsort(order, axis=1).astype(np.int8)
         # (substitution, coordinate) codes stay far below 2 ** 63 under the block cap
         self.powers = alg.dim ** np.arange(n, 0, -1, dtype=np.int64)
+        # a code per arrangement: one place per position, its degree's index
+        # in the support (fewer than dim), so below the codes above
+        self.arrangement = np.searchsorted(alg.support(), degrees) @ self.powers
         # every partial sum of a combined entry is an integer of size at most
         # n! * max |value|, exact in float32 below 2 ** 24 and float64 below 2 ** 53
         bound = math.factorial(n) * int(np.abs(values).max(initial=0))
@@ -302,12 +308,16 @@ class _WordTable:
                                     else np.float64 if bound < 2 ** 53 else object)
 
     def scatter(self, rep, young: np.ndarray, max_entries: int):
-        """(rows, cols, values, n_cols): the nonzero entries of rep's block,
-        cols increasing.  A word w whose degrees sort to rep lands at the
-        rows pi = h o pi_0 (by lexicographic rank), h in the Young subgroup
-        young, and at the columns (s, k) in lexicographic order: s = w o
-        pi^-1 and k a coordinate of w's product.  Raises ResourceLimit
-        before allocating more than max_entries triples."""
+        """(rows, cols, values, n_cosets, n_cols): the nonzero entries of
+        rep's block, cols increasing, its rows grouped per right coset of the
+        Young subgroup young (H).  A word w whose degrees sort to rep lands
+        at the rows pi = h o pi_0, h in H and pi_0 the stable sort of its
+        degrees, all in the coset H.pi_0 that its degree arrangement names:
+        at row j * n_cosets + c, c the number of that arrangement among those
+        present and j the index of h in young; and at the columns (s, k) in
+        lexicographic order: s = w o pi^-1 and k a coordinate of w's
+        product.  Raises ResourceLimit before allocating more than
+        max_entries triples."""
         mine = (self.degrees == rep).all(axis=1)
         take = mine[self.at]
         triples = len(young) * int(take.sum())
@@ -315,53 +325,35 @@ class _WordTable:
             raise ResourceLimit(f"block for assignment {rep} scatters {triples} entries "
                                 f"(cap {max_entries})", context=rep)
         local = (np.cumsum(mine) - 1)[self.at[take]]
-        rows = _lex_ranks(young[:, self.placed[mine]]).T[local].ravel()
+        arrangements, coset = np.unique(self.arrangement[mine], return_inverse=True)
+        rows = coset[local, None] + len(arrangements) * np.arange(len(young))
         # s[h[v]] is the v-th sorted letter of w
         codes = (self.sorted[mine] @ self.powers[young].T)[local] + self.coord[take, None]
         order = np.argsort(codes, axis=None)
         distinct, cols = np.unique(codes.ravel()[order], return_inverse=True)
         values = np.repeat(self.values[take], len(young))[order]
-        return rows[order], cols, values, len(distinct)
+        return rows.ravel()[order], cols, values, len(arrangements), len(distinct)
 
 
-def _lex_ranks(perms: np.ndarray) -> np.ndarray:
-    """The rank of each permutation of range(n) along the last axis of
-    perms among them all in lexicographic order: its base-n code, formed in
-    place digit by digit, found among the codes of all n! permutations."""
-    n = perms.shape[-1]
-    table = _lex_codes(n)
-    codes = np.zeros(perms.shape[:-1], dtype=table.dtype)
-    for j in range(n):
-        codes *= n
-        codes += perms[..., j]
-    return np.searchsorted(table, codes)
-
-
-@lru_cache(maxsize=None)
-def _lex_codes(n: int) -> np.ndarray:
-    """The base-n codes of the permutations of range(n) in lexicographic
-    order, increasing, read-only; int32 while n ** n fits, which halves the
-    codes _lex_ranks forms."""
-    perms = np.array(list(permutations(range(n))), dtype=np.int64).reshape(-1, n)
-    codes = perms @ n ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    codes = codes.astype(np.int32 if n ** n < 2 ** 31 else np.int64)
-    codes.flags.writeable = False
-    return codes
-
-
-def _combine(basis: np.ndarray, rows, cols, values, n_cols: int) -> np.ndarray:
-    """basis times the n! x n_cols block holding values at (rows, cols), cols
-    increasing, one dense column chunk of about 2 ** 18 entries (a few MB)
-    at a time; in int64, or in Python ints for object values."""
-    n_perms = basis.shape[1]
-    step = max(1, 2 ** 18 // n_perms)
+def _combine(basis: np.ndarray, rows, cols, values, n_cosets: int, n_cols: int) -> np.ndarray:
+    """The block holding values at (rows, cols), cols increasing, combined
+    per right coset by basis (rows per coset x |H|): row j * n_cosets + c
+    of the block is h_j o g_c, so each coset's |H| rows are combined by the
+    same matrix.  Returns basis rows x n_cosets x n_cols, one dense column
+    chunk of about 2 ** 18 entries (a few MB) per matrix product; in int64,
+    or in Python ints for object values."""
+    per_coset = basis.shape[1]
+    step = max(1, 2 ** 18 // max(1, per_coset * n_cosets))
     basis = basis.astype(values.dtype)
-    out = np.empty((len(basis), n_cols), dtype=object if values.dtype == object else np.int64)
+    out = np.empty((len(basis), n_cosets, n_cols),
+                   dtype=object if values.dtype == object else np.int64)
     ends = np.searchsorted(cols, range(0, n_cols + step, step)).tolist()
     for lo, a, b in zip(range(0, n_cols, step), ends, ends[1:]):
-        chunk = np.zeros((n_perms, min(step, n_cols - lo)), dtype=values.dtype)
+        width = min(step, n_cols - lo)
+        chunk = np.zeros((per_coset * n_cosets, width), dtype=values.dtype)
         chunk[rows[a:b], cols[a:b] - lo] = values[a:b]
-        out[:, lo:lo + chunk.shape[1]] = basis @ chunk
+        product = basis @ chunk.reshape(per_coset, n_cosets * width)
+        out[:, :, lo:lo + width] = product.reshape(len(basis), n_cosets, width)
     return out
 
 
@@ -400,7 +392,9 @@ def _dict_rows(mat: np.ndarray) -> list:
 # 1996).  m_<lambda> is the rank of the block's rows combined by a basis of
 # the right ideal e_<lambda>.KS_n, whose elements e_<lambda>.h.g have h a
 # product of per-factor spanning_permutations and g a coset representative
-# of H in S_n.
+# of H in S_n.  e_<lambda>.h lies in KH, so every right coset H.g of the
+# block's rows is combined by the same matrix F over H, the Kronecker
+# product of one factor F_lambda per degree (_young_factor).
 
 def _direct_product(factors) -> np.ndarray:
     """The words of the direct product of per-factor words, factor t acting
@@ -414,31 +408,37 @@ def _direct_product(factors) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _young_subgroup(composition) -> np.ndarray:
-    """The Young subgroup of a composition, one int8 word per element."""
+    """The Young subgroup of a composition, one int8 word per element,
+    lexicographic per factor, the first factor outermost."""
     words = _direct_product(np.array(list(permutations(range(k)))) for k in composition)
     return words.astype(np.int8)
 
 
-def _coset_words(composition) -> np.ndarray:
-    """One word per right coset H.g of the Young subgroup in S_n: per
-    arrangement of the composition's degrees over the positions, g places
-    each degree's variables in increasing order."""
-    labels = [t for t, k in enumerate(composition) for _ in range(k)]
-    arrangements = np.array(sorted(set(permutations(labels))), dtype=np.int64)
-    return np.argsort(np.argsort(arrangements, axis=1, kind="stable"), axis=1)
-
-
 @lru_cache(maxsize=None)
-def _young_factor(lam):
-    """(terms, signs, spanning words) of e_T, T the column-major tableau of
-    lam: each term of _symmetrizer(T) as the word of its variable map, its
-    sign, and the words of spanning_permutations(lam); all read-only."""
+def _young_factor(lam) -> np.ndarray:
+    """F_lambda: the read-only int8 matrix over the k! permutations of
+    range(k), k = |lambda|, in lexicographic order, whose row for h in
+    spanning_permutations(lam) is e_T.h, T the column-major tableau: it
+    holds sign(x) at x o h for every term x of _symmetrizer(T).
+
+    Certified a basis of e_T.KS_k, of dimension hook_dim(lam): that many
+    rows, whose Gram matrix has full rank modulo a bank prime, so over Q."""
+    k = lam.n
     maps, signs = zip(*_symmetrizer(YoungTableau.column_major(lam)))
-    variables = range(lam.n)
-    factor = (np.array([[g[v] for v in variables] for g in maps], dtype=np.int64),
-              np.array(signs), np.array(spanning_permutations(lam), dtype=np.int64))
-    for array in factor:
-        array.flags.writeable = False
+    terms = np.array([[g[v] for v in range(k)] for g in maps], dtype=np.int64)
+    spanning = np.array(spanning_permutations(lam), dtype=np.int64)
+    words = terms[:, spanning]
+    # the lexicographic rank of x o h from its Lehmer code
+    later = np.triu(np.ones((k, k), dtype=bool), 1)
+    digits = ((words[..., None, :] < words[..., :, None]) & later).sum(axis=-1)
+    cols = digits @ np.array([math.factorial(k - 1 - j) for j in range(k)], dtype=np.int64)
+    factor = np.zeros((len(spanning), math.factorial(k)), dtype=np.int8)
+    factor[np.arange(len(spanning)), cols] = np.array(signs)[:, None]
+    wide = factor.astype(np.int64)
+    if len(spanning) != hook_dim(lam) or \
+            _rank_mod_p(wide @ wide.T, (PRIME_BANK[0],)) != (len(spanning),):
+        raise HypothesisViolated(f"the rows built for {lam} are not a basis of e.KS_{k}")
+    factor.flags.writeable = False
     return factor
 
 
@@ -451,46 +451,22 @@ def _multipartitions(composition) -> tuple:
 
 @lru_cache(maxsize=None)
 def _isotypic_basis(composition: tuple):
-    """(E, pieces) for a composition (n_t) of n.  E is a read-only int8
-    matrix over the n! words in lexicographic order whose rows are the
-    elements e_<lambda>.h.g, stacked per multipartition <lambda>; pieces
+    """(F, pieces) for a composition (n_t) of n.  F is a read-only int8
+    matrix over the Young subgroup H, in _young_subgroup's order, whose rows
+    are the elements e_<lambda>.h stacked per multipartition <lambda>: the
+    Kronecker product of the factors F_lambda_t (_young_factor); pieces
     lists (d_<lambda>, row slice) per <lambda>.
 
-    Each slice is certified a basis of e_<lambda>.KS_n over Q, whose
-    dimension is d_<lambda> * multinomial.  The slice has d_<lambda> rows
-    per coset.  The check asks that rows of different cosets have disjoint
-    supports, so that the Gram matrix E.E^T is block diagonal, that its
-    d x d blocks are equal, and that one block has full rank modulo a bank
-    prime; then rank_Q(E) = rank_Q(E.E^T) = multinomial * rank_Q(block)
-    >= multinomial * rank_p(block) = rows.
-    """
-    n = sum(composition)
-    cosets = _coset_words(composition)
-    blocks, pieces, start = [], [], 0
-    for shapes in _multipartitions(composition):
-        factors = [_young_factor(lam) for lam in shapes]
-        x = _direct_product(terms for terms, _, _ in factors)
-        signs = reduce(np.multiply.outer, [s for _, s, _ in factors]).ravel()
-        h = _direct_product(words for _, _, words in factors)
-        # row (g, h) holds sign(x) at the word x o h o g, for every term x of e
-        hg = h[:, cosets].transpose(1, 0, 2).reshape(-1, n)
-        cols = _lex_ranks(x[:, hg])
-        rows = np.zeros((len(hg), math.factorial(n)), dtype=np.int8)
-        rows[np.arange(len(hg)), cols] = signs[:, None]
-        d = math.prod(hook_dim(lam) for lam in shapes)
-        per_coset = rows.reshape(len(cosets), -1, rows.shape[1]).astype(np.float64)
-        gram = per_coset @ per_coset.transpose(0, 2, 1)  # exact: entries <= n!
-        if (len(h) != d or (per_coset != 0).any(axis=1).sum(axis=0).max() > 1
-                or (gram != gram[0]).any()
-                or _rank_mod_p(gram[0].astype(np.int64), (PRIME_BANK[0],)) != (d,)):
-            raise HypothesisViolated(
-                f"the rows built for {shapes} are not a basis of e.KS_{n}")
-        blocks.append(rows)
-        pieces.append((d, slice(start, start + len(rows))))
-        start += len(rows)
+    A Kronecker product of full-rank factors has full rank, so each slice
+    has d_<lambda> independent rows; placed on the multinomial right cosets
+    H.g, whose supports are disjoint, they give d_<lambda> * multinomial
+    independent elements e_<lambda>.h.g, a basis of e_<lambda>.KS_n."""
+    blocks = [reduce(np.kron, map(_young_factor, shapes))
+              for shapes in _multipartitions(composition)]
+    ends = np.cumsum([0] + [len(b) for b in blocks]).tolist()
     basis = np.concatenate(blocks)
     basis.flags.writeable = False
-    return basis, tuple(pieces)
+    return basis, tuple((len(b), slice(lo, hi)) for b, lo, hi in zip(blocks, ends, ends[1:]))
 
 
 def _composition(rep) -> tuple:
@@ -501,8 +477,7 @@ def _composition(rep) -> tuple:
 @lru_cache(maxsize=None)
 def _basis_rows(composition) -> int:
     """The rows of _isotypic_basis(composition), without building it."""
-    multinomial = math.factorial(sum(composition)) // math.prod(map(math.factorial, composition))
-    return multinomial * math.prod(sum(map(hook_dim, partitions_of(k))) for k in composition)
+    return math.prod(sum(map(hook_dim, partitions_of(k))) for k in composition)
 
 
 def check_request(alg: GradedAlgebra, n: int, mode: str = "modular", primes=None,
@@ -511,8 +486,9 @@ def check_request(alg: GradedAlgebra, n: int, mode: str = "modular", primes=None
     order; nothing is built.  Returns (primes, reps): the checked primes (or
     None) and the sorted representative of every orbit of degree
     assignments, lexicographically, each the first assignment of its orbit.
-    Raises ResourceLimit when the isotypic basis that combines a
-    representative's block, rows x n! entries, passes max_block_entries."""
+    Raises ResourceLimit when the isotypic basis that combines each coset
+    of a representative's block, rows x |H| entries (H its Young subgroup),
+    passes max_block_entries."""
     if n < 1:
         raise EmptySequence("n must be >= 1")
     if mode not in ("modular", "exact"):
@@ -521,10 +497,11 @@ def check_request(alg: GradedAlgebra, n: int, mode: str = "modular", primes=None
         primes = _checked_primes(primes, n)
     reps = list(combinations_with_replacement(alg.support(), n))
     for rep in reps:
-        rows = _basis_rows(_composition(rep))
-        if rows * math.factorial(n) > max_block_entries:
+        composition = _composition(rep)
+        rows, young = _basis_rows(composition), math.prod(map(math.factorial, composition))
+        if rows * young > max_block_entries:
             raise ResourceLimit(
-                f"block for assignment {rep} needs a {rows} x {math.factorial(n)} "
+                f"block for assignment {rep} needs a {rows} x {young} "
                 f"isotypic basis (cap {max_block_entries})", context=rep)
     return primes, reps
 
@@ -534,26 +511,28 @@ def isotypic_slices(alg: GradedAlgebra, n: int, reps,
     """Yield (rep, n_cols, slices) per sorted representative (reps as
     check_request returns them).  slices lists (shapes, d_<lambda>, rows)
     per multipartition <lambda> of rep's composition: rows is the block
-    combined by that slice of _isotypic_basis, an integer matrix whose rank
-    over Q is the multiplicity m_<lambda> and whose rank mod p > n is a
-    lower bound for it.
+    combined by that slice of _isotypic_basis on each right coset of the
+    Young subgroup that holds a word, an integer matrix whose rank over Q
+    is the multiplicity m_<lambda> and whose rank mod p > n is a lower
+    bound for it.
 
-    The block is scattered once (_WordTable.scatter) and combined by the
-    whole basis (_combine); ResourceLimit is raised before either step
-    allocates more than max_block_entries triples or combined entries."""
+    The block is scattered once (_WordTable.scatter) and combined per coset
+    by the whole basis (_combine); ResourceLimit is raised before either
+    step allocates more than max_block_entries triples or combined entries,
+    basis rows x cosets x columns."""
     words = _WordTable(alg, n, max_block_entries)
     for rep in reps:
         composition = _composition(rep)
-        rows, cols, values, n_cols = words.scatter(rep, _young_subgroup(composition),
-                                                   max_block_entries)
+        rows, cols, values, n_cosets, n_cols = words.scatter(
+            rep, _young_subgroup(composition), max_block_entries)
         basis, pieces = _isotypic_basis(composition)
-        if len(basis) * n_cols > max_block_entries:
+        if len(basis) * n_cosets * n_cols > max_block_entries:
             raise ResourceLimit(
-                f"block for assignment {rep} combines into {len(basis)} x {n_cols} entries "
-                f"(cap {max_block_entries})", context=rep)
-        combined = _combine(basis, rows, cols, values, n_cols)
-        yield rep, n_cols, [(shapes, d, combined[piece]) for shapes, (d, piece)
-                            in zip(_multipartitions(composition), pieces)]
+                f"block for assignment {rep} combines into {len(basis) * n_cosets} x {n_cols} "
+                f"entries (cap {max_block_entries})", context=rep)
+        combined = _combine(basis, rows, cols, values, n_cosets, n_cols)
+        yield rep, n_cols, [(shapes, d, combined[piece].reshape(d * n_cosets, n_cols))
+                            for shapes, (d, piece) in zip(_multipartitions(composition), pieces)]
         del combined  # freed before the next block is combined
 
 
@@ -578,9 +557,9 @@ def graded_codim(alg: GradedAlgebra, n: int, mode: str = "modular",
     A slice whose lambda_t has more rows than dim A_t alternates in more
     degree-t variables than A_t has dimensions, so it is skipped as zero.
 
-    max_block_entries caps each block's isotypic basis entries, checked
-    before anything is built, then its triples and combined entries, and
-    the entries of the layers held for ranking.
+    max_block_entries caps each block's isotypic basis entries (rows x
+    |H|), checked before anything is built, then its triples and combined
+    entries, and the entries of the layers held for ranking.
     """
     t0 = time.monotonic()
     primes, reps = check_request(alg, n, mode, primes, max_block_entries)

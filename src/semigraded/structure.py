@@ -91,7 +91,7 @@ def jacobson_radical(alg: GradedAlgebra) -> Subspace:
     (_trace_radical), re-checked: it must be a nilpotent ideal with
     semisimple quotient."""
     rad = _trace_radical(alg)
-    _assert_radical(alg, rad)
+    _assert_radical(alg, rad, graded=False)
     return rad
 
 
@@ -111,7 +111,10 @@ def _trace_radical(alg):
     return nullspace(rows, n)
 
 
-def _assert_radical(alg, rad):
+def _assert_radical(alg, rad, graded: bool):
+    """Check that rad is a nilpotent ideal with semisimple quotient, and
+    return that quotient, (Q, project, lift) of quotient_algebra, graded or
+    not: the grading changes only Q's degrees, which _trace_radical ignores."""
     for r in rad.rows:
         for i in range(alg.dim):
             e = alg.basis_vector(i)
@@ -124,9 +127,10 @@ def _assert_radical(alg, rad):
         power = subspace_product(alg, power, rad)
     else:
         raise AssertionError("radical candidate is not nilpotent")
-    quot, _, _ = quotient_algebra(alg, rad, graded=False)
-    if quot.dim and not _trace_radical(quot).is_zero():
+    quotient = quotient_algebra(alg, rad, graded=graded)
+    if quotient[0].dim and not _trace_radical(quotient[0]).is_zero():
         raise AssertionError("quotient by radical candidate is not semisimple")
+    return quotient
 
 
 # -- the unit under zero-band gradings --------------------------------------
@@ -353,8 +357,8 @@ def malcev_complement(alg: GradedAlgebra) -> SplittingData:
     The linear section of A -> A/J is corrected level by level along the
     radical filtration; each correction is one exact linear solve.
     """
-    rad = jacobson_radical(alg)
-    return _malcev(alg, rad, quotient_algebra(alg, rad, graded=False))
+    rad = _trace_radical(alg)
+    return _malcev(alg, rad, _assert_radical(alg, rad, graded=False))
 
 
 def _malcev(alg, rad, quotient):
@@ -403,8 +407,8 @@ def graded_malcev_zeroband(alg: GradedAlgebra) -> SplittingData:
         raise PreconditionFailed("algebra has no unit")
     if not splits_graded(alg):
         raise PreconditionFailed("grading semigroup is not a left or right zero band")
-    rad = jacobson_radical(alg)
-    return _graded_malcev(alg, rad, quotient_algebra(alg, rad, graded=False))
+    rad = _trace_radical(alg)
+    return _graded_malcev(alg, rad, _assert_radical(alg, rad, graded=False))
 
 
 def _graded_malcev(alg, rad, quotient):
@@ -539,12 +543,13 @@ def graded_exponent_d(alg: GradedAlgebra) -> int:
     and shared with the splitting."""
     if _is_nilpotent(alg):
         raise NilpotentAlgebra("nilpotent algebras have eventually zero growth")
-    rad = jacobson_radical(alg)
-    if not is_graded_subspace(alg, rad):
+    rad = _trace_radical(alg)
+    graded = is_graded_subspace(alg, rad)
+    quotient = _assert_radical(alg, rad, graded)
+    if not graded:
         raise RadicalNotGraded("the radical is not a graded ideal")
-    quotient = quotient_algebra(alg, rad, graded=True)
     qalg = quotient[0]
-    wed = _wedderburn(qalg)  # A/J is semisimple: jacobson_radical checked it
+    wed = _wedderburn(qalg)  # A/J is semisimple: _assert_radical checked it
     for ideal in wed.simple_ideals:
         if not is_graded_subspace(qalg, ideal):
             raise PreconditionFailed("a simple summand of A/J is not graded")

@@ -2,7 +2,7 @@ import math
 import tracemalloc
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import permutations, product
 
 import numpy as np
@@ -47,6 +47,7 @@ from semigraded.gralgebra import (
 )
 from semigraded.linalg import ZERO, matrix_rank
 from semigraded.semigroup import trivial_semigroup
+from semigraded.young import YoungTableau, _symmetrizer, hook_dim, spanning_permutations
 
 
 # -- oracle: dense evaluation of one monomial, independent of the product cache --
@@ -697,16 +698,95 @@ def lehmer_lex_ranks(perms):
 
 
 @pytest.mark.parametrize("n", range(1, 7))
-def test_lex_ranks_match_the_lehmer_code(n):
+def test_young_factor_matches_the_lehmer_code(n):
+    # row h of F_lambda holds sign(x) at the lexicographic rank of x o h,
+    # for every term x of the symmetrizer of the column-major tableau
     perms = np.array(list(permutations(range(n))), dtype=np.int8).reshape(-1, n)
-    assert codim._lex_ranks(perms).tolist() == lehmer_lex_ranks(perms).tolist() \
-        == list(range(math.factorial(n)))
-    # a (terms, rows, n) stack of composed words, as _isotypic_basis passes it
-    rng = np.random.default_rng(n)
-    terms, rows = perms[rng.integers(0, len(perms), 5)], perms[rng.integers(0, len(perms), 9)]
-    stack = terms[:, rows]
-    assert stack.shape == (5, 9, n)
-    assert codim._lex_ranks(stack).tolist() == lehmer_lex_ranks(stack).tolist()
+    assert lehmer_lex_ranks(perms).tolist() == list(range(math.factorial(n)))
+    for lam in partitions_of(n):
+        spanning = spanning_permutations(lam)
+        want = np.zeros((len(spanning), math.factorial(n)), dtype=np.int8)
+        for r, h in enumerate(spanning):
+            for g, sign in _symmetrizer(YoungTableau.column_major(lam)):
+                want[r, lehmer_lex_ranks(np.array([g[v] for v in h]))] = sign
+        factor = codim._young_factor(lam)
+        assert factor.shape == (hook_dim(lam), math.factorial(n))
+        assert (factor == want).all() and not factor.flags.writeable
+
+
+# -- oracle: the n!-wide isotypic basis E, as the engine combined a block
+#    before it combined each coset of the Young subgroup by one factor --
+
+def symmetrizer_words(lam):
+    """(terms, signs, spanning): each term of the symmetrizer of lam's
+    column-major tableau as a word, its sign, and the spanning words."""
+    maps, signs = zip(*_symmetrizer(YoungTableau.column_major(lam)))
+    terms = np.array([[g[v] for v in range(lam.n)] for g in maps], dtype=np.int64)
+    return terms, np.array(signs), np.array(spanning_permutations(lam), dtype=np.int64)
+
+
+@lru_cache(maxsize=None)
+def dense_isotypic_basis(composition) -> list:
+    """(shapes, E) per multipartition: the rows e_<lambda>.h.g over the n!
+    words in lexicographic order, g one word per right coset of the Young
+    subgroup, placing each degree's variables in increasing order."""
+    n = sum(composition)
+    labels = [t for t, k in enumerate(composition) for _ in range(k)]
+    arrangements = np.array(sorted(set(permutations(labels))), dtype=np.int64)
+    cosets = np.argsort(np.argsort(arrangements, axis=1, kind="stable"), axis=1)
+    out = []
+    for shapes in codim._multipartitions(composition):
+        factors = [symmetrizer_words(lam) for lam in shapes]
+        x = codim._direct_product(terms for terms, _, _ in factors)
+        signs = reduce(np.multiply.outer, [s for _, s, _ in factors]).ravel()
+        h = codim._direct_product(words for _, _, words in factors)
+        # row (g, h) holds sign(x) at the word x o h o g, for every term x of e
+        hg = h[:, cosets].transpose(1, 0, 2).reshape(-1, n)
+        rows = np.zeros((len(hg), math.factorial(n)), dtype=np.int64)
+        rows[np.arange(len(hg)), lehmer_lex_ranks(x[:, hg])] = signs[:, None]
+        out.append((shapes, rows))
+    return out
+
+
+def exact_rank(mat) -> int:
+    return _rank_exact(codim._dict_rows(codim._gram(mat)))
+
+
+def dense_slices(words, rep) -> dict:
+    """{shapes: (n_cols, exact rank)} of rep's gathered block, scaled to
+    integers, combined by dense_isotypic_basis."""
+    layout = BlockLayout(words, rep)
+    scale = math.lcm(*(Fraction(c).denominator for c in words.coefs))
+    block = layout.matrix(words.table([int(c * scale) for c in words.coefs], np.int64))
+    return {shapes: (layout.n_cols, exact_rank(basis @ block))
+            for shapes, basis in dense_isotypic_basis(codim._composition(rep))}
+
+
+def per_coset_slices(alg, n: int) -> dict:
+    """{(rep, shapes): (n_cols, exact rank)} of the engine's slices."""
+    _, reps = codim.check_request(alg, n)
+    return {(rep, shapes): (n_cols, exact_rank(rows))
+            for rep, n_cols, slices in codim.isotypic_slices(alg, n, reps)
+            for shapes, _, rows in slices}
+
+
+_DENSE_AT_SIX = ("full_matrix(2)", "mk_column_graded(2)", "mk_zhalf_graded", "thm_T3_fractional",
+                 "upper_triangular(2)", "utk_column_graded(2)")
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_per_coset_slices_match_the_dense_basis(n):
+    # every slice combined per coset by F has the exact rank and the columns
+    # of the block combined by E: the whole catalog at n <= 5, and at n = 6
+    # the algebras whose dense products take a few seconds in all
+    algebras = [(i, alg) for i, alg in enumerate(catalog_at_two())
+                if n < 6 or alg.name in _DENSE_AT_SIX]
+    assert len(algebras) == (len(catalog_at_two()) if n < 6 else len(_DENSE_AT_SIX))
+    for i, alg in algebras:
+        words = word_table(i, n)
+        want = {(rep, shapes): found for rep in codim.check_request(alg, n)[1]
+                for shapes, found in dense_slices(words, rep).items()}
+        assert per_coset_slices(alg, n) == want, (alg.name, n)
 
 
 # -- oracle: the whole-block rank, as the engine took it before the isotypic split --
@@ -1051,7 +1131,8 @@ def test_degree_eight_fails_before_the_product_cache(monkeypatch):
 
 def test_cap_counts_the_allocated_entries(monkeypatch):
     # the scattered triples of a block are the nonzeros of the gathered
-    # block, and its combined entries are the basis rows times its columns;
+    # block, and its combined entries are the basis rows times the right
+    # cosets of the Young subgroup that hold a nonzero row times its columns;
     # T3 at n = 4 has fewer product cache entries and basis entries than the
     # first block's triples
     alg = paper_catalog("thm_T3_fractional")
@@ -1062,10 +1143,14 @@ def test_cap_counts_the_allocated_entries(monkeypatch):
     triples, combined = {}, {}
     for rep in reps:
         layout = BlockLayout(words, rep)
-        triples[rep] = int(np.count_nonzero(layout.matrix(table)))
-        combined[rep] = codim._basis_rows(codim._composition(rep)) * layout.n_cols
+        block = layout.matrix(table)
+        triples[rep] = int(np.count_nonzero(block))
+        # row pi puts the variable pi(i), of degree rep[pi(i)], at position i
+        cosets = {tuple(np.array(rep)[pi]) for pi in words.perms[block.any(axis=1)]}
+        combined[rep] = codim._basis_rows(codim._composition(rep)) * len(cosets) * layout.n_cols
     first = reps[0]
-    bases = max(codim._basis_rows(codim._composition(rep)) for rep in reps) * math.factorial(n)
+    bases = max(codim._basis_rows(composition) * math.prod(map(math.factorial, composition))
+                for composition in map(codim._composition, reps))
     assert max(bases, len(_product_cache(alg, n))) < triples[first] < combined[first] \
         < max(combined.values())
 
@@ -1234,7 +1319,8 @@ def test_primality_test_rejects_pseudoprimes(composite):
 
 
 def test_isotypic_basis_is_certified(monkeypatch):
-    # words that repeat the identity span a line, not e.KS_n: refused
+    # words that repeat the identity span a line, not e.KS_n: refused by
+    # the factor's certificate, and so by every basis built from it
     def repeated_identity(lam):
         return [tuple(range(lam.n))] * (2 if lam.n > 2 else 1)
 
@@ -1242,23 +1328,40 @@ def test_isotypic_basis_is_certified(monkeypatch):
         cached.cache_clear()
     monkeypatch.setattr(codim, "spanning_permutations", repeated_identity)
     try:
-        with pytest.raises(HypothesisViolated):
-            codim._isotypic_basis((3,))
+        for lam in partitions_of(3):
+            with pytest.raises(HypothesisViolated):
+                codim._young_factor(lam)
+        for composition in ((3,), (3, 1), (1, 3)):
+            with pytest.raises(HypothesisViolated):
+                codim._isotypic_basis(composition)
     finally:
         for cached in (codim._young_factor, codim._isotypic_basis):
             cached.cache_clear()
 
 
 def test_isotypic_basis_shape():
-    # d_<lambda> * multinomial rows per multipartition, n! columns in all
+    # |H| columns over the Young subgroup H, prod_t hook_dim(lambda_t)
+    # rows per multipartition, sum d ** 2 = |H|
     for composition in ((4,), (2, 2), (1, 3), (3, 1, 1)):
         basis, pieces = codim._isotypic_basis(composition)
-        n = sum(composition)
-        multinomial = math.factorial(n) // math.prod(math.factorial(k) for k in composition)
-        assert basis.shape[1] == math.factorial(n)
-        assert len(basis) == codim._basis_rows(composition)
-        assert [rows.stop - rows.start for _, rows in pieces] == \
-            [d * multinomial for d, _ in pieces]
-        assert sum(d * d for d, _ in pieces) == \
-            math.prod(math.factorial(k) for k in composition)
+        young = math.prod(math.factorial(k) for k in composition)
+        assert basis.shape == (codim._basis_rows(composition), young)
+        assert [(d, rows.stop - rows.start) for d, rows in pieces] == \
+            [(math.prod(map(hook_dim, shapes)),) * 2
+             for shapes in codim._multipartitions(composition)]
+        assert sum(d * d for d, _ in pieces) == young
         assert not basis.flags.writeable
+
+
+def test_check_request_admits_degree_seven_under_a_smaller_cap():
+    # the n!-wide basis of composition (6, 1) would hold more than 2 * 10 ** 6
+    # entries; its per-coset factor and that of (7) hold fewer
+    cap = 2 * 10 ** 6
+    assert 7 * codim._basis_rows((6, 1)) * math.factorial(7) > cap
+    _, reps = codim.check_request(paper_catalog("thm_T3_fractional"), 7, max_block_entries=cap)
+    assert len(reps) == 8
+
+
+def test_c7_t3_under_the_default_cap():
+    result = modular_codim("thm_T3_fractional", 7)
+    assert (result.value, result.certification) == (81656, CERT_MODULAR_STABLE)
