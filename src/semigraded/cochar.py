@@ -10,17 +10,20 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .codim import (_dict_rows, _gram, _product_cache, _rank_exact, check_request,
-                    isotypic_slices)
+import numpy as np
+
+from .codim import (DEFAULT_BLOCK_CAP, _dict_rows, _gram, _product_cache, _rank_exact,
+                    check_request, isotypic_slices)
 from .errors import (
     BadParam,
     BetaInvalid,
     HypothesisViolated,
+    ResourceLimit,
     SizeMismatch,
     TooManyParts,
     UnsupportedAlgebra,
 )
-from .gralgebra import GradedAlgebra, mul_sparse
+from .gralgebra import CellTable, GradedAlgebra, merge_entries, mul_sparse
 from .linalg import ZERO, frac
 # hook_dim and partitions_of are used through this module by its callers
 from .young import (
@@ -58,48 +61,64 @@ def dim_bounds(lam: Partition, q: int):
 # -- polynomials ----------------------------------------------------------------
 
 
-def alternating_value(alg, table, letters, pos_degrees) -> dict:
-    """Sum over the orderings pi of the letters (basis indices) of
-    sign(pi) * letters[pi(0)] ... letters[pi(h-1)], position k restricted to
-    degree pos_degrees[k]: a term with a letter of another degree there
-    is dropped.
+def alternating_values(alg: GradedAlgebra, cells: CellTable, letters, pos_degrees,
+                       max_entries: int = DEFAULT_BLOCK_CAP) -> list:
+    """Per row of letters (T rows of h basis indices) and pos_degrees (T
+    rows of h degrees): the sum over the orderings pi of the row's letters
+    of sign(pi) * letters[pi(0)] ... letters[pi(h-1)], position k
+    restricted to degree pos_degrees[k], a term with a letter of another
+    degree there dropped.  One dict coordinate -> nonzero value per row:
+    ints, or Fractions when the structure constants are not all integral.
 
-    Dynamic programming over the set S of letters already placed: the
-    orderings of S share every continuation, so 2^h * h products replace
-    h! words.  Placing letter j after S adds the inversions
-    #{i in S : i > j}; each partial sum is extended by its letter through
-    the table cells directly, the sign folded into the coefficients.
-    """
-    degree = alg.degree
-    layer = {0: None}  # placed set (bit mask) -> partial sum; None is the empty product
-    for t in pos_degrees:
-        fits = [j for j, b in enumerate(letters) if degree[b] == t]
-        nxt = {}
-        for placed, value in layer.items():
-            for j in fits:
-                bit = 1 << j
-                if placed & bit:
-                    continue
-                b = letters[j]
-                sign = -1 if (placed >> (j + 1)).bit_count() & 1 else 1
-                acc = nxt.setdefault(placed | bit, {})
-                if value is None:
-                    acc[b] = acc.get(b, 0) + sign
-                    continue
-                for i, a in value.items():
-                    cell = table.get((i, b))
-                    if cell:
-                        a *= sign
-                        for k, c in cell:
-                            acc[k] = acc.get(k, 0) + a * c
-        layer = {}
-        for placed, acc in nxt.items():
-            acc = {k: c for k, c in acc.items() if c != 0}
-            if acc:
-                layer[placed] = acc
-        if not layer:
-            return {}
-    return layer[(1 << len(letters)) - 1]
+    Formed one position at a time over the entries (row, placed,
+    coordinate, value), placed the bit mask of the row's letters already
+    placed: the orderings of a set share every continuation, so 2^h * h
+    products replace h! words.  Each entry is paired with every unplaced
+    letter j of its row whose degree fits the next position, joined with
+    the integer cells of its coordinate and that letter (cells, the
+    table of GradedAlgebra.cell_table), signed by the inversions j adds,
+    #{i placed : i > j}, and equal (row, placed, coordinate) are merged
+    (merge_entries).  The last level carries scale ** (h - 1) times the
+    sums.  Exact: int64 while h! * (dim * max |constant|) ** (h - 1)
+    < 2 ** 63, which bounds every partial sum, Python ints past it.  Raises
+    ResourceLimit before a level takes more than max_entries pairs or
+    joined entries, or when its codes would pass int64."""
+    if not len(letters):
+        return []
+    letters = np.array(letters, dtype=np.int64)
+    pos_degrees = np.array(pos_degrees, dtype=np.int64)
+    rows, h = letters.shape
+    if h == 0:
+        raise BadParam("an alternating sum needs at least one letter")
+    dim = cells.dim
+    refused = ResourceLimit(f"alternating sums of {h} letters pass {max_entries} entries",
+                            context=h)
+    if (rows << h) * dim >= 2 ** 63:
+        raise refused
+    dtype = np.int64 if math.factorial(h) * (dim * cells.top) ** (h - 1) < 2 ** 63 else object
+    fits = np.array(alg.degree, dtype=np.int64)[letters]
+    bit = np.left_shift(1, np.arange(h, dtype=np.int64))
+    row, j = np.nonzero(fits == pos_degrees[:, :1])
+    placed, coord, values = bit[j], letters[row, j], np.ones(len(row), dtype=dtype)
+    for m in range(1, h):
+        free = (placed[:, None] & bit) == 0
+        entry, j = np.nonzero(free & (fits == pos_degrees[:, m, None])[row])
+        if len(entry) > max_entries:
+            raise refused
+        # the letters placed after j, counted from the right
+        after = np.cumsum(~free[:, ::-1], axis=1)[:, ::-1][entry, j]
+        signed = values[entry] * (1 - 2 * (after & 1))
+        pair = coord[entry] * dim + letters[row[entry], j]
+        src, cell = cells.join(pair, pair + 1, max_entries, refused)
+        codes = ((row[entry] << h | placed[entry] | bit[j]) * dim)[src] + cells.target[cell]
+        codes, values = merge_entries(codes, signed[src] * cells.constant[cell])
+        coord, codes = codes % dim, codes // dim
+        row, placed = codes >> h, codes & (1 << h) - 1
+    ends = np.searchsorted(row, np.arange(rows + 1)).tolist()
+    coord, values = coord.tolist(), values.tolist()
+    if cells.scale > 1:
+        values = [Fraction(v, cells.scale ** (h - 1)) for v in values]
+    return [dict(zip(coord[lo:hi], values[lo:hi])) for lo, hi in zip(ends, ends[1:])]
 
 
 @dataclass(frozen=True)
@@ -114,15 +133,20 @@ class AlternatingColumn:
     slots: tuple
     pos_degrees: tuple
 
-    def evaluate(self, alg, tau, cache=None):
-        """Value on the substitution tau: variable -> basis index.  With
-        pi = sigma o slots the sum is sign(slots) * alternating_value."""
-        table = cache if cache is not None else alg.eval_table()
-        value = alternating_value(alg, table, [tau[v] for v in self.variables],
-                                  self.pos_degrees)
+    def values(self, alg, cells, taus) -> list:
+        """Values on each substitution tau (variable -> basis index) of
+        taus, from one alternating_values call on the cell table cells:
+        with pi = sigma o slots each is sign(slots) times the alternating
+        sum."""
+        values = alternating_values(alg, cells, [[tau[v] for v in self.variables] for tau in taus],
+                                    [self.pos_degrees] * len(taus))
         if _perm_sign(tuple(range(len(self.slots))), self.slots) < 0:
-            value = {k: -c for k, c in value.items()}
-        return value
+            values = [{k: -c for k, c in value.items()} for value in values]
+        return values
+
+    def evaluate(self, alg, tau, cache=None):
+        """Value on the substitution tau; cache, an eval_table, is not read."""
+        return self.values(alg, alg.cell_table(), [tau])[0]
 
 
 @dataclass
@@ -139,15 +163,24 @@ class FactoredPolynomial:
 
     def evaluate(self, alg, tau, cache=None):
         table = cache if cache is not None else alg.eval_table()
-        value = None
-        for f in self.factors:
-            v = f.evaluate(alg, tau, cache=table)
-            if not v:
-                return {}
-            value = v if value is None else mul_sparse(table, value, v)
-            if not value:
-                return {}
-        return value or {}
+        return _values(alg, self, [tau], table, alg.cell_table())[0]
+
+
+def _values(alg, f, taus, table, cells) -> list:
+    """f's value on each substitution of taus: a FactoredPolynomial's the
+    ordered product (mul_sparse on the eval_table table) of its factors'
+    values, an AlternatingColumn's from one batched call on the cell
+    table cells for all of taus, any other polynomial's from its
+    evaluate."""
+    if isinstance(f, AlternatingColumn):
+        return f.values(alg, cells, taus)
+    if not isinstance(f, FactoredPolynomial):
+        return [f.evaluate(alg, tau, cache=table) for tau in taus]
+    out = [None] * len(taus)
+    for factor in f.factors:
+        out = [v if u is None else mul_sparse(table, u, v) if u and v else {}
+               for u, v in zip(out, _values(alg, factor, taus, table, cells))]
+    return [u or {} for u in out]
 
 
 # -- Young symmetrizer application ----------------------------------------------
@@ -172,12 +205,13 @@ def apply_symmetrizer(alg, tableau: YoungTableau, f, tau):
     one on each column of the tableau, the column sum collapses to the
     scalar prod(column height factorials), leaving only the row-group
     sum; that shortcut makes the tall witnesses tractable.  Any other f
-    is summed over every term of _symmetrizer(tableau).
+    is summed over every term of _symmetrizer(tableau).  Each alternating
+    column is evaluated on every distinct substitution in one batched
+    call (_values), on one cell table.
     """
     n = sum(tableau.shape.parts)
     if getattr(f, "n", n) != n:
         raise SizeMismatch("polynomial length does not match the tableau")
-    table = alg.eval_table()
     if _alternates_in_columns(f, tableau):
         scalar = math.prod(math.factorial(h) for h in tableau.shape.column_heights())
         terms = ((rho, scalar) for rho in tableau.row_group())
@@ -188,11 +222,13 @@ def apply_symmetrizer(alg, tableau: YoungTableau, f, tau):
     for g, c in terms:
         key = tuple(tau[g.get(v, v)] for v in variables)
         weights[key] = weights.get(key, 0) + c
+    weights = {key: c for key, c in weights.items() if c}
+    taus = [dict(zip(variables, key)) for key in weights]
     out = {}
-    for key, c in weights.items():
-        if c:
-            for k, x in f.evaluate(alg, dict(zip(variables, key)), cache=table).items():
-                out[k] = out.get(k, 0) + c * x
+    for c, value in zip(weights.values(),
+                        _values(alg, f, taus, alg.eval_table(), alg.cell_table())):
+        for k, x in value.items():
+            out[k] = out.get(k, 0) + c * x
     vec = [ZERO] * alg.dim
     for k, c in out.items():
         vec[k] = frac(c)
@@ -522,24 +558,34 @@ def alternation_vanishing_check(alg: GradedAlgebra, n: int, trials: int = 200,
     Each trial draws a decorated monomial and a degree-respecting basis
     substitution, alternates over all n variables, and expects zero (two
     of the substituted elements must coincide).  Any nonzero value is an
-    implementation bug and is reported.
+    implementation bug and is reported.  Every trial is evaluated in one
+    alternating_values call.
     """
     if n <= alg.dim:
         raise SizeMismatch("need strictly more variables than the dimension")
+    draws = _alternation_trials(alg, n, trials, seed)
+    values = alternating_values(alg, alg.cell_table(), [sub for _, _, sub in draws],
+                                [[degrees[v] for v in word] for word, degrees, _ in draws])
+    failures = [{"trial": trial, "word": word, "degrees": degrees, "substitution": sub,
+                 "value": value}
+                for trial, ((word, degrees, sub), value) in enumerate(zip(draws, values))
+                if value]
+    return {"ok": not failures, "failures": failures, "trials": trials}
+
+
+def _alternation_trials(alg: GradedAlgebra, n: int, trials: int, seed: int) -> list:
+    """alternation_vanishing_check's draws from random.Random(seed), trial
+    by trial: (word, degrees, substitution), word a shuffle of the n
+    variables and each variable's degree and basis element drawn from the
+    support and that degree's component."""
     rng = random.Random(seed)
     support = alg.support()
     comp = {t: alg.component_indices(t) for t in support}
-    table = alg.eval_table()
-    failures = []
-    for trial in range(trials):
+    draws = []
+    for _ in range(trials):
         word = list(range(n))
         rng.shuffle(word)
-        var_degs = [rng.choice(support) for _ in range(n)]
-        sub = [rng.choice(comp[var_degs[v]]) for v in range(n)]
-        pos_degs = tuple(var_degs[v] for v in word)
-        nonzero = alternating_value(alg, table, sub, pos_degs)
-        if nonzero:
-            failures.append({"trial": trial, "word": tuple(word),
-                             "degrees": tuple(var_degs), "substitution": tuple(sub),
-                             "value": nonzero})
-    return {"ok": not failures, "failures": failures, "trials": trials}
+        degrees = [rng.choice(support) for _ in range(n)]
+        sub = [rng.choice(comp[degrees[v]]) for v in range(n)]
+        draws.append((tuple(word), tuple(degrees), tuple(sub)))
+    return draws

@@ -38,9 +38,9 @@ from itertools import combinations_with_replacement, groupby, permutations, prod
 import numpy as np
 
 from .errors import BadParam, EmptySequence, HypothesisViolated, ResourceLimit
-from .gralgebra import GradedAlgebra, mul_sparse, with_trivial_grading
+from .gralgebra import GradedAlgebra, merge_entries, mul_sparse, with_trivial_grading
 from .linalg import eliminate
-from .young import YoungTableau, _symmetrizer, hook_dim, partitions_of, spanning_permutations
+from .young import YoungTableau, hook_dim, partitions_of, spanning_permutations
 
 # verified 30-bit primes; per-block choices are drawn from this bank
 PRIME_BANK = (
@@ -103,25 +103,19 @@ def _word_products(alg: GradedAlgebra, n: int, max_entries: int = DEFAULT_BLOCK_
     (ranks over Q unchanged); int64, or Python ints past its range.
 
     Formed one level at a time: the structure constants scaled to integers
-    by their lcm L (integer_table) act on the nonzero entries of the level
-    before, each entry (w, i, v) joining the constants c_(i b)^k into the
-    entry (wb, k, v c), so a word whose prefix multiplies to zero drops out
-    with it.  Level n then carries L ** (n - 1) times the products; dividing
-    by the gcd of that power and every value gives the lcm scaling.  Raises
-    ResourceLimit before a level takes the words formed, as _product_cache
-    counts them, or the joined entries past max_entries."""
+    by their lcm L (GradedAlgebra.cell_table) act on the nonzero entries of
+    the level before, each entry (w, i, v) joining the constants c_(i b)^k
+    into the entry (wb, k, v c), equal (wb, k) merged (merge_entries), so a
+    word whose prefix multiplies to zero drops out with it.  Level n then
+    carries L ** (n - 1) times the products; dividing by the gcd of that
+    power and every value gives the lcm scaling.  Raises ResourceLimit
+    before a level takes the words formed, as _product_cache counts them,
+    or the joined entries past max_entries."""
     dim = alg.dim
-    table, scale = alg.integer_table()
-    cells = sorted((i, b, k, c) for (i, b), cell in table.items() for k, c in cell)
+    cells = alg.cell_table()
     # an entry of level m is a sum of products of m - 1 constants, at most
     # (dim * max |constant|) ** (m - 1)
-    top = max((abs(c[3]) for c in cells), default=0)
-    dtype = np.int64 if (dim * top) ** (n - 1) < 2 ** 63 else object
-    first = np.array([c[0] for c in cells], dtype=np.int64)
-    letter, target = (np.array([c[j] for c in cells], dtype=np.int64) for j in (1, 2))
-    constant = np.array([c[3] for c in cells], dtype=dtype)
-    start = np.searchsorted(first, np.arange(dim))
-    count = np.bincount(first, minlength=dim)
+    dtype = np.int64 if (dim * cells.top) ** (n - 1) < 2 ** 63 else object
     refused = ResourceLimit(f"product cache for n = {n} passes {max_entries} entries", context=n)
     if dim > max_entries:
         raise refused
@@ -130,27 +124,20 @@ def _word_products(alg: GradedAlgebra, n: int, max_entries: int = DEFAULT_BLOCK_
     values = np.ones(dim, dtype=dtype)
     formed = dim
     for _ in range(n - 1):
-        joins = count[coord]
         formed += len(words) * dim
-        joined = int(joins.sum())
-        if max(formed, joined) > max_entries:
+        if formed > max_entries:
             raise refused
-        src = np.repeat(np.arange(len(coord)), joins)
-        cell = np.arange(joined) + np.repeat(start[coord] - np.cumsum(joins) + joins, joins)
+        src, cell = cells.join(coord * dim, coord * dim + dim, max_entries, refused)
         # (word formed, coordinate) as one code, word formed = w * dim + b
-        codes = (at[src] * dim + letter[cell]) * dim + target[cell]
-        order = np.argsort(codes, kind="stable")
-        codes = codes[order]
-        heads = np.flatnonzero(np.diff(codes, prepend=-1))
-        sums = np.add.reduceat(values[src[order]] * constant[cell[order]], heads)
-        live = sums != 0
-        codes, values = codes[heads][live], sums[live]
+        codes, values = merge_entries((at[src] * dim + cells.letter[cell]) * dim
+                                      + cells.target[cell],
+                                      values[src] * cells.constant[cell])
         formed_words, at = np.unique(codes // dim, return_inverse=True)
         coord = codes % dim
         words = np.concatenate([words[formed_words // dim], (formed_words % dim)[:, None]],
                                axis=1)
     if len(values):
-        values //= math.gcd(scale ** (n - 1), int(np.gcd.reduce(values)))
+        values //= math.gcd(cells.scale ** (n - 1), int(np.gcd.reduce(values)))
     return words, at, coord, values
 
 
@@ -330,9 +317,12 @@ class _WordTable:
         # s[h[v]] is the v-th sorted letter of w
         codes = (self.sorted[mine] @ self.powers[young].T)[local] + self.coord[take, None]
         order = np.argsort(codes, axis=None)
-        distinct, cols = np.unique(codes.ravel()[order], return_inverse=True)
+        codes = codes.ravel()[order]
+        # a column per run of equal codes, numbered in order
+        cols = np.cumsum(np.diff(codes, prepend=codes[:1]) != 0)
         values = np.repeat(self.values[take], len(young))[order]
-        return rows.ravel()[order], cols, values, len(arrangements), len(distinct)
+        return (rows.ravel()[order], cols, values, len(arrangements),
+                int(cols[-1]) + 1 if len(cols) else 0)
 
 
 def _combine(basis: np.ndarray, rows, cols, values, n_cosets: int, n_cols: int) -> np.ndarray:
@@ -419,21 +409,30 @@ def _young_factor(lam) -> np.ndarray:
     """F_lambda: the read-only int8 matrix over the k! permutations of
     range(k), k = |lambda|, in lexicographic order, whose row for h in
     spanning_permutations(lam) is e_T.h, T the column-major tableau: it
-    holds sign(x) at x o h for every term x of _symmetrizer(T).
+    holds sign(sigma) at x o h for every term x = rho o sigma of e_T, rho in
+    the row group and sigma in the column group of T, both built as words.
 
     Certified a basis of e_T.KS_k, of dimension hook_dim(lam): that many
     rows, whose Gram matrix has full rank modulo a bank prime, so over Q."""
     k = lam.n
-    maps, signs = zip(*_symmetrizer(YoungTableau.column_major(lam)))
-    terms = np.array([[g[v] for v in range(k)] for g in maps], dtype=np.int64)
+    later = np.triu(np.ones((k, k), dtype=bool), 1)
+    # the column group: the Young subgroup of the column heights, whose
+    # factors hold consecutive variables in the column-major filling
+    columns = _young_subgroup(tuple(lam.column_heights())).astype(np.int64)
+    signs = 1 - 2 * (((columns[:, :, None] > columns[:, None, :]) & later).sum(axis=(1, 2)) & 1)
+    # the row group: the Young subgroup of the parts on the boxes read row
+    # by row, relabelled by the variables filling them
+    filling = np.concatenate(YoungTableau.column_major(lam).rows)
+    rows = filling[_young_subgroup(lam.parts)[:, np.argsort(filling)]]
+    # the terms x = rho o sigma of the symmetrizer, sign(sigma) each
+    terms = rows[:, columns].reshape(-1, k)
     spanning = np.array(spanning_permutations(lam), dtype=np.int64)
     words = terms[:, spanning]
     # the lexicographic rank of x o h from its Lehmer code
-    later = np.triu(np.ones((k, k), dtype=bool), 1)
     digits = ((words[..., None, :] < words[..., :, None]) & later).sum(axis=-1)
     cols = digits @ np.array([math.factorial(k - 1 - j) for j in range(k)], dtype=np.int64)
     factor = np.zeros((len(spanning), math.factorial(k)), dtype=np.int8)
-    factor[np.arange(len(spanning)), cols] = np.array(signs)[:, None]
+    factor[np.arange(len(spanning)), cols] = np.tile(signs, len(rows))[:, None]
     wide = factor.astype(np.int64)
     if len(spanning) != hook_dim(lam) or \
             _rank_mod_p(wide @ wide.T, (PRIME_BANK[0],)) != (len(spanning),):

@@ -2,13 +2,16 @@
 
 An algebra is given by sparse structure constants on a fixed basis plus
 a degree map from basis indices into a finite semigroup.  All scalars
-are Fractions; nothing in this module touches floating point.
+are Fractions, or integers in the scaled tables; nothing in this module
+touches floating point.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import (
     BadParam,
@@ -86,6 +89,17 @@ class GradedAlgebra:
         return {key: tuple((k, c.numerator * (d // c.denominator)) for k, c in cell.items() if c)
                 for key, cell in self.structure.items()}, d
 
+    def cell_table(self) -> "CellTable":
+        """integer_table as arrays, for the kernels that join sparse
+        entries with the structure constants (CellTable.join)."""
+        table, scale = self.integer_table()
+        cells = sorted((i * self.dim + b, k, c) for (i, b), cell in table.items() for k, c in cell)
+        top = max((abs(c[2]) for c in cells), default=0)
+        pair, target = (np.array([c[j] for c in cells], dtype=np.int64) for j in (0, 1))
+        constant = np.array([c[2] for c in cells], dtype=np.int64 if top < 2 ** 63 else object)
+        return CellTable(self.dim, scale, top, pair % self.dim, target, constant,
+                         np.searchsorted(pair, np.arange(self.dim ** 2 + 1)))
+
     # -- grading ----------------------------------------------------------
 
     def component_indices(self, t: int):
@@ -105,6 +119,48 @@ class GradedAlgebra:
 
     def full_subspace(self) -> Subspace:
         return Subspace.full(self.dim)
+
+
+@dataclass(frozen=True)
+class CellTable:
+    """The structure constants times scale (GradedAlgebra.integer_table),
+    one cell (b, k, c) per nonzero constant c of e_i e_b at e_k, sorted by
+    (i, b, k): the cells of the pair p = i * dim + b are start[p] to
+    start[p + 1], so the pairs i * dim to i * dim + dim hold every product
+    e_i e_b."""
+
+    dim: int
+    scale: int
+    top: int                # the largest |c|
+    letter: np.ndarray      # b per cell
+    target: np.ndarray      # k per cell
+    constant: np.ndarray    # c per cell: int64, or Python ints past its range
+    start: np.ndarray       # dim * dim + 1 cell offsets, one per pair and the end
+
+    def join(self, lo: np.ndarray, hi: np.ndarray, max_entries: int, refused: Exception):
+        """(src, cell): entry e paired with every cell of the pairs lo[e] to
+        hi[e] (exclusive), src the entry of each pair in entry order.
+        Raises refused before allocating more than max_entries pairs."""
+        first = self.start[lo]
+        joins = self.start[hi] - first
+        joined = int(joins.sum())
+        if joined > max_entries:
+            raise refused
+        src = np.repeat(np.arange(len(joins)), joins)
+        return src, np.arange(joined) + np.repeat(first - np.cumsum(joins) + joins, joins)
+
+
+def merge_entries(codes: np.ndarray, values: np.ndarray):
+    """(codes, sums): the distinct codes, increasing, each with the sum of
+    its values, the zero sums dropped."""
+    order = np.argsort(codes, kind="stable")
+    codes = codes[order]
+    head = np.ones(len(codes), dtype=bool)
+    np.not_equal(codes[1:], codes[:-1], out=head[1:])
+    heads = np.flatnonzero(head)
+    sums = np.add.reduceat(values[order], heads)
+    live = sums != 0
+    return codes[heads][live], sums[live]
 
 
 def mul_sparse(table, u, v) -> dict:

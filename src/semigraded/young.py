@@ -76,13 +76,12 @@ def partitions_of(n: int, max_parts=None):
 def hook_dim(lam: Partition) -> int:
     """n! over the product of hook lengths."""
     parts = lam.parts
-    if not parts:
-        return 1
-    conj = lam.conjugate().parts
+    # column j holds the rows longer than j
+    columns = [sum(1 for p in parts if p > j) for j in range(parts[0] if parts else 0)]
     hooks = 1
     for i, row in enumerate(parts):
         for j in range(row):
-            hooks *= (row - j) + (conj[j] - i) - 1
+            hooks *= (row - j) + (columns[j] - i) - 1
     return math.factorial(lam.n) // hooks
 
 

@@ -15,8 +15,9 @@ from semigraded.cochar import (
     YoungTableau,
     _perm_sign,
     _symmetrizer,
+    _alternation_trials,
     _variant,
-    alternating_value,
+    alternating_values,
     alternation_vanishing_check,
     apply_symmetrizer,
     build_witness,
@@ -35,6 +36,7 @@ from semigraded.codim import _product_cache, _rank_exact, graded_codim
 from semigraded.errors import (
     BadParam,
     HypothesisViolated,
+    ResourceLimit,
     SizeMismatch,
     TooManyParts,
     UnsupportedAlgebra,
@@ -234,11 +236,49 @@ def test_alternating_column_matches_the_word_expansion(data):
     assert AlternatingColumn(variables, slots, pos_degrees).evaluate(alg, tau) == expected
 
 
-# -- oracle: the signed subset sum through mul_sparse, as alternating_value
-# formed its products before it read the table cells directly --
+# -- oracles: the signed subset sum as a dict dynamic programme over the
+# placed sets, as the evaluator formed it before it ran in batches, and
+# the same with each extension a mul_sparse --
+
+def dict_dp_alternating_value(alg, table, letters, pos_degrees):
+    """The alternating sum of one row of letters, as alternating_values
+    defines it: dynamic programming over the set of letters already
+    placed, each partial sum extended by its letter through the cells of
+    the eval_table table, the sign #{i placed : i > j} folded in."""
+    degree = alg.degree
+    layer = {0: None}  # placed set (bit mask) -> partial sum; None is the empty product
+    for t in pos_degrees:
+        fits = [j for j, b in enumerate(letters) if degree[b] == t]
+        nxt = {}
+        for placed, value in layer.items():
+            for j in fits:
+                bit = 1 << j
+                if placed & bit:
+                    continue
+                b = letters[j]
+                sign = -1 if (placed >> (j + 1)).bit_count() & 1 else 1
+                acc = nxt.setdefault(placed | bit, {})
+                if value is None:
+                    acc[b] = acc.get(b, 0) + sign
+                    continue
+                for i, a in value.items():
+                    cell = table.get((i, b))
+                    if cell:
+                        a *= sign
+                        for k, c in cell:
+                            acc[k] = acc.get(k, 0) + a * c
+        layer = {}
+        for placed, acc in nxt.items():
+            acc = {k: c for k, c in acc.items() if c != 0}
+            if acc:
+                layer[placed] = acc
+        if not layer:
+            return {}
+    return layer[(1 << len(letters)) - 1]
+
 
 def mul_sparse_alternating_value(alg, table, letters, pos_degrees):
-    """alternating_value with each extension a mul_sparse by {b: 1}."""
+    """dict_dp_alternating_value with each extension a mul_sparse by {b: 1}."""
     degree = alg.degree
     layer = {0: None}
     for t in pos_degrees:
@@ -267,21 +307,80 @@ def mul_sparse_alternating_value(alg, table, letters, pos_degrees):
     return layer[(1 << len(letters)) - 1]
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.data())
-def test_alternating_value_matches_the_mul_sparse_oracle(data):
-    alg = data.draw(st.sampled_from(column_algebras()))
-    h = data.draw(st.integers(1, alg.dim + 1))
+@functools.cache
+def large_constants():
+    """full_matrix(2) with every structure constant 2 ** 30: at h >= 3 the
+    bound h! * (dim * max |c|) ** (h - 1) passes 2 ** 63, so
+    alternating_values sums in Python ints."""
+    alg = full_matrix(2)
+    return dataclasses.replace(alg, unit=None, structure={
+        key: {k: c * 2 ** 30 for k, c in cell.items()} for key, cell in alg.structure.items()})
+
+
+def draw_rows(data, alg, h):
+    """(letters, pos_degrees) of one row of h letters: distinct letters of
+    matching degrees, where the value can be nonzero, or any letters and
+    degrees, where most rows have no ordering of fitting degrees."""
     if h <= alg.dim and data.draw(st.booleans()):
-        # distinct letters of matching degrees, where the value can be nonzero
         letters = data.draw(st.permutations(range(alg.dim)))[:h]
         pos_degrees = [alg.degree[b] for b in data.draw(st.permutations(letters))]
     else:
         letters = data.draw(st.lists(st.integers(0, alg.dim - 1), min_size=h, max_size=h))
         pos_degrees = data.draw(st.lists(st.sampled_from(alg.support()), min_size=h, max_size=h))
+    return letters, pos_degrees
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_alternating_value_matches_the_mul_sparse_oracle(data):
+    # a batch of rows of one height (none, in an empty batch) against both
+    # per-row oracles: column_algebras() holds the half-scaled algebra,
+    # whose values come back as Fractions, and large_constants() forces
+    # Python ints
+    alg = data.draw(st.sampled_from(column_algebras() + (large_constants(),)))
+    h = data.draw(st.integers(1, alg.dim + 1))
+    batch = [draw_rows(data, alg, h) for _ in range(data.draw(st.integers(0, 4)))]
     table = alg.eval_table()
-    assert alternating_value(alg, table, letters, pos_degrees) == \
-        mul_sparse_alternating_value(alg, table, letters, pos_degrees)
+    values = alternating_values(alg, alg.cell_table(), [r[0] for r in batch],
+                                [r[1] for r in batch])
+    assert values == [mul_sparse_alternating_value(alg, table, *row) for row in batch]
+    assert values == [dict_dp_alternating_value(alg, table, *row) for row in batch]
+
+
+def test_alternating_values_edge_rows():
+    alg = full_matrix(2)
+    cells = alg.cell_table()
+    e11, e12, e21, e22 = range(4)
+    assert alternating_values(alg, cells, [], []) == []
+    # full_matrix(2) is trivially graded, so only a position of another
+    # degree leaves a row with no valid ordering
+    nowhere = paper_catalog("thm_T3_fractional")
+    b = nowhere.basis_labels.index("(e21,0)")
+    other = next(t for t in nowhere.support() if t != nowhere.degree[b])
+    assert alternating_values(nowhere, nowhere.cell_table(), [[b, b]],
+                              [[nowhere.degree[b], other]]) == [{}]
+    # [e12, e21] = e11 - e22, and a repeated letter alternates to zero
+    assert alternating_values(alg, cells, [[e12, e21], [e11, e11], [e21, e12]],
+                              [[0, 0]] * 3) == [{e11: 1, e22: -1}, {}, {e11: -1, e22: 1}]
+    # the half-scaled algebra comes back in Fractions, the large one in ints
+    half = half_scaled(paper_catalog("mk_column_graded", 2))
+    [value] = alternating_values(half, half.cell_table(), [[0, 1]], [[half.degree[0],
+                                                                      half.degree[1]]])
+    assert all(isinstance(c, Fraction) for c in value.values())
+    big = large_constants()
+    [value] = alternating_values(big, big.cell_table(), [[e11, e12, e21]], [[0, 0, 0]])
+    assert value and all(type(c) is int for c in value.values())
+    assert value == dict_dp_alternating_value(big, big.eval_table(), [e11, e12, e21], [0, 0, 0])
+
+
+def test_alternating_values_are_capped():
+    alg = full_matrix(2)
+    rows = [[0, 1, 2, 3]] * 10
+    alternating_values(alg, alg.cell_table(), rows, [[0] * 4] * 10)
+    with pytest.raises(ResourceLimit):
+        alternating_values(alg, alg.cell_table(), rows, [[0] * 4] * 10, max_entries=50)
+    with pytest.raises(BadParam):
+        alternating_values(alg, alg.cell_table(), [[]], [[]])
 
 
 def test_witness_columns_match_the_word_expansion():
@@ -889,6 +988,36 @@ def test_alternation_vanishing_on_catalog():
     t3 = paper_catalog("thm_T3_fractional")
     report = alternation_vanishing_check(t3, 7, trials=50, seed=3)
     assert report["ok"]
+
+
+def test_alternation_draws_are_not_vacuous():
+    # the check's own draws at h <= dim: the batched values of every trial
+    # equal the dict programme's, and below h = dim, where 200 draws hold
+    # no full set of distinct letters, some are nonzero
+    for name in ("thm_T1_fractional", "thm_T3_fractional"):
+        alg = paper_catalog(name)
+        table = alg.eval_table()
+        for h in range(2, alg.dim + 1):
+            draws = _alternation_trials(alg, h, 200, 0)
+            rows = [sub for _, _, sub in draws]
+            degrees = [[d[v] for v in word] for word, d, _ in draws]
+            values = alternating_values(alg, alg.cell_table(), rows, degrees)
+            assert values == [dict_dp_alternating_value(alg, table, r, d)
+                              for r, d in zip(rows, degrees)], (name, h)
+            assert h == alg.dim or any(values), (name, h)
+
+
+def test_alternation_check_draws_trial_by_trial():
+    # the failures report the draws of the trials that failed, so the
+    # check at seed 0 draws what _alternation_trials draws
+    t3 = paper_catalog("thm_T3_fractional")
+    n = t3.dim + 1
+    draws = _alternation_trials(t3, n, 200, 0)
+    table = t3.eval_table()
+    assert not any(dict_dp_alternating_value(t3, table, sub, [d[v] for v in word])
+                   for word, d, sub in draws)
+    assert alternation_vanishing_check(t3, n, trials=200, seed=0) == \
+        {"ok": True, "failures": [], "trials": 200}
 
 
 def test_alternation_needs_more_variables_than_dim():
