@@ -1007,17 +1007,22 @@ def test_alternation_draws_are_not_vacuous():
             assert h == alg.dim or any(values), (name, h)
 
 
-def test_alternation_check_draws_trial_by_trial():
-    # the failures report the draws of the trials that failed, so the
-    # check at seed 0 draws what _alternation_trials draws
-    t3 = paper_catalog("thm_T3_fractional")
-    n = t3.dim + 1
-    draws = _alternation_trials(t3, n, 200, 0)
-    table = t3.eval_table()
-    assert not any(dict_dp_alternating_value(t3, table, sub, [d[v] for v in word])
-                   for word, d, sub in draws)
-    assert alternation_vanishing_check(t3, n, trials=200, seed=0) == \
-        {"ok": True, "failures": [], "trials": 200}
+def test_alternation_check_values_at_seed_zero():
+    # verify-paper's check: at n = dim + 1 and seed 0 every trial's
+    # batched value equals the dict programme's, zero, and the check
+    # reports no failure
+    for name in ("thm_T1_fractional", "thm_T3_fractional"):
+        alg = paper_catalog(name)
+        n = alg.dim + 1
+        draws = _alternation_trials(alg, n, 200, 0)
+        rows = [sub for _, _, sub in draws]
+        degrees = [[d[v] for v in word] for word, d, _ in draws]
+        table = alg.eval_table()
+        assert alternating_values(alg, alg.cell_table(), rows, degrees) == \
+            [dict_dp_alternating_value(alg, table, r, d) for r, d in zip(rows, degrees)] == \
+            [{}] * 200
+        assert alternation_vanishing_check(alg, n, trials=200, seed=0) == \
+            {"ok": True, "failures": [], "trials": 200}
 
 
 def test_alternation_needs_more_variables_than_dim():
