@@ -2,9 +2,10 @@
 """Print witness reports for every admissible shape at small degree.
 
 Walks the partitions of n for the chosen variant, builds the witness
-where the construction applies, and prints the substitution diagram and
-the symmetrized value.  A shape counts as certified only when that value
-is nonzero; the script exits 1 when any certificate fails.
+where the construction applies, evaluates every witness in one call,
+and prints the substitution diagram and the symmetrized value.  A shape
+counts as certified only when that value is nonzero; the script exits 1
+when any certificate fails.
 """
 
 import argparse
@@ -28,22 +29,26 @@ def main():
 
     alg = paper_catalog("thm_T1_fractional" if args.variant == "T1"
                         else "thm_T3_fractional")
-    certified = failed = skipped = 0
+    witnesses, outside = {}, {}
     for lam in partitions_of(args.n):
         try:
-            data = build_witness(args.variant, lam, alg=alg)
+            witnesses[lam] = build_witness(args.variant, lam, alg=alg)
         except HypothesisViolated as exc:
-            skipped += 1
-            print(f"-- {lam.parts}: outside the construction ({exc})\n")
+            outside[lam] = exc
+    values = dict(zip(witnesses, apply_symmetrizer(
+        alg, [(w.tableau, w.f, w.tau) for w in witnesses.values()])))
+    certified = failed = 0
+    for lam in partitions_of(args.n):
+        if lam in outside:
+            print(f"-- {lam.parts}: outside the construction ({outside[lam]})\n")
             continue
-        value = apply_symmetrizer(alg, data.tableau, data.f, data.tau)
-        if any(c != 0 for c in value):
+        if any(c != 0 for c in values[lam]):
             certified += 1
         else:
             failed += 1
-        print(format_witness_report(alg, data, value))
+        print(format_witness_report(alg, witnesses[lam], values[lam]))
         print()
-    print(f"{certified} shapes certified, {skipped} outside the construction")
+    print(f"{certified} shapes certified, {len(outside)} outside the construction")
     if failed:
         print(f"{failed} certificates failed")
     return 1 if failed else 0

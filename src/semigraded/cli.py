@@ -297,7 +297,7 @@ def multiplicity(input_path, catalog, out_format, out_path, shape, variant, exac
     report = None
     if variant:
         data = cochar.build_witness(variant, lam, alg=alg)
-        value = cochar.apply_symmetrizer(alg, data.tableau, data.f, data.tau)
+        [value] = cochar.apply_symmetrizer(alg, [(data.tableau, data.f, data.tau)])
         payload["certificate_nonzero"] = any(c != 0 for c in value)
         report = cochar.format_witness_report(alg, data, value)
     if exact:

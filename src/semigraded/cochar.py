@@ -1,6 +1,13 @@
 """Partitions, Young symmetrizers, the theta bookkeeping function, the
 explicit witness polynomials with their substitution tableaux, and exact
 multiplicity computation at small degree.
+
+One evaluator serves the alternation check and the witnesses:
+alternating_values, a batched signed subset sum in which a letter may
+fill a position only when their classes match.  A witness is a product
+of alternating columns; its value at a substitution is one such sum over
+its columns laid end to end, each letter confined to its own column
+(apply_symmetrizer, which evaluates every item of one degree together).
 """
 
 from __future__ import annotations
@@ -9,6 +16,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
 
 import numpy as np
 
@@ -23,8 +31,8 @@ from .errors import (
     TooManyParts,
     UnsupportedAlgebra,
 )
-from .gralgebra import CellTable, GradedAlgebra, merge_entries, mul_sparse
-from .linalg import ZERO, frac
+from .gralgebra import CellTable, GradedAlgebra, merge_entries
+from .linalg import frac
 # hook_dim and partitions_of are used through this module by its callers
 from .young import (
     Partition,
@@ -61,32 +69,37 @@ def dim_bounds(lam: Partition, q: int):
 # -- polynomials ----------------------------------------------------------------
 
 
-def alternating_values(alg: GradedAlgebra, cells: CellTable, letters, pos_degrees,
+def alternating_values(cells: CellTable, letters, classes, pos_classes,
                        max_entries: int = DEFAULT_BLOCK_CAP) -> list:
-    """Per row of letters (T rows of h basis indices) and pos_degrees (T
-    rows of h degrees): the sum over the orderings pi of the row's letters
-    of sign(pi) * letters[pi(0)] ... letters[pi(h-1)], position k
-    restricted to degree pos_degrees[k], a term with a letter of another
-    degree there dropped.  One dict coordinate -> nonzero value per row:
-    ints, or Fractions when the structure constants are not all integral.
+    """Per row of letters (T rows of h basis indices), classes (the class
+    of each letter) and pos_classes (the class of each position), all T x
+    h: the sum over the orderings pi of the row's letters of sign(pi) *
+    letters[pi(0)] ... letters[pi(h-1)] that fill every position k with a
+    letter of class pos_classes[k], the other orderings dropped.  The
+    alternation check takes the letters' degrees as classes; a witness
+    takes (column, degree), its columns laid end to end (apply_symmetrizer).
+    One dict coordinate -> nonzero value per row: ints, or Fractions when
+    the structure constants are not all integral.
 
     Formed one position at a time over the entries (row, placed,
     coordinate, value), placed the bit mask of the row's letters already
     placed: the orderings of a set share every continuation, so 2^h * h
     products replace h! words.  Each entry is paired with every unplaced
-    letter j of its row whose degree fits the next position, joined with
+    letter j of its row whose class fits the next position, joined with
     the integer cells of its coordinate and that letter (cells, the
     table of GradedAlgebra.cell_table), signed by the inversions j adds,
     #{i placed : i > j}, and equal (row, placed, coordinate) are merged
     (merge_entries).  The last level carries scale ** (h - 1) times the
-    sums.  Exact: int64 while h! * (dim * max |constant|) ** (h - 1)
-    < 2 ** 63, which bounds every partial sum, Python ints past it.  Raises
-    ResourceLimit before a level takes more than max_entries pairs or
-    joined entries, or when its codes would pass int64."""
+    sums.  Exact: int64 while prod over classes c of (letters of class
+    c)! * (dim * max |constant|) ** (h - 1) < 2 ** 63 on every row, which
+    bounds every partial sum, Python ints past it.  Raises ResourceLimit
+    before a level takes more than max_entries pairs or joined entries,
+    or when its codes would pass int64."""
     if not len(letters):
         return []
     letters = np.array(letters, dtype=np.int64)
-    pos_degrees = np.array(pos_degrees, dtype=np.int64)
+    fits = np.array(classes, dtype=np.int64)
+    pos_classes = np.array(pos_classes, dtype=np.int64)
     rows, h = letters.shape
     if h == 0:
         raise BadParam("an alternating sum needs at least one letter")
@@ -95,14 +108,15 @@ def alternating_values(alg: GradedAlgebra, cells: CellTable, letters, pos_degree
                             context=h)
     if (rows << h) * dim >= 2 ** 63:
         raise refused
-    dtype = np.int64 if math.factorial(h) * (dim * cells.top) ** (h - 1) < 2 ** 63 else object
-    fits = np.array(alg.degree, dtype=np.int64)[letters]
+    orderings = max(math.prod(math.factorial(len(list(run))) for _, run in groupby(row))
+                    for row in {tuple(row) for row in np.sort(fits, axis=1).tolist()})
+    dtype = np.int64 if orderings * (dim * cells.top) ** (h - 1) < 2 ** 63 else object
     bit = np.left_shift(1, np.arange(h, dtype=np.int64))
-    row, j = np.nonzero(fits == pos_degrees[:, :1])
+    row, j = np.nonzero(fits == pos_classes[:, :1])
     placed, coord, values = bit[j], letters[row, j], np.ones(len(row), dtype=dtype)
     for m in range(1, h):
         free = (placed[:, None] & bit) == 0
-        entry, j = np.nonzero(free & (fits == pos_degrees[:, m, None])[row])
+        entry, j = np.nonzero(free & (fits == pos_classes[:, m, None])[row])
         if len(entry) > max_entries:
             raise refused
         # the letters placed after j, counted from the right
@@ -127,112 +141,86 @@ class AlternatingColumn:
     S_h of sign(sigma) times the word whose position k holds
     variables[sigma(slots[k])] and is restricted to degree
     pos_degrees[k].  It alternates in its variables whatever the slots
-    and degrees are."""
+    and degrees are.  With pi = sigma o slots it is sign(slots) times the
+    alternating sum of its letters in the order of variables."""
 
     variables: tuple  # the column's variable indices, top to bottom
     slots: tuple
     pos_degrees: tuple
 
-    def values(self, alg, cells, taus) -> list:
-        """Values on each substitution tau (variable -> basis index) of
-        taus, from one alternating_values call on the cell table cells:
-        with pi = sigma o slots each is sign(slots) times the alternating
-        sum."""
-        values = alternating_values(alg, cells, [[tau[v] for v in self.variables] for tau in taus],
-                                    [self.pos_degrees] * len(taus))
-        if _perm_sign(tuple(range(len(self.slots))), self.slots) < 0:
-            values = [{k: -c for k, c in value.items()} for value in values]
-        return values
-
-    def evaluate(self, alg, tau, cache=None):
-        """Value on the substitution tau; cache, an eval_table, is not read."""
-        return self.values(alg, alg.cell_table(), [tau])[0]
-
 
 @dataclass
 class FactoredPolynomial:
-    """Ordered product of polynomials on pairwise disjoint variable sets.
+    """Ordered product of alternating columns on pairwise disjoint
+    variable sets.
 
     The witnesses live here: expanding the product is hopeless at the
-    sizes the certificates need, but the value of a product on a
-    substitution is the (ordered) product of the factor values.
+    sizes the certificates need.  Laid end to end, each letter confined
+    to its own column, the columns' orderings are the block-diagonal
+    orderings of all letters, whose sign is the product of the columns'
+    signs: the value of the product on a substitution is one confined
+    alternating sum (apply_symmetrizer).
     """
 
     n: int
-    factors: list  # AlternatingColumn, or anything with the same evaluate
-
-    def evaluate(self, alg, tau, cache=None):
-        table = cache if cache is not None else alg.eval_table()
-        return _values(alg, self, [tau], table, alg.cell_table())[0]
-
-
-def _values(alg, f, taus, table, cells) -> list:
-    """f's value on each substitution of taus: a FactoredPolynomial's the
-    ordered product (mul_sparse on the eval_table table) of its factors'
-    values, an AlternatingColumn's from one batched call on the cell
-    table cells for all of taus, any other polynomial's from its
-    evaluate."""
-    if isinstance(f, AlternatingColumn):
-        return f.values(alg, cells, taus)
-    if not isinstance(f, FactoredPolynomial):
-        return [f.evaluate(alg, tau, cache=table) for tau in taus]
-    out = [None] * len(taus)
-    for factor in f.factors:
-        out = [v if u is None else mul_sparse(table, u, v) if u and v else {}
-               for u, v in zip(out, _values(alg, factor, taus, table, cells))]
-    return [u or {} for u in out]
+    factors: list  # AlternatingColumn
 
 
 # -- Young symmetrizer application ----------------------------------------------
 
 
-def _alternates_in_columns(f, tableau):
-    """True when f is a product of alternating columns sitting one on each
-    column of the tableau, which is what the row-group shortcut needs."""
-    if not (isinstance(f, FactoredPolynomial)
-            and all(isinstance(c, AlternatingColumn) for c in f.factors)):
-        return False
-    return (sorted(tuple(sorted(c.variables)) for c in f.factors)
-            == sorted(tuple(sorted(c)) for c in tableau.columns()))
-
-
-def apply_symmetrizer(alg, tableau: YoungTableau, f, tau):
-    """Value of the symmetrized polynomial e_T.f on the substitution tau.
+def apply_symmetrizer(alg, items) -> list:
+    """The value of the symmetrized polynomial e_T.f on the substitution
+    tau, as a vector, for each (tableau T, f, tau) of items.
 
     e_T.f at tau is the sum of c_g * f(tau o g) over the terms (g, c_g) of
     e_T; f is evaluated once per distinct substitution tau o g, times the
-    sum of its coefficients.  When f is a product of alternating columns,
-    one on each column of the tableau, the column sum collapses to the
-    scalar prod(column height factorials), leaving only the row-group
-    sum; that shortcut makes the tall witnesses tractable.  Any other f
-    is summed over every term of _symmetrizer(tableau).  Each alternating
-    column is evaluated on every distinct substitution in one batched
-    call (_values), on one cell table.
+    sum of its coefficients.  When f's columns sit one on each column of
+    the tableau, the column sum collapses to the scalar prod(column
+    height factorials), leaving only the row-group sum; that shortcut
+    makes the tall witnesses tractable.  Any other f is summed over every
+    term of _symmetrizer(tableau).  f on a substitution is sign(slots of
+    every column) times the alternating sum of its columns' letters laid
+    end to end, of class (column, degree) at every letter and position;
+    the substitutions of every item with as many letters go to one
+    alternating_values call, on one cell table.
     """
-    n = sum(tableau.shape.parts)
-    if getattr(f, "n", n) != n:
-        raise SizeMismatch("polynomial length does not match the tableau")
-    if _alternates_in_columns(f, tableau):
-        scalar = math.prod(math.factorial(h) for h in tableau.shape.column_heights())
-        terms = ((rho, scalar) for rho in tableau.row_group())
-    else:
-        terms = _symmetrizer(tableau)
-    variables = sorted(tau)
-    weights = {}
-    for g, c in terms:
-        key = tuple(tau[g.get(v, v)] for v in variables)
-        weights[key] = weights.get(key, 0) + c
-    weights = {key: c for key, c in weights.items() if c}
-    taus = [dict(zip(variables, key)) for key in weights]
-    out = {}
-    for c, value in zip(weights.values(),
-                        _values(alg, f, taus, alg.eval_table(), alg.cell_table())):
-        for k, x in value.items():
-            out[k] = out.get(k, 0) + c * x
-    vec = [ZERO] * alg.dim
-    for k, c in out.items():
-        vec[k] = frac(c)
-    return tuple(vec)
+    classes = max(alg.degree) + 1
+    batches = {}  # letters per row -> (letters, their classes, position classes)
+    plans = []    # per item: (letters per row, its first row in that batch, weights)
+    for tableau, f, tau in items:
+        if f.n != tableau.shape.n:
+            raise SizeMismatch("polynomial length does not match the tableau")
+        if (sorted(tuple(sorted(c.variables)) for c in f.factors)
+                == sorted(tuple(sorted(c)) for c in tableau.columns())):
+            scalar = math.prod(math.factorial(h) for h in tableau.shape.column_heights())
+            terms = ((rho, scalar) for rho in tableau.row_group())
+        else:
+            terms = _symmetrizer(tableau)
+        sign = math.prod(_perm_sign(tuple(range(len(c.slots))), c.slots) for c in f.factors)
+        variables = [v for c in f.factors for v in c.variables]
+        weights = {}
+        for g, c in terms:
+            key = tuple(tau[g.get(v, v)] for v in variables)
+            weights[key] = weights.get(key, 0) + sign * c
+        weights = {key: c for key, c in weights.items() if c}
+        offsets = [i * classes for i, c in enumerate(f.factors) for _ in c.variables]
+        pos = [i * classes + t for i, c in enumerate(f.factors) for t in c.pos_degrees]
+        letters, fits, pos_classes = batches.setdefault(len(variables), ([], [], []))
+        plans.append((len(variables), len(letters), list(weights.values())))
+        letters.extend(weights)
+        fits.extend([i + alg.degree[b] for i, b in zip(offsets, key)] for key in weights)
+        pos_classes.extend([pos] * len(weights))
+    cells = alg.cell_table()
+    values = {h: alternating_values(cells, *batch) for h, batch in batches.items()}
+    out = []
+    for h, first, coefs in plans:
+        total = {}
+        for c, value in zip(coefs, values[h][first:]):
+            for k, x in value.items():
+                total[k] = total.get(k, 0) + c * x
+        out.append(tuple(frac(total.get(k, 0)) for k in range(alg.dim)))
+    return out
 
 
 # -- the theta function -----------------------------------------------------------
@@ -483,16 +471,16 @@ def build_witness(variant: str, lam: Partition, beta: BetaDecomposition | None =
     return WitnessData(lam, tableau, beta, f, tau, kinds)
 
 
-def multiplicity_nonzero_certificate(alg: GradedAlgebra, variant: str,
-                                     lam: Partition) -> bool:
-    """True when the assembled witness evaluates to a nonzero vector.
+def multiplicity_nonzero_certificate(alg: GradedAlgebra, variant: str, shapes) -> dict:
+    """{lambda: True when lambda's assembled witness evaluates to a nonzero
+    vector} for the shapes, all witnesses in one apply_symmetrizer call.
 
     A sufficient certificate for nonzero multiplicity; False only means
     the certificate failed, never that the multiplicity vanishes.
     """
-    data = build_witness(variant, lam, alg=alg)
-    value = apply_symmetrizer(alg, data.tableau, data.f, data.tau)
-    return any(c != 0 for c in value)
+    data = [build_witness(variant, lam, alg=alg) for lam in shapes]
+    values = apply_symmetrizer(alg, [(w.tableau, w.f, w.tau) for w in data])
+    return {w.shape: any(c != 0 for c in value) for w, value in zip(data, values)}
 
 
 def format_witness_report(alg: GradedAlgebra, data: WitnessData, value) -> str:
@@ -564,7 +552,8 @@ def alternation_vanishing_check(alg: GradedAlgebra, n: int, trials: int = 200,
     if n <= alg.dim:
         raise SizeMismatch("need strictly more variables than the dimension")
     draws = _alternation_trials(alg, n, trials, seed)
-    values = alternating_values(alg, alg.cell_table(), [sub for _, _, sub in draws],
+    values = alternating_values(alg.cell_table(), [sub for _, _, sub in draws],
+                                [[alg.degree[b] for b in sub] for _, _, sub in draws],
                                 [[degrees[v] for v in word] for word, degrees, _ in draws])
     failures = [{"trial": trial, "word": word, "degrees": degrees, "substitution": sub,
                  "value": value}

@@ -176,17 +176,17 @@ def check_witness_nonvanishing(algebras=None):
     t1 = _get(algebras, "thm_T1_fractional")
     t3 = _get(algebras, "thm_T3_fractional")
     cases = [
-        ("T1", t1, (2, 1, 1, 1, 1, 1)),
-        ("T1", t1, (2, 2, 2, 2, 2, 2, 1)),
-        ("T3", t3, (2, 1, 1, 1, 1)),
-        ("T3", t3, (2, 2, 2, 2, 2, 1)),
+        ("T1", t1, [(2, 1, 1, 1, 1, 1), (2, 2, 2, 2, 2, 2, 1)]),
+        ("T3", t3, [(2, 1, 1, 1, 1), (2, 2, 2, 2, 2, 1)]),
     ]
     details = []
     ok = True
-    for variant, alg, parts in cases:
-        good = cochar.multiplicity_nonzero_certificate(alg, variant, cochar.Partition(parts))
-        ok = ok and good
-        details.append(f"{variant} {parts}: {'nonzero' if good else 'ZERO'}")
+    for variant, alg, shapes in cases:
+        certified = cochar.multiplicity_nonzero_certificate(
+            alg, variant, [cochar.Partition(parts) for parts in shapes])
+        for lam, good in certified.items():
+            ok = ok and good
+            details.append(f"{variant} {lam.parts}: {'nonzero' if good else 'ZERO'}")
     return ok, "; ".join(details)
 
 
@@ -243,12 +243,13 @@ def check_multiplicity_cross(algebras=None):
     t3 = _get(algebras, "thm_T3_fractional")
     details = []
     ok = True
+    shapes = [lam for n in range(1, 5) for lam in cochar.partitions_of(n)]
+    certified = cochar.multiplicity_nonzero_certificate(t3, "T3", shapes)
     for n in range(1, 5):
-        certified = [lam for lam in cochar.partitions_of(n)
-                     if cochar.multiplicity_nonzero_certificate(t3, "T3", lam)]
-        if not certified:
+        degree = [lam for lam in shapes if lam.n == n and certified[lam]]
+        if not degree:
             continue
-        for lam, m in cochar.multiplicities(t3, certified).items():
+        for lam, m in cochar.multiplicities(t3, degree).items():
             if m < 1:
                 ok = False
                 details.append(f"{lam.parts}: certificate true but multiplicity {m}")

@@ -4,6 +4,7 @@ import math
 from fractions import Fraction
 from itertools import permutations, product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -31,7 +32,7 @@ from semigraded.cochar import (
     theta,
     theta_scan,
 )
-from semigraded import codim
+from semigraded import cochar, codim
 from semigraded.codim import _product_cache, _rank_exact, graded_codim
 from semigraded.errors import (
     BadParam,
@@ -41,7 +42,8 @@ from semigraded.errors import (
     TooManyParts,
     UnsupportedAlgebra,
 )
-from semigraded.gralgebra import GradedAlgebra, full_matrix, mul_sparse, paper_catalog
+from semigraded.gralgebra import (GradedAlgebra, full_matrix, merge_entries, mul_sparse,
+                                  paper_catalog)
 from semigraded.linalg import eliminate
 from semigraded.semigroup import trivial_semigroup
 from semigraded.young import (
@@ -146,7 +148,7 @@ def test_full_alternation_kills_repeats():
     t = YoungTableau.column_major(lam)
     f = FactoredPolynomial(3, [AlternatingColumn((0, 1, 2), (0, 1, 2), (0, 0, 0))])
     tau = {0: 0, 1: 0, 2: 1}  # e11 twice
-    value = apply_symmetrizer(m2, t, f, tau)
+    [value] = apply_symmetrizer(m2, [(t, f, tau)])
     assert all(c == 0 for c in value)
 
 
@@ -155,7 +157,7 @@ def test_symmetrizer_size_mismatch():
     t = YoungTableau.column_major(Partition((2,)))
     f = FactoredPolynomial(3, [AlternatingColumn((0, 1, 2), (0, 1, 2), (0, 0, 0))])
     with pytest.raises(SizeMismatch):
-        apply_symmetrizer(m2, t, f, {0: 0, 1: 1, 2: 2})
+        apply_symmetrizer(m2, [(t, f, {0: 0, 1: 1, 2: 2})])
 
 
 # -- the h!-word oracle for alternating columns ------------------------------------
@@ -167,16 +169,11 @@ class GradedPolynomial:
     n: int
     terms: dict  # (word, pos_degrees) -> coefficient
 
-    @property
-    def variables(self):
-        """The variables its words use, as an alternating column names them."""
-        return tuple(sorted({v for word, _ in self.terms for v in word}))
-
-    def evaluate(self, alg, tau, cache=None):
-        """Value on the substitution tau, word by word; a factor of another
-        degree than its position's label kills the word."""
+    def evaluate(self, alg, tau, table):
+        """Value on the substitution tau, word by word through the
+        eval_table table; a factor of another degree than its position's
+        label kills the word."""
         out = {}
-        table = cache if cache is not None else alg.eval_table()
         for (w, d), coeff in self.terms.items():
             seq = [tau[var] for var in w]
             if any(alg.degree[b] != t for b, t in zip(seq, d)):
@@ -195,6 +192,7 @@ def _word_value(table, seq):
     return value
 
 
+@functools.cache
 def alternating_column_polynomial(variables, word_slots, pos_degrees):
     """The column as its h! signed words: position k of the word of sigma
     holds variables[sigma[word_slots[k]]]."""
@@ -207,33 +205,73 @@ def alternating_column_polynomial(variables, word_slots, pos_degrees):
     return GradedPolynomial(len(variables), terms)
 
 
+def product_value(table, values):
+    """The ordered product of the column values (dicts coordinate ->
+    value), by mul_sparse on the eval_table table."""
+    out = values[0]
+    for value in values[1:]:
+        out = mul_sparse(table, out, value) if out and value else {}
+    return out
+
+
+def word_expansion_value(alg, table, columns, tau):
+    """A product of alternating columns at tau: each column expanded
+    into its h! words, the values multiplied by product_value."""
+    return product_value(table, [
+        alternating_column_polynomial(c.variables, c.slots, c.pos_degrees).evaluate(alg, tau, table)
+        for c in columns])
+
+
+def laid_end_to_end(alg, columns, tau):
+    """(sign, letters, classes, pos_classes) of a product of alternating
+    columns at tau for the confined evaluator: the letters column by
+    column, class column * 100 + degree at every letter and position, and
+    sign the product of sign(slots) over the columns."""
+    letters, classes, pos_classes, sign = [], [], [], 1
+    for i, c in enumerate(columns):
+        letters += [tau[v] for v in c.variables]
+        classes += [i * 100 + alg.degree[tau[v]] for v in c.variables]
+        pos_classes += [i * 100 + t for t in c.pos_degrees]
+        sign *= _perm_sign(tuple(range(len(c.slots))), c.slots)
+    return sign, letters, classes, pos_classes
+
+
+def confined_values(alg, rows):
+    """The laid_end_to_end rows, of one length, in one alternating_values
+    call, each value times its row's sign."""
+    values = alternating_values(alg.cell_table(), *zip(*[row[1:] for row in rows]))
+    return [{k: sign * c for k, c in value.items()} for (sign, *_), value in zip(rows, values)]
+
+
 @functools.cache
 def column_algebras():
     return (paper_catalog("thm_T1_fractional"), paper_catalog("thm_T3_fractional"),
             full_matrix(2), half_scaled(paper_catalog("mk_column_graded", 2)))
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_alternating_column_matches_the_word_expansion(data):
-    alg = data.draw(st.sampled_from(column_algebras()))
-    h = data.draw(st.integers(1, 6))
-    if h <= alg.dim and data.draw(st.booleans()):
-        # distinct letters, where the alternating sum need not vanish
-        letters = data.draw(st.permutations(range(alg.dim)))[:h]
-    else:
-        letters = data.draw(st.lists(st.integers(0, alg.dim - 1), min_size=h, max_size=h))
-    if data.draw(st.integers(0, 4)):
-        order = data.draw(st.permutations(range(h)))
-        pos_degrees = tuple(alg.degree[letters[i]] for i in order)
-    else:
-        pos_degrees = tuple(data.draw(st.lists(st.sampled_from(alg.support()),
-                                               min_size=h, max_size=h)))
-    slots = tuple(data.draw(st.permutations(range(h))))
-    variables = tuple(data.draw(st.permutations(range(8)))[:h])
-    tau = dict(zip(variables, letters))
-    expected = alternating_column_polynomial(variables, slots, pos_degrees).evaluate(alg, tau)
-    assert AlternatingColumn(variables, slots, pos_degrees).evaluate(alg, tau) == expected
+    # rows of h letters cut into columns of random heights (at most 5),
+    # the structures mixed in one confined call, against the product of
+    # the columns' word expansions: column_algebras() holds the
+    # half-scaled algebra (Fractions), large_constants() forces Python ints
+    alg = data.draw(st.sampled_from(column_algebras() + (large_constants(),)))
+    h = data.draw(st.integers(1, 8))
+    table = alg.eval_table()
+    rows, expected = [], []
+    for _ in range(data.draw(st.integers(1, 4))):
+        flags = data.draw(st.lists(st.booleans(), min_size=h - 1, max_size=h - 1))
+        cuts = [k for k, cut in enumerate(flags, 1) if cut or k == 5]
+        columns, tau = [], {}
+        for lo, hi in zip([0] + cuts, cuts + [h]):
+            letters, pos_degrees = draw_rows(data, alg, hi - lo)
+            slots = tuple(data.draw(st.permutations(range(hi - lo))))
+            columns.append(AlternatingColumn(tuple(range(lo, hi)), slots, tuple(pos_degrees)))
+            tau.update(zip(range(lo, hi), letters))
+        rows.append(laid_end_to_end(alg, columns, tau))
+        expected.append(word_expansion_value(alg, table, columns, tau))
+    assert confined_values(alg, rows) == expected
 
 
 # -- oracles: the signed subset sum as a dict dynamic programme over the
@@ -277,6 +315,18 @@ def dict_dp_alternating_value(alg, table, letters, pos_degrees):
     return layer[(1 << len(letters)) - 1]
 
 
+def dict_dp_product_value(alg, table, columns, tau):
+    """A product of alternating columns at tau: each column
+    dict_dp_alternating_value times sign(slots), the values multiplied
+    by product_value."""
+    values = []
+    for c in columns:
+        sign = _perm_sign(tuple(range(len(c.slots))), c.slots)
+        value = dict_dp_alternating_value(alg, table, [tau[v] for v in c.variables], c.pos_degrees)
+        values.append({k: sign * x for k, x in value.items()})
+    return product_value(table, values)
+
+
 def mul_sparse_alternating_value(alg, table, letters, pos_degrees):
     """dict_dp_alternating_value with each extension a mul_sparse by {b: 1}."""
     degree = alg.degree
@@ -317,6 +367,13 @@ def large_constants():
         key: {k: c * 2 ** 30 for k, c in cell.items()} for key, cell in alg.structure.items()})
 
 
+def by_degree(alg, rows, pos_degrees, **kwargs):
+    """alternating_values with the degrees as classes, as the alternation
+    check calls it."""
+    classes = [[alg.degree[b] for b in row] for row in rows]
+    return alternating_values(alg.cell_table(), rows, classes, pos_degrees, **kwargs)
+
+
 def draw_rows(data, alg, h):
     """(letters, pos_degrees) of one row of h letters: distinct letters of
     matching degrees, where the value can be nonzero, or any letters and
@@ -341,34 +398,30 @@ def test_alternating_value_matches_the_mul_sparse_oracle(data):
     h = data.draw(st.integers(1, alg.dim + 1))
     batch = [draw_rows(data, alg, h) for _ in range(data.draw(st.integers(0, 4)))]
     table = alg.eval_table()
-    values = alternating_values(alg, alg.cell_table(), [r[0] for r in batch],
-                                [r[1] for r in batch])
+    values = by_degree(alg, [r[0] for r in batch], [r[1] for r in batch])
     assert values == [mul_sparse_alternating_value(alg, table, *row) for row in batch]
     assert values == [dict_dp_alternating_value(alg, table, *row) for row in batch]
 
 
 def test_alternating_values_edge_rows():
     alg = full_matrix(2)
-    cells = alg.cell_table()
     e11, e12, e21, e22 = range(4)
-    assert alternating_values(alg, cells, [], []) == []
+    assert by_degree(alg, [], []) == []
     # full_matrix(2) is trivially graded, so only a position of another
     # degree leaves a row with no valid ordering
     nowhere = paper_catalog("thm_T3_fractional")
     b = nowhere.basis_labels.index("(e21,0)")
     other = next(t for t in nowhere.support() if t != nowhere.degree[b])
-    assert alternating_values(nowhere, nowhere.cell_table(), [[b, b]],
-                              [[nowhere.degree[b], other]]) == [{}]
+    assert by_degree(nowhere, [[b, b]], [[nowhere.degree[b], other]]) == [{}]
     # [e12, e21] = e11 - e22, and a repeated letter alternates to zero
-    assert alternating_values(alg, cells, [[e12, e21], [e11, e11], [e21, e12]],
-                              [[0, 0]] * 3) == [{e11: 1, e22: -1}, {}, {e11: -1, e22: 1}]
+    assert by_degree(alg, [[e12, e21], [e11, e11], [e21, e12]], [[0, 0]] * 3) == \
+        [{e11: 1, e22: -1}, {}, {e11: -1, e22: 1}]
     # the half-scaled algebra comes back in Fractions, the large one in ints
     half = half_scaled(paper_catalog("mk_column_graded", 2))
-    [value] = alternating_values(half, half.cell_table(), [[0, 1]], [[half.degree[0],
-                                                                      half.degree[1]]])
+    [value] = by_degree(half, [[0, 1]], [[half.degree[0], half.degree[1]]])
     assert all(isinstance(c, Fraction) for c in value.values())
     big = large_constants()
-    [value] = alternating_values(big, big.cell_table(), [[e11, e12, e21]], [[0, 0, 0]])
+    [value] = by_degree(big, [[e11, e12, e21]], [[0, 0, 0]])
     assert value and all(type(c) is int for c in value.values())
     assert value == dict_dp_alternating_value(big, big.eval_table(), [e11, e12, e21], [0, 0, 0])
 
@@ -376,11 +429,11 @@ def test_alternating_values_edge_rows():
 def test_alternating_values_are_capped():
     alg = full_matrix(2)
     rows = [[0, 1, 2, 3]] * 10
-    alternating_values(alg, alg.cell_table(), rows, [[0] * 4] * 10)
+    by_degree(alg, rows, [[0] * 4] * 10)
     with pytest.raises(ResourceLimit):
-        alternating_values(alg, alg.cell_table(), rows, [[0] * 4] * 10, max_entries=50)
+        by_degree(alg, rows, [[0] * 4] * 10, max_entries=50)
     with pytest.raises(BadParam):
-        alternating_values(alg, alg.cell_table(), [[]], [[]])
+        by_degree(alg, [[]], [[]])
 
 
 def test_witness_columns_match_the_word_expansion():
@@ -390,39 +443,34 @@ def test_witness_columns_match_the_word_expansion():
         index = {label: i for i, label in enumerate(alg.basis_labels)}
         table = _variant(variant)
         for kind, (slots, degs) in table.words.items():
-            variables = tuple(range(len(slots)))
-            tau = {v: index[label] for v, label in zip(variables, table.columns[kind])}
-            value = AlternatingColumn(variables, slots, degs).evaluate(alg, tau)
+            column = AlternatingColumn(tuple(range(len(slots))), slots, degs)
+            tau = {v: index[label] for v, label in zip(column.variables, table.columns[kind])}
+            [value] = confined_values(alg, [laid_end_to_end(alg, [column], tau)])
             assert value, (variant, kind)
-            oracle = alternating_column_polynomial(variables, slots, degs)
-            assert value == oracle.evaluate(alg, tau), (variant, kind)
+            assert value == word_expansion_value(alg, alg.eval_table(), [column], tau), \
+                (variant, kind)
 
 
 def test_shortcut_needs_alternating_columns():
-    # x0*x1 covers the column (0, 1) but does not alternate in it, so
-    # e_T.f is the full double sum: e12*e21 - e21*e12
+    # x0*x1, two one-letter columns, covers the column (0, 1) but does not
+    # alternate in it, so e_T.f is the full double sum: e12*e21 - e21*e12
     m2 = full_matrix(2)
     e11, e12, e21, e22 = range(4)
-    monomial = GradedPolynomial(2, {((0, 1), (0, 0)): Fraction(1)})
-    assert monomial.variables == (0, 1)
-    f = FactoredPolynomial(2, [monomial])
-    value = apply_symmetrizer(m2, YoungTableau.column_major(Partition((1, 1))), f,
-                              {0: e12, 1: e21})
-    assert value == (1, 0, 0, -1)
+    f = FactoredPolynomial(2, [AlternatingColumn((0,), (0,), (0,)),
+                               AlternatingColumn((1,), (0,), (0,))])
+    assert apply_symmetrizer(m2, [(YoungTableau.column_major(Partition((1, 1))), f,
+                                   {0: e12, 1: e21})]) == [(1, 0, 0, -1)]
 
 
 def per_substitution_symmetrizer(alg, w):
     """e_T.f at tau for a witness, one row-group element at a time, with
     every column expanded into its h! words."""
-    f = FactoredPolynomial(w.f.n, [alternating_column_polynomial(c.variables, c.slots,
-                                                                 c.pos_degrees)
-                                   for c in w.f.factors])
     scalar = math.prod(math.factorial(h) for h in w.shape.column_heights())
     table = alg.eval_table()
     out = {}
     for rho in w.tableau.row_group():
         comp = {v: w.tau[rho.get(v, v)] for v in w.tau}
-        for k, c in f.evaluate(alg, comp, cache=table).items():
+        for k, c in word_expansion_value(alg, table, w.f.factors, comp).items():
             out[k] = out.get(k, 0) + scalar * c
     return tuple(Fraction(out.get(k, 0)) for k in range(alg.dim))
 
@@ -436,7 +484,7 @@ def per_substitution_symmetrizer(alg, w):
 def test_symmetrizer_matches_the_per_substitution_sum(variant, parts):
     alg = paper_catalog("thm_T1_fractional" if variant == "T1" else "thm_T3_fractional")
     w = build_witness(variant, Partition(parts), alg=alg)
-    value = apply_symmetrizer(alg, w.tableau, w.f, w.tau)
+    [value] = apply_symmetrizer(alg, [(w.tableau, w.f, w.tau)])
     assert any(value)
     assert value == per_substitution_symmetrizer(alg, w)
 
@@ -449,16 +497,61 @@ def test_shortcut_matches_double_sum_on_witnesses():
                                 ("T1", t1, (2, 1, 1, 1, 1, 1)),
                                 ("T1", t1, (1, 1, 1, 1, 1))):
         w = build_witness(variant, Partition(parts), alg=alg)
-        fast = apply_symmetrizer(alg, w.tableau, w.f, w.tau)
-        # the double sum over row and signed column group, term by term
+        [fast] = apply_symmetrizer(alg, [(w.tableau, w.f, w.tau)])
+        # the double sum over row and signed column group, term by term,
+        # each column by the dict programme times sign(slots)
         table = alg.eval_table()
         slow = {}
         for g, sign in _symmetrizer(w.tableau):
             comp = {v: w.tau[g.get(v, v)] for v in w.tau}
-            for k, c in w.f.evaluate(alg, comp, cache=table).items():
+            for k, c in dict_dp_product_value(alg, table, w.f.factors, comp).items():
                 slow[k] = slow.get(k, 0) + sign * c
         assert fast == tuple(Fraction(slow.get(k, 0)) for k in range(alg.dim))
 
+
+
+def test_one_batch_returns_what_one_item_calls_return():
+    # degrees 4, 5 and 6 in one call, aligned witnesses beside witness
+    # polynomials on tableaux whose columns they do not sit on
+    t3 = paper_catalog("thm_T3_fractional")
+    items = []
+    for parts, other in (((2, 2, 1, 1), (2, 1, 1, 1, 1)), ((1, 1, 1, 1), None),
+                         ((2, 2, 1), (2, 1, 1, 1)), ((2, 1, 1, 1, 1), None)):
+        w = build_witness("T3", Partition(parts), alg=t3)
+        items.append((w.tableau, w.f, w.tau))
+        if other:
+            items.append((YoungTableau.column_major(Partition(other)), w.f, w.tau))
+    values = apply_symmetrizer(t3, items)
+    assert values == [apply_symmetrizer(t3, [item])[0] for item in items]
+    assert all(any(value) for value in values)
+
+
+def test_both_sides_of_the_int64_bound_match_the_oracle(monkeypatch):
+    # T1's 13-letter witness has columns of 7 and 6 letters: it stays in
+    # int64, where 13! * 7 ** 12 would not; a row of a 2-letter and a
+    # 1-letter column of large_constants() passes to Python ints
+    dtypes = []
+
+    def spy(codes, values):
+        dtypes.append(values.dtype)
+        return merge_entries(codes, values)
+
+    monkeypatch.setattr(cochar, "merge_entries", spy)
+    t1 = paper_catalog("thm_T1_fractional")
+    w = build_witness("T1", Partition((2, 2, 2, 2, 2, 2, 1)), alg=t1)
+    cells = t1.cell_table()
+    assert math.factorial(13) * (cells.dim * cells.top) ** 12 >= 2 ** 63
+    assert confined_values(t1, [laid_end_to_end(t1, w.f.factors, w.tau)]) == \
+        [word_expansion_value(t1, t1.eval_table(), w.f.factors, w.tau)]
+    assert dtypes and all(d == np.int64 for d in dtypes)
+    dtypes.clear()
+    big = large_constants()
+    e11, e12, e21, e22 = range(4)
+    columns = [AlternatingColumn((0, 1), (1, 0), (0, 0)), AlternatingColumn((2,), (0,), (0,))]
+    tau = {0: e12, 1: e21, 2: e11}
+    [value] = confined_values(big, [laid_end_to_end(big, columns, tau)])
+    assert value and value == word_expansion_value(big, big.eval_table(), columns, tau)
+    assert dtypes and all(d == object for d in dtypes)
 
 # -- theta ---------------------------------------------------------------------------
 
@@ -574,21 +667,23 @@ def test_build_witness_t3_tall_column():
     labels = [t3.basis_labels[w.tau[v]] for v in first_col]
     assert labels == ["(e21,0)", "(e22,e22)", "(e11,0)", "(e22,0)",
                       "(e12,e12)", "(e12,0)"]
-    assert multiplicity_nonzero_certificate(t3, "T3", Partition((2, 2, 1, 1, 1, 1)))
+    assert multiplicity_nonzero_certificate(t3, "T3", [w.shape]) == {w.shape: True}
 
 
 def test_witness_certificates():
     t1 = paper_catalog("thm_T1_fractional")
     t3 = paper_catalog("thm_T3_fractional")
-    assert multiplicity_nonzero_certificate(t1, "T1", Partition((2, 1, 1, 1, 1, 1)))
-    assert multiplicity_nonzero_certificate(t3, "T3", Partition((2, 1, 1, 1, 1)))
+    lam1, lam3 = Partition((2, 1, 1, 1, 1, 1)), Partition((2, 1, 1, 1, 1))
+    assert multiplicity_nonzero_certificate(t1, "T1", [lam1]) == {lam1: True}
+    assert multiplicity_nonzero_certificate(t3, "T3", [lam3]) == {lam3: True}
 
 
 def test_witness_certificates_boundary():
     t1 = paper_catalog("thm_T1_fractional")
     t3 = paper_catalog("thm_T3_fractional")
-    assert multiplicity_nonzero_certificate(t1, "T1", Partition((2, 2, 2, 2, 2, 2, 1)))
-    assert multiplicity_nonzero_certificate(t3, "T3", Partition((2, 2, 2, 2, 2, 1)))
+    lam1, lam3 = Partition((2, 2, 2, 2, 2, 2, 1)), Partition((2, 2, 2, 2, 2, 1))
+    assert multiplicity_nonzero_certificate(t1, "T1", [lam1]) == {lam1: True}
+    assert multiplicity_nonzero_certificate(t3, "T3", [lam3]) == {lam3: True}
 
 
 def test_witness_hypothesis_violated():
@@ -652,17 +747,17 @@ def test_multiplicity_cross_check_against_codim():
 
 def test_certificate_implies_positive_multiplicity():
     t3 = paper_catalog("thm_T3_fractional")
-    for n in (1, 2, 3, 4):
-        for lam in partitions_of(n):
-            if multiplicity_nonzero_certificate(t3, "T3", lam):
-                assert multiplicity_exact(t3, lam) >= 1, lam
+    shapes = [lam for n in (1, 2, 3, 4) for lam in partitions_of(n)]
+    for lam, certified in multiplicity_nonzero_certificate(t3, "T3", shapes).items():
+        if certified:
+            assert multiplicity_exact(t3, lam) >= 1, lam
 
 
 def test_certificate_cross_check_degree_five_spot():
     # one degree-5 spot check of the same implication, at the default cap
     t3 = paper_catalog("thm_T3_fractional")
     lam = Partition((2, 2, 1))
-    assert multiplicity_nonzero_certificate(t3, "T3", lam)
+    assert multiplicity_nonzero_certificate(t3, "T3", [lam]) == {lam: True}
     assert multiplicity_exact(t3, lam) >= 1
 
 
@@ -1001,7 +1096,7 @@ def test_alternation_draws_are_not_vacuous():
             draws = _alternation_trials(alg, h, 200, 0)
             rows = [sub for _, _, sub in draws]
             degrees = [[d[v] for v in word] for word, d, _ in draws]
-            values = alternating_values(alg, alg.cell_table(), rows, degrees)
+            values = by_degree(alg, rows, degrees)
             assert values == [dict_dp_alternating_value(alg, table, r, d)
                               for r, d in zip(rows, degrees)], (name, h)
             assert h == alg.dim or any(values), (name, h)
@@ -1018,7 +1113,7 @@ def test_alternation_check_values_at_seed_zero():
         rows = [sub for _, _, sub in draws]
         degrees = [[d[v] for v in word] for word, d, _ in draws]
         table = alg.eval_table()
-        assert alternating_values(alg, alg.cell_table(), rows, degrees) == \
+        assert by_degree(alg, rows, degrees) == \
             [dict_dp_alternating_value(alg, table, r, d) for r, d in zip(rows, degrees)] == \
             [{}] * 200
         assert alternation_vanishing_check(alg, n, trials=200, seed=0) == \

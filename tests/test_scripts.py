@@ -29,3 +29,5 @@ def test_script_runs(name, args):
     assert result.returncode == 0, result.stderr
     if name == "cochar_table.py":
         assert result.stdout.splitlines()[-1] == "sum m*d = 305, exact c_4 = 305: ok"
+    if name == "witness_gallery.py":
+        assert result.stdout.splitlines()[-1] == "5 shapes certified, 0 outside the construction"
