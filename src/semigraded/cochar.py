@@ -165,6 +165,18 @@ class FactoredPolynomial:
     n: int
     factors: list  # AlternatingColumn
 
+    def laid_end_to_end(self, alg, rows) -> tuple:
+        """(sign, classes, pos_classes) of rows of letters, each row the
+        substitution of the variables column by column: f there is sign
+        times the row's alternating sum with the class of a letter or
+        position i * (max degree + 1) + its degree in column i."""
+        width = max(alg.degree) + 1
+        offsets = [i * width for i, c in enumerate(self.factors) for _ in c.variables]
+        sign = math.prod(_perm_sign(tuple(range(len(c.slots))), c.slots) for c in self.factors)
+        classes = [[i + alg.degree[b] for i, b in zip(offsets, row)] for row in rows]
+        pos = [i * width + t for i, c in enumerate(self.factors) for t in c.pos_degrees]
+        return sign, classes, pos
+
 
 # -- Young symmetrizer application ----------------------------------------------
 
@@ -181,11 +193,10 @@ def apply_symmetrizer(alg, items) -> list:
     makes the tall witnesses tractable.  Any other f is summed over every
     term of _symmetrizer(tableau).  f on a substitution is sign(slots of
     every column) times the alternating sum of its columns' letters laid
-    end to end, of class (column, degree) at every letter and position;
-    the substitutions of every item with as many letters go to one
-    alternating_values call, on one cell table.
+    end to end, of class (column, degree) at every letter and position
+    (FactoredPolynomial.laid_end_to_end); the substitutions of every item
+    with as many letters go to one alternating_values call.
     """
-    classes = max(alg.degree) + 1
     batches = {}  # letters per row -> (letters, their classes, position classes)
     plans = []    # per item: (letters per row, its first row in that batch, weights)
     for tableau, f, tau in items:
@@ -197,19 +208,17 @@ def apply_symmetrizer(alg, items) -> list:
             terms = ((rho, scalar) for rho in tableau.row_group())
         else:
             terms = _symmetrizer(tableau)
-        sign = math.prod(_perm_sign(tuple(range(len(c.slots))), c.slots) for c in f.factors)
         variables = [v for c in f.factors for v in c.variables]
         weights = {}
         for g, c in terms:
             key = tuple(tau[g.get(v, v)] for v in variables)
-            weights[key] = weights.get(key, 0) + sign * c
+            weights[key] = weights.get(key, 0) + c
         weights = {key: c for key, c in weights.items() if c}
-        offsets = [i * classes for i, c in enumerate(f.factors) for _ in c.variables]
-        pos = [i * classes + t for i, c in enumerate(f.factors) for t in c.pos_degrees]
-        letters, fits, pos_classes = batches.setdefault(len(variables), ([], [], []))
-        plans.append((len(variables), len(letters), list(weights.values())))
+        sign, fits, pos = f.laid_end_to_end(alg, weights)
+        letters, classes, pos_classes = batches.setdefault(len(variables), ([], [], []))
+        plans.append((len(variables), len(letters), [sign * c for c in weights.values()]))
         letters.extend(weights)
-        fits.extend([i + alg.degree[b] for i, b in zip(offsets, key)] for key in weights)
+        classes.extend(fits)
         pos_classes.extend([pos] * len(weights))
     cells = alg.cell_table()
     values = {h: alternating_values(cells, *batch) for h, batch in batches.items()}

@@ -192,7 +192,7 @@ def _word_value(table, seq):
     return value
 
 
-@functools.cache
+@functools.lru_cache(maxsize=32)
 def alternating_column_polynomial(variables, word_slots, pos_degrees):
     """The column as its h! signed words: position k of the word of sigma
     holds variables[sigma[word_slots[k]]]."""
@@ -224,15 +224,12 @@ def word_expansion_value(alg, table, columns, tau):
 
 def laid_end_to_end(alg, columns, tau):
     """(sign, letters, classes, pos_classes) of a product of alternating
-    columns at tau for the confined evaluator: the letters column by
-    column, class column * 100 + degree at every letter and position, and
-    sign the product of sign(slots) over the columns."""
-    letters, classes, pos_classes, sign = [], [], [], 1
-    for i, c in enumerate(columns):
-        letters += [tau[v] for v in c.variables]
-        classes += [i * 100 + alg.degree[tau[v]] for v in c.variables]
-        pos_classes += [i * 100 + t for t in c.pos_degrees]
-        sign *= _perm_sign(tuple(range(len(c.slots))), c.slots)
+    columns at tau for the confined evaluator, the layout that
+    apply_symmetrizer gives it: the letters column by column, their
+    classes and the sign from FactoredPolynomial.laid_end_to_end."""
+    letters = [tau[v] for c in columns for v in c.variables]
+    f = FactoredPolynomial(len(letters), list(columns))
+    sign, [classes], pos_classes = f.laid_end_to_end(alg, [letters])
     return sign, letters, classes, pos_classes
 
 
@@ -249,26 +246,43 @@ def column_algebras():
             full_matrix(2), half_scaled(paper_catalog("mk_column_graded", 2)))
 
 
-@settings(max_examples=200, deadline=None)
+def draw_column(data, alg, h):
+    """(letters, pos_degrees) of one column of h letters: distinct
+    letters, or any letters with repeats among them; at 4 draws in 5 the
+    positions carry the letters' own degrees in some order, so that even
+    a row with repeats runs to its last level, else any degrees."""
+    if h <= alg.dim and data.draw(st.booleans()):
+        letters = data.draw(st.permutations(range(alg.dim)))[:h]
+    else:
+        letters = data.draw(st.lists(st.integers(0, alg.dim - 1), min_size=h, max_size=h))
+    if data.draw(st.integers(0, 4)):
+        pos_degrees = [alg.degree[b] for b in data.draw(st.permutations(letters))]
+    else:
+        pos_degrees = data.draw(st.lists(st.sampled_from(alg.support()), min_size=h, max_size=h))
+    return letters, pos_degrees
+
+
+@settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_alternating_column_matches_the_word_expansion(data):
-    # rows of h letters cut into columns of random heights (at most 5),
-    # the structures mixed in one confined call, against the product of
-    # the columns' word expansions: column_algebras() holds the
-    # half-scaled algebra (Fractions), large_constants() forces Python ints
+    # rows of h letters cut into columns of random heights up to 7, the
+    # tallest witness column, the structures mixed in one confined call,
+    # against the product of the columns' word expansions:
+    # column_algebras() holds the half-scaled algebra (Fractions),
+    # large_constants() forces Python ints
     alg = data.draw(st.sampled_from(column_algebras() + (large_constants(),)))
-    h = data.draw(st.integers(1, 8))
+    h = data.draw(st.integers(1, 9))
     table = alg.eval_table()
     rows, expected = [], []
     for _ in range(data.draw(st.integers(1, 4))):
-        flags = data.draw(st.lists(st.booleans(), min_size=h - 1, max_size=h - 1))
-        cuts = [k for k, cut in enumerate(flags, 1) if cut or k == 5]
-        columns, tau = [], {}
-        for lo, hi in zip([0] + cuts, cuts + [h]):
-            letters, pos_degrees = draw_rows(data, alg, hi - lo)
+        columns, tau, lo = [], {}, 0
+        while lo < h:
+            hi = lo + data.draw(st.integers(1, min(7, h - lo)))
+            letters, pos_degrees = draw_column(data, alg, hi - lo)
             slots = tuple(data.draw(st.permutations(range(hi - lo))))
             columns.append(AlternatingColumn(tuple(range(lo, hi)), slots, tuple(pos_degrees)))
             tau.update(zip(range(lo, hi), letters))
+            lo = hi
         rows.append(laid_end_to_end(alg, columns, tau))
         expected.append(word_expansion_value(alg, table, columns, tau))
     assert confined_values(alg, rows) == expected
@@ -528,8 +542,9 @@ def test_one_batch_returns_what_one_item_calls_return():
 
 def test_both_sides_of_the_int64_bound_match_the_oracle(monkeypatch):
     # T1's 13-letter witness has columns of 7 and 6 letters: it stays in
-    # int64, where 13! * 7 ** 12 would not; a row of a 2-letter and a
-    # 1-letter column of large_constants() passes to Python ints
+    # int64, where 13! * 7 ** 12 would not, both laid out for the oracle
+    # and inside apply_symmetrizer; a row of a 2-letter and a 1-letter
+    # column of large_constants() passes to Python ints
     dtypes = []
 
     def spy(codes, values):
@@ -543,6 +558,10 @@ def test_both_sides_of_the_int64_bound_match_the_oracle(monkeypatch):
     assert math.factorial(13) * (cells.dim * cells.top) ** 12 >= 2 ** 63
     assert confined_values(t1, [laid_end_to_end(t1, w.f.factors, w.tau)]) == \
         [word_expansion_value(t1, t1.eval_table(), w.f.factors, w.tau)]
+    assert dtypes and all(d == np.int64 for d in dtypes)
+    dtypes.clear()
+    [value] = apply_symmetrizer(t1, [(w.tableau, w.f, w.tau)])
+    assert any(value)
     assert dtypes and all(d == np.int64 for d in dtypes)
     dtypes.clear()
     big = large_constants()
