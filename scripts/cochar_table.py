@@ -3,10 +3,10 @@
 
 Prints m_lambda, d_lambda and m_lambda * d_lambda for every partition
 lambda of N, then their sum against the exact graded codimension c_N,
-which it must equal.  Exits 1 on a mismatch.  The whole table is one
-cochar.multiplicities call, one pass over the codimension blocks.  Both
-sides come from the same exact per-multipartition ranks of those blocks,
-m_lambda induced from them by Littlewood-Richardson coefficients, so the
+which it must equal.  Exits 1 on a mismatch.  One exact graded_codim
+call ranks each slice of the codimension blocks once; c_N is its sum and
+every m_lambda is induced from its record of slice ranks by
+Littlewood-Richardson coefficients (cochar.induce_multiplicities), so the
 sum checks that induction, not an independent rank.  The engine's block
 cap bounds the degree: N = 6 and 7 run for the degree-7/6 algebras, N = 8
 is refused before anything is built.
@@ -17,7 +17,7 @@ is refused before anything is built.
 import argparse
 import sys
 
-from semigraded.cochar import hook_dim, multiplicities, partitions_of
+from semigraded.cochar import hook_dim, induce_multiplicities, partitions_of
 from semigraded.codim import graded_codim
 from semigraded.gralgebra import parse_catalog_spec
 
@@ -31,12 +31,13 @@ def main():
     alg = parse_catalog_spec(args.catalog)
     print(f"{args.catalog}  (dim {alg.dim}), n = {args.n}")
     print(f"{'shape':<18}{'m':>8}{'d':>6}{'m*d':>10}")
+    exact = graded_codim(alg, args.n, mode="exact")
     total = 0
-    for lam, m in multiplicities(alg, partitions_of(args.n)).items():
+    for lam, m in induce_multiplicities(exact.slices, partitions_of(args.n)).items():
         d = hook_dim(lam)
         total += m * d
         print(f"{str(lam.parts):<18}{m:>8}{d:>6}{m * d:>10}")
-    c_n = graded_codim(alg, args.n, mode="exact").value
+    c_n = exact.value
     verdict = "ok" if total == c_n else "MISMATCH"
     print(f"sum m*d = {total}, exact c_{args.n} = {c_n}: {verdict}")
     return 0 if total == c_n else 1

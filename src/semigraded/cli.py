@@ -400,7 +400,7 @@ def verify_paper(sections, out_format, out_path, timings):
                                  emit=lines.append)
     if out_format == "json":
         payload = [{"check": r.check_id, "group": r.group, "passed": r.passed, "detail": r.detail,
-                    **({"seconds": round(r.seconds, 3)} if timings else {})} for r in results]
+                    **({"seconds": round(r.seconds, 6)} if timings else {})} for r in results]
         _emit(out_path, json.dumps(payload, indent=2, sort_keys=True))
     else:
         summary = f"{sum(r.passed for r in results)}/{len(results)} checks passed"

@@ -1,6 +1,6 @@
 """Partitions, Young symmetrizers, the theta bookkeeping function, the
 explicit witness polynomials with their substitution tableaux, and exact
-multiplicity computation at small degree.
+multiplicities at small degree, induced from codim.slice_ranks.
 
 One evaluator serves the alternation check and the witnesses:
 alternating_values, a batched signed subset sum in which a letter may
@@ -20,8 +20,8 @@ from itertools import groupby
 
 import numpy as np
 
-from .codim import (DEFAULT_BLOCK_CAP, _dict_rows, _gram, _product_cache, _rank_exact,
-                    check_request, isotypic_slices)
+# _rank_exact is unused here: perfbench's tracer wraps this binding too
+from .codim import DEFAULT_BLOCK_CAP, _product_cache, _rank_exact, slice_ranks
 from .errors import (
     BadParam,
     BetaInvalid,
@@ -511,40 +511,39 @@ def format_witness_report(alg: GradedAlgebra, data: WitnessData, value) -> str:
 # -- exact multiplicities -----------------------------------------------------------
 
 def multiplicities(alg: GradedAlgebra, shapes) -> dict:
-    """{lambda: m_lambda} for shapes of one degree n: the multiplicity of
-    each shape's irreducible in the multilinear quotient (the multilinear
-    polynomials of every degree assignment modulo the graded identities).
-
-    The assignments of one sorted representative r form an S_n-orbit whose
-    stabilizer is the Young subgroup of r's composition, so m_lambda = sum
-    over r and over the multipartitions <mu> of c^lambda_<mu> * m_<mu>
-    (young.induction_coefficients), m_<mu> the exact rank of one slice of
-    r's combined block.  One codim.isotypic_slices pass serves every
-    shape: a slice is ranked once, through its Gram matrix codim._gram,
-    and only when some shape has c != 0.  The engine's block cap is the
-    only bound; check_request refuses n = 8 before anything is built.
-    Raises BadParam for no shapes, mixed degrees or a shape without boxes.
-    """
-    want = dict.fromkeys(shapes, 0)
+    """{lambda: m_lambda} for shapes of one degree n, m_lambda the
+    multiplicity of lambda's irreducible in the multilinear quotient (every
+    degree assignment's multilinear polynomials modulo the graded
+    identities), induced from the exact codim.slice_ranks of the slices
+    some shape induces from; n = 8 is refused before anything is built.
+    Raises BadParam for no shapes, mixed degrees or a shape without boxes."""
+    want = dict.fromkeys(shapes)
     degrees = {lam.n for lam in want}
     if len(degrees) != 1 or 0 in degrees:
         raise BadParam(f"shapes of one degree n >= 1 are needed, got degrees {sorted(degrees)}")
     [n] = degrees
-    _, reps = check_request(alg, n)
-    for _, _, slices in isotypic_slices(alg, n, reps):
-        for parts, _, rows in slices:
+    record = slice_ranks(alg, n, "exact", keep=lambda parts: not want.keys().isdisjoint(
+        induction_coefficients(parts)))
+    return induce_multiplicities(record, want)
+
+
+def induce_multiplicities(record: dict, shapes) -> dict:
+    """{lambda: m_lambda} for shapes of an exact slice_ranks record's degree
+    (graded_codim's exact .slices is one): as a representative's assignments
+    form an S_n-orbit, stabilized by the Young subgroup of its composition,
+    m_lambda sums c^lambda_<mu> * m_<mu> over its slices <mu>, c from
+    young.induction_coefficients and m_<mu> the slice's rank."""
+    want = dict.fromkeys(shapes, 0)
+    for _, slices in record.values():
+        for parts, (_, [rank]) in slices.items():
             coefs = induction_coefficients(parts)
-            hits = [(lam, coefs[lam]) for lam in want if coefs.get(lam)]
-            if hits:
-                rank = _rank_exact(_dict_rows(_gram(rows)))
-                for lam, c in hits:
-                    want[lam] += c * rank
+            want = {lam: m + coefs.get(lam, 0) * rank for lam, m in want.items()}
     return want
 
 
 def multiplicity_exact(alg: GradedAlgebra, lam: Partition) -> int:
-    """m_lambda of one shape; pass the shapes of a degree to multiplicities
-    at once, which builds and combines the blocks once for all."""
+    """m_lambda of one shape, ranking only the slices it induces from;
+    multiplicities takes the shapes of a degree at once."""
     return multiplicities(alg, [lam])[lam]
 
 

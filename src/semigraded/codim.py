@@ -6,24 +6,22 @@ with its own, so the quotient dimension is the sum over assignments of
 the rank of one evaluation block.  Assignments with the same multiset of
 degrees have blocks of equal rank, so one block per multiset is built,
 scattered with numpy from the words of nonzero product whose degrees sort
-to it, their coefficients scaled to integers; the words and the nonzero
-entries of their products are formed one length at a time, each entry
-joined with the integer-scaled structure constants of its coordinate.
+to it, their products formed one length at a time with integer-scaled
+structure constants (_word_products).
 A block's rank is split by the graded cocharacter: per multipartition of
 its degrees, the rank of the block's rows combined by a certified basis
 of one isotypic piece of the group algebra.  That basis lies in the group
 algebra of the Young subgroup H of the degrees on each right coset of H,
 so the rows of every coset are combined by one matrix F over H, a
 Kronecker product of one certified factor per degree.
-isotypic_slices scatters and combines each block once; graded_codim
-ranks each slice M through its Gram matrix G along its longer side, no
-larger than M's shorter side squared: over exact rationals on request,
-where rank_Q(G) = rank_Q(M), else modulo two ~30-bit primes (a certified
-lower bound, labelled as such), where rank_p(G) <= rank_p(M) <= rank_Q(M).
-Below 2 ** 29, where G mod p lost rank on some catalog slices, a prime
-ranks M itself.  A call's modular layers are ranked together, in stacks
-of one elimination each, and cochar.multiplicities induces the ordinary
-cocharacter from the exact ranks.
+isotypic_slices scatters and combines each block once; slice_ranks ranks
+each slice M once, into the one record that graded_codim sums and from
+which cochar.multiplicities induces the ordinary cocharacter.  M is ranked
+through its Gram matrix G along its longer side: over exact rationals on
+request, where rank_Q(G) = rank_Q(M), else modulo two ~30-bit primes, in
+stacks of one elimination each (a certified lower bound, labelled as
+such), where rank_p(G) <= rank_p(M) <= rank_Q(M).  Below 2 ** 29, where G
+mod p lost rank on some catalog slices, a prime ranks M itself.
 """
 
 from __future__ import annotations
@@ -72,6 +70,7 @@ class CodimResult:
     certification: str
     blocks: list = field(default_factory=list)
     seconds: float = 0.0
+    slices: dict = field(default_factory=dict)  # the record of slice_ranks
 
 
 def _product_cache(alg: GradedAlgebra, n: int, max_entries: int = DEFAULT_BLOCK_CAP):
@@ -199,11 +198,11 @@ def _eliminate(m: np.ndarray, moduli: np.ndarray) -> list:
         rank += 1
 
 
-def _rank_layers(layers: list, ranked):
-    """Add d times the rank of each layer (matrix, p, rep, j, d) mod p to
-    ranked[rep][1][j], by _rank_mod_p on the layers sorted by shape, in
-    stacks zero padded to their largest layer and within about 2 ** 14
-    entries, which keeps each temporary near 128 kB; empties layers."""
+def _rank_layers(layers: list):
+    """Set ranks[j] to the rank of each layer (matrix, p, ranks, j) mod p,
+    by _rank_mod_p on the layers sorted by shape, in stacks zero padded to
+    their largest layer and within about 2 ** 14 entries, which keeps each
+    temporary near 128 kB; empties layers."""
     layers.sort(key=lambda layer: layer[0].shape)
     while layers:
         rows = cols = take = 0
@@ -217,9 +216,9 @@ def _rank_layers(layers: list, ranked):
         stack = np.zeros((take, rows, cols), dtype=object if wide else np.int64)
         for k, (mat, *_) in enumerate(group):
             stack[k, :mat.shape[0], :mat.shape[1]] = mat
-        for (_, _, rep, j, d), rank in zip(group, _rank_mod_p(stack.reshape(take * rows, cols),
-                                                              [g[1] for g in group])):
-            ranked[rep][1][j] += d * rank
+        for (_, _, ranks, j), rank in zip(group, _rank_mod_p(stack.reshape(take * rows, cols),
+                                                             [g[1] for g in group])):
+            ranks[j] = rank
 
 
 def _rank_exact(rows_entries) -> int:
@@ -481,7 +480,7 @@ def _basis_rows(composition) -> int:
 
 def check_request(alg: GradedAlgebra, n: int, mode: str = "modular", primes=None,
                   max_block_entries: int = DEFAULT_BLOCK_CAP):
-    """Every check graded_codim makes before it builds anything, in its
+    """Every check slice_ranks makes before it builds anything, in its
     order; nothing is built.  Returns (primes, reps): the checked primes (or
     None) and the sorted representative of every orbit of degree
     assignments, lexicographically, each the first assignment of its orbit.
@@ -492,8 +491,7 @@ def check_request(alg: GradedAlgebra, n: int, mode: str = "modular", primes=None
         raise EmptySequence("n must be >= 1")
     if mode not in ("modular", "exact"):
         raise ValueError(f"unknown mode {mode!r}")
-    if primes is not None:
-        primes = _checked_primes(primes, n)
+    primes = None if primes is None else _checked_primes(primes, n)
     reps = list(combinations_with_replacement(alg.support(), n))
     for rep in reps:
         composition = _composition(rep)
@@ -507,18 +505,15 @@ def check_request(alg: GradedAlgebra, n: int, mode: str = "modular", primes=None
 
 def isotypic_slices(alg: GradedAlgebra, n: int, reps,
                     max_block_entries: int = DEFAULT_BLOCK_CAP):
-    """Yield (rep, n_cols, slices) per sorted representative (reps as
-    check_request returns them).  slices lists (shapes, d_<lambda>, rows)
+    """Yield (rep, n_cols, slices) per sorted representative of reps (as
+    check_request returns them), slices listing (shapes, d_<lambda>, rows)
     per multipartition <lambda> of rep's composition: rows is the block
     combined by that slice of _isotypic_basis on each right coset of the
-    Young subgroup that holds a word, an integer matrix whose rank over Q
-    is the multiplicity m_<lambda> and whose rank mod p > n is a lower
-    bound for it.
-
-    The block is scattered once (_WordTable.scatter) and combined per coset
-    by the whole basis (_combine); ResourceLimit is raised before either
-    step allocates more than max_block_entries triples or combined entries,
-    basis rows x cosets x columns."""
+    Young subgroup that holds a word, an integer matrix of rank m_<lambda>
+    over Q and of rank at most m_<lambda> mod p > n.  The block is
+    scattered once (_WordTable.scatter) and combined by the whole basis
+    (_combine); ResourceLimit is raised before either step allocates more
+    than max_block_entries triples or combined entries."""
     words = _WordTable(alg, n, max_block_entries)
     for rep in reps:
         composition = _composition(rep)
@@ -535,62 +530,68 @@ def isotypic_slices(alg: GradedAlgebra, n: int, reps,
         del combined  # freed before the next block is combined
 
 
-def graded_codim(alg: GradedAlgebra, n: int, mode: str = "modular",
-                 primes=None, seed: int = 0,
-                 max_block_entries: int = DEFAULT_BLOCK_CAP) -> CodimResult:
-    """The n-th graded codimension of alg.
-
-    Renaming the variables permutes a block's rows and columns, so its
-    rank and column count depend only on the multiset of its degrees: one
-    block is built per sorted representative and every assignment of
-    the orbit is reported with that block's figures.  The block's rank is
-    the sum over multipartitions of d_<lambda> times the rank of its rows
-    combined by _isotypic_basis.
-
-    mode "modular": per-block ranks over two primes (drawn per
-    representative from the seed unless primes are given, which must be at
-    least two distinct primes above n and below 2 ** 31), each of a slice's
-    Gram matrix (_gram), or of the slice for a prime below 2 ** 29; equal
-    ranks across primes are reported as a stable modular lower bound.  mode
-    "exact": rational ranks of the Gram matrices, certification "exact".
-    A slice whose lambda_t has more rows than dim A_t alternates in more
-    degree-t variables than A_t has dimensions, so it is skipped as zero.
-
-    max_block_entries caps each block's isotypic basis entries (rows x
-    |H|), checked before anything is built, then its triples and combined
-    entries, and the entries of the layers held for ranking.
-    """
-    t0 = time.monotonic()
+def slice_ranks(alg: GradedAlgebra, n: int, mode: str = "modular", primes=None,
+                seed: int = 0, max_block_entries: int = DEFAULT_BLOCK_CAP, keep=None) -> dict:
+    """The one record of the ranks of the slices of degree n
+    (isotypic_slices, after check_request's checks), which graded_codim
+    and cochar.multiplicities read: {rep: (n_cols, {shapes: (d_<lambda>,
+    ranks per prime)})} per sorted representative.  mode "modular" ranks
+    each slice's Gram matrix (_gram), or the slice for a prime below
+    2 ** 29, modulo two primes (given, or drawn per representative from
+    the seed) in stacks (_rank_layers); "exact" ranks the Gram matrix over
+    Q.  A slice whose lambda_t has more rows than dim A_t alternates in
+    more degree-t variables than A_t has dimensions, so it is recorded as
+    zero, unranked.  keep, a predicate on the multipartition, confines the
+    record to the slices it accepts.  max_block_entries also caps the
+    entries of the layers held for ranking."""
     primes, reps = check_request(alg, n, mode, primes, max_block_entries)
     dims = {t: len(alg.component_indices(t)) for t in alg.support()}
-    ranked, layers = {}, []
+    record, layers = {}, []
     for rep, n_cols, slices in isotypic_slices(alg, n, reps, max_block_entries):
         block_primes = (None,) if mode == "exact" else primes or _block_primes(seed, rep)
-        ranked[rep] = (n_cols, [0] * len(block_primes))
+        record[rep] = (n_cols, {})
         for shapes, d, rows in slices:
+            if keep is not None and not keep(shapes):
+                continue
+            ranks = [0] * len(block_primes)
+            record[rep][1][shapes] = (d, ranks)
             if all(len(lam) <= dims[t] for t, lam in zip(sorted(set(rep)), shapes)):
                 gram = _gram(rows)
                 if mode == "exact":
-                    ranked[rep][1][0] += d * _rank_exact(_dict_rows(gram))
+                    ranks[0] = _rank_exact(_dict_rows(gram))
                 else:
-                    layers += [(gram if p > 2 ** 29 else rows, p, rep, j, d)
+                    layers += [(gram if p > 2 ** 29 else rows, p, ranks, j)
                                for j, p in enumerate(block_primes)]
         slices = rows = None  # the block is freed before the next one is combined
         if sum(layer[0].size for layer in layers) > max_block_entries:
-            _rank_layers(layers, ranked)
-    _rank_layers(layers, ranked)
-    for rep, (n_cols, ranks) in ranked.items():
-        cert = (CERT_EXACT if mode == "exact" else CERT_MODULAR_STABLE if len(set(ranks)) == 1
-                else CERT_MODULAR_UNSTABLE)
-        ranked[rep] = (n_cols, max(ranks), cert)
+            _rank_layers(layers)
+    _rank_layers(layers)
+    return record
+
+
+def graded_codim(alg: GradedAlgebra, n: int, mode: str = "modular",
+                 primes=None, seed: int = 0,
+                 max_block_entries: int = DEFAULT_BLOCK_CAP) -> CodimResult:
+    """The n-th graded codimension of alg: per block and prime, the ranks
+    of slice_ranks (arguments as there) weighted by d_<lambda> and summed;
+    the result carries the record as slices.  Renaming the variables
+    permutes a block's rows and columns, so every assignment of a sorted
+    representative's orbit is reported with its block's figures, certified
+    exact, or a modular lower bound, stable when its primes agree."""
+    t0 = time.monotonic()
+    record = slice_ranks(alg, n, mode, primes, seed, max_block_entries)
+    ranked = {}
+    for rep, (n_cols, slices) in record.items():
+        ranks = [sum(column) for column in zip(*([d * r for r in rs] for d, rs in slices.values()))]
+        ranked[rep] = (n_cols, max(ranks), CERT_EXACT if mode == "exact" else CERT_MODULAR_STABLE
+                       if len(set(ranks)) == 1 else CERT_MODULAR_UNSTABLE)
     # lexicographic over semigroup element indices keeps output reproducible
     blocks = [EvaluationBlock(a, math.factorial(n), *ranked[tuple(sorted(a))])
               for a in product(alg.support(), repeat=n)]
-    certification = (CERT_EXACT if mode == "exact" else CERT_MODULAR_STABLE
-                     if all(b.certification == CERT_MODULAR_STABLE for b in blocks)
-                     else CERT_MODULAR_UNSTABLE)
+    certs = {b.certification for b in blocks}
+    certification = CERT_MODULAR_UNSTABLE if CERT_MODULAR_UNSTABLE in certs else certs.pop()
     return CodimResult(n, sum(b.rank for b in blocks), certification, blocks,
-                       time.monotonic() - t0)
+                       time.monotonic() - t0, record)
 
 
 def ordinary_codim(alg: GradedAlgebra, n: int, **kw) -> CodimResult:

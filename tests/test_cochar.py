@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import math
+from collections import Counter
 from fractions import Fraction
 from itertools import permutations, product
 
@@ -25,6 +26,7 @@ from semigraded.cochar import (
     choose_beta,
     dim_bounds,
     hook_dim,
+    induce_multiplicities,
     multiplicities,
     multiplicity_exact,
     multiplicity_nonzero_certificate,
@@ -43,7 +45,7 @@ from semigraded.errors import (
     UnsupportedAlgebra,
 )
 from semigraded.gralgebra import (GradedAlgebra, full_matrix, merge_entries, mul_sparse,
-                                  paper_catalog)
+                                  paper_catalog, parse_catalog_spec, with_trivial_grading)
 from semigraded.linalg import eliminate
 from semigraded.semigroup import trivial_semigroup
 from semigraded.young import (
@@ -52,7 +54,9 @@ from semigraded.young import (
     induction_coefficients,
     spanning_permutations,
 )
-from test_codim import BlockLayout, WordTable, block_rank, catalog_at_two, half_scaled
+from test_codim import (BlockLayout, WordTable, block_rank, canonical_rows, catalog_at_two,
+                        catalog_slices, count_exact_ranks, half_scaled, live_slice_grams,
+                        ut2_codim)
 
 
 # -- partitions -----------------------------------------------------------------
@@ -790,6 +794,61 @@ def test_multiplicity_degree_six_within_the_default_cap():
     assert table[Partition((3, 3))] == 117
     assert sum(m * hook_dim(lam) for lam, m in table.items()) == \
         graded_codim(t3, 6, mode="exact").value == 13624
+
+
+def ut2_multiplicity(lam) -> int:
+    """m_lambda of the ordinary cocharacter of UT_2 (V. Drensky, Free
+    Algebras and PI-Algebras, 2000): 1 at (n), lambda_1 - lambda_2 + 1 at
+    (lambda_1, lambda_2) and at (lambda_1, lambda_2, 1) with lambda_2 >= 1,
+    and 0 at every other shape."""
+    parts = lam.parts
+    if len(parts) == 1:
+        return 1
+    if len(parts) == 2 or (len(parts) == 3 and parts[2] == 1):
+        return parts[0] - parts[1] + 1
+    return 0
+
+
+def test_ut2_cocharacter_matches_its_closed_form():
+    # the transcription on its own first: sum m * d = c_n(UT_2) up to n = 10
+    for n in range(1, 11):
+        assert sum(ut2_multiplicity(lam) * hook_dim(lam) for lam in partitions_of(n)) == \
+            ut2_codim(n), n
+    ut2 = with_trivial_grading(parse_catalog_spec("upper_triangular(2)"))
+    for n in range(1, 7):
+        assert multiplicities(ut2, partitions_of(n)) == \
+            {lam: ut2_multiplicity(lam) for lam in partitions_of(n)}, n
+
+
+def test_multiplicities_rank_each_live_slice_once(monkeypatch):
+    # at n = 6 every slice of mk_column_graded(2) induces some shape: each
+    # live slice is ranked once and no slice zero by dimension is ranked;
+    # one shape ranks only the live slices whose coefficient it has
+    alg = parse_catalog_spec("mk_column_graded(2)")
+    live, every = live_slice_grams(alg, 6)
+    assert sum(live.values()) < sum(every.values())
+    ranked = count_exact_ranks(monkeypatch)
+    table = multiplicities(alg, partitions_of(6))
+    assert ranked == live
+    assert sum(m * hook_dim(lam) for lam, m in table.items()) == 3180
+    lam = Partition((3, 3))
+    found, dims = catalog_slices(alg, 6)
+    hit = Counter(canonical_rows(codim._dict_rows(codim._gram(rows)))
+                  for rep, shapes, rows in found
+                  if induction_coefficients(shapes).get(lam)
+                  and all(len(mu) <= dims[t] for t, mu in zip(sorted(set(rep)), shapes)))
+    ranked.clear()
+    assert multiplicity_exact(alg, lam) == table[lam]
+    assert ranked == hit and sum(hit.values()) < sum(live.values())
+
+
+def test_induced_multiplicities_read_graded_codims_record():
+    # graded_codim's exact record gives the same table as multiplicities
+    t3 = paper_catalog("thm_T3_fractional")
+    result = graded_codim(t3, 4, mode="exact")
+    assert result.slices == codim.slice_ranks(t3, 4, "exact")
+    assert induce_multiplicities(result.slices, partitions_of(4)) == \
+        multiplicities(t3, partitions_of(4))
 
 
 def test_positive_multiplicities_lie_in_the_support_region():

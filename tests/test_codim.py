@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
@@ -43,6 +44,7 @@ from semigraded.gralgebra import (
     ideal_generated,
     opposite,
     paper_catalog,
+    parse_catalog_spec,
     quotient_algebra,
 )
 from semigraded.linalg import ZERO, matrix_rank
@@ -971,23 +973,25 @@ def test_rank_mod_p_matches_the_column_loop(data):
         assert (stack == before).all()
 
 
-def test_rank_layers_adds_d_times_each_layer_rank():
+def test_rank_layers_sets_each_layer_rank():
     # layers of mixed shapes and dtypes, some past the stack size on their
-    # own, are sorted into stacks and each rank lands on its (rep, prime)
+    # own, are sorted into stacks and each rank lands in its own slot
+    # ranks[j], the other slot of its list left alone
     rng = np.random.default_rng(7)
-    ranked = {rep: (0, [0, 0]) for rep in range(4)}
-    layers, want = [], {rep: [0, 0] for rep in range(4)}
+    ranked = [[None, None] for _ in range(40)]
+    layers, want = [], [[None, None] for _ in range(40)]
     for k in range(40):
         rows, cols = (int(x) for x in rng.integers(1, 12 if k % 10 else 200, size=2))
         mat = rng.integers(-2, 3, size=(rows, cols)) * rng.integers(0, 2, size=(1, cols))
         mat = mat.astype(object) * (2 ** 70 + 1) if k % 3 == 0 else mat
-        rep, j, d = k % 4, k % 2, int(rng.integers(1, 4))
+        j = k % 2
         p = (7, PRIME_BANK[k % 16])[j]
-        layers.append((mat, p, rep, j, d))
-        want[rep][j] += d * column_loop_rank_mod_p(np.array(mat % p, dtype=np.int64), p)
-    codim._rank_layers(layers, ranked)
+        layers.append((mat, p, ranked[k], j))
+        want[k][j] = column_loop_rank_mod_p(np.array(mat % p, dtype=np.int64), p)
+    codim._rank_layers(layers)
     assert layers == []
-    assert {rep: ranks for rep, (_, ranks) in ranked.items()} == want
+    assert ranked == want
+    assert len({rank for ranks in want for rank in ranks}) > 5
 
 
 @pytest.mark.parametrize("mat, primes, ranks", [
@@ -1038,6 +1042,38 @@ def test_gram_keeps_the_rank_modulo_every_bank_prime():
                         _rank_mod_p(_stacked([rows] * len(PRIME_BANK)), PRIME_BANK), (alg.name, n)
                     checked += 1
     assert checked > 500
+
+
+def live_slice_grams(alg, n: int):
+    """(live, all): the Gram matrices of alg's slices at degree n, as the
+    sparse rows that _rank_exact takes and counted per canonical form, of
+    the slices not zero by dimension and of every slice."""
+    found, dims = catalog_slices(alg, n)
+    live, every = Counter(), Counter()
+    for rep, shapes, rows in found:
+        gram = canonical_rows(codim._dict_rows(codim._gram(rows)))
+        every[gram] += 1
+        if all(len(lam) <= dims[t] for t, lam in zip(sorted(set(rep)), shapes)):
+            live[gram] += 1
+    return live, every
+
+
+def canonical_rows(rows) -> tuple:
+    """Sparse rows col -> value as a hashable tuple."""
+    return tuple(tuple(sorted(row.items())) for row in rows)
+
+
+def count_exact_ranks(monkeypatch) -> Counter:
+    """Count the calls to codim._rank_exact per canonical form of their rows."""
+    ranked, rank_exact = Counter(), codim._rank_exact
+
+    def counted(rows):
+        rows = list(rows)
+        ranked[canonical_rows(rows)] += 1
+        return rank_exact(rows)
+
+    monkeypatch.setattr(codim, "_rank_exact", counted)
+    return ranked
 
 
 def test_slices_longer_than_their_component_are_zero():
@@ -1365,3 +1401,28 @@ def test_check_request_admits_degree_seven_under_a_smaller_cap():
 def test_c7_t3_under_the_default_cap():
     result = modular_codim("thm_T3_fractional", 7)
     assert (result.value, result.certification) == (81656, CERT_MODULAR_STABLE)
+
+
+# -- oracle: closed forms of ordinary codimensions --------------------------------
+
+def ut2_codim(n: int) -> int:
+    """c_n(UT_2), the 2 x 2 upper triangular matrices: 2^(n-1) (n-2) + 2."""
+    return 2 ** (n - 1) * (n - 2) + 2
+
+
+def m2_codim(n: int) -> int:
+    """c_n(M_2): C(2n+2, n+1) / (n+2) - C(n, 3) + 1 - 2^n (Procesi, J.
+    Algebra 87, 1984)."""
+    return math.comb(2 * n + 2, n + 1) // (n + 2) - math.comb(n, 3) + 1 - 2 ** n
+
+
+@pytest.mark.parametrize("mode", ["modular", "exact"])
+def test_ordinary_codimensions_match_their_closed_forms(mode):
+    # oracles that do not come from the engine: UT_2 and M_2 up to n = 6
+    cert = CERT_EXACT if mode == "exact" else CERT_MODULAR_STABLE
+    for spec, closed in (("upper_triangular(2)", ut2_codim), ("full_matrix(2)", m2_codim)):
+        alg = parse_catalog_spec(spec)
+        got = [ordinary_codim(alg, n, mode=mode) for n in range(1, 7)]
+        assert [(r.value, r.certification) for r in got] == \
+            [(closed(n), cert) for n in range(1, 7)], spec
+    assert [m2_codim(n) for n in range(1, 7)] == [1, 2, 6, 23, 91, 346]

@@ -1,5 +1,6 @@
 """Each script of scripts/ runs to exit 0 at small arguments."""
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -31,3 +32,20 @@ def test_script_runs(name, args):
         assert result.stdout.splitlines()[-1] == "sum m*d = 305, exact c_4 = 305: ok"
     if name == "witness_gallery.py":
         assert result.stdout.splitlines()[-1] == "5 shapes certified, 0 outside the construction"
+
+
+def test_cochar_table_ranks_each_live_slice_once(monkeypatch, capsys):
+    # the table and its exact c_N come from one record of slice ranks
+    from semigraded.gralgebra import paper_catalog
+    from test_codim import count_exact_ranks, live_slice_grams
+    live, _ = live_slice_grams(paper_catalog("thm_T3_fractional"), 4)
+    spec = importlib.util.spec_from_file_location("cochar_table",
+                                                  ROOT / "scripts" / "cochar_table.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    ranked = count_exact_ranks(monkeypatch)
+    monkeypatch.setattr(sys, "argv", ["cochar_table.py", "--catalog", "thm_T3_fractional",
+                                      "--n", "4"])
+    assert script.main() == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "sum m*d = 305, exact c_4 = 305: ok"
+    assert ranked == live
