@@ -542,7 +542,8 @@ def induce_multiplicities(record: dict, shapes) -> dict:
 
 
 def multiplicity_exact(alg: GradedAlgebra, lam: Partition) -> int:
-    """m_lambda of one shape, ranking only the slices it induces from;
+    """m_lambda of one shape, combining and ranking only the slices it
+    induces from, and scattering only the blocks that hold one;
     multiplicities takes the shapes of a degree at once."""
     return multiplicities(alg, [lam])[lam]
 

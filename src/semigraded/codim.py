@@ -14,9 +14,10 @@ of one isotypic piece of the group algebra.  That basis lies in the group
 algebra of the Young subgroup H of the degrees on each right coset of H,
 so the rows of every coset are combined by one matrix F over H, a
 Kronecker product of one certified factor per degree.
-isotypic_slices scatters and combines each block once; slice_ranks ranks
-each slice M once, into the one record that graded_codim sums and from
-which cochar.multiplicities induces the ordinary cocharacter.  M is ranked
+isotypic_slices scatters each block once and combines it by the rows of
+F of the slices that get ranked; slice_ranks ranks each slice M once, into
+the one record that graded_codim sums and from which
+cochar.multiplicities induces the ordinary cocharacter.  M is ranked
 through its Gram matrix G along its longer side: over exact rationals on
 request, where rank_Q(G) = rank_Q(M), else modulo two ~30-bit primes, in
 stacks of one elimination each (a certified lower bound, labelled as
@@ -362,11 +363,7 @@ def _gram(rows: np.ndarray) -> np.ndarray:
 
 def _dict_rows(mat: np.ndarray) -> list:
     """The rows of a dense matrix as sparse dicts col -> nonzero value."""
-    at, cols = np.nonzero(mat)
-    values = mat[at, cols].tolist()
-    cols = cols.tolist()
-    ends = np.searchsorted(at, np.arange(mat.shape[0] + 1)).tolist()
-    return [dict(zip(cols[lo:hi], values[lo:hi])) for lo, hi in zip(ends, ends[1:])]
+    return [{c: v for c, v in enumerate(row) if v} for row in mat.tolist()]
 
 
 # -- the isotypic split ---------------------------------------------------------
@@ -448,19 +445,20 @@ def _multipartitions(composition) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _isotypic_basis(composition: tuple):
-    """(F, pieces) for a composition (n_t) of n.  F is a read-only int8
-    matrix over the Young subgroup H, in _young_subgroup's order, whose rows
-    are the elements e_<lambda>.h stacked per multipartition <lambda>: the
-    Kronecker product of the factors F_lambda_t (_young_factor); pieces
-    lists (d_<lambda>, row slice) per <lambda>.
+def _isotypic_basis(composition: tuple, chosen: tuple):
+    """(F, pieces) for a composition (n_t) of n and the multipartitions
+    chosen of it, a nonempty tuple in _multipartitions' order (all of them
+    for the full basis).  F is a read-only int8 matrix over the Young
+    subgroup H, in _young_subgroup's order, whose rows are the elements
+    e_<lambda>.h stacked per chosen multipartition <lambda>: the Kronecker
+    product of the factors F_lambda_t (_young_factor); pieces lists
+    (d_<lambda>, row slice) per chosen <lambda>.
 
     A Kronecker product of full-rank factors has full rank, so each slice
     has d_<lambda> independent rows; placed on the multinomial right cosets
     H.g, whose supports are disjoint, they give d_<lambda> * multinomial
     independent elements e_<lambda>.h.g, a basis of e_<lambda>.KS_n."""
-    blocks = [reduce(np.kron, map(_young_factor, shapes))
-              for shapes in _multipartitions(composition)]
+    blocks = [reduce(np.kron, map(_young_factor, shapes)) for shapes in chosen]
     ends = np.cumsum([0] + [len(b) for b in blocks]).tolist()
     basis = np.concatenate(blocks)
     basis.flags.writeable = False
@@ -474,7 +472,8 @@ def _composition(rep) -> tuple:
 
 @lru_cache(maxsize=None)
 def _basis_rows(composition) -> int:
-    """The rows of _isotypic_basis(composition), without building it."""
+    """The rows of the full _isotypic_basis of composition, without
+    building it."""
     return math.prod(sum(map(hook_dim, partitions_of(k))) for k in composition)
 
 
@@ -504,29 +503,35 @@ def check_request(alg: GradedAlgebra, n: int, mode: str = "modular", primes=None
 
 
 def isotypic_slices(alg: GradedAlgebra, n: int, reps,
-                    max_block_entries: int = DEFAULT_BLOCK_CAP):
+                    max_block_entries: int = DEFAULT_BLOCK_CAP, chosen=None):
     """Yield (rep, n_cols, slices) per sorted representative of reps (as
     check_request returns them), slices listing (shapes, d_<lambda>, rows)
-    per multipartition <lambda> of rep's composition: rows is the block
-    combined by that slice of _isotypic_basis on each right coset of the
-    Young subgroup that holds a word, an integer matrix of rank m_<lambda>
-    over Q and of rank at most m_<lambda> mod p > n.  The block is
-    scattered once (_WordTable.scatter) and combined by the whole basis
-    (_combine); ResourceLimit is raised before either step allocates more
-    than max_block_entries triples or combined entries."""
+    per multipartition <lambda> of rep's composition that chosen[rep]
+    holds (all when chosen is None): rows is the block combined by that
+    slice of _isotypic_basis on each right coset of the Young subgroup that
+    holds a word, an integer matrix of rank m_<lambda> over Q and of rank
+    at most m_<lambda> mod p > n.  The block is scattered once
+    (_WordTable.scatter) and combined by the basis of its chosen
+    multipartitions only (_combine); a representative with none chosen is
+    skipped, neither scattered nor combined.  ResourceLimit is raised
+    before either step allocates more than max_block_entries triples or
+    combined entries."""
     words = _WordTable(alg, n, max_block_entries)
     for rep in reps:
         composition = _composition(rep)
+        wanted = _multipartitions(composition) if chosen is None else chosen[rep]
+        if not wanted:
+            continue
         rows, cols, values, n_cosets, n_cols = words.scatter(
             rep, _young_subgroup(composition), max_block_entries)
-        basis, pieces = _isotypic_basis(composition)
+        basis, pieces = _isotypic_basis(composition, wanted)
         if len(basis) * n_cosets * n_cols > max_block_entries:
             raise ResourceLimit(
                 f"block for assignment {rep} combines into {len(basis) * n_cosets} x {n_cols} "
                 f"entries (cap {max_block_entries})", context=rep)
         combined = _combine(basis, rows, cols, values, n_cosets, n_cols)
         yield rep, n_cols, [(shapes, d, combined[piece].reshape(d * n_cosets, n_cols))
-                            for shapes, (d, piece) in zip(_multipartitions(composition), pieces)]
+                            for shapes, (d, piece) in zip(wanted, pieces)]
         del combined  # freed before the next block is combined
 
 
@@ -541,27 +546,36 @@ def slice_ranks(alg: GradedAlgebra, n: int, mode: str = "modular", primes=None,
     the seed) in stacks (_rank_layers); "exact" ranks the Gram matrix over
     Q.  A slice whose lambda_t has more rows than dim A_t alternates in
     more degree-t variables than A_t has dimensions, so it is recorded as
-    zero, unranked.  keep, a predicate on the multipartition, confines the
-    record to the slices it accepts.  max_block_entries also caps the
-    entries of the layers held for ranking."""
+    zero, unranked, and its rows of the basis are not combined.  keep, a
+    predicate on the multipartition, confines the record to the slices it
+    accepts, and the combining to their rows; a representative with no
+    slice left to rank is neither scattered nor combined and is recorded
+    with its zero slices and None for its column count.  graded_codim
+    never sets keep, and its every representative has a slice to rank,
+    the multipartition ((n_t)) of one row per degree.  max_block_entries
+    also caps the entries of the layers held for ranking."""
     primes, reps = check_request(alg, n, mode, primes, max_block_entries)
     dims = {t: len(alg.component_indices(t)) for t in alg.support()}
-    record, layers = {}, []
-    for rep, n_cols, slices in isotypic_slices(alg, n, reps, max_block_entries):
-        block_primes = (None,) if mode == "exact" else primes or _block_primes(seed, rep)
-        record[rep] = (n_cols, {})
-        for shapes, d, rows in slices:
-            if keep is not None and not keep(shapes):
-                continue
-            ranks = [0] * len(block_primes)
-            record[rep][1][shapes] = (d, ranks)
-            if all(len(lam) <= dims[t] for t, lam in zip(sorted(set(rep)), shapes)):
-                gram = _gram(rows)
-                if mode == "exact":
-                    ranks[0] = _rank_exact(_dict_rows(gram))
-                else:
-                    layers += [(gram if p > 2 ** 29 else rows, p, ranks, j)
-                               for j, p in enumerate(block_primes)]
+    block_primes = {rep: (None,) if mode == "exact" else primes or _block_primes(seed, rep)
+                    for rep in reps}
+    record, chosen, layers = {}, {}, []
+    for rep in reps:
+        kept = [shapes for shapes in _multipartitions(_composition(rep))
+                if keep is None or keep(shapes)]
+        record[rep] = (None, {shapes: (math.prod(map(hook_dim, shapes)),
+                                       [0] * len(block_primes[rep])) for shapes in kept})
+        chosen[rep] = tuple(shapes for shapes in kept if all(
+            len(lam) <= dims[t] for t, lam in zip(sorted(set(rep)), shapes)))
+    for rep, n_cols, slices in isotypic_slices(alg, n, reps, max_block_entries, chosen):
+        record[rep] = (n_cols, record[rep][1])
+        for shapes, _, rows in slices:
+            ranks = record[rep][1][shapes][1]
+            gram = _gram(rows)
+            if mode == "exact":
+                ranks[0] = _rank_exact(_dict_rows(gram))
+            else:
+                layers += [(gram if p > 2 ** 29 else rows, p, ranks, j)
+                           for j, p in enumerate(block_primes[rep])]
         slices = rows = None  # the block is freed before the next one is combined
         if sum(layer[0].size for layer in layers) > max_block_entries:
             _rank_layers(layers)

@@ -73,6 +73,7 @@ def partitions_of(n: int, max_parts=None):
         yield Partition(parts)
 
 
+@lru_cache(maxsize=None)
 def hook_dim(lam: Partition) -> int:
     """n! over the product of hook lengths."""
     parts = lam.parts

@@ -842,6 +842,50 @@ def test_multiplicities_rank_each_live_slice_once(monkeypatch):
     assert ranked == hit and sum(hit.values()) < sum(live.values())
 
 
+@pytest.mark.parametrize("spec, n_max", [("thm_T1_fractional", 5), ("thm_T3_fractional", 5),
+                                         ("mk_column_graded(2)", 6)])
+def test_one_shape_multiplicities_match_the_whole_table(spec, n_max):
+    # a one-shape call combines and ranks only the slices its shape induces
+    # from, and skips the blocks without one, and still gives the table's value
+    alg = parse_catalog_spec(spec)
+    for n in range(1, n_max + 1):
+        table = multiplicities(alg, partitions_of(n))
+        assert {lam: multiplicity_exact(alg, lam) for lam in partitions_of(n)} == table, n
+
+
+def test_keep_confines_the_record_and_skips_blocks_without_a_live_slice(monkeypatch):
+    # under keep the record is the exact record confined to the kept
+    # slices; a representative none of whose kept slices is live (lambda_t
+    # at most dim A_t rows) is not scattered and has None for its columns
+    alg = paper_catalog("thm_T3_fractional")
+    n = 5
+    full = codim.slice_ranks(alg, n, "exact")
+    dims = {t: len(alg.component_indices(t)) for t in alg.support()}
+    scatter, scattered = codim._WordTable.scatter, []
+
+    def counted_scatter(self, rep, *args):
+        scattered.append(rep)
+        return scatter(self, rep, *args)
+
+    monkeypatch.setattr(codim._WordTable, "scatter", counted_scatter)
+    skipped = 0
+    for lam in partitions_of(n):
+        def keep(shapes):
+            return induction_coefficients(shapes).get(lam, 0) > 0
+
+        want = {}
+        for rep, (n_cols, slices) in full.items():
+            kept = {shapes: found for shapes, found in slices.items() if keep(shapes)}
+            live = any(all(len(mu) <= dims[t] for t, mu in zip(sorted(set(rep)), shapes))
+                       for shapes in kept)
+            want[rep] = (n_cols if live else None, kept)
+        scattered.clear()
+        assert codim.slice_ranks(alg, n, "exact", keep=keep) == want, lam
+        assert scattered == [rep for rep, (n_cols, _) in want.items() if n_cols is not None]
+        skipped += len(full) - len(scattered)
+    assert skipped > 0
+
+
 def test_induced_multiplicities_read_graded_codims_record():
     # graded_codim's exact record gives the same table as multiplicities
     t3 = paper_catalog("thm_T3_fractional")

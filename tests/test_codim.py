@@ -4,7 +4,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
 import numpy as np
 import pytest
@@ -1165,12 +1165,22 @@ def test_degree_eight_fails_before_the_product_cache(monkeypatch):
             multiplicities(paper_catalog(name), partitions_of(8))
 
 
+def live_basis_rows(alg, rep) -> int:
+    """The rows of rep's isotypic basis that combine its block: d_<lambda>
+    = prod_t hook_dim(lambda_t) per multipartition whose every lambda_t
+    has at most dim A_t rows."""
+    dims = [len(alg.component_indices(t)) for t in sorted(set(rep))]
+    return sum(math.prod(map(hook_dim, shapes))
+               for shapes in codim._multipartitions(codim._composition(rep))
+               if all(len(lam) <= dim for dim, lam in zip(dims, shapes)))
+
+
 def test_cap_counts_the_allocated_entries(monkeypatch):
     # the scattered triples of a block are the nonzeros of the gathered
-    # block, and its combined entries are the basis rows times the right
-    # cosets of the Young subgroup that hold a nonzero row times its columns;
-    # T3 at n = 4 has fewer product cache entries and basis entries than the
-    # first block's triples
+    # block, and its combined entries are the live basis rows times the
+    # right cosets of the Young subgroup that hold a nonzero row times its
+    # columns; T3 at n = 4 has fewer product cache entries and basis
+    # entries than the first block's triples
     alg = paper_catalog("thm_T3_fractional")
     n = 4
     words = WordTable(alg, n)
@@ -1183,7 +1193,7 @@ def test_cap_counts_the_allocated_entries(monkeypatch):
         triples[rep] = int(np.count_nonzero(block))
         # row pi puts the variable pi(i), of degree rep[pi(i)], at position i
         cosets = {tuple(np.array(rep)[pi]) for pi in words.perms[block.any(axis=1)]}
-        combined[rep] = codim._basis_rows(codim._composition(rep)) * len(cosets) * layout.n_cols
+        combined[rep] = live_basis_rows(alg, rep) * len(cosets) * layout.n_cols
     first = reps[0]
     bases = max(codim._basis_rows(composition) * math.prod(map(math.factorial, composition))
                 for composition in map(codim._composition, reps))
@@ -1369,7 +1379,7 @@ def test_isotypic_basis_is_certified(monkeypatch):
                 codim._young_factor(lam)
         for composition in ((3,), (3, 1), (1, 3)):
             with pytest.raises(HypothesisViolated):
-                codim._isotypic_basis(composition)
+                codim._isotypic_basis(composition, codim._multipartitions(composition))
     finally:
         for cached in (codim._young_factor, codim._isotypic_basis):
             cached.cache_clear()
@@ -1379,7 +1389,7 @@ def test_isotypic_basis_shape():
     # |H| columns over the Young subgroup H, prod_t hook_dim(lambda_t)
     # rows per multipartition, sum d ** 2 = |H|
     for composition in ((4,), (2, 2), (1, 3), (3, 1, 1)):
-        basis, pieces = codim._isotypic_basis(composition)
+        basis, pieces = codim._isotypic_basis(composition, codim._multipartitions(composition))
         young = math.prod(math.factorial(k) for k in composition)
         assert basis.shape == (codim._basis_rows(composition), young)
         assert [(d, rows.stop - rows.start) for d, rows in pieces] == \
@@ -1387,6 +1397,42 @@ def test_isotypic_basis_shape():
              for shapes in codim._multipartitions(composition)]
         assert sum(d * d for d, _ in pieces) == young
         assert not basis.flags.writeable
+
+
+def compositions_of(n: int) -> list:
+    """Every composition of n, as tuples of positive parts."""
+    return [tuple(b - a for a, b in zip((0,) + cuts, cuts + (n,)))
+            for k in range(n) for cuts in combinations(range(1, n), k)]
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+@settings(max_examples=20, deadline=None)
+@given(st.data())
+def test_chosen_basis_is_the_full_basis_on_the_chosen_pieces(n, data):
+    # for every composition of n, the basis of the multipartitions chosen
+    # by a cap on each lambda_t's rows and a random keep holds the full
+    # basis's rows of each chosen piece, piece by piece, in their order
+    for composition in compositions_of(n):
+        every = codim._multipartitions(composition)
+        full, full_pieces = codim._isotypic_basis(composition, every)
+        where = dict(zip(every, full_pieces))
+        dims = data.draw(st.lists(st.integers(1, 6), min_size=len(composition),
+                                  max_size=len(composition)), label="dims")
+        keep = data.draw(st.lists(st.booleans(), min_size=len(every), max_size=len(every)),
+                         label="keep")
+        chosen = tuple(shapes for shapes, kept in zip(every, keep)
+                       if kept and all(len(lam) <= dim for dim, lam in zip(dims, shapes)))
+        if not chosen:
+            continue
+        basis, pieces = codim._isotypic_basis(composition, chosen)
+        assert basis.shape == (sum(d for d, _ in pieces), full.shape[1])
+        assert not basis.flags.writeable
+        start = 0
+        for shapes, (d, rows) in zip(chosen, pieces, strict=True):
+            assert (rows.start, rows.stop) == (start, start + d)
+            assert d == where[shapes][0]
+            assert np.array_equal(basis[rows], full[where[shapes][1]]), (composition, shapes)
+            start += d
 
 
 def test_check_request_admits_degree_seven_under_a_smaller_cap():
