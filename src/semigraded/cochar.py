@@ -37,11 +37,10 @@ from .linalg import frac
 from .young import (
     Partition,
     YoungTableau,
-    _perm_sign,
-    _symmetrizer,
     hook_dim,
     induction_coefficients,
     partitions_of,
+    permutation_signs,
 )
 
 
@@ -172,7 +171,12 @@ class FactoredPolynomial:
         position i * (max degree + 1) + its degree in column i."""
         width = max(alg.degree) + 1
         offsets = [i * width for i, c in enumerate(self.factors) for _ in c.variables]
-        sign = math.prod(_perm_sign(tuple(range(len(c.slots))), c.slots) for c in self.factors)
+        # the slots laid end to end: a block-diagonal permutation, signed
+        # by the product of its blocks' signs
+        slots = []
+        for c in self.factors:
+            slots += [len(slots) + s for s in c.slots]
+        [sign] = permutation_signs([slots])
         classes = [[i + alg.degree[b] for i, b in zip(offsets, row)] for row in rows]
         pos = [i * width + t for i, c in enumerate(self.factors) for t in c.pos_degrees]
         return sign, classes, pos
@@ -189,13 +193,15 @@ def apply_symmetrizer(alg, items) -> list:
     e_T; f is evaluated once per distinct substitution tau o g, times the
     sum of its coefficients.  When f's columns sit one on each column of
     the tableau, the column sum collapses to the scalar prod(column
-    height factorials), leaving only the row-group sum; that shortcut
-    makes the tall witnesses tractable.  Any other f is summed over every
-    term of _symmetrizer(tableau).  f on a substitution is sign(slots of
-    every column) times the alternating sum of its columns' letters laid
-    end to end, of class (column, degree) at every letter and position
-    (FactoredPolynomial.laid_end_to_end); the substitutions of every item
-    with as many letters go to one alternating_values call.
+    height factorials), leaving only the row-group sum
+    (YoungTableau.row_words); that shortcut makes the tall witnesses
+    tractable.  Any other f is summed over every term of
+    YoungTableau.symmetrizer_words, built from the same row words.  f on a
+    substitution is sign(slots of every column) times the alternating sum
+    of its columns' letters laid end to end, of class (column, degree) at
+    every letter and position (FactoredPolynomial.laid_end_to_end); the
+    substitutions of every item with as many letters go to one
+    alternating_values call.
     """
     batches = {}  # letters per row -> (letters, their classes, position classes)
     plans = []    # per item: (letters per row, its first row in that batch, weights)
@@ -205,13 +211,14 @@ def apply_symmetrizer(alg, items) -> list:
         if (sorted(tuple(sorted(c.variables)) for c in f.factors)
                 == sorted(tuple(sorted(c)) for c in tableau.columns())):
             scalar = math.prod(math.factorial(h) for h in tableau.shape.column_heights())
-            terms = ((rho, scalar) for rho in tableau.row_group())
+            terms = tableau.row_words()
+            coefs = [scalar] * len(terms)
         else:
-            terms = _symmetrizer(tableau)
+            terms, coefs = tableau.symmetrizer_words()
         variables = [v for c in f.factors for v in c.variables]
+        image = np.array([tau[v] for v in range(f.n)])
         weights = {}
-        for g, c in terms:
-            key = tuple(tau[g.get(v, v)] for v in variables)
+        for key, c in zip(map(tuple, image[terms[:, variables]].tolist()), coefs):
             weights[key] = weights.get(key, 0) + c
         weights = {key: c for key, c in weights.items() if c}
         sign, fits, pos = f.laid_end_to_end(alg, weights)
@@ -398,30 +405,9 @@ def choose_beta(variant: str, lam: Partition) -> BetaDecomposition:
     return BetaDecomposition(variant, values, surplus=need)
 
 
-def validate_beta(variant: str, lam: Partition, beta: BetaDecomposition):
-    v = _variant(variant)
-    q = v.q
-    vals = beta.values
-    if any(c < 0 for c in vals.values()):
-        raise BetaInvalid("negative column count")
-    if vals.get("f1", 0) != lam.part(q) or vals.get("f2", 0) != lam.part(q - 1) - lam.part(q):
-        raise BetaInvalid("tall column counts disagree with the shape")
-    comp = 0
-    for h in range(q - 2, 0, -1):
-        odd, even = v.kinds_by_height[h]
-        cap = lam.part(h) - lam.part(h + 1)
-        if vals.get(odd, 0) + vals.get(even, 0) != cap:
-            raise BetaInvalid(f"height-{h} column count must be {cap}")
-        comp += vals.get(odd, 0)
-    if comp + beta.surplus != lam.part(q):
-        raise BetaInvalid("compensating columns plus surplus must match the tall count")
-    if beta.surplus not in (0, 1):
-        raise BetaInvalid("surplus must be 0 or 1")
-
-
-def build_witness(variant: str, lam: Partition, beta: BetaDecomposition | None = None,
-                  alg: GradedAlgebra | None = None) -> WitnessData:
-    """Assemble the witness polynomial and its substitution tableau.
+def build_witness(variant: str, lam: Partition, alg: GradedAlgebra) -> WitnessData:
+    """Assemble the witness polynomial and its substitution tableau on
+    alg's basis labels, with the column counts of choose_beta.
 
     The shape's columns are typed left to right: tall columns first,
     then the forced height-(q-1) kind, then at each lower height the
@@ -432,13 +418,7 @@ def build_witness(variant: str, lam: Partition, beta: BetaDecomposition | None =
     columns.
     """
     v = _variant(variant)
-    if beta is None:
-        beta = choose_beta(variant, lam)
-    else:
-        validate_beta(variant, lam, beta)
-    if alg is None:
-        from .gralgebra import paper_catalog
-        alg = paper_catalog("thm_T1_fractional" if variant == "T1" else "thm_T3_fractional")
+    beta = choose_beta(variant, lam)
     label_index = {l: i for i, l in enumerate(alg.basis_labels)}
 
     # type every column, left to right, in weakly decreasing height

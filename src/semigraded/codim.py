@@ -32,14 +32,14 @@ import random
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
-from itertools import combinations_with_replacement, groupby, permutations, product
+from itertools import combinations_with_replacement, groupby, product
 
 import numpy as np
 
 from .errors import BadParam, EmptySequence, HypothesisViolated, ResourceLimit
 from .gralgebra import GradedAlgebra, merge_entries, mul_sparse, with_trivial_grading
 from .linalg import eliminate
-from .young import YoungTableau, hook_dim, partitions_of, spanning_permutations
+from .young import YoungTableau, hook_dim, partitions_of, spanning_permutations, young_subgroup
 
 # verified 30-bit primes; per-block choices are drawn from this bank
 PRIME_BANK = (
@@ -382,53 +382,26 @@ def _dict_rows(mat: np.ndarray) -> list:
 # block's rows is combined by the same matrix F over H, the Kronecker
 # product of one factor F_lambda per degree (_young_factor).
 
-def _direct_product(factors) -> np.ndarray:
-    """The words of the direct product of per-factor words, factor t acting
-    on the variables after those of the factors before it."""
-    words = np.zeros((1, 0), dtype=np.int64)
-    for w in factors:
-        words = np.concatenate([np.repeat(words, len(w), axis=0),
-                                np.tile(w + words.shape[1], (len(words), 1))], axis=1)
-    return words
-
-
-@lru_cache(maxsize=None)
-def _young_subgroup(composition) -> np.ndarray:
-    """The Young subgroup of a composition, one int8 word per element,
-    lexicographic per factor, the first factor outermost."""
-    words = _direct_product(np.array(list(permutations(range(k)))) for k in composition)
-    return words.astype(np.int8)
-
-
 @lru_cache(maxsize=None)
 def _young_factor(lam) -> np.ndarray:
     """F_lambda: the read-only int8 matrix over the k! permutations of
     range(k), k = |lambda|, in lexicographic order, whose row for h in
     spanning_permutations(lam) is e_T.h, T the column-major tableau: it
-    holds sign(sigma) at x o h for every term x = rho o sigma of e_T, rho in
-    the row group and sigma in the column group of T, both built as words.
+    holds sign(sigma) at x o h for every term x = rho o sigma of e_T
+    (YoungTableau.symmetrizer_words).
 
     Certified a basis of e_T.KS_k, of dimension hook_dim(lam): that many
     rows, whose Gram matrix has full rank modulo a bank prime, so over Q."""
     k = lam.n
-    later = np.triu(np.ones((k, k), dtype=bool), 1)
-    # the column group: the Young subgroup of the column heights, whose
-    # factors hold consecutive variables in the column-major filling
-    columns = _young_subgroup(tuple(lam.column_heights())).astype(np.int64)
-    signs = 1 - 2 * (((columns[:, :, None] > columns[:, None, :]) & later).sum(axis=(1, 2)) & 1)
-    # the row group: the Young subgroup of the parts on the boxes read row
-    # by row, relabelled by the variables filling them
-    filling = np.concatenate(YoungTableau.column_major(lam).rows)
-    rows = filling[_young_subgroup(lam.parts)[:, np.argsort(filling)]]
-    # the terms x = rho o sigma of the symmetrizer, sign(sigma) each
-    terms = rows[:, columns].reshape(-1, k)
+    terms, signs = YoungTableau.column_major(lam).symmetrizer_words()
     spanning = np.array(spanning_permutations(lam), dtype=np.int64)
     words = terms[:, spanning]
     # the lexicographic rank of x o h from its Lehmer code
+    later = np.triu(np.ones((k, k), dtype=bool), 1)
     digits = ((words[..., None, :] < words[..., :, None]) & later).sum(axis=-1)
     cols = digits @ np.array([math.factorial(k - 1 - j) for j in range(k)], dtype=np.int64)
     factor = np.zeros((len(spanning), math.factorial(k)), dtype=np.int8)
-    factor[np.arange(len(spanning)), cols] = np.tile(signs, len(rows))[:, None]
+    factor[np.arange(len(spanning)), cols] = np.array(signs)[:, None]
     wide = factor.astype(np.int64)
     if len(spanning) != hook_dim(lam) or \
             _rank_mod_p(wide @ wide.T, (PRIME_BANK[0],)) != (len(spanning),):
@@ -449,7 +422,7 @@ def _isotypic_basis(composition: tuple, chosen: tuple):
     """(F, pieces) for a composition (n_t) of n and the multipartitions
     chosen of it, a nonempty tuple in _multipartitions' order (all of them
     for the full basis).  F is a read-only int8 matrix over the Young
-    subgroup H, in _young_subgroup's order, whose rows are the elements
+    subgroup H, in young_subgroup's order, whose rows are the elements
     e_<lambda>.h stacked per chosen multipartition <lambda>: the Kronecker
     product of the factors F_lambda_t (_young_factor); pieces lists
     (d_<lambda>, row slice) per chosen <lambda>.
@@ -502,28 +475,27 @@ def check_request(alg: GradedAlgebra, n: int, mode: str = "modular", primes=None
     return primes, reps
 
 
-def isotypic_slices(alg: GradedAlgebra, n: int, reps,
-                    max_block_entries: int = DEFAULT_BLOCK_CAP, chosen=None):
-    """Yield (rep, n_cols, slices) per sorted representative of reps (as
-    check_request returns them), slices listing (shapes, d_<lambda>, rows)
-    per multipartition <lambda> of rep's composition that chosen[rep]
-    holds (all when chosen is None): rows is the block combined by that
-    slice of _isotypic_basis on each right coset of the Young subgroup that
-    holds a word, an integer matrix of rank m_<lambda> over Q and of rank
-    at most m_<lambda> mod p > n.  The block is scattered once
-    (_WordTable.scatter) and combined by the basis of its chosen
-    multipartitions only (_combine); a representative with none chosen is
-    skipped, neither scattered nor combined.  ResourceLimit is raised
-    before either step allocates more than max_block_entries triples or
-    combined entries."""
+def isotypic_slices(alg: GradedAlgebra, n: int, chosen,
+                    max_block_entries: int = DEFAULT_BLOCK_CAP):
+    """Yield (rep, n_cols, slices) per sorted representative of chosen (as
+    check_request returns them, each mapped to a tuple of multipartitions
+    of its composition in _multipartitions' order), slices listing (shapes,
+    d_<lambda>, rows) per multipartition <lambda> that chosen[rep] holds:
+    rows is the block combined by that slice of _isotypic_basis on each
+    right coset of the Young subgroup that holds a word, an integer matrix
+    of rank m_<lambda> over Q and of rank at most m_<lambda> mod p > n.
+    The block is scattered once (_WordTable.scatter) and combined by the
+    basis of its chosen multipartitions only (_combine); a representative
+    with none chosen is skipped, neither scattered nor combined.
+    ResourceLimit is raised before either step allocates more than
+    max_block_entries triples or combined entries."""
     words = _WordTable(alg, n, max_block_entries)
-    for rep in reps:
-        composition = _composition(rep)
-        wanted = _multipartitions(composition) if chosen is None else chosen[rep]
+    for rep, wanted in chosen.items():
         if not wanted:
             continue
+        composition = _composition(rep)
         rows, cols, values, n_cosets, n_cols = words.scatter(
-            rep, _young_subgroup(composition), max_block_entries)
+            rep, young_subgroup(composition), max_block_entries)
         basis, pieces = _isotypic_basis(composition, wanted)
         if len(basis) * n_cosets * n_cols > max_block_entries:
             raise ResourceLimit(
@@ -566,7 +538,7 @@ def slice_ranks(alg: GradedAlgebra, n: int, mode: str = "modular", primes=None,
                                        [0] * len(block_primes[rep])) for shapes in kept})
         chosen[rep] = tuple(shapes for shapes in kept if all(
             len(lam) <= dims[t] for t, lam in zip(sorted(set(rep)), shapes)))
-    for rep, n_cols, slices in isotypic_slices(alg, n, reps, max_block_entries, chosen):
+    for rep, n_cols, slices in isotypic_slices(alg, n, chosen, max_block_entries):
         record[rep] = (n_cols, record[rep][1])
         for shapes, _, rows in slices:
             ranks = record[rep][1][shapes][1]

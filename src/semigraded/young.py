@@ -1,6 +1,8 @@
 """Partitions, Young tableaux, symmetrizers and characters: the
 symmetric-group side shared by the codimension engine and the
-multiplicity code.
+multiplicity code.  Young subgroups, tableau groups and the terms of a
+Young symmetrizer are built here only, as numpy words, each signed by
+permutation_signs.
 """
 
 from __future__ import annotations
@@ -10,8 +12,10 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import permutations
 from types import MappingProxyType
+
+import numpy as np
 
 from .errors import HypothesisViolated
 
@@ -109,53 +113,61 @@ class YoungTableau:
         heights = self.shape.column_heights()
         return [tuple(self.rows[r][c] for r in range(h)) for c, h in enumerate(heights)]
 
-    def row_group(self):
-        """All row-preserving substitutions as variable->variable dicts."""
-        groups = [list(permutations(row)) for row in self.rows]
-        for combo in product(*groups):
-            mapping = {}
-            for row, image in zip(self.rows, combo):
-                mapping.update(dict(zip(row, image)))
-            yield mapping
+    def _relabelled(self, cells, composition) -> np.ndarray:
+        """The Young subgroup of composition acting on the places of cells,
+        the tableau's entries in some reading order, as words over the
+        entries: word[cells[i]] = cells[w[i]] for each word w of
+        young_subgroup(composition)."""
+        cells = np.array(cells, dtype=np.int64)
+        return cells[young_subgroup(composition)[:, np.argsort(cells)]]
 
-    def column_group_signed(self):
-        columns = self.columns()
-        for combo in product(*[list(permutations(col)) for col in columns]):
-            mapping = {}
-            sign = 1
-            for col, image in zip(columns, combo):
-                mapping.update(dict(zip(col, image)))
-                sign *= _perm_sign(col, image)
-            yield mapping, sign
+    def row_words(self) -> np.ndarray:
+        """The row group, one int64 word per element in young_subgroup's
+        order, word[v] the image of entry v, which stays in its row.  The
+        entries must be 0..n-1, in any filling."""
+        return self._relabelled(np.concatenate(self.rows), self.shape.parts)
 
+    def column_words(self) -> tuple:
+        """(words, signs): the column group as row_words gives the row
+        group, and the sign of each element as a Python int."""
+        heights = tuple(self.shape.column_heights())
+        return (self._relabelled(np.concatenate(self.columns()), heights),
+                permutation_signs(young_subgroup(heights)))
 
-def _perm_sign(domain, image):
-    pos = {v: i for i, v in enumerate(domain)}
-    perm = [pos[v] for v in image]
-    sign = 1
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        mu = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            mu += 1
-        if mu % 2 == 0:
-            sign = -sign
-    return sign
+    def symmetrizer_words(self) -> tuple:
+        """(terms, signs): the terms x = rho o sigma of the Young symmetrizer
+        e_T = sum of sign(sigma) rho.sigma, rho over the row group and sigma
+        over the column group, as words x[v] = rho[sigma[v]], rho outermost,
+        and sign(sigma) of each as a Python int."""
+        rows, (columns, signs) = self.row_words(), self.column_words()
+        return rows[:, columns].reshape(-1, self.shape.n), signs * len(rows)
 
 
-def _symmetrizer(tableau: YoungTableau):
-    """The terms (g, sign) of e_T = sum of sign(sigma) rho.sigma over the row
-    group and the signed column group of the tableau T, each g a variable
-    map (both groups map the tableau's entries onto themselves)."""
-    column_group = list(tableau.column_group_signed())
-    return [({v: rho[w] for v, w in sigma.items()}, sign)
-            for rho in tableau.row_group()
-            for sigma, sign in column_group]
+@lru_cache(maxsize=None)
+def young_subgroup(composition) -> np.ndarray:
+    """The Young subgroup of a composition (k_t), one read-only int8 word
+    per element: factor t permutes the k_t places after those of the
+    factors before it, lexicographically, the first factor outermost."""
+    words = np.zeros((1, 0), dtype=np.int64)
+    for k in composition:
+        factor = np.array(list(permutations(range(k))))
+        words = np.concatenate([np.repeat(words, len(factor), axis=0),
+                                np.tile(factor + words.shape[1], (len(words), 1))], axis=1)
+    words = words.astype(np.int8)
+    words.flags.writeable = False
+    return words
+
+
+def permutation_signs(words) -> list:
+    """The sign of each permutation of range(k), one per row of words, as
+    Python ints (safe against overflow beside exact values): -1 to the
+    number of its inversions."""
+    words = np.asarray(words)
+    k = words.shape[1]
+    # the pairs of places j < i whose entries stand in the other order
+    inversions = ((words[:, :, None] < words[:, None, :]) & np.tri(k, k, -1, dtype=bool)).sum(
+        axis=(1, 2))
+    return ((-1) ** inversions).tolist()
 
 
 def standard_tableaux(shape: Partition):

@@ -15,8 +15,6 @@ from semigraded.cochar import (
     FactoredPolynomial,
     Partition,
     YoungTableau,
-    _perm_sign,
-    _symmetrizer,
     _alternation_trials,
     _variant,
     alternating_values,
@@ -57,6 +55,7 @@ from semigraded.young import (
 from test_codim import (BlockLayout, WordTable, block_rank, canonical_rows, catalog_at_two,
                         catalog_slices, count_exact_ranks, half_scaled, live_slice_grams,
                         ut2_codim)
+from young_oracles import column_group_signed, perm_sign, row_group, symmetrizer
 
 
 # -- partitions -----------------------------------------------------------------
@@ -140,8 +139,9 @@ def test_column_major_filling():
 
 def test_row_group_size():
     t = YoungTableau.column_major(Partition((3, 2)))
-    assert len(list(t.row_group())) == math.factorial(3) * math.factorial(2)
-    assert len(list(t.column_group_signed())) == 2 * 2
+    assert len(t.row_words()) == math.factorial(3) * math.factorial(2)
+    words, signs = t.column_words()
+    assert len(words) == len(signs) == 2 * 2
 
 
 def test_full_alternation_kills_repeats():
@@ -203,7 +203,7 @@ def alternating_column_polynomial(variables, word_slots, pos_degrees):
     h = len(variables)
     terms = {}
     for sigma in permutations(range(h)):
-        sign = _perm_sign(tuple(range(h)), sigma)
+        sign = perm_sign(tuple(range(h)), sigma)
         word = tuple(variables[sigma[word_slots[k]]] for k in range(len(word_slots)))
         terms[(word, tuple(pos_degrees))] = Fraction(sign)
     return GradedPolynomial(len(variables), terms)
@@ -339,7 +339,7 @@ def dict_dp_product_value(alg, table, columns, tau):
     by product_value."""
     values = []
     for c in columns:
-        sign = _perm_sign(tuple(range(len(c.slots))), c.slots)
+        sign = perm_sign(tuple(range(len(c.slots))), c.slots)
         value = dict_dp_alternating_value(alg, table, [tau[v] for v in c.variables], c.pos_degrees)
         values.append({k: sign * x for k, x in value.items()})
     return product_value(table, values)
@@ -486,7 +486,7 @@ def per_substitution_symmetrizer(alg, w):
     scalar = math.prod(math.factorial(h) for h in w.shape.column_heights())
     table = alg.eval_table()
     out = {}
-    for rho in w.tableau.row_group():
+    for rho in row_group(w.tableau):
         comp = {v: w.tau[rho.get(v, v)] for v in w.tau}
         for k, c in word_expansion_value(alg, table, w.f.factors, comp).items():
             out[k] = out.get(k, 0) + scalar * c
@@ -520,7 +520,7 @@ def test_shortcut_matches_double_sum_on_witnesses():
         # each column by the dict programme times sign(slots)
         table = alg.eval_table()
         slow = {}
-        for g, sign in _symmetrizer(w.tableau):
+        for g, sign in symmetrizer(w.tableau):
             comp = {v: w.tau[g.get(v, v)] for v in w.tau}
             for k, c in dict_dp_product_value(alg, table, w.f.factors, comp).items():
                 slow[k] = slow.get(k, 0) + sign * c
@@ -946,8 +946,8 @@ def oracle_multiplicity(alg, lam):
         return row
 
     group = [(_compose(rho, sigma), sign)
-             for rho in tableau.row_group()
-             for sigma, sign in tableau.column_group_signed()]
+             for rho in row_group(tableau)
+             for sigma, sign in column_group_signed(tableau)]
 
     rows = []
     for perm in permutations(range(n)):
@@ -1010,7 +1010,7 @@ def spanning_row_multiplicity(alg, lam):
         block, width = reps[tuple(a[v] for v in order)]
         blocks[a] = (block, n_cols, [order.index(v) for v in range(n)])
         n_cols += width
-    group = _symmetrizer(YoungTableau.column_major(lam))
+    group = symmetrizer(YoungTableau.column_major(lam))
     rows = []
     for pi in spanning_permutations(lam):
         # per word of e_T.pi: the word, the position of each variable in it,
@@ -1161,7 +1161,7 @@ def test_spanning_permutations_count_is_the_hook_dimension():
 def symmetrized_elements(lam, words):
     """Yield e_T.pi for each word pi, T column-major, as a dict (word of
     g o pi) -> coefficient."""
-    group = _symmetrizer(YoungTableau.column_major(lam))
+    group = symmetrizer(YoungTableau.column_major(lam))
     for pi in words:
         element = {}
         for g, sign in group:

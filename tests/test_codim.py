@@ -49,7 +49,8 @@ from semigraded.gralgebra import (
 )
 from semigraded.linalg import ZERO, matrix_rank
 from semigraded.semigroup import trivial_semigroup
-from semigraded.young import YoungTableau, _symmetrizer, hook_dim, spanning_permutations
+from semigraded.young import YoungTableau, hook_dim, spanning_permutations
+from young_oracles import direct_product, symmetrizer
 
 
 # -- oracle: dense evaluation of one monomial, independent of the product cache --
@@ -709,7 +710,7 @@ def test_young_factor_matches_the_lehmer_code(n):
         spanning = spanning_permutations(lam)
         want = np.zeros((len(spanning), math.factorial(n)), dtype=np.int8)
         for r, h in enumerate(spanning):
-            for g, sign in _symmetrizer(YoungTableau.column_major(lam)):
+            for g, sign in symmetrizer(YoungTableau.column_major(lam)):
                 want[r, lehmer_lex_ranks(np.array([g[v] for v in h]))] = sign
         factor = codim._young_factor(lam)
         assert factor.shape == (hook_dim(lam), math.factorial(n))
@@ -719,10 +720,10 @@ def test_young_factor_matches_the_lehmer_code(n):
 # -- oracle: the n!-wide isotypic basis E, as the engine combined a block
 #    before it combined each coset of the Young subgroup by one factor --
 
-def symmetrizer_words(lam):
+def dict_symmetrizer_words(lam):
     """(terms, signs, spanning): each term of the symmetrizer of lam's
     column-major tableau as a word, its sign, and the spanning words."""
-    maps, signs = zip(*_symmetrizer(YoungTableau.column_major(lam)))
+    maps, signs = zip(*symmetrizer(YoungTableau.column_major(lam)))
     terms = np.array([[g[v] for v in range(lam.n)] for g in maps], dtype=np.int64)
     return terms, np.array(signs), np.array(spanning_permutations(lam), dtype=np.int64)
 
@@ -738,10 +739,10 @@ def dense_isotypic_basis(composition) -> list:
     cosets = np.argsort(np.argsort(arrangements, axis=1, kind="stable"), axis=1)
     out = []
     for shapes in codim._multipartitions(composition):
-        factors = [symmetrizer_words(lam) for lam in shapes]
-        x = codim._direct_product(terms for terms, _, _ in factors)
+        factors = [dict_symmetrizer_words(lam) for lam in shapes]
+        x = direct_product(terms for terms, _, _ in factors)
         signs = reduce(np.multiply.outer, [s for _, s, _ in factors]).ravel()
-        h = codim._direct_product(words for _, _, words in factors)
+        h = direct_product(words for _, _, words in factors)
         # row (g, h) holds sign(x) at the word x o h o g, for every term x of e
         hg = h[:, cosets].transpose(1, 0, 2).reshape(-1, n)
         rows = np.zeros((len(hg), math.factorial(n)), dtype=np.int64)
@@ -764,11 +765,16 @@ def dense_slices(words, rep) -> dict:
             for shapes, basis in dense_isotypic_basis(codim._composition(rep))}
 
 
+def every_slice(alg, n: int) -> dict:
+    """isotypic_slices' chosen argument that combines every slice."""
+    return {rep: codim._multipartitions(codim._composition(rep))
+            for rep in codim.check_request(alg, n)[1]}
+
+
 def per_coset_slices(alg, n: int) -> dict:
     """{(rep, shapes): (n_cols, exact rank)} of the engine's slices."""
-    _, reps = codim.check_request(alg, n)
     return {(rep, shapes): (n_cols, exact_rank(rows))
-            for rep, n_cols, slices in codim.isotypic_slices(alg, n, reps)
+            for rep, n_cols, slices in codim.isotypic_slices(alg, n, every_slice(alg, n))
             for shapes, _, rows in slices}
 
 
@@ -1022,9 +1028,9 @@ def test_gram_has_the_exact_rank_of_the_matrix(data):
 
 def catalog_slices(alg, n: int):
     """(rep, shapes, rows) of every slice of alg at degree n, and dim A_t per t."""
-    _, reps = codim.check_request(alg, n)
     dims = {t: len(alg.component_indices(t)) for t in alg.support()}
-    found = [(rep, shapes, rows) for rep, _, slices in codim.isotypic_slices(alg, n, reps)
+    found = [(rep, shapes, rows)
+             for rep, _, slices in codim.isotypic_slices(alg, n, every_slice(alg, n))
              for shapes, _, rows in slices]
     return found, dims
 
@@ -1255,7 +1261,7 @@ def test_modular_mode_scatters_each_block_once(monkeypatch):
     # builds the isotypic bases first, whose check ranks mod one prime
     slices = {rep: [rows for shapes, _, rows in found
                     if all(len(lam) <= dims[t] for t, lam in zip(sorted(set(rep)), shapes))]
-              for rep, _, found in codim.isotypic_slices(alg, n, reps)}
+              for rep, _, found in codim.isotypic_slices(alg, n, every_slice(alg, n))}
     scatter, rank_mod_p = codim._WordTable.scatter, codim._rank_mod_p
     scattered, ranked = [], []
 

@@ -9,7 +9,6 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "semigraded"
 ALLOWED = {
     # perfbench/tracing.py wraps both bindings in cochar
     ("cochar", "codim"): {"_product_cache", "_rank_exact"},
-    ("cochar", "young"): {"_perm_sign", "_symmetrizer"},
     ("verify", "gralgebra"): {"_full_matrix_positions", "_pair_algebra"},
 }
 
