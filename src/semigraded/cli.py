@@ -356,8 +356,11 @@ def bounds(out_format, out_path, q, n_max, input_path, catalog, codim_n_max, see
     """Growth-bound table: d^n next to codimensions and hook lower bounds."""
     closed = asympt.lemma_max_closed_form(q)
     c_values = {}
-    if codim_n_max and (input_path or catalog):
+    if codim_n_max:
         alg = _load(input_path, catalog)
+        # refuse an over-cap n before any c_n is computed
+        for n in range(1, codim_n_max + 1):
+            codim.check_request(alg, n)
         for n in range(1, codim_n_max + 1):
             c_values[n] = codim.graded_codim(alg, n, seed=seed).value
     rows = asympt.bound_report(closed.value, range(1, n_max + 1),

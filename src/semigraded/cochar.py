@@ -251,18 +251,15 @@ def theta(alg: GradedAlgebra, basis_index: int) -> int:
 
 def theta_scan(alg: GradedAlgebra, n_max: int):
     """Exhaustively check additivity and the [-1, 1] window of theta on
-    all nonzero products of at most n_max basis elements.  Raises
-    ResourceLimit when codim's product cache passes its default cap."""
+    all nonzero products of at most n_max basis elements, read from the
+    integer word products (codim._product_cache).  Raises ResourceLimit
+    when they would form more words than codim's default cap."""
     if alg.matrix_positions is None:
         raise UnsupportedAlgebra("algebra carries no matrix-unit positions")
     violations = []
-    checked = 0
-    # the cache lists products depth first; a prefix that multiplies to
-    # zero has no longer entries, and a zero product imposes nothing
-    for seq, value in _product_cache(alg, n_max).items():
-        if not value:
-            continue
-        checked += 1
+    # the cache lists the nonzero products, a word after its prefixes
+    products = _product_cache(alg, n_max)
+    for seq, value in products.items():
         theta_sum = sum(theta(alg, b) for b in seq)
         if len(value) != 1:
             violations.append(("support", seq))
@@ -270,7 +267,7 @@ def theta_scan(alg: GradedAlgebra, n_max: int):
             t = theta(alg, next(iter(value)))
             if t != theta_sum or not (-1 <= theta_sum <= 1):
                 violations.append(("theta", seq, theta_sum, t))
-    return {"ok": not violations, "violations": violations, "products_checked": checked}
+    return {"ok": not violations, "violations": violations, "products_checked": len(products)}
 
 
 # -- witness construction ----------------------------------------------------------

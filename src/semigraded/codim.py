@@ -37,7 +37,7 @@ from itertools import combinations_with_replacement, groupby, product
 import numpy as np
 
 from .errors import BadParam, EmptySequence, HypothesisViolated, ResourceLimit
-from .gralgebra import GradedAlgebra, merge_entries, mul_sparse, with_trivial_grading
+from .gralgebra import GradedAlgebra, merge_entries, with_trivial_grading
 from .linalg import eliminate
 from .young import YoungTableau, hook_dim, partitions_of, spanning_permutations, young_subgroup
 
@@ -75,24 +75,17 @@ class CodimResult:
 
 
 def _product_cache(alg: GradedAlgebra, n: int, max_entries: int = DEFAULT_BLOCK_CAP):
-    """Sparse product vectors of every ordered basis tuple up to length n;
-    a tuple is absent when a proper prefix of it multiplies to zero.
-    Raises ResourceLimit once the cache holds more than max_entries tuples."""
-    table = alg.eval_table()
+    """{word: {coordinate: value}} for every word of length 1 to n with a
+    nonzero product, lexicographically (so after its prefixes), its values
+    those of _word_products at its length.  Raises ResourceLimit exactly
+    where _word_products(alg, n, max_entries) does, which it calls first."""
     cache = {}
-    # depth first with an explicit stack: a recursive closure would be a
-    # reference cycle that keeps the whole cache alive until a full gc pass
-    stack = [((b,), {b: 1}) for b in reversed(range(alg.dim))]
-    while stack:
-        key, value = stack.pop()
-        cache[key] = value
-        if len(cache) > max_entries:
-            raise ResourceLimit(f"product cache for n = {n} passes {max_entries} entries",
-                                context=n)
-        if value and len(key) < n:
-            stack.extend((key + (b,), mul_sparse(table, value, {b: 1}))
-                         for b in reversed(range(alg.dim)))
-    return cache
+    for m in range(n, 0, -1):
+        words, at, coord, values = _word_products(alg, m, max_entries)
+        words = list(map(tuple, words.tolist()))
+        for w, k, v in zip(at.tolist(), coord.tolist(), values.tolist()):
+            cache.setdefault(words[w], {})[k] = v
+    return dict(sorted(cache.items()))
 
 
 def _word_products(alg: GradedAlgebra, n: int, max_entries: int = DEFAULT_BLOCK_CAP):
@@ -109,8 +102,9 @@ def _word_products(alg: GradedAlgebra, n: int, max_entries: int = DEFAULT_BLOCK_
     word whose prefix multiplies to zero drops out with it.  Level n then
     carries L ** (n - 1) times the products; dividing by the gcd of that
     power and every value gives the lcm scaling.  Raises ResourceLimit
-    before a level takes the words formed, as _product_cache counts them,
-    or the joined entries past max_entries."""
+    before a level takes the words formed (dim at length 1, then dim per
+    word of nonzero product of the length before, summed) or the joined
+    entries past max_entries."""
     dim = alg.dim
     cells = alg.cell_table()
     # an entry of level m is a sum of products of m - 1 constants, at most

@@ -21,7 +21,7 @@ from .errors import (
     SemigroupMismatch,
     UnknownName,
 )
-from .linalg import (ONE, ZERO, Subspace, integer_row, is_zero_vec, solve, span_closure,
+from .linalg import (ONE, ZERO, Subspace, frac, integer_row, is_zero_vec, solve, span_closure,
                      sparse_map, unit_vec)
 from .semigroup import (
     FiniteSemigroup,
@@ -67,18 +67,6 @@ class GradedAlgebra:
                     for k, c in cell.items():
                         out[k] += ab * c
         return tuple(out)
-
-    def eval_table(self):
-        """Structure constants as (i, j) -> ((k, c), ...) for mul_sparse.
-
-        The constants are plain ints when every one is integral: hot loops
-        (long products of basis elements) run noticeably faster on ints
-        than on Fractions.
-        """
-        integral = all(c.denominator == 1 for cell in self.structure.values()
-                       for c in cell.values())
-        return {key: tuple((k, c.numerator if integral else c) for k, c in cell.items())
-                for key, cell in self.structure.items()}
 
     def integer_table(self):
         """(table, scale): the structure constants times scale, the lcm of
@@ -163,38 +151,38 @@ def merge_entries(codes: np.ndarray, values: np.ndarray):
     return codes[heads][live], sums[live]
 
 
-def mul_sparse(table, u, v) -> dict:
-    """Product of the sparse vectors u and v (dicts index -> coefficient)
-    under an eval_table; zero coefficients are dropped."""
-    out = {}
-    for i, a in u.items():
-        for j, b in v.items():
-            cell = table.get((i, j))
-            if cell:
-                ab = a * b
-                for k, c in cell:
-                    out[k] = out.get(k, 0) + ab * c
-    return {k: c for k, c in out.items() if c != 0}
+def multiplication_maps(alg: GradedAlgebra):
+    """(left, right, scale): left[i] and right[i] the linear maps v -> e_i v
+    and v -> v e_i on sparse rows (linalg.sparse_map), over the structure
+    constants times scale (integer_table), so every image is scale times
+    the product."""
+    table, scale = alg.integer_table()
+    n = alg.dim
+    left = [sparse_map([table.get((i, j), ()) for j in range(n)]) for i in range(n)]
+    right = [sparse_map([table.get((j, i), ()) for j in range(n)]) for i in range(n)]
+    return left, right, scale
 
 
 def validate(alg: GradedAlgebra):
     """Check associativity, the grading law and the declared unit.
 
-    Checks sparsely through mul_sparse on alg.eval_table(), each basis
-    product e_i e_j formed once.  Returns a report dict {"ok": bool,
-    "violations": [...]} in the order i, j, then k ascending, each pair's
-    grading before its associativity, the unit last; the catalog and the
-    file parser insist on ok.  Raises ResourceLimit before any product
-    when the dim^3 basis triples pass codim.DEFAULT_BLOCK_CAP.
+    Checks sparsely through multiplication_maps, each basis product e_i e_j
+    formed once: both sides of each identity carry the same power of the
+    table's scale, and the unit, scaled to integers by the lcm of its
+    denominators, is checked against that lcm times the scale.  Returns a
+    report dict {"ok": bool, "violations": [...]} in the order i, j, then k
+    ascending, each pair's grading before its associativity, the unit
+    last; the catalog and the file parser insist on ok.  Raises
+    ResourceLimit before any product when the dim^3 basis triples pass
+    codim.DEFAULT_BLOCK_CAP.
     """
     from .codim import DEFAULT_BLOCK_CAP  # here, since codim imports this module
     n = alg.dim
     if n ** 3 > DEFAULT_BLOCK_CAP:
         raise ResourceLimit(f"validating dimension {n} checks {n ** 3} basis triples "
                             f"(cap {DEFAULT_BLOCK_CAP})")
-    table = alg.eval_table()
-    basis = [{i: 1} for i in range(n)]
-    products = [[mul_sparse(table, basis[i], basis[j]) for j in range(n)] for i in range(n)]
+    left, right, scale = multiplication_maps(alg)
+    products = [[left[i]({j: 1}) for j in range(n)] for i in range(n)]
     # both sides of (e_i e_j) e_k = e_i (e_j e_k) vanish when e_i e_j = e_j e_k = 0
     live = [[k for k in range(n) if products[j][k]] for j in range(n)]
     violations = []
@@ -206,16 +194,14 @@ def validate(alg: GradedAlgebra):
             violations.extend(("grading", (i, j), k) for k in sorted(ij)
                               if alg.degree[k] != target)
             for k in range(n) if ij else live[j]:
-                jk = products[j][k]
-                left = mul_sparse(table, ij, basis[k]) if ij else {}
-                right = mul_sparse(table, basis[i], jk) if jk else {}
-                if left != right:
+                if right[k](ij) != left[i](products[j][k]):
                     violations.append(("associativity", (i, j, k)))
     if alg.unit is not None:
-        unit = {k: c for k, c in enumerate(alg.unit) if c != 0}
+        d = math.lcm(*(frac(c).denominator for c in alg.unit))
+        unit = {k: int(c * d) for k, c in enumerate(alg.unit) if c != 0}
         for i in range(n):
-            e = basis[i]
-            if mul_sparse(table, unit, e) != e or mul_sparse(table, e, unit) != e:
+            e = {i: d * scale}
+            if right[i](unit) != e or left[i](unit) != e:
                 violations.append(("unit", i))
     return {"ok": not violations, "violations": violations}
 
@@ -306,13 +292,10 @@ def ideal_generated(alg: GradedAlgebra, vectors) -> Subspace:
     unit.
     """
     n = alg.dim
-    table, _ = alg.integer_table()
-    maps = [sparse_map([table.get(key, ()) for key in keys])
-            for i in range(n)
-            for keys in ([(i, j) for j in range(n)], [(j, i) for j in range(n)])]
+    left, right, _ = multiplication_maps(alg)
     seeds = [{k: x for k, x in enumerate(integer_row(v)) if x} for v in vectors]
     return Subspace(n, [[row.get(k, 0) for k in range(n)]
-                        for row in span_closure(n, seeds, maps)])
+                        for row in span_closure(n, seeds, left + right)])
 
 
 def is_graded_subspace(alg: GradedAlgebra, s: Subspace) -> bool:

@@ -128,6 +128,47 @@ def test_codim_refuses_an_over_cap_degree_before_computing_any(runner, monkeypat
     assert json.loads(line) == {"error": "ResourceLimit", "message": message}
 
 
+_BOUNDS = ["bounds", "--q", "4", "--n-max", "4", "--catalog", "thm_T1_fractional",
+           "--codim-n-max", "3"]
+
+
+def test_bounds_tables(runner):
+    # c_n beside d^n up to --codim-n-max, blank past it
+    result = runner.invoke(main, _BOUNDS)
+    assert result.exit_code == 0
+    assert result.output.splitlines() == [
+        "n,d_pow_n,c_n,hook_lower", "1,3.828427,2,1", "2,14.656854,8,1", "3,56.112698,48,1",
+        "4,214.823376,,3"]
+    result = runner.invoke(main, _BOUNDS + ["--format", "json"])
+    assert result.exit_code == 0
+    rows = json.loads(result.output)
+    assert [(r["n"], r["c_n"], r["hook_lower"]) for r in rows] == \
+        [(1, 2, 1), (2, 8, 1), (3, 48, 1), (4, None, 3)]
+
+
+def test_bounds_refuses_an_over_cap_degree_before_computing_any(runner, monkeypatch):
+    from semigraded import codim
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a word product ran")
+
+    monkeypatch.setattr(codim, "_word_products", unreachable)
+    result = runner.invoke(main, _BOUNDS[:-1] + ["9"])
+    assert result.exit_code == 3
+    assert result.stdout == ""
+    [line] = result.stderr.strip().splitlines()
+    assert json.loads(line) == {"error": "ResourceLimit", "message": _DEGREE_EIGHT_REFUSED}
+
+
+def test_bounds_codimensions_need_an_algebra(runner):
+    result = runner.invoke(main, ["bounds", "--q", "4", "--codim-n-max", "3"])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    [line] = result.stderr.strip().splitlines()
+    assert json.loads(line) == {"error": "BadParam", "message": "an algebra is required: "
+                                                                "--input FILE or --catalog SPEC"}
+
+
 @pytest.mark.parametrize("args, message", [
     (["check", "--catalog", "full_matrix(30)"],
      "validating dimension 900 checks 729000000 basis triples (cap 10000000)"),
@@ -140,7 +181,7 @@ def test_oversized_validation_is_a_resource_limit(runner, monkeypatch, args, mes
     def no_product(*args):
         raise AssertionError("a product ran")
 
-    monkeypatch.setattr(gralgebra, "mul_sparse", no_product)
+    monkeypatch.setattr(gralgebra, "multiplication_maps", no_product)
     result = runner.invoke(main, args)
     assert result.exit_code == 3
     assert result.stdout == ""

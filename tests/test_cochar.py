@@ -33,7 +33,7 @@ from semigraded.cochar import (
     theta_scan,
 )
 from semigraded import cochar, codim
-from semigraded.codim import _product_cache, _rank_exact, graded_codim
+from semigraded.codim import _rank_exact, graded_codim
 from semigraded.errors import (
     BadParam,
     HypothesisViolated,
@@ -42,8 +42,8 @@ from semigraded.errors import (
     TooManyParts,
     UnsupportedAlgebra,
 )
-from semigraded.gralgebra import (GradedAlgebra, full_matrix, merge_entries, mul_sparse,
-                                  paper_catalog, parse_catalog_spec, with_trivial_grading)
+from semigraded.gralgebra import (GradedAlgebra, full_matrix, merge_entries, paper_catalog,
+                                  parse_catalog_spec, with_trivial_grading)
 from semigraded.linalg import eliminate
 from semigraded.semigroup import trivial_semigroup
 from semigraded.young import (
@@ -52,6 +52,7 @@ from semigraded.young import (
     induction_coefficients,
     spanning_permutations,
 )
+from product_oracles import eval_table, mul_sparse, product_cache
 from test_codim import (BlockLayout, WordTable, block_rank, canonical_rows, catalog_at_two,
                         catalog_slices, count_exact_ranks, half_scaled, live_slice_grams,
                         ut2_codim)
@@ -276,7 +277,7 @@ def test_alternating_column_matches_the_word_expansion(data):
     # large_constants() forces Python ints
     alg = data.draw(st.sampled_from(column_algebras() + (large_constants(),)))
     h = data.draw(st.integers(1, 9))
-    table = alg.eval_table()
+    table = eval_table(alg)
     rows, expected = [], []
     for _ in range(data.draw(st.integers(1, 4))):
         columns, tau, lo = [], {}, 0
@@ -415,7 +416,7 @@ def test_alternating_value_matches_the_mul_sparse_oracle(data):
     alg = data.draw(st.sampled_from(column_algebras() + (large_constants(),)))
     h = data.draw(st.integers(1, alg.dim + 1))
     batch = [draw_rows(data, alg, h) for _ in range(data.draw(st.integers(0, 4)))]
-    table = alg.eval_table()
+    table = eval_table(alg)
     values = by_degree(alg, [r[0] for r in batch], [r[1] for r in batch])
     assert values == [mul_sparse_alternating_value(alg, table, *row) for row in batch]
     assert values == [dict_dp_alternating_value(alg, table, *row) for row in batch]
@@ -441,7 +442,7 @@ def test_alternating_values_edge_rows():
     big = large_constants()
     [value] = by_degree(big, [[e11, e12, e21]], [[0, 0, 0]])
     assert value and all(type(c) is int for c in value.values())
-    assert value == dict_dp_alternating_value(big, big.eval_table(), [e11, e12, e21], [0, 0, 0])
+    assert value == dict_dp_alternating_value(big, eval_table(big), [e11, e12, e21], [0, 0, 0])
 
 
 def test_alternating_values_are_capped():
@@ -465,7 +466,7 @@ def test_witness_columns_match_the_word_expansion():
             tau = {v: index[label] for v, label in zip(column.variables, table.columns[kind])}
             [value] = confined_values(alg, [laid_end_to_end(alg, [column], tau)])
             assert value, (variant, kind)
-            assert value == word_expansion_value(alg, alg.eval_table(), [column], tau), \
+            assert value == word_expansion_value(alg, eval_table(alg), [column], tau), \
                 (variant, kind)
 
 
@@ -484,7 +485,7 @@ def per_substitution_symmetrizer(alg, w):
     """e_T.f at tau for a witness, one row-group element at a time, with
     every column expanded into its h! words."""
     scalar = math.prod(math.factorial(h) for h in w.shape.column_heights())
-    table = alg.eval_table()
+    table = eval_table(alg)
     out = {}
     for rho in row_group(w.tableau):
         comp = {v: w.tau[rho.get(v, v)] for v in w.tau}
@@ -518,7 +519,7 @@ def test_shortcut_matches_double_sum_on_witnesses():
         [fast] = apply_symmetrizer(alg, [(w.tableau, w.f, w.tau)])
         # the double sum over row and signed column group, term by term,
         # each column by the dict programme times sign(slots)
-        table = alg.eval_table()
+        table = eval_table(alg)
         slow = {}
         for g, sign in symmetrizer(w.tableau):
             comp = {v: w.tau[g.get(v, v)] for v in w.tau}
@@ -561,7 +562,7 @@ def test_both_sides_of_the_int64_bound_match_the_oracle(monkeypatch):
     cells = t1.cell_table()
     assert math.factorial(13) * (cells.dim * cells.top) ** 12 >= 2 ** 63
     assert confined_values(t1, [laid_end_to_end(t1, w.f.factors, w.tau)]) == \
-        [word_expansion_value(t1, t1.eval_table(), w.f.factors, w.tau)]
+        [word_expansion_value(t1, eval_table(t1), w.f.factors, w.tau)]
     assert dtypes and all(d == np.int64 for d in dtypes)
     dtypes.clear()
     [value] = apply_symmetrizer(t1, [(w.tableau, w.f, w.tau)])
@@ -573,7 +574,7 @@ def test_both_sides_of_the_int64_bound_match_the_oracle(monkeypatch):
     columns = [AlternatingColumn((0, 1), (1, 0), (0, 0)), AlternatingColumn((2,), (0,), (0,))]
     tau = {0: e12, 1: e21, 2: e11}
     [value] = confined_values(big, [laid_end_to_end(big, columns, tau)])
-    assert value and value == word_expansion_value(big, big.eval_table(), columns, tau)
+    assert value and value == word_expansion_value(big, eval_table(big), columns, tau)
     assert dtypes and all(d == object for d in dtypes)
 
 # -- theta ---------------------------------------------------------------------------
@@ -602,6 +603,16 @@ def test_theta_scan_clean_on_both_fractional_algebras():
         report = theta_scan(paper_catalog(name), 4)
         assert report["ok"], report["violations"][:3]
         assert report["products_checked"] == checked
+
+
+def test_theta_scan_reads_the_scaled_word_products():
+    # every structure constant halved, the matrix positions kept: the scan
+    # sees the same nonzero words with the same supports
+    t1 = paper_catalog("thm_T1_fractional")
+    halved = dataclasses.replace(t1, structure={
+        key: {k: c / 2 for k, c in cell.items()} for key, cell in t1.structure.items()})
+    assert halved.matrix_positions == t1.matrix_positions
+    assert theta_scan(halved, 4) == theta_scan(t1, 4)
 
 
 def test_theta_scan_reports_wrong_positions_in_order():
@@ -918,7 +929,7 @@ def oracle_multiplicity(alg, lam):
     n = lam.n
     support = alg.support()
     tableau = YoungTableau.column_major(lam)
-    cache = _product_cache(alg, n)
+    cache = product_cache(alg, n)
     comp = {t: alg.component_indices(t) for t in support}
 
     monomial_rows = {}
@@ -1213,7 +1224,7 @@ def test_alternation_draws_are_not_vacuous():
     # no full set of distinct letters, some are nonzero
     for name in ("thm_T1_fractional", "thm_T3_fractional"):
         alg = paper_catalog(name)
-        table = alg.eval_table()
+        table = eval_table(alg)
         for h in range(2, alg.dim + 1):
             draws = _alternation_trials(alg, h, 200, 0)
             rows = [sub for _, _, sub in draws]
@@ -1234,7 +1245,7 @@ def test_alternation_check_values_at_seed_zero():
         draws = _alternation_trials(alg, n, 200, 0)
         rows = [sub for _, _, sub in draws]
         degrees = [[d[v] for v in word] for word, d, _ in draws]
-        table = alg.eval_table()
+        table = eval_table(alg)
         assert by_degree(alg, rows, degrees) == \
             [dict_dp_alternating_value(alg, table, r, d) for r, d in zip(rows, degrees)] == \
             [{}] * 200

@@ -20,7 +20,6 @@ from semigraded.codim import (
     DEFAULT_BLOCK_CAP,
     PRIME_BANK,
     _block_primes,
-    _product_cache,
     _rank_exact,
     _rank_mod_p,
     codim_sequence,
@@ -50,6 +49,7 @@ from semigraded.gralgebra import (
 from semigraded.linalg import ZERO, matrix_rank
 from semigraded.semigroup import trivial_semigroup
 from semigraded.young import YoungTableau, hook_dim, spanning_permutations
+from product_oracles import eval_table, product_cache
 from young_oracles import direct_product, symmetrizer
 
 
@@ -139,7 +139,7 @@ def oracle_block(alg: GradedAlgebra, cache, assignment, p=None):
 def oracle_blocks(alg: GradedAlgebra, n: int, mode: str, seed: int = 0):
     """{assignment: (n_cols, rank, certification)} with per-assignment
     primes, as graded_codim computed them before orbit reduction."""
-    cache = _product_cache(alg, n)
+    cache = product_cache(alg, n)
     out = {}
     for assignment in product(alg.support(), repeat=n):
         if mode == "exact":
@@ -407,7 +407,7 @@ def test_exponent_estimate():
     adjoin_unit(full_matrix(2)),
 ], ids=lambda a: a.name)
 def test_product_cache_matches_the_oracle(alg):
-    cache = _product_cache(alg, 4)
+    cache = product_cache(alg, 4)
     for n in range(1, 5):
         for key in product(range(alg.dim), repeat=n):
             m = GradedMonomial.from_permutation(tuple(range(n)), tuple(alg.degree[b] for b in key))
@@ -442,7 +442,7 @@ def half_scaled(alg):
 def test_non_integral_structure_constants():
     base = paper_catalog("mk_column_graded", 2)
     alg = half_scaled(base)
-    assert not any(isinstance(c, int) for cell in alg.eval_table().values() for _, c in cell)
+    assert not any(isinstance(c, int) for cell in eval_table(alg).values() for _, c in cell)
     assert {c for cell in alg.structure.values() for c in cell.values()} == {Fraction(1, 2)}
     for mode in ("modular", "exact"):
         scaled = codim_sequence(alg, 4, mode=mode)
@@ -511,11 +511,11 @@ def test_over_cap_request_fails_before_the_product_cache(monkeypatch):
 def test_product_cache_is_capped():
     alg = adjoin_unit(full_matrix(3))
     with pytest.raises(ResourceLimit):
-        _product_cache(alg, 7, max_entries=1000)
-    size = len(_product_cache(alg, 3))
-    assert _product_cache(alg, 3, max_entries=size) == _product_cache(alg, 3)
+        product_cache(alg, 7, max_entries=1000)
+    size = len(product_cache(alg, 3))
+    assert product_cache(alg, 3, max_entries=size) == product_cache(alg, 3)
     with pytest.raises(ResourceLimit):
-        _product_cache(alg, 3, max_entries=size - 1)
+        product_cache(alg, 3, max_entries=size - 1)
 
 
 _FIXED = ("thm_T1_fractional", "thm_T2_fractional", "thm_T3_fractional", "mk_zhalf_graded")
@@ -530,14 +530,14 @@ def catalog_at_two():
 
 @lru_cache(maxsize=None)
 def cached_products(i: int, n: int):
-    return _product_cache(catalog_at_two()[i], n)
+    return product_cache(catalog_at_two()[i], n)
 
 
 def oracle_word_products(alg, n: int):
-    """(words, products) from _product_cache: the length-n words of nonzero
-    product in its order and their products as dense integer rows, scaled
-    by the lcm of their denominators."""
-    cache = _product_cache(alg, n)
+    """(words, products) from the depth-first product_cache: the length-n
+    words of nonzero product in its order and their products as dense
+    integer rows, scaled by the lcm of their denominators."""
+    cache = product_cache(alg, n)
     words = [key for key, value in cache.items() if len(key) == n and value]
     scale = math.lcm(*(Fraction(c).denominator for w in words for c in cache[w].values()))
     return words, [[int(cache[w].get(k, 0) * scale) for k in range(alg.dim)] for w in words]
@@ -580,9 +580,10 @@ def cyclic_group_algebra(k: int):
 
 
 def test_word_products_are_capped_before_the_level_is_formed():
-    # the cap counts the words formed, as _product_cache counts its entries
+    # the cap counts the words formed, as the depth-first product_cache
+    # counts its entries
     alg = adjoin_unit(full_matrix(3))
-    size = len(_product_cache(alg, 3))
+    size = len(product_cache(alg, 3))
     assert len(codim._word_products(alg, 3, max_entries=size)[0]) == \
         len(oracle_word_products(alg, 3)[0])
     with pytest.raises(ResourceLimit, match="product cache for n = 3"):
@@ -601,6 +602,25 @@ def test_word_products_are_capped_before_the_level_is_formed():
     finally:
         tracemalloc.stop()
     assert peak < 12 ** n * 8 * 4
+
+
+@pytest.mark.parametrize("alg", catalog_at_two() + (
+    divided_basis(paper_catalog("thm_T1_fractional"), 2),), ids=lambda a: a.name)
+def test_product_cache_is_a_view_of_the_word_products(alg):
+    # the nonzero words of the depth-first oracle in its order, each with
+    # the oracle's support and values scaled by the lcm of the denominators
+    # at its length (a power of 2 on the divided basis); refused below the
+    # oracle's entry count, as _word_products counts the words formed
+    by_length = {m: oracle_word_products(alg, m) for m in range(1, 5)}
+    for n in range(1, 5):
+        oracle = product_cache(alg, n)
+        view = codim._product_cache(alg, n)
+        assert list(view) == [w for w, value in oracle.items() if value]
+        assert view == {w: {k: v for k, v in enumerate(row) if v}
+                        for m in range(1, n + 1) for w, row in zip(*by_length[m])}
+        assert codim._product_cache(alg, n, max_entries=len(oracle)) == view
+        with pytest.raises(ResourceLimit, match=f"product cache for n = {n}"):
+            codim._product_cache(alg, n, max_entries=len(oracle) - 1)
 
 
 def test_word_products_are_capped_by_the_joined_entries():
@@ -831,7 +851,7 @@ class WordTable:
     range(n) in lexicographic order and the basis of each component."""
 
     def __init__(self, alg: GradedAlgebra, n: int):
-        cache = _product_cache(alg, n)
+        cache = product_cache(alg, n)
         dim = alg.dim
         words = sorted(key for key, value in cache.items() if len(key) == n and value)
         self.powers = dim ** np.arange(n - 1, -1, -1, dtype=np.int64)
@@ -1203,7 +1223,7 @@ def test_cap_counts_the_allocated_entries(monkeypatch):
     first = reps[0]
     bases = max(codim._basis_rows(composition) * math.prod(map(math.factorial, composition))
                 for composition in map(codim._composition, reps))
-    assert max(bases, len(_product_cache(alg, n))) < triples[first] < combined[first] \
+    assert max(bases, len(product_cache(alg, n))) < triples[first] < combined[first] \
         < max(combined.values())
 
     cap = None

@@ -35,6 +35,7 @@ from semigraded.gralgebra import (
 )
 from semigraded.linalg import Subspace, is_zero_vec, solve, vec
 from semigraded.semigroup import catalog_semigroup, trivial_semigroup
+from test_codim import scaled_products
 
 CATALOG_ARGS = {
     "exampleT1": (2,), "exampleT2": (2,), "exampleT3": (2,),
@@ -135,6 +136,10 @@ def perturbed_algebras(draw):
     return alg
 
 
+def doubled_unit(alg):
+    return replace(alg, unit=tuple(2 * c for c in alg.unit))
+
+
 def assert_validation_matches_the_oracle(alg):
     want = dense_validate(alg)
     assert validate(alg) == want
@@ -151,14 +156,20 @@ def assert_validation_matches_the_oracle(alg):
 
 @settings(max_examples=120, deadline=None)
 @given(perturbed_algebras())
-# explicit zeros (the int path of eval_table) on a zero and a nonzero product,
-# a non-integral constant (the Fraction path), a degree and a unit changed
+# explicit zeros on a zero and a nonzero product, a non-integral constant
+# (a table scale past 1), a degree and a unit changed
 @example(with_constant(full_matrix(2), 0, 3, 0, Fraction(0)))
 @example(with_constant(full_matrix(2), 0, 0, 0, Fraction(0)))
 @example(with_constant(full_matrix(2), 1, 2, 0, Fraction(1, 2)))
 @example(with_constant(paper_catalog("thm_T3_fractional"), 0, 0, 5, Fraction(3)))
 @example(replace(paper_catalog("mk_zhalf_graded"), degree=(0, 0, 1, 0)))
 @example(replace(full_matrix(2), unit=(Fraction(1), Fraction(0), Fraction(0), Fraction(2))))
+# bases scaled by 2 and 2/3: the constants times k, the unit over k, so its
+# coordinates are not integral; correct, and doubled
+@example(scaled_products(paper_catalog("thm_T1_fractional"), 2))
+@example(scaled_products(paper_catalog("thm_T1_fractional"), Fraction(2, 3)))
+@example(doubled_unit(scaled_products(paper_catalog("thm_T1_fractional"), 2)))
+@example(doubled_unit(scaled_products(paper_catalog("thm_T1_fractional"), Fraction(2, 3))))
 def test_validate_matches_the_dense_oracle(alg):
     assert_validation_matches_the_oracle(alg)
 
@@ -172,7 +183,7 @@ def test_validate_refuses_too_many_basis_triples_before_any_product(monkeypatch)
     def no_product(*args):
         raise AssertionError("a product ran")
 
-    monkeypatch.setattr(gralgebra, "mul_sparse", no_product)
+    monkeypatch.setattr(gralgebra, "multiplication_maps", no_product)
     with pytest.raises(ResourceLimit, match="dimension 4 checks 64 basis triples"):
         validate(full_matrix(2))
 
