@@ -4,7 +4,8 @@
 Computes c_1..c_N for the interesting catalog algebras in modular mode,
 prints the per-n values with n-th roots and the ratios c_n/c_(n-1), and
 cross-checks the two degree-7 algebras against each other termwise.
---max-block-entries sets the block cap; c_7 fits under the default.
+--max-block-entries sets the block cap; c_7 fits under the default, and
+an --n-max past it exits with the ResourceLimit before any c_n is printed.
 """
 
 import argparse
@@ -30,14 +31,16 @@ def main():
     ap.add_argument("--max-block-entries", type=int, default=DEFAULT_BLOCK_CAP)
     args = ap.parse_args()
 
-    sequences = {}
-    for spec in args.targets:
-        alg = parse_catalog_spec(spec)
-        seq = codim_sequence(alg, args.n_max, seed=args.seed,
-                             max_block_entries=args.max_block_entries)
-        sequences[spec] = [r.value for r in seq]
-        est = exponent_estimate([r.value for r in seq])
-        print(f"{spec}  (dim {alg.dim})")
+    algebras = {spec: parse_catalog_spec(spec) for spec in args.targets}
+    # codim_sequence refuses an over-cap n before computing any c_n, and
+    # nothing is printed before every sequence is in
+    results = {spec: codim_sequence(alg, args.n_max, seed=args.seed,
+                                    max_block_entries=args.max_block_entries)
+               for spec, alg in algebras.items()}
+    sequences = {spec: [r.value for r in seq] for spec, seq in results.items()}
+    for spec, seq in results.items():
+        est = exponent_estimate(sequences[spec])
+        print(f"{spec}  (dim {algebras[spec].dim})")
         prev = None
         for r, root in zip(seq, est["roots"]):
             ratio = f"{r.value / prev:.4f}" if prev else "-"

@@ -258,12 +258,8 @@ def codim_cmd(input_path, catalog, out_format, out_path, n_max, mode, primes,
     alg = _load(input_path, catalog)
     if ordinary:
         alg = with_trivial_grading(alg)
-    # refuse an over-cap n before any c_n is computed
-    for n in range(1, n_max + 1):
-        codim.check_request(alg, n, mode, plist or None, caps)
-    results = [codim.graded_codim(alg, n, mode=mode, primes=plist or None,
-                                  seed=seed, max_block_entries=caps)
-               for n in range(1, n_max + 1)]
+    results = codim.codim_sequence(alg, n_max, mode, primes=plist or None, seed=seed,
+                                   max_block_entries=caps)
     if out_format == "json":
         payload = [{"n": r.n, "c_n": r.value, "certification": r.certification,
                     "seconds": round(r.seconds, 3) if timings else None,
@@ -357,12 +353,8 @@ def bounds(out_format, out_path, q, n_max, input_path, catalog, codim_n_max, see
     closed = asympt.lemma_max_closed_form(q)
     c_values = {}
     if codim_n_max:
-        alg = _load(input_path, catalog)
-        # refuse an over-cap n before any c_n is computed
-        for n in range(1, codim_n_max + 1):
-            codim.check_request(alg, n)
-        for n in range(1, codim_n_max + 1):
-            c_values[n] = codim.graded_codim(alg, n, seed=seed).value
+        c_values = {r.n: r.value for r in
+                    codim.codim_sequence(_load(input_path, catalog), codim_n_max, seed=seed)}
     rows = asympt.bound_report(closed.value, range(1, n_max + 1),
                                c_values=c_values, alpha=closed.point)
     if out_format == "json":

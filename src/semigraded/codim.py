@@ -77,11 +77,11 @@ class CodimResult:
 def _product_cache(alg: GradedAlgebra, n: int, max_entries: int = DEFAULT_BLOCK_CAP):
     """{word: {coordinate: value}} for every word of length 1 to n with a
     nonzero product, lexicographically (so after its prefixes), its values
-    those of _word_products at its length.  Raises ResourceLimit exactly
-    where _word_products(alg, n, max_entries) does, which it calls first."""
+    those of _word_products at its length, every length read from one pass
+    (_word_levels).  Raises ResourceLimit exactly where
+    _word_products(alg, n, max_entries) does."""
     cache = {}
-    for m in range(n, 0, -1):
-        words, at, coord, values = _word_products(alg, m, max_entries)
+    for words, at, coord, values in _word_levels(alg, n, max_entries):
         words = list(map(tuple, words.tolist()))
         for w, k, v in zip(at.tolist(), coord.tolist(), values.tolist()):
             cache.setdefault(words[w], {})[k] = v
@@ -93,46 +93,52 @@ def _word_products(alg: GradedAlgebra, n: int, max_entries: int = DEFAULT_BLOCK_
     product, lexicographically, one per row, and the nonzero coefficients
     of their products as entries (word, coordinate, value) in (word,
     coordinate) order, scaled to integers by the lcm of their denominators
-    (ranks over Q unchanged); int64, or Python ints past its range.
+    (ranks over Q unchanged); int64, or Python ints past its range.  The
+    last level of _word_levels, which raises ResourceLimit for it."""
+    for level in _word_levels(alg, n, max_entries):
+        pass
+    return level
+
+
+def _word_levels(alg: GradedAlgebra, n: int, max_entries: int = DEFAULT_BLOCK_CAP):
+    """Yield _word_products(alg, m, max_entries) for m = 1 to n, in turn.
 
     Formed one level at a time: the structure constants scaled to integers
     by their lcm L (GradedAlgebra.cell_table) act on the nonzero entries of
     the level before, each entry (w, i, v) joining the constants c_(i b)^k
     into the entry (wb, k, v c), equal (wb, k) merged (merge_entries), so a
-    word whose prefix multiplies to zero drops out with it.  Level n then
-    carries L ** (n - 1) times the products; dividing by the gcd of that
+    word whose prefix multiplies to zero drops out with it.  Level m then
+    carries L ** (m - 1) times the products; dividing by the gcd of that
     power and every value gives the lcm scaling.  Raises ResourceLimit
     before a level takes the words formed (dim at length 1, then dim per
     word of nonzero product of the length before, summed) or the joined
-    entries past max_entries."""
+    entries past max_entries, the levels before it already yielded."""
     dim = alg.dim
     cells = alg.cell_table()
     # an entry of level m is a sum of products of m - 1 constants, at most
     # (dim * max |constant|) ** (m - 1)
     dtype = np.int64 if (dim * cells.top) ** (n - 1) < 2 ** 63 else object
     refused = ResourceLimit(f"product cache for n = {n} passes {max_entries} entries", context=n)
-    if dim > max_entries:
-        raise refused
     words = np.arange(dim, dtype=np.int64)[:, None]
     at = coord = np.arange(dim, dtype=np.int64)
     values = np.ones(dim, dtype=dtype)
     formed = dim
-    for _ in range(n - 1):
-        formed += len(words) * dim
+    for m in range(1, n + 1):
         if formed > max_entries:
             raise refused
-        src, cell = cells.join(coord * dim, coord * dim + dim, max_entries, refused)
-        # (word formed, coordinate) as one code, word formed = w * dim + b
-        codes, values = merge_entries((at[src] * dim + cells.letter[cell]) * dim
-                                      + cells.target[cell],
-                                      values[src] * cells.constant[cell])
-        formed_words, at = np.unique(codes // dim, return_inverse=True)
-        coord = codes % dim
-        words = np.concatenate([words[formed_words // dim], (formed_words % dim)[:, None]],
-                               axis=1)
-    if len(values):
-        values //= math.gcd(cells.scale ** (n - 1), int(np.gcd.reduce(values)))
-    return words, at, coord, values
+        if m > 1:
+            src, cell = cells.join(coord * dim, coord * dim + dim, max_entries, refused)
+            # (word formed, coordinate) as one code, word formed = w * dim + b
+            codes, values = merge_entries((at[src] * dim + cells.letter[cell]) * dim
+                                          + cells.target[cell],
+                                          values[src] * cells.constant[cell])
+            formed_words, at = np.unique(codes // dim, return_inverse=True)
+            coord = codes % dim
+            words = np.concatenate([words[formed_words // dim], (formed_words % dim)[:, None]],
+                                   axis=1)
+        scale = math.gcd(cells.scale ** (m - 1), int(np.gcd.reduce(values))) if len(values) else 1
+        yield words, at, coord, values // scale
+        formed += len(words) * dim
 
 
 def _rank_mod_p(stack: np.ndarray, moduli) -> tuple:
@@ -579,6 +585,12 @@ def ordinary_codim(alg: GradedAlgebra, n: int, **kw) -> CodimResult:
 
 
 def codim_sequence(alg: GradedAlgebra, n_max: int, mode: str = "modular", **kw):
+    """[graded_codim(alg, n, mode, **kw) for n = 1 to n_max], every n first
+    through check_request, so an over-cap n is refused before any c_n is
+    computed."""
+    for n in range(1, n_max + 1):
+        check_request(alg, n, mode, kw.get("primes"),
+                      kw.get("max_block_entries", DEFAULT_BLOCK_CAP))
     return [graded_codim(alg, n, mode=mode, **kw) for n in range(1, n_max + 1)]
 
 

@@ -4,12 +4,21 @@ An algebra is given by sparse structure constants on a fixed basis plus
 a degree map from basis indices into a finite semigroup.  All scalars
 are Fractions, or integers in the scaled tables; nothing in this module
 touches floating point.
+
+The catalog derives its entries from two builders.  full_matrix(k) and
+upper_triangular(k) are the matrix units of M_k and UT_k
+(_matrix_units); mk_column_graded(k) and utk_column_graded(k) regrade
+them column by column over the right zero band, and mk_zhalf_graded
+regrades full_matrix(2) over Z2.  exampleT1-3(k) and thm_T2/T3_fractional
+are pairs M_k (+) W (_pair_algebra), and thm_T1_fractional is
+exampleT1(2) renamed.  with_trivial_grading and opposite copy an algebra
+with a new grading or its transposed structure.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -262,16 +271,8 @@ def adjoin_unit(alg: GradedAlgebra) -> GradedAlgebra:
 
 
 def with_trivial_grading(alg: GradedAlgebra) -> GradedAlgebra:
-    return GradedAlgebra(
-        dim=alg.dim,
-        basis_labels=alg.basis_labels,
-        structure=alg.structure,
-        degree=(0,) * alg.dim,
-        semigroup=trivial_semigroup(),
-        unit=alg.unit,
-        name=(alg.name + "|trivial") if alg.name else "",
-        matrix_positions=alg.matrix_positions,
-    )
+    return replace(alg, degree=(0,) * alg.dim, semigroup=trivial_semigroup(),
+                   name=alg.name and alg.name + "|trivial")
 
 
 # -- subspace arithmetic ---------------------------------------------------
@@ -334,19 +335,9 @@ def direct_sum(a: GradedAlgebra, b: GradedAlgebra) -> GradedAlgebra:
 
 
 def opposite(alg: GradedAlgebra) -> GradedAlgebra:
-    structure = {}
-    for (i, j), cell in alg.structure.items():
-        structure[(j, i)] = dict(cell)
-    return GradedAlgebra(
-        dim=alg.dim,
-        basis_labels=alg.basis_labels,
-        structure=structure,
-        degree=alg.degree,
-        semigroup=opposite_semigroup(alg.semigroup),
-        unit=alg.unit,
-        name=(alg.name + ".op") if alg.name else "",
-        matrix_positions=alg.matrix_positions,
-    )
+    """The transposed structure over the opposite semigroup."""
+    return replace(alg, structure={(j, i): dict(cell) for (i, j), cell in alg.structure.items()},
+                   semigroup=opposite_semigroup(alg.semigroup), name=alg.name and alg.name + ".op")
 
 
 def quotient_algebra(alg: GradedAlgebra, ideal: Subspace, graded: bool):
@@ -407,21 +398,6 @@ def quotient_algebra(alg: GradedAlgebra, ideal: Subspace, graded: bool):
 
 # -- catalog ----------------------------------------------------------------
 
-def _matrix_unit_structure(k: int, positions):
-    """Structure constants of span{e_pos : pos in positions} inside M_k.
-
-    The position set must be multiplicatively closed (full and
-    upper-triangular sets are).
-    """
-    index = {pos: idx for idx, pos in enumerate(positions)}
-    structure = {}
-    for (a, b), i in index.items():
-        for (c, d), j in index.items():
-            if b == c:
-                structure[(i, j)] = {index[(a, d)]: ONE}
-    return structure
-
-
 def _full_matrix_positions(k):
     return [(i, j) for i in range(1, k + 1) for j in range(1, k + 1)]
 
@@ -430,175 +406,100 @@ def _upper_positions(k):
     return [(i, j) for i in range(1, k + 1) for j in range(i, k + 1)]
 
 
-def full_matrix(k: int) -> GradedAlgebra:
+def _matrix_units(k: int, positions, name: str) -> GradedAlgebra:
+    """span{e_pos : pos in positions} inside M_k, trivially graded, with
+    the identity matrix as its unit.  The position set must be
+    multiplicatively closed (full and upper-triangular sets are)."""
     if k < 1:
         raise BadParam("k must be >= 1")
-    positions = _full_matrix_positions(k)
-    labels = tuple(f"e{i}{j}" for i, j in positions)
-    unit = [ZERO] * len(positions)
-    for idx, (i, j) in enumerate(positions):
-        if i == j:
-            unit[idx] = ONE
+    index = {pos: idx for idx, pos in enumerate(positions)}
     return GradedAlgebra(
-        dim=k * k,
-        basis_labels=labels,
-        structure=_matrix_unit_structure(k, positions),
-        degree=(0,) * (k * k),
+        dim=len(positions),
+        basis_labels=tuple(f"e{i}{j}" for i, j in positions),
+        structure={(index[(a, b)], index[(c, d)]): {index[(a, d)]: ONE}
+                   for a, b in positions for c, d in positions if b == c},
+        degree=(0,) * len(positions),
         semigroup=trivial_semigroup(),
-        unit=tuple(unit),
-        name=f"full_matrix({k})",
+        unit=tuple(ONE if i == j else ZERO for i, j in positions),
+        name=name,
         matrix_positions=tuple(positions),
     )
+
+
+def full_matrix(k: int) -> GradedAlgebra:
+    return _matrix_units(k, _full_matrix_positions(k), f"full_matrix({k})")
 
 
 def upper_triangular(k: int) -> GradedAlgebra:
-    if k < 1:
-        raise BadParam("k must be >= 1")
-    positions = _upper_positions(k)
-    labels = tuple(f"e{i}{j}" for i, j in positions)
-    unit = [ONE if i == j else ZERO for i, j in positions]
-    return GradedAlgebra(
-        dim=len(positions),
-        basis_labels=labels,
-        structure=_matrix_unit_structure(k, positions),
-        degree=(0,) * len(positions),
-        semigroup=trivial_semigroup(),
-        unit=tuple(unit),
-        name=f"upper_triangular({k})",
-        matrix_positions=tuple(positions),
-    )
+    return _matrix_units(k, _upper_positions(k), f"upper_triangular({k})")
 
 
-def _right_zero_band(k: int) -> FiniteSemigroup:
-    labels = tuple(f"t{i}" for i in range(1, k + 1))
-    table = tuple(tuple(j for j in range(k)) for _ in range(k))
-    return make_semigroup(labels, table)
+def _column_graded(builder, k: int, name: str) -> GradedAlgebra:
+    """builder(k) regraded column by column: e_ij in degree t_j of the
+    right zero band t_1, ..., t_k."""
+    if k < 2:
+        raise BadParam("k must be >= 2")
+    base = builder(k)
+    return replace(base, degree=tuple(j - 1 for _, j in base.matrix_positions),
+                   semigroup=make_semigroup([f"t{i}" for i in range(1, k + 1)], [range(k)] * k),
+                   name=f"{name}({k})")
 
 
 def mk_column_graded(k: int) -> GradedAlgebra:
     """M_k graded by the right zero band on k elements, column by column."""
-    if k < 2:
-        raise BadParam("k must be >= 2")
-    base = full_matrix(k)
-    degree = tuple(j - 1 for (_, j) in base.matrix_positions)
-    return GradedAlgebra(
-        dim=base.dim,
-        basis_labels=base.basis_labels,
-        structure=base.structure,
-        degree=degree,
-        semigroup=_right_zero_band(k),
-        unit=base.unit,
-        name=f"mk_column_graded({k})",
-        matrix_positions=base.matrix_positions,
-    )
+    return _column_graded(full_matrix, k, "mk_column_graded")
 
 
 def utk_column_graded(k: int) -> GradedAlgebra:
-    if k < 2:
-        raise BadParam("k must be >= 2")
-    base = upper_triangular(k)
-    degree = tuple(j - 1 for (_, j) in base.matrix_positions)
-    return GradedAlgebra(
-        dim=base.dim,
-        basis_labels=base.basis_labels,
-        structure=base.structure,
-        degree=degree,
-        semigroup=_right_zero_band(k),
-        unit=base.unit,
-        name=f"utk_column_graded({k})",
-        matrix_positions=base.matrix_positions,
-    )
+    """UT_k graded by the right zero band on k elements, column by column."""
+    return _column_graded(upper_triangular, k, "utk_column_graded")
 
 
 def mk_zhalf_graded() -> GradedAlgebra:
     """M_2 graded by the order-2 group: diagonal in degree 0, antidiagonal
     in degree 1."""
     base = full_matrix(2)
-    degree = tuple(0 if i == j else 1 for (i, j) in base.matrix_positions)
-    return GradedAlgebra(
-        dim=4,
-        basis_labels=base.basis_labels,
-        structure=base.structure,
-        degree=degree,
-        semigroup=catalog_semigroup("Z2"),
-        unit=base.unit,
-        name="mk_zhalf_graded",
-        matrix_positions=base.matrix_positions,
-    )
+    return replace(base, degree=tuple(int(i != j) for i, j in base.matrix_positions),
+                   semigroup=catalog_semigroup("Z2"), name="mk_zhalf_graded")
+
+
+# where the product of two pair basis elements lands, by the kind of W and
+# the factors' kinds (0 for (e_ab, 0), 1 for (e_ab, w_ab)): 1 in W's pair,
+# and every product not listed in (M_k, 0)
+_PAIR_PRODUCT = {
+    ("ideal", 1, 1): 1,        # W multiplies like its copy inside M_k
+    ("left_module", 0, 1): 1,  # (a, 0)(phi(w), w) = (a phi(w), a.w)
+    ("left_module", 1, 1): 1,  # (phi(v), v)(phi(w), w) = (phi(v) phi(w), phi(v).w)
+}
 
 
 def _pair_algebra(k, second_positions, second_kind, semigroup, name, unital):
     """Common builder for the M_k (+) W examples.
 
-    The basis is (e_ij, 0) for all matrix units, then (e_pq, w_pq) for pq
-    in second_positions.  second_kind fixes how W multiplies:
+    The basis is (e_ij, 0) for all matrix units, in degree 0, then (e_pq,
+    w_pq) for pq in second_positions, in degree 1.  The first coordinate
+    always multiplies inside M_k; second_kind fixes how W multiplies
+    (_PAIR_PRODUCT):
       "ideal"       -- W an ideal with the matrix-unit product (w w' = ww')
       "square_zero" -- W an ideal with W^2 = 0
       "left_module" -- M_k acts on the left (a w = aw), W M_k = W^2 = 0
+    With unital, the unit is the sum of the diagonal pairs (e_ii, w_ii),
+    and of (e_ii, 0) where W has no e_ii.
     """
-    first = _full_matrix_positions(k)
-    n1 = len(first)
-    positions = first + list(second_positions)
-    dim = len(positions)
-    kinds = ["first"] * n1 + ["second"] * len(second_positions)
-    idx_first = {pos: i for i, pos in enumerate(first)}
-    idx_second = {pos: n1 + i for i, pos in enumerate(second_positions)}
-
-    def pair_mul(i, j):
-        """Product of basis i and basis j as {index: coeff}."""
-        (a, b), (c, d) = positions[i], positions[j]
-        out = {}
-        # first coordinate always multiplies inside M_k
-        if b == c:
-            tgt = (a, d)
-            ki, kj = kinds[i], kinds[j]
-            if ki == "first" and kj == "second" and second_kind == "left_module":
-                # (a, 0)(phi(w), w) = (a phi(w), a.w), a pair again
-                out[idx_second[tgt]] = ONE
-            elif ki == "second" and kj == "second" and second_kind == "ideal":
-                # W multiplies like its copy inside M_k
-                out[idx_second[tgt]] = ONE
-            elif ki == "second" and kj == "second" and second_kind == "left_module":
-                # (phi(v), v)(phi(w), w) = (phi(v) phi(w), phi(v).w)
-                out[idx_second[tgt]] = ONE
-            else:
-                out[idx_first[tgt]] = ONE
-        return out
-
-    structure = {}
-    for i in range(dim):
-        for j in range(dim):
-            cell = pair_mul(i, j)
-            if cell:
-                structure[(i, j)] = cell
-
-    def label(i):
-        (a, b) = positions[i]
-        if kinds[i] == "first":
-            return f"(e{a}{b},0)"
-        return f"(e{a}{b},e{a}{b})"
-
-    unit = None
-    if unital:
-        u = [ZERO] * dim
-        for pos in first:
-            if pos[0] == pos[1]:
-                u[idx_first[pos]] += ONE
-        for pos in second_positions:
-            if pos[0] == pos[1]:
-                u[idx_second[pos]] += ONE
-                u[idx_first[pos]] -= ONE
-        unit = tuple(u)
-
+    pairs = [(pos, 0) for pos in _full_matrix_positions(k)] + [(pos, 1) for pos in second_positions]
+    index = {pair: i for i, pair in enumerate(pairs)}
     return GradedAlgebra(
-        dim=dim,
-        basis_labels=tuple(label(i) for i in range(dim)),
-        structure=structure,
-        degree=(0,) * n1 + (1,) * len(second_positions),
+        dim=len(pairs),
+        basis_labels=tuple(f"(e{a}{b},{f'e{a}{b}' if s else 0})" for (a, b), s in pairs),
+        structure={(i, j): {index[(a, d), _PAIR_PRODUCT.get((second_kind, s, t), 0)]: ONE}
+                   for i, ((a, b), s) in enumerate(pairs)
+                   for j, ((c, d), t) in enumerate(pairs) if b == c},
+        degree=tuple(s for _, s in pairs),
         semigroup=semigroup,
-        unit=unit,
+        unit=tuple(ONE if a == b and (s or ((a, b), 1) not in index) else ZERO
+                   for (a, b), s in pairs) if unital else None,
         name=name,
-        matrix_positions=tuple(positions),
+        matrix_positions=tuple(pos for pos, _ in pairs),
     )
 
 
@@ -635,11 +536,9 @@ def example_t3(k: int) -> GradedAlgebra:
 
 
 def thm_t1_fractional() -> GradedAlgebra:
-    """exampleT1 at k = 2: dimension 7, the smallest member of the family."""
-    return _pair_algebra(
-        2, _upper_positions(2), "ideal", catalog_semigroup("T1"),
-        "thm_T1_fractional", unital=True,
-    )
+    """exampleT1(2) under its own name: dimension 7, the smallest member
+    of the family."""
+    return replace(example_t1(2), name="thm_T1_fractional")
 
 
 def thm_t2_fractional() -> GradedAlgebra:

@@ -298,19 +298,6 @@ def minimal_polynomial(op_matrix):
     raise AssertionError("no minimal polynomial found within dimension bound")
 
 
-def poly_eval_matrix(coeffs, m):
-    """Evaluate a polynomial (low-first coefficients) at a square matrix."""
-    n = len(m)
-    acc = [[ZERO] * n for _ in range(n)]
-    power = [unit_vec(n, i) for i in range(n)]
-    for c in coeffs:
-        if c != 0:
-            for i in range(n):
-                acc[i] = [a + c * p for a, p in zip(acc[i], power[i])]
-        power = mat_mul(power, m)
-    return [tuple(r) for r in acc]
-
-
 def poly_at(coeffs, x):
     """Value at x of the polynomial with low-first coefficients."""
     acc = ZERO

@@ -33,8 +33,6 @@ from .linalg import (
     mat_vec,
     minimal_polynomial,
     nullspace,
-    poly_at,
-    poly_eval_matrix,
     rational_roots,
     solve,
     span_closure,
@@ -201,14 +199,12 @@ def _split_block(alg, rows, unit):
         if len(minpoly) <= 2:
             continue  # z is a scalar on this block
         for r in rational_roots(minpoly):
-            quot = _synthetic_div(minpoly, r)
-            if poly_at(quot, r) == 0:
+            shifted = [tuple(mz[i][j] - (r if i == j else ZERO) for j in range(m))
+                       for i in range(m)]
+            # V = ker(M - r) + im(M - r) exactly when r is a simple root
+            eigen, rest = nullspace(shifted, m), Subspace(m, list(zip(*shifted)))
+            if not eigen.intersect(rest).is_zero():
                 continue  # multiple root would mean a radical, not expected
-            eigen = nullspace(
-                [tuple(mz[i][j] - (r if i == j else ZERO) for j in range(m)) for i in range(m)], m)
-            rest = nullspace(poly_eval_matrix(quot, mz), m)
-            if eigen.dim == 0 or rest.dim == 0 or eigen.dim + rest.dim != m:
-                continue
             # split the block unit along eigen + rest
             cols = list(zip(*(list(eigen.rows) + list(rest.rows))))
             ucoords = solve([tuple(r2) for r2 in cols],
@@ -226,17 +222,6 @@ def _split_block(alg, rows, unit):
                 out.append((prows, u_part))
             return out
     return None
-
-
-def _synthetic_div(coeffs, r):
-    """Monic coeffs (low-first) divided by (x - r), remainder dropped."""
-    high = list(reversed(coeffs))
-    q = []
-    acc = ZERO
-    for c in high:
-        acc = acc * r + c if q else c
-        q.append(acc)
-    return list(reversed(q[:-1]))
 
 
 def _combine(rows, coords):

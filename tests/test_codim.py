@@ -41,6 +41,7 @@ from semigraded.gralgebra import (
     direct_sum,
     full_matrix,
     ideal_generated,
+    merge_entries,
     opposite,
     paper_catalog,
     parse_catalog_spec,
@@ -621,6 +622,36 @@ def test_product_cache_is_a_view_of_the_word_products(alg):
         assert codim._product_cache(alg, n, max_entries=len(oracle)) == view
         with pytest.raises(ResourceLimit, match=f"product cache for n = {n}"):
             codim._product_cache(alg, n, max_entries=len(oracle) - 1)
+
+
+def test_product_cache_forms_each_level_once(monkeypatch):
+    # one pass through the lengths: n - 1 merged levels, where a fresh
+    # _word_products per length merged n (n - 1) / 2
+    merged = []
+
+    def merge(*args):
+        merged.append(len(args[0]))
+        return merge_entries(*args)
+
+    monkeypatch.setattr(codim, "merge_entries", merge)
+    codim._product_cache(paper_catalog("thm_T1_fractional"), 4)
+    assert len(merged) == 3
+
+
+@pytest.mark.parametrize("name, n, kw, refused", [
+    ("thm_T3_fractional", 8, {}, ResourceLimit),
+    ("thm_T1_fractional", 3, {"max_block_entries": 10}, ResourceLimit),
+    ("thm_T1_fractional", 3, {"primes": [1073741789, 2]}, BadParam),
+], ids=["degree-eight", "block-cap", "small-prime"])
+def test_codim_sequence_refuses_before_computing_any(monkeypatch, name, n, kw, refused):
+    # every n <= n_max passes check_request, with the sequence's own
+    # primes and cap, before any c_n is computed
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a word product ran")
+
+    monkeypatch.setattr(codim, "_word_products", unreachable)
+    with pytest.raises(refused):
+        codim_sequence(paper_catalog(name), n, **kw)
 
 
 def test_word_products_are_capped_by_the_joined_entries():

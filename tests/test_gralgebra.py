@@ -1,4 +1,5 @@
 import functools
+import hashlib
 from dataclasses import replace
 from fractions import Fraction
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from semigraded.algfile import serialize_algebra
 from semigraded.errors import (
     BadParam,
     GradingViolation,
@@ -195,6 +197,117 @@ def test_catalog_unknown_and_bad_params():
         paper_catalog("full_matrix")
     with pytest.raises(BadParam):
         paper_catalog("mk_column_graded", 1)
+
+
+# SHA-256 of serialize_algebra(alg) + repr(alg.matrix_positions): labels,
+# degrees, structure constants, unit, name and matrix positions, for every
+# catalog spec at k = 1..3 where it is accepted, its with_trivial_grading
+# and its opposite
+CATALOG_DIGESTS = {
+    "exampleT1(2)": "396fb97624254bebc06a568174b1ac7892a677d1a7698a99d6e5cd8a20c85914",
+    "exampleT1(2)|trivial": "d67c3b5ec6c46e4413676be6b82f832325861d38d1d7e533864c968f8c442af7",
+    "exampleT1(2).op": "82d6f3479e20a022c17919d2041fd3f3bc518beb9a2eb87e2ec67ebd58063c63",
+    "exampleT1(3)": "8b3e3484bb362fe4193583b92dac4cf88dc87447694ac2ef707f98f219a8f142",
+    "exampleT1(3)|trivial": "0249d6805b1fdaa8b9f036d5bf99b8881e3142d1fed9059c933ed696224a4f42",
+    "exampleT1(3).op": "acba7c03ef2cd5b4e10700d857834be66e217c08d4f378036a870b72e50070db",
+    "exampleT2(1)": "dd91c0f8abeb5f91e8af2ee05039d271f744232ac13300e09dcaf2be67a58372",
+    "exampleT2(1)|trivial": "c82982a9a44fdc9c32d8f8b293ded84c530ad9eccab540870799e0994c73308f",
+    "exampleT2(1).op": "c4c249a044525737fb7fcef2d3d40827606e876bab1604f9365b4c6f07fdc08a",
+    "exampleT2(2)": "a923d907c1d31de784833b3da78ca7602273f5f9bac35122c29dfd37ac3b3a99",
+    "exampleT2(2)|trivial": "f01285d1f5d98574ea0ad3ca1c26b2d7284068e073705324f1ec5e1824dc78ba",
+    "exampleT2(2).op": "b296b28c5611d0c1f798b0d8a19083b0b54c6ca60d6b9989e8a89e5d0e71e9be",
+    "exampleT2(3)": "8301fe3d04f190c8cce76de5abf0c584632510f11c3da2fe9c3dd81ff9b123d7",
+    "exampleT2(3)|trivial": "3dfda026dd26bc927b72c1594278a0a066bb54340b90450812af3f984b30a25b",
+    "exampleT2(3).op": "4063601c3ae583effdfdcac8b0179476f3aa7126f522c5d242916f1e11f28072",
+    "exampleT3(1)": "30c423a75a0349e4c6411b25b70fdf29d4460a6549a7d920e22672d605c7de30",
+    "exampleT3(1)|trivial": "e284360b88432fb2ac9e550af9d29f9e105040a64b667be9016694d72803be1e",
+    "exampleT3(1).op": "6e91527e2b84eb004c0b7a7d1e6b4d76f33b24eace6f1e3694b67d7ea873189b",
+    "exampleT3(2)": "17cb864edd4024cfb78d2765f1e46ce46869a24e67cb4fd349c9aac0f95ef541",
+    "exampleT3(2)|trivial": "2250ddf61662abf0f5cf4224e56b3f2d2c44aba2f1392ef2b99f6c092556814c",
+    "exampleT3(2).op": "1ba9dbaeb1dbc67298f8921483c2ef8b695ef4113441a23f205d273beb53b785",
+    "exampleT3(3)": "a998017b14ea1a08fc0c087d953483f32607541d820426e38ec3f3f095bce892",
+    "exampleT3(3)|trivial": "bd40a92654d1a49d5b62aa8b2e5f0abac2c19b1e5d0dcd60c3c5a2aa8ca3dca9",
+    "exampleT3(3).op": "cfb309483e316f2b1f835be97c6995963c4265e5c1939951973443eebfcf845d",
+    "full_matrix(1)": "379afd6435ad0859e5009b9ee92339d2721110633e676fae5d619be0c8c4b958",
+    "full_matrix(1)|trivial": "e5252369962eecc36525b3adf6556feabad4a8d7b2153bba7aa3e16cfde4557b",
+    "full_matrix(1).op": "ab8d75f2e5045410e50477c5a4da009b2cbbda7ed125001720aed2be7358c61a",
+    "full_matrix(2)": "249179d87817284f633a7007a68dd79b15b45eef48d085aa6d9fe1ef5e9ad6c7",
+    "full_matrix(2)|trivial": "0cc6bca8f556df398782f443cf882141cee6d8b6bb7117805c31a1f9b1839533",
+    "full_matrix(2).op": "951616822d4be73c56ef072a547ea094a89a45c536a1be0478e332d97431c878",
+    "full_matrix(3)": "7dd1cdc998a8b1c8e33e6271dd531fadba4531c59816c3111e692303b517093f",
+    "full_matrix(3)|trivial": "558b191efab5c53eb77378b6f441b816ddb203b90d06596bc808852d593b2bf5",
+    "full_matrix(3).op": "6a50a96f0bb514fdc6e605f82ff8234c29ca7329a56b65a5f4cef792cb0faa65",
+    "mk_column_graded(2)": "7c1a7b16e59d033164d20c1ec0c088189e1ce0af9a6e0bea5ab7587a676b6a53",
+    "mk_column_graded(2)|trivial":
+        "e60bed0bd131bfe7a66aec5c7647a262337153526360a026a50af49f916fccaa",
+    "mk_column_graded(2).op": "9087915239221195b6ab5386922225548d4f86ad7d84b112d24b628ddfe25230",
+    "mk_column_graded(3)": "2acb470c3a784f178d57833928569d392625823b03dbda5b3b61e12141c3aa3f",
+    "mk_column_graded(3)|trivial":
+        "8562da5be90d147c011fc5d4194cd3ac4c615f09c1af7575a14a99f1912e344b",
+    "mk_column_graded(3).op": "142cca67aa2134123a694f4ee926a7f7997d19a6013a35761593e9e0bdd6a987",
+    "mk_zhalf_graded": "6fae8f710d383d2a9887ead0356fc1860c4ffa02cc5fca90d5b8ec6fff115d0a",
+    "mk_zhalf_graded|trivial": "01c82634d4e26d2674926c5c49bf44de2718adff72c01078905dfea547b83bfe",
+    "mk_zhalf_graded.op": "cf90b0056135b8e57c8fb5df0c10afb257b3154980dc04b500ac3b922849efd9",
+    "thm_T1_fractional": "6d60c860cbf6776ebe3502d1176f75b8f69dc831bddcbde29297971a40620516",
+    "thm_T1_fractional|trivial":
+        "909bad2295a1655ac8740830a368b74d2abf787e2d427b2178198fe70f9dc639",
+    "thm_T1_fractional.op": "c2f254f606ad0934146ab3476da91f43867ed03ab64e0a32101afc3a72bc968e",
+    "thm_T2_fractional": "f75431f21a04c73d348060744761587e2ee6b714492b2e60c6c95affaf6addd3",
+    "thm_T2_fractional|trivial":
+        "f61cb89094e8bc3a9ae7a8251aab6bf5682b3a211819445815596ed3abbe932d",
+    "thm_T2_fractional.op": "95b0f24d26243ffa3dfd76b08579cb0ea1aa4edb42d0c8b1885b8376fc5e34d7",
+    "thm_T3_fractional": "ceb01989eb4dbf3e76b444b6295927fee8a9b9a74b4242b58cf9156af53162b9",
+    "thm_T3_fractional|trivial":
+        "ef36ebe51ef3d98b9ded84d379f49494d9d7f2708ab4a464cfba67401f3178bf",
+    "thm_T3_fractional.op": "0b4534080de050e084b9c9dcabbce63e53e577c1777962dc57eea79cfa810058",
+    "upper_triangular(1)": "c19976bf9b202222a10877c0a2e8522585192c6548ecf3f709a81d9993c702fa",
+    "upper_triangular(1)|trivial":
+        "acc09989b5badb156adab645a7fc3511c8750cc095e6f5518117143c0515c437",
+    "upper_triangular(1).op": "caa0b2df926608fb103c435a0d6e0119ac3d6145cb4e562c6778fcff1f3d400b",
+    "upper_triangular(2)": "3c730f72f61886c026019aa01e91088b39987928fdc64581aafb2c67b3bc7351",
+    "upper_triangular(2)|trivial":
+        "05ead22438a977bff073636e9f33124611512cb9ac92c6fc3bc0e2eae2ba002f",
+    "upper_triangular(2).op": "7d9a1920e2e426622b4e26f245f9d012758fb48cfd9700b37425eecf905aaf6a",
+    "upper_triangular(3)": "7a18dd40cdda2a388df1e3a0b35dcfd89a73002ca12f27881bfea019a3e16157",
+    "upper_triangular(3)|trivial":
+        "73807819cbecdd81369fddfea64bf0d772e2e99708371823eeb0d36e20066be9",
+    "upper_triangular(3).op": "22ec33beb221b837fc7acc7f2d951eecf3ab642d5b29cd4c8c3d842238667183",
+    "utk_column_graded(2)": "6eff397edeb8c32d8044168896f30fbc86d51ef1774b5678680f065a26f83dab",
+    "utk_column_graded(2)|trivial":
+        "f471f4b251d1fdb7ac30ae9b12a1628f5f94eac887f39cf57de05348081fbb50",
+    "utk_column_graded(2).op": "efc0a5da6894e61e8f1c19b484bb9d7af83ba6df4899afe57478637096bcbf8c",
+    "utk_column_graded(3)": "be1b6700f75aaae5690717ba1a5b94913e3b176ae3c9516a74d663574c0f9c8d",
+    "utk_column_graded(3)|trivial":
+        "7bdb362115c22fa3bb82ea9e2d92c4b161013d295e56c972fe16b854853b07c1",
+    "utk_column_graded(3).op": "5fb152fa4960e0484021a319f7e201c3d84d2af3ca34ad088bb39bd9e13ce0bd",
+}
+
+
+def catalog_digest(alg: GradedAlgebra) -> str:
+    return hashlib.sha256((serialize_algebra(alg) + repr(alg.matrix_positions)).encode()).hexdigest()
+
+
+def test_catalog_is_pinned():
+    digests = {}
+    for name, args in CATALOG_ARGS.items():
+        for params in [(k,) for k in (1, 2, 3)] if args else [()]:
+            try:
+                alg = paper_catalog(name, *params)
+            except BadParam:
+                continue
+            digests.update((a.name, catalog_digest(a))
+                           for a in (alg, with_trivial_grading(alg), opposite(alg)))
+    assert digests == CATALOG_DIGESTS
+
+
+@pytest.mark.parametrize("name, k, message", [
+    ("full_matrix", 0, "k must be >= 1"), ("mk_column_graded", 1, "k must be >= 2"),
+    ("utk_column_graded", 0, "k must be >= 2"), ("exampleT1", 1, "k must be >= 2")])
+def test_catalog_builders_check_their_parameter_first(name, k, message):
+    # utk_column_graded(0) is refused by its own check, not by upper_triangular(0)'s
+    with pytest.raises(BadParam) as refused:
+        paper_catalog(name, k)
+    assert str(refused.value) == message
 
 
 def test_parse_catalog_spec():

@@ -49,3 +49,13 @@ def test_cochar_table_ranks_each_live_slice_once(monkeypatch, capsys):
     assert script.main() == 0
     assert capsys.readouterr().out.splitlines()[-1] == "sum m*d = 305, exact c_4 = 305: ok"
     assert ranked == live
+
+
+@pytest.mark.parametrize("targets", [[], ["--targets", "thm_T3_fractional"]],
+                         ids=["default", "T3"])
+def test_codim_scan_refuses_an_over_cap_degree_before_printing_any(targets):
+    # n = 8 passes the block cap: refused before any c_n is computed or printed
+    result = run_script("codim_scan.py", "--n-max", "8", *targets)
+    assert result.returncode != 0
+    assert result.stdout == ""
+    assert "ResourceLimit: block for assignment (0, 0, 0, 0, 0, 0, 0, 0)" in result.stderr
