@@ -9,7 +9,8 @@ every m_lambda is induced from its record of slice ranks by
 Littlewood-Richardson coefficients (cochar.induce_multiplicities), so the
 sum checks that induction, not an independent rank.  The engine's block
 cap bounds the degree: N = 6 and 7 run for the degree-7/6 algebras, N = 8
-is refused before anything is built.
+is refused before anything is built, as the CLI refuses it: one JSON line
+on stderr and exit 3.
 
     python3 scripts/cochar_table.py --catalog thm_T1_fractional --n 5
 """
@@ -17,6 +18,7 @@ is refused before anything is built.
 import argparse
 import sys
 
+from semigraded.cli import json_errors
 from semigraded.cochar import hook_dim, induce_multiplicities, partitions_of
 from semigraded.codim import graded_codim
 from semigraded.gralgebra import parse_catalog_spec
@@ -44,4 +46,5 @@ def main():
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    with json_errors():
+        sys.exit(main())

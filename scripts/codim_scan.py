@@ -5,12 +5,14 @@ Computes c_1..c_N for the interesting catalog algebras in modular mode,
 prints the per-n values with n-th roots and the ratios c_n/c_(n-1), and
 cross-checks the two degree-7 algebras against each other termwise.
 --max-block-entries sets the block cap; c_7 fits under the default, and
-an --n-max past it exits with the ResourceLimit before any c_n is printed.
+an --n-max past it is refused before any c_n is printed, as the CLI
+refuses it: one JSON line on stderr and exit 3.
 """
 
 import argparse
 import sys
 
+from semigraded.cli import json_errors
 from semigraded.codim import DEFAULT_BLOCK_CAP, codim_sequence, exponent_estimate
 from semigraded.gralgebra import parse_catalog_spec
 
@@ -59,4 +61,5 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    with json_errors():
+        main()

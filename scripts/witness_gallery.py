@@ -11,6 +11,7 @@ when any certificate fails.
 import argparse
 import sys
 
+from semigraded.cli import json_errors
 from semigraded.cochar import (
     apply_symmetrizer,
     build_witness,
@@ -55,4 +56,5 @@ def main():
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    with json_errors():
+        sys.exit(main())

@@ -8,6 +8,7 @@ tolerances (1e-9 for optima, 1e-12 for feasibility).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -347,9 +348,14 @@ def bound_report(d: float, n_values, c_values=None, alpha=None):
     """Rows (n, d^n, c_n, hook lower bound) for the report tables.
 
     Purely descriptive: the growth constants in front of d^n are
-    existential, so no ratio here claims convergence.
+    existential, so no ratio here claims convergence.  Raises BadParam,
+    before any row, when d^n passes the float range.
     """
     from .cochar import hook_dim
+    n_values = list(n_values)
+    top = math.log(sys.float_info.max) / math.log(d) if d > 1 else math.inf
+    if max(n_values, default=0) > top:
+        raise BadParam(f"d^n for d = {d} passes the float range past n = {math.floor(top)}")
     rows = []
     c_map = dict(c_values or {})
     for n in n_values:

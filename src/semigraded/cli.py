@@ -7,6 +7,7 @@ line on stderr.
 
 from __future__ import annotations
 
+import functools
 import json
 import sys
 from contextlib import contextmanager
@@ -57,10 +58,7 @@ def _int_list(option: str, text: str) -> tuple:
 
 
 def _rows_of_subspace(alg, s):
-    return [
-        {alg.basis_labels[i]: str(c) for i, c in enumerate(row) if c != 0}
-        for row in s.rows
-    ]
+    return [{alg.basis_labels[i]: str(c) for i, c in enumerate(row) if c != 0} for row in s.rows]
 
 
 def _fail(exc: Exception, message: str, code: int):
@@ -73,11 +71,11 @@ _HELP_ERRORS = getattr(click.exceptions, "NoArgsIsHelpError", ())
 
 
 @contextmanager
-def _json_errors():
+def json_errors():
     """Every error ends in the one JSON line on stderr: Click's own usage
     errors (unknown option or command, bad value or choice, missing
     option) and ours with exit 2, a resource limit with 3, any other
-    workbench error with 1."""
+    workbench error with 1.  The scripts under scripts/ run inside it too."""
     try:
         yield
     except _HELP_ERRORS:
@@ -97,11 +95,11 @@ class _Group(click.Group):
     a command's return value is the exit code."""
 
     def make_context(self, *args, **kwargs):
-        with _json_errors():
+        with json_errors():
             return super().make_context(*args, **kwargs)
 
     def invoke(self, ctx):
-        with _json_errors():
+        with json_errors():
             code = super().invoke(ctx)
         sys.exit(code or 0)
 
@@ -114,11 +112,22 @@ def _algebra_options(fn):
     return fn
 
 
+_out_option = click.option("--out", "out_path", type=click.Path(), default=None)
+
+
 def _output_options(fn):
-    fn = click.option("--format", "out_format",
-                      type=click.Choice(["text", "csv", "json"]), default="text")(fn)
-    fn = click.option("--out", "out_path", type=click.Path(), default=None)(fn)
-    return fn
+    """The one writer: the command returns (payload, text) or (payload,
+    text, exit code); --format json writes the payload as indented JSON,
+    text the text, to --out or stdout."""
+    @_out_option
+    @click.option("--format", "out_format", type=click.Choice(["text", "json"]), default="text")
+    @functools.wraps(fn)
+    def command(out_format, out_path, **kwargs):
+        payload, text, *code = fn(**kwargs)
+        _emit(out_path, json.dumps(payload, indent=2, sort_keys=True)
+              if out_format == "json" else text)
+        return code[0] if code else 0
+    return command
 
 
 @click.group(cls=_Group)
@@ -129,7 +138,7 @@ def main():
 @main.command()
 @click.option("--order", type=int, required=True)
 @_output_options
-def semigroups(order, out_format, out_path):
+def semigroups(order):
     """Enumerate and classify the semigroups of a small order."""
     found = enumerate_semigroups(order)
     classes = isomorphism_classes(found)
@@ -139,58 +148,46 @@ def semigroups(order, out_format, out_path):
         tag = classify_order2(rep) if order == 2 else f"class-of-{len(cls)}"
         entries.append({"tag": tag, "count": len(cls), "table": [list(r) for r in rep.table]})
     entries.sort(key=lambda e: e["tag"])
-    if out_format == "json":
-        _emit(out_path, json.dumps({"order": order, "tables": len(found),
-                                    "classes": entries}, indent=2, sort_keys=True))
-    else:
-        lines = [f"order {order}: {len(found)} associative tables, "
-                 f"{len(classes)} isomorphism classes"]
-        for e in entries:
-            lines.append(f"  {e['tag']}: {e['count']} tables, representative {e['table']}")
-        _emit(out_path, "\n".join(lines))
+    lines = [f"order {order}: {len(found)} associative tables, "
+             f"{len(classes)} isomorphism classes"]
+    for e in entries:
+        lines.append(f"  {e['tag']}: {e['count']} tables, representative {e['table']}")
+    return {"order": order, "tables": len(found), "classes": entries}, "\n".join(lines)
 
 
 @main.command()
 @_algebra_options
 @_output_options
-def check(input_path, catalog, out_format, out_path):
+def check(input_path, catalog):
     """Validate an algebra: associativity, grading law, declared unit."""
     alg = _load(input_path, catalog)
     report = validate(alg)
     payload = {"name": alg.name, "dim": alg.dim, "ok": report["ok"],
                "violations": [list(map(str, v)) for v in report["violations"]]}
-    if out_format == "json":
-        _emit(out_path, json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        _emit(out_path, f"{alg.name}: dim {alg.dim}, "
-                        f"{'ok' if report['ok'] else 'INVALID'}")
-    return 0 if report["ok"] else 1
+    return (payload, f"{alg.name}: dim {alg.dim}, {'ok' if report['ok'] else 'INVALID'}",
+            0 if report["ok"] else 1)
 
 
 @main.command()
 @_algebra_options
 @_output_options
-def radical(input_path, catalog, out_format, out_path):
+def radical(input_path, catalog):
     """The Jacobson radical, with a gradedness flag."""
     alg = _load(input_path, catalog)
     rad = structure.jacobson_radical(alg)
     graded = is_graded_subspace(alg, rad)
     payload = {"name": alg.name, "radical_dim": rad.dim, "graded": graded,
                "basis": _rows_of_subspace(alg, rad)}
-    if out_format == "json":
-        _emit(out_path, json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        lines = [f"{alg.name}: radical dim {rad.dim}, "
-                 f"{'graded' if graded else 'not graded'}"]
-        for row in payload["basis"]:
-            lines.append("  " + " + ".join(f"{c}*{l}" for l, c in row.items()))
-        _emit(out_path, "\n".join(lines))
+    lines = [f"{alg.name}: radical dim {rad.dim}, {'graded' if graded else 'not graded'}"]
+    for row in payload["basis"]:
+        lines.append("  " + " + ".join(f"{c}*{l}" for l, c in row.items()))
+    return payload, "\n".join(lines)
 
 
 @main.command()
 @_algebra_options
 @_output_options
-def split(input_path, catalog, out_format, out_path):
+def split(input_path, catalog):
     """Semisimple complement of the radical (graded when available)."""
     alg = _load(input_path, catalog)
     if structure.splits_graded(alg):
@@ -207,20 +204,17 @@ def split(input_path, catalog, out_format, out_path):
         "corrections": data.correction_log,
         "complement_basis": _rows_of_subspace(alg, data.complement),
     }
-    if out_format == "json":
-        _emit(out_path, json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        _emit(out_path, f"{alg.name}: {kind} splitting, complement dim "
-                        f"{payload['complement_dim']} (graded={payload['complement_graded']}), "
-                        f"radical dim {payload['radical_dim']}, "
-                        f"{len(data.correction_log)} corrections")
+    return payload, (f"{alg.name}: {kind} splitting, complement dim "
+                     f"{payload['complement_dim']} (graded={payload['complement_graded']}), "
+                     f"radical dim {payload['radical_dim']}, "
+                     f"{len(data.correction_log)} corrections")
 
 
 @main.command()
 @_algebra_options
 @_output_options
 @click.option("--seed", type=int, default=0)
-def simple(input_path, catalog, out_format, out_path, seed):
+def simple(input_path, catalog, seed):
     """Graded-simplicity verdict with certificate or witness."""
     alg = _load(input_path, catalog)
     res = structure.is_graded_simple(alg, seed=seed)
@@ -228,10 +222,7 @@ def simple(input_path, catalog, out_format, out_path, seed):
     if res.witness is not None:
         payload["witness_dim"] = res.witness.dim
         payload["witness_basis"] = _rows_of_subspace(alg, res.witness)
-    if out_format == "json":
-        _emit(out_path, json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        _emit(out_path, f"{alg.name}: {res.verdict} ({res.detail})")
+    return payload, f"{alg.name}: {res.verdict} ({res.detail})"
 
 
 @main.command("codim")
@@ -249,8 +240,7 @@ def simple(input_path, catalog, out_format, out_path, seed):
                    "value) triples, and its combined entries (rows x cosets x columns)")
 @click.option("--ordinary", is_flag=True, help="forget the grading first")
 @click.option("--timings/--no-timings", default=True)
-def codim_cmd(input_path, catalog, out_format, out_path, n_max, mode, primes,
-              seed, caps, ordinary, timings):
+def codim_cmd(input_path, catalog, n_max, mode, primes, seed, caps, ordinary, timings):
     """Codimension sequence c_1 .. c_n_max."""
     plist = _int_list("--primes", primes)
     if caps <= 0:
@@ -260,19 +250,16 @@ def codim_cmd(input_path, catalog, out_format, out_path, n_max, mode, primes,
         alg = with_trivial_grading(alg)
     results = codim.codim_sequence(alg, n_max, mode, primes=plist or None, seed=seed,
                                    max_block_entries=caps)
-    if out_format == "json":
-        payload = [{"n": r.n, "c_n": r.value, "certification": r.certification,
-                    "seconds": round(r.seconds, 3) if timings else None,
-                    "blocks": [{"assignment": list(b.assignment), "rank": b.rank}
-                               for b in r.blocks]}
-                   for r in results]
-        _emit(out_path, json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        lines = ["n,c_n,certification,seconds"]
-        for r in results:
-            sec = f"{r.seconds:.3f}" if timings else ""
-            lines.append(f"{r.n},{r.value},\"{r.certification}\",{sec}")
-        _emit(out_path, "\n".join(lines))
+    payload = [{"n": r.n, "c_n": r.value, "certification": r.certification,
+                "seconds": round(r.seconds, 3) if timings else None,
+                "blocks": [{"assignment": list(b.assignment), "rank": b.rank}
+                           for b in r.blocks]}
+               for r in results]
+    lines = ["n,c_n,certification,seconds"]
+    for r in results:
+        sec = f"{r.seconds:.3f}" if timings else ""
+        lines.append(f"{r.n},{r.value},\"{r.certification}\",{sec}")
+    return payload, "\n".join(lines)
 
 
 @main.command()
@@ -282,7 +269,7 @@ def codim_cmd(input_path, catalog, out_format, out_path, n_max, mode, primes,
 @click.option("--variant", type=click.Choice(["T1", "T3"]), default=None,
               help="also run the witness certificate for this variant")
 @click.option("--exact/--no-exact", default=True)
-def multiplicity(input_path, catalog, out_format, out_path, shape, variant, exact):
+def multiplicity(input_path, catalog, shape, variant, exact):
     """Multiplicity data for one shape: exact value and/or certificate."""
     alg = _load(input_path, catalog)
     try:
@@ -305,39 +292,30 @@ def multiplicity(input_path, catalog, out_format, out_path, shape, variant, exac
             # the certificate above stands on its own; keep it
             payload["multiplicity"] = None
             payload["multiplicity_skipped"] = str(exc)
-    if out_format == "json":
-        _emit(out_path, json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        bits = [f"{alg.name} shape {lam.parts}:"]
-        if "multiplicity_skipped" in payload:
-            bits.append(f"multiplicity skipped ({payload['multiplicity_skipped']})")
-        elif "multiplicity" in payload:
-            bits.append(f"multiplicity {payload['multiplicity']}")
-        if "certificate_nonzero" in payload:
-            bits.append(f"certificate {'nonzero' if payload['certificate_nonzero'] else 'failed'}")
-        text = " ".join(bits)
-        if report:
-            text += "\n" + report
-        _emit(out_path, text)
+    bits = [f"{alg.name} shape {lam.parts}:"]
+    if "multiplicity_skipped" in payload:
+        bits.append(f"multiplicity skipped ({payload['multiplicity_skipped']})")
+    elif "multiplicity" in payload:
+        bits.append(f"multiplicity {payload['multiplicity']}")
+    if "certificate_nonzero" in payload:
+        bits.append(f"certificate {'nonzero' if payload['certificate_nonzero'] else 'failed'}")
+    return payload, "\n".join([" ".join(bits)] + ([report] if report else []))
 
 
 @main.command()
 @_output_options
 @click.option("--q", type=int, required=True)
 @click.option("--tolerance", type=float, default=1e-9)
-def phimax(out_format, out_path, q, tolerance):
+def phimax(q, tolerance):
     """Maximize the product function over the pairing polytope."""
+    closed = asympt.lemma_max_closed_form(q)  # refuses q < 4 before any solve
     res = asympt.maximize_phi(asympt.lemma_max_polytope(q), tolerance=tolerance)
-    closed = asympt.lemma_max_closed_form(q)
     payload = {"q": q, "value": res.value, "closed_form": closed.value,
                "difference": abs(res.value - closed.value),
                "point": list(res.point), "method": res.method,
                "certified_gap": res.certified_gap}
-    if out_format == "json":
-        _emit(out_path, json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        _emit(out_path, f"q={q}: max {res.value:.12f} "
-                        f"(closed form {closed.value:.12f}, diff {payload['difference']:.2e})")
+    return payload, (f"q={q}: max {res.value:.12f} "
+                     f"(closed form {closed.value:.12f}, diff {payload['difference']:.2e})")
 
 
 @main.command()
@@ -348,38 +326,33 @@ def phimax(out_format, out_path, q, tolerance):
 @click.option("--codim-n-max", type=int, default=0,
               help="attach computed codimensions up to this n (0: none)")
 @click.option("--seed", type=int, default=0)
-def bounds(out_format, out_path, q, n_max, input_path, catalog, codim_n_max, seed):
+def bounds(q, n_max, input_path, catalog, codim_n_max, seed):
     """Growth-bound table: d^n next to codimensions and hook lower bounds."""
     closed = asympt.lemma_max_closed_form(q)
-    c_values = {}
+    # refused past the float range before any codimension is computed
+    rows = asympt.bound_report(closed.value, range(1, n_max + 1), alpha=closed.point)
     if codim_n_max:
         c_values = {r.n: r.value for r in
                     codim.codim_sequence(_load(input_path, catalog), codim_n_max, seed=seed)}
-    rows = asympt.bound_report(closed.value, range(1, n_max + 1),
-                               c_values=c_values, alpha=closed.point)
-    if out_format == "json":
-        _emit(out_path, json.dumps(rows, indent=2, sort_keys=True))
-    else:
-        lines = ["n,d_pow_n,c_n,hook_lower"]
-        for r in rows:
-            c = "" if r["c_n"] is None else r["c_n"]
-            lines.append(f"{r['n']},{r['d_pow_n']:.6f},{c},{r['hook_lower']}")
-        _emit(out_path, "\n".join(lines))
+        for row in rows:
+            row["c_n"] = c_values.get(row["n"])
+    lines = ["n,d_pow_n,c_n,hook_lower"]
+    for r in rows:
+        c = "" if r["c_n"] is None else r["c_n"]
+        lines.append(f"{r['n']},{r['d_pow_n']:.6f},{c},{r['hook_lower']}")
+    return rows, "\n".join(lines)
 
 
 @main.command()
 @_algebra_options
 @_output_options
 @click.option("--ordinary", is_flag=True, help="forget the grading first")
-def exponent(input_path, catalog, out_format, out_path, ordinary):
+def exponent(input_path, catalog, ordinary):
     """The chain-formula growth exponent."""
     alg = _load(input_path, catalog)
     d = structure.ordinary_exponent(alg) if ordinary else structure.graded_exponent_d(alg)
     kind = "ordinary" if ordinary else "graded"
-    if out_format == "json":
-        _emit(out_path, json.dumps({"name": alg.name, "kind": kind, "d": d}, sort_keys=True))
-    else:
-        _emit(out_path, f"{alg.name}: {kind} exponent {d}")
+    return {"name": alg.name, "kind": kind, "d": d}, f"{alg.name}: {kind} exponent {d}"
 
 
 @main.command("verify-paper")
@@ -388,28 +361,22 @@ def exponent(input_path, catalog, out_format, out_path, ordinary):
 @_output_options
 @click.option("--timings/--no-timings", default=True,
               help="give each check's seconds in the json output")
-def verify_paper(sections, out_format, out_path, timings):
+def verify_paper(sections, timings):
     """Run the full verification battery; exit 0 iff every check passes."""
     lines = []
-    results = verify.run_battery(sections=sections or None,
-                                 emit=lines.append)
-    if out_format == "json":
-        payload = [{"check": r.check_id, "group": r.group, "passed": r.passed, "detail": r.detail,
-                    **({"seconds": round(r.seconds, 6)} if timings else {})} for r in results]
-        _emit(out_path, json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        summary = f"{sum(r.passed for r in results)}/{len(results)} checks passed"
-        _emit(out_path, "\n".join(lines + [summary]))
-    return 0 if results and all(r.passed for r in results) else 1
+    results = verify.run_battery(sections=sections or None, emit=lines.append)
+    payload = [{"check": r.check_id, "group": r.group, "passed": r.passed, "detail": r.detail,
+                **({"seconds": round(r.seconds, 6)} if timings else {})} for r in results]
+    lines.append(f"{sum(r.passed for r in results)}/{len(results)} checks passed")
+    return payload, "\n".join(lines), 0 if results and all(r.passed for r in results) else 1
 
 
 @main.command()
 @_algebra_options
-@_output_options
-def export(input_path, catalog, out_format, out_path):
+@_out_option
+def export(input_path, catalog, out_path):
     """Write an algebra back out in the definition-file format."""
-    alg = _load(input_path, catalog)
-    _emit(out_path, serialize_algebra(alg))
+    _emit(out_path, serialize_algebra(_load(input_path, catalog)))
 
 
 if __name__ == "__main__":

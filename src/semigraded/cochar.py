@@ -201,16 +201,27 @@ def apply_symmetrizer(alg, items) -> list:
     of its columns' letters laid end to end, of class (column, degree) at
     every letter and position (FactoredPolynomial.laid_end_to_end); the
     substitutions of every item with as many letters go to one
-    alternating_values call.
+    alternating_values call.  Raises ResourceLimit, before anything is
+    built, when an item's terms (the row group, times the column group
+    unless the shortcut applies) pass codim.DEFAULT_BLOCK_CAP.
     """
+    checked = []  # per item: (tableau, f, tau, the column sum's scalar or None)
+    for tableau, f, tau in items:
+        shape = tableau.shape
+        if f.n != shape.n:
+            raise SizeMismatch("polynomial length does not match the tableau")
+        columns = math.prod(map(math.factorial, shape.column_heights()))
+        aligned = (sorted(tuple(sorted(c.variables)) for c in f.factors)
+                   == sorted(tuple(sorted(c)) for c in tableau.columns()))
+        terms = math.prod(map(math.factorial, shape.parts)) * (1 if aligned else columns)
+        if terms > DEFAULT_BLOCK_CAP:
+            raise ResourceLimit(f"the symmetrizer of shape {shape.parts} sums {terms} terms "
+                                f"(cap {DEFAULT_BLOCK_CAP})", context=shape.parts)
+        checked.append((tableau, f, tau, columns if aligned else None))
     batches = {}  # letters per row -> (letters, their classes, position classes)
     plans = []    # per item: (letters per row, its first row in that batch, weights)
-    for tableau, f, tau in items:
-        if f.n != tableau.shape.n:
-            raise SizeMismatch("polynomial length does not match the tableau")
-        if (sorted(tuple(sorted(c.variables)) for c in f.factors)
-                == sorted(tuple(sorted(c)) for c in tableau.columns())):
-            scalar = math.prod(math.factorial(h) for h in tableau.shape.column_heights())
+    for tableau, f, tau, scalar in checked:
+        if scalar is not None:
             terms = tableau.row_words()
             coefs = [scalar] * len(terms)
         else:

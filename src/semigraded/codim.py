@@ -444,10 +444,19 @@ def _composition(rep) -> tuple:
 
 
 @lru_cache(maxsize=None)
+def _involutions(k: int) -> int:
+    """The involutions of S_k, a(k) = a(k-1) + (k-1) a(k-2): the sum of
+    hook_dim over the partitions of k."""
+    a, b = 1, 1  # a(j-1), a(j)
+    for j in range(2, k + 1):
+        a, b = b, b + (j - 1) * a
+    return b
+
+
 def _basis_rows(composition) -> int:
     """The rows of the full _isotypic_basis of composition, without
     building it."""
-    return math.prod(sum(map(hook_dim, partitions_of(k))) for k in composition)
+    return math.prod(map(_involutions, composition))
 
 
 def check_request(alg: GradedAlgebra, n: int, mode: str = "modular", primes=None,

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from semigraded import asympt
 from semigraded.asympt import (
     Polytope,
     _dual,
@@ -22,7 +23,7 @@ from semigraded.asympt import (
     witness_domain_polytope,
 )
 from semigraded.cochar import Partition, partitions_of
-from semigraded.errors import Infeasible, NegativeCoordinate, NoConvergence, QTooSmall
+from semigraded.errors import BadParam, Infeasible, NegativeCoordinate, NoConvergence, QTooSmall
 
 SQRT2 = math.sqrt(2.0)
 
@@ -182,6 +183,16 @@ def test_bound_report():
     assert all(r["hook_lower"] >= 1 for r in rows)
     # the lower-bound column grows with n
     assert rows[-1]["hook_lower"] > rows[0]["hook_lower"]
+
+
+def test_bound_report_refuses_past_the_float_range(monkeypatch):
+    # 6.83^369 is a float, 6.83^370 is not: refused before any row is formed
+    d = 4 + 2 * SQRT2
+    assert bound_report(d, [369])[0]["d_pow_n"] < float("inf")
+    monkeypatch.setattr(asympt, "mu_sequence", None)
+    with pytest.raises(BadParam) as refused:
+        bound_report(d, range(1, 401), alpha=lemma_max_closed_form(7).point)
+    assert str(refused.value) == f"d^n for d = {d} passes the float range past n = 369"
 
 
 @settings(max_examples=25, deadline=None)

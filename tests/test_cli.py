@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -245,6 +246,44 @@ def test_phimax_command(runner):
     assert payload["difference"] < 1e-9
 
 
+@pytest.mark.parametrize("q", [0, 1, 3])
+def test_phimax_refuses_a_small_q_before_any_solve(runner, monkeypatch, q):
+    from semigraded import asympt
+    monkeypatch.setattr(asympt, "lemma_max_polytope", None)
+    result = runner.invoke(main, ["phimax", "--q", str(q)])
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    [line] = result.stderr.strip().splitlines()
+    assert json.loads(line) == {"error": "QTooSmall", "message": "the closed form needs q >= 4"}
+
+
+def test_bounds_refuses_past_the_float_range(runner, monkeypatch):
+    # before any codimension is computed
+    from semigraded import codim
+    monkeypatch.setattr(codim, "_word_products", None)
+    result = runner.invoke(main, ["bounds", "--q", "7", "--n-max", "400",
+                                  "--catalog", "thm_T1_fractional", "--codim-n-max", "3"])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    [line] = result.stderr.strip().splitlines()
+    assert json.loads(line) == {"error": "BadParam", "message": "d^n for d = 6.82842712474619 "
+                                                                "passes the float range past n = 369"}
+
+
+@pytest.mark.parametrize("args, message", [
+    (["codim", "--catalog", "thm_T1_fractional", "--format", "csv"],
+     "Invalid value for '--format': 'csv' is not one of 'text', 'json'."),
+    (["export", "--catalog", "thm_T1_fractional", "--format", "json"],
+     "No such option '--format'"),
+], ids=["csv", "export-format"])
+def test_dropped_option_values_are_usage_errors(runner, args, message):
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    [line] = result.stderr.strip().splitlines()
+    assert json.loads(line)["message"].startswith(message)
+
+
 @pytest.mark.parametrize("args, error, message", [
     (["phimax", "--q", "7", "--bogus", "1"], "NoSuchOption", "No such option '--bogus'"),
     (["codim", "--catalog", "thm_T1_fractional", "--n-max", "abc"], "BadParameter",
@@ -444,3 +483,88 @@ def test_malformed_shape_is_a_usage_error(runner, shape):
     assert result.exit_code == 2
     [line] = result.stderr.strip().splitlines()
     assert json.loads(line)["error"] == "BadParam"
+
+
+_BATTERY_BUT_PHI = [a for c in ("semigroups", "radical", "splitting", "simple", "codim",
+                                "witness", "theta", "exponent", "partitions", "multiplicity")
+                    for a in ("--sections", c)]
+# every exact command, run in text and in json (exponent and export in one form);
+# phimax is left out, its floats come from the numeric solver
+_PINNED_COMMANDS = [
+    ["semigroups", "--order", "2"],
+    ["check", "--catalog", "thm_T1_fractional"],
+    ["radical", "--catalog", "exampleT1(2)"],
+    ["split", "--catalog", "utk_column_graded(2)"],
+    ["simple", "--catalog", "thm_T3_fractional"],
+    ["codim", "--catalog", "thm_T3_fractional", "--n-max", "4", "--no-timings"],
+    ["codim", "--catalog", "thm_T3_fractional", "--n-max", "4", "--no-timings", "--mode", "exact"],
+    ["multiplicity", "--catalog", "thm_T3_fractional", "--shape", "2,1,1"],
+    ["multiplicity", "--catalog", "thm_T3_fractional", "--shape", "2,1,1", "--variant", "T3"],
+    ["bounds", "--q", "7", "--n-max", "6", "--catalog", "thm_T1_fractional",
+     "--codim-n-max", "3"],
+    ["verify-paper", "--no-timings", *_BATTERY_BUT_PHI],
+]
+_PINNED = [c + f for c in _PINNED_COMMANDS for f in ([], ["--format", "json"])] + [
+    ["exponent", "--catalog", "utk_column_graded(2)"],
+    ["export", "--catalog", "mk_column_graded(2)"],
+]
+PINNED_OUTPUT_DIGESTS = {
+    "semigroups --order 2":
+        "97d73e08f5180037380e6cac564c8fa90d7883a5f14d40a640145f683b57251a",
+    "semigroups --order 2 --format json":
+        "59b95cd4731b8282ce7332fe49821ded22b12303cf273584ffbf4648b1b5a7e6",
+    "check --catalog thm_T1_fractional":
+        "ba245e34ec66f7eb5252296c027b67d089b67c7b9cb9c0c01f308464fbf96139",
+    "check --catalog thm_T1_fractional --format json":
+        "25d3a0f7aab38e7c33fd18e85c81fb8a00b7427a385fe4ad006ddc1f0a53ab3f",
+    "radical --catalog exampleT1(2)":
+        "b9b42e06649cf166db2d12f86aa7377ad025d6cf2b2aca9350498562ac2b2e5a",
+    "radical --catalog exampleT1(2) --format json":
+        "a62872226b75277745ad19954b5f907a7351376b95e3bba869db2338fa760c11",
+    "split --catalog utk_column_graded(2)":
+        "95695c6480ec027d0ba4ffd94cc6f5e4758a860d5bf0c26a4b5c6a888ac08289",
+    "split --catalog utk_column_graded(2) --format json":
+        "b66d1ea3de307b76444bed55eecaedf8653258ad936a2cbd1db856fc1578160f",
+    "simple --catalog thm_T3_fractional":
+        "7b6c6349e61ae00975d52275599682f9f68e9dc7be8964be978981e3a954a377",
+    "simple --catalog thm_T3_fractional --format json":
+        "899e569e0af6439e298d6fb070e6984372c86ad441bbd230a7959f35ba1ae4be",
+    "codim --catalog thm_T3_fractional --n-max 4 --no-timings":
+        "2851bb5365cb83e616cc3700e691b4e80aa70eb8661d3e21224159010903d119",
+    "codim --catalog thm_T3_fractional --n-max 4 --no-timings --format json":
+        "5c7d9156cfe70ade5c8a1a24ad0eccd22d96baafa15b10539716dff8c7717d41",
+    "codim --catalog thm_T3_fractional --n-max 4 --no-timings --mode exact":
+        "9e74ed54faaa54c6aac90262bff343888c0cfc5adff6bcd605e075df1635c93e",
+    "codim --catalog thm_T3_fractional --n-max 4 --no-timings --mode exact --format json":
+        "a68f961f0debfee39b6dab281ff29ae66632f78b796a7b700737047cfedd47ac",
+    "multiplicity --catalog thm_T3_fractional --shape 2,1,1":
+        "cb2e740a498bbab792bb574ec3fb5ee6b2f0f156086c7d0afed78dc89655594b",
+    "multiplicity --catalog thm_T3_fractional --shape 2,1,1 --format json":
+        "27750fc4f08f4d400fa1ec4c81ce77bc1d5b79dcf328303466a8b0cb97d3380c",
+    "multiplicity --catalog thm_T3_fractional --shape 2,1,1 --variant T3":
+        "a83a9d88c21743ce9087b57b40b6af00e84362df477f6ac3bae9b7a5b41c521b",
+    "multiplicity --catalog thm_T3_fractional --shape 2,1,1 --variant T3 --format json":
+        "d6e9a72a15f2fe265f5b387654ff84a29b5159a387462b1a58b3c285e9ebbf12",
+    "bounds --q 7 --n-max 6 --catalog thm_T1_fractional --codim-n-max 3":
+        "c24269a9a9fdbe643a8e971942737e897e70d5d3ed1c8b5cac2b48a2cdd777b5",
+    "bounds --q 7 --n-max 6 --catalog thm_T1_fractional --codim-n-max 3 --format json":
+        "852e190c57a6ca856357b137bd4083fd0cb01d78c7aeebc52796263c2aa6a764",
+    "verify-paper --no-timings --sections <all but phi>":
+        "64faa3ee9a2240282c5e8a60d0c70a8461cd48eccc0ece8102510a998e2fd7eb",
+    "verify-paper --no-timings --sections <all but phi> --format json":
+        "3e340814cddf2b52c6ef154fc3a6d9fefeadce81958ede7cedf216fbc7b0505b",
+    "exponent --catalog utk_column_graded(2)":
+        "e817af70c10f0a2b4deb2782716b6c2d369907ee86d6db1a7ee545384797d6bb",
+    "export --catalog mk_column_graded(2)":
+        "4da83f6f53fae884a8fbc88ba87abf295cd5fd3bd45f13f8e7f3c096871c533a",
+}
+
+
+def test_outputs_are_pinned(runner):
+    digests = {}
+    for args in _PINNED:
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, (args, result.stderr)
+        key = " ".join(args).replace(" ".join(_BATTERY_BUT_PHI), "--sections <all but phi>")
+        digests[key] = hashlib.sha256(result.stdout.encode()).hexdigest()
+    assert digests == PINNED_OUTPUT_DIGESTS

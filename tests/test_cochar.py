@@ -165,6 +165,40 @@ def test_symmetrizer_size_mismatch():
         apply_symmetrizer(m2, [(t, f, {0: 0, 1: 1, 2: 2})])
 
 
+def _no_young_subgroup(monkeypatch):
+    from semigraded import young
+
+    def unreachable(composition):
+        raise AssertionError("a Young subgroup was built")
+
+    monkeypatch.setattr(young, "young_subgroup", unreachable)
+
+
+def test_symmetrizer_refuses_an_over_cap_witness_before_building_it(monkeypatch):
+    # the witness of (11) sums over its row group alone: 11! terms
+    t3 = paper_catalog("thm_T3_fractional")
+    w = build_witness("T3", Partition((11,)), alg=t3)
+    _no_young_subgroup(monkeypatch)
+    with pytest.raises(ResourceLimit) as refused:
+        apply_symmetrizer(t3, [(w.tableau, w.f, w.tau)])
+    assert str(refused.value) == ("the symmetrizer of shape (11,) sums 39916800 terms "
+                                  "(cap 10000000)")
+
+
+def test_symmetrizer_counts_the_column_group_off_the_shortcut(monkeypatch):
+    # (5,5,5) with one column of all 15 variables: 120**3 row terms times
+    # 6**5 column terms, though the row group alone is under the cap
+    m2 = full_matrix(2)
+    t = YoungTableau.column_major(Partition((5, 5, 5)))
+    f = FactoredPolynomial(15, [AlternatingColumn(tuple(range(15)), tuple(range(15)),
+                                                  (0,) * 15)])
+    _no_young_subgroup(monkeypatch)
+    with pytest.raises(ResourceLimit) as refused:
+        apply_symmetrizer(m2, [(t, f, {v: 0 for v in range(15)})])
+    assert str(refused.value) == ("the symmetrizer of shape (5, 5, 5) sums "
+                                  f"{120 ** 3 * 6 ** 5} terms (cap 10000000)")
+
+
 # -- the h!-word oracle for alternating columns ------------------------------------
 
 @dataclasses.dataclass

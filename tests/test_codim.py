@@ -1222,6 +1222,22 @@ def test_degree_eight_fails_before_the_product_cache(monkeypatch):
             multiplicities(paper_catalog(name), partitions_of(8))
 
 
+def test_an_oversized_request_is_refused_without_listing_partitions(monkeypatch):
+    # the basis rows of a part k are the involutions of S_k, the sum of
+    # hook_dim over the partitions of k, counted without listing them
+    assert [codim._basis_rows((k,)) for k in range(1, 11)] == \
+        [sum(map(hook_dim, partitions_of(k))) for k in range(1, 11)]
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the partitions were listed")
+
+    monkeypatch.setattr(codim, "partitions_of", unreachable)
+    assert codim._basis_rows((8,)) == 764
+    with pytest.raises(ResourceLimit) as refused:
+        codim.check_request(paper_catalog("thm_T3_fractional"), 70)
+    assert str(refused.value).startswith(f"block for assignment {(0,) * 70} needs a ")
+
+
 def live_basis_rows(alg, rep) -> int:
     """The rows of rep's isotypic basis that combine its block: d_<lambda>
     = prod_t hook_dim(lambda_t) per multipartition whose every lambda_t

@@ -1,6 +1,7 @@
 """Each script of scripts/ runs to exit 0 at small arguments."""
 
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -54,8 +55,22 @@ def test_cochar_table_ranks_each_live_slice_once(monkeypatch, capsys):
 @pytest.mark.parametrize("targets", [[], ["--targets", "thm_T3_fractional"]],
                          ids=["default", "T3"])
 def test_codim_scan_refuses_an_over_cap_degree_before_printing_any(targets):
-    # n = 8 passes the block cap: refused before any c_n is computed or printed
+    # n = 8 passes the block cap: refused before any c_n is computed or printed,
+    # with the CLI's one JSON line and exit code
     result = run_script("codim_scan.py", "--n-max", "8", *targets)
-    assert result.returncode != 0
+    assert result.returncode == 3
     assert result.stdout == ""
-    assert "ResourceLimit: block for assignment (0, 0, 0, 0, 0, 0, 0, 0)" in result.stderr
+    [line] = result.stderr.splitlines()
+    assert json.loads(line) == {
+        "error": "ResourceLimit",
+        "message": "block for assignment (0, 0, 0, 0, 0, 0, 0, 0) needs a 764 x 40320 "
+                   "isotypic basis (cap 10000000)"}
+
+
+def test_a_script_refuses_an_unknown_catalog_name_as_the_cli_does():
+    result = run_script("cochar_table.py", "--catalog", "nope", "--n", "3")
+    assert result.returncode == 2
+    assert result.stdout == ""
+    [line] = result.stderr.splitlines()
+    assert json.loads(line) == {"error": "UnknownName",
+                                "message": "unknown catalog algebra 'nope'"}
