@@ -20,60 +20,36 @@ from .errors import BadParam, Infeasible, NegativeCoordinate, NoConvergence, QTo
 FEAS_TOL = 1e-12
 DEFAULT_TOL = 1e-9
 NEWTON_STEPS = 100  # the pairing polytopes need 3-4; a face costs a few more
+PROJECT_ROUNDS = 400
 
 
 @dataclass(frozen=True)
 class Polytope:
-    """Constraint region for the concave maximization.
-
-    gamma rows are (offset, coefficients): offset + sum_j coeffs[j] x_j >= 0.
-    The continuous region optionally includes the ordering chain
-    x_1 >= ... >= x_q >= 0 and the simplex equality sum x = 1.  theta_caps
-    and r_cutoff only participate in the discrete membership test.
+    """Constraint region for the concave maximization: the ordered simplex
+    x_1 >= ... >= x_q >= 0, sum x = 1, cut by the gamma rows (offset,
+    coefficients), each offset + sum_j coeffs[j] x_j >= 0.  r_cutoff only
+    participates in the discrete membership test.
     """
 
     q: int
     gamma: tuple = ()
-    include_ordering: bool = True
-    include_simplex: bool = True
-    theta_caps: tuple = ()      # pairs (i, cap), 1-based i with q < i <= r
     r_cutoff: int | None = None
 
     def halfspaces(self):
-        """All inequality rows as (offset, coeffs) including the ordering chain."""
+        """All inequality rows as (offset, coeffs), the ordering chain last."""
         rows = [(float(off), tuple(float(c) for c in coeffs)) for off, coeffs in self.gamma]
-        if self.include_ordering:
-            for i in range(self.q - 1):
-                coeffs = [0.0] * self.q
-                coeffs[i] = 1.0
+        for i in range(self.q):
+            coeffs = [0.0] * self.q
+            coeffs[i] = 1.0
+            if i + 1 < self.q:
                 coeffs[i + 1] = -1.0
-                rows.append((0.0, tuple(coeffs)))
-            last = [0.0] * self.q
-            last[self.q - 1] = 1.0
-            rows.append((0.0, tuple(last)))
-        else:
-            for i in range(self.q):
-                coeffs = [0.0] * self.q
-                coeffs[i] = 1.0
-                rows.append((0.0, tuple(coeffs)))
+            rows.append((0.0, tuple(coeffs)))
         return rows
-
-    def violation(self, x) -> float:
-        worst = 0.0
-        for off, coeffs in self.halfspaces():
-            worst = max(worst, -(off + sum(c * xi for c, xi in zip(coeffs, x))))
-        if self.include_simplex:
-            worst = max(worst, abs(sum(x) - 1.0))
-        return worst
-
-    def is_feasible(self, x, tol: float = FEAS_TOL) -> bool:
-        return self.violation(x) <= tol
 
     def inflated(self, amount: float) -> "Polytope":
         """Relax every gamma offset by the given amount (finite-n slack)."""
         rows = tuple((float(off) + amount, coeffs) for off, coeffs in self.gamma)
-        return Polytope(self.q, rows, self.include_ordering, self.include_simplex,
-                        self.theta_caps, self.r_cutoff)
+        return Polytope(self.q, rows, self.r_cutoff)
 
 
 @dataclass
@@ -137,25 +113,23 @@ class _Region:
         self.offsets = np.array([off for off, _ in rows])
         self.coeffs = np.array([c for _, c in rows])
         self.norms = (self.coeffs ** 2).sum(axis=1)
-        self.simplex = poly.include_simplex
 
     def violation(self, y) -> float:
-        worst = float(-(self.offsets + self.coeffs @ y).min()) if len(self.offsets) else 0.0
-        if self.simplex:
-            worst = max(worst, abs(float(y.sum()) - 1.0))
-        return max(worst, 0.0)
+        """The worst halfspace shortfall or distance of sum y from 1."""
+        worst = float(-(self.offsets + self.coeffs @ y).min())
+        return max(worst, abs(float(y.sum()) - 1.0), 0.0)
 
-    def project(self, x, rounds: int = 400, tol: float = FEAS_TOL):
+    def project(self, x):
+        """A feasible point near x to FEAS_TOL: the simplex projection, then
+        cyclic corrections of the violated halfspaces, for PROJECT_ROUNDS
+        rounds at most."""
         y = np.array(x, dtype=float)
-        for _ in range(rounds):
-            if self.simplex:
-                y = _project_simplex(y)
-            else:
-                y = np.maximum(y, 0.0)
+        for _ in range(PROJECT_ROUNDS):
+            y = _project_simplex(y)
             resid = self.offsets + self.coeffs @ y
-            bad = np.nonzero(resid < -tol)[0]
+            bad = np.nonzero(resid < -FEAS_TOL)[0]
             if bad.size == 0:
-                if self.violation(y) <= tol:
+                if self.violation(y) <= FEAS_TOL:
                     return y
                 continue
             for i in bad:
@@ -168,25 +142,20 @@ class _Region:
 def _dual(region: _Region, y, cols):
     """The entropy dual g at multipliers y >= 0, on the coordinates cols.
 
-    With s = A^T y, g(y) = y.offsets + log sum_i exp(s_i) on the simplex
-    and y.offsets + sum_i exp(s_i - 1) without it; the inner maximum of the
-    Lagrangian is at x proportional to exp(s).  Returns (g, its gradient,
-    which is the constraint residual at x, its Hessian, x).
+    With s = A^T y, g(y) = y.offsets + log sum_i exp(s_i); the inner
+    maximum of the Lagrangian over the simplex is at x proportional to
+    exp(s).  Returns (g, its gradient, which is the constraint residual at
+    x, its Hessian, x).
     """
     c = region.coeffs[:, cols]
     s = c.T @ y
     with np.errstate(over="ignore", invalid="ignore"):
-        if region.simplex:
-            top = s.max()
-            e = np.exp(s - top)
-            x = e / e.sum()
-            value = float(region.offsets @ y + top + math.log(e.sum()))
-            cx = c @ x
-            hess = (c * x) @ c.T - np.outer(cx, cx)
-        else:
-            x = np.exp(s - 1.0)
-            value = float(region.offsets @ y + x.sum())
-            hess = (c * x) @ c.T
+        top = s.max()
+        e = np.exp(s - top)
+        x = e / e.sum()
+        value = float(region.offsets @ y + top + math.log(e.sum()))
+        cx = c @ x
+        hess = (c * x) @ c.T - np.outer(cx, cx)
         grad = region.offsets + c @ x
     return value, grad, hess, x
 
@@ -283,9 +252,6 @@ def omega_n_membership(poly: Polytope, lam: Partition) -> bool:
             cf = Fraction(c).limit_denominator(10 ** 9) if isinstance(c, float) else Fraction(c)
             total += cf * lam.part(j)
         if total < 0:
-            return False
-    for i, cap in poly.theta_caps:
-        if lam.part(i) > cap:
             return False
     if poly.r_cutoff is not None and lam.part(poly.r_cutoff + 1) > 0:
         return False

@@ -14,9 +14,10 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import groupby
+from itertools import combinations, groupby
 
 import numpy as np
 
@@ -185,68 +186,86 @@ class FactoredPolynomial:
 # -- Young symmetrizer application ----------------------------------------------
 
 
+def _substitutions(tableau: YoungTableau, tau) -> np.ndarray:
+    """The distinct substitutions v -> tau[rho(v)], rho over the row group
+    of tableau, one int64 row each over the variables 0..n-1: each row of
+    the tableau filled with an ordering of its labels.  Every place starts
+    at its row's last distinct label, and the places of each other label
+    are chosen in turn, in every way, among those still holding it."""
+    base, chosen = [0] * tableau.shape.n, []
+    for row in tableau.rows:
+        *others, (last, _) = Counter(tau[v] for v in row).items()
+        for v in row:
+            base[v] = last
+        chosen += [(np.array(row), last, label, count) for label, count in others]
+    words = np.array([base], dtype=np.int64)
+    for row, last, label, count in chosen:
+        free = row[np.nonzero(words[:, row] == last)[1]].reshape(len(words), -1)
+        places = free[:, list(combinations(range(free.shape[1]), count))].reshape(-1, count)
+        words = np.repeat(words, len(places) // len(words), axis=0)
+        words[np.arange(len(words))[:, None], places] = label
+    return words
+
+
 def apply_symmetrizer(alg, items) -> list:
     """The value of the symmetrized polynomial e_T.f on the substitution
-    tau, as a vector, for each (tableau T, f, tau) of items.
+    tau, as a vector, for each (tableau T, f, tau) of items, f's columns
+    sitting one on each column of T.
 
-    e_T.f at tau is the sum of c_g * f(tau o g) over the terms (g, c_g) of
-    e_T; f is evaluated once per distinct substitution tau o g, times the
-    sum of its coefficients.  When f's columns sit one on each column of
-    the tableau, the column sum collapses to the scalar prod(column
-    height factorials), leaving only the row-group sum
-    (YoungTableau.row_words); that shortcut makes the tall witnesses
-    tractable.  Any other f is summed over every term of
-    YoungTableau.symmetrizer_words, built from the same row words.  f on a
-    substitution is sign(slots of every column) times the alternating sum
-    of its columns' letters laid end to end, of class (column, degree) at
-    every letter and position (FactoredPolynomial.laid_end_to_end); the
-    substitutions of every item with as many letters go to one
-    alternating_values call.  Raises ResourceLimit, before anything is
-    built, when an item's terms (the row group, times the column group
-    unless the shortcut applies) pass codim.DEFAULT_BLOCK_CAP.
+    e_T = sum over the row group R and the column group C of sign(sigma)
+    rho.sigma, and f alternates in each column, so e_T.f at tau is
+    |C| = prod(column height factorials) times the sum over rho in R of f
+    at tau o rho.  tau o rho fills each row of T with an ordering of the
+    row's labels, and each distinct ordering comes from prod over rows of
+    prod over labels (label multiplicity)! elements rho: f is evaluated
+    once per distinct substitution (_substitutions), and the sum taken
+    times that weight.  f on a substitution is sign(slots of every
+    column) times the alternating sum of its columns' letters laid end to
+    end, of class (column, degree) at every letter and position
+    (FactoredPolynomial.laid_end_to_end); the substitutions of every item
+    with as many letters go to one alternating_values call.  Before
+    anything is built, raises SizeMismatch when f and T differ in length,
+    BadParam when f's columns do not sit on T's, and ResourceLimit when an
+    item's distinct substitutions pass codim.DEFAULT_BLOCK_CAP.
     """
-    checked = []  # per item: (tableau, f, tau, the column sum's scalar or None)
+    weights = []  # per item: |C| times the row-group elements per substitution
     for tableau, f, tau in items:
         shape = tableau.shape
         if f.n != shape.n:
             raise SizeMismatch("polynomial length does not match the tableau")
-        columns = math.prod(map(math.factorial, shape.column_heights()))
-        aligned = (sorted(tuple(sorted(c.variables)) for c in f.factors)
-                   == sorted(tuple(sorted(c)) for c in tableau.columns()))
-        terms = math.prod(map(math.factorial, shape.parts)) * (1 if aligned else columns)
-        if terms > DEFAULT_BLOCK_CAP:
-            raise ResourceLimit(f"the symmetrizer of shape {shape.parts} sums {terms} terms "
-                                f"(cap {DEFAULT_BLOCK_CAP})", context=shape.parts)
-        checked.append((tableau, f, tau, columns if aligned else None))
+        if (sorted(tuple(sorted(c.variables)) for c in f.factors)
+                != sorted(tuple(sorted(c)) for c in tableau.columns())):
+            raise BadParam("the symmetrizer needs the polynomial's columns on the "
+                           "tableau's columns")
+        repeats = [math.prod(map(math.factorial, Counter(tau[v] for v in row).values()))
+                   for row in tableau.rows]
+        count = math.prod(math.factorial(len(row)) // r for row, r in zip(tableau.rows, repeats))
+        if count > DEFAULT_BLOCK_CAP:
+            raise ResourceLimit(f"the symmetrizer of shape {shape.parts} takes {count} "
+                                f"distinct substitutions (cap {DEFAULT_BLOCK_CAP})",
+                                context=shape.parts)
+        weights.append(math.prod(map(math.factorial, shape.column_heights())) * math.prod(repeats))
     batches = {}  # letters per row -> (letters, their classes, position classes)
-    plans = []    # per item: (letters per row, its first row in that batch, weights)
-    for tableau, f, tau, scalar in checked:
-        if scalar is not None:
-            terms = tableau.row_words()
-            coefs = [scalar] * len(terms)
-        else:
-            terms, coefs = tableau.symmetrizer_words()
+    plans = []    # per item: (letters per row, its rows in that batch, their weight)
+    for (tableau, f, tau), weight in zip(items, weights):
         variables = [v for c in f.factors for v in c.variables]
-        image = np.array([tau[v] for v in range(f.n)])
-        weights = {}
-        for key, c in zip(map(tuple, image[terms[:, variables]].tolist()), coefs):
-            weights[key] = weights.get(key, 0) + c
-        weights = {key: c for key, c in weights.items() if c}
-        sign, fits, pos = f.laid_end_to_end(alg, weights)
-        letters, classes, pos_classes = batches.setdefault(len(variables), ([], [], []))
-        plans.append((len(variables), len(letters), [sign * c for c in weights.values()]))
-        letters.extend(weights)
+        letters = _substitutions(tableau, tau)[:, variables].tolist()
+        sign, fits, pos = f.laid_end_to_end(alg, letters)
+        batch, classes, pos_classes = batches.setdefault(len(variables), ([], [], []))
+        plans.append((len(variables), slice(len(batch), len(batch) + len(letters)),
+                      sign * weight))
+        batch.extend(letters)
         classes.extend(fits)
-        pos_classes.extend([pos] * len(weights))
+        pos_classes.extend([pos] * len(letters))
     cells = alg.cell_table()
     values = {h: alternating_values(cells, *batch) for h, batch in batches.items()}
     out = []
-    for h, first, coefs in plans:
+    for h, rows, weight in plans:
         total = {}
-        for c, value in zip(coefs, values[h][first:]):
+        for value in values[h][rows]:
             for k, x in value.items():
-                total[k] = total.get(k, 0) + c * x
-        out.append(tuple(frac(total.get(k, 0)) for k in range(alg.dim)))
+                total[k] = total.get(k, 0) + x
+        out.append(tuple(frac(weight * total.get(k, 0)) for k in range(alg.dim)))
     return out
 
 
@@ -548,30 +567,31 @@ def alternation_vanishing_check(alg: GradedAlgebra, n: int, trials: int = 200,
     """
     if n <= alg.dim:
         raise SizeMismatch("need strictly more variables than the dimension")
-    draws = _alternation_trials(alg, n, trials, seed)
-    values = alternating_values(alg.cell_table(), [sub for _, _, sub in draws],
-                                [[alg.degree[b] for b in sub] for _, _, sub in draws],
-                                [[degrees[v] for v in word] for word, degrees, _ in draws])
-    failures = [{"trial": trial, "word": word, "degrees": degrees, "substitution": sub,
+    words, degrees, subs = _alternation_trials(alg, n, trials, seed)
+    values = alternating_values(alg.cell_table(), subs, np.array(alg.degree)[subs],
+                                np.take_along_axis(degrees, words, axis=1))
+    failures = [{"trial": trial, "word": words[trial].tolist(),
+                 "degrees": degrees[trial].tolist(), "substitution": subs[trial].tolist(),
                  "value": value}
-                for trial, ((word, degrees, sub), value) in enumerate(zip(draws, values))
-                if value]
+                for trial, value in enumerate(values) if value]
     return {"ok": not failures, "failures": failures, "trials": trials}
 
 
-def _alternation_trials(alg: GradedAlgebra, n: int, trials: int, seed: int) -> list:
-    """alternation_vanishing_check's draws from random.Random(seed), trial
-    by trial: (word, degrees, substitution), word a shuffle of the n
-    variables and each variable's degree and basis element drawn from the
-    support and that degree's component."""
+def _alternation_trials(alg: GradedAlgebra, n: int, trials: int, seed: int) -> tuple:
+    """alternation_vanishing_check's draws, as trials x n arrays (words,
+    degrees, substitutions): each word a shuffle of the n variables (the
+    argsort of random keys), each variable's degree drawn from the support
+    and its basis element from that degree's component (random words
+    modulo their sizes).  All three read one block of random 64-bit words
+    from random.Random(seed): numpy's own generators would cost the import
+    of their module, about 6 MB."""
     rng = random.Random(seed)
+    keys, degree, element = np.frombuffer(rng.randbytes(24 * trials * n),
+                                          dtype=np.uint64).reshape(3, trials, n)
     support = alg.support()
-    comp = {t: alg.component_indices(t) for t in support}
-    draws = []
-    for _ in range(trials):
-        word = list(range(n))
-        rng.shuffle(word)
-        degrees = [rng.choice(support) for _ in range(n)]
-        sub = [rng.choice(comp[degrees[v]]) for v in range(n)]
-        draws.append((tuple(word), tuple(degrees), tuple(sub)))
-    return draws
+    comp = [alg.component_indices(t) for t in support]
+    table = np.array([c + [0] * (alg.dim - len(c)) for c in comp], dtype=np.int64)
+    picks = (degree % np.uint64(len(support))).astype(np.int64)
+    sizes = np.array([len(c) for c in comp], dtype=np.uint64)[picks]
+    subs = table[picks, (element % sizes).astype(np.int64)]
+    return np.argsort(keys, axis=1), np.array(support, dtype=np.int64)[picks], subs

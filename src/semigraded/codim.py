@@ -596,7 +596,9 @@ def ordinary_codim(alg: GradedAlgebra, n: int, **kw) -> CodimResult:
 def codim_sequence(alg: GradedAlgebra, n_max: int, mode: str = "modular", **kw):
     """[graded_codim(alg, n, mode, **kw) for n = 1 to n_max], every n first
     through check_request, so an over-cap n is refused before any c_n is
-    computed."""
+    computed.  Raises BadParam for n_max < 1: the sequence would be empty."""
+    if n_max < 1:
+        raise BadParam(f"n_max must be at least 1, got {n_max}")
     for n in range(1, n_max + 1):
         check_request(alg, n, mode, kw.get("primes"),
                       kw.get("max_block_entries", DEFAULT_BLOCK_CAP))

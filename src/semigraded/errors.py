@@ -29,10 +29,6 @@ class GradingViolation(WorkbenchError):
         super().__init__(message or f"grading law fails at basis pair {pair}")
 
 
-class SemigroupMismatch(WorkbenchError):
-    pass
-
-
 class UnknownName(WorkbenchError):
     pass
 
@@ -65,10 +61,6 @@ class RadicalNotGraded(WorkbenchError):
 
 
 class NilpotentAlgebra(WorkbenchError):
-    pass
-
-
-class DegreeMismatch(WorkbenchError):
     pass
 
 

@@ -27,7 +27,6 @@ from .errors import (
     GradingViolation,
     NotAssociative,
     ResourceLimit,
-    SemigroupMismatch,
     UnknownName,
 )
 from .linalg import (ONE, ZERO, Subspace, frac, integer_row, is_zero_vec, solve, span_closure,
@@ -311,29 +310,6 @@ def is_graded_subspace(alg: GradedAlgebra, s: Subspace) -> bool:
     return all(len({alg.degree[i] for i, x in enumerate(row) if x}) == 1 for row in s.rows)
 
 
-def direct_sum(a: GradedAlgebra, b: GradedAlgebra) -> GradedAlgebra:
-    if a.semigroup != b.semigroup:
-        raise SemigroupMismatch("direct summands must share the grading semigroup")
-    n = a.dim
-    structure = {}
-    for (i, j), cell in a.structure.items():
-        structure[(i, j)] = dict(cell)
-    for (i, j), cell in b.structure.items():
-        structure[(i + n, j + n)] = {k + n: c for k, c in cell.items()}
-    unit = None
-    if a.unit is not None and b.unit is not None:
-        unit = tuple(a.unit) + tuple(b.unit)
-    return GradedAlgebra(
-        dim=n + b.dim,
-        basis_labels=tuple(f"L:{l}" for l in a.basis_labels) + tuple(f"R:{l}" for l in b.basis_labels),
-        structure=structure,
-        degree=tuple(a.degree) + tuple(b.degree),
-        semigroup=a.semigroup,
-        unit=unit,
-        name=f"{a.name}(+){b.name}" if a.name and b.name else "",
-    )
-
-
 def opposite(alg: GradedAlgebra) -> GradedAlgebra:
     """The transposed structure over the opposite semigroup."""
     return replace(alg, structure={(j, i): dict(cell) for (i, j), cell in alg.structure.items()},
@@ -572,10 +548,6 @@ _CATALOG_BUILDERS = {
     "full_matrix": (full_matrix, 1),
     "upper_triangular": (upper_triangular, 1),
 }
-
-
-def catalog_names():
-    return sorted(_CATALOG_BUILDERS)
 
 
 def paper_catalog(name: str, *params) -> GradedAlgebra:

@@ -168,10 +168,6 @@ class Subspace:
             self.pivots = tuple(piv)
 
     @classmethod
-    def zero(cls, ambient: int) -> "Subspace":
-        return cls(ambient, (), _reduced=True)
-
-    @classmethod
     def full(cls, ambient: int) -> "Subspace":
         return cls(ambient, [unit_vec(ambient, i) for i in range(ambient)], _reduced=True)
 

@@ -233,20 +233,13 @@ def _combine(rows, coords):
     return tuple(out)
 
 
-def wedderburn_decompose(alg: GradedAlgebra) -> WedderburnData:
-    """Simple two-sided ideals of a semisimple algebra.
+def _wedderburn(alg):
+    """Simple two-sided ideals of an algebra whose radical is known to vanish.
 
     Found by splitting the center with rational eigenvalues of its
     multiplication operators.  NonSplit is raised when a block of the
     center admits no rational eigen-splitting; nothing is approximated.
     """
-    if not jacobson_radical(alg).is_zero():
-        raise NotSemisimple("input has nonzero radical")
-    return _wedderburn(alg)
-
-
-def _wedderburn(alg):
-    """wedderburn_decompose for an algebra whose radical is known to vanish."""
     if alg.dim == 0:
         return WedderburnData([], 0, [])
     unit = alg.unit if alg.unit is not None else find_unit(alg)

@@ -12,8 +12,8 @@ import time
 from dataclasses import dataclass
 
 from . import asympt, codim, cochar, structure
-from .gralgebra import is_graded_subspace, paper_catalog
-from .semigroup import classify_order2, enumerate_semigroups, isomorphism_classes
+from .gralgebra import is_graded_subspace, opposite, paper_catalog
+from .semigroup import classify_order2, enumerate_semigroups, is_cancellative, isomorphism_classes
 
 
 @dataclass
@@ -36,8 +36,12 @@ def check_semigroup_classification(algebras=None):
     raw = enumerate_semigroups(2)
     classes = isomorphism_classes(raw)
     tags = sorted(classify_order2(c[0]) for c in classes)
-    ok = tags == ["T1", "T2", "T3", "T3op", "Z2"]
-    return ok, f"{len(raw)} associative tables in {len(classes)} classes: {', '.join(tags)}"
+    # a finite cancellative semigroup is a group: the other four are the
+    # abstract's non-groups
+    cancellative = sorted(classify_order2(c[0]) for c in classes if is_cancellative(c[0]))
+    ok = tags == ["T1", "T2", "T3", "T3op", "Z2"] and cancellative == ["Z2"]
+    return ok, (f"{len(raw)} associative tables in {len(classes)} classes: {', '.join(tags)}; "
+                f"cancellative: {', '.join(cancellative) or 'none'}")
 
 
 def check_radical_gradedness(algebras=None):
@@ -157,6 +161,19 @@ def check_c1_values(algebras=None):
     return ok, "; ".join(details)
 
 
+def check_opposite_codim(algebras=None):
+    # c_n(A^op) = c_n(A): the opposite of thm_T3_fractional is graded by
+    # the fourth semigroup of the abstract, T3op
+    mirror = opposite(_get(algebras, "thm_T3_fractional"))
+    tag = classify_order2(mirror.semigroup)
+    values = [codim.graded_codim(mirror, n) for n in range(1, 5)]
+    stable = all(r.certification == codim.CERT_MODULAR_STABLE for r in values)
+    ok = tag == "T3op" and [r.value for r in values] == [2, 8, 45, 305] and stable
+    return ok, (f"thm_T3_fractional.op graded by {tag}: c_1..c_4 = "
+                f"{', '.join(str(r.value) for r in values)} "
+                f"({'modular, stable' if stable else 'not stable'})")
+
+
 def check_phi_maximization(algebras=None):
     details = []
     ok = True
@@ -263,6 +280,7 @@ ALL_CHECKS = [
     ("graded-simplicity", "simple", check_graded_simplicity),
     ("codim-t1-t2-agreement", "codim", check_codim_t1_t2),
     ("codim-c1-values", "codim", check_c1_values),
+    ("opposite-codim", "codim", check_opposite_codim),
     ("phi-maximization", "polytope", check_phi_maximization),
     ("witness-nonvanishing", "witness", check_witness_nonvanishing),
     ("alternation-vanishing", "witness", check_alternation_vanishing),

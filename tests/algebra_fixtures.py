@@ -1,0 +1,35 @@
+"""Algebra constructions only the tests use: the catalog's names and the
+direct sum of two algebras graded by one semigroup."""
+
+from semigraded.gralgebra import _CATALOG_BUILDERS, GradedAlgebra
+
+
+class SemigroupMismatch(ValueError):
+    """The summands of a direct sum are graded by different semigroups."""
+
+
+def catalog_names():
+    return sorted(_CATALOG_BUILDERS)
+
+
+def direct_sum(a: GradedAlgebra, b: GradedAlgebra) -> GradedAlgebra:
+    if a.semigroup != b.semigroup:
+        raise SemigroupMismatch("direct summands must share the grading semigroup")
+    n = a.dim
+    structure = {}
+    for (i, j), cell in a.structure.items():
+        structure[(i, j)] = dict(cell)
+    for (i, j), cell in b.structure.items():
+        structure[(i + n, j + n)] = {k + n: c for k, c in cell.items()}
+    unit = None
+    if a.unit is not None and b.unit is not None:
+        unit = tuple(a.unit) + tuple(b.unit)
+    return GradedAlgebra(
+        dim=n + b.dim,
+        basis_labels=tuple(f"L:{l}" for l in a.basis_labels) + tuple(f"R:{l}" for l in b.basis_labels),
+        structure=structure,
+        degree=tuple(a.degree) + tuple(b.degree),
+        semigroup=a.semigroup,
+        unit=unit,
+        name=f"{a.name}(+){b.name}" if a.name and b.name else "",
+    )

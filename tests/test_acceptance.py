@@ -49,6 +49,12 @@ def test_criterion_06_c1_values():
     _run("codim-c1-values")
 
 
+def test_criterion_14_opposite_codim():
+    # the opposite of thm_T3_fractional is graded by T3op and has its
+    # c_1..c_4 = 2, 8, 45, 305, modular and stable
+    _run("opposite-codim")
+
+
 def test_criterion_07_phi_maximization():
     # numeric maximum within 1e-9 of the closed form for q in 4..10;
     # q = 7 gives 6.8284271..., q = 6 gives 5.8284271...

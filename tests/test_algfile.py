@@ -4,7 +4,8 @@ from hypothesis import strategies as st
 
 from semigraded.algfile import load_algebra, parse_algebra, serialize_algebra
 from semigraded.errors import BadParam, GradingViolation, NotAssociative, WorkbenchError
-from semigraded.gralgebra import catalog_names, paper_catalog, validate
+from semigraded.gralgebra import paper_catalog, validate
+from algebra_fixtures import catalog_names
 
 GOOD = """\
 # a two-dimensional demo over the right zero band

@@ -43,7 +43,7 @@ def test_closed_form_values():
     r4 = lemma_max_closed_form(4)
     assert abs(r4.value - (1 + 2 * SQRT2)) < 1e-14
     assert abs(sum(r4.point) - 1.0) < 1e-12
-    assert lemma_max_polytope(4).is_feasible(r4.point, tol=1e-12)
+    assert _Region(lemma_max_polytope(4)).violation(np.array(r4.point)) <= 1e-12
     with pytest.raises(QTooSmall):
         lemma_max_closed_form(3)
 
@@ -60,7 +60,7 @@ def test_maximize_matches_closed_form():
         closed = lemma_max_closed_form(q)
         assert abs(res.value - closed.value) <= 1e-9
         assert res.certified_gap <= 1e-9
-        assert lemma_max_polytope(q).is_feasible(res.point, tol=1e-9)
+        assert _Region(lemma_max_polytope(q)).violation(np.array(res.point)) <= 1e-9
 
 
 def test_maximize_plain_simplex_uniform_point():
@@ -107,13 +107,6 @@ def test_omega_membership():
     boundary = Partition((2, 2, 2, 2, 2, 2, 1))
     assert not omega_n_membership(t1, boundary)
     assert omega_n_membership(multiplicity_support_polytope("T1"), boundary)
-
-
-def test_omega_membership_theta_caps():
-    poly = Polytope(2, theta_caps=((3, 1),), r_cutoff=4)
-    assert omega_n_membership(poly, Partition((3, 2, 1, 1)))
-    assert not omega_n_membership(poly, Partition((3, 2, 2)))
-    assert not omega_n_membership(poly, Partition((1, 1, 1, 1, 1)))
 
 
 def test_mu_sequence_examples():
@@ -213,12 +206,10 @@ def test_certified_gap_on_pairing_polytopes():
 
 
 def test_every_dual_point_bounds_the_maximum():
-    # weak duality: exp(g(y)) >= max phi for every y >= 0, with and
-    # without the simplex (where the maximum is exp(q/e) at x_i = 1/e)
+    # weak duality: exp(g(y)) >= max phi for every y >= 0
     rng = random.Random(0)
-    cases = [(lemma_max_polytope(q), lemma_max_closed_form(q).value) for q in (4, 7, 10)]
-    cases.append((Polytope(3, include_simplex=False), math.exp(3 / math.e)))
-    for poly, best in cases:
+    for poly, best in [(lemma_max_polytope(q), lemma_max_closed_form(q).value)
+                       for q in (4, 7, 10)]:
         region = _Region(poly)
         every = np.ones(poly.q, dtype=bool)
         for _ in range(50):
@@ -243,20 +234,15 @@ def test_gap_over_tolerance_is_no_convergence():
 
 @st.composite
 def uniform_feasible_polytopes(draw):
-    """Random gamma rows that the uniform point satisfies, with slack >= 0.
-
-    On the simplex the uniform point is then the optimum; without it the
-    unconstrained optimum x_i = 1/e is usually cut off, so the solve has
-    active rows to find.
-    """
+    """Random gamma rows that the uniform point satisfies, with slack >= 0:
+    the uniform point is then the optimum on the ordered simplex."""
     q = draw(st.integers(2, 8))
     rows = []
     for _ in range(draw(st.integers(0, 4))):
         coeffs = tuple(draw(st.lists(st.integers(-3, 3), min_size=q, max_size=q)))
         slack = draw(st.sampled_from((0.0, 0.05, 0.5)))
         rows.append((slack - sum(coeffs) / q, coeffs))
-    return Polytope(q, tuple(rows), include_ordering=draw(st.booleans()),
-                    include_simplex=draw(st.booleans()))
+    return Polytope(q, tuple(rows))
 
 
 @settings(max_examples=60, deadline=None)

@@ -271,6 +271,24 @@ def test_bounds_refuses_past_the_float_range(runner, monkeypatch):
 
 
 @pytest.mark.parametrize("args, message", [
+    (["codim", "--catalog", "thm_T3_fractional", "--n-max", "0"],
+     "--n-max must be at least 1, got 0"),
+    (["codim", "--catalog", "thm_T3_fractional", "--n-max", "-2"],
+     "--n-max must be at least 1, got -2"),
+    (["bounds", "--q", "7", "--n-max", "0"], "--n-max must be at least 1, got 0"),
+    (["bounds", "--q", "7", "--catalog", "thm_T3_fractional", "--codim-n-max", "-1"],
+     "--codim-n-max must be at least 0, got -1"),
+])
+def test_an_empty_sequence_is_refused(runner, args, message):
+    # a bare header and exit 0 before; now one JSON line and exit 2
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    [line] = result.stderr.strip().splitlines()
+    assert json.loads(line) == {"error": "BadParam", "message": message}
+
+
+@pytest.mark.parametrize("args, message", [
     (["codim", "--catalog", "thm_T1_fractional", "--format", "csv"],
      "Invalid value for '--format': 'csv' is not one of 'text', 'json'."),
     (["export", "--catalog", "thm_T1_fractional", "--format", "json"],
@@ -550,9 +568,9 @@ PINNED_OUTPUT_DIGESTS = {
     "bounds --q 7 --n-max 6 --catalog thm_T1_fractional --codim-n-max 3 --format json":
         "852e190c57a6ca856357b137bd4083fd0cb01d78c7aeebc52796263c2aa6a764",
     "verify-paper --no-timings --sections <all but phi>":
-        "64faa3ee9a2240282c5e8a60d0c70a8461cd48eccc0ece8102510a998e2fd7eb",
+        "d90dbd70b420f7104b1ff7951248a71a2a2e9ce43b45b276c711055654162b4d",
     "verify-paper --no-timings --sections <all but phi> --format json":
-        "3e340814cddf2b52c6ef154fc3a6d9fefeadce81958ede7cedf216fbc7b0505b",
+        "01cbda42583c7b052c69c75c8657a8c763d188e9466eeebf120ed2dbe33bdb54",
     "exponent --catalog utk_column_graded(2)":
         "e817af70c10f0a2b4deb2782716b6c2d369907ee86d6db1a7ee545384797d6bb",
     "export --catalog mk_column_graded(2)":

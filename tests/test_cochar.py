@@ -175,28 +175,46 @@ def _no_young_subgroup(monkeypatch):
 
 
 def test_symmetrizer_refuses_an_over_cap_witness_before_building_it(monkeypatch):
-    # the witness of (11) sums over its row group alone: 11! terms
+    # (11) with 11 distinct labels of M_4, one per one-box column: 11!
+    # distinct substitutions
+    m4 = full_matrix(4)
+    t = YoungTableau.column_major(Partition((11,)))
+    f = FactoredPolynomial(11, [AlternatingColumn((v,), (0,), (0,)) for v in range(11)])
+    _no_young_subgroup(monkeypatch)
+    with pytest.raises(ResourceLimit) as refused:
+        apply_symmetrizer(m4, [(t, f, {v: v for v in range(11)})])
+    assert str(refused.value) == ("the symmetrizer of shape (11,) takes 39916800 distinct "
+                                  "substitutions (cap 10000000)")
+
+
+def test_symmetrizer_counts_distinct_substitutions_without_building_them(monkeypatch):
+    # T3's witness of (11) fills its row with one label: one distinct
+    # substitution of the 11! row-group terms, weighed by 11!
     t3 = paper_catalog("thm_T3_fractional")
     w = build_witness("T3", Partition((11,)), alg=t3)
     _no_young_subgroup(monkeypatch)
-    with pytest.raises(ResourceLimit) as refused:
-        apply_symmetrizer(t3, [(w.tableau, w.f, w.tau)])
-    assert str(refused.value) == ("the symmetrizer of shape (11,) sums 39916800 terms "
-                                  "(cap 10000000)")
+    [value] = apply_symmetrizer(t3, [(w.tableau, w.f, w.tau)])
+    assert set(value) == {0, math.factorial(11)}
 
 
-def test_symmetrizer_counts_the_column_group_off_the_shortcut(monkeypatch):
-    # (5,5,5) with one column of all 15 variables: 120**3 row terms times
-    # 6**5 column terms, though the row group alone is under the cap
+def test_symmetrizer_refuses_columns_off_the_tableau(monkeypatch):
+    # (5,5,5) with one column of all 15 variables, and x0*x1 as two
+    # one-letter columns on the tableau column (0, 1): BadParam before
+    # anything is built
     m2 = full_matrix(2)
     t = YoungTableau.column_major(Partition((5, 5, 5)))
     f = FactoredPolynomial(15, [AlternatingColumn(tuple(range(15)), tuple(range(15)),
                                                   (0,) * 15)])
+    pair = FactoredPolynomial(2, [AlternatingColumn((0,), (0,), (0,)),
+                                  AlternatingColumn((1,), (0,), (0,))])
     _no_young_subgroup(monkeypatch)
-    with pytest.raises(ResourceLimit) as refused:
-        apply_symmetrizer(m2, [(t, f, {v: 0 for v in range(15)})])
-    assert str(refused.value) == ("the symmetrizer of shape (5, 5, 5) sums "
-                                  f"{120 ** 3 * 6 ** 5} terms (cap 10000000)")
+    monkeypatch.setattr(cochar, "alternating_values", None)
+    for item in ((t, f, {v: 0 for v in range(15)}),
+                 (YoungTableau.column_major(Partition((1, 1))), pair, {0: 1, 1: 2})):
+        with pytest.raises(BadParam) as refused:
+            apply_symmetrizer(m2, [item])
+        assert str(refused.value) == ("the symmetrizer needs the polynomial's columns on "
+                                      "the tableau's columns")
 
 
 # -- the h!-word oracle for alternating columns ------------------------------------
@@ -504,17 +522,6 @@ def test_witness_columns_match_the_word_expansion():
                 (variant, kind)
 
 
-def test_shortcut_needs_alternating_columns():
-    # x0*x1, two one-letter columns, covers the column (0, 1) but does not
-    # alternate in it, so e_T.f is the full double sum: e12*e21 - e21*e12
-    m2 = full_matrix(2)
-    e11, e12, e21, e22 = range(4)
-    f = FactoredPolynomial(2, [AlternatingColumn((0,), (0,), (0,)),
-                               AlternatingColumn((1,), (0,), (0,))])
-    assert apply_symmetrizer(m2, [(YoungTableau.column_major(Partition((1, 1))), f,
-                                   {0: e12, 1: e21})]) == [(1, 0, 0, -1)]
-
-
 def per_substitution_symmetrizer(alg, w):
     """e_T.f at tau for a witness, one row-group element at a time, with
     every column expanded into its h! words."""
@@ -564,16 +571,14 @@ def test_shortcut_matches_double_sum_on_witnesses():
 
 
 def test_one_batch_returns_what_one_item_calls_return():
-    # degrees 4, 5 and 6 in one call, aligned witnesses beside witness
-    # polynomials on tableaux whose columns they do not sit on
+    # degrees 4, 5 and 6 in one call, two witnesses of each with as many
+    # letters, their substitutions side by side in one batch
     t3 = paper_catalog("thm_T3_fractional")
     items = []
-    for parts, other in (((2, 2, 1, 1), (2, 1, 1, 1, 1)), ((1, 1, 1, 1), None),
-                         ((2, 2, 1), (2, 1, 1, 1)), ((2, 1, 1, 1, 1), None)):
+    for parts in ((2, 2, 1, 1), (1, 1, 1, 1), (2, 2, 1), (2, 1, 1, 1), (2, 1, 1, 1, 1),
+                  (2, 2, 1, 1)):
         w = build_witness("T3", Partition(parts), alg=t3)
         items.append((w.tableau, w.f, w.tau))
-        if other:
-            items.append((YoungTableau.column_major(Partition(other)), w.f, w.tau))
     values = apply_symmetrizer(t3, items)
     assert values == [apply_symmetrizer(t3, [item])[0] for item in items]
     assert all(any(value) for value in values)
@@ -1260,9 +1265,9 @@ def test_alternation_draws_are_not_vacuous():
         alg = paper_catalog(name)
         table = eval_table(alg)
         for h in range(2, alg.dim + 1):
-            draws = _alternation_trials(alg, h, 200, 0)
-            rows = [sub for _, _, sub in draws]
-            degrees = [[d[v] for v in word] for word, d, _ in draws]
+            words, var_degrees, subs = _alternation_trials(alg, h, 200, 0)
+            rows = subs.tolist()
+            degrees = [[d[v] for v in word] for word, d in zip(words.tolist(), var_degrees.tolist())]
             values = by_degree(alg, rows, degrees)
             assert values == [dict_dp_alternating_value(alg, table, r, d)
                               for r, d in zip(rows, degrees)], (name, h)
@@ -1276,9 +1281,9 @@ def test_alternation_check_values_at_seed_zero():
     for name in ("thm_T1_fractional", "thm_T3_fractional"):
         alg = paper_catalog(name)
         n = alg.dim + 1
-        draws = _alternation_trials(alg, n, 200, 0)
-        rows = [sub for _, _, sub in draws]
-        degrees = [[d[v] for v in word] for word, d, _ in draws]
+        words, var_degrees, subs = _alternation_trials(alg, n, 200, 0)
+        rows = subs.tolist()
+        degrees = [[d[v] for v in word] for word, d in zip(words.tolist(), var_degrees.tolist())]
         table = eval_table(alg)
         assert by_degree(alg, rows, degrees) == \
             [dict_dp_alternating_value(alg, table, r, d) for r, d in zip(rows, degrees)] == \

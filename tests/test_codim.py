@@ -29,7 +29,6 @@ from semigraded.codim import (
 )
 from semigraded.errors import (
     BadParam,
-    DegreeMismatch,
     EmptySequence,
     HypothesisViolated,
     ResourceLimit,
@@ -37,8 +36,6 @@ from semigraded.errors import (
 from semigraded.gralgebra import (
     GradedAlgebra,
     adjoin_unit,
-    catalog_names,
-    direct_sum,
     full_matrix,
     ideal_generated,
     merge_entries,
@@ -50,11 +47,16 @@ from semigraded.gralgebra import (
 from semigraded.linalg import ZERO, matrix_rank
 from semigraded.semigroup import trivial_semigroup
 from semigraded.young import YoungTableau, hook_dim, spanning_permutations
+from algebra_fixtures import catalog_names, direct_sum
 from product_oracles import eval_table, product_cache
 from young_oracles import direct_product, symmetrizer
 
 
 # -- oracle: dense evaluation of one monomial, independent of the product cache --
+
+class DegreeMismatch(ValueError):
+    """A substitution's basis element lies outside its variable's degree."""
+
 
 @dataclass(frozen=True)
 class GradedMonomial:
@@ -642,7 +644,9 @@ def test_product_cache_forms_each_level_once(monkeypatch):
     ("thm_T3_fractional", 8, {}, ResourceLimit),
     ("thm_T1_fractional", 3, {"max_block_entries": 10}, ResourceLimit),
     ("thm_T1_fractional", 3, {"primes": [1073741789, 2]}, BadParam),
-], ids=["degree-eight", "block-cap", "small-prime"])
+    ("thm_T1_fractional", 0, {}, BadParam),
+    ("thm_T1_fractional", -2, {}, BadParam),
+], ids=["degree-eight", "block-cap", "small-prime", "empty", "negative"])
 def test_codim_sequence_refuses_before_computing_any(monkeypatch, name, n, kw, refused):
     # every n <= n_max passes check_request, with the sequence's own
     # primes and cap, before any c_n is computed

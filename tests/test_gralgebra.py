@@ -13,14 +13,11 @@ from semigraded.errors import (
     GradingViolation,
     NotAssociative,
     ResourceLimit,
-    SemigroupMismatch,
     UnknownName,
 )
 from semigraded.gralgebra import (
     GradedAlgebra,
     adjoin_unit,
-    catalog_names,
-    direct_sum,
     find_unit,
     full_matrix,
     ideal_generated,
@@ -37,6 +34,7 @@ from semigraded.gralgebra import (
 )
 from semigraded.linalg import Subspace, is_zero_vec, solve, vec
 from semigraded.semigroup import catalog_semigroup, trivial_semigroup
+from algebra_fixtures import SemigroupMismatch, catalog_names, direct_sum
 from test_codim import scaled_products
 
 CATALOG_ARGS = {
@@ -471,7 +469,7 @@ def test_is_graded_subspace():
     a = paper_catalog("exampleT1", 2)
     for t in a.support():
         assert is_graded_subspace(a, a.component(t))
-    assert is_graded_subspace(a, Subspace.zero(a.dim))
+    assert is_graded_subspace(a, Subspace(a.dim, []))
     assert is_graded_subspace(a, a.full_subspace())
     # (0, e12) mixes the two components
     i0 = a.basis_labels.index("(e12,0)")

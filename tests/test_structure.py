@@ -10,13 +10,11 @@ from hypothesis import strategies as st
 from semigraded.errors import (
     NilpotentAlgebra,
     NonSplit,
-    NotSemisimple,
     PreconditionFailed,
     RadicalNotGraded,
 )
 from semigraded.gralgebra import (
     GradedAlgebra,
-    direct_sum,
     full_matrix,
     ideal_generated,
     is_graded_subspace,
@@ -37,6 +35,7 @@ from semigraded.semigroup import (
 )
 from semigraded.structure import (
     _operator_closure,
+    _wedderburn,
     center,
     graded_exponent_d,
     graded_malcev_zeroband,
@@ -45,8 +44,8 @@ from semigraded.structure import (
     malcev_complement,
     ordinary_exponent,
     unit_component_idempotents,
-    wedderburn_decompose,
 )
+from algebra_fixtures import direct_sum
 from test_codim import block_rank
 from test_gralgebra import closure_algebras, subalgebra_on
 
@@ -182,7 +181,7 @@ def test_unit_component_idempotents():
 
 def test_wedderburn_two_blocks():
     s = direct_sum(full_matrix(2), full_matrix(2))
-    data = wedderburn_decompose(s)
+    data = _wedderburn(s)
     assert sorted(i.dim for i in data.simple_ideals) == [4, 4]
     assert data.center_dims == [1, 1]
     # distinct ideals multiply to zero and each is multiplicatively closed
@@ -196,7 +195,7 @@ def test_wedderburn_three_lines():
         3, ("d1", "d2", "d3"),
         {(i, i): {i: Fraction(1)} for i in range(3)},
         (0, 0, 0), trivial_semigroup(), unit=(Fraction(1),) * 3)
-    data = wedderburn_decompose(validate_or_raise(diag))
+    data = _wedderburn(validate_or_raise(diag))
     assert [i.dim for i in data.simple_ideals] == [1, 1, 1]
 
 
@@ -204,17 +203,12 @@ def test_wedderburn_on_thm_t1_quotient():
     alg = paper_catalog("thm_T1_fractional")
     rad = jacobson_radical(alg)
     q, _, _ = quotient_algebra(alg, rad, graded=False)
-    data = wedderburn_decompose(q)
+    data = _wedderburn(q)
     assert sorted(i.dim for i in data.simple_ideals) == [1, 1, 4]
     # simplicity: every nonzero basis element of an ideal regenerates it
     for ideal in data.simple_ideals:
         for row in ideal.rows:
             assert ideal_generated(q, [row]) == ideal
-
-
-def test_wedderburn_rejects_radical():
-    with pytest.raises(NotSemisimple):
-        wedderburn_decompose(upper_triangular(2))
 
 
 def test_wedderburn_nonsplit():
@@ -227,7 +221,7 @@ def test_wedderburn_nonsplit():
     validate_or_raise(qs2)
     assert jacobson_radical(qs2).is_zero()
     with pytest.raises(NonSplit):
-        wedderburn_decompose(qs2)
+        _wedderburn(qs2)
 
 
 def test_center_of_m2():
