@@ -197,24 +197,35 @@ def test_symmetrizer_counts_distinct_substitutions_without_building_them(monkeyp
     assert set(value) == {0, math.factorial(11)}
 
 
-def test_symmetrizer_refuses_columns_off_the_tableau(monkeypatch):
-    # (5,5,5) with one column of all 15 variables, and x0*x1 as two
-    # one-letter columns on the tableau column (0, 1): BadParam before
-    # anything is built
+def _refused_off_the_tableau(monkeypatch, m2, item):
+    _no_young_subgroup(monkeypatch)
+    monkeypatch.setattr(cochar, "alternating_values", None)
+    with pytest.raises(BadParam) as refused:
+        apply_symmetrizer(m2, [item])
+    assert str(refused.value) == ("the symmetrizer needs the polynomial's columns on "
+                                  "the tableau's columns")
+
+
+def test_symmetrizer_counts_the_column_group_off_the_shortcut(monkeypatch):
+    # (5,5,5) with one column of all 15 variables: no column group is
+    # counted or summed off the tableau's columns, BadParam before anything
+    # is built
     m2 = full_matrix(2)
     t = YoungTableau.column_major(Partition((5, 5, 5)))
     f = FactoredPolynomial(15, [AlternatingColumn(tuple(range(15)), tuple(range(15)),
                                                   (0,) * 15)])
-    pair = FactoredPolynomial(2, [AlternatingColumn((0,), (0,), (0,)),
-                                  AlternatingColumn((1,), (0,), (0,))])
-    _no_young_subgroup(monkeypatch)
-    monkeypatch.setattr(cochar, "alternating_values", None)
-    for item in ((t, f, {v: 0 for v in range(15)}),
-                 (YoungTableau.column_major(Partition((1, 1))), pair, {0: 1, 1: 2})):
-        with pytest.raises(BadParam) as refused:
-            apply_symmetrizer(m2, [item])
-        assert str(refused.value) == ("the symmetrizer needs the polynomial's columns on "
-                                      "the tableau's columns")
+    _refused_off_the_tableau(monkeypatch, m2, (t, f, {v: 0 for v in range(15)}))
+
+
+def test_shortcut_needs_alternating_columns(monkeypatch):
+    # x0*x1, two one-letter columns, covers the column (0, 1) but does not
+    # alternate in it: refused, not summed over the column group
+    m2 = full_matrix(2)
+    e11, e12, e21, e22 = range(4)
+    f = FactoredPolynomial(2, [AlternatingColumn((0,), (0,), (0,)),
+                               AlternatingColumn((1,), (0,), (0,))])
+    _refused_off_the_tableau(monkeypatch, m2, (YoungTableau.column_major(Partition((1, 1))), f,
+                                               {0: e12, 1: e21}))
 
 
 # -- the h!-word oracle for alternating columns ------------------------------------
