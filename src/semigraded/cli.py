@@ -243,8 +243,6 @@ def simple(input_path, catalog, seed):
 def codim_cmd(input_path, catalog, n_max, mode, primes, seed, caps, ordinary, timings):
     """Codimension sequence c_1 .. c_n_max."""
     plist = _int_list("--primes", primes)
-    if n_max < 1:
-        raise BadParam(f"--n-max must be at least 1, got {n_max}")
     if caps <= 0:
         raise BadParam("resource caps must be positive")
     alg = _load(input_path, catalog)
@@ -332,8 +330,6 @@ def bounds(q, n_max, input_path, catalog, codim_n_max, seed):
     """Growth-bound table: d^n next to codimensions and hook lower bounds."""
     if n_max < 1:
         raise BadParam(f"--n-max must be at least 1, got {n_max}")
-    if codim_n_max < 0:
-        raise BadParam(f"--codim-n-max must be at least 0, got {codim_n_max}")
     closed = asympt.lemma_max_closed_form(q)
     # refused past the float range before any codimension is computed
     rows = asympt.bound_report(closed.value, range(1, n_max + 1), alpha=closed.point)

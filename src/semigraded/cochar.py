@@ -186,15 +186,21 @@ class FactoredPolynomial:
 # -- Young symmetrizer application ----------------------------------------------
 
 
-def _substitutions(tableau: YoungTableau, tau) -> np.ndarray:
+def _row_labels(tableau: YoungTableau, tau) -> list:
+    """Per row of tableau, its labels tau[v] and their multiplicities."""
+    return [Counter(tau[v] for v in row) for row in tableau.rows]
+
+
+def _substitutions(tableau: YoungTableau, labels) -> np.ndarray:
     """The distinct substitutions v -> tau[rho(v)], rho over the row group
     of tableau, one int64 row each over the variables 0..n-1: each row of
-    the tableau filled with an ordering of its labels.  Every place starts
-    at its row's last distinct label, and the places of each other label
-    are chosen in turn, in every way, among those still holding it."""
+    the tableau filled with an ordering of its labels (_row_labels).
+    Every place starts at its row's last distinct label, and the places of
+    each other label are chosen in turn, in every way, among those still
+    holding it."""
     base, chosen = [0] * tableau.shape.n, []
-    for row in tableau.rows:
-        *others, (last, _) = Counter(tau[v] for v in row).items()
+    for row, counts in zip(tableau.rows, labels):
+        *others, (last, _) = counts.items()
         for v in row:
             base[v] = last
         chosen += [(np.array(row), last, label, count) for label, count in others]
@@ -226,9 +232,10 @@ def apply_symmetrizer(alg, items) -> list:
     with as many letters go to one alternating_values call.  Before
     anything is built, raises SizeMismatch when f and T differ in length,
     BadParam when f's columns do not sit on T's, and ResourceLimit when an
-    item's distinct substitutions pass codim.DEFAULT_BLOCK_CAP.
+    item's distinct substitutions times its n letters, the entries they
+    are built of, pass codim.DEFAULT_BLOCK_CAP.
     """
-    weights = []  # per item: |C| times the row-group elements per substitution
+    labels, weights = [], []  # per item: _row_labels, and |C| times the rho per substitution
     for tableau, f, tau in items:
         shape = tableau.shape
         if f.n != shape.n:
@@ -237,19 +244,19 @@ def apply_symmetrizer(alg, items) -> list:
                 != sorted(tuple(sorted(c)) for c in tableau.columns())):
             raise BadParam("the symmetrizer needs the polynomial's columns on the "
                            "tableau's columns")
-        repeats = [math.prod(map(math.factorial, Counter(tau[v] for v in row).values()))
-                   for row in tableau.rows]
+        labels.append(_row_labels(tableau, tau))
+        repeats = [math.prod(map(math.factorial, c.values())) for c in labels[-1]]
         count = math.prod(math.factorial(len(row)) // r for row, r in zip(tableau.rows, repeats))
-        if count > DEFAULT_BLOCK_CAP:
+        if count * shape.n > DEFAULT_BLOCK_CAP:
             raise ResourceLimit(f"the symmetrizer of shape {shape.parts} takes {count} "
-                                f"distinct substitutions (cap {DEFAULT_BLOCK_CAP})",
-                                context=shape.parts)
+                                f"distinct substitutions of {shape.n} letters "
+                                f"(cap {DEFAULT_BLOCK_CAP} letters)", context=shape.parts)
         weights.append(math.prod(map(math.factorial, shape.column_heights())) * math.prod(repeats))
     batches = {}  # letters per row -> (letters, their classes, position classes)
     plans = []    # per item: (letters per row, its rows in that batch, their weight)
-    for (tableau, f, tau), weight in zip(items, weights):
+    for (tableau, f, _), row_labels, weight in zip(items, labels, weights):
         variables = [v for c in f.factors for v in c.variables]
-        letters = _substitutions(tableau, tau)[:, variables].tolist()
+        letters = _substitutions(tableau, row_labels)[:, variables].tolist()
         sign, fits, pos = f.laid_end_to_end(alg, letters)
         batch, classes, pos_classes = batches.setdefault(len(variables), ([], [], []))
         plans.append((len(variables), slice(len(batch), len(batch) + len(letters)),

@@ -272,12 +272,12 @@ def test_bounds_refuses_past_the_float_range(runner, monkeypatch):
 
 @pytest.mark.parametrize("args, message", [
     (["codim", "--catalog", "thm_T3_fractional", "--n-max", "0"],
-     "--n-max must be at least 1, got 0"),
+     "n_max must be at least 1, got 0"),
     (["codim", "--catalog", "thm_T3_fractional", "--n-max", "-2"],
-     "--n-max must be at least 1, got -2"),
+     "n_max must be at least 1, got -2"),
     (["bounds", "--q", "7", "--n-max", "0"], "--n-max must be at least 1, got 0"),
     (["bounds", "--q", "7", "--catalog", "thm_T3_fractional", "--codim-n-max", "-1"],
-     "--codim-n-max must be at least 0, got -1"),
+     "n_max must be at least 1, got -1"),
 ])
 def test_an_empty_sequence_is_refused(runner, args, message):
     # a bare header and exit 0 before; now one JSON line and exit 2

@@ -184,7 +184,24 @@ def test_symmetrizer_refuses_an_over_cap_witness_before_building_it(monkeypatch)
     with pytest.raises(ResourceLimit) as refused:
         apply_symmetrizer(m4, [(t, f, {v: v for v in range(11)})])
     assert str(refused.value) == ("the symmetrizer of shape (11,) takes 39916800 distinct "
-                                  "substitutions (cap 10000000)")
+                                  "substitutions of 11 letters (cap 10000000 letters)")
+
+
+def test_symmetrizer_caps_the_letters_its_substitutions_hold(monkeypatch):
+    # T3's witness of (25,6,6,6,6,6) fills its first row with 12 and 13 of
+    # two labels, every other row with one: C(25,12) = 5200300 distinct
+    # substitutions, under 10^7, but of 55 letters each
+    t3 = paper_catalog("thm_T3_fractional")
+    w = build_witness("T3", Partition((25, 6, 6, 6, 6, 6)), alg=t3)
+
+    def unreachable(*args):
+        raise AssertionError("substitutions were built")
+
+    monkeypatch.setattr(cochar, "_substitutions", unreachable)
+    with pytest.raises(ResourceLimit) as refused:
+        apply_symmetrizer(t3, [(w.tableau, w.f, w.tau)])
+    assert str(refused.value) == ("the symmetrizer of shape (25, 6, 6, 6, 6, 6) takes 5200300 "
+                                  "distinct substitutions of 55 letters (cap 10000000 letters)")
 
 
 def test_symmetrizer_counts_distinct_substitutions_without_building_them(monkeypatch):
