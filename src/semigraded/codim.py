@@ -6,7 +6,8 @@ with its own, so the quotient dimension is the sum over assignments of
 the rank of one evaluation block.  Assignments with the same multiset of
 degrees have blocks of equal rank, so one block per multiset is built,
 scattered with numpy from the words of nonzero product whose degrees sort
-to it, their products formed one length at a time with integer-scaled
+to it, grouped once per length by those degrees (_WordTable), their
+products formed one length at a time with integer-scaled
 structure constants (_word_products).
 A block's rank is split by the graded cocharacter: per multipartition of
 its degrees, the rank of the block's rows combined by a certified basis
@@ -22,7 +23,11 @@ through its Gram matrix G along its longer side: over exact rationals on
 request, where rank_Q(G) = rank_Q(M), else modulo two ~30-bit primes, in
 stacks of one elimination each (a certified lower bound, labelled as
 such), where rank_p(G) <= rank_p(M) <= rank_Q(M).  Below 2 ** 29, where G
-mod p lost rank on some catalog slices, a prime ranks M itself.
+mod p lost rank on some catalog slices, a prime ranks M itself.  A stack
+holds layers next to each other in shape order, zero padded to the
+largest, within STACK_ENTRIES entries unless one layer alone passes it,
+and each step of its elimination pivots every layer on its first nonzero
+entry in row-major order (_eliminate).
 """
 
 from __future__ import annotations
@@ -159,57 +164,66 @@ def _residues(m: np.ndarray, moduli: np.ndarray) -> np.ndarray:
     return np.subtract(m, out, out=out)
 
 
+# the entries of one stack of _rank_layers, and of one chunk of rows that a
+# step of _eliminate updates: small enough that each temporary stays in cache
+STACK_ENTRIES = 2 ** 13
+
+
 def _eliminate(m: np.ndarray, moduli: np.ndarray) -> list:
     """The rank of each layer of m (layers x rows x cols, reduced) modulo
     the matching entry of moduli (layers x 1 x 1); m is overwritten.
 
-    Each step every layer takes its own pivot, in its first column nonzero
-    on its rows left and there in its first nonzero row, moves it to the
-    top and clears the column below it without division (row_i <- piv row_i
-    - f row_top mod p); the top row is then dropped.  A layer whose rows
-    left are zero leaves with its rank, and the columns left of every
-    layer's pivot, zero on the rows left, are dropped."""
+    Each step every layer pivots on its first nonzero entry in row-major
+    order of its rows left, so every row above the pivot row is zero, and
+    updates all its rows without division (row <- piv row - f prow mod p,
+    f the row's entry in the pivot column), which zeroes the pivot row
+    too: no row moves, and the leading row, now zero in every layer, is
+    dropped.  A layer whose rows left are zero leaves with its rank."""
     ranks, rank = [0] * len(m), 0
     at = np.arange(len(m))  # the input layer each layer of m holds
     while True:
-        live = m.any(axis=1)
-        done = ~live.any(axis=1)
+        flat = m.reshape(len(m), -1)
+        if not flat.shape[1]:
+            for k in at:
+                ranks[k] = rank
+            return ranks
+        first = (flat != 0).argmax(axis=1)
+        layer = np.arange(len(m))
+        pivot = flat[layer, first]
+        done = pivot == 0
         if done.any():
             for k in at[done]:
                 ranks[k] = rank
-            m, moduli, at, live = m[~done], moduli[~done], at[~done], live[~done]
-        if not len(m):
-            return ranks
-        cols = live.argmax(axis=1)
-        m, cols = m[:, :, cols.min():], cols - cols.min()
-        layer = np.arange(len(m))
-        column = m[layer, :, cols]
-        top = (column != 0).argmax(axis=1)
-        pivot = m[layer, top]
-        m[layer, top] = m[:, 0]
-        column[layer, top] = column[:, 0]
-        m, f, piv = m[:, 1:], column[:, 1:, None], pivot[layer, cols][:, None, None]
-        # rows in chunks of about 2 ** 14 entries keep the temporaries small
-        chunk = max(1, 2 ** 14 // pivot.size)
+            live = ~done
+            m, moduli, at, first, pivot = m[live], moduli[live], at[live], first[live], pivot[live]
+            if not len(m):
+                return ranks
+            layer = layer[:len(m)]
+        top, col = np.divmod(first, m.shape[2])
+        prow, f, piv = m[layer, top][:, None], m[layer, :, col][..., None], pivot[:, None, None]
+        chunk = max(1, STACK_ENTRIES // prow.size)
         for lo in range(0, m.shape[1], chunk):
             rest = m[:, lo:lo + chunk]
             rest *= piv
-            rest -= f[:, lo:lo + chunk] * pivot[:, None]
-            m[:, lo:lo + chunk] = _residues(rest, moduli)
+            rest -= f[:, lo:lo + chunk] * prow
+            quotient = rest // moduli
+            quotient *= moduli
+            rest -= quotient
+        m = m[:, 1:]
         rank += 1
 
 
 def _rank_layers(layers: list):
     """Set ranks[j] to the rank of each layer (matrix, p, ranks, j) mod p,
     by _rank_mod_p on the layers sorted by shape, in stacks zero padded to
-    their largest layer and within about 2 ** 14 entries, which keeps each
-    temporary near 128 kB; empties layers."""
+    their largest layer and within STACK_ENTRIES entries, which keeps each
+    temporary near 64 kB; empties layers."""
     layers.sort(key=lambda layer: layer[0].shape)
     while layers:
         rows = cols = take = 0
         for mat, *_ in layers:
             r, c = max(rows, mat.shape[0]), max(cols, mat.shape[1])
-            if take and (take + 1) * r * c > 2 ** 14:
+            if take and (take + 1) * r * c > STACK_ENTRIES:
                 break
             rows, cols, take = r, c, take + 1
         group, layers[:take] = layers[:take], []
@@ -271,28 +285,48 @@ def _block_primes(seed, assignment):
 
 
 class _WordTable:
-    """The length-n words of alg with a nonzero product, with their letters
-    and degrees sorted stably by degree and a code of their degree
-    arrangement (their positions' degrees, unsorted); their product
-    coefficients as entries (word, coordinate, value), scaled to integers
-    by the lcm of their denominators (ranks over Q unchanged)."""
+    """The length-n words of alg with a nonzero product, grouped by the
+    degrees they sort to and within each group by their degree arrangement
+    (their positions' degrees, unsorted), with their letters sorted stably
+    by degree; their product coefficients as entries (word, coordinate,
+    value) in word order, scaled to integers by the lcm of their
+    denominators (ranks over Q unchanged)."""
 
     def __init__(self, alg: GradedAlgebra, n: int, max_entries: int):
-        words, self.at, self.coord, values = _word_products(alg, n, max_entries)
+        words, at, coord, values = _word_products(alg, n, max_entries)
         degrees = np.array(alg.degree, dtype=np.int64)[words]
         order = np.argsort(degrees, axis=1, kind="stable")
-        self.degrees = np.take_along_axis(degrees, order, axis=1)
-        self.sorted = np.take_along_axis(words, order, axis=1)
+        sorted_degrees = np.take_along_axis(degrees, order, axis=1)
         # (substitution, coordinate) codes stay far below 2 ** 63 under the block cap
         self.powers = alg.dim ** np.arange(n, 0, -1, dtype=np.int64)
-        # a code per arrangement: one place per position, its degree's index
-        # in the support (fewer than dim), so below the codes above
-        self.arrangement = np.searchsorted(alg.support(), degrees) @ self.powers
+        # a code per arrangement and per sorted arrangement: one place per
+        # position, its degree's index in the support (fewer than dim)
+        support = alg.support()
+        arrangement = np.searchsorted(support, degrees) @ self.powers
+        group = np.searchsorted(support, sorted_degrees) @ self.powers
+        by_group = np.lexsort((arrangement, group))
+        self.sorted = np.take_along_axis(words, order, axis=1)[by_group]
+        group, arrangement = group[by_group], arrangement[by_group]
+        # the entries follow their words to their new places
+        at = np.argsort(by_group)[at]
+        by_word = np.argsort(at, kind="stable")
+        self.at, self.coord = at[by_word], coord[by_word]
+        # per sorted degrees: its words lo to hi and entries e0 to e1, and
+        # the number of distinct arrangements among them; per word, the
+        # number of its arrangement among its group's
+        bounds = np.flatnonzero(np.diff(group, prepend=-1, append=-1))
+        changes = np.cumsum(np.diff(arrangement, prepend=-1) != 0)
+        self.coset = changes - np.repeat(changes[bounds[:-1]], np.diff(bounds))
+        lo, hi = bounds[:-1], bounds[1:]
+        self.groups = {tuple(sorted_degrees[by_group[w]].tolist()): (w, end, e0, e1, n_cosets)
+                       for w, end, e0, e1, n_cosets in zip(
+                           lo.tolist(), hi.tolist(), *np.searchsorted(self.at, [lo, hi]).tolist(),
+                           (self.coset[hi - 1] + 1).tolist())}
         # every partial sum of a combined entry is an integer of size at most
         # n! * max |value|, exact in float32 below 2 ** 24 and float64 below 2 ** 53
         bound = math.factorial(n) * int(np.abs(values).max(initial=0))
-        self.values = values.astype(np.float32 if bound < 2 ** 24
-                                    else np.float64 if bound < 2 ** 53 else object)
+        self.values = values[by_word].astype(np.float32 if bound < 2 ** 24
+                                             else np.float64 if bound < 2 ** 53 else object)
 
     def scatter(self, rep, young: np.ndarray, max_entries: int):
         """(rows, cols, values, n_cosets, n_cols): the nonzero entries of
@@ -305,23 +339,21 @@ class _WordTable:
         lexicographic order: s = w o pi^-1 and k a coordinate of w's
         product.  Raises ResourceLimit before allocating more than
         max_entries triples."""
-        mine = (self.degrees == rep).all(axis=1)
-        take = mine[self.at]
-        triples = len(young) * int(take.sum())
+        lo, hi, e0, e1, n_cosets = self.groups.get(tuple(rep), (0, 0, 0, 0, 0))
+        triples = len(young) * (e1 - e0)
         if triples > max_entries:
             raise ResourceLimit(f"block for assignment {rep} scatters {triples} entries "
                                 f"(cap {max_entries})", context=rep)
-        local = (np.cumsum(mine) - 1)[self.at[take]]
-        arrangements, coset = np.unique(self.arrangement[mine], return_inverse=True)
-        rows = coset[local, None] + len(arrangements) * np.arange(len(young))
+        at = self.at[e0:e1]
+        rows = self.coset[at, None] + n_cosets * np.arange(len(young))
         # s[h[v]] is the v-th sorted letter of w
-        codes = (self.sorted[mine] @ self.powers[young].T)[local] + self.coord[take, None]
+        codes = (self.sorted[lo:hi] @ self.powers[young].T)[at - lo] + self.coord[e0:e1, None]
         order = np.argsort(codes, axis=None)
         codes = codes.ravel()[order]
         # a column per run of equal codes, numbered in order
         cols = np.cumsum(np.diff(codes, prepend=codes[:1]) != 0)
-        values = np.repeat(self.values[take], len(young))[order]
-        return (rows.ravel()[order], cols, values, len(arrangements),
+        values = np.repeat(self.values[e0:e1], len(young))[order]
+        return (rows.ravel()[order], cols, values, n_cosets,
                 int(cols[-1]) + 1 if len(cols) else 0)
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -80,21 +81,36 @@ class GradedAlgebra:
         """(table, scale): the structure constants times scale, the lcm of
         their denominators, as (i, j) -> ((k, int), ...) with the zero
         constants dropped: a fixed nonzero multiple of every basis product,
-        for the kernels that only need spans."""
+        for the kernels that only need spans.  Built on the first call and
+        shared by every caller, which must not change it: the algebra is
+        frozen, and replace, opposite and with_trivial_grading make new
+        instances, which build their own."""
+        return self._integer_table
+
+    def cell_table(self) -> "CellTable":
+        """integer_table as read-only arrays, for the kernels that join
+        sparse entries with the structure constants (CellTable.join); built
+        once, like integer_table."""
+        return self._cell_table
+
+    @cached_property
+    def _integer_table(self):
         d = math.lcm(*(c.denominator for cell in self.structure.values() for c in cell.values()))
         return {key: tuple((k, c.numerator * (d // c.denominator)) for k, c in cell.items() if c)
                 for key, cell in self.structure.items()}, d
 
-    def cell_table(self) -> "CellTable":
-        """integer_table as arrays, for the kernels that join sparse
-        entries with the structure constants (CellTable.join)."""
+    @cached_property
+    def _cell_table(self) -> "CellTable":
         table, scale = self.integer_table()
         cells = sorted((i * self.dim + b, k, c) for (i, b), cell in table.items() for k, c in cell)
         top = max((abs(c[2]) for c in cells), default=0)
         pair, target = (np.array([c[j] for c in cells], dtype=np.int64) for j in (0, 1))
         constant = np.array([c[2] for c in cells], dtype=np.int64 if top < 2 ** 63 else object)
-        return CellTable(self.dim, scale, top, pair % self.dim, target, constant,
-                         np.searchsorted(pair, np.arange(self.dim ** 2 + 1)))
+        arrays = (pair % self.dim, target, constant,
+                  np.searchsorted(pair, np.arange(self.dim ** 2 + 1)))
+        for array in arrays:
+            array.flags.writeable = False
+        return CellTable(self.dim, scale, top, *arrays)
 
     # -- grading ----------------------------------------------------------
 

@@ -11,7 +11,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import permutations
 from types import MappingProxyType
 
@@ -55,7 +55,13 @@ class Partition:
                                for c in range(1, self.parts[0] + 1)))
 
     def column_heights(self):
-        return list(self.conjugate().parts)
+        """The column lengths, left to right, as a new list: the parts of
+        the conjugate, computed once per partition."""
+        return list(self._column_heights)
+
+    @cached_property
+    def _column_heights(self) -> tuple:
+        return self.conjugate().parts
 
     def __repr__(self):
         return f"Partition{self.parts}"

@@ -45,10 +45,11 @@ from semigraded.gralgebra import (
     quotient_algebra,
 )
 from semigraded.linalg import ZERO, matrix_rank
-from semigraded.semigroup import trivial_semigroup
-from semigraded.young import YoungTableau, hook_dim, spanning_permutations
+from semigraded.semigroup import catalog_semigroup, trivial_semigroup
+from semigraded.young import YoungTableau, hook_dim, spanning_permutations, young_subgroup
 from algebra_fixtures import catalog_names, direct_sum
 from product_oracles import eval_table, product_cache
+from scatter_oracle import MaskedWordTable
 from young_oracles import direct_product, symmetrizer
 
 
@@ -1066,6 +1067,29 @@ def test_rank_mod_p_finishes_a_diverging_layer_on_its_own(mat, primes, ranks):
     assert tuple(column_loop_rank_mod_p(mat, p) for p in primes) == ranks
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_rank_layers_matches_the_column_loop(data):
+    # 5 to 16 layers of mixed shapes and primes ranked in shared stacks:
+    # layers of different ranks leave the elimination at different steps,
+    # zero layers and the (0, k) and (k, 0) shapes at the first; Python
+    # ints past 2 ** 63, congruent to the int64 entries, rank alike
+    count = data.draw(st.integers(5, 16), label="layers")
+    wide = data.draw(st.booleans(), label="Python ints")
+    ranked, layers, want = [[None] for _ in range(count)], [], []
+    for k in range(count):
+        if data.draw(st.integers(0, 4), label="zero") == 0:
+            shape = data.draw(st.sampled_from([(0, 0), (0, 3), (4, 0), (3, 5)]), label="shape")
+            mat = np.zeros(shape, dtype=np.int64)
+        else:
+            mat = _matrix_case(data)
+        p = data.draw(st.sampled_from((2, 3, 5, 7, 11) + PRIME_BANK), label="prime")
+        want.append([column_loop_rank_mod_p(mat, p)])
+        layers.append((mat.astype(object) + p * 2 ** 70 if wide else mat, p, ranked[k], 0))
+    codim._rank_layers(layers)
+    assert ranked == want
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_gram_has_the_exact_rank_of_the_matrix(data):
@@ -1308,6 +1332,44 @@ def test_cap_counts_the_allocated_entries(monkeypatch):
     cap = triples[first] - 1
     with pytest.raises(ResourceLimit, match="scatters"):
         graded_codim(alg, n, max_block_entries=cap)
+
+
+def _scattered(table, rep, cap):
+    """table.scatter's triples as a sorted list, its other outputs and
+    dtypes, or the text of its refusal at cap."""
+    try:
+        rows, cols, values, n_cosets, n_cols = table.scatter(
+            rep, young_subgroup(codim._composition(rep)), cap)
+    except ResourceLimit as refused:
+        return str(refused)
+    return (sorted(zip(rows.tolist(), cols.tolist(), values.tolist())), n_cosets, n_cols,
+            rows.dtype, cols.dtype, values.dtype)
+
+
+def test_grouped_scatter_matches_the_masked_scatter():
+    # every representative of the catalog at n <= 4, of T1-T3 at n = 5 and
+    # of an algebra with fractional constants: the same triples, cosets and
+    # columns as the scatter that masked every word, the same refusal one
+    # below its triples, and an empty block for a representative with no word
+    cases = [(alg, n) for alg in catalog_at_two() for n in range(1, 5)]
+    cases += [(paper_catalog(f"thm_T{k}_fractional"), 5) for k in (1, 2, 3)]
+    cases += [(half_scaled(paper_catalog("thm_T3_fractional")), n) for n in range(1, 5)]
+    # e_0 e_0 = e_0 and every other product zero: no word of length n > 1
+    # holds the letter e_1 of the second degree
+    idempotent = GradedAlgebra(2, ("e", "z"), {(0, 0): {0: Fraction(1)}}, (0, 1),
+                               catalog_semigroup("T2"), name="e + z")
+    cases += [(idempotent, n) for n in range(1, 4)]
+    empty = 0
+    for alg, n in cases:
+        grouped = codim._WordTable(alg, n, DEFAULT_BLOCK_CAP)
+        masked = MaskedWordTable(alg, n, DEFAULT_BLOCK_CAP)
+        for rep in codim.check_request(alg, n)[1]:
+            want = _scattered(masked, rep, DEFAULT_BLOCK_CAP)
+            assert _scattered(grouped, rep, DEFAULT_BLOCK_CAP) == want, (alg.name, rep)
+            cap = len(want[0]) - 1
+            assert _scattered(grouped, rep, cap) == _scattered(masked, rep, cap) != want
+            empty += not want[0]
+    assert empty > 0
 
 
 def _trimmed_layer(mat, p) -> tuple:

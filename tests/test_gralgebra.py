@@ -3,6 +3,7 @@ import hashlib
 from dataclasses import replace
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -500,6 +501,34 @@ def test_opposite_involution_and_m2_selfopposite():
             lhs = m2op.mul_basis(transpose[i], transpose[j])
             rhs = {transpose[k]: c for k, c in m2.mul_basis(i, j).items()}
             assert lhs == rhs
+
+
+def _cells(alg):
+    """alg.cell_table() as a set of (i, b, k, c): c the constant of e_i e_b at e_k."""
+    table = alg.cell_table()
+    first = np.repeat(np.arange(alg.dim ** 2), np.diff(table.start)) // alg.dim
+    return set(zip(first.tolist(), table.letter.tolist(), table.target.tolist(),
+                   table.constant.tolist()))
+
+
+def test_tables_are_built_once_per_algebra():
+    t3 = paper_catalog("thm_T3_fractional")
+    assert t3.integer_table() is t3.integer_table()
+    assert t3.cell_table() is t3.cell_table()
+    assert not t3.cell_table().constant.flags.writeable
+    cells = _cells(t3)
+    # built before the copies: each copy builds its own from its own constants
+    opp = opposite(t3)
+    assert _cells(opp) == {(b, i, k, c) for i, b, k, c in cells} != cells
+    assert _cells(replace(t3, structure=opp.structure)) == _cells(opp)
+    assert replace(t3, name="copy").cell_table() is not t3.cell_table()
+    doubled = replace(t3, structure={key: {k: 2 * c for k, c in cell.items()}
+                                     for key, cell in t3.structure.items()})
+    assert doubled.integer_table()[0] == {key: tuple((k, 2 * c) for k, c in cell)
+                                          for key, cell in t3.integer_table()[0].items()}
+    trivial = with_trivial_grading(t3)
+    assert trivial.cell_table() is not t3.cell_table()
+    assert _cells(trivial) == cells
 
 
 def test_quotient_algebra():

@@ -53,3 +53,13 @@ def test_young_subgroup_is_the_lexicographic_direct_product():
     assert words.tolist() == [list(a) + [2] + [3 + c for c in b]
                               for a in permutations(range(2)) for b in permutations(range(3))]
     assert words.dtype.name == "int8" and not words.flags.writeable
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_column_heights_are_the_conjugate_parts(n):
+    for lam in partitions_of(n):
+        heights = lam.column_heights()
+        assert heights == list(lam.conjugate().parts), lam
+        # each call returns a list of its own, so a caller's change stays its own
+        heights.append(0)
+        assert lam.column_heights() == list(lam.conjugate().parts), lam
