@@ -97,9 +97,9 @@ def alternating_values(cells: CellTable, letters, classes, pos_classes,
     or when its codes would pass int64."""
     if not len(letters):
         return []
-    letters = np.array(letters, dtype=np.int64)
-    fits = np.array(classes, dtype=np.int64)
-    pos_classes = np.array(pos_classes, dtype=np.int64)
+    letters = np.asarray(letters, dtype=np.int64)
+    fits = np.asarray(classes, dtype=np.int64)
+    pos_classes = np.asarray(pos_classes, dtype=np.int64)
     rows, h = letters.shape
     if h == 0:
         raise BadParam("an alternating sum needs at least one letter")
@@ -165,21 +165,22 @@ class FactoredPolynomial:
     n: int
     factors: list  # AlternatingColumn
 
-    def laid_end_to_end(self, alg, rows) -> tuple:
-        """(sign, classes, pos_classes) of rows of letters, each row the
-        substitution of the variables column by column: f there is sign
+    def laid_end_to_end(self, alg, letters) -> tuple:
+        """(sign, classes, pos_classes) of letters, an int64 array whose
+        rows substitute the variables column by column: f there is sign
         times the row's alternating sum with the class of a letter or
-        position i * (max degree + 1) + its degree in column i."""
+        position i * (max degree + 1) + its degree in column i.  classes
+        has the shape of letters, pos_classes one entry per position."""
         width = max(alg.degree) + 1
-        offsets = [i * width for i, c in enumerate(self.factors) for _ in c.variables]
+        offsets = np.array([i * width for i, c in enumerate(self.factors) for _ in c.variables])
         # the slots laid end to end: a block-diagonal permutation, signed
         # by the product of its blocks' signs
         slots = []
         for c in self.factors:
             slots += [len(slots) + s for s in c.slots]
         [sign] = permutation_signs([slots])
-        classes = [[i + alg.degree[b] for i, b in zip(offsets, row)] for row in rows]
-        pos = [i * width + t for i, c in enumerate(self.factors) for t in c.pos_degrees]
+        classes = offsets + np.asarray(alg.degree)[letters]
+        pos = offsets + np.array([t for c in self.factors for t in c.pos_degrees])
         return sign, classes, pos
 
 
@@ -252,20 +253,22 @@ def apply_symmetrizer(alg, items) -> list:
                                 f"distinct substitutions of {shape.n} letters "
                                 f"(cap {DEFAULT_BLOCK_CAP} letters)", context=shape.parts)
         weights.append(math.prod(map(math.factorial, shape.column_heights())) * math.prod(repeats))
-    batches = {}  # letters per row -> (letters, their classes, position classes)
+    batches = {}  # letters per row -> [(letters, their classes, position classes)]
     plans = []    # per item: (letters per row, its rows in that batch, their weight)
     for (tableau, f, _), row_labels, weight in zip(items, labels, weights):
         variables = [v for c in f.factors for v in c.variables]
-        letters = _substitutions(tableau, row_labels)[:, variables].tolist()
+        letters = _substitutions(tableau, row_labels)[:, variables]
         sign, fits, pos = f.laid_end_to_end(alg, letters)
-        batch, classes, pos_classes = batches.setdefault(len(variables), ([], [], []))
-        plans.append((len(variables), slice(len(batch), len(batch) + len(letters)),
-                      sign * weight))
-        batch.extend(letters)
-        classes.extend(fits)
-        pos_classes.extend([pos] * len(letters))
+        batch = batches.setdefault(len(variables), [])
+        start = sum(len(part[0]) for part in batch)
+        plans.append((len(variables), slice(start, start + len(letters)), sign * weight))
+        batch.append((letters, fits, np.broadcast_to(pos, letters.shape)))
     cells = alg.cell_table()
-    values = {h: alternating_values(cells, *batch) for h, batch in batches.items()}
+    values = {}
+    for h, batch in batches.items():
+        # an item alone in its batch goes as it is, its position classes unbuilt
+        parts = [part[0] if len(batch) == 1 else np.concatenate(part) for part in zip(*batch)]
+        values[h] = alternating_values(cells, *parts)
     out = []
     for h, rows, weight in plans:
         total = {}

@@ -41,10 +41,6 @@ class PreconditionFailed(WorkbenchError):
     pass
 
 
-class NotSemisimple(WorkbenchError):
-    pass
-
-
 class NonSplit(WorkbenchError):
     """The center of a semisimple algebra has no rational eigen-splitting.
 

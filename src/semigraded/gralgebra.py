@@ -30,7 +30,7 @@ from .errors import (
     ResourceLimit,
     UnknownName,
 )
-from .linalg import (ONE, ZERO, Subspace, frac, integer_row, is_zero_vec, solve, span_closure,
+from .linalg import (ONE, ZERO, Subspace, frac, integer_row, is_zero_vec, span_closure,
                      sparse_map, unit_vec)
 from .semigroup import (
     FiniteSemigroup,
@@ -239,24 +239,6 @@ def validate_or_raise(alg: GradedAlgebra) -> GradedAlgebra:
             raise GradingViolation(v[1])
         raise GradingViolation(v[1], f"declared unit fails on basis {v[1]}")
     return alg
-
-
-def find_unit(alg: GradedAlgebra):
-    """The two-sided unit as a coordinate vector, or None.
-
-    Solves u * e_i = e_i and e_i * u = e_i for all basis e_i.
-    """
-    n = alg.dim
-    rows, rhs = [], []
-    for i in range(n):
-        # sum_j u_j (e_j e_i) = e_i  and  sum_j u_j (e_i e_j) = e_i
-        for k in range(n):
-            rows.append(tuple(alg.mul_basis(j, i).get(k, ZERO) for j in range(n)))
-            rhs.append(ONE if k == i else ZERO)
-            rows.append(tuple(alg.mul_basis(i, j).get(k, ZERO) for j in range(n)))
-            rhs.append(ONE if k == i else ZERO)
-    u = solve(rows, rhs)
-    return u
 
 
 def adjoin_unit(alg: GradedAlgebra) -> GradedAlgebra:

@@ -1,24 +1,29 @@
 """Structure theory: radical, Wedderburn decomposition, semisimple
 complements (plain and graded), graded simplicity, and the chain formula
 for the identity-growth exponent.
+
+The radical is re-checked on the kernels the rest uses: the ideal it
+generates (ideal_generated) must be itself, and its powers must vanish
+(_is_nilpotent, the loop that also tells a nilpotent algebra).  The
+simple ideals of A/J are A*w over the lines w of its center, split apart
+by rational eigenvalues of the basis's central parts; no unit or
+idempotent is carried along.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import (
     NilpotentAlgebra,
     NonSplit,
-    NotSemisimple,
     PreconditionFailed,
     RadicalNotGraded,
 )
 from .gralgebra import (
     GradedAlgebra,
     adjoin_unit,
-    find_unit,
     ideal_generated,
     is_graded_subspace,
     quotient_algebra,
@@ -45,14 +50,6 @@ from .semigroup import is_left_zero_band, is_right_zero_band
 
 
 @dataclass
-class WedderburnData:
-    simple_ideals: list          # Subspace, inside the semisimple algebra
-    quotient_dim: int
-    center_dims: list            # dim of the center of each ideal
-    idempotents: list = field(default_factory=list)  # central primitive idempotents
-
-
-@dataclass
 class SplittingData:
     complement: Subspace
     radical: Subspace
@@ -67,22 +64,8 @@ class SimplicityResult:
     detail: str = ""
     trials: int = 0
 
-    def __bool__(self):
-        return self.verdict != "certified_false"
-
 
 # -- Jacobson radical --------------------------------------------------------
-
-def _left_mul_traces(alg: GradedAlgebra):
-    """tvec[k] = trace of left multiplication by basis k."""
-    tvec = []
-    for k in range(alg.dim):
-        t = ZERO
-        for m in range(alg.dim):
-            t += alg.mul_basis(k, m).get(m, ZERO)
-        tvec.append(t)
-    return tvec
-
 
 def jacobson_radical(alg: GradedAlgebra) -> Subspace:
     """The radical, from the characteristic-zero trace criterion
@@ -93,37 +76,29 @@ def jacobson_radical(alg: GradedAlgebra) -> Subspace:
     return rad
 
 
+def _trace_form(alg):
+    """form[i][j] = trace of left multiplication by e_i * e_j, from the
+    traces tvec[k] of the left multiplications by the basis."""
+    n = alg.dim
+    tvec = [sum((alg.mul_basis(k, m).get(m, ZERO) for m in range(n)), ZERO) for k in range(n)]
+    return [tuple(sum((c * tvec[k] for k, c in alg.mul_basis(i, j).items()), ZERO)
+                  for j in range(n)) for i in range(n)]
+
+
 def _trace_radical(alg):
     """x lies in the radical iff trace(left multiplication by x*y on the
     unital hull) vanishes for every basis y of the hull."""
-    hull = adjoin_unit(alg)
-    tvec = _left_mul_traces(hull)
     n = alg.dim
-    rows = []
-    for y in range(hull.dim):
-        row = []
-        for i in range(n):
-            cell = hull.mul_basis(i, y)
-            row.append(sum((c * tvec[k] for k, c in cell.items()), ZERO))
-        rows.append(tuple(row))
-    return nullspace(rows, n)
+    return nullspace([col[:n] for col in zip(*_trace_form(adjoin_unit(alg)))], n)
 
 
 def _assert_radical(alg, rad, graded: bool):
     """Check that rad is a nilpotent ideal with semisimple quotient, and
     return that quotient, (Q, project, lift) of quotient_algebra, graded or
     not: the grading changes only Q's degrees, which _trace_radical ignores."""
-    for r in rad.rows:
-        for i in range(alg.dim):
-            e = alg.basis_vector(i)
-            if not rad.contains(alg.multiply(e, r)) or not rad.contains(alg.multiply(r, e)):
-                raise AssertionError("radical candidate is not an ideal")
-    power = rad
-    for _ in range(alg.dim + 1):
-        if power.is_zero():
-            break
-        power = subspace_product(alg, power, rad)
-    else:
+    if ideal_generated(alg, rad.rows) != rad:
+        raise AssertionError("radical candidate is not an ideal")
+    if not _is_nilpotent(alg, rad):
         raise AssertionError("radical candidate is not nilpotent")
     quotient = quotient_algebra(alg, rad, graded=graded)
     if quotient[0].dim and not _trace_radical(quotient[0]).is_zero():
@@ -180,17 +155,26 @@ def _block_matrix(alg, rows, z):
     return [tuple(mat_rows[i][j] for i in range(len(rows))) for j in range(len(rows))]
 
 
-def _split_block(alg, rows, unit):
-    """Split a commutative semisimple block along a rational eigenvalue.
+def _central_parts(alg, z):
+    """The parts in the center, spanned by the rows z, of the basis
+    elements of a semisimple algebra: their projections orthogonal for
+    the trace form (x, y) -> tr(L_xy), nondegenerate on the center.  On a
+    simple ideal M_k(Q) the part of x acts as tr(x)/k, x read as a k x k
+    matrix there: a small rational in any basis of the algebra, where the
+    eigenvalues of the rows of z grow with the entries of a base change."""
+    form = _trace_form(alg)
+    cols = [mat_vec(form, v) for v in z]  # cols[l][i]: the form at (e_i, z_l)
+    gram = [mat_vec(cols, u) for u in z]
+    return [_combine(z, solve(gram, [c[i] for c in cols])) for i in range(alg.dim)]
 
-    Returns a list of (rows, unit) blocks of smaller size, or None when
-    no basis element (or pair product) exposes a rational eigenvalue.
+
+def _split_block(alg, rows, candidates):
+    """Split a block of the center, an ideal of the commutative center,
+    along a simple rational eigenvalue r of multiplication by one of the
+    central candidates z: the rows of ker(z - r) and of im(z - r), each
+    again an ideal of the center, or None when no candidate exposes one.
     """
     m = len(rows)
-    candidates = list(rows)
-    for a in rows:
-        for b in rows:
-            candidates.append(alg.multiply(a, b))
     for z in candidates:
         if is_zero_vec(z):
             continue
@@ -205,22 +189,7 @@ def _split_block(alg, rows, unit):
             eigen, rest = nullspace(shifted, m), Subspace(m, list(zip(*shifted)))
             if not eigen.intersect(rest).is_zero():
                 continue  # multiple root would mean a radical, not expected
-            # split the block unit along eigen + rest
-            cols = list(zip(*(list(eigen.rows) + list(rest.rows))))
-            ucoords = solve([tuple(r2) for r2 in cols],
-                            solve([tuple(c) for c in zip(*rows)], unit))
-            out = []
-            offset = 0
-            for part in (eigen, rest):
-                # the unit's part, in block coordinates
-                part_u_coords = _combine(part.rows, ucoords[offset:offset + part.dim])
-                offset += part.dim
-                u_part = _combine(rows, part_u_coords)
-                if alg.multiply(u_part, u_part) != u_part:
-                    raise AssertionError("projected unit is not idempotent")
-                prows = [_combine(rows, c) for c in part.rows]
-                out.append((prows, u_part))
-            return out
+            return [[_combine(rows, c) for c in part.rows] for part in (eigen, rest)]
     return None
 
 
@@ -233,38 +202,31 @@ def _combine(rows, coords):
     return tuple(out)
 
 
-def _wedderburn(alg):
-    """Simple two-sided ideals of an algebra whose radical is known to vanish.
+def _wedderburn(alg) -> list:
+    """The simple two-sided ideals of an algebra whose radical is known to
+    vanish, sorted by their rows.
 
-    Found by splitting the center with rational eigenvalues of its
-    multiplication operators.  NonSplit is raised when a block of the
-    center admits no rational eigen-splitting; nothing is approximated.
+    The center is split into lines with rational eigenvalues of the
+    multiplications by the central parts of the basis (_central_parts,
+    _split_block); a line of the center that is an ideal of it is spanned
+    by a central primitive idempotent, so each line w gives the simple
+    ideal A*w.  NonSplit is raised when a block of the center admits no
+    rational eigen-splitting; nothing is approximated.
     """
-    if alg.dim == 0:
-        return WedderburnData([], 0, [])
-    unit = alg.unit if alg.unit is not None else find_unit(alg)
-    if unit is None:
-        raise NotSemisimple("semisimple algebra must have a unit")
-    z = center(alg)
-    blocks = [(list(z.rows), tuple(unit))]
-    finished = []
+    z = center(alg).rows
+    parts = _central_parts(alg, z)
+    blocks, lines = [list(z)] if z else [], []
     while blocks:
-        rows, u = blocks.pop()
+        rows = blocks.pop()
         if len(rows) == 1:
-            finished.append((rows, u))
+            lines += rows
             continue
-        split = _split_block(alg, rows, u)
+        split = _split_block(alg, rows, parts)
         if split is None:
             raise NonSplit(len(rows))
         blocks.extend(split)
-    finished.sort(key=lambda b: b[1])
-    ideals, center_dims, idems = [], [], []
-    for rows, u in finished:
-        ideal = Subspace(alg.dim, [alg.multiply(alg.basis_vector(i), u) for i in range(alg.dim)])
-        ideals.append(ideal)
-        center_dims.append(len(rows))
-        idems.append(u)
-    return WedderburnData(ideals, alg.dim, center_dims, idems)
+    return sorted((Subspace(alg.dim, [alg.multiply(alg.basis_vector(i), w) for i in range(alg.dim)])
+                   for w in lines), key=lambda ideal: ideal.rows)
 
 
 # -- semisimple complements ---------------------------------------------------
@@ -425,6 +387,9 @@ def _graded_malcev(alg, rad, quotient):
 
 # -- graded simplicity ---------------------------------------------------------
 
+# the random cyclic searches behind a probable_true verdict
+SIMPLICITY_TRIALS = 1000
+
 def _operator_closure(alg: GradedAlgebra):
     """Basis of the unital operator algebra generated by all component
     projections and all one-sided basis multiplications, acting on A, as
@@ -446,7 +411,7 @@ def _operator_closure(alg: GradedAlgebra):
             for m in span_closure(n * n, [ident], maps)]
 
 
-def is_graded_simple(alg: GradedAlgebra, trials: int = 1000, seed: int = 0) -> SimplicityResult:
+def is_graded_simple(alg: GradedAlgebra, seed: int = 0) -> SimplicityResult:
     """Decide graded simplicity as far as exact certificates reach.
 
     certified_false comes with an explicit proper nonzero graded ideal
@@ -454,8 +419,8 @@ def is_graded_simple(alg: GradedAlgebra, trials: int = 1000, seed: int = 0) -> S
     operator algebra generated by the component projections and the
     one-sided multiplications is the full matrix algebra on A; that
     leaves no invariant subspace over any field extension.  When neither
-    certificate fires, a seeded random search for cyclic invariant
-    subspaces backs the verdict probable_true.
+    certificate fires, SIMPLICITY_TRIALS seeded random searches for cyclic
+    invariant subspaces back the verdict probable_true.
 
     The operator algebra is the span of the words in the generators, and
     every word is one generator times a shorter word, so it is the
@@ -481,7 +446,7 @@ def is_graded_simple(alg: GradedAlgebra, trials: int = 1000, seed: int = 0) -> S
             "certified_true", None,
             "projection/multiplication operators span the full matrix algebra")
     rng = random.Random(seed)
-    for trial in range(trials):
+    for trial in range(SIMPLICITY_TRIALS):
         v = tuple(vec([rng.randint(-3, 3) for _ in range(n)]))
         if is_zero_vec(v):
             continue
@@ -493,22 +458,22 @@ def is_graded_simple(alg: GradedAlgebra, trials: int = 1000, seed: int = 0) -> S
     return SimplicityResult(
         "probable_true", None,
         f"operator closure has dimension {len(ops)} < {n * n}; "
-        f"no invariant subspace found in {trials} random cyclic searches",
-        trials)
+        f"no invariant subspace found in {SIMPLICITY_TRIALS} random cyclic searches",
+        SIMPLICITY_TRIALS)
 
 
 # -- the exponent chain formula ----------------------------------------------
 
-def _is_nilpotent(alg: GradedAlgebra) -> bool:
-    cur = alg.full_subspace()
-    prev_dim = None
-    while True:
-        if cur.is_zero():
-            return True
-        if prev_dim == cur.dim:
+def _is_nilpotent(alg: GradedAlgebra, s: Subspace) -> bool:
+    """Whether some power of the subalgebra s vanishes.  Its powers
+    s^(k+1) = s^k * s shrink, and once two in a row have one dimension
+    they are equal and stay so."""
+    power, prev = s, None
+    while not power.is_zero():
+        if power.dim == prev:
             return False
-        prev_dim = cur.dim
-        cur = subspace_product(alg, cur, alg.full_subspace())
+        prev, power = power.dim, subspace_product(alg, power, s)
+    return True
 
 
 def graded_exponent_d(alg: GradedAlgebra) -> int:
@@ -519,7 +484,7 @@ def graded_exponent_d(alg: GradedAlgebra) -> int:
     The complement is the graded one when splits_graded(alg), else the
     plain one; the radical, A/J and its decomposition are computed once
     and shared with the splitting."""
-    if _is_nilpotent(alg):
+    if _is_nilpotent(alg, alg.full_subspace()):
         raise NilpotentAlgebra("nilpotent algebras have eventually zero growth")
     rad = _trace_radical(alg)
     graded = is_graded_subspace(alg, rad)
@@ -527,8 +492,8 @@ def graded_exponent_d(alg: GradedAlgebra) -> int:
     if not graded:
         raise RadicalNotGraded("the radical is not a graded ideal")
     qalg = quotient[0]
-    wed = _wedderburn(qalg)  # A/J is semisimple: _assert_radical checked it
-    for ideal in wed.simple_ideals:
+    ideals = _wedderburn(qalg)  # A/J is semisimple: _assert_radical checked it
+    for ideal in ideals:
         if not is_graded_subspace(qalg, ideal):
             raise PreconditionFailed("a simple summand of A/J is not graded")
     split = _graded_malcev if splits_graded(alg) else _malcev
@@ -536,7 +501,7 @@ def graded_exponent_d(alg: GradedAlgebra) -> int:
     # section columns are the images of qalg's basis
     spreads = []
     dims = []
-    for ideal in wed.simple_ideals:
+    for ideal in ideals:
         rows = []
         for b in ideal.rows:
             v = _combine(section, b)

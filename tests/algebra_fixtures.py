@@ -1,7 +1,9 @@
-"""Algebra constructions only the tests use: the catalog's names and the
-direct sum of two algebras graded by one semigroup."""
+"""Algebra constructions only the tests use: the catalog's names, the
+direct sum of two algebras graded by one semigroup, and the unit found
+by a linear solve."""
 
 from semigraded.gralgebra import _CATALOG_BUILDERS, GradedAlgebra
+from semigraded.linalg import ONE, ZERO, solve
 
 
 class SemigroupMismatch(ValueError):
@@ -33,3 +35,20 @@ def direct_sum(a: GradedAlgebra, b: GradedAlgebra) -> GradedAlgebra:
         unit=unit,
         name=f"{a.name}(+){b.name}" if a.name and b.name else "",
     )
+
+
+def find_unit(alg: GradedAlgebra):
+    """The two-sided unit as a coordinate vector, or None.
+
+    Solves u * e_i = e_i and e_i * u = e_i for all basis e_i.
+    """
+    n = alg.dim
+    rows, rhs = [], []
+    for i in range(n):
+        # sum_j u_j (e_j e_i) = e_i  and  sum_j u_j (e_i e_j) = e_i
+        for k in range(n):
+            rows.append(tuple(alg.mul_basis(j, i).get(k, ZERO) for j in range(n)))
+            rhs.append(ONE if k == i else ZERO)
+            rows.append(tuple(alg.mul_basis(i, j).get(k, ZERO) for j in range(n)))
+            rhs.append(ONE if k == i else ZERO)
+    return solve(rows, rhs)

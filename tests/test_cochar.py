@@ -314,7 +314,7 @@ def laid_end_to_end(alg, columns, tau):
     classes and the sign from FactoredPolynomial.laid_end_to_end."""
     letters = [tau[v] for c in columns for v in c.variables]
     f = FactoredPolynomial(len(letters), list(columns))
-    sign, [classes], pos_classes = f.laid_end_to_end(alg, [letters])
+    sign, [classes], pos_classes = f.laid_end_to_end(alg, np.array([letters]))
     return sign, letters, classes, pos_classes
 
 

@@ -1,4 +1,7 @@
 import functools
+import itertools
+import math
+import operator
 import random
 from fractions import Fraction
 
@@ -26,7 +29,8 @@ from semigraded.gralgebra import (
     upper_triangular,
     validate_or_raise,
 )
-from semigraded.linalg import ONE, ZERO, Subspace, eliminate, mat_mul, solve, unit_vec, vec
+from semigraded.linalg import (ONE, ZERO, Subspace, eliminate, mat_mul, mat_vec, solve, unit_vec,
+                               vec)
 from semigraded.semigroup import (
     catalog_semigroup,
     is_left_zero_band,
@@ -34,6 +38,8 @@ from semigraded.semigroup import (
     trivial_semigroup,
 )
 from semigraded.structure import (
+    _assert_radical,
+    _is_nilpotent,
     _operator_closure,
     _wedderburn,
     center,
@@ -101,6 +107,29 @@ def test_radical_of_pair_examples():
     assert rad2.dim == 4
     a3 = paper_catalog("exampleT3", 2)
     assert jacobson_radical(a3).dim == 4
+
+
+def test_radical_self_checks_refuse_a_non_ideal_and_a_non_nilpotent_candidate():
+    m2 = full_matrix(2)
+    with pytest.raises(AssertionError, match="radical candidate is not an ideal"):
+        _assert_radical(m2, span_of_labels(m2, ["e11"]), graded=False)
+    # M_2 is an ideal of itself, but none of its powers vanishes
+    with pytest.raises(AssertionError, match="radical candidate is not nilpotent"):
+        _assert_radical(m2, m2.full_subspace(), graded=False)
+
+
+def test_is_nilpotent_stops_at_zero_or_at_a_repeated_dimension():
+    ut4 = upper_triangular(4)
+    # the strictly upper triangular part: powers of dimension 6, 3, 1, 0
+    assert _is_nilpotent(ut4, jacobson_radical(ut4))
+    assert _is_nilpotent(ut4, Subspace(ut4.dim))
+    m2 = full_matrix(2)
+    assert not _is_nilpotent(m2, m2.full_subspace())
+    assert not _is_nilpotent(m2, span_of_labels(m2, ["e11"]))
+    # span(e11, e12, e13, e23) of UT_3 squares to span(e11, e12, e13),
+    # which it then keeps
+    ut3 = upper_triangular(3)
+    assert not _is_nilpotent(ut3, span_of_labels(ut3, ["e11", "e12", "e13", "e23"]))
 
 
 def is_radical_graded(alg):
@@ -181,11 +210,10 @@ def test_unit_component_idempotents():
 
 def test_wedderburn_two_blocks():
     s = direct_sum(full_matrix(2), full_matrix(2))
-    data = _wedderburn(s)
-    assert sorted(i.dim for i in data.simple_ideals) == [4, 4]
-    assert data.center_dims == [1, 1]
+    ideals = _wedderburn(s)
+    assert sorted(i.dim for i in ideals) == [4, 4]
     # distinct ideals multiply to zero and each is multiplicatively closed
-    a, b = data.simple_ideals
+    a, b = ideals
     assert subspace_product(s, a, b).is_zero()
     assert a.intersect(b).is_zero()
 
@@ -195,18 +223,17 @@ def test_wedderburn_three_lines():
         3, ("d1", "d2", "d3"),
         {(i, i): {i: Fraction(1)} for i in range(3)},
         (0, 0, 0), trivial_semigroup(), unit=(Fraction(1),) * 3)
-    data = _wedderburn(validate_or_raise(diag))
-    assert [i.dim for i in data.simple_ideals] == [1, 1, 1]
+    assert [i.dim for i in _wedderburn(validate_or_raise(diag))] == [1, 1, 1]
 
 
 def test_wedderburn_on_thm_t1_quotient():
     alg = paper_catalog("thm_T1_fractional")
     rad = jacobson_radical(alg)
     q, _, _ = quotient_algebra(alg, rad, graded=False)
-    data = _wedderburn(q)
-    assert sorted(i.dim for i in data.simple_ideals) == [1, 1, 4]
+    ideals = _wedderburn(q)
+    assert sorted(i.dim for i in ideals) == [1, 1, 4]
     # simplicity: every nonzero basis element of an ideal regenerates it
-    for ideal in data.simple_ideals:
+    for ideal in ideals:
         for row in ideal.rows:
             assert ideal_generated(q, [row]) == ideal
 
@@ -222,6 +249,26 @@ def test_wedderburn_nonsplit():
     assert jacobson_radical(qs2).is_zero()
     with pytest.raises(NonSplit):
         _wedderburn(qs2)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.lists(st.integers(1, 3), min_size=1, max_size=4), st.randoms(use_true_random=False))
+def test_wedderburn_recovers_the_blocks_of_a_direct_sum(sizes, rng):
+    # M_k1 + ... + M_kr under a base change that mixes every basis vector;
+    # the ideals are checked in the coordinates of the direct sum, where
+    # row x stands for sum_i x_i p_rows[i], an isomorphic image in which
+    # the products are sparse
+    base = functools.reduce(direct_sum, [full_matrix(k) for k in sizes])
+    p_rows = random_base_change(base, rng)
+    ideals = _wedderburn(conjugated(base, p_rows, validated=False))
+    back = list(zip(*p_rows))
+    ideals = [Subspace(base.dim, [mat_vec(back, r) for r in i.rows]) for i in ideals]
+    assert sorted(i.dim for i in ideals) == sorted(k * k for k in sizes)
+    for a, b in itertools.permutations(ideals, 2):
+        assert subspace_product(base, a, b).is_zero()
+    assert functools.reduce(Subspace.sum, ideals) == base.full_subspace()
+    for ideal in ideals:
+        assert all(ideal_generated(base, [row]) == ideal for row in ideal.rows)
 
 
 def test_center_of_m2():
@@ -383,14 +430,23 @@ def test_exponent_errors():
         graded_exponent_d(nil)
 
 
-def conjugated(alg, p_rows):
-    """Base change by an invertible matrix respecting the grading blocks."""
+def conjugated(alg, p_rows, validated=True):
+    """Base change by an invertible matrix respecting the grading blocks,
+    validated unless asked not to: a base change keeps every law, and
+    validating a dense structure takes about dim^5 products."""
     n = alg.dim
     cols = list(zip(*p_rows))
     new_basis = [tuple(vec(r)) for r in p_rows]
+    # the inverse of the base change, solved for once and applied in
+    # integers: its rows times d, and v times its own denominator
+    inverse = list(zip(*(solve(cols, unit_vec(n, k)) for k in range(n))))
+    d = math.lcm(*(x.denominator for row in inverse for x in row))
+    scaled = [[int(x * d) for x in row] for row in inverse]
 
     def coords(v):
-        return solve([tuple(c) for c in cols], v)
+        dv = math.lcm(*(Fraction(x).denominator for x in v))
+        iv = [int(x * dv) for x in v]
+        return tuple(Fraction(sum(map(operator.mul, row, iv)), d * dv) for row in scaled)
 
     structure = {}
     for i in range(n):
@@ -400,9 +456,9 @@ def conjugated(alg, p_rows):
             if cell:
                 structure[(i, j)] = cell
     unit = tuple(coords(alg.unit)) if alg.unit is not None else None
-    return validate_or_raise(GradedAlgebra(
-        n, tuple(f"c{i}" for i in range(n)), structure,
-        alg.degree, alg.semigroup, unit=unit, name=alg.name + "|conj"))
+    moved = GradedAlgebra(n, tuple(f"c{i}" for i in range(n)), structure,
+                          alg.degree, alg.semigroup, unit=unit, name=alg.name + "|conj")
+    return validate_or_raise(moved) if validated else moved
 
 
 def test_exponent_invariant_under_base_change():
