@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
@@ -30,8 +31,8 @@ from .errors import (
     ResourceLimit,
     UnknownName,
 )
-from .linalg import (ONE, ZERO, Subspace, frac, integer_row, is_zero_vec, span_closure,
-                     sparse_map, unit_vec)
+from .linalg import (ONE, ZERO, Subspace, frac, integer_row, is_zero_vec, scaled_row,
+                     span_closure, sparse_map, unit_vec)
 from .semigroup import (
     FiniteSemigroup,
     catalog_semigroup,
@@ -64,18 +65,27 @@ class GradedAlgebra:
         return self.structure.get((i, j), {})
 
     def multiply(self, u, v):
-        out = [ZERO] * self.dim
-        right = [(j, b) for j, b in enumerate(v) if b != 0]
+        """u v as a tuple of Fractions: the integer product of u and v
+        scaled to integers (scaled_row), over one common denominator."""
+        (iu, du), (iv, dv) = scaled_row(u), scaled_row(v)
+        d = du * dv * self.integer_table()[1]
+        return tuple(Fraction(x, d) if x else ZERO for x in self.integer_product(iu, iv))
+
+    def integer_product(self, u, v) -> list:
+        """The product of the integer rows u and v over integer_table, as a
+        list of ints: scale times u v."""
+        table = self.integer_table()[0]
+        out = [0] * self.dim
+        right = [(j, b) for j, b in enumerate(v) if b]
         for i, a in enumerate(u):
-            if a == 0:
-                continue
-            for j, b in right:
-                cell = self.structure.get((i, j))
-                if cell:
-                    ab = a * b
-                    for k, c in cell.items():
-                        out[k] += ab * c
-        return tuple(out)
+            if a:
+                for j, b in right:
+                    cell = table.get((i, j))
+                    if cell:
+                        ab = a * b
+                        for k, c in cell:
+                            out[k] += ab * c
+        return out
 
     def integer_table(self):
         """(table, scale): the structure constants times scale, the lcm of
@@ -118,7 +128,8 @@ class GradedAlgebra:
         return [i for i in range(self.dim) if self.degree[i] == t]
 
     def component(self, t: int) -> Subspace:
-        return Subspace(self.dim, [unit_vec(self.dim, i) for i in self.component_indices(t)])
+        return Subspace(self.dim, [[int(i == j) for j in range(self.dim)]
+                                   for i in self.component_indices(t)])
 
     def component_project(self, t: int, v):
         return tuple(x if self.degree[i] == t else ZERO for i, x in enumerate(v))
@@ -241,32 +252,6 @@ def validate_or_raise(alg: GradedAlgebra) -> GradedAlgebra:
     return alg
 
 
-def adjoin_unit(alg: GradedAlgebra) -> GradedAlgebra:
-    """A + Q*1 with a fresh unit basis vector appended.
-
-    The result is carried as an ungraded algebra (trivial semigroup):
-    the adjoined unit has no meaningful degree, and the callers that
-    need A+ never need its grading.
-    """
-    n = alg.dim
-    structure = {}
-    for (i, j), cell in alg.structure.items():
-        structure[(i, j)] = dict(cell)
-    for i in range(n + 1):
-        structure[(i, n)] = {i: ONE}
-        structure[(n, i)] = {i: ONE}
-    structure[(n, n)] = {n: ONE}
-    return GradedAlgebra(
-        dim=n + 1,
-        basis_labels=alg.basis_labels + ("1",),
-        structure=structure,
-        degree=(0,) * (n + 1),
-        semigroup=trivial_semigroup(),
-        unit=unit_vec(n + 1, n),
-        name=(alg.name + "+") if alg.name else "",
-    )
-
-
 def with_trivial_grading(alg: GradedAlgebra) -> GradedAlgebra:
     return replace(alg, degree=(0,) * alg.dim, semigroup=trivial_semigroup(),
                    name=alg.name and alg.name + "|trivial")
@@ -275,8 +260,9 @@ def with_trivial_grading(alg: GradedAlgebra) -> GradedAlgebra:
 # -- subspace arithmetic ---------------------------------------------------
 
 def subspace_product(alg: GradedAlgebra, a: Subspace, b: Subspace) -> Subspace:
-    prods = [alg.multiply(u, v) for u in a.rows for v in b.rows]
-    return Subspace(alg.dim, [p for p in prods if not is_zero_vec(p)])
+    """span(a b), from the integer products of the integer rows."""
+    prods = (alg.integer_product(u, v) for u in a.integer_rows for v in b.integer_rows)
+    return Subspace(alg.dim, [p for p in prods if any(p)])
 
 
 def ideal_generated(alg: GradedAlgebra, vectors) -> Subspace:
@@ -326,14 +312,27 @@ def quotient_algebra(alg: GradedAlgebra, ideal: Subspace, graded: bool):
     and lift maps Q-coords back to representative A-vectors.
     """
     n = alg.dim
-    pivot_set = set(ideal.pivots)
-    reps = [c for c in range(n) if c not in pivot_set]
+    pivot_rows = dict(zip(ideal.pivots, ideal.rows))
+    reps = [c for c in range(n) if c not in pivot_rows]
     qdim = len(reps)
     rep_pos = {c: k for k, c in enumerate(reps)}
+    # a canonical row is 0 at the other pivots, so v reduces to v minus
+    # v[p] times the row of each pivot p, read at the representatives
+    pivot_parts = {p: [(rep_pos[c], x) for c, x in enumerate(row) if x and c in rep_pos]
+                   for p, row in pivot_rows.items()}
+
+    def project_sparse(items):
+        out = [ZERO] * qdim
+        for k, x in items:
+            if k in rep_pos:
+                out[rep_pos[k]] += x
+            else:
+                for a, y in pivot_parts[k]:
+                    out[a] -= x * y
+        return tuple(out)
 
     def project(v):
-        reduced = ideal.reduce(v)
-        return tuple(reduced[c] for c in reps)
+        return project_sparse((k, x) for k, x in enumerate(v) if x)
 
     def lift(coords):
         v = [ZERO] * n
@@ -344,8 +343,7 @@ def quotient_algebra(alg: GradedAlgebra, ideal: Subspace, graded: bool):
     structure = {}
     for a, i in enumerate(reps):
         for b, j in enumerate(reps):
-            prod = alg.multiply(alg.basis_vector(i), alg.basis_vector(j))
-            coords = project(prod)
+            coords = project_sparse(alg.mul_basis(i, j).items())
             cell = {k: c for k, c in enumerate(coords) if c != 0}
             if cell:
                 structure[(a, b)] = cell

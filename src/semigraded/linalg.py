@@ -1,11 +1,15 @@
 """Exact linear algebra over the rationals, on integer kernels.
 
-rref scales its rows to integers and eliminates fraction-free; eliminate
-reduces sparse rows (dicts column -> value) as integers; span_closure
-grows a basis with eliminate.  Fraction appears only at the boundary:
-in the canonical rows rref returns, on which Subspace equality and
-hashing rest, and in the dense helpers (Subspace.reduce, solve, the
-matrix and polynomial helpers), whose dimensions stay at a few dozen.
+_echelon scales its rows to integers and eliminates fraction-free; rref
+and Subspace divide its rows by their pivots once, for the canonical
+rows.  A Subspace keeps both: equality and hashing rest on the canonical
+Fraction rows, and sum, intersect, contains and the product kernels of
+gralgebra read its integer rows, as nullspace builds its basis in ints.
+eliminate reduces sparse rows (dicts column -> value) as integers, and
+span_closure grows a basis with it.  rational_roots lifts roots modulo a
+prime and reads them back as fractions, in Python ints.  Fraction
+arithmetic is left to the dense helpers (Subspace.reduce, the matrix and
+polynomial helpers), whose dimensions stay at a few dozen.
 """
 
 from __future__ import annotations
@@ -42,23 +46,42 @@ def is_zero_vec(u) -> bool:
     return all(a == 0 for a in u)
 
 
-def integer_row(row) -> list:
-    """The row times the lcm of its denominators, as a list of ints; the
-    entries may be anything frac takes."""
-    if all(type(x) is int for x in row):
-        return list(row)
-    row = [frac(x) for x in row]
+def scaled_row(row) -> tuple:
+    """(ints, d): the row times d, the lcm of its denominators, as a list
+    of ints; the entries may be anything frac takes."""
+    types = set(map(type, row))
+    if types <= {int}:
+        return list(row), 1
+    if not types <= {int, Fraction}:
+        row = [frac(x) for x in row]
     d = math.lcm(*(x.denominator for x in row))
-    return [x.numerator * (d // x.denominator) for x in row]
+    return [x.numerator * (d // x.denominator) for x in row], d
+
+
+def integer_row(row) -> list:
+    """The row times the lcm of its denominators, as a list of ints."""
+    return scaled_row(row)[0]
 
 
 def rref(rows):
-    """Reduced row echelon form.  Returns (rows, pivot column indices).
+    """Reduced row echelon form.  Returns (rows, pivot column indices),
+    the rows the canonical rows of the row space, as tuples of Fraction:
+    the integer rows of _echelon divided by their pivots."""
+    rows, pivots = _echelon(rows)
+    return _canonical(rows, pivots), pivots
+
+
+def _canonical(rows, pivots) -> list:
+    return [tuple(Fraction(x, row[c]) if x else ZERO for x in row)
+            for row, c in zip(rows, pivots)]
+
+
+def _echelon(rows):
+    """(rows, pivots): a reduced echelon basis of the row space as integer
+    rows, each a nonzero multiple of its canonical row.
 
     Gauss-Jordan on the rows scaled to integers, fraction-free: each
     update is an integer combination of two rows, divided by its gcd.
-    Dividing by the pivots at the end gives the canonical rows of the row
-    space, as tuples of Fraction.
     """
     rows = [r for r in map(integer_row, rows) if any(r)]
     pivots = []
@@ -77,8 +100,7 @@ def rref(rows):
                 g = math.gcd(*new)
                 rows[k] = [x // g for x in new] if g > 1 else new
         pivots.append(c)
-    return [tuple(Fraction(x, row[c]) if x else ZERO for x in row)
-            for row, c in zip(rows, pivots)], pivots
+    return rows, pivots
 
 
 def eliminate(echelon: dict, row) -> bool:
@@ -149,27 +171,31 @@ def span_closure(ambient: int, seeds, maps) -> list:
 
 
 class Subspace:
-    """A subspace of Q^n stored as a reduced-echelon basis.
+    """A subspace of Q^n stored as a reduced-echelon basis: its canonical
+    rows, as tuples of Fraction, and the same rows as integer tuples, each
+    a nonzero multiple of its canonical row, for the integer kernels.
 
     Instances are immutable; two subspaces are equal iff their canonical
     bases coincide.
     """
 
-    __slots__ = ("ambient", "rows", "pivots")
+    __slots__ = ("ambient", "rows", "pivots", "integer_rows")
 
-    def __init__(self, ambient: int, rows=(), _reduced=False):
+    def __init__(self, ambient: int, rows=()):
         self.ambient = ambient
-        if _reduced:
-            self.rows = tuple(rows)
-            self.pivots = tuple(next(i for i, x in enumerate(r) if x != 0) for r in self.rows)
-        else:
-            red, piv = rref(rows)
-            self.rows = tuple(red)
-            self.pivots = tuple(piv)
+        ints, piv = _echelon(rows)
+        self.rows = tuple(_canonical(ints, piv))
+        self.pivots = tuple(piv)
+        self.integer_rows = tuple(map(tuple, ints))
 
     @classmethod
     def full(cls, ambient: int) -> "Subspace":
-        return cls(ambient, [unit_vec(ambient, i) for i in range(ambient)], _reduced=True)
+        """Q^ambient, its canonical rows the unit vectors, with no elimination."""
+        full = cls.__new__(cls)
+        full.ambient, full.pivots = ambient, tuple(range(ambient))
+        full.rows = tuple(unit_vec(ambient, i) for i in range(ambient))
+        full.integer_rows = tuple(tuple(int(i == j) for j in range(ambient)) for i in range(ambient))
+        return full
 
     @property
     def dim(self) -> int:
@@ -202,50 +228,47 @@ class Subspace:
         return tuple(v)
 
     def contains(self, v) -> bool:
-        return is_zero_vec(self.reduce(v))
+        """Whether v reduces to zero, fraction-free on the integer rows."""
+        v = integer_row(v)
+        for row, p in zip(self.integer_rows, self.pivots):
+            f = v[p]
+            if f:
+                a = row[p]
+                v = [a * x - f * y for x, y in zip(v, row)]
+        return not any(v)
 
     def sum(self, other: "Subspace") -> "Subspace":
         assert self.ambient == other.ambient
-        return Subspace(self.ambient, list(self.rows) + list(other.rows))
+        return Subspace(self.ambient, self.integer_rows + other.integer_rows)
 
     def intersect(self, other: "Subspace") -> "Subspace":
         """Zassenhaus: echelonize [A|A; B|0], read the intersection off the
         rows whose left half became zero."""
         assert self.ambient == other.ambient
         n = self.ambient
-        block = []
-        for r in self.rows:
-            block.append(tuple(r) + tuple(r))
-        for r in other.rows:
-            block.append(tuple(r) + (ZERO,) * n)
-        red, _ = rref(block)
-        inter = []
-        for row in red:
-            if is_zero_vec(row[:n]):
-                right = row[n:]
-                if not is_zero_vec(right):
-                    inter.append(right)
-        return Subspace(n, inter)
+        block = [r + r for r in self.integer_rows] + [r + (0,) * n for r in other.integer_rows]
+        return Subspace(n, [row[n:] for row in _echelon(block)[0] if not any(row[:n])])
 
 
 def nullspace(rows, ncols: int) -> Subspace:
-    """Kernel of the matrix with the given rows, as a subspace of Q^ncols."""
-    red, pivots = rref(rows)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
+    """Kernel of the matrix with the given rows, as a subspace of Q^ncols:
+    for each free column f, e_f minus the canonical rows' entries at f
+    placed at their pivots, times the lcm of the pivot entries."""
+    red, pivots = _echelon(rows)
+    scale = math.lcm(*(row[p] for row, p in zip(red, pivots)))
     basis = []
-    for f in free:
-        v = [ZERO] * ncols
-        v[f] = ONE
+    for f in sorted(set(range(ncols)) - set(pivots)):
+        v = [0] * ncols
+        v[f] = scale
         for row, p in zip(red, pivots):
-            v[p] = -row[f]
-        basis.append(tuple(v))
+            v[p] = -row[f] * (scale // row[p])
+        basis.append(v)
     return Subspace(ncols, basis)
 
 
 def solve(rows, rhs):
     """One solution x of (rows) x = rhs, or None.  rows are equations."""
-    aug = [tuple(map(frac, r)) + (frac(b),) for r, b in zip(rows, rhs)]
+    aug = [tuple(r) + (b,) for r, b in zip(rows, rhs)]
     n = len(rows[0]) if rows else 0
     red, pivots = rref(aug)
     x = [ZERO] * n
@@ -295,51 +318,79 @@ def minimal_polynomial(op_matrix):
 
 
 def poly_at(coeffs, x):
-    """Value at x of the polynomial with low-first coefficients."""
-    acc = ZERO
+    """Value at x of the polynomial with low-first coefficients: an int
+    when they and x are."""
+    acc = 0
     for c in reversed(coeffs):
         acc = acc * x + c
     return acc
 
 
+def _trim(poly):
+    while poly and poly[-1] == 0:
+        poly.pop()
+    return poly
+
+
+def _poly_divmod(a, b):
+    """(quotient, remainder) of Fraction polynomials, low-first, b's
+    leading coefficient nonzero."""
+    a, q = list(a), [ZERO] * max(len(a) - len(b) + 1, 0)
+    while len(a) >= len(b):
+        c, s = a[-1] / b[-1], len(a) - len(b)
+        q[s] = c
+        for i, x in enumerate(b):
+            a[s + i] -= c * x
+        _trim(a)
+    return q, a
+
+
 def rational_roots(coeffs):
-    """All rational roots of a rational-coefficient polynomial.
+    """All rational roots of a rational-coefficient polynomial, coeffs
+    low-first, each once, in increasing order.
 
-    coeffs are low-first.  Uses the rational root theorem on the integer
-    rescaling of the polynomial.
+    Exact in Python ints, with no divisors of the coefficients listed (the
+    p-adic method of R. Loos, SIAM J. Comput. 12, 1983).  Past its zero
+    roots, the polynomial's square-free part g, scaled to integers, has
+    only simple roots; modulo a prime p that divides neither g's leading
+    coefficient nor g' at a root of g mod p, each root mod p lifts by
+    Newton's step to one root mod p^k > 2 |g_0| |g_d|, and a rational root
+    u/v of g, |u| dividing g_0 and v dividing g_d, is the one fraction of
+    that size with its residue (rational reconstruction).  A candidate is
+    kept only when the polynomial vanishes at it exactly.
     """
-    coeffs = [frac(c) for c in coeffs]
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    if not coeffs:
-        return []
-    # strip zero roots
-    roots = []
-    while coeffs[0] == 0:
-        if 0 not in roots:
-            roots.append(Fraction(0))
-        coeffs = coeffs[1:]
-        if len(coeffs) == 1:
-            return roots
-    if len(coeffs) == 1:
+    coeffs = _trim([frac(c) for c in coeffs])
+    zeros = next((i for i, c in enumerate(coeffs) if c), 0)
+    roots, coeffs = [ZERO] if zeros else [], coeffs[zeros:]
+    if len(coeffs) < 2:
         return roots
-    denom = math.lcm(*(c.denominator for c in coeffs))
-    ints = [int(c * denom) for c in coeffs]
-    a0, an = abs(ints[0]), abs(ints[-1])
-
-    def divisors(m):
-        out = []
-        d = 1
-        while d * d <= m:
-            if m % d == 0:
-                out.append(d)
-                out.append(m // d)
-            d += 1
-        return out
-
-    for p in divisors(a0):
-        for q in divisors(an):
-            for cand in (Fraction(p, q), Fraction(-p, q)):
-                if cand not in roots and poly_at(ints, cand) == 0:
-                    roots.append(cand)
-    return roots
+    derivative = [i * c for i, c in enumerate(coeffs)][1:]
+    a, b = coeffs, derivative
+    while b:
+        a, b = b, _poly_divmod(a, b)[1]
+    g = integer_row(_poly_divmod(coeffs, a)[0])
+    content = math.gcd(*g)
+    g = [c // content for c in g]
+    low, lead = abs(g[0]), abs(g[-1])
+    dg = [i * c for i, c in enumerate(g)][1:]
+    p = 2
+    while True:
+        p += 1
+        if lead % p == 0 or any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):
+            continue
+        residues = [r for r in range(p) if poly_at(g, r) % p == 0]
+        if all(poly_at(dg, r) % p for r in residues):
+            break
+    for r in residues:
+        m = p
+        while m <= 2 * low * lead:
+            m *= m
+            r = (r - poly_at(g, r) * pow(poly_at(dg, r), -1, m)) % m
+        # the first remainder of the extended Euclid on (m, r) below |g_0|
+        r0, r1, t0, t1 = m, r, 0, 1
+        while r1 > low:
+            q = r0 // r1
+            r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+        if t1 and poly_at(g, Fraction(r1, t1)) == 0:
+            roots.append(Fraction(r1, t1))
+    return sorted(roots)

@@ -8,12 +8,21 @@ generates (ideal_generated) must be itself, and its powers must vanish
 simple ideals of A/J are A*w over the lines w of its center, split apart
 by rational eigenvalues of the basis's central parts; no unit or
 idempotent is carried along.
+
+Products, traces and the center are read off GradedAlgebra.integer_table,
+the structure constants times one scale: the trace form comes out scale^2
+times the true one and a product scale times it, which no span, kernel
+or solve that uses them sees.  Fraction stays in the canonical rows of
+the subspaces, in the small matrices of a block of the center, and in
+the section and correction of the complements.
 """
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .errors import (
     NilpotentAlgebra,
@@ -23,7 +32,6 @@ from .errors import (
 )
 from .gralgebra import (
     GradedAlgebra,
-    adjoin_unit,
     ideal_generated,
     is_graded_subspace,
     quotient_algebra,
@@ -34,11 +42,14 @@ from .linalg import (
     ZERO,
     Subspace,
     add_vec,
+    integer_row,
     is_zero_vec,
     mat_vec,
     minimal_polynomial,
     nullspace,
     rational_roots,
+    rref,
+    scaled_row,
     solve,
     span_closure,
     sparse_map,
@@ -77,26 +88,34 @@ def jacobson_radical(alg: GradedAlgebra) -> Subspace:
 
 
 def _trace_form(alg):
-    """form[i][j] = trace of left multiplication by e_i * e_j, from the
-    traces tvec[k] of the left multiplications by the basis."""
+    """form[i][j] = scale^2 * tr(L_(e_i e_j)) in ints, scale that of
+    integer_table, from the traces scale * tr(L_e_k) of the basis."""
     n = alg.dim
-    tvec = [sum((alg.mul_basis(k, m).get(m, ZERO) for m in range(n)), ZERO) for k in range(n)]
-    return [tuple(sum((c * tvec[k] for k, c in alg.mul_basis(i, j).items()), ZERO)
-                  for j in range(n)) for i in range(n)]
+    table, _ = alg.integer_table()
+    traces = [0] * n
+    for (k, m), cell in table.items():
+        traces[k] += sum(c for l, c in cell if l == m)
+    form = [[0] * n for _ in range(n)]
+    for (i, j), cell in table.items():
+        form[i][j] = sum(c * traces[k] for k, c in cell)
+    return form
 
 
 def _trace_radical(alg):
     """x lies in the radical iff trace(left multiplication by x*y on the
-    unital hull) vanishes for every basis y of the hull."""
-    n = alg.dim
-    return nullspace([col[:n] for col in zip(*_trace_form(adjoin_unit(alg)))], n)
+    unital hull A + Q1) vanishes for every y in a basis of the hull.  For z
+    in A that trace is tr_A(L_z), since L_z sends 1 to z in A.  And y = 1
+    adds nothing: L_x^k = L_(x x^(k-1)), so tr(L_xa) = 0 for every a in A
+    gives tr(L_x^k) = 0 for every k >= 2, which in characteristic 0 makes
+    L_x nilpotent.  So x must make tr(L_(x e_j)) vanish for every j."""
+    return nullspace([list(col) for col in zip(*_trace_form(alg))], alg.dim)
 
 
 def _assert_radical(alg, rad, graded: bool):
     """Check that rad is a nilpotent ideal with semisimple quotient, and
     return that quotient, (Q, project, lift) of quotient_algebra, graded or
     not: the grading changes only Q's degrees, which _trace_radical ignores."""
-    if ideal_generated(alg, rad.rows) != rad:
+    if ideal_generated(alg, rad.integer_rows) != rad:
         raise AssertionError("radical candidate is not an ideal")
     if not _is_nilpotent(alg, rad):
         raise AssertionError("radical candidate is not nilpotent")
@@ -130,29 +149,36 @@ def unit_component_idempotents(alg: GradedAlgebra):
 # -- Wedderburn decomposition ------------------------------------------------
 
 def center(alg: GradedAlgebra) -> Subspace:
+    """The x with x e_i = e_i x for every i: one equation per (i, k), the
+    coefficient of e_k in e_j e_i - e_i e_j at x_j, from integer_table."""
     n = alg.dim
-    rows = []
-    for i in range(n):
-        for k in range(n):
-            rows.append(tuple(
-                alg.mul_basis(j, i).get(k, ZERO) - alg.mul_basis(i, j).get(k, ZERO)
-                for j in range(n)
-            ))
-    return nullspace(rows, n)
+    rows = {}
+    for (a, b), cell in alg.integer_table()[0].items():
+        for k, c in cell:
+            rows.setdefault((b, k), [0] * n)[a] += c
+            rows.setdefault((a, k), [0] * n)[b] -= c
+    return nullspace(list(rows.values()), n)
 
 
 def _block_matrix(alg, rows, z):
-    """Multiplication by z on span(rows), in the coordinates of rows."""
-    cols = list(zip(*rows))
-    mat_rows = []
-    for b in rows:
-        prod = alg.multiply(z, b)
-        coords = solve([tuple(r) for r in cols], prod)
-        if coords is None:
-            raise AssertionError("block is not closed under multiplication")
-        mat_rows.append(coords)
-    # mat_rows[i] = coords of z*b_i; operator matrix acts on coordinate vecs
-    return [tuple(mat_rows[i][j] for i in range(len(rows))) for j in range(len(rows))]
+    """Multiplication by z on span(rows), in the coordinates of rows:
+    M[l][b] is the coefficient of rows[l] in z * rows[b].
+
+    One rref of [rows as columns | the products] on integer rows: with the
+    rows scaled by d_l and z by dz (scaled_row), the product column of b is
+    dz * scale * d_b * z rows[b], whose coordinate l on the scaled columns
+    is M[l][b] * dz * scale * d_b / d_l."""
+    m = len(rows)
+    zi, dz = scaled_row(z)
+    scaled = [scaled_row(b) for b in rows]
+    prods = [alg.integer_product(zi, b) for b, _ in scaled]
+    red, pivots = rref([[b[k] for b, _ in scaled] + [p[k] for p in prods]
+                        for k in range(alg.dim)])
+    if pivots != list(range(m)):
+        raise AssertionError("block is not closed under multiplication")
+    scale = dz * alg.integer_table()[1]
+    return [tuple(red[l][m + b] * dl / (scale * db) for b, (_, db) in enumerate(scaled))
+            for l, (_, dl) in enumerate(scaled)]
 
 
 def _central_parts(alg, z):
@@ -162,10 +188,16 @@ def _central_parts(alg, z):
     simple ideal M_k(Q) the part of x acts as tr(x)/k, x read as a k x k
     matrix there: a small rational in any basis of the algebra, where the
     eigenvalues of the rows of z grow with the entries of a base change."""
-    form = _trace_form(alg)
-    cols = [mat_vec(form, v) for v in z]  # cols[l][i]: the form at (e_i, z_l)
-    gram = [mat_vec(cols, u) for u in z]
-    return [_combine(z, solve(gram, [c[i] for c in cols])) for i in range(alg.dim)]
+    form = _trace_form(alg)  # scale^2 times the form, which the solve undoes
+    z = [integer_row(v) for v in z]  # z_l times d_l: the parts are the same
+    cols = [[sum(map(operator.mul, row, v)) for row in form] for v in z]  # the form at (e_i, z_l)
+    gram = [[sum(map(operator.mul, c, u)) for u in z] for c in cols]
+    # one rref of [gram | cols] is [1 | the coordinates of every part] when gram is invertible
+    m = len(z)
+    red, pivots = rref([g + c for g, c in zip(gram, cols)])
+    if pivots != list(range(m)):
+        raise AssertionError("trace form is degenerate on the center")
+    return [_combine(z, [row[m + i] for row in red]) for i in range(alg.dim)]
 
 
 def _split_block(alg, rows, candidates):
@@ -194,12 +226,15 @@ def _split_block(alg, rows, candidates):
 
 
 def _combine(rows, coords):
-    out = [ZERO] * len(rows[0])
+    """sum_l coords[l] * rows[l], as Fractions: the coordinates scaled to
+    integers (scaled_row), so integer rows are summed in ints."""
+    coords, d = scaled_row(coords)
+    out = [0] * len(rows[0])
     for c, row in zip(coords, rows):
-        if c != 0:
+        if c:
             for j, x in enumerate(row):
                 out[j] += c * x
-    return tuple(out)
+    return tuple(Fraction(x, d) if x else ZERO for x in out)
 
 
 def _wedderburn(alg) -> list:
@@ -225,8 +260,9 @@ def _wedderburn(alg) -> list:
         if split is None:
             raise NonSplit(len(rows))
         blocks.extend(split)
-    return sorted((Subspace(alg.dim, [alg.multiply(alg.basis_vector(i), w) for i in range(alg.dim)])
-                   for w in lines), key=lambda ideal: ideal.rows)
+    basis = [[int(i == j) for j in range(alg.dim)] for i in range(alg.dim)]
+    return sorted((Subspace(alg.dim, [alg.integer_product(e, w) for e in basis])
+                   for w in map(integer_row, lines)), key=lambda ideal: ideal.rows)
 
 
 # -- semisimple complements ---------------------------------------------------
@@ -317,12 +353,10 @@ def _malcev(alg, rad, quotient):
 
 
 def _assert_splitting(alg, comp, rad):
-    if comp.dim + rad.dim != alg.dim or not comp.intersect(rad).is_zero():
+    if comp.dim + rad.dim != alg.dim or comp.sum(rad).dim != alg.dim:
         raise AssertionError("complement does not split the algebra")
-    for u in comp.rows:
-        for v in comp.rows:
-            if not comp.contains(alg.multiply(u, v)):
-                raise AssertionError("complement is not multiplicatively closed")
+    if comp.sum(subspace_product(alg, comp, comp)) != comp:
+        raise AssertionError("complement is not multiplicatively closed")
 
 
 def splits_graded(alg: GradedAlgebra) -> bool:
@@ -407,8 +441,13 @@ def _operator_closure(alg: GradedAlgebra):
     maps = [sparse_map([tuple((i * n + j, c) for i, c in g[k]) for k in range(n) for j in range(n)])
             for g in gens]
     ident = {i * n + i: 1 for i in range(n)}
-    return [tuple(tuple(m.get(i * n + j, 0) for j in range(n)) for i in range(n))
-            for m in span_closure(n * n, [ident], maps)]
+    ops = []
+    for m in span_closure(n * n, [ident], maps):
+        flat = [0] * (n * n)
+        for k, c in m.items():
+            flat[k] = c
+        ops.append(tuple(tuple(flat[i * n:i * n + n]) for i in range(n)))
+    return ops
 
 
 def is_graded_simple(alg: GradedAlgebra, seed: int = 0) -> SimplicityResult:
@@ -430,8 +469,7 @@ def is_graded_simple(alg: GradedAlgebra, seed: int = 0) -> SimplicityResult:
     constant, which spans the same algebra.
     """
     n = alg.dim
-    full = alg.full_subspace()
-    if subspace_product(alg, full, full).is_zero():
+    if not any(alg.integer_table()[0].values()):
         witness = Subspace(n, [alg.basis_vector(0)]) if n > 1 else None
         return SimplicityResult("certified_false", witness, "A*A = 0")
     for i in range(n):

@@ -1,9 +1,10 @@
 """Algebra constructions only the tests use: the catalog's names, the
-direct sum of two algebras graded by one semigroup, and the unit found
-by a linear solve."""
+direct sum of two algebras graded by one semigroup, the unital hull, and
+the unit found by a linear solve."""
 
 from semigraded.gralgebra import _CATALOG_BUILDERS, GradedAlgebra
-from semigraded.linalg import ONE, ZERO, solve
+from semigraded.linalg import ONE, ZERO, solve, unit_vec
+from semigraded.semigroup import trivial_semigroup
 
 
 class SemigroupMismatch(ValueError):
@@ -52,3 +53,28 @@ def find_unit(alg: GradedAlgebra):
             rows.append(tuple(alg.mul_basis(i, j).get(k, ZERO) for j in range(n)))
             rhs.append(ONE if k == i else ZERO)
     return solve(rows, rhs)
+
+
+def adjoin_unit(alg: GradedAlgebra) -> GradedAlgebra:
+    """A + Q*1 with a fresh unit basis vector appended.
+
+    The result is carried as an ungraded algebra (trivial semigroup):
+    the adjoined unit has no meaningful degree.
+    """
+    n = alg.dim
+    structure = {}
+    for (i, j), cell in alg.structure.items():
+        structure[(i, j)] = dict(cell)
+    for i in range(n + 1):
+        structure[(i, n)] = {i: ONE}
+        structure[(n, i)] = {i: ONE}
+    structure[(n, n)] = {n: ONE}
+    return GradedAlgebra(
+        dim=n + 1,
+        basis_labels=alg.basis_labels + ("1",),
+        structure=structure,
+        degree=(0,) * (n + 1),
+        semigroup=trivial_semigroup(),
+        unit=unit_vec(n + 1, n),
+        name=(alg.name + "+") if alg.name else "",
+    )

@@ -341,6 +341,21 @@ def test_exponent_command(runner):
     assert "ordinary exponent 4" in result.output
 
 
+def test_exponent_of_a_diagonal_algebra_with_a_large_constant(runner, tmp_path):
+    """Q^3 with b1 b1 = (10^24 + 7) b1, b2 b2 = 3 b2, b3 b3 = 5 b3: its
+    center splits along the eigenvalue 10^24 + 7 of multiplication by b1,
+    a 25-digit prime, which listing divisors by trial division never
+    reaches."""
+    path = tmp_path / "diagonal.alg"
+    path.write_text("name: diagonal\nsemigroup: Trivial\nbasis: b1 b2 b3\n"
+                    "degree: b1 e\ndegree: b2 e\ndegree: b3 e\n"
+                    f"structure: 1 1 1 {10 ** 24 + 7}\nstructure: 2 2 2 3\nstructure: 3 3 3 5\n"
+                    f"unit: 1/{10 ** 24 + 7} 1/3 1/5\n", encoding="utf-8")
+    result = runner.invoke(main, ["exponent", "--input", str(path)])
+    assert result.exit_code == 0
+    assert result.output == "diagonal: graded exponent 1\n"
+
+
 def test_exponent_error_exit(runner):
     result = runner.invoke(main, ["exponent", "--catalog", "thm_T1_fractional"])
     assert result.exit_code == 1

@@ -35,7 +35,6 @@ from semigraded.errors import (
 )
 from semigraded.gralgebra import (
     GradedAlgebra,
-    adjoin_unit,
     full_matrix,
     ideal_generated,
     merge_entries,
@@ -47,7 +46,7 @@ from semigraded.gralgebra import (
 from semigraded.linalg import ZERO, matrix_rank
 from semigraded.semigroup import catalog_semigroup, trivial_semigroup
 from semigraded.young import YoungTableau, hook_dim, spanning_permutations, young_subgroup
-from algebra_fixtures import catalog_names, direct_sum
+from algebra_fixtures import adjoin_unit, catalog_names, direct_sum
 from product_oracles import eval_table, product_cache
 from scatter_oracle import MaskedWordTable
 from young_oracles import direct_product, symmetrizer
@@ -1603,9 +1602,18 @@ def m2_codim(n: int) -> int:
 
 @pytest.mark.parametrize("mode", ["modular", "exact"])
 def test_ordinary_codimensions_match_their_closed_forms(mode):
-    # oracles that do not come from the engine: UT_2 and M_2 up to n = 6
+    """Oracles that do not come from the engine: UT_2 and M_2 up to n = 6,
+    and in modular mode thm_T1_fractional and thm_T2_fractional, which
+    have M_2's codimensions.  Ungraded, T1 is M_2 x UT_2, and UT_2 is a
+    subalgebra of M_2, so Id(T1) = Id(M_2) cap Id(UT_2) = Id(M_2).  T2 is
+    M_2 x N with N = span(j11, j12, j22) and N^2 = 0 (every product lands
+    in M_2): N satisfies every multilinear polynomial of degree n >= 2, so
+    Id(T2) and Id(M_2) agree from degree 2 on, and c_1 = 1 for both."""
     cert = CERT_EXACT if mode == "exact" else CERT_MODULAR_STABLE
-    for spec, closed in (("upper_triangular(2)", ut2_codim), ("full_matrix(2)", m2_codim)):
+    pinned = [("upper_triangular(2)", ut2_codim), ("full_matrix(2)", m2_codim)]
+    if mode == "modular":
+        pinned += [("thm_T1_fractional", m2_codim), ("thm_T2_fractional", m2_codim)]
+    for spec, closed in pinned:
         alg = parse_catalog_spec(spec)
         got = [ordinary_codim(alg, n, mode=mode) for n in range(1, 7)]
         assert [(r.value, r.certification) for r in got] == \

@@ -18,7 +18,6 @@ from semigraded.errors import (
 )
 from semigraded.gralgebra import (
     GradedAlgebra,
-    adjoin_unit,
     full_matrix,
     ideal_generated,
     is_graded_subspace,
@@ -34,7 +33,7 @@ from semigraded.gralgebra import (
 )
 from semigraded.linalg import Subspace, is_zero_vec, solve, vec
 from semigraded.semigroup import catalog_semigroup, trivial_semigroup
-from algebra_fixtures import SemigroupMismatch, catalog_names, direct_sum, find_unit
+from algebra_fixtures import SemigroupMismatch, adjoin_unit, catalog_names, direct_sum, find_unit
 from test_codim import scaled_products
 
 CATALOG_ARGS = {

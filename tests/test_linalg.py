@@ -129,6 +129,46 @@ def test_rational_roots():
 
 def test_rational_roots_irreducible():
     assert rational_roots([Fraction(-2), Fraction(0), Fraction(1)]) == []  # x^2 - 2
+    # x^2 - 8x + 1 and x^2 - 8x - 8: their 3-adic roots read back as
+    # fractions that are not roots
+    assert rational_roots([1, -8, 1]) == rational_roots([-8, -8, 1]) == []
+
+
+def poly_mul(a, b):
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+big_rationals = st.builds(Fraction, st.integers(-10 ** 30, 10 ** 30), st.integers(1, 10 ** 30))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(big_rationals, st.integers(1, 3)), min_size=1, max_size=5),
+       st.sampled_from([[1], [1, 0, 1], [-2, 0, 1], [1, -8, 1], [-1, -1, 0, 1]]),
+       big_rationals.filter(bool))
+def test_rational_roots_of_split_polynomials(roots, rootless, lead):
+    """lead * (x^2 + 1, x^2 - 2, x^2 - 8x + 1 or x^3 - x - 1, which have
+    no rational root, or 1) * prod (x - r)^m, numerators and denominators
+    up to 10^30, zero and repeated roots included: every root is found,
+    once."""
+    coeffs = [lead * c for c in rootless]
+    for r, m in roots:
+        for _ in range(m):
+            coeffs = poly_mul(coeffs, [-r, Fraction(1)])
+    assert rational_roots(coeffs) == sorted({r for r, _ in roots})
+
+
+def test_rational_roots_of_large_constants():
+    """The minimal polynomial of diag(10^24 + 7, 3, 5): the rational root
+    theorem would list the divisors of its constant 3 * 5 * (10^24 + 7)."""
+    c = 10 ** 24 + 7
+    coeffs = poly_mul(poly_mul([-c, 1], [-3, 1]), [-5, 1])
+    assert rational_roots(coeffs) == [3, 5, c]
+    assert rational_roots([0, 0, 7]) == [0]
+    assert rational_roots([]) == rational_roots([5]) == []
 
 
 def test_matrix_rank():

@@ -39,8 +39,12 @@ from semigraded.semigroup import (
 )
 from semigraded.structure import (
     _assert_radical,
+    _block_matrix,
+    _central_parts,
     _is_nilpotent,
     _operator_closure,
+    _trace_form,
+    _trace_radical,
     _wedderburn,
     center,
     graded_exponent_d,
@@ -52,8 +56,16 @@ from semigraded.structure import (
     unit_component_idempotents,
 )
 from algebra_fixtures import direct_sum
+from fraction_oracles import (
+    fraction_block_matrix,
+    fraction_center,
+    fraction_multiply,
+    fraction_subspace_product,
+    fraction_trace_form,
+    fraction_trace_radical,
+)
 from test_codim import block_rank
-from test_gralgebra import closure_algebras, subalgebra_on
+from test_gralgebra import CATALOG_SMALL, closure_algebras, small_entries, subalgebra_on
 
 
 def span_of_labels(alg, labels):
@@ -273,6 +285,22 @@ def test_wedderburn_recovers_the_blocks_of_a_direct_sum(sizes, rng):
 
 def test_center_of_m2():
     assert center(full_matrix(2)).dim == 1
+
+
+def test_central_parts_act_on_each_block_as_its_trace_over_k():
+    """On M_2 + M_1 + M_3 in its matrix-unit basis the part of e_ab in
+    the block M_k is delta_ab / k times that block's unit."""
+    sizes = (2, 1, 3)
+    alg = functools.reduce(direct_sum, [full_matrix(k) for k in sizes])
+    expected, offset = [], 0
+    for k in sizes:
+        unit = [ZERO] * alg.dim
+        for a in range(k):
+            unit[offset + a * k + a] = Fraction(1, k)
+        expected += [tuple(unit) if a == b else (ZERO,) * alg.dim
+                     for a in range(k) for b in range(k)]
+        offset += k * k
+    assert _central_parts(alg, center(alg).rows) == expected
 
 
 # -- complements -----------------------------------------------------------------
@@ -705,3 +733,28 @@ def test_operator_closure_matches_the_two_sided_oracle():
         ops = _operator_closure(alg)
         assert all(type(x) is int for m in ops for row in m for x in row)
         assert span(ops) == span(two_sided_operator_closure(alg)), alg.name
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_integer_kernels_match_the_fraction_oracles(data):
+    """Products, subspace products, the trace form and radical, the center
+    and the center's block matrices, on a catalog algebra under a random
+    base change, against the Fraction versions of fraction_oracles."""
+    base = data.draw(st.sampled_from(CATALOG_SMALL))
+    alg = conjugated(base, random_base_change(base, data.draw(st.randoms(use_true_random=False))),
+                     validated=False)
+    n = alg.dim
+    vectors = st.lists(small_entries, min_size=n, max_size=n).map(vec)
+    u, v = data.draw(vectors), data.draw(vectors)
+    assert alg.multiply(u, v) == fraction_multiply(alg, u, v)
+    s, t = (Subspace(n, data.draw(st.lists(vectors, max_size=3))) for _ in range(2))
+    assert subspace_product(alg, s, t) == fraction_subspace_product(alg, s, t)
+    scale = alg.integer_table()[1]
+    assert _trace_form(alg) == [[scale ** 2 * x for x in row] for row in fraction_trace_form(alg)]
+    assert _trace_radical(alg) == fraction_trace_radical(alg)
+    z = center(alg)
+    assert z == fraction_center(alg)
+    if z.rows:
+        w = data.draw(st.sampled_from(z.rows))
+        assert _block_matrix(alg, z.rows, w) == fraction_block_matrix(alg, z.rows, w)
