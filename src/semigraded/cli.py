@@ -58,7 +58,8 @@ def _int_list(option: str, text: str) -> tuple:
 
 
 def _rows_of_subspace(alg, s):
-    return [{alg.basis_labels[i]: str(c) for i, c in enumerate(row) if c != 0} for row in s.rows]
+    return [{alg.basis_labels[i]: str(c) for i, c in enumerate(row) if c != 0}
+            for row in s.canonical_rows]
 
 
 def _fail(exc: Exception, message: str, code: int):

@@ -43,7 +43,7 @@ import numpy as np
 
 from .errors import BadParam, EmptySequence, HypothesisViolated, ResourceLimit
 from .gralgebra import GradedAlgebra, merge_entries, with_trivial_grading
-from .linalg import eliminate
+from .linalg import eliminate, is_prime
 from .young import YoungTableau, hook_dim, partitions_of, spanning_permutations, young_subgroup
 
 # verified 30-bit primes; per-block choices are drawn from this bank
@@ -249,33 +249,10 @@ def _checked_primes(primes, n: int) -> tuple:
     below 2 ** 31 so that products of two residues fit in int64."""
     primes = tuple(primes)
     if len(set(primes)) < 2 or not all(
-            isinstance(p, int) and n < p < 2 ** 31 and _is_prime(p) for p in primes):
+            isinstance(p, int) and n < p < 2 ** 31 and is_prime(p) for p in primes):
         raise BadParam(f"primes must hold at least 2 distinct primes p with "
                        f"{n} = n < p < 2**31, got {list(primes)}")
     return primes
-
-
-def _is_prime(p: int) -> bool:
-    """Whether p < 3215031751 (past 2 ** 31) is prime: Miller-Rabin on the
-    bases 2, 3, 5 and 7, which no composite below that bound passes."""
-    if p in (2, 3, 5, 7):
-        return True
-    if p < 2 or p % 2 == 0:
-        return False
-    odd, twos = p - 1, 0
-    while odd % 2 == 0:
-        odd, twos = odd // 2, twos + 1
-    for base in (2, 3, 5, 7):
-        x = pow(base, odd, p)
-        if x in (1, p - 1):
-            continue
-        for _ in range(twos - 1):
-            x = x * x % p
-            if x == p - 1:
-                break
-        else:
-            return False
-    return True
 
 
 @lru_cache(maxsize=None)

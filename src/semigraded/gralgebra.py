@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
@@ -31,8 +30,8 @@ from .errors import (
     ResourceLimit,
     UnknownName,
 )
-from .linalg import (ONE, ZERO, Subspace, frac, integer_row, is_zero_vec, scaled_row,
-                     span_closure, sparse_map, unit_vec)
+from .linalg import (ONE, ZERO, Subspace, frac, fraction_row, integer_row, is_zero_vec,
+                     scaled_row, span_closure, sparse_map, unit_vec)
 from .semigroup import (
     FiniteSemigroup,
     catalog_semigroup,
@@ -68,8 +67,7 @@ class GradedAlgebra:
         """u v as a tuple of Fractions: the integer product of u and v
         scaled to integers (scaled_row), over one common denominator."""
         (iu, du), (iv, dv) = scaled_row(u), scaled_row(v)
-        d = du * dv * self.integer_table()[1]
-        return tuple(Fraction(x, d) if x else ZERO for x in self.integer_product(iu, iv))
+        return fraction_row(self.integer_product(iu, iv), du * dv * self.integer_table()[1])
 
     def integer_product(self, u, v) -> list:
         """The product of the integer rows u and v over integer_table, as a
@@ -260,8 +258,8 @@ def with_trivial_grading(alg: GradedAlgebra) -> GradedAlgebra:
 # -- subspace arithmetic ---------------------------------------------------
 
 def subspace_product(alg: GradedAlgebra, a: Subspace, b: Subspace) -> Subspace:
-    """span(a b), from the integer products of the integer rows."""
-    prods = (alg.integer_product(u, v) for u in a.integer_rows for v in b.integer_rows)
+    """span(a b), from the integer products of the rows."""
+    prods = (alg.integer_product(u, v) for u in a.rows for v in b.rows)
     return Subspace(alg.dim, [p for p in prods if any(p)])
 
 
@@ -312,7 +310,7 @@ def quotient_algebra(alg: GradedAlgebra, ideal: Subspace, graded: bool):
     and lift maps Q-coords back to representative A-vectors.
     """
     n = alg.dim
-    pivot_rows = dict(zip(ideal.pivots, ideal.rows))
+    pivot_rows = dict(zip(ideal.pivots, ideal.canonical_rows))
     reps = [c for c in range(n) if c not in pivot_rows]
     qdim = len(reps)
     rep_pos = {c: k for k, c in enumerate(reps)}

@@ -1,20 +1,20 @@
 """Exact linear algebra over the rationals, on integer kernels.
 
-_echelon scales its rows to integers and eliminates fraction-free; rref
-and Subspace divide its rows by their pivots once, for the canonical
-rows.  A Subspace keeps both: equality and hashing rest on the canonical
-Fraction rows, and sum, intersect, contains and the product kernels of
-gralgebra read its integer rows, as nullspace builds its basis in ints.
-eliminate reduces sparse rows (dicts column -> value) as integers, and
-span_closure grows a basis with it.  rational_roots lifts roots modulo a
-prime and reads them back as fractions, in Python ints.  Fraction
-arithmetic is left to the dense helpers (Subspace.reduce, the matrix and
-polynomial helpers), whose dimensions stay at a few dozen.
+integer_rref scales its rows to integers, eliminates fraction-free and
+divides each row by its gcd, signed so that its pivot entry is positive:
+the one basis of the row space that a Subspace stores, and on which its
+equality and hashing rest.  rref and Subspace.canonical_rows divide those
+rows by their pivots, for the canonical Fraction rows; sum, intersect,
+contains, nullspace and minimal_polynomial stay in ints.  eliminate
+reduces sparse rows (dicts column -> value) as integers, and span_closure
+grows a basis with it.  rational_roots lifts roots modulo a prime
+(is_prime) and reads them back as fractions, in Python ints.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from itertools import takewhile
 
@@ -26,20 +26,8 @@ def frac(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
-def vec(entries) -> tuple:
-    return tuple(frac(x) for x in entries)
-
-
 def unit_vec(n: int, i: int) -> tuple:
     return tuple(ONE if j == i else ZERO for j in range(n))
-
-
-def add_vec(u, v):
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def sub_vec(u, v):
-    return tuple(a - b for a, b in zip(u, v))
 
 
 def is_zero_vec(u) -> bool:
@@ -63,25 +51,41 @@ def integer_row(row) -> list:
     return scaled_row(row)[0]
 
 
+def fraction_row(row, d: int) -> tuple:
+    """The integer row divided by d, as a tuple of Fraction: the inverse
+    of scaled_row."""
+    return tuple(Fraction(x, d) if x else ZERO for x in row)
+
+
 def rref(rows):
     """Reduced row echelon form.  Returns (rows, pivot column indices),
     the rows the canonical rows of the row space, as tuples of Fraction:
-    the integer rows of _echelon divided by their pivots."""
-    rows, pivots = _echelon(rows)
+    the integer rows of integer_rref divided by their pivots."""
+    rows, pivots = integer_rref(rows)
     return _canonical(rows, pivots), pivots
 
 
 def _canonical(rows, pivots) -> list:
-    return [tuple(Fraction(x, row[c]) if x else ZERO for x in row)
-            for row, c in zip(rows, pivots)]
+    return [fraction_row(row, row[c]) for row, c in zip(rows, pivots)]
 
 
-def _echelon(rows):
-    """(rows, pivots): a reduced echelon basis of the row space as integer
-    rows, each a nonzero multiple of its canonical row.
+def scaled_canonical(rows, pivots):
+    """(rows, lcm): the canonical rows of integer echelon rows (each divided
+    by its pivot entry) times lcm, the lcm of the pivot entries, in ints."""
+    lcm = math.lcm(*(row[p] for row, p in zip(rows, pivots)))
+    return [[x * (lcm // row[p]) for x in row] for row, p in zip(rows, pivots)], lcm
 
-    Gauss-Jordan on the rows scaled to integers, fraction-free: each
-    update is an integer combination of two rows, divided by its gcd.
+
+def integer_rref(rows):
+    """(rows, pivots): the reduced echelon basis of the row space as lists
+    of ints, each row divided by the gcd of its entries and signed so that
+    its pivot entry is positive.  Each row is the one such multiple of its
+    canonical row (1 at its pivot, 0 at the other pivots), so the rows are
+    unique for the space.
+
+    Gauss-Jordan on the rows scaled to integers, fraction-free (after
+    Bareiss, Math. Comp. 22, 1968): each update is an integer combination
+    of two rows, divided by its gcd.
     """
     rows = [r for r in map(integer_row, rows) if any(r)]
     pivots = []
@@ -100,6 +104,11 @@ def _echelon(rows):
                 g = math.gcd(*new)
                 rows[k] = [x // g for x in new] if g > 1 else new
         pivots.append(c)
+    del rows[len(pivots):]
+    for k, (row, c) in enumerate(zip(rows, pivots)):
+        g = math.gcd(*row) if row[c] > 0 else -math.gcd(*row)
+        if g != 1:
+            rows[k] = [x // g for x in row]
     return rows, pivots
 
 
@@ -171,35 +180,38 @@ def span_closure(ambient: int, seeds, maps) -> list:
 
 
 class Subspace:
-    """A subspace of Q^n stored as a reduced-echelon basis: its canonical
-    rows, as tuples of Fraction, and the same rows as integer tuples, each
-    a nonzero multiple of its canonical row, for the integer kernels.
+    """A subspace of Q^n stored as one basis: the integer rows of
+    integer_rref, unique for the space, on which equality and hashing
+    rest.  canonical_rows divides them by their pivots, on demand.
 
-    Instances are immutable; two subspaces are equal iff their canonical
-    bases coincide.
+    Instances are immutable.
     """
 
-    __slots__ = ("ambient", "rows", "pivots", "integer_rows")
+    __slots__ = ("ambient", "rows", "pivots")
 
     def __init__(self, ambient: int, rows=()):
         self.ambient = ambient
-        ints, piv = _echelon(rows)
-        self.rows = tuple(_canonical(ints, piv))
+        ints, piv = integer_rref(rows)
+        self.rows = tuple(map(tuple, ints))
         self.pivots = tuple(piv)
-        self.integer_rows = tuple(map(tuple, ints))
 
     @classmethod
     def full(cls, ambient: int) -> "Subspace":
-        """Q^ambient, its canonical rows the unit vectors, with no elimination."""
+        """Q^ambient, its rows the unit vectors, with no elimination."""
         full = cls.__new__(cls)
         full.ambient, full.pivots = ambient, tuple(range(ambient))
-        full.rows = tuple(unit_vec(ambient, i) for i in range(ambient))
-        full.integer_rows = tuple(tuple(int(i == j) for j in range(ambient)) for i in range(ambient))
+        full.rows = tuple(tuple(int(i == j) for j in range(ambient)) for i in range(ambient))
         return full
 
     @property
     def dim(self) -> int:
         return len(self.rows)
+
+    @property
+    def canonical_rows(self) -> tuple:
+        """The rows divided by their pivot entries, as tuples of Fraction:
+        1 at their own pivot and 0 at the others."""
+        return tuple(_canonical(self.rows, self.pivots))
 
     def __eq__(self, other):
         return (
@@ -217,20 +229,10 @@ class Subspace:
     def is_zero(self) -> bool:
         return not self.rows
 
-    def reduce(self, v):
-        """Residue of v after elimination against the basis rows."""
-        v = list(map(frac, v))
-        for row, p in zip(self.rows, self.pivots):
-            if v[p] != 0:
-                f = v[p]
-                for j in range(p, self.ambient):
-                    v[j] -= f * row[j]
-        return tuple(v)
-
     def contains(self, v) -> bool:
-        """Whether v reduces to zero, fraction-free on the integer rows."""
+        """Whether v reduces to zero, fraction-free on the rows."""
         v = integer_row(v)
-        for row, p in zip(self.integer_rows, self.pivots):
+        for row, p in zip(self.rows, self.pivots):
             f = v[p]
             if f:
                 a = row[p]
@@ -239,44 +241,31 @@ class Subspace:
 
     def sum(self, other: "Subspace") -> "Subspace":
         assert self.ambient == other.ambient
-        return Subspace(self.ambient, self.integer_rows + other.integer_rows)
+        return Subspace(self.ambient, self.rows + other.rows)
 
     def intersect(self, other: "Subspace") -> "Subspace":
         """Zassenhaus: echelonize [A|A; B|0], read the intersection off the
         rows whose left half became zero."""
         assert self.ambient == other.ambient
         n = self.ambient
-        block = [r + r for r in self.integer_rows] + [r + (0,) * n for r in other.integer_rows]
-        return Subspace(n, [row[n:] for row in _echelon(block)[0] if not any(row[:n])])
+        block = [r + r for r in self.rows] + [r + (0,) * n for r in other.rows]
+        return Subspace(n, [row[n:] for row in integer_rref(block)[0] if not any(row[:n])])
 
 
 def nullspace(rows, ncols: int) -> Subspace:
     """Kernel of the matrix with the given rows, as a subspace of Q^ncols:
     for each free column f, e_f minus the canonical rows' entries at f
     placed at their pivots, times the lcm of the pivot entries."""
-    red, pivots = _echelon(rows)
-    scale = math.lcm(*(row[p] for row, p in zip(red, pivots)))
+    red, pivots = integer_rref(rows)
+    red, scale = scaled_canonical(red, pivots)
     basis = []
     for f in sorted(set(range(ncols)) - set(pivots)):
         v = [0] * ncols
         v[f] = scale
         for row, p in zip(red, pivots):
-            v[p] = -row[f] * (scale // row[p])
+            v[p] = -row[f]
         basis.append(v)
     return Subspace(ncols, basis)
-
-
-def solve(rows, rhs):
-    """One solution x of (rows) x = rhs, or None.  rows are equations."""
-    aug = [tuple(r) + (b,) for r, b in zip(rows, rhs)]
-    n = len(rows[0]) if rows else 0
-    red, pivots = rref(aug)
-    x = [ZERO] * n
-    for row, p in zip(red, pivots):
-        if p == n:
-            return None  # 0 = 1 row
-        x[p] = row[n]
-    return tuple(x)
 
 
 def matrix_rank(rows) -> int:
@@ -284,36 +273,25 @@ def matrix_rank(rows) -> int:
     return len(red)
 
 
-def mat_vec(matrix, v):
-    return tuple(sum((row[j] * v[j] for j in range(len(v))), ZERO) for row in matrix)
-
-
-def mat_mul(a, b):
-    """Product of dense matrices given as rows; zero terms are skipped."""
-    cols = list(zip(*b))
-    return [tuple(sum((x * y for x, y in zip(row, col) if x and y), ZERO) for col in cols)
-            for row in a]
-
-
-def minimal_polynomial(op_matrix):
-    """Monic minimal polynomial of a square rational matrix.
-
-    Returned as a coefficient list [c0, c1, ..., 1] (lowest degree first).
-    Found from the first linear dependence among I, M, M^2, ...
+def minimal_polynomial(matrix) -> list:
+    """Monic minimal polynomial of a square integer matrix, as its
+    coefficients lowest degree first: the first linear dependence among
+    I, M, M^2, ..., read off the kernel of their flattened entries.  The
+    coefficients are integers, since the minimal polynomial divides the
+    characteristic polynomial, which is monic in Z[x] (Gauss's lemma); so
+    the kernel's one row is plus or minus them.
     """
-    n = len(op_matrix)
-    ident = [unit_vec(n, i) for i in range(n)]
-    powers = [ident]
-    cur = ident
+    n = len(matrix)
+    cols = list(zip(*matrix))
+    power = [[int(i == j) for j in range(n)] for i in range(n)]
+    flats = [[x for row in power for x in row]]
     for _ in range(n):
-        cur = mat_mul(cur, op_matrix)
-        powers.append([tuple(r) for r in cur])
-        # flatten each power into a vector and look for a dependence
-        flat = [sum((list(p[i]) for i in range(n)), []) for p in powers]
-        dep = solve([tuple(row) for row in zip(*flat[:-1])], flat[-1])
-        if dep is not None:
-            coeffs = [-c for c in dep] + [ONE]
-            return coeffs
+        power = [[sum(map(operator.mul, row, col)) for col in cols] for row in power]
+        flats.append([x for row in power for x in row])
+        dependence = nullspace(list(zip(*flats)), len(flats))
+        if not dependence.is_zero():
+            row = dependence.rows[0]
+            return [c // row[-1] for c in row]
     raise AssertionError("no minimal polynomial found within dimension bound")
 
 
@@ -343,6 +321,29 @@ def _poly_divmod(a, b):
             a[s + i] -= c * x
         _trim(a)
     return q, a
+
+
+def is_prime(p: int) -> bool:
+    """Whether p < 3215031751 (past 2 ** 31) is prime: Miller-Rabin on the
+    bases 2, 3, 5 and 7, which no composite below that bound passes."""
+    if p in (2, 3, 5, 7):
+        return True
+    if p < 2 or p % 2 == 0:
+        return False
+    odd, twos = p - 1, 0
+    while odd % 2 == 0:
+        odd, twos = odd // 2, twos + 1
+    for base in (2, 3, 5, 7):
+        x = pow(base, odd, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(twos - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def rational_roots(coeffs):
@@ -376,7 +377,7 @@ def rational_roots(coeffs):
     p = 2
     while True:
         p += 1
-        if lead % p == 0 or any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):
+        if lead % p == 0 or not is_prime(p):
             continue
         residues = [r for r in range(p) if poly_at(g, r) % p == 0]
         if all(poly_at(dg, r) % p for r in residues):

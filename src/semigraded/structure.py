@@ -12,9 +12,12 @@ idempotent is carried along.
 Products, traces and the center are read off GradedAlgebra.integer_table,
 the structure constants times one scale: the trace form comes out scale^2
 times the true one and a product scale times it, which no span, kernel
-or solve that uses them sees.  Fraction stays in the canonical rows of
-the subspaces, in the small matrices of a block of the center, and in
-the section and correction of the complements.
+or solve that uses them sees.  The kernels run on the integer rows of
+Subspace and integer_rref, each vector a fixed positive multiple of the
+true one: a block matrix of the center carries one scale, and the
+complement's section is lifted on integer equations over one common
+denominator.  Fraction is left to GradedAlgebra.multiply, which the unit
+and its components go through, and to the true section of SplittingData.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from __future__ import annotations
 import operator
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import (
     NilpotentAlgebra,
@@ -39,23 +41,18 @@ from .gralgebra import (
     with_trivial_grading,
 )
 from .linalg import (
-    ZERO,
     Subspace,
-    add_vec,
+    eliminate,
+    fraction_row,
     integer_row,
+    integer_rref,
     is_zero_vec,
-    mat_vec,
     minimal_polynomial,
     nullspace,
     rational_roots,
-    rref,
-    scaled_row,
-    solve,
+    scaled_canonical,
     span_closure,
     sparse_map,
-    sub_vec,
-    unit_vec,
-    vec,
 )
 from .semigroup import is_left_zero_band, is_right_zero_band
 
@@ -115,7 +112,7 @@ def _assert_radical(alg, rad, graded: bool):
     """Check that rad is a nilpotent ideal with semisimple quotient, and
     return that quotient, (Q, project, lift) of quotient_algebra, graded or
     not: the grading changes only Q's degrees, which _trace_radical ignores."""
-    if ideal_generated(alg, rad.integer_rows) != rad:
+    if ideal_generated(alg, rad.rows) != rad:
         raise AssertionError("radical candidate is not an ideal")
     if not _is_nilpotent(alg, rad):
         raise AssertionError("radical candidate is not nilpotent")
@@ -150,73 +147,84 @@ def unit_component_idempotents(alg: GradedAlgebra):
 
 def center(alg: GradedAlgebra) -> Subspace:
     """The x with x e_i = e_i x for every i: one equation per (i, k), the
-    coefficient of e_k in e_j e_i - e_i e_j at x_j, from integer_table."""
+    coefficient of e_k in e_j e_i - e_i e_j at x_j, from integer_table.
+    eliminate keeps the independent equations, at most n of them, and
+    stops at n, where the center is zero."""
     n = alg.dim
     rows = {}
     for (a, b), cell in alg.integer_table()[0].items():
         for k, c in cell:
-            rows.setdefault((b, k), [0] * n)[a] += c
-            rows.setdefault((a, k), [0] * n)[b] -= c
-    return nullspace(list(rows.values()), n)
+            left, right = rows.setdefault((b, k), {}), rows.setdefault((a, k), {})
+            left[a] = left.get(a, 0) + c
+            right[b] = right.get(b, 0) - c
+    echelon = {}
+    for row in rows.values():
+        if eliminate(echelon, row) and len(echelon) == n:
+            break
+    return nullspace([[row.get(j, 0) for j in range(n)] for row in echelon.values()], n)
 
 
 def _block_matrix(alg, rows, z):
-    """Multiplication by z on span(rows), in the coordinates of rows:
-    M[l][b] is the coefficient of rows[l] in z * rows[b].
+    """(N, S): multiplication by z on span(rows), in the coordinates of the
+    integer rows, as the integer matrix N = S * M for one positive integer
+    S, M[l][b] the coefficient of rows[l] in z * rows[b].
 
-    One rref of [rows as columns | the products] on integer rows: with the
-    rows scaled by d_l and z by dz (scaled_row), the product column of b is
-    dz * scale * d_b * z rows[b], whose coordinate l on the scaled columns
-    is M[l][b] * dz * scale * d_b / d_l."""
+    One integer_rref of [rows as columns | the products]: the product
+    column of b is scale * z rows[b] (integer_product), so row l of the
+    echelon form times P over its pivot, P the lcm of the pivot entries,
+    is P * (e_l | scale * M[l]), and S = P * scale."""
     m = len(rows)
-    zi, dz = scaled_row(z)
-    scaled = [scaled_row(b) for b in rows]
-    prods = [alg.integer_product(zi, b) for b, _ in scaled]
-    red, pivots = rref([[b[k] for b, _ in scaled] + [p[k] for p in prods]
-                        for k in range(alg.dim)])
+    prods = [alg.integer_product(z, b) for b in rows]
+    red, pivots = integer_rref([[b[k] for b in rows] + [p[k] for p in prods]
+                                for k in range(alg.dim)])
     if pivots != list(range(m)):
         raise AssertionError("block is not closed under multiplication")
-    scale = dz * alg.integer_table()[1]
-    return [tuple(red[l][m + b] * dl / (scale * db) for b, (_, db) in enumerate(scaled))
-            for l, (_, dl) in enumerate(scaled)]
+    red, lcm = scaled_canonical(red, pivots)
+    return [row[m:] for row in red], lcm * alg.integer_table()[1]
 
 
 def _central_parts(alg, z):
-    """The parts in the center, spanned by the rows z, of the basis
-    elements of a semisimple algebra: their projections orthogonal for
-    the trace form (x, y) -> tr(L_xy), nondegenerate on the center.  On a
-    simple ideal M_k(Q) the part of x acts as tr(x)/k, x read as a k x k
-    matrix there: a small rational in any basis of the algebra, where the
-    eigenvalues of the rows of z grow with the entries of a base change."""
+    """The parts in the center, spanned by the integer rows z, of the basis
+    elements of a semisimple algebra, all times one positive integer: their
+    projections orthogonal for the trace form (x, y) -> tr(L_xy),
+    nondegenerate on the center.  On a simple ideal M_k(Q) the part of x
+    acts as tr(x)/k, x read as a k x k matrix there: a small rational in
+    any basis of the algebra, where the eigenvalues of the rows of z grow
+    with the entries of a base change."""
     form = _trace_form(alg)  # scale^2 times the form, which the solve undoes
-    z = [integer_row(v) for v in z]  # z_l times d_l: the parts are the same
     cols = [[sum(map(operator.mul, row, v)) for row in form] for v in z]  # the form at (e_i, z_l)
     gram = [[sum(map(operator.mul, c, u)) for u in z] for c in cols]
-    # one rref of [gram | cols] is [1 | the coordinates of every part] when gram is invertible
+    # [gram | cols] reduces to [1 | the coordinates of every part] when gram is invertible
     m = len(z)
-    red, pivots = rref([g + c for g, c in zip(gram, cols)])
+    red, pivots = integer_rref([g + c for g, c in zip(gram, cols)])
     if pivots != list(range(m)):
         raise AssertionError("trace form is degenerate on the center")
+    red, _ = scaled_canonical(red, pivots)
     return [_combine(z, [row[m + i] for row in red]) for i in range(alg.dim)]
 
 
 def _split_block(alg, rows, candidates):
-    """Split a block of the center, an ideal of the commutative center,
-    along a simple rational eigenvalue r of multiplication by one of the
-    central candidates z: the rows of ker(z - r) and of im(z - r), each
-    again an ideal of the center, or None when no candidate exposes one.
+    """Split a block of the center, an ideal of the commutative center
+    spanned by the integer rows, along a simple rational eigenvalue r of
+    multiplication by one of the central candidates z: the rows of
+    ker(z - r) and of im(z - r), each again an ideal of the center, or None
+    when no candidate exposes one.
+
+    The block matrix N = S * M (_block_matrix) has the eigenspaces of M,
+    at S times its eigenvalues, in the same order; they are integers,
+    since N's minimal polynomial is monic in Z[x].
     """
     m = len(rows)
     for z in candidates:
-        if is_zero_vec(z):
+        if not any(z):
             continue
-        mz = _block_matrix(alg, rows, z)
+        mz, _ = _block_matrix(alg, rows, z)
         minpoly = minimal_polynomial(mz)
         if len(minpoly) <= 2:
             continue  # z is a scalar on this block
         for r in rational_roots(minpoly):
-            shifted = [tuple(mz[i][j] - (r if i == j else ZERO) for j in range(m))
-                       for i in range(m)]
+            shifted = [[x - r.numerator * (i == j) for j, x in enumerate(row)]
+                       for i, row in enumerate(mz)]
             # V = ker(M - r) + im(M - r) exactly when r is a simple root
             eigen, rest = nullspace(shifted, m), Subspace(m, list(zip(*shifted)))
             if not eigen.intersect(rest).is_zero():
@@ -226,15 +234,13 @@ def _split_block(alg, rows, candidates):
 
 
 def _combine(rows, coords):
-    """sum_l coords[l] * rows[l], as Fractions: the coordinates scaled to
-    integers (scaled_row), so integer rows are summed in ints."""
-    coords, d = scaled_row(coords)
+    """sum_l coords[l] * rows[l] over integer rows and coordinates."""
     out = [0] * len(rows[0])
     for c, row in zip(coords, rows):
         if c:
             for j, x in enumerate(row):
                 out[j] += c * x
-    return tuple(Fraction(x, d) if x else ZERO for x in out)
+    return out
 
 
 def _wedderburn(alg) -> list:
@@ -262,69 +268,81 @@ def _wedderburn(alg) -> list:
         blocks.extend(split)
     basis = [[int(i == j) for j in range(alg.dim)] for i in range(alg.dim)]
     return sorted((Subspace(alg.dim, [alg.integer_product(e, w) for e in basis])
-                   for w in map(integer_row, lines)), key=lambda ideal: ideal.rows)
+                   for w in lines), key=lambda ideal: ideal.rows)
 
 
 # -- semisimple complements ---------------------------------------------------
 
-def _section_correction(alg, qalg, lift_cols, jk, j2k):
-    """Solve for h with h(xy) - s(x)h(y) - h(x)s(y) = -defect(x,y) mod J^2k.
+def _residue(space):
+    """v -> L v - sum_p v[p] (L / row_p[p]) row_p over the integer rows of
+    space and their pivots p, L the lcm of the pivot entries: L times the
+    remainder of v modulo space, in ints."""
+    rows, lcm = scaled_canonical(space.rows, space.pivots)
+    pivoted = list(zip(space.pivots, rows))
 
-    lift_cols[i] is the current section image of quotient basis i.
-    Returns corrected columns, or the same columns when already clean.
+    def residue(v):
+        out = [lcm * x for x in v]
+        for p, row in pivoted:
+            if v[p]:
+                out = [x - v[p] * y for x, y in zip(out, row)]
+        return out
+    return residue
+
+
+def _section_correction(alg, qalg, cols, d, jk, j2k):
+    """Solve for h: A/J -> J^k with h(xy) - s(x)h(y) - h(x)s(y) = -defect(x, y)
+    mod J^2k, defect(x, y) = s(xy) - s(x)s(y), and return the section s + h
+    as (cols, d) again, the same when already clean.
+
+    The section is s(e_u) = cols[u] / d, cols integer rows.  With s_A and
+    s_Q the scales of alg's and qalg's integer_table, and L that of
+    _residue, every equation below is its true form times s_Q s_A d L, and
+    its unknowns are d times the coefficients of h(e_u) along jk's integer
+    rows: a scaling of equations and unknowns, which leaves the solution
+    with free unknowns at zero the same.  One integer_rref solves them.
     """
-    q = qalg.dim
-    jk_rows = list(jk.rows)
-    r = len(jk_rows)
-    if r == 0:
-        return lift_cols
+    q, basis = qalg.dim, jk.rows
+    table, qscale = qalg.integer_table()
+    ad = alg.integer_table()[1] * d
+    product, residue = alg.integer_product, _residue(j2k)
+    cells = {key: dict(cell) for key, cell in table.items()}
     defects = {}
-    clean = True
     for i in range(q):
         for j in range(q):
-            prod_coords = qalg.mul_basis(i, j)
-            target = [ZERO] * alg.dim
-            for u, c in prod_coords.items():
-                target = [t + c * x for t, x in zip(target, lift_cols[u])]
-            d = sub_vec(tuple(target), alg.multiply(lift_cols[i], lift_cols[j]))
-            defects[(i, j)] = d
-            if not is_zero_vec(j2k.reduce(d)):
-                clean = False
-    if clean:
-        return lift_cols
-    # unknowns: alpha[u][b] coefficients of h(e_u) along jk_rows
-    nunk = q * r
-    rows, rhs = [], []
-    for i in range(q):
-        for j in range(q):
-            # expression = h(e_i e_j) - s_i h(e_j) - h(e_i) s_j + c_ij  in J^k,
-            # must reduce to zero mod J^2k;  expression is linear in alpha
-            base = j2k.reduce(defects[(i, j)])
-            coeff_rows = [[ZERO] * nunk for _ in range(alg.dim)]
-            prod_coords = qalg.mul_basis(i, j)
-            for u in range(q):
-                for b in range(r):
-                    col = u * r + b
-                    contrib = (tuple(prod_coords[u] * x for x in jk_rows[b]) if u in prod_coords
-                               else (ZERO,) * alg.dim)
-                    if u == j:
-                        contrib = sub_vec(contrib, alg.multiply(lift_cols[i], jk_rows[b]))
-                    if u == i:
-                        contrib = sub_vec(contrib, alg.multiply(jk_rows[b], lift_cols[j]))
-                    contrib = j2k.reduce(contrib)
-                    for c in range(alg.dim):
-                        if contrib[c] != 0:
-                            coeff_rows[c][col] = contrib[c]
-            for c in range(alg.dim):
-                row = tuple(coeff_rows[c])
-                if any(x != 0 for x in row) or base[c] != 0:
-                    rows.append(row)
-                    rhs.append(-base[c])
-    sol = solve(rows, rhs) if rows else tuple()
-    if sol is None:
+            # s_Q s_A d^2 L times s(e_i e_j) - s(e_i) s(e_j) mod J^2k
+            cell = cells.get((i, j), {})
+            target = _combine(cols, [ad * cell.get(u, 0) for u in range(q)])
+            defects[(i, j)] = residue([x - qscale * y
+                                       for x, y in zip(target, product(cols[i], cols[j]))])
+    if not any(map(any, defects.values())):
+        return cols, d
+    left = [[product(c, b) for b in basis] for c in cols]
+    right = [[product(b, c) for b in basis] for c in cols]
+    equations, zero = [], [0] * alg.dim
+    for (i, j), defect in defects.items():
+        cell = cells.get((i, j), {})
+        coeffs = []  # s_Q s_A d L times the term of h(e_u) = b in e_i e_j's equation
+        for u in range(q):
+            t = ad * cell.get(u, 0)
+            for k, b in enumerate(basis):
+                v = [t * x for x in b] if t else zero
+                if u == j:
+                    v = [x - qscale * y for x, y in zip(v, left[i][k])]
+                if u == i:
+                    v = [x - qscale * y for x, y in zip(v, right[j][k])]
+                coeffs.append(residue(v) if any(v) else v)
+        equations += [[*row, -x] for *row, x in zip(*coeffs, defect) if x or any(row)]
+    unknowns = q * len(basis)
+    red, pivots = integer_rref(equations)
+    if pivots[-1] == unknowns:
         raise AssertionError("complement lifting system has no solution")
-    return [add_vec(lift_cols[u], _combine(jk_rows, sol[u * r:(u + 1) * r]))
-            for u in range(q)]
+    red, lcm = scaled_canonical(red, pivots)
+    beta = [0] * unknowns  # lcm times the unknowns, the free ones zero
+    for row, p in zip(red, pivots):
+        beta[p] = row[unknowns]
+    r = len(basis)
+    return [_combine((c,) + basis, [lcm, *beta[u * r:u * r + r]])
+            for u, c in enumerate(cols)], lcm * d
 
 
 def malcev_complement(alg: GradedAlgebra) -> SplittingData:
@@ -341,15 +359,15 @@ def _malcev(alg, rad, quotient):
     """malcev_complement for a verified radical and the quotient by it,
     (Q, project, lift) of quotient_algebra, graded or not."""
     qalg, _, lift = quotient
-    cols = [lift(unit_vec(qalg.dim, i)) for i in range(qalg.dim)]
+    cols, d = [integer_row(lift(qalg.basis_vector(i))) for i in range(qalg.dim)], 1
     jk = rad
     while not jk.is_zero():
         j2k = subspace_product(alg, jk, jk)
-        cols = _section_correction(alg, qalg, cols, jk, j2k)
+        cols, d = _section_correction(alg, qalg, cols, d, jk, j2k)
         jk = j2k
     comp = Subspace(alg.dim, cols)
     _assert_splitting(alg, comp, rad)
-    return SplittingData(comp, rad, [], cols)
+    return SplittingData(comp, rad, [], [fraction_row(c, d) for c in cols])
 
 
 def _assert_splitting(alg, comp, rad):
@@ -394,18 +412,20 @@ def _graded_malcev(alg, rad, quotient):
     comp, cols, log = plain.complement, plain.section, []
     project = quotient[1]
     parts = unit_component_idempotents(alg)
-    u = (ZERO,) * alg.dim
+    u = [0] * alg.dim
     for e in parts.values():
-        u = add_vec(u, alg.multiply(e, _combine(cols, project(e))))
-    j = sub_vec(u, alg.unit)
-    if not is_zero_vec(j):
+        coords = project(e)
+        image = [sum(map(operator.mul, coords, row)) for row in zip(*cols)]  # s(e + J)
+        u = list(map(operator.add, u, alg.multiply(e, image)))
+    j = list(map(operator.sub, u, alg.unit))
+    if any(j):
         if not rad.contains(j):
             raise AssertionError("conjugator is not in 1 + J")
         # u^-1 = sum_k (-j)^k, a finite sum since j is nilpotent
-        minus_j = tuple(-x for x in j)
+        minus_j = [-x for x in j]
         uinv = term = alg.unit
         while not is_zero_vec(term := alg.multiply(term, minus_j)):
-            uinv = add_vec(uinv, term)
+            uinv = list(map(operator.add, uinv, term))
         if alg.multiply(u, uinv) != alg.unit:
             raise AssertionError("conjugator is not invertible")
         cols = [alg.multiply(alg.multiply(u, c), uinv) for c in cols]
@@ -485,10 +505,10 @@ def is_graded_simple(alg: GradedAlgebra, seed: int = 0) -> SimplicityResult:
             "projection/multiplication operators span the full matrix algebra")
     rng = random.Random(seed)
     for trial in range(SIMPLICITY_TRIALS):
-        v = tuple(vec([rng.randint(-3, 3) for _ in range(n)]))
-        if is_zero_vec(v):
+        v = [rng.randint(-3, 3) for _ in range(n)]
+        if not any(v):
             continue
-        cyc = Subspace(n, [mat_vec(m, v) for m in ops])
+        cyc = Subspace(n, [[sum(map(operator.mul, row, v)) for row in m] for m in ops])
         if 0 < cyc.dim < n:
             return SimplicityResult(
                 "certified_false", cyc,
@@ -535,8 +555,9 @@ def graded_exponent_d(alg: GradedAlgebra) -> int:
         if not is_graded_subspace(qalg, ideal):
             raise PreconditionFailed("a simple summand of A/J is not graded")
     split = _graded_malcev if splits_graded(alg) else _malcev
-    section = split(alg, rad, quotient).section
-    # section columns are the images of qalg's basis
+    # the section's columns, the images of qalg's basis, over one denominator
+    section = integer_row([x for col in split(alg, rad, quotient).section for x in col])
+    section = [section[k:k + alg.dim] for k in range(0, len(section), alg.dim)]
     spreads = []
     dims = []
     for ideal in ideals:

@@ -45,8 +45,6 @@ def check_semigroup_classification(algebras=None):
 
 
 def check_radical_gradedness(algebras=None):
-    from fractions import Fraction
-
     from .linalg import Subspace
 
     def pure_second_coordinate_span(alg, positions):
@@ -55,9 +53,7 @@ def check_radical_gradedness(algebras=None):
         for p, q in positions:
             i0 = alg.basis_labels.index(f"(e{p}{q},0)")
             i1 = alg.basis_labels.index(f"(e{p}{q},e{p}{q})")
-            rows.append(tuple(
-                Fraction(1) if k == i1 else Fraction(-1) if k == i0 else Fraction(0)
-                for k in range(alg.dim)))
+            rows.append([int(k == i1) - int(k == i0) for k in range(alg.dim)])
         return Subspace(alg.dim, rows)
 
     expected = {

@@ -3,8 +3,9 @@ direct sum of two algebras graded by one semigroup, the unital hull, and
 the unit found by a linear solve."""
 
 from semigraded.gralgebra import _CATALOG_BUILDERS, GradedAlgebra
-from semigraded.linalg import ONE, ZERO, solve, unit_vec
+from semigraded.linalg import ONE, ZERO, unit_vec
 from semigraded.semigroup import trivial_semigroup
+from fraction_oracles import solve
 
 
 class SemigroupMismatch(ValueError):

@@ -356,6 +356,25 @@ def test_exponent_of_a_diagonal_algebra_with_a_large_constant(runner, tmp_path):
     assert result.output == "diagonal: graded exponent 1\n"
 
 
+def test_subspaces_print_their_canonical_rows(runner, tmp_path):
+    """UT_2 on the basis 2 e11, e11 + 3 e12, e12 + 5 e22: the complement's
+    first row is c0 - c1/8, printed over its pivot, not as the integer
+    row 8 c0 - c1 the subspace stores."""
+    path = tmp_path / "skew.alg"
+    path.write_text("name: skew\nsemigroup: Trivial\nbasis: c0 c1 c2\n"
+                    "degree: c0 e\ndegree: c1 e\ndegree: c2 e\n"
+                    "structure: 1 1 1 2\nstructure: 1 2 2 2\nstructure: 1 3 1 -1/3\n"
+                    "structure: 1 3 2 2/3\nstructure: 2 1 1 1\nstructure: 2 2 2 1\n"
+                    "structure: 2 3 1 -8/3\nstructure: 2 3 2 16/3\nstructure: 3 3 3 5\n"
+                    "unit: 8/15 -1/15 1/5\n", encoding="utf-8")
+    result = runner.invoke(main, ["split", "--input", str(path), "--format", "json"])
+    assert result.exit_code == 0
+    assert json.loads(result.output)["complement_basis"] == \
+        [{"c0": "1", "c1": "-1/8"}, {"c2": "1"}]
+    result = runner.invoke(main, ["radical", "--input", str(path), "--format", "json"])
+    assert json.loads(result.output)["basis"] == [{"c0": "1", "c1": "-2"}]
+
+
 def test_exponent_error_exit(runner):
     result = runner.invoke(main, ["exponent", "--catalog", "thm_T1_fractional"])
     assert result.exit_code == 1

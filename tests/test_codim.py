@@ -43,7 +43,7 @@ from semigraded.gralgebra import (
     parse_catalog_spec,
     quotient_algebra,
 )
-from semigraded.linalg import ZERO, matrix_rank
+from semigraded.linalg import ZERO, is_prime, matrix_rank
 from semigraded.semigroup import catalog_semigroup, trivial_semigroup
 from semigraded.young import YoungTableau, hook_dim, spanning_permutations, young_subgroup
 from algebra_fixtures import adjoin_unit, catalog_names, direct_sum
@@ -1483,12 +1483,12 @@ def trial_division_is_prime(p: int) -> bool:
 
 
 def test_primality_test_matches_trial_division():
-    assert [p for p in range(3000) if codim._is_prime(p)] == \
+    assert [p for p in range(3000) if is_prime(p)] == \
         [p for p in range(3000) if trial_division_is_prime(p)]
     # the bank and the odd numbers just below it and just below 2 ** 31
     for p in [*PRIME_BANK, *range(PRIME_BANK[-1] - 100, PRIME_BANK[-1], 2),
               *range(2 ** 31 - 101, 2 ** 31, 2)]:
-        assert codim._is_prime(p) == trial_division_is_prime(p), p
+        assert is_prime(p) == trial_division_is_prime(p), p
 
 
 @pytest.mark.parametrize("composite", [
@@ -1497,7 +1497,7 @@ def test_primality_test_matches_trial_division():
 ])
 def test_primality_test_rejects_pseudoprimes(composite):
     assert not trial_division_is_prime(composite)
-    assert not codim._is_prime(composite)
+    assert not is_prime(composite)
     with pytest.raises(BadParam):
         graded_codim(paper_catalog("thm_T1_fractional"), 2, primes=(composite, PRIME_BANK[0]))
 

@@ -31,9 +31,10 @@ from semigraded.gralgebra import (
     validate_or_raise,
     with_trivial_grading,
 )
-from semigraded.linalg import Subspace, is_zero_vec, solve, vec
+from semigraded.linalg import Subspace, is_zero_vec
 from semigraded.semigroup import catalog_semigroup, trivial_semigroup
 from algebra_fixtures import SemigroupMismatch, adjoin_unit, catalog_names, direct_sum, find_unit
+from fraction_oracles import solve, vec
 from test_codim import scaled_products
 
 CATALOG_ARGS = {

@@ -7,17 +7,15 @@ from semigraded.linalg import (
     ONE,
     Subspace,
     frac,
-    mat_mul,
     matrix_rank,
     minimal_polynomial,
     nullspace,
     rational_roots,
     rref,
-    solve,
     span_closure,
     sparse_map,
-    vec,
 )
+from fraction_oracles import mat_mul, solve, vec
 
 
 def test_rref_identity():
@@ -65,7 +63,7 @@ def coordinates(s, v):
     """Coefficients of v in the echelon basis of s, or None if v is outside."""
     v = list(map(frac, v))
     coeffs = []
-    for row, p in zip(s.rows, s.pivots):
+    for row, p in zip(s.canonical_rows, s.pivots):
         c = v[p]
         coeffs.append(c)
         if c != 0:
@@ -83,7 +81,7 @@ def test_coordinates_roundtrip():
     v = (2, 4, 5)
     coords = coordinates(s, v)
     rebuilt = [Fraction(0)] * 3
-    for c, row in zip(coords, s.rows):
+    for c, row in zip(coords, s.canonical_rows):
         rebuilt = [r + c * x for r, x in zip(rebuilt, row)]
     assert tuple(rebuilt) == vec(v)
 
@@ -110,14 +108,12 @@ def test_dimension_formula(rows_a, rows_b):
 
 def test_minimal_polynomial_of_projection():
     # projection matrix: minimal polynomial x^2 - x
-    m = [vec((1, 0)), vec((0, 0))]
-    coeffs = minimal_polynomial(m)
+    coeffs = minimal_polynomial([(1, 0), (0, 0)])
     assert coeffs == [Fraction(0), Fraction(-1), Fraction(1)]
 
 
 def test_minimal_polynomial_nilpotent():
-    m = [vec((0, 1)), vec((0, 0))]
-    coeffs = minimal_polynomial(m)
+    coeffs = minimal_polynomial([(0, 1), (0, 0)])
     assert coeffs == [Fraction(0), Fraction(0), Fraction(1)]  # x^2
 
 
@@ -236,6 +232,31 @@ def test_rref_matches_the_fraction_oracle(rows):
     got = rref(rows)
     assert got == fraction_rref(rows)
     assert all(type(x) is Fraction for row in got[0] for x in row)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_subspace_keeps_one_basis_per_span(data):
+    """Rescalings of the rows by nonzero integers of either sign,
+    permutations and redundant combinations of one spanning set give equal
+    Subspaces with equal hashes, whose canonical rows are the Fraction
+    oracle's rref; a proper subspace compares unequal."""
+    n = data.draw(st.integers(1, 5))
+    row = st.lists(st.integers(-4, 4), min_size=n, max_size=n)
+    span = data.draw(st.lists(row, min_size=1, max_size=4))
+    s = Subspace(n, span)
+    scales = data.draw(st.lists(st.integers(-6, 6).filter(bool),
+                                min_size=len(span), max_size=len(span)))
+    moved = data.draw(st.permutations([[c * x for x in r] for c, r in zip(scales, span)]))
+    coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=len(span), max_size=len(span)))
+    moved.insert(data.draw(st.integers(0, len(moved))),
+                 [sum(c * r[k] for c, r in zip(coeffs, span)) for k in range(n)])
+    t = Subspace(n, moved)
+    assert t == s and hash(t) == hash(s)
+    assert list(s.canonical_rows) == fraction_rref(span)[0]
+    assert all(type(x) is int for r in s.rows for x in r)
+    if s.dim:
+        assert Subspace(n, s.rows[1:]) != s
 
 
 def test_rref_takes_what_frac_takes():

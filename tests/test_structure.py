@@ -4,17 +4,20 @@ import math
 import operator
 import random
 from fractions import Fraction
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from semigraded import structure
 from semigraded.errors import (
     NilpotentAlgebra,
     NonSplit,
     PreconditionFailed,
     RadicalNotGraded,
+    WorkbenchError,
 )
 from semigraded.gralgebra import (
     GradedAlgebra,
@@ -29,8 +32,7 @@ from semigraded.gralgebra import (
     upper_triangular,
     validate_or_raise,
 )
-from semigraded.linalg import (ONE, ZERO, Subspace, eliminate, mat_mul, mat_vec, solve, unit_vec,
-                               vec)
+from semigraded.linalg import ONE, ZERO, Subspace, eliminate, unit_vec
 from semigraded.semigroup import (
     catalog_semigroup,
     is_left_zero_band,
@@ -43,6 +45,7 @@ from semigraded.structure import (
     _central_parts,
     _is_nilpotent,
     _operator_closure,
+    _split_block,
     _trace_form,
     _trace_radical,
     _wedderburn,
@@ -59,10 +62,16 @@ from algebra_fixtures import direct_sum
 from fraction_oracles import (
     fraction_block_matrix,
     fraction_center,
+    fraction_malcev,
     fraction_multiply,
+    fraction_split_block,
     fraction_subspace_product,
     fraction_trace_form,
     fraction_trace_radical,
+    mat_mul,
+    mat_vec,
+    solve,
+    vec,
 )
 from test_codim import block_rank
 from test_gralgebra import CATALOG_SMALL, closure_algebras, small_entries, subalgebra_on
@@ -283,13 +292,30 @@ def test_wedderburn_recovers_the_blocks_of_a_direct_sum(sizes, rng):
         assert all(ideal_generated(base, [row]) == ideal for row in ideal.rows)
 
 
+def test_block_matrix_brings_its_rows_to_one_scale():
+    """On Q^3 with three orthogonal idempotents, multiplication by (1, 2, 3)
+    in the coordinates of rows whose coefficients have different
+    denominators: N / S is M exactly, and the split agrees with the
+    Fraction oracle's."""
+    diag = validate_or_raise(GradedAlgebra(
+        3, ("d1", "d2", "d3"), {(i, i): {i: Fraction(1)} for i in range(3)},
+        (0, 0, 0), trivial_semigroup(), unit=(Fraction(1),) * 3))
+    rows, z = [(1, 1, 0), (0, 2, 0), (0, 0, 3)], (1, 2, 3)
+    block, scale = _block_matrix(diag, rows, z)
+    assert [tuple(Fraction(x, scale) for x in row) for row in block] == \
+        fraction_block_matrix(diag, rows, z) == [(1, 0, 0), (Fraction(1, 2), 2, 0), (0, 0, 3)]
+    assert [Subspace(3, part) for part in _split_block(diag, rows, [z])] == \
+        [Subspace(3, part) for part in fraction_split_block(diag, rows, [z])]
+
+
 def test_center_of_m2():
     assert center(full_matrix(2)).dim == 1
 
 
 def test_central_parts_act_on_each_block_as_its_trace_over_k():
     """On M_2 + M_1 + M_3 in its matrix-unit basis the part of e_ab in
-    the block M_k is delta_ab / k times that block's unit."""
+    the block M_k is delta_ab / k times that block's unit, all parts times
+    one positive integer."""
     sizes = (2, 1, 3)
     alg = functools.reduce(direct_sum, [full_matrix(k) for k in sizes])
     expected, offset = [], 0
@@ -300,7 +326,9 @@ def test_central_parts_act_on_each_block_as_its_trace_over_k():
         expected += [tuple(unit) if a == b else (ZERO,) * alg.dim
                      for a in range(k) for b in range(k)]
         offset += k * k
-    assert _central_parts(alg, center(alg).rows) == expected
+    parts = _central_parts(alg, center(alg).rows)
+    factor = parts[0][0] / expected[0][0]
+    assert factor > 0 and parts == [[factor * x for x in e] for e in expected]
 
 
 # -- complements -----------------------------------------------------------------
@@ -757,4 +785,50 @@ def test_integer_kernels_match_the_fraction_oracles(data):
     assert z == fraction_center(alg)
     if z.rows:
         w = data.draw(st.sampled_from(z.rows))
-        assert _block_matrix(alg, z.rows, w) == fraction_block_matrix(alg, z.rows, w)
+        block, scale = _block_matrix(alg, z.rows, w)
+        assert scale > 0 and [tuple(Fraction(x, scale) for x in row) for row in block] == \
+            fraction_block_matrix(alg, z.rows, w)
+
+
+# the paper's examples with a radical, for the parity of the integer
+# structure kernels with the Fraction ones they replaced
+PARITY_SPECS = ("exampleT1(2)", "exampleT2(2)", "exampleT3(2)", "utk_column_graded(2)",
+                "utk_column_graded(3)", "thm_T1_fractional", "thm_T2_fractional",
+                "thm_T3_fractional")
+
+
+def _outcome(f, alg):
+    """f(alg), or the class of the workbench error it raises."""
+    try:
+        return f(alg)
+    except WorkbenchError as exc:
+        return type(exc)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_structure_kernels_match_the_fraction_oracles_under_base_change(data):
+    """The splits of the center of A/J (_split_block), the complements of
+    malcev_complement and graded_malcev_zeroband, and the graded and
+    ordinary exponents, on integer rows and on the Fraction block matrix,
+    minimal polynomial and section correction they replaced
+    (fraction_split_block, fraction_malcev), for the paper's examples
+    under a random base change."""
+    base = parse_catalog_spec(data.draw(st.sampled_from(PARITY_SPECS)))
+    alg = conjugated(base, random_base_change(base, data.draw(st.randoms(use_true_random=False))),
+                     validated=False)
+    qalg = quotient_algebra(alg, jacobson_radical(alg), graded=False)[0]
+    z = center(qalg)
+    parts = _central_parts(qalg, z.rows)
+    split = _split_block(qalg, z.rows, parts)
+    oracle = fraction_split_block(qalg, z.canonical_rows, parts)
+    assert (split is None) == (oracle is None) == (z.dim < 2)
+    if split is not None:
+        assert [Subspace(qalg.dim, p) for p in split] == [Subspace(qalg.dim, p) for p in oracle]
+    checks = (lambda a: malcev_complement(a).complement,
+              lambda a: graded_malcev_zeroband(a).complement,
+              graded_exponent_d, ordinary_exponent)
+    got = [_outcome(f, alg) for f in checks]
+    with patch.object(structure, "_malcev", fraction_malcev), \
+            patch.object(structure, "_split_block", fraction_split_block):
+        assert got == [_outcome(f, alg) for f in checks]
