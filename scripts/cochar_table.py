@@ -8,9 +8,11 @@ call ranks each slice of the codimension blocks once; c_N is its sum and
 every m_lambda is induced from its record of slice ranks by
 Littlewood-Richardson coefficients (cochar.induce_multiplicities), so the
 sum checks that induction, not an independent rank.  The engine's block
-cap bounds the degree: N = 6 and 7 run for the degree-7/6 algebras, N = 8
-is refused before anything is built, as the CLI refuses it: one JSON line
-on stderr and exit 3.
+cap bounds the degree: N = 6 and 7 run for the degree-7/6 algebras; N = 8
+runs for the zero-band algebras mk_column_graded(2) and
+utk_column_graded(2), and is refused for T1-T3, whose live isotypic basis
+needs 588 x 8! entries, before anything is built, as the CLI refuses it:
+one JSON line on stderr and exit 3.
 
     python3 scripts/cochar_table.py --catalog thm_T1_fractional --n 5
 """

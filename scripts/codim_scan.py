@@ -4,9 +4,12 @@
 Computes c_1..c_N for the interesting catalog algebras in modular mode,
 prints the per-n values with n-th roots and the ratios c_n/c_(n-1), and
 cross-checks the two degree-7 algebras against each other termwise.
---max-block-entries sets the block cap; c_7 fits under the default, and
-an --n-max past it is refused before any c_n is printed, as the CLI
-refuses it: one JSON line on stderr and exit 3.
+--max-block-entries sets the block cap.  Under the default c_7 fits for
+every target, and c_8 for the zero-band algebras mk_column_graded(2) and
+utk_column_graded(2), whose components have dimension at most 2; c_8 of
+T1-T3 is refused (its live isotypic basis needs 588 x 8! entries) before
+any c_n is printed, as the CLI refuses it: one JSON line on stderr and
+exit 3.
 """
 
 import argparse

@@ -236,9 +236,9 @@ def simple(input_path, catalog, seed):
                    "and below 2**31 (modular mode)")
 @click.option("--seed", type=int, default=0)
 @click.option("--caps", type=int, default=codim.DEFAULT_BLOCK_CAP,
-              help="max entries per evaluation block: its isotypic basis (rows x |H|, "
-                   "H the Young subgroup of its degrees), its scattered (row, column, "
-                   "value) triples, and its combined entries (rows x cosets x columns)")
+              help="max entries of: a block's live isotypic basis (rows x |H|, H the Young "
+                   "subgroup of its degrees), scattered triples and combined entries (rows x "
+                   "cosets x columns); a degree's word products; the layers held for ranking")
 @click.option("--ordinary", is_flag=True, help="forget the grading first")
 @click.option("--timings/--no-timings", default=True)
 def codim_cmd(input_path, catalog, n_max, mode, primes, seed, caps, ordinary, timings):

@@ -532,7 +532,9 @@ def multiplicities(alg: GradedAlgebra, shapes) -> dict:
     multiplicity of lambda's irreducible in the multilinear quotient (every
     degree assignment's multilinear polynomials modulo the graded
     identities), induced from the exact codim.slice_ranks of the slices
-    some shape induces from; n = 8 is refused before anything is built.
+    some shape induces from; n = 8 of T1-T3 is refused before anything is
+    built, as their live basis passes the default cap whatever the shapes
+    (codim.check_request), and computed for the zero-band algebras.
     Raises BadParam for no shapes, mixed degrees or a shape without boxes."""
     want = dict.fromkeys(shapes)
     degrees = {lam.n for lam in want}

@@ -37,7 +37,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
-from itertools import combinations_with_replacement, groupby, product
+from itertools import combinations_with_replacement, product
 
 import numpy as np
 
@@ -420,17 +420,10 @@ def _young_factor(lam) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _multipartitions(composition) -> tuple:
-    """The multipartitions (lambda_t |- n_t) of a composition (n_t), as
-    tuples of Partitions, in the order of the slices of _isotypic_basis."""
-    return tuple(product(*(list(partitions_of(k)) for k in composition)))
-
-
-@lru_cache(maxsize=None)
 def _isotypic_basis(composition: tuple, chosen: tuple):
     """(F, pieces) for a composition (n_t) of n and the multipartitions
-    chosen of it, a nonempty tuple in _multipartitions' order (all of them
-    for the full basis).  F is a read-only int8 matrix over the Young
+    chosen of it, a nonempty tuple in _live_slices' order (all of them for
+    the full basis).  F is a read-only int8 matrix over the Young
     subgroup H, in young_subgroup's order, whose rows are the elements
     e_<lambda>.h stacked per chosen multipartition <lambda>: the Kronecker
     product of the factors F_lambda_t (_young_factor); pieces lists
@@ -449,55 +442,62 @@ def _isotypic_basis(composition: tuple, chosen: tuple):
 
 def _composition(rep) -> tuple:
     """The number of variables of each degree of a sorted assignment."""
-    return tuple(len(list(run)) for _, run in groupby(rep))
+    return tuple(map(rep.count, dict.fromkeys(rep)))
 
 
 @lru_cache(maxsize=None)
-def _involutions(k: int) -> int:
-    """The involutions of S_k, a(k) = a(k-1) + (k-1) a(k-2): the sum of
-    hook_dim over the partitions of k."""
-    a, b = 1, 1  # a(j-1), a(j)
-    for j in range(2, k + 1):
-        a, b = b, b + (j - 1) * a
-    return b
-
-
-def _basis_rows(composition) -> int:
-    """The rows of the full _isotypic_basis of composition, without
-    building it."""
-    return math.prod(map(_involutions, composition))
+def _live_slices(composition: tuple, dims: tuple) -> tuple:
+    """(live, rows): (<lambda>, d_<lambda>) per multipartition (lambda_t |-
+    n_t) of a composition (n_t), as tuples of Partitions in product order,
+    whose every lambda_t has at most dim A_t rows (dims), and the rows of
+    their _isotypic_basis.  A longer lambda_t alternates in more degree-t
+    variables than A_t has dimensions, so its slice of every block is zero."""
+    live = tuple((shapes, math.prod(map(hook_dim, shapes)))
+                 for shapes in product(*map(partitions_of, composition))
+                 if all(len(lam) <= dim for lam, dim in zip(shapes, dims)))
+    return live, sum(d for _, d in live)
 
 
 def check_request(alg: GradedAlgebra, n: int, mode: str = "modular", primes=None,
                   max_block_entries: int = DEFAULT_BLOCK_CAP):
     """Every check slice_ranks makes before it builds anything, in its
-    order; nothing is built.  Returns (primes, reps): the checked primes (or
-    None) and the sorted representative of every orbit of degree
-    assignments, lexicographically, each the first assignment of its orbit.
-    Raises ResourceLimit when the isotypic basis that combines each coset
-    of a representative's block, rows x |H| entries (H its Young subgroup),
-    passes max_block_entries."""
+    order; nothing is built.  Returns (primes, live): the checked primes (or
+    None) and the live slices (_live_slices) of the sorted representative
+    of every orbit of degree assignments, lexicographically, each the first
+    assignment of its orbit.  Raises ResourceLimit when the isotypic basis
+    that combines each coset of a representative's block, its live rows x
+    |H| entries (H its Young subgroup), passes max_block_entries; when |H|
+    does, before any partition is listed, as the slice ((n_t)) is live.
+    So under the default cap n = 8 is refused exactly when some A_t has
+    dimension 3 or more, as eight degree-t variables then need at least
+    323 x 8! entries (588 x 8! in T1-T3), and runs for the zero-band
+    algebras, whose components have dimension at most 2 (70 x 8!)."""
     if n < 1:
         raise EmptySequence("n must be >= 1")
     if mode not in ("modular", "exact"):
         raise ValueError(f"unknown mode {mode!r}")
     primes = None if primes is None else _checked_primes(primes, n)
-    reps = list(combinations_with_replacement(alg.support(), n))
-    for rep in reps:
+    dims = {t: alg.degree.count(t) for t in alg.support()}
+    live = {}
+    for rep in combinations_with_replacement(dims, n):
         composition = _composition(rep)
-        rows, young = _basis_rows(composition), math.prod(map(math.factorial, composition))
+        young = math.prod(map(math.factorial, composition))
+        if young > max_block_entries:
+            raise ResourceLimit(f"block for assignment {rep} needs an isotypic basis over "
+                                f"{young} permutations (cap {max_block_entries})", context=rep)
+        live[rep], rows = _live_slices(composition, tuple(map(dims.get, dict.fromkeys(rep))))
         if rows * young > max_block_entries:
             raise ResourceLimit(
                 f"block for assignment {rep} needs a {rows} x {young} "
                 f"isotypic basis (cap {max_block_entries})", context=rep)
-    return primes, reps
+    return primes, live
 
 
 def isotypic_slices(alg: GradedAlgebra, n: int, chosen,
                     max_block_entries: int = DEFAULT_BLOCK_CAP):
     """Yield (rep, n_cols, slices) per sorted representative of chosen (as
     check_request returns them, each mapped to a tuple of multipartitions
-    of its composition in _multipartitions' order), slices listing (shapes,
+    of its composition in _live_slices' order), slices listing (shapes,
     d_<lambda>, rows) per multipartition <lambda> that chosen[rep] holds:
     rows is the block combined by that slice of _isotypic_basis on each
     right coset of the Young subgroup that holds a word, an integer matrix
@@ -506,7 +506,8 @@ def isotypic_slices(alg: GradedAlgebra, n: int, chosen,
     basis of its chosen multipartitions only (_combine); a representative
     with none chosen is skipped, neither scattered nor combined.
     ResourceLimit is raised before either step allocates more than
-    max_block_entries triples or combined entries."""
+    max_block_entries triples or combined entries; check_request refuses
+    first a degree whose live basis passes it, n = 8 of T1-T3 by default."""
     words = _WordTable(alg, n, max_block_entries)
     for rep, wanted in chosen.items():
         if not wanted:
@@ -527,35 +528,29 @@ def isotypic_slices(alg: GradedAlgebra, n: int, chosen,
 
 def slice_ranks(alg: GradedAlgebra, n: int, mode: str = "modular", primes=None,
                 seed: int = 0, max_block_entries: int = DEFAULT_BLOCK_CAP, keep=None) -> dict:
-    """The one record of the ranks of the slices of degree n
-    (isotypic_slices, after check_request's checks), which graded_codim
-    and cochar.multiplicities read: {rep: (n_cols, {shapes: (d_<lambda>,
-    ranks per prime)})} per sorted representative.  mode "modular" ranks
-    each slice's Gram matrix (_gram), or the slice for a prime below
-    2 ** 29, modulo two primes (given, or drawn per representative from
-    the seed) in stacks (_rank_layers); "exact" ranks the Gram matrix over
-    Q.  A slice whose lambda_t has more rows than dim A_t alternates in
-    more degree-t variables than A_t has dimensions, so it is recorded as
-    zero, unranked, and its rows of the basis are not combined.  keep, a
-    predicate on the multipartition, confines the record to the slices it
-    accepts, and the combining to their rows; a representative with no
-    slice left to rank is neither scattered nor combined and is recorded
-    with its zero slices and None for its column count.  graded_codim
-    never sets keep, and its every representative has a slice to rank,
-    the multipartition ((n_t)) of one row per degree.  max_block_entries
-    also caps the entries of the layers held for ranking."""
-    primes, reps = check_request(alg, n, mode, primes, max_block_entries)
-    dims = {t: len(alg.component_indices(t)) for t in alg.support()}
+    """The one record of the ranks of the live slices of degree n (every
+    other slice is zero) that check_request lists and isotypic_slices
+    builds, read by graded_codim and cochar.multiplicities: {rep: (n_cols,
+    {shapes: (d_<lambda>, ranks per prime)})} per sorted representative.  mode "modular" ranks each
+    slice's Gram matrix (_gram), or the slice for a prime below 2 ** 29,
+    modulo two primes (given, or drawn per representative from the seed)
+    in stacks (_rank_layers); "exact" ranks the Gram matrix over Q.  keep,
+    a predicate on the multipartition, confines the record and the
+    combining to the slices it accepts; a representative with none left is
+    neither scattered nor combined, and is recorded with no slices and None
+    for its column count.  graded_codim never sets keep, and the slice
+    ((n_t)) of one row per degree is always live.  check_request refuses a
+    degree whose live basis passes max_block_entries, n = 8 of T1-T3 but
+    not of the zero-band algebras by default; the cap also bounds the
+    entries of the layers held for ranking."""
+    primes, live = check_request(alg, n, mode, primes, max_block_entries)
     block_primes = {rep: (None,) if mode == "exact" else primes or _block_primes(seed, rep)
-                    for rep in reps}
+                    for rep in live}
     record, chosen, layers = {}, {}, []
-    for rep in reps:
-        kept = [shapes for shapes in _multipartitions(_composition(rep))
-                if keep is None or keep(shapes)]
-        record[rep] = (None, {shapes: (math.prod(map(hook_dim, shapes)),
-                                       [0] * len(block_primes[rep])) for shapes in kept})
-        chosen[rep] = tuple(shapes for shapes in kept if all(
-            len(lam) <= dims[t] for t, lam in zip(sorted(set(rep)), shapes)))
+    for rep, slices in live.items():
+        record[rep] = (None, {shapes: (d, [0] * len(block_primes[rep])) for shapes, d in slices
+                              if keep is None or keep(shapes)})
+        chosen[rep] = tuple(record[rep][1])
     for rep, n_cols, slices in isotypic_slices(alg, n, chosen, max_block_entries):
         record[rep] = (n_cols, record[rep][1])
         for shapes, _, rows in slices:

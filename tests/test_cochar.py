@@ -920,6 +920,16 @@ def test_multiplicities_rank_each_live_slice_once(monkeypatch):
     assert ranked == hit and sum(hit.values()) < sum(live.values())
 
 
+def test_zero_band_cocharacter_at_degree_eight():
+    # sum m_lambda d_lambda = c_8 of mk_column_graded(2), whose components
+    # both have dimension 2; the largest m_lambda d_lambda sits at (5, 2, 1)
+    table = multiplicities(parse_catalog_spec("mk_column_graded(2)"), partitions_of(8))
+    mass = {lam: m * hook_dim(lam) for lam, m in table.items()}
+    assert sum(mass.values()) == 47600
+    top = max(mass, key=mass.get)
+    assert (top, table[top], hook_dim(top)) == (Partition((5, 2, 1)), 184, 64)
+
+
 @pytest.mark.parametrize("spec, n_max", [("thm_T1_fractional", 5), ("thm_T3_fractional", 5),
                                          ("mk_column_graded(2)", 6)])
 def test_one_shape_multiplicities_match_the_whole_table(spec, n_max):

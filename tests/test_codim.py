@@ -783,6 +783,12 @@ def dict_symmetrizer_words(lam):
     return terms, np.array(signs), np.array(spanning_permutations(lam), dtype=np.int64)
 
 
+def multipartitions(composition) -> tuple:
+    """Every multipartition (lambda_t |- n_t) of a composition (n_t), in the
+    order in which the engine lists its slices."""
+    return tuple(product(*map(partitions_of, composition)))
+
+
 @lru_cache(maxsize=None)
 def dense_isotypic_basis(composition) -> list:
     """(shapes, E) per multipartition: the rows e_<lambda>.h.g over the n!
@@ -793,7 +799,7 @@ def dense_isotypic_basis(composition) -> list:
     arrangements = np.array(sorted(set(permutations(labels))), dtype=np.int64)
     cosets = np.argsort(np.argsort(arrangements, axis=1, kind="stable"), axis=1)
     out = []
-    for shapes in codim._multipartitions(composition):
+    for shapes in multipartitions(composition):
         factors = [dict_symmetrizer_words(lam) for lam in shapes]
         x = direct_product(terms for terms, _, _ in factors)
         signs = reduce(np.multiply.outer, [s for _, s, _ in factors]).ravel()
@@ -822,7 +828,7 @@ def dense_slices(words, rep) -> dict:
 
 def every_slice(alg, n: int) -> dict:
     """isotypic_slices' chosen argument that combines every slice."""
-    return {rep: codim._multipartitions(codim._composition(rep))
+    return {rep: multipartitions(codim._composition(rep))
             for rep in codim.check_request(alg, n)[1]}
 
 
@@ -1250,29 +1256,29 @@ def test_degree_eight_fails_before_the_product_cache(monkeypatch):
 
 
 def test_an_oversized_request_is_refused_without_listing_partitions(monkeypatch):
-    # the basis rows of a part k are the involutions of S_k, the sum of
-    # hook_dim over the partitions of k, counted without listing them
-    assert [codim._basis_rows((k,)) for k in range(1, 11)] == \
-        [sum(map(hook_dim, partitions_of(k))) for k in range(1, 11)]
-
+    # the one-row slice is live, so 70! columns alone pass the cap
     def unreachable(*args, **kwargs):
         raise AssertionError("the partitions were listed")
 
     monkeypatch.setattr(codim, "partitions_of", unreachable)
-    assert codim._basis_rows((8,)) == 764
     with pytest.raises(ResourceLimit) as refused:
         codim.check_request(paper_catalog("thm_T3_fractional"), 70)
-    assert str(refused.value).startswith(f"block for assignment {(0,) * 70} needs a ")
+    assert str(refused.value) == (f"block for assignment {(0,) * 70} needs an isotypic basis "
+                                  f"over {math.factorial(70)} permutations (cap 10000000)")
+
+
+def live_multipartitions(alg, rep) -> tuple:
+    """The multipartitions of rep's composition whose every lambda_t has at
+    most dim A_t rows."""
+    dims = [len(alg.component_indices(t)) for t in sorted(set(rep))]
+    return tuple(shapes for shapes in multipartitions(codim._composition(rep))
+                 if all(len(lam) <= dim for dim, lam in zip(dims, shapes)))
 
 
 def live_basis_rows(alg, rep) -> int:
     """The rows of rep's isotypic basis that combine its block: d_<lambda>
-    = prod_t hook_dim(lambda_t) per multipartition whose every lambda_t
-    has at most dim A_t rows."""
-    dims = [len(alg.component_indices(t)) for t in sorted(set(rep))]
-    return sum(math.prod(map(hook_dim, shapes))
-               for shapes in codim._multipartitions(codim._composition(rep))
-               if all(len(lam) <= dim for dim, lam in zip(dims, shapes)))
+    = prod_t hook_dim(lambda_t) per live multipartition."""
+    return sum(math.prod(map(hook_dim, shapes)) for shapes in live_multipartitions(alg, rep))
 
 
 def test_cap_counts_the_allocated_entries(monkeypatch):
@@ -1285,7 +1291,7 @@ def test_cap_counts_the_allocated_entries(monkeypatch):
     n = 4
     words = WordTable(alg, n)
     table = words.table(words.coefs, object)
-    _, reps = codim.check_request(alg, n)
+    reps = list(codim.check_request(alg, n)[1])
     triples, combined = {}, {}
     for rep in reps:
         layout = BlockLayout(words, rep)
@@ -1295,8 +1301,8 @@ def test_cap_counts_the_allocated_entries(monkeypatch):
         cosets = {tuple(np.array(rep)[pi]) for pi in words.perms[block.any(axis=1)]}
         combined[rep] = live_basis_rows(alg, rep) * len(cosets) * layout.n_cols
     first = reps[0]
-    bases = max(codim._basis_rows(composition) * math.prod(map(math.factorial, composition))
-                for composition in map(codim._composition, reps))
+    bases = max(live_basis_rows(alg, rep) * math.prod(map(math.factorial, codim._composition(rep)))
+                for rep in reps)
     assert max(bases, len(product_cache(alg, n))) < triples[first] < combined[first] \
         < max(combined.values())
 
@@ -1388,7 +1394,7 @@ def test_modular_mode_scatters_each_block_once(monkeypatch):
     # itself for a prime below 2 ** 29
     alg = paper_catalog("thm_T1_fractional")
     n = 4
-    _, reps = codim.check_request(alg, n)
+    reps = list(codim.check_request(alg, n)[1])
     dims = {t: len(alg.component_indices(t)) for t in alg.support()}
     # builds the isotypic bases first, whose check ranks mod one prime
     slices = {rep: [rows for shapes, _, rows in found
@@ -1517,7 +1523,7 @@ def test_isotypic_basis_is_certified(monkeypatch):
                 codim._young_factor(lam)
         for composition in ((3,), (3, 1), (1, 3)):
             with pytest.raises(HypothesisViolated):
-                codim._isotypic_basis(composition, codim._multipartitions(composition))
+                codim._isotypic_basis(composition, multipartitions(composition))
     finally:
         for cached in (codim._young_factor, codim._isotypic_basis):
             cached.cache_clear()
@@ -1527,12 +1533,12 @@ def test_isotypic_basis_shape():
     # |H| columns over the Young subgroup H, prod_t hook_dim(lambda_t)
     # rows per multipartition, sum d ** 2 = |H|
     for composition in ((4,), (2, 2), (1, 3), (3, 1, 1)):
-        basis, pieces = codim._isotypic_basis(composition, codim._multipartitions(composition))
+        basis, pieces = codim._isotypic_basis(composition, multipartitions(composition))
         young = math.prod(math.factorial(k) for k in composition)
-        assert basis.shape == (codim._basis_rows(composition), young)
+        assert basis.shape == (sum(d for d, _ in pieces), young)
         assert [(d, rows.stop - rows.start) for d, rows in pieces] == \
             [(math.prod(map(hook_dim, shapes)),) * 2
-             for shapes in codim._multipartitions(composition)]
+             for shapes in multipartitions(composition)]
         assert sum(d * d for d, _ in pieces) == young
         assert not basis.flags.writeable
 
@@ -1551,7 +1557,7 @@ def test_chosen_basis_is_the_full_basis_on_the_chosen_pieces(n, data):
     # by a cap on each lambda_t's rows and a random keep holds the full
     # basis's rows of each chosen piece, piece by piece, in their order
     for composition in compositions_of(n):
-        every = codim._multipartitions(composition)
+        every = multipartitions(composition)
         full, full_pieces = codim._isotypic_basis(composition, every)
         where = dict(zip(every, full_pieces))
         dims = data.draw(st.lists(st.integers(1, 6), min_size=len(composition),
@@ -1576,15 +1582,98 @@ def test_chosen_basis_is_the_full_basis_on_the_chosen_pieces(n, data):
 def test_check_request_admits_degree_seven_under_a_smaller_cap():
     # the n!-wide basis of composition (6, 1) would hold more than 2 * 10 ** 6
     # entries; its per-coset factor and that of (7) hold fewer
+    alg = paper_catalog("thm_T3_fractional")
     cap = 2 * 10 ** 6
-    assert 7 * codim._basis_rows((6, 1)) * math.factorial(7) > cap
-    _, reps = codim.check_request(paper_catalog("thm_T3_fractional"), 7, max_block_entries=cap)
-    assert len(reps) == 8
+    assert 7 * live_basis_rows(alg, (0,) * 6 + (1,)) * math.factorial(7) > cap
+    _, live = codim.check_request(alg, 7, max_block_entries=cap)
+    assert len(live) == 8
+    assert max(live_basis_rows(alg, rep) * math.prod(map(math.factorial, codim._composition(rep)))
+               for rep in live) <= cap
 
 
 def test_c7_t3_under_the_default_cap():
     result = modular_codim("thm_T3_fractional", 7)
     assert (result.value, result.certification) == (81656, CERT_MODULAR_STABLE)
+
+
+def test_check_request_counts_the_rows_of_the_live_basis():
+    # per representative, the multipartitions listed are those whose every
+    # lambda_t has at most dim A_t rows, and the rows counted against the
+    # cap are the rows of their basis: the catalog at parameter 2, n <= 6
+    for alg in catalog_at_two():
+        for n in range(1, 7):
+            for rep, slices in codim.check_request(alg, n)[1].items():
+                live = live_multipartitions(alg, rep)
+                assert tuple(shapes for shapes, _ in slices) == live, (alg.name, rep)
+                composition = codim._composition(rep)
+                dims = tuple(len(alg.component_indices(t)) for t in sorted(set(rep)))
+                rows = len(codim._isotypic_basis(composition, live)[0])
+                assert codim._live_slices(composition, dims) == (slices, rows), (alg.name, rep)
+
+
+def built_rows(monkeypatch) -> list:
+    """The rows of every _isotypic_basis built from now on, in order."""
+    built, isotypic_basis = [], codim._isotypic_basis
+
+    def recorded(composition, chosen):
+        out = isotypic_basis(composition, chosen)
+        built.append(len(out[0]))
+        return out
+
+    monkeypatch.setattr(codim, "_isotypic_basis", recorded)
+    return built
+
+
+def test_zero_band_c8_under_the_default_cap(monkeypatch):
+    # every component of mk_column_graded(2) has dimension 2, so each
+    # lambda_t has at most 2 rows and the block of (0,) * 8 needs a 70 x 8!
+    # basis; in both modes each representative's basis has the rows counted
+    alg = parse_catalog_spec("mk_column_graded(2)")
+    _, live = codim.check_request(alg, 8)
+    counted = [sum(d for _, d in slices) for slices in live.values()]
+    assert max(rows * math.prod(map(math.factorial, codim._composition(rep)))
+               for rows, rep in zip(counted, live)) == 70 * math.factorial(8)
+    built = built_rows(monkeypatch)
+    for mode, certification in (("modular", CERT_MODULAR_STABLE), ("exact", CERT_EXACT)):
+        built.clear()
+        result = graded_codim(alg, 8, mode=mode)
+        assert (result.value, result.certification) == (47600, certification)
+        assert built == counted
+
+
+def test_multiplicities_build_no_more_rows_than_counted(monkeypatch):
+    # under keep a representative's basis holds at most the rows counted,
+    # and for some shape fewer
+    alg = paper_catalog("thm_T3_fractional")
+    counted = {rep: sum(d for _, d in slices)
+               for rep, slices in codim.check_request(alg, 5)[1].items()}
+    built, combined = built_rows(monkeypatch), []
+    isotypic_slices = codim.isotypic_slices
+
+    def recorded(alg, n, chosen, *args):
+        combined.append([rep for rep, shapes in chosen.items() if shapes])
+        return isotypic_slices(alg, n, chosen, *args)
+
+    monkeypatch.setattr(codim, "isotypic_slices", recorded)
+    fewer = 0
+    for lam in partitions_of(5):
+        built.clear()
+        combined.clear()
+        multiplicity_exact(alg, lam)
+        [reps] = combined
+        assert len(built) == len(reps), lam
+        for rep, rows in zip(reps, built):
+            assert rows <= counted[rep], (lam, rep)
+            fewer += rows < counted[rep]
+    assert fewer > 0
+
+
+def test_utk_column_graded_c1_to_c8():
+    """c_n(utk_column_graded(2)) = n * 2 ** (n - 1) + 1 for n <= 8: a
+    closed form observed on these values, not derived."""
+    values = [r.value for r in codim_sequence(parse_catalog_spec("utk_column_graded(2)"), 8)]
+    assert values == [2, 5, 13, 33, 81, 193, 449, 1025]
+    assert values == [n * 2 ** (n - 1) + 1 for n in range(1, 9)]
 
 
 # -- oracle: closed forms of ordinary codimensions --------------------------------

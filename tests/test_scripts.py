@@ -63,8 +63,17 @@ def test_codim_scan_refuses_an_over_cap_degree_before_printing_any(targets):
     [line] = result.stderr.splitlines()
     assert json.loads(line) == {
         "error": "ResourceLimit",
-        "message": "block for assignment (0, 0, 0, 0, 0, 0, 0, 0) needs a 764 x 40320 "
+        "message": "block for assignment (0, 0, 0, 0, 0, 0, 0, 0) needs a 588 x 40320 "
                    "isotypic basis (cap 10000000)"}
+
+
+def test_codim_scan_reaches_degree_eight_for_the_zero_band_algebras():
+    # both components of each have dimension at most 2: c_8 fits the cap
+    result = run_script("codim_scan.py", "--targets", "mk_column_graded(2)",
+                        "utk_column_graded(2)", "--n-max", "8")
+    assert result.returncode == 0, result.stderr
+    c8 = [line.split()[1] for line in result.stdout.splitlines() if line.startswith("  n=8:")]
+    assert c8 == ["c_n=47600", "c_n=1025"]
 
 
 def test_a_script_refuses_an_unknown_catalog_name_as_the_cli_does():
