@@ -42,9 +42,11 @@ class PreconditionFailed(WorkbenchError):
 
 
 class NonSplit(WorkbenchError):
-    """The center of a semisimple algebra has no rational eigen-splitting.
+    """The center of a semisimple algebra is not a product of copies of Q.
 
-    Raised instead of silently approximating; carries the offending block.
+    Raised instead of silently approximating; block_dim counts the
+    dimensions of the center that no rational root of its generating
+    element's minimal polynomial splits off.
     """
 
     def __init__(self, block_dim, message=None):

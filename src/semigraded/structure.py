@@ -5,9 +5,9 @@ for the identity-growth exponent.
 The radical is re-checked on the kernels the rest uses: the ideal it
 generates (ideal_generated) must be itself, and its powers must vanish
 (_is_nilpotent, the loop that also tells a nilpotent algebra).  The
-simple ideals of A/J are A*w over the lines w of its center, split apart
-by rational eigenvalues of the basis's central parts; no unit or
-idempotent is carried along.
+simple ideals of A/J are A*w over the lines w of its center, the
+eigenlines of one element that generates the center, at the rational
+roots of its minimal polynomial; no unit or idempotent is carried along.
 
 Products, traces and the center are read off GradedAlgebra.integer_table,
 the structure constants times one scale: the trace form comes out scale^2
@@ -183,58 +183,8 @@ def _block_matrix(alg, rows, z):
     return [row[m:] for row in red], lcm * alg.integer_table()[1]
 
 
-def _central_parts(alg, z):
-    """The parts in the center, spanned by the integer rows z, of the basis
-    elements of a semisimple algebra, all times one positive integer: their
-    projections orthogonal for the trace form (x, y) -> tr(L_xy),
-    nondegenerate on the center.  On a simple ideal M_k(Q) the part of x
-    acts as tr(x)/k, x read as a k x k matrix there: a small rational in
-    any basis of the algebra, where the eigenvalues of the rows of z grow
-    with the entries of a base change."""
-    form = _trace_form(alg)  # scale^2 times the form, which the solve undoes
-    cols = [[sum(map(operator.mul, row, v)) for row in form] for v in z]  # the form at (e_i, z_l)
-    gram = [[sum(map(operator.mul, c, u)) for u in z] for c in cols]
-    # [gram | cols] reduces to [1 | the coordinates of every part] when gram is invertible
-    m = len(z)
-    red, pivots = integer_rref([g + c for g, c in zip(gram, cols)])
-    if pivots != list(range(m)):
-        raise AssertionError("trace form is degenerate on the center")
-    red, _ = scaled_canonical(red, pivots)
-    return [_combine(z, [row[m + i] for row in red]) for i in range(alg.dim)]
-
-
-def _split_block(alg, rows, candidates):
-    """Split a block of the center, an ideal of the commutative center
-    spanned by the integer rows, along a simple rational eigenvalue r of
-    multiplication by one of the central candidates z: the rows of
-    ker(z - r) and of im(z - r), each again an ideal of the center, or None
-    when no candidate exposes one.
-
-    The block matrix N = S * M (_block_matrix) has the eigenspaces of M,
-    at S times its eigenvalues, in the same order; they are integers,
-    since N's minimal polynomial is monic in Z[x].
-    """
-    m = len(rows)
-    for z in candidates:
-        if not any(z):
-            continue
-        mz, _ = _block_matrix(alg, rows, z)
-        minpoly = minimal_polynomial(mz)
-        if len(minpoly) <= 2:
-            continue  # z is a scalar on this block
-        for r in rational_roots(minpoly):
-            shifted = [[x - r.numerator * (i == j) for j, x in enumerate(row)]
-                       for i, row in enumerate(mz)]
-            # V = ker(M - r) + im(M - r) exactly when r is a simple root
-            eigen, rest = nullspace(shifted, m), Subspace(m, list(zip(*shifted)))
-            if not eigen.intersect(rest).is_zero():
-                continue  # multiple root would mean a radical, not expected
-            return [[_combine(rows, c) for c in part.rows] for part in (eigen, rest)]
-    return None
-
-
 def _combine(rows, coords):
-    """sum_l coords[l] * rows[l] over integer rows and coordinates."""
+    """sum_l coords[l] * rows[l], in ints over integer rows and coordinates."""
     out = [0] * len(rows[0])
     for c, row in zip(coords, rows):
         if c:
@@ -247,28 +197,43 @@ def _wedderburn(alg) -> list:
     """The simple two-sided ideals of an algebra whose radical is known to
     vanish, sorted by their rows.
 
-    The center is split into lines with rational eigenvalues of the
-    multiplications by the central parts of the basis (_central_parts,
-    _split_block); a line of the center that is an ideal of it is spanned
-    by a central primitive idempotent, so each line w gives the simple
-    ideal A*w.  NonSplit is raised when a block of the center admits no
-    rational eigen-splitting; nothing is approximated.
+    Its center Z, spanned by the integer rows z_0 .. z_(r-1), is commutative
+    and semisimple.  The candidate z = sum_l k^l z_l, for k = 2, 3, ...,
+    generates Z exactly when the minimal polynomial of multiplication by z
+    on Z has degree r (W. Eberly and M. Giesbrecht, J. Symbolic Comput. 37,
+    2004).  When Z is Q^r, z acts on its r lines by r polynomials in k of
+    degree below r, and any two of them agree at fewer than r values of k:
+    at most (r - 1) r (r - 1) / 2 values fail, and NonSplit(r) is raised
+    when one more does.  Each rational root of a generator's minimal
+    polynomial has a one-dimensional kernel, a line of Z spanned by a
+    central primitive idempotent, and each line w gives the simple ideal
+    A*w.  NonSplit counts the dimensions of Z left without a rational
+    root; nothing is approximated.
     """
     z = center(alg).rows
-    parts = _central_parts(alg, z)
-    blocks, lines = [list(z)] if z else [], []
-    while blocks:
-        rows = blocks.pop()
-        if len(rows) == 1:
-            lines += rows
-            continue
-        split = _split_block(alg, rows, parts)
-        if split is None:
-            raise NonSplit(len(rows))
-        blocks.extend(split)
+    r = len(z)
+    if not r:
+        return []
+    for k in range(2, 3 + (r - 1) * r * (r - 1) // 2):
+        mz, _ = _block_matrix(alg, z, _combine(z, [k ** l for l in range(r)]))
+        minpoly = minimal_polynomial(mz)
+        if len(minpoly) == r + 1:
+            break
+    else:
+        raise NonSplit(r)
+    roots = rational_roots(minpoly)
+    if len(roots) < r:
+        raise NonSplit(r - len(roots))
     basis = [[int(i == j) for j in range(alg.dim)] for i in range(alg.dim)]
-    return sorted((Subspace(alg.dim, [alg.integer_product(e, w) for e in basis])
-                   for w in lines), key=lambda ideal: ideal.rows)
+    ideals = []
+    for root in roots:
+        # the roots are integers, since the minimal polynomial is monic in Z[x]
+        shifted = [[x - root.numerator * (i == j) for j, x in enumerate(row)]
+                   for i, row in enumerate(mz)]
+        [line] = nullspace(shifted, r).rows
+        w = _combine(z, line)
+        ideals.append(Subspace(alg.dim, [alg.integer_product(e, w) for e in basis]))
+    return sorted(ideals, key=lambda ideal: ideal.rows)
 
 
 # -- semisimple complements ---------------------------------------------------
@@ -415,7 +380,7 @@ def _graded_malcev(alg, rad, quotient):
     u = [0] * alg.dim
     for e in parts.values():
         coords = project(e)
-        image = [sum(map(operator.mul, coords, row)) for row in zip(*cols)]  # s(e + J)
+        image = _combine(cols, coords)  # s(e + J)
         u = list(map(operator.add, u, alg.multiply(e, image)))
     j = list(map(operator.sub, u, alg.unit))
     if any(j):

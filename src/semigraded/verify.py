@@ -7,13 +7,27 @@ are grouped by topic so a run can be filtered to one area.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
 
 from . import asympt, codim, cochar, structure
-from .gralgebra import is_graded_subspace, opposite, paper_catalog
-from .semigroup import classify_order2, enumerate_semigroups, is_cancellative, isomorphism_classes
+from .gralgebra import (
+    _full_matrix_positions,
+    _pair_algebra,
+    is_graded_subspace,
+    opposite,
+    paper_catalog,
+    validate_or_raise,
+)
+from .semigroup import (
+    catalog_semigroup,
+    classify_order2,
+    enumerate_semigroups,
+    is_cancellative,
+    isomorphism_classes,
+)
 
 
 @dataclass
@@ -99,16 +113,20 @@ def check_graded_splitting(algebras=None):
     return ok, "; ".join(details)
 
 
+@functools.cache
+def _two_block_counterexample():
+    """The direct sum of two full matrix algebras M_2 with the diagonal copy
+    in degree one, built and validated once: its only proper graded ideal
+    is the degree-zero summand."""
+    return validate_or_raise(_pair_algebra(
+        2, _full_matrix_positions(2), "ideal", catalog_semigroup("T1"),
+        "two_block_diag", unital=True))
+
+
 def check_graded_simplicity(algebras=None):
     t3 = _get(algebras, "thm_T3_fractional")
     r1 = structure.is_graded_simple(t3)
-    # the direct sum of two full matrix algebras with the diagonal copy in
-    # degree one: its only proper graded ideal is the degree-zero summand
-    from .gralgebra import _full_matrix_positions, _pair_algebra, validate_or_raise
-    from .semigroup import catalog_semigroup
-    counter = validate_or_raise(_pair_algebra(
-        2, _full_matrix_positions(2), "ideal", catalog_semigroup("T1"),
-        "two_block_diag", unital=True))
+    counter = _two_block_counterexample()
     r2 = structure.is_graded_simple(counter)
     witness_ok = (
         r2.verdict == "certified_false"

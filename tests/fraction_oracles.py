@@ -1,16 +1,15 @@
 """Fraction-built linear algebra, products, trace form, center, block
-matrix, center splitting and complement lifting: independent oracles for
-the integer kernels of semigraded (GradedAlgebra.multiply and
-integer_product, subspace_product, and structure's _trace_form,
-_trace_radical, center, _block_matrix, _split_block and the section
-correction of _malcev), each written on the plain structure constants
-in Fraction arithmetic, the radical's trace form on the unital hull
-itself.  The dense helpers (vec, solve, mat_vec, mat_mul) are the ones
-the package ran on before its kernels moved to integer rows."""
+matrix and complement lifting: independent oracles for the integer
+kernels of semigraded (GradedAlgebra.multiply and integer_product,
+subspace_product, and structure's _trace_form, _trace_radical, center,
+_block_matrix and the section correction of _malcev), each written on
+the plain structure constants in Fraction arithmetic, the radical's
+trace form on the unital hull itself.  The dense helpers (vec, solve,
+mat_vec, mat_mul) are the ones the package ran on before its kernels
+moved to integer rows."""
 
 from semigraded.gralgebra import subspace_product
-from semigraded.linalg import (ONE, ZERO, Subspace, frac, is_zero_vec, nullspace, rational_roots,
-                               rref, unit_vec)
+from semigraded.linalg import ZERO, Subspace, frac, is_zero_vec, nullspace, rref, unit_vec
 from semigraded.structure import SplittingData
 
 # -- dense Fraction matrices --------------------------------------------------
@@ -42,23 +41,6 @@ def mat_mul(a, b):
     cols = list(zip(*b))
     return [tuple(sum((x * y for x, y in zip(row, col) if x and y), ZERO) for col in cols)
             for row in a]
-
-
-def fraction_minimal_polynomial(op_matrix):
-    """Monic minimal polynomial of a square rational matrix, low-first,
-    from the first linear dependence among I, M, M^2, ... found by solve."""
-    n = len(op_matrix)
-    ident = [unit_vec(n, i) for i in range(n)]
-    powers = [ident]
-    cur = ident
-    for _ in range(n):
-        cur = mat_mul(cur, op_matrix)
-        powers.append([tuple(r) for r in cur])
-        flat = [sum((list(p[i]) for i in range(n)), []) for p in powers]
-        dep = solve([tuple(row) for row in zip(*flat[:-1])], flat[-1])
-        if dep is not None:
-            return [-c for c in dep] + [ONE]
-    raise AssertionError("no minimal polynomial found within dimension bound")
 
 
 def fraction_reduce(space, v):
@@ -127,7 +109,7 @@ def fraction_center(alg) -> Subspace:
     return nullspace(rows, n)
 
 
-# -- the Wedderburn split of the center ----------------------------------------
+# -- the block matrix of the center --------------------------------------------
 
 
 def fraction_block_matrix(alg, rows, z) -> list:
@@ -141,29 +123,6 @@ def fraction_block_matrix(alg, rows, z) -> list:
             raise AssertionError("block is not closed under multiplication")
         mat_rows.append(coords)
     return [tuple(mat_rows[i][j] for i in range(len(rows))) for j in range(len(rows))]
-
-
-def fraction_split_block(alg, rows, candidates):
-    """structure._split_block on Fraction matrices: the rows of ker(z - r)
-    and im(z - r) for the first simple rational eigenvalue r of
-    multiplication by a candidate z on span(rows), or None."""
-    m = len(rows)
-    for z in candidates:
-        if is_zero_vec(z):
-            continue
-        mz = fraction_block_matrix(alg, rows, z)
-        minpoly = fraction_minimal_polynomial(mz)
-        if len(minpoly) <= 2:
-            continue
-        for r in rational_roots(minpoly):
-            shifted = [tuple(mz[i][j] - (r if i == j else ZERO) for j in range(m))
-                       for i in range(m)]
-            eigen, rest = nullspace(shifted, m), Subspace(m, list(zip(*shifted)))
-            if not eigen.intersect(rest).is_zero():
-                continue
-            return [[fraction_combine(rows, c) for c in part.canonical_rows]
-                    for part in (eigen, rest)]
-    return None
 
 
 # -- the complement's section ----------------------------------------------------

@@ -379,6 +379,31 @@ def test_subspaces_print_their_canonical_rows(runner, tmp_path):
     assert json.loads(result.output)["basis"] == [{"c0": "1", "c1": "-2"}]
 
 
+SQRT2_FIELDS = {
+    "q_sqrt2": "basis: one s\ndegree: one e\ndegree: s e\n"
+               "structure: 1 1 1 1\nstructure: 1 2 2 1\nstructure: 2 1 2 1\n"
+               "structure: 2 2 1 2\nunit: 1 0\n",
+    "q_times_q_sqrt2": "basis: a one s\ndegree: a e\ndegree: one e\ndegree: s e\n"
+                       "structure: 1 1 1 1\nstructure: 2 2 2 1\nstructure: 2 3 3 1\n"
+                       "structure: 3 2 3 1\nstructure: 3 3 2 2\nunit: 1 1 0\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SQRT2_FIELDS))
+def test_exponent_of_a_center_with_sqrt2_does_not_split(runner, tmp_path, name):
+    """Q(sqrt 2), alone and beside Q: the two dimensions of the center that
+    Q(sqrt 2) spans have no rational line, and the error names them."""
+    path = tmp_path / f"{name}.alg"
+    path.write_text(f"name: {name}\nsemigroup: inline\nsemigroup-labels: e\n"
+                    f"semigroup-table: e\n{SQRT2_FIELDS[name]}", encoding="utf-8")
+    result = runner.invoke(main, ["exponent", "--input", str(path)])
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    [line] = result.stderr.strip().splitlines()
+    assert json.loads(line) == {"error": "NonSplit",
+                                "message": "center block of dimension 2 does not split over Q"}
+
+
 def test_exponent_error_exit(runner):
     result = runner.invoke(main, ["exponent", "--catalog", "thm_T1_fractional"])
     assert result.exit_code == 1

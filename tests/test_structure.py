@@ -32,7 +32,7 @@ from semigraded.gralgebra import (
     upper_triangular,
     validate_or_raise,
 )
-from semigraded.linalg import ONE, ZERO, Subspace, eliminate, unit_vec
+from semigraded.linalg import ONE, ZERO, Subspace, eliminate, minimal_polynomial, unit_vec
 from semigraded.semigroup import (
     catalog_semigroup,
     is_left_zero_band,
@@ -42,10 +42,8 @@ from semigraded.semigroup import (
 from semigraded.structure import (
     _assert_radical,
     _block_matrix,
-    _central_parts,
     _is_nilpotent,
     _operator_closure,
-    _split_block,
     _trace_form,
     _trace_radical,
     _wedderburn,
@@ -64,7 +62,6 @@ from fraction_oracles import (
     fraction_center,
     fraction_malcev,
     fraction_multiply,
-    fraction_split_block,
     fraction_subspace_product,
     fraction_trace_form,
     fraction_trace_radical,
@@ -239,12 +236,32 @@ def test_wedderburn_two_blocks():
     assert a.intersect(b).is_zero()
 
 
+def diagonal_q3():
+    """Q^3 on three orthogonal idempotents d1, d2, d3."""
+    return validate_or_raise(GradedAlgebra(
+        3, ("d1", "d2", "d3"), {(i, i): {i: Fraction(1)} for i in range(3)},
+        (0, 0, 0), trivial_semigroup(), unit=(Fraction(1),) * 3))
+
+
 def test_wedderburn_three_lines():
-    diag = GradedAlgebra(
-        3, ("d1", "d2", "d3"),
-        {(i, i): {i: Fraction(1)} for i in range(3)},
-        (0, 0, 0), trivial_semigroup(), unit=(Fraction(1),) * 3)
-    assert [i.dim for i in _wedderburn(validate_or_raise(diag))] == [1, 1, 1]
+    assert [i.dim for i in _wedderburn(diagonal_q3())] == [1, 1, 1]
+
+
+def test_wedderburn_retries_a_candidate_that_does_not_generate_the_center():
+    """Q^3 under the base change of seed 24: the first candidate, the center's
+    rows weighted by 1, 2, 4, has a minimal polynomial of degree 2 < 3, so
+    the split moves on to the next one and still finds the three lines."""
+    diag = diagonal_q3()
+    p_rows = random_base_change(diag, random.Random(24))
+    alg = conjugated(diag, p_rows)
+    z = center(alg).rows
+    first, _ = _block_matrix(alg, z, [sum(2 ** l * row[j] for l, row in enumerate(z))
+                                      for j in range(3)])
+    assert len(minimal_polynomial(first)) == 3
+    back = list(zip(*p_rows))
+    ideals = [Subspace(3, [mat_vec(back, r) for r in i.rows]) for i in _wedderburn(alg)]
+    assert sorted(ideals, key=lambda i: i.rows) == \
+        sorted((Subspace(3, [unit_vec(3, i)]) for i in range(3)), key=lambda i: i.rows)
 
 
 def test_wedderburn_on_thm_t1_quotient():
@@ -295,40 +312,16 @@ def test_wedderburn_recovers_the_blocks_of_a_direct_sum(sizes, rng):
 def test_block_matrix_brings_its_rows_to_one_scale():
     """On Q^3 with three orthogonal idempotents, multiplication by (1, 2, 3)
     in the coordinates of rows whose coefficients have different
-    denominators: N / S is M exactly, and the split agrees with the
-    Fraction oracle's."""
-    diag = validate_or_raise(GradedAlgebra(
-        3, ("d1", "d2", "d3"), {(i, i): {i: Fraction(1)} for i in range(3)},
-        (0, 0, 0), trivial_semigroup(), unit=(Fraction(1),) * 3))
+    denominators: N / S is M exactly."""
+    diag = diagonal_q3()
     rows, z = [(1, 1, 0), (0, 2, 0), (0, 0, 3)], (1, 2, 3)
     block, scale = _block_matrix(diag, rows, z)
     assert [tuple(Fraction(x, scale) for x in row) for row in block] == \
         fraction_block_matrix(diag, rows, z) == [(1, 0, 0), (Fraction(1, 2), 2, 0), (0, 0, 3)]
-    assert [Subspace(3, part) for part in _split_block(diag, rows, [z])] == \
-        [Subspace(3, part) for part in fraction_split_block(diag, rows, [z])]
 
 
 def test_center_of_m2():
     assert center(full_matrix(2)).dim == 1
-
-
-def test_central_parts_act_on_each_block_as_its_trace_over_k():
-    """On M_2 + M_1 + M_3 in its matrix-unit basis the part of e_ab in
-    the block M_k is delta_ab / k times that block's unit, all parts times
-    one positive integer."""
-    sizes = (2, 1, 3)
-    alg = functools.reduce(direct_sum, [full_matrix(k) for k in sizes])
-    expected, offset = [], 0
-    for k in sizes:
-        unit = [ZERO] * alg.dim
-        for a in range(k):
-            unit[offset + a * k + a] = Fraction(1, k)
-        expected += [tuple(unit) if a == b else (ZERO,) * alg.dim
-                     for a in range(k) for b in range(k)]
-        offset += k * k
-    parts = _central_parts(alg, center(alg).rows)
-    factor = parts[0][0] / expected[0][0]
-    assert factor > 0 and parts == [[factor * x for x in e] for e in expected]
 
 
 # -- complements -----------------------------------------------------------------
@@ -808,27 +801,16 @@ def _outcome(f, alg):
 @settings(max_examples=30, deadline=None)
 @given(st.data())
 def test_structure_kernels_match_the_fraction_oracles_under_base_change(data):
-    """The splits of the center of A/J (_split_block), the complements of
-    malcev_complement and graded_malcev_zeroband, and the graded and
-    ordinary exponents, on integer rows and on the Fraction block matrix,
-    minimal polynomial and section correction they replaced
-    (fraction_split_block, fraction_malcev), for the paper's examples
-    under a random base change."""
+    """The complements of malcev_complement and graded_malcev_zeroband, and
+    the graded and ordinary exponents, on integer rows and on the Fraction
+    section correction they replaced (fraction_malcev), for the paper's
+    examples under a random base change."""
     base = parse_catalog_spec(data.draw(st.sampled_from(PARITY_SPECS)))
     alg = conjugated(base, random_base_change(base, data.draw(st.randoms(use_true_random=False))),
                      validated=False)
-    qalg = quotient_algebra(alg, jacobson_radical(alg), graded=False)[0]
-    z = center(qalg)
-    parts = _central_parts(qalg, z.rows)
-    split = _split_block(qalg, z.rows, parts)
-    oracle = fraction_split_block(qalg, z.canonical_rows, parts)
-    assert (split is None) == (oracle is None) == (z.dim < 2)
-    if split is not None:
-        assert [Subspace(qalg.dim, p) for p in split] == [Subspace(qalg.dim, p) for p in oracle]
     checks = (lambda a: malcev_complement(a).complement,
               lambda a: graded_malcev_zeroband(a).complement,
               graded_exponent_d, ordinary_exponent)
     got = [_outcome(f, alg) for f in checks]
-    with patch.object(structure, "_malcev", fraction_malcev), \
-            patch.object(structure, "_split_block", fraction_split_block):
+    with patch.object(structure, "_malcev", fraction_malcev):
         assert got == [_outcome(f, alg) for f in checks]
