@@ -1,9 +1,10 @@
 """Finite-dimensional associative algebras over Q with a semigroup grading.
 
 An algebra is given by sparse structure constants on a fixed basis plus
-a degree map from basis indices into a finite semigroup.  All scalars
-are Fractions, or integers in the scaled tables; nothing in this module
-touches floating point.
+a degree map from basis indices into a finite semigroup.  The structure
+constants and the unit are Fractions; every product is integer_product,
+on integer rows over integer_table (the constants times one scale), and
+nothing in this module touches floating point.
 
 The catalog derives its entries from two builders.  full_matrix(k) and
 upper_triangular(k) are the matrix units of M_k and UT_k
@@ -30,8 +31,8 @@ from .errors import (
     ResourceLimit,
     UnknownName,
 )
-from .linalg import (ONE, ZERO, Subspace, frac, fraction_row, integer_row, is_zero_vec,
-                     scaled_row, span_closure, sparse_map, unit_vec)
+from .linalg import (ONE, ZERO, Subspace, fraction_row, integer_row, scaled_canonical, scaled_row,
+                     span_closure, sparse_map, unit_vec)
 from .semigroup import (
     FiniteSemigroup,
     catalog_semigroup,
@@ -59,15 +60,6 @@ class GradedAlgebra:
         return f"<{tag}: dim {self.dim} over {list(self.semigroup.labels)}>"
 
     # -- products ---------------------------------------------------------
-
-    def mul_basis(self, i: int, j: int) -> dict:
-        return self.structure.get((i, j), {})
-
-    def multiply(self, u, v):
-        """u v as a tuple of Fractions: the integer product of u and v
-        scaled to integers (scaled_row), over one common denominator."""
-        (iu, du), (iv, dv) = scaled_row(u), scaled_row(v)
-        return fraction_row(self.integer_product(iu, iv), du * dv * self.integer_table()[1])
 
     def integer_product(self, u, v) -> list:
         """The product of the integer rows u and v over integer_table, as a
@@ -130,7 +122,7 @@ class GradedAlgebra:
                                    for i in self.component_indices(t)])
 
     def component_project(self, t: int, v):
-        return tuple(x if self.degree[i] == t else ZERO for i, x in enumerate(v))
+        return tuple(x if self.degree[i] == t else 0 for i, x in enumerate(v))
 
     def support(self):
         return sorted({self.degree[i] for i in range(self.dim)})
@@ -230,8 +222,8 @@ def validate(alg: GradedAlgebra):
                 if right[k](ij) != left[i](products[j][k]):
                     violations.append(("associativity", (i, j, k)))
     if alg.unit is not None:
-        d = math.lcm(*(frac(c).denominator for c in alg.unit))
-        unit = {k: int(c * d) for k, c in enumerate(alg.unit) if c != 0}
+        unit, d = scaled_row(alg.unit)
+        unit = {k: c for k, c in enumerate(unit) if c}
         for i in range(n):
             e = {i: d * scale}
             if right[i](unit) != e or left[i](unit) != e:
@@ -306,63 +298,58 @@ def quotient_algebra(alg: GradedAlgebra, ideal: Subspace, graded: bool):
     a graded ideal the quotient inherits the grading.  With graded=False
     the result carries the trivial grading.
 
-    Returns (Q, project, lift) where project maps A-vectors to Q-coords
-    and lift maps Q-coords back to representative A-vectors.
+    Returns (Q, project, lift): project maps an integer A-row to L times
+    its Q-coordinates in ints, L the scale of scaled_canonical on I's rows,
+    and lift places Q-coordinates at the representatives.  Q's structure
+    constants and unit are built from integer_table and the unit scaled to
+    integers, one Fraction per entry.
     """
     n = alg.dim
-    pivot_rows = dict(zip(ideal.pivots, ideal.canonical_rows))
+    rows, scale = scaled_canonical(ideal.rows, ideal.pivots)
+    pivot_rows = dict(zip(ideal.pivots, rows))
     reps = [c for c in range(n) if c not in pivot_rows]
     qdim = len(reps)
     rep_pos = {c: k for k, c in enumerate(reps)}
-    # a canonical row is 0 at the other pivots, so v reduces to v minus
-    # v[p] times the row of each pivot p, read at the representatives
+    # a scaled canonical row is L at its pivot and 0 at the other pivots, so
+    # L v reduces to L v minus v[p] times the row of each pivot p, read at
+    # the representatives
     pivot_parts = {p: [(rep_pos[c], x) for c, x in enumerate(row) if x and c in rep_pos]
                    for p, row in pivot_rows.items()}
 
     def project_sparse(items):
-        out = [ZERO] * qdim
+        out = [0] * qdim
         for k, x in items:
             if k in rep_pos:
-                out[rep_pos[k]] += x
+                out[rep_pos[k]] += scale * x
             else:
                 for a, y in pivot_parts[k]:
                     out[a] -= x * y
-        return tuple(out)
+        return out
 
     def project(v):
         return project_sparse((k, x) for k, x in enumerate(v) if x)
 
     def lift(coords):
-        v = [ZERO] * n
+        v = [0] * n
         for k, c in enumerate(reps):
             v[c] = coords[k]
-        return tuple(v)
+        return v
 
+    table, tscale = alg.integer_table()
     structure = {}
     for a, i in enumerate(reps):
         for b, j in enumerate(reps):
-            coords = project_sparse(alg.mul_basis(i, j).items())
-            cell = {k: c for k, c in enumerate(coords) if c != 0}
+            coords = fraction_row(project_sparse(table.get((i, j), ())), scale * tscale)
+            cell = {k: c for k, c in enumerate(coords) if c}
             if cell:
                 structure[(a, b)] = cell
-    if graded:
-        degree = tuple(alg.degree[c] for c in reps)
-        semigroup = alg.semigroup
-    else:
-        degree = (0,) * qdim
-        semigroup = trivial_semigroup()
-    unit = project(alg.unit) if alg.unit is not None else None
-    if unit is not None and is_zero_vec(unit):
-        unit = None
-    q = GradedAlgebra(
-        dim=qdim,
-        basis_labels=tuple(alg.basis_labels[c] for c in reps),
-        structure=structure,
-        degree=degree,
-        semigroup=semigroup,
-        unit=unit,
-        name=(alg.name + "/I") if alg.name else "",
-    )
+    degree, semigroup = ((tuple(alg.degree[c] for c in reps), alg.semigroup) if graded
+                         else ((0,) * qdim, trivial_semigroup()))
+    iu, du = scaled_row(alg.unit or ())
+    unit = project(iu)
+    unit = fraction_row(unit, scale * du) if any(unit) else None
+    q = GradedAlgebra(qdim, tuple(alg.basis_labels[c] for c in reps), structure, degree,
+                      semigroup, unit=unit, name=(alg.name + "/I") if alg.name else "")
     return q, project, lift
 
 

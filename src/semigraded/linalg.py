@@ -30,10 +30,6 @@ def unit_vec(n: int, i: int) -> tuple:
     return tuple(ONE if j == i else ZERO for j in range(n))
 
 
-def is_zero_vec(u) -> bool:
-    return all(a == 0 for a in u)
-
-
 def scaled_row(row) -> tuple:
     """(ints, d): the row times d, the lcm of its denominators, as a list
     of ints; the entries may be anything frac takes."""
@@ -310,17 +306,19 @@ def _trim(poly):
     return poly
 
 
-def _poly_divmod(a, b):
-    """(quotient, remainder) of Fraction polynomials, low-first, b's
-    leading coefficient nonzero."""
-    a, q = list(a), [ZERO] * max(len(a) - len(b) + 1, 0)
+def _pseudo_divmod(a, b):
+    """The primitive parts of q and r, lead(b)^k a = q b + r for some k >= 0
+    and r of lower degree than b: pseudo-division of low-first integer
+    polynomials in Z[x], b nonzero, each part divided by its content."""
+    a, q, lead = list(a), [0] * max(len(a) - len(b) + 1, 0), b[-1]
     while len(a) >= len(b):
-        c, s = a[-1] / b[-1], len(a) - len(b)
+        c, s = a[-1], len(a) - len(b)
+        q, a = [lead * x for x in q], [lead * x for x in a]
         q[s] = c
         for i, x in enumerate(b):
             a[s + i] -= c * x
         _trim(a)
-    return q, a
+    return [[x // g for x in p] for p in (q, a) for g in [math.gcd(*p) or 1]]
 
 
 def is_prime(p: int) -> bool:
@@ -351,27 +349,26 @@ def rational_roots(coeffs):
     low-first, each once, in increasing order.
 
     Exact in Python ints, with no divisors of the coefficients listed (the
-    p-adic method of R. Loos, SIAM J. Comput. 12, 1983).  Past its zero
-    roots, the polynomial's square-free part g, scaled to integers, has
-    only simple roots; modulo a prime p that divides neither g's leading
-    coefficient nor g' at a root of g mod p, each root mod p lifts by
-    Newton's step to one root mod p^k > 2 |g_0| |g_d|, and a rational root
-    u/v of g, |u| dividing g_0 and v dividing g_d, is the one fraction of
-    that size with its residue (rational reconstruction).  A candidate is
-    kept only when the polynomial vanishes at it exactly.
+    p-adic method of R. Loos, SIAM J. Comput. 12, 1983).  The coefficients
+    are scaled to integers, and past the zero roots the square-free part g
+    is f / gcd(f, f'), the gcd a primitive pseudo-remainder sequence and
+    the quotient a pseudo-division, both in Z[x]; g's roots are simple.
+    Modulo a prime p that divides neither g's leading coefficient nor g'
+    at a root of g mod p, each root mod p lifts by Newton's step to one
+    root mod p^k > 2 |g_0| |g_d|, and a rational root u/v of g, |u|
+    dividing g_0 and v dividing g_d, is the one fraction of that size with
+    its residue (rational reconstruction).  A candidate is kept only when
+    the polynomial vanishes at it exactly.
     """
-    coeffs = _trim([frac(c) for c in coeffs])
+    coeffs = _trim(integer_row(coeffs))
     zeros = next((i for i, c in enumerate(coeffs) if c), 0)
     roots, coeffs = [ZERO] if zeros else [], coeffs[zeros:]
     if len(coeffs) < 2:
         return roots
-    derivative = [i * c for i, c in enumerate(coeffs)][1:]
-    a, b = coeffs, derivative
+    a, b = coeffs, [i * c for i, c in enumerate(coeffs)][1:]
     while b:
-        a, b = b, _poly_divmod(a, b)[1]
-    g = integer_row(_poly_divmod(coeffs, a)[0])
-    content = math.gcd(*g)
-    g = [c // content for c in g]
+        a, b = b, _pseudo_divmod(a, b)[1]
+    g = _pseudo_divmod(coeffs, a)[0]
     low, lead = abs(g[0]), abs(g[-1])
     dg = [i * c for i, c in enumerate(g)][1:]
     p = 2

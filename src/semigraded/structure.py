@@ -14,10 +14,11 @@ the structure constants times one scale: the trace form comes out scale^2
 times the true one and a product scale times it, which no span, kernel
 or solve that uses them sees.  The kernels run on the integer rows of
 Subspace and integer_rref, each vector a fixed positive multiple of the
-true one: a block matrix of the center carries one scale, and the
-complement's section is lifted on integer equations over one common
-denominator.  Fraction is left to GradedAlgebra.multiply, which the unit
-and its components go through, and to the true section of SplittingData.
+true one: a block matrix of the center carries one scale, A/J projects
+in ints (quotient_algebra), and the complement's section, its integer
+columns over one denominator, is lifted on integer equations and
+conjugated by u and u^-1 with their scales tracked.  integer_product is
+the one product formed here, and no Fraction is built.
 """
 
 from __future__ import annotations
@@ -43,14 +44,12 @@ from .gralgebra import (
 from .linalg import (
     Subspace,
     eliminate,
-    fraction_row,
-    integer_row,
     integer_rref,
-    is_zero_vec,
     minimal_polynomial,
     nullspace,
     rational_roots,
     scaled_canonical,
+    scaled_row,
     span_closure,
     sparse_map,
 )
@@ -62,7 +61,7 @@ class SplittingData:
     complement: Subspace
     radical: Subspace
     correction_log: list
-    section: list | None = None  # columns: images of the quotient basis in A
+    section: tuple | None = None  # (cols, d): cols[u] / d the image of quotient basis u in A
 
 
 @dataclass
@@ -125,22 +124,24 @@ def _assert_radical(alg, rad, graded: bool):
 # -- the unit under zero-band gradings --------------------------------------
 
 def unit_component_idempotents(alg: GradedAlgebra):
-    """The decomposition 1 = sum e_t with e_t homogeneous, checked to be
-    orthogonal idempotents."""
+    """(parts, d): the decomposition 1 = sum e_t with e_t homogeneous, as
+    {t: d e_t} in ints, d the lcm of the unit's denominators, checked to be
+    orthogonal idempotents on integer_product."""
     if alg.unit is None:
         raise PreconditionFailed("algebra has no unit")
+    unit, d = scaled_row(alg.unit)
     parts = {}
     for t in alg.support():
-        e = alg.component_project(t, alg.unit)
-        if not is_zero_vec(e):
+        e = alg.component_project(t, unit)
+        if any(e):
             parts[t] = e
     for t, e in parts.items():
-        if alg.multiply(e, e) != e:
+        if alg.integer_product(e, e) != [alg.integer_table()[1] * d * x for x in e]:
             raise AssertionError("unit component is not idempotent")
         for s, f in parts.items():
-            if s != t and not is_zero_vec(alg.multiply(e, f)):
+            if s != t and any(alg.integer_product(e, f)):
                 raise AssertionError("unit components are not orthogonal")
-    return parts
+    return parts, d
 
 
 # -- Wedderburn decomposition ------------------------------------------------
@@ -324,7 +325,7 @@ def _malcev(alg, rad, quotient):
     """malcev_complement for a verified radical and the quotient by it,
     (Q, project, lift) of quotient_algebra, graded or not."""
     qalg, _, lift = quotient
-    cols, d = [integer_row(lift(qalg.basis_vector(i))) for i in range(qalg.dim)], 1
+    cols, d = [lift([int(u == k) for k in range(qalg.dim)]) for u in range(qalg.dim)], 1
     jk = rad
     while not jk.is_zero():
         j2k = subspace_product(alg, jk, jk)
@@ -332,7 +333,7 @@ def _malcev(alg, rad, quotient):
         jk = j2k
     comp = Subspace(alg.dim, cols)
     _assert_splitting(alg, comp, rad)
-    return SplittingData(comp, rad, [], [fraction_row(c, d) for c in cols])
+    return SplittingData(comp, rad, [], (cols, d))
 
 
 def _assert_splitting(alg, comp, rad):
@@ -370,30 +371,36 @@ def graded_malcev_zeroband(alg: GradedAlgebra) -> SplittingData:
 
 def _graded_malcev(alg, rad, quotient):
     """graded_malcev_zeroband for a verified radical and the quotient by
-    it, as in _malcev."""
+    it, as in _malcev.  In ints, with s the scale of integer_table, L that
+    of project, d_1 e_t the unit's components and cols / d the section: u
+    is formed K = s L d_1^2 d times itself, its inverse sum_m (-j)^m,
+    j = u - 1, c = d_1 (s K)^m times itself after m terms, and each
+    conjugated column s^2 K c d times its true value."""
     if not is_graded_subspace(alg, rad):
         raise AssertionError("radical of a unital zero-band algebra must be graded")
     plain = _malcev(alg, rad, quotient)
-    comp, cols, log = plain.complement, plain.section, []
-    project = quotient[1]
-    parts = unit_component_idempotents(alg)
+    comp, (cols, d), log = plain.complement, plain.section, []
+    project, product = quotient[1], alg.integer_product
+    parts, d1 = unit_component_idempotents(alg)
+    one = list(map(sum, zip(*parts.values())))  # d_1 times the unit
+    scale = alg.integer_table()[1]
+    u_scale = scale * scaled_canonical(rad.rows, rad.pivots)[1] * d1 * d1 * d
     u = [0] * alg.dim
     for e in parts.values():
-        coords = project(e)
-        image = _combine(cols, coords)  # s(e + J)
-        u = list(map(operator.add, u, alg.multiply(e, image)))
-    j = list(map(operator.sub, u, alg.unit))
+        u = list(map(operator.add, u, product(e, _combine(cols, project(e)))))
+    j = [x - u_scale // d1 * y for x, y in zip(u, one)]  # K (u - 1)
     if any(j):
         if not rad.contains(j):
             raise AssertionError("conjugator is not in 1 + J")
-        # u^-1 = sum_k (-j)^k, a finite sum since j is nilpotent
-        minus_j = [-x for x in j]
-        uinv = term = alg.unit
-        while not is_zero_vec(term := alg.multiply(term, minus_j)):
-            uinv = list(map(operator.add, uinv, term))
-        if alg.multiply(u, uinv) != alg.unit:
+        # u^-1 = sum_m (-j)^m, a finite sum since j is nilpotent
+        minus_j, step = [-x for x in j], scale * u_scale
+        uinv, term, inv_scale = one, one, d1
+        while any(term := product(term, minus_j)):
+            uinv, inv_scale = [step * x + y for x, y in zip(uinv, term)], step * inv_scale
+        if product(u, uinv) != [step * (inv_scale // d1) * x for x in one]:
             raise AssertionError("conjugator is not invertible")
-        cols = [alg.multiply(alg.multiply(u, c), uinv) for c in cols]
+        cols = [product(product(u, col), uinv) for col in cols]
+        d *= scale * step * inv_scale
         comp = Subspace(alg.dim, cols)
         _assert_splitting(alg, comp, rad)
         log.append("conjugated by u = sum_t e_t f_t")
@@ -401,7 +408,7 @@ def _graded_malcev(alg, rad, quotient):
         raise AssertionError("the complement misses a unit component")
     if not is_graded_subspace(alg, comp):
         raise AssertionError("graded complement construction failed")
-    return SplittingData(comp, rad, log, cols)
+    return SplittingData(comp, rad, log, (cols, d))
 
 
 # -- graded simplicity ---------------------------------------------------------
@@ -520,9 +527,7 @@ def graded_exponent_d(alg: GradedAlgebra) -> int:
         if not is_graded_subspace(qalg, ideal):
             raise PreconditionFailed("a simple summand of A/J is not graded")
     split = _graded_malcev if splits_graded(alg) else _malcev
-    # the section's columns, the images of qalg's basis, over one denominator
-    section = integer_row([x for col in split(alg, rad, quotient).section for x in col])
-    section = [section[k:k + alg.dim] for k in range(0, len(section), alg.dim)]
+    section, _ = split(alg, rad, quotient).section  # over one denominator
     spreads = []
     dims = []
     for ideal in ideals:
@@ -531,7 +536,7 @@ def graded_exponent_d(alg: GradedAlgebra) -> int:
             v = _combine(section, b)
             for t in alg.support():
                 piece = alg.component_project(t, v)
-                if not is_zero_vec(piece):
+                if any(piece):
                     rows.append(piece)
         spreads.append(Subspace(alg.dim, rows))
         dims.append(ideal.dim)

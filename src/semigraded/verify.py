@@ -101,7 +101,7 @@ def check_graded_splitting(algebras=None):
         data = structure.graded_malcev_zeroband(alg)
         graded = is_graded_subspace(alg, data.complement)
         closed = all(
-            data.complement.contains(alg.multiply(u, v))
+            data.complement.contains(alg.integer_product(u, v))
             for u in data.complement.rows for v in data.complement.rows
         )
         dims = data.complement.dim + data.radical.dim == alg.dim

@@ -5,7 +5,7 @@ the unit found by a linear solve."""
 from semigraded.gralgebra import _CATALOG_BUILDERS, GradedAlgebra
 from semigraded.linalg import ONE, ZERO, unit_vec
 from semigraded.semigroup import trivial_semigroup
-from fraction_oracles import solve
+from fraction_oracles import mul_basis, solve
 
 
 class SemigroupMismatch(ValueError):
@@ -49,9 +49,9 @@ def find_unit(alg: GradedAlgebra):
     for i in range(n):
         # sum_j u_j (e_j e_i) = e_i  and  sum_j u_j (e_i e_j) = e_i
         for k in range(n):
-            rows.append(tuple(alg.mul_basis(j, i).get(k, ZERO) for j in range(n)))
+            rows.append(tuple(mul_basis(alg, j, i).get(k, ZERO) for j in range(n)))
             rhs.append(ONE if k == i else ZERO)
-            rows.append(tuple(alg.mul_basis(i, j).get(k, ZERO) for j in range(n)))
+            rows.append(tuple(mul_basis(alg, i, j).get(k, ZERO) for j in range(n)))
             rhs.append(ONE if k == i else ZERO)
     return solve(rows, rhs)
 

@@ -1,18 +1,27 @@
 """Fraction-built linear algebra, products, trace form, center, block
-matrix and complement lifting: independent oracles for the integer
-kernels of semigraded (GradedAlgebra.multiply and integer_product,
-subspace_product, and structure's _trace_form, _trace_radical, center,
-_block_matrix and the section correction of _malcev), each written on
-the plain structure constants in Fraction arithmetic, the radical's
-trace form on the unital hull itself.  The dense helpers (vec, solve,
-mat_vec, mat_mul) are the ones the package ran on before its kernels
-moved to integer rows."""
+matrix, quotient and complement lifting: independent oracles for the
+integer kernels of semigraded (integer_product, subspace_product,
+quotient_algebra, and structure's _trace_form, _trace_radical, center,
+_block_matrix, the section correction of _malcev and the conjugation of
+_graded_malcev), each written on the plain structure constants in
+Fraction arithmetic, the radical's trace form on the unital hull
+itself.  The dense helpers (is_zero_vec, vec, solve, mat_vec, mat_mul)
+are the ones the package ran on before its kernels moved to integer
+rows, and multiply and mul_basis are the Fraction product and the basis
+lookup that GradedAlgebra carried until no caller in the package was
+left."""
 
-from semigraded.gralgebra import subspace_product
-from semigraded.linalg import ZERO, Subspace, frac, is_zero_vec, nullspace, rref, unit_vec
+from semigraded.gralgebra import GradedAlgebra, subspace_product
+from semigraded.linalg import (ZERO, Subspace, frac, fraction_row, nullspace, rref, scaled_row,
+                               unit_vec)
+from semigraded.semigroup import trivial_semigroup
 from semigraded.structure import SplittingData
 
 # -- dense Fraction matrices --------------------------------------------------
+
+
+def is_zero_vec(u) -> bool:
+    return all(a == 0 for a in u)
 
 
 def vec(entries) -> tuple:
@@ -62,6 +71,18 @@ def fraction_combine(rows, coords):
 # -- products, traces, center ---------------------------------------------------
 
 
+def mul_basis(alg, i, j) -> dict:
+    """e_i e_j as {k: Fraction}, read off the structure constants."""
+    return alg.structure.get((i, j), {})
+
+
+def multiply(alg, u, v) -> tuple:
+    """u v as a tuple of Fractions: the integer product of u and v scaled
+    to integers (scaled_row), over one common denominator."""
+    (iu, du), (iv, dv) = scaled_row(u), scaled_row(v)
+    return fraction_row(alg.integer_product(iu, iv), du * dv * alg.integer_table()[1])
+
+
 def fraction_multiply(alg, u, v) -> tuple:
     """u v summed term by term in Fractions."""
     out = [ZERO] * alg.dim
@@ -87,8 +108,8 @@ def fraction_trace_form(alg) -> list:
     """form[i][j] = trace of left multiplication by e_i * e_j, from the
     traces tvec[k] of the left multiplications by the basis."""
     n = alg.dim
-    tvec = [sum((alg.mul_basis(k, m).get(m, ZERO) for m in range(n)), ZERO) for k in range(n)]
-    return [tuple(sum((c * tvec[k] for k, c in alg.mul_basis(i, j).items()), ZERO)
+    tvec = [sum((mul_basis(alg, k, m).get(m, ZERO) for m in range(n)), ZERO) for k in range(n)]
+    return [tuple(sum((c * tvec[k] for k, c in mul_basis(alg, i, j).items()), ZERO)
                   for j in range(n)) for i in range(n)]
 
 
@@ -104,7 +125,7 @@ def fraction_center(alg) -> Subspace:
     """The x with x e_i = e_i x for every i, one equation per (i, k) read
     off the plain structure constants."""
     n = alg.dim
-    rows = [tuple(alg.mul_basis(j, i).get(k, ZERO) - alg.mul_basis(i, j).get(k, ZERO)
+    rows = [tuple(mul_basis(alg, j, i).get(k, ZERO) - mul_basis(alg, i, j).get(k, ZERO)
                   for j in range(n)) for i in range(n) for k in range(n)]
     return nullspace(rows, n)
 
@@ -139,10 +160,10 @@ def fraction_section_correction(alg, qalg, lift_cols, jk, j2k):
     defects = {}
     for i in range(q):
         for j in range(q):
-            target = fraction_combine(lift_cols, [qalg.mul_basis(i, j).get(u, ZERO)
+            target = fraction_combine(lift_cols, [mul_basis(qalg, i, j).get(u, ZERO)
                                                   for u in range(q)])
             defects[(i, j)] = tuple(
-                a - b for a, b in zip(target, alg.multiply(lift_cols[i], lift_cols[j])))
+                a - b for a, b in zip(target, multiply(alg, lift_cols[i], lift_cols[j])))
     if all(is_zero_vec(fraction_reduce(j2k, d)) for d in defects.values()):
         return lift_cols
     rows, rhs = [], []
@@ -150,16 +171,16 @@ def fraction_section_correction(alg, qalg, lift_cols, jk, j2k):
         for j in range(q):
             base = fraction_reduce(j2k, defects[(i, j)])
             coeff_rows = [[ZERO] * (q * r) for _ in range(n)]
-            prod_coords = qalg.mul_basis(i, j)
+            prod_coords = mul_basis(qalg, i, j)
             for u in range(q):
                 for b in range(r):
                     contrib = tuple(prod_coords.get(u, ZERO) * x for x in jk_rows[b])
                     if u == j:
                         contrib = tuple(a - c for a, c in
-                                        zip(contrib, alg.multiply(lift_cols[i], jk_rows[b])))
+                                        zip(contrib, multiply(alg, lift_cols[i], jk_rows[b])))
                     if u == i:
                         contrib = tuple(a - c for a, c in
-                                        zip(contrib, alg.multiply(jk_rows[b], lift_cols[j])))
+                                        zip(contrib, multiply(alg, jk_rows[b], lift_cols[j])))
                     for c, x in enumerate(fraction_reduce(j2k, contrib)):
                         coeff_rows[c][u * r + b] = x
             for c in range(n):
@@ -177,13 +198,114 @@ def fraction_section_correction(alg, qalg, lift_cols, jk, j2k):
 def fraction_malcev(alg, rad, quotient):
     """structure._malcev on Fraction sections: the lift of A/J's basis
     corrected level by level along the radical filtration by
-    fraction_section_correction."""
+    fraction_section_correction.  The section is (cols, 1), Fraction
+    columns over the denominator 1."""
     qalg, _, lift = quotient
-    cols = [lift(unit_vec(qalg.dim, i)) for i in range(qalg.dim)]
+    cols = [tuple(lift(unit_vec(qalg.dim, i))) for i in range(qalg.dim)]
     jk = rad
     while not jk.is_zero():
         j2k = subspace_product(alg, jk, jk)
         cols = fraction_section_correction(alg, qalg, cols, jk, j2k)
         jk = j2k
-    return SplittingData(Subspace(alg.dim, cols), rad, [], cols)
+    return SplittingData(Subspace(alg.dim, cols), rad, [], (cols, 1))
+
+
+# -- the quotient and the graded complement --------------------------------------
+
+
+def fraction_quotient_algebra(alg, ideal, graded):
+    """gralgebra.quotient_algebra through the ideal's canonical Fraction
+    rows: (Q, project, lift), project giving the true Q-coordinates of any
+    vector as Fractions and Q's constants summed in Fractions."""
+    n = alg.dim
+    pivot_rows = dict(zip(ideal.pivots, ideal.canonical_rows))
+    reps = [c for c in range(n) if c not in pivot_rows]
+    qdim = len(reps)
+    rep_pos = {c: k for k, c in enumerate(reps)}
+    # a canonical row is 0 at the other pivots, so v reduces to v minus
+    # v[p] times the row of each pivot p, read at the representatives
+    pivot_parts = {p: [(rep_pos[c], x) for c, x in enumerate(row) if x and c in rep_pos]
+                   for p, row in pivot_rows.items()}
+
+    def project_sparse(items):
+        out = [ZERO] * qdim
+        for k, x in items:
+            if k in rep_pos:
+                out[rep_pos[k]] += x
+            else:
+                for a, y in pivot_parts[k]:
+                    out[a] -= x * y
+        return tuple(out)
+
+    def project(v):
+        return project_sparse((k, x) for k, x in enumerate(v) if x)
+
+    def lift(coords):
+        v = [ZERO] * n
+        for k, c in enumerate(reps):
+            v[c] = coords[k]
+        return tuple(v)
+
+    structure = {}
+    for a, i in enumerate(reps):
+        for b, j in enumerate(reps):
+            coords = project_sparse(mul_basis(alg, i, j).items())
+            cell = {k: c for k, c in enumerate(coords) if c != 0}
+            if cell:
+                structure[(a, b)] = cell
+    if graded:
+        degree = tuple(alg.degree[c] for c in reps)
+        semigroup = alg.semigroup
+    else:
+        degree = (0,) * qdim
+        semigroup = trivial_semigroup()
+    unit = project(alg.unit) if alg.unit is not None else None
+    if unit is not None and is_zero_vec(unit):
+        unit = None
+    q = GradedAlgebra(
+        dim=qdim,
+        basis_labels=tuple(alg.basis_labels[c] for c in reps),
+        structure=structure,
+        degree=degree,
+        semigroup=semigroup,
+        unit=unit,
+        name=(alg.name + "/I") if alg.name else "",
+    )
+    return q, project, lift
+
+
+def fraction_unit_components(alg) -> dict:
+    """{t: e_t}: the homogeneous components of the unit, as Fractions."""
+    parts = {}
+    for t in alg.support():
+        e = tuple(x if alg.degree[i] == t else ZERO for i, x in enumerate(alg.unit))
+        if not is_zero_vec(e):
+            parts[t] = e
+    return parts
+
+
+def fraction_graded_malcev(alg, rad, quotient):
+    """structure._graded_malcev in Fractions: the complement of
+    fraction_malcev, its section s, and the coordinates of
+    fraction_quotient_algebra's project; u = sum_t e_t s(e_t + J), its
+    inverse sum_k (-j)^k for j = u - 1, and u c u^-1 for every column c,
+    through fraction_multiply.  The section is (cols, 1)."""
+    plain = fraction_malcev(alg, rad, quotient)
+    (cols, _), log = plain.section, []
+    _, project, _ = fraction_quotient_algebra(alg, rad, graded=False)
+    u = [ZERO] * alg.dim
+    for e in fraction_unit_components(alg).values():
+        image = fraction_multiply(alg, e, fraction_combine(cols, project(e)))
+        u = [a + b for a, b in zip(u, image)]
+    j = [a - b for a, b in zip(u, alg.unit)]
+    if not is_zero_vec(j):
+        minus_j = [-x for x in j]
+        uinv = term = alg.unit
+        while not is_zero_vec(term := fraction_multiply(alg, term, minus_j)):
+            uinv = [a + b for a, b in zip(uinv, term)]
+        if fraction_multiply(alg, u, uinv) != tuple(alg.unit):
+            raise AssertionError("conjugator is not invertible")
+        cols = [fraction_multiply(alg, fraction_multiply(alg, u, c), uinv) for c in cols]
+        log.append("conjugated by u = sum_t e_t f_t")
+    return SplittingData(Subspace(alg.dim, cols), rad, log, (cols, 1))
 

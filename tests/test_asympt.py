@@ -257,3 +257,41 @@ def test_certificate_bounds_sampled_feasible_points(poly, rnd):
             # p is feasible only to 1e-12, and phi has unbounded slope where
             # a coordinate meets zero, so the comparison allows 1e-9
             assert res.value + res.certified_gap >= phi(np.maximum(p, 0.0)) - 1e-9
+
+
+# Two thin regions that maximize_phi fails on, pinned by their exact float
+# rows (the FOUND on asympt.maximize_phi in CHANGES.md; ROADMAP item 6).
+# Each was drawn as an ordered-simplex anchor with trailing coordinates
+# exactly 0 and integer gamma rows in -3..3 whose offsets pass through the
+# anchor (slack 0 for some rows), so each region holds its anchor.
+_THIN_FOUND = ("FOUND: maximize_phi fails on thin regions that hold a feasible anchor "
+               "(CHANGES.md; ROADMAP item 6)")
+THIN_REGIONS = [
+    pytest.param(
+        Polytope(3, ((-1.537766879324776, (2, -1, 3)), (-1.1540777068917414, (1, 2, 0)),
+                     (1.112390832310588, (-1, 1, 2)), (2.9610543328852756, (-3, -1, 0)))),
+        (0.8459222931082587, 0.1540777068917413, 0.0),
+        marks=pytest.mark.xfail(strict=True, raises=Infeasible, reason=_THIN_FOUND),
+        id="infeasible"),
+    pytest.param(
+        Polytope(3, ((-1.3072412457369489, (1, 2, 2)), (-0.3855175085261019, (1, -1, -3)),
+                     (0.614482491473898, (0, -2, 0)), (1.6927587542630507, (-2, -1, 0)))),
+        (0.6927587542630509, 0.307241245736949, 0.0),
+        marks=pytest.mark.xfail(strict=True, raises=NoConvergence, reason=_THIN_FOUND),
+        id="no-convergence"),
+]
+
+
+@pytest.mark.parametrize("poly, anchor", [p.values for p in THIN_REGIONS],
+                         ids=[p.id for p in THIN_REGIONS])
+def test_thin_regions_hold_their_anchor(poly, anchor):
+    assert _Region(poly).violation(np.array(anchor)) <= 1e-12
+
+
+@pytest.mark.parametrize("poly, anchor", THIN_REGIONS)
+def test_maximize_on_a_thin_region_through_an_anchor(poly, anchor):
+    res = maximize_phi(poly)
+    region = _Region(poly)
+    assert region.violation(np.array(res.point)) <= 1e-12
+    assert res.certified_gap <= 1e-9
+    assert res.value + res.certified_gap >= phi(anchor) - 1e-9

@@ -47,6 +47,7 @@ from semigraded.linalg import ZERO, is_prime, matrix_rank
 from semigraded.semigroup import catalog_semigroup, trivial_semigroup
 from semigraded.young import YoungTableau, hook_dim, spanning_permutations, young_subgroup
 from algebra_fixtures import adjoin_unit, catalog_names, direct_sum
+from fraction_oracles import multiply
 from product_oracles import eval_table, product_cache
 from scatter_oracle import MaskedWordTable
 from young_oracles import direct_product, symmetrizer
@@ -98,7 +99,7 @@ def evaluate_monomial(alg: GradedAlgebra, m: GradedMonomial, subst, strict: bool
     out = None
     for k in m.word:
         b = alg.basis_vector(subst[k])
-        out = b if out is None else alg.multiply(out, b)
+        out = b if out is None else multiply(alg, out, b)
     return out
 
 

@@ -31,10 +31,10 @@ from semigraded.gralgebra import (
     validate_or_raise,
     with_trivial_grading,
 )
-from semigraded.linalg import Subspace, is_zero_vec
+from semigraded.linalg import Subspace
 from semigraded.semigroup import catalog_semigroup, trivial_semigroup
 from algebra_fixtures import SemigroupMismatch, adjoin_unit, catalog_names, direct_sum, find_unit
-from fraction_oracles import solve, vec
+from fraction_oracles import is_zero_vec, mul_basis, multiply, solve, vec
 from test_codim import scaled_products
 
 CATALOG_ARGS = {
@@ -57,22 +57,22 @@ def dense_validate(alg: GradedAlgebra):
     n = alg.dim
     for i in range(n):
         for j in range(n):
-            ij = alg.multiply(alg.basis_vector(i), alg.basis_vector(j))
+            ij = multiply(alg, alg.basis_vector(i), alg.basis_vector(j))
             # grading law on the pair (i, j)
             target = alg.semigroup.mul(alg.degree[i], alg.degree[j])
             for k, c in enumerate(ij):
                 if c != 0 and alg.degree[k] != target:
                     violations.append(("grading", (i, j), k))
             for k in range(n):
-                left = alg.multiply(ij, alg.basis_vector(k))
-                jk = alg.multiply(alg.basis_vector(j), alg.basis_vector(k))
-                right = alg.multiply(alg.basis_vector(i), jk)
+                left = multiply(alg, ij, alg.basis_vector(k))
+                jk = multiply(alg, alg.basis_vector(j), alg.basis_vector(k))
+                right = multiply(alg, alg.basis_vector(i), jk)
                 if left != right:
                     violations.append(("associativity", (i, j, k)))
     if alg.unit is not None:
         for i in range(n):
             e = alg.basis_vector(i)
-            if alg.multiply(alg.unit, e) != e or alg.multiply(e, alg.unit) != e:
+            if multiply(alg, alg.unit, e) != e or multiply(alg, e, alg.unit) != e:
                 violations.append(("unit", i))
     return {"ok": not violations, "violations": violations}
 
@@ -82,7 +82,7 @@ def dense_multiply(alg, u, v):
     out = [Fraction(0)] * alg.dim
     for i in range(alg.dim):
         for j in range(alg.dim):
-            for k, c in alg.mul_basis(i, j).items():
+            for k, c in mul_basis(alg, i, j).items():
                 out[k] += u[i] * v[j] * c
     return tuple(out)
 
@@ -334,9 +334,9 @@ def test_zero_algebra_any_degrees_ok():
 def test_matrix_unit_products():
     m2 = full_matrix(2)
     e11, e12, e21 = (m2.basis_vector(m2_label(m2, l)) for l in ("e11", "e12", "e21"))
-    assert m2.multiply(e11, e12) == e12
-    assert m2.multiply(e12, e12) == tuple(vec((0, 0, 0, 0)))
-    assert m2.multiply(e12, e21) == e11
+    assert multiply(m2, e11, e12) == e12
+    assert multiply(m2, e12, e12) == tuple(vec((0, 0, 0, 0)))
+    assert multiply(m2, e12, e21) == e11
 
 
 def test_direct_sum_componentwise_product():
@@ -345,7 +345,7 @@ def test_direct_sum_componentwise_product():
     assert s.dim == 8
     left = tuple(m2.basis_vector(0)) + (Fraction(0),) * 4
     right = (Fraction(0),) * 4 + tuple(m2.basis_vector(0))
-    assert s.multiply(left, right) == (Fraction(0),) * 8
+    assert multiply(s, left, right) == (Fraction(0),) * 8
 
 
 def test_direct_sum_semigroup_mismatch():
@@ -389,8 +389,8 @@ def test_adjoin_unit_zero_algebra():
     plus = adjoin_unit(zero)
     assert plus.dim == 2
     z = plus.basis_vector(0)
-    assert plus.multiply(z, z) == (Fraction(0), Fraction(0))
-    assert plus.multiply(plus.unit, z) == z
+    assert multiply(plus, z, z) == (Fraction(0), Fraction(0))
+    assert multiply(plus, plus.unit, z) == z
 
 
 def test_adjoin_unit_to_unital_m2():
@@ -400,7 +400,7 @@ def test_adjoin_unit_to_unital_m2():
     assert validate(plus)["ok"]
     old_unit = tuple(m2.unit) + (Fraction(0),)
     # the old unit stays idempotent but is no longer the unit
-    assert plus.multiply(old_unit, old_unit) == old_unit
+    assert multiply(plus, old_unit, old_unit) == old_unit
     assert find_unit(plus) == plus.unit
     assert plus.unit != old_unit
     assert adjoin_unit(plus).dim == m2.dim + 2
@@ -422,7 +422,7 @@ def test_subspace_products_in_m2():
 def test_multiply_associative_on_random_vectors(xs, ys, zs):
     a = paper_catalog("thm_T1_fractional")
     u, v, w = tuple(vec(xs)), tuple(vec(ys)), tuple(vec(zs))
-    assert a.multiply(a.multiply(u, v), w) == a.multiply(u, a.multiply(v, w))
+    assert multiply(a, multiply(a, u, v), w) == multiply(a, u, multiply(a, v, w))
 
 
 @settings(max_examples=50, deadline=None)
@@ -432,7 +432,7 @@ def test_multiply_matches_the_dense_loop(data):
     scalars = st.sampled_from([Fraction(0)] * 3 + COEFFICIENTS)
     vectors = st.lists(scalars, min_size=alg.dim, max_size=alg.dim).map(tuple)
     u, v = data.draw(vectors), data.draw(vectors)
-    assert alg.multiply(u, v) == dense_multiply(alg, u, v)
+    assert multiply(alg, u, v) == dense_multiply(alg, u, v)
 
 
 @settings(max_examples=25, deadline=None)
@@ -461,8 +461,8 @@ def test_ideal_generated():
     for i in range(ut2.dim):
         e = ut2.basis_vector(i)
         for row in ideal.rows:
-            assert ideal.contains(ut2.multiply(e, row))
-            assert ideal.contains(ut2.multiply(row, e))
+            assert ideal.contains(multiply(ut2, e, row))
+            assert ideal.contains(multiply(ut2, row, e))
 
 
 def test_is_graded_subspace():
@@ -497,8 +497,8 @@ def test_opposite_involution_and_m2_selfopposite():
     transpose = {0: 0, 1: 2, 2: 1, 3: 3}  # e11,e12,e21,e22 -> e11,e21,e12,e22
     for i in range(4):
         for j in range(4):
-            lhs = m2op.mul_basis(transpose[i], transpose[j])
-            rhs = {transpose[k]: c for k, c in m2.mul_basis(i, j).items()}
+            lhs = mul_basis(m2op, transpose[i], transpose[j])
+            rhs = {transpose[k]: c for k, c in mul_basis(m2, i, j).items()}
             assert lhs == rhs
 
 
@@ -536,7 +536,9 @@ def test_quotient_algebra():
     q, project, lift = quotient_algebra(ut2, rad, graded=False)
     assert q.dim == 2
     assert validate(q)["ok"]
-    assert project(ut2.basis_vector(1)) == (Fraction(0), Fraction(0))
+    assert project([0, 1, 0]) == [0, 0]
+    assert project([1, 2, 3]) == [1, 3]
+    assert lift([1, 3]) == [1, 0, 3]
     assert q.unit == (Fraction(1), Fraction(1))
 
 
@@ -568,7 +570,7 @@ def subalgebra_on(alg: GradedAlgebra, s: Subspace):
     structure = {}
     for i in range(m):
         for j in range(m):
-            cell = {k: c for k, c in enumerate(coords_of(alg.multiply(rows[i], rows[j]))) if c != 0}
+            cell = {k: c for k, c in enumerate(coords_of(multiply(alg, rows[i], rows[j]))) if c != 0}
             if cell:
                 structure[(i, j)] = cell
     unit = coords_of(alg.unit) if alg.unit is not None and s.contains(alg.unit) else None
@@ -617,7 +619,7 @@ def full_sweep_ideal_generated(alg, vectors):
         for row in current.rows:
             for i in range(alg.dim):
                 e = alg.basis_vector(i)
-                for p in (alg.multiply(e, row), alg.multiply(row, e)):
+                for p in (multiply(alg, e, row), multiply(alg, row, e)):
                     if not current.contains(p):
                         new_rows.append(p)
         if not new_rows:

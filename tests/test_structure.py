@@ -31,8 +31,10 @@ from semigraded.gralgebra import (
     subspace_product,
     upper_triangular,
     validate_or_raise,
+    with_trivial_grading,
 )
-from semigraded.linalg import ONE, ZERO, Subspace, eliminate, minimal_polynomial, unit_vec
+from semigraded.linalg import (ONE, ZERO, Subspace, eliminate, fraction_row, minimal_polynomial,
+                               scaled_canonical, unit_vec)
 from semigraded.semigroup import (
     catalog_semigroup,
     is_left_zero_band,
@@ -42,6 +44,7 @@ from semigraded.semigroup import (
 from semigraded.structure import (
     _assert_radical,
     _block_matrix,
+    _graded_malcev,
     _is_nilpotent,
     _operator_closure,
     _trace_form,
@@ -54,19 +57,25 @@ from semigraded.structure import (
     jacobson_radical,
     malcev_complement,
     ordinary_exponent,
+    splits_graded,
     unit_component_idempotents,
 )
 from algebra_fixtures import direct_sum
 from fraction_oracles import (
     fraction_block_matrix,
     fraction_center,
+    fraction_graded_malcev,
     fraction_malcev,
     fraction_multiply,
+    fraction_quotient_algebra,
     fraction_subspace_product,
     fraction_trace_form,
     fraction_trace_radical,
+    fraction_unit_components,
     mat_mul,
     mat_vec,
+    mul_basis,
+    multiply,
     solve,
     vec,
 )
@@ -85,7 +94,7 @@ def is_nilpotent_ideal(alg, s):
     for r in s.rows:
         for i in range(alg.dim):
             e = alg.basis_vector(i)
-            if not s.contains(alg.multiply(e, r)) or not s.contains(alg.multiply(r, e)):
+            if not s.contains(multiply(alg, e, r)) or not s.contains(multiply(alg, r, e)):
                 return False
     power = s
     for _ in range(alg.dim + 1):
@@ -216,12 +225,11 @@ def test_all_ideals_graded_preconditions():
 
 def test_unit_component_idempotents():
     alg = paper_catalog("utk_column_graded", 3)
-    parts = unit_component_idempotents(alg)
+    parts, d = unit_component_idempotents(alg)
     assert len(parts) == 3
-    total = [Fraction(0)] * alg.dim
-    for e in parts.values():
-        total = [x + y for x, y in zip(total, e)]
-    assert tuple(total) == alg.unit
+    assert all(type(x) is int for e in parts.values() for x in e)
+    assert fraction_row(list(map(sum, zip(*parts.values()))), d) == alg.unit
+    assert {t: fraction_row(e, d) for t, e in parts.items()} == fraction_unit_components(alg)
 
 
 # -- Wedderburn -------------------------------------------------------------------
@@ -331,7 +339,7 @@ def complement_is_valid(alg, data):
     assert data.complement.intersect(data.radical).is_zero()
     for u in data.complement.rows:
         for v in data.complement.rows:
-            assert data.complement.contains(alg.multiply(u, v))
+            assert data.complement.contains(multiply(alg, u, v))
 
 
 def test_malcev_ut2():
@@ -500,7 +508,7 @@ def conjugated(alg, p_rows, validated=True):
     structure = {}
     for i in range(n):
         for j in range(n):
-            prod = alg.multiply(new_basis[i], new_basis[j])
+            prod = multiply(alg, new_basis[i], new_basis[j])
             cell = {k: c for k, c in enumerate(coords(prod)) if c != 0}
             if cell:
                 structure[(i, j)] = cell
@@ -566,20 +574,21 @@ def recursive_graded_malcev(alg):
         return [alg.basis_vector(i) for i in range(alg.dim)]
     rad2 = subspace_product(alg, rad, rad)
     if rad2.is_zero():
-        cols = list(malcev_complement(alg).section)
-        _, project, _ = quotient_algebra(alg, rad, graded=False)
-        parts = unit_component_idempotents(alg)
+        cols, d = malcev_complement(alg).section
+        cols = [fraction_row(c, d) for c in cols]
+        _, project, _ = fraction_quotient_algebra(alg, rad, graded=False)
+        parts = fraction_unit_components(alg)
         for t in sorted(parts):
             e = parts[t]
             j = tuple(x - y for x, y in zip(_combine(cols, project(e)), e))
-            ej, je = alg.multiply(e, j), alg.multiply(j, e)
+            ej, je = multiply(alg, e, j), multiply(alg, j, e)
             u = tuple(a - b + c for a, b, c in zip(alg.unit, je, ej))
             uinv = tuple(a - b + c for a, b, c in zip(alg.unit, ej, je))
-            assert alg.multiply(u, uinv) == alg.unit
-            cols = [alg.multiply(alg.multiply(u, c), uinv) for c in cols]
+            assert multiply(alg, u, uinv) == alg.unit
+            cols = [multiply(alg, multiply(alg, u, c), uinv) for c in cols]
             assert _combine(cols, project(e)) == e
         return cols
-    qalg, _, lift = quotient_algebra(alg, rad2, graded=True)
+    qalg, _, lift = fraction_quotient_algebra(alg, rad2, graded=True)
     preimage = Subspace(alg.dim, [lift(c) for c in recursive_graded_malcev(qalg)]).sum(rad2)
     sub, sub_rows = subalgebra_on(alg, preimage)
     return [_combine(sub_rows, c) for c in recursive_graded_malcev(sub)]
@@ -624,9 +633,11 @@ def test_graded_splitting_matches_the_recursive_oracle(data):
     complement_is_valid(alg, split)
     assert split.complement == Subspace(alg.dim, recursive_graded_malcev(alg))
     assert is_graded_subspace(alg, split.complement)
-    assert all(split.complement.contains(e) for e in unit_component_idempotents(alg).values())
+    assert all(split.complement.contains(e) for e in unit_component_idempotents(alg)[0].values())
     q, project, _ = quotient_algebra(alg, split.radical, graded=False)
-    assert [project(c) for c in split.section] == [unit_vec(q.dim, k) for k in range(q.dim)]
+    (cols, d), scale = split.section, scaled_canonical(split.radical.rows, split.radical.pivots)[1]
+    assert [project(c) for c in cols] == \
+        [[scale * d * (k == u) for k in range(q.dim)] for u in range(q.dim)]
     assert graded_exponent_d(alg) == zero_band_exponents()[i]
 
 
@@ -667,8 +678,8 @@ def _closure_generators(alg):
     gens = [[[int(i == j and alg.degree[i] == t) for j in range(n)] for i in range(n)]
             for t in alg.support()]
     for b in range(n):
-        gens.append([[alg.mul_basis(b, j).get(i, 0) for j in range(n)] for i in range(n)])
-        gens.append([[alg.mul_basis(j, b).get(i, 0) for j in range(n)] for i in range(n)])
+        gens.append([[mul_basis(alg, b, j).get(i, 0) for j in range(n)] for i in range(n)])
+        gens.append([[mul_basis(alg, j, b).get(i, 0) for j in range(n)] for i in range(n)])
     return gens
 
 
@@ -715,8 +726,8 @@ def two_sided_operator_closure(alg):
         gens.append([tuple(ONE if (i == j and i in idx) else ZERO for j in range(n))
                      for i in range(n)])
     for b in range(n):
-        gens.append([tuple(alg.mul_basis(b, j).get(i, ZERO) for j in range(n)) for i in range(n)])
-        gens.append([tuple(alg.mul_basis(j, b).get(i, ZERO) for j in range(n)) for i in range(n)])
+        gens.append([tuple(mul_basis(alg, b, j).get(i, ZERO) for j in range(n)) for i in range(n)])
+        gens.append([tuple(mul_basis(alg, j, b).get(i, ZERO) for j in range(n)) for i in range(n)])
     ident = [unit_vec(n, i) for i in range(n)]
     echelon = {}
     basis_mats = []
@@ -768,7 +779,7 @@ def test_integer_kernels_match_the_fraction_oracles(data):
     n = alg.dim
     vectors = st.lists(small_entries, min_size=n, max_size=n).map(vec)
     u, v = data.draw(vectors), data.draw(vectors)
-    assert alg.multiply(u, v) == fraction_multiply(alg, u, v)
+    assert multiply(alg, u, v) == fraction_multiply(alg, u, v)
     s, t = (Subspace(n, data.draw(st.lists(vectors, max_size=3))) for _ in range(2))
     assert subspace_product(alg, s, t) == fraction_subspace_product(alg, s, t)
     scale = alg.integer_table()[1]
@@ -814,3 +825,45 @@ def test_structure_kernels_match_the_fraction_oracles_under_base_change(data):
     got = [_outcome(f, alg) for f in checks]
     with patch.object(structure, "_malcev", fraction_malcev):
         assert got == [_outcome(f, alg) for f in checks]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_quotient_and_conjugation_match_the_fraction_oracles_under_base_change(data):
+    """quotient_algebra by the radical, by 0 and by A, and the conjugation
+    of _graded_malcev, against the Fraction bodies they replaced
+    (fraction_quotient_algebra and fraction_graded_malcev), for the
+    paper's examples under a random base change: equal constants, degrees
+    and unit, project L times the oracle's, L the stated scale, equal
+    graded complements and sections, and equal exponents with the oracles
+    patched in."""
+    base = parse_catalog_spec(data.draw(st.sampled_from(PARITY_SPECS)))
+    alg = conjugated(base, random_base_change(base, data.draw(st.randoms(use_true_random=False))),
+                     validated=False)
+    n, rad = alg.dim, _trace_radical(alg)
+    v = data.draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n))
+    for ideal, graded in ((rad, data.draw(st.booleans())), (Subspace(n), True),
+                          (alg.full_subspace(), False)):
+        got, project, lift = quotient_algebra(alg, ideal, graded)
+        want, fraction_project, fraction_lift = fraction_quotient_algebra(alg, ideal, graded)
+        assert got == want
+        assert [(key, list(cell.items())) for key, cell in got.structure.items()] == \
+            [(key, list(cell.items())) for key, cell in want.structure.items()]
+        scale = scaled_canonical(ideal.rows, ideal.pivots)[1]
+        assert project(v) == [scale * x for x in fraction_project(v)]
+        assert lift(v[:got.dim]) == list(fraction_lift(v[:got.dim]))
+    for a in (alg, with_trivial_grading(alg)):
+        if splits_graded(a):
+            rad = _trace_radical(a)
+            quotient = _assert_radical(a, rad, graded=False)
+            got, want = _graded_malcev(a, rad, quotient), fraction_graded_malcev(a, rad, quotient)
+            (cols, d), (fraction_cols, _) = got.section, want.section
+            assert got.complement == want.complement
+            assert [fraction_row(c, d) for c in cols] == fraction_cols
+            assert got.correction_log == want.correction_log
+    checks = (graded_exponent_d, ordinary_exponent)
+    outcomes = [_outcome(f, alg) for f in checks]
+    with patch.object(structure, "quotient_algebra", fraction_quotient_algebra), \
+            patch.object(structure, "_malcev", fraction_malcev), \
+            patch.object(structure, "_graded_malcev", fraction_graded_malcev):
+        assert outcomes == [_outcome(f, alg) for f in checks]
